@@ -10,25 +10,25 @@ Subcommands map one-to-one onto the analysis pipelines:
 
 Outputs are plot-ready CSV/JSON files carrying a reproducibility header
 (input hashes and options, never timestamps), so identical inputs give
-byte-identical outputs in serial mode.  Exit codes: 0 success, 1 analysis
-failure (non-convergence / infeasible), 2 input error.
+byte-identical outputs.  Exit codes: 0 success, 1 analysis failure
+(non-convergence / infeasible), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .coupling import IslandError, PowerFlowError, sequential_gic_ac
 from .data import (CaseError, CaseData, FieldScenario, load_scenario_file,
                    make_ramp_scenario, parse_case_file)
-from .dcnet import FieldVector, assemble, effective_gic, solve_dc, winding_ids
+from .dcnet import FieldVector, solve_series, winding_ids
 from .mitigation import (MitigationInfeasible, MitigationPlan, OtsOptions,
                          build_model, enumerate_solve, solve, verify_plan)
 from .thermal import simulate
@@ -81,7 +81,10 @@ def _write_table(args, name: str, header: str, rows: list[str], meta: str) -> st
 
 
 def _check_run_config(args) -> None:
-    if getattr(args, "dt", 1.0) <= 0:
+    for name in ("dt", "field", "dir"):  # every subcommand has these options
+        if getattr(args, name) is not None and not math.isfinite(getattr(args, name)):
+            raise CaseError(f"--{name} must be finite")
+    if not args.dt > 0:
         raise CaseError("--dt must be positive")
     gap = getattr(args, "gap", None)
     if gap is not None and not 0.0 < gap < 1.0:
@@ -117,46 +120,22 @@ def _cmd_dc(args) -> int:
     meta = _meta_line(args, ("field", "dir", "dt", "format"))
 
     if scenario is not None:
-        times = scenario.grid(args.dt)
+        times, fields = scenario.grid(args.dt), scenario
+    elif args.field is not None:
+        times, fields = [0.0], np.array([FieldVector.from_mag_dir(args.field, args.dir)])
     else:
-        times = [0.0]
+        times, fields = [0.0], None  # stored br_v values drive the solve
+    series = solve_series(case, fields, times)
 
-    def solve_at(t):
-        if scenario is not None:
-            field = FieldVector(*scenario.at(t))
-            over = scenario.overrides_at(t)
-        elif args.field is not None:
-            field = FieldVector.from_mag_dir(args.field, args.dir)
-            over = None
-        else:
-            field = None  # stored br_v values drive the solve
-            over = None
-        sol = solve_dc(assemble(case, field, overrides=over))
-        sol = dataclasses.replace(sol, t=t)
-        return sol.with_effective(effective_gic(case, sol))
-
-    if args.parallel and len(times) > 1:
-        with ThreadPoolExecutor() as pool:
-            sols = list(pool.map(solve_at, times))
-    else:
-        sols = [solve_at(t) for t in times]
-
-    rows_bus: list[str] = []
-    rows_br: list[str] = []
-    eff_of_branch: dict[int, int] = {}
-    for pos, row in case.xfmr_rows():
-        for wid in winding_ids(row):
-            eff_of_branch[wid] = pos
-    peak = 0.0
-    for t, sol in zip(times, sols):
-        for nid in sorted(sol.node_voltages):
-            rows_bus.append(f"{_fmt(t)},{nid},{_fmt(sol.node_voltages[nid])}")
-        for bid in sorted(sol.branch_currents):
-            i_dc = sol.branch_currents[bid]
-            peak = max(peak, abs(i_dc))
-            pos = eff_of_branch.get(bid)
-            i_eff = sol.effective.get(pos, 0.0) if pos is not None else 0.0
-            rows_br.append(f"{_fmt(t)},{bid},{_fmt(i_dc)},{_fmt(i_eff)}")
+    eff_of = {wid: series.effective[pos].tolist()
+              for pos, row in case.xfmr_rows() for wid in winding_ids(row)}
+    nodes = sorted(zip(series.node_ids, series.V.T.tolist()))
+    branches = [(bid, i_dc, eff_of.get(bid, [0.0] * len(times)))
+                for bid, i_dc in sorted(zip(series.branch_ids, series.I.T.tolist()))]
+    rows_bus = [f"{_fmt(t)},{nid},{_fmt(v[k])}" for k, t in enumerate(times) for nid, v in nodes]
+    rows_br = [f"{_fmt(t)},{bid},{_fmt(i_dc[k])},{_fmt(i_eff[k])}"
+               for k, t in enumerate(times) for bid, i_dc, i_eff in branches]
+    peak = float(np.max(np.abs(series.I), initial=0.0))
     f1 = _write_table(args, "gic_bus", "t_min,gmd_bus_id,v_dc_volts", rows_bus, meta)
     f2 = _write_table(args, "gic_branch", "t_min,gmd_branch_id,i_dc_amps,i_eff_amps",
                       rows_br, meta)
@@ -284,14 +263,15 @@ def _branch_table(case: CaseData, scenario: FieldScenario,
     Flows come from the plan's peak-field period; dc currents are solved
     at the scenario's peak sampled field on the plan's topology.
     """
-    peak_t = max(plan.times, key=lambda t: math.hypot(*scenario.at(t)))
-    k = plan.times.index(peak_t)
-    sample_peak = max((s.t for s in scenario.samples),
-                      key=lambda t: math.hypot(*scenario.at(t)))
-    topo = {b: z for b, z in plan.z.items()}
-    sol = solve_dc(assemble(case, FieldVector(*scenario.at(sample_peak)),
-                            overrides=scenario.overrides_at(sample_peak),
-                            topology=topo))
+    def peak(times):
+        mags = [math.hypot(*e) for e in scenario.series(times).tolist()]
+        return mags.index(max(mags))
+
+    k = peak(plan.times)
+    sample_times = [s.t for s in scenario.samples]
+    sample_peak = sample_times[peak(sample_times)]
+    series = solve_series(case, scenario, [sample_peak], topology=dict(plan.z))
+    current = dict(zip(series.branch_ids, series.I[0].tolist()))
 
     rep_winding = {}
     kind = {}
@@ -313,7 +293,7 @@ def _branch_table(case: CaseData, scenario: FieldScenario,
         z = plan.z.get(br.index, br.status)
         p = plan.flows.get(br.index, [0.0] * (k + 1))[k] if br.status and z else 0.0
         gid = rep_winding.get(br.index, line_branch.get(br.index))
-        i_e = sol.branch_currents.get(gid, 0.0) if gid is not None else 0.0
+        i_e = current.get(gid, 0.0) if gid is not None else 0.0
         btype = kind.get(br.index, "line")
         btype = {"xfmr": "xf"}.get(btype, btype)
         rows.append(f"{br.f_bus},{br.t_bus},{ckt[br.index]},{btype},"
@@ -367,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=1e-5)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--parallel", action="store_true",
-                       help="evaluate independent time points in parallel")
 
     common(sub.add_parser("dc", help="quasi-dc GIC solve"))
     common(sub.add_parser("ac", help="sequential GIC -> ac power flow"),

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import CaseData
+from .data import CaseData, component_groups
 from .dcnet import FieldVector, GicSolution, assemble, effective_gic, solve_dc
 
 __all__ = [
@@ -133,22 +133,14 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
         gen_by_bus.setdefault(g.bus, []).append(g)
 
     # connectivity: every energized bus must reach a slack
-    reach = {b.index: b.index for b in buses}
-
-    def find(x):
-        while reach[x] != x:
-            reach[x] = reach[reach[x]]
-            x = reach[x]
-        return x
-
-    for br in live:
-        reach[find(br.f_bus)] = find(br.t_bus)
-    slack_roots = {find(b.index) for b in buses if b.bus_type == "slack"}
+    slack = {b.index for b in buses if b.bus_type == "slack"}
+    active = {i for comp in component_groups([b.index for b in buses],
+                                             [(br.f_bus, br.t_bus) for br in live])
+              if slack.intersection(comp) for i in comp}
     for b in buses:
         energized = b.pd != 0 or b.qd != 0 or b.index in gen_by_bus
-        if energized and find(b.index) not in slack_roots:
+        if energized and b.index not in active:
             raise IslandError(f"bus {b.index} is islanded from every slack bus")
-    active = {b.index for b in buses if find(b.index) in slack_roots}
 
     Y = np.zeros((n, n), dtype=complex)
     for br in live:

@@ -16,7 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "CaseError",
@@ -35,6 +40,7 @@ __all__ = [
     "FieldScenario",
     "CaseData",
     "ABSENT",
+    "component_groups",
     "XFMR_CONFIGS",
     "parse_case",
     "parse_case_file",
@@ -207,11 +213,13 @@ class FieldScenario:
         default_factory=dict)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for s in self.samples for v in (s.t, s.e_mag, s.e_dir)):
+            raise ValueError("scenario sample times, magnitudes and directions must be finite")
         ts = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("scenario sample times must be strictly increasing")
-        if self.dt <= 0:
-            raise ValueError("scenario dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("scenario dt must be positive and finite")
         if any(s.e_mag < 0 for s in self.samples):
             raise ValueError("field magnitude must be non-negative")
 
@@ -223,33 +231,27 @@ class FieldScenario:
     def t_end(self) -> float:
         return self.samples[-1].t
 
-    def at(self, t: float) -> tuple[float, float]:
-        """Interpolated field vector (e_north, e_east) in V/km at time t.
+    def series(self, times: Sequence[float]) -> np.ndarray:
+        """Interpolated field vectors, shape (len(times), 2): (e_north, e_east) in V/km.
 
         Interpolation is done on the north/east components so that
         direction changes blend physically.
         """
-        pts = self.samples
-        if t <= pts[0].t:
-            s = pts[0]
-            return _field_components(s.e_mag, s.e_dir)
-        if t >= pts[-1].t:
-            s = pts[-1]
-            return _field_components(s.e_mag, s.e_dir)
-        for a, b in zip(pts, pts[1:]):
-            if a.t <= t <= b.t:
-                w = (t - a.t) / (b.t - a.t)
-                na, ea = _field_components(a.e_mag, a.e_dir)
-                nb, eb = _field_components(b.e_mag, b.e_dir)
-                return (na + w * (nb - na), ea + w * (eb - ea))
-        raise AssertionError("unreachable")
+        ts = [s.t for s in self.samples]
+        north, east = zip(*(_field_components(s.e_mag, s.e_dir) for s in self.samples))
+        return np.column_stack([np.interp(times, ts, north), np.interp(times, ts, east)])
+
+    def at(self, t: float) -> tuple[float, float]:
+        """Interpolated field vector (e_north, e_east) in V/km at time t."""
+        return tuple(self.series([t])[0].tolist())
+
+    def overrides_series(self, times: Sequence[float]) -> dict[int, np.ndarray]:
+        """Per-branch induced-voltage overrides [V] interpolated at each time."""
+        return {b: np.interp(times, *zip(*series)) for b, series in self.voltage_overrides.items()}
 
     def overrides_at(self, t: float) -> dict[int, float]:
         """Per-branch induced-voltage overrides [V] interpolated at time t."""
-        out = {}
-        for branch_id, series in self.voltage_overrides.items():
-            out[branch_id] = _interp_series(series, t)
-        return out
+        return {b: float(v[0]) for b, v in self.overrides_series([t]).items()}
 
     def grid(self, dt: float | None = None) -> list[float]:
         """Uniform time grid t_start..t_end at step dt; dt must divide the span."""
@@ -268,17 +270,6 @@ def _field_components(e_mag: float, e_dir_deg: float) -> tuple[float, float]:
     return (e_mag * math.sin(phi), e_mag * math.cos(phi))
 
 
-def _interp_series(series: Sequence[tuple[float, float]], t: float) -> float:
-    if t <= series[0][0]:
-        return series[0][1]
-    if t >= series[-1][0]:
-        return series[-1][1]
-    for (ta, va), (tb, vb) in zip(series, series[1:]):
-        if ta <= t <= tb:
-            return va + (t - ta) / (tb - ta) * (vb - va)
-    raise AssertionError("unreachable")
-
-
 @dataclass(frozen=True)
 class CaseData:
     """Immutable network description; safe to share across concurrent solves."""
@@ -293,37 +284,41 @@ class CaseData:
     thermal: tuple[ThermalData, ...]
     bus_gmd: tuple[BusGmdData, ...]
 
-    # -- lookup helpers (desk scale; rebuilt per call) --
+    # -- lookup helpers: id -> row maps built once per instance --
 
     def bus(self, index: int) -> Bus:
-        return _by_index(self.buses, index, "bus")
+        return _by_index(self._rows["bus"], index, "bus")
 
     def ac_branch(self, index: int) -> AcBranch:
-        return _by_index(self.ac_branches, index, "branch")
+        return _by_index(self._rows["branch"], index, "branch")
 
     def gmd_bus(self, index: int) -> GmdBus:
-        return _by_index(self.gmd_buses, index, "gmd_bus")
+        return _by_index(self._rows["gmd_bus"], index, "gmd_bus")
 
     def gmd_branch(self, index: int) -> GmdBranch:
-        return _by_index(self.gmd_branches, index, "gmd_branch")
+        return _by_index(self._rows["gmd_branch"], index, "gmd_branch")
 
     def branch_gmd_for(self, branch: int) -> BranchGmdData | None:
-        for row in self.branch_gmd:
-            if row.branch == branch:
-                return row
-        return None
+        return self._rows["branch_gmd"].get(branch)
 
     def thermal_for(self, branch: int) -> ThermalData | None:
-        for row in self.thermal:
-            if row.branch == branch:
-                return row
-        return None
+        return self._rows["thermal"].get(branch)
 
     def coords_for(self, bus: int) -> BusGmdData | None:
-        for row in self.bus_gmd:
-            if row.bus == bus:
-                return row
-        return None
+        return self._rows["bus_gmd"].get(bus)
+
+    @cached_property
+    def _rows(self) -> dict[str, dict[int, object]]:
+        def by(rows, key):  # built in reverse, so the first of repeated ids wins
+            return {getattr(r, key): r for r in reversed(rows)}
+
+        return {"bus": by(self.buses, "index"),
+                "branch": by(self.ac_branches, "index"),
+                "gmd_bus": by(self.gmd_buses, "index"),
+                "gmd_branch": by(self.gmd_branches, "index"),
+                "branch_gmd": by(self.branch_gmd, "branch"),
+                "thermal": by(self.thermal, "branch"),
+                "bus_gmd": by(self.bus_gmd, "bus")}
 
     def xfmr_rows(self) -> list[tuple[int, BranchGmdData]]:
         """(row position, row) for every transformer row in branch_gmd."""
@@ -361,11 +356,11 @@ class CaseData:
         return out
 
 
-def _by_index(rows: Iterable, index: int, what: str):
-    for r in rows:
-        if r.index == index:
-            return r
-    raise CaseReferenceError(f"{what} id {index} does not exist")
+def _by_index(rows: Mapping[int, object], index: int, what: str):
+    try:
+        return rows[index]
+    except KeyError:
+        raise CaseReferenceError(f"{what} id {index} does not exist") from None
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +553,8 @@ def validate_case(case: CaseData) -> None:
     for i, gb in enumerate(case.gmd_buses):
         if gb.parent not in bus_ids:
             raise CaseReferenceError(f"gmd_bus row {i} (id {gb.index}): parent bus {gb.parent} does not exist")
-        if gb.g_gnd < 0:
-            raise CaseInvariantError(f"gmd_bus row {i} (id {gb.index}): g_gnd must be >= 0")
+        if not 0.0 <= gb.g_gnd < math.inf:
+            raise CaseInvariantError(f"gmd_bus row {i} (id {gb.index}): g_gnd must be finite and >= 0")
 
     gmd_br_ids = {b.index for b in case.gmd_branches}
     if len(gmd_br_ids) != len(case.gmd_branches):
@@ -572,8 +567,8 @@ def validate_case(case: CaseData) -> None:
         if e.parent != ABSENT and e.parent not in br_ids:
             raise CaseReferenceError(
                 f"gmd_branch row {i} (id {e.index}): parent branch {e.parent} does not exist")
-        if e.br_r <= 0:
-            raise CaseInvariantError(f"gmd_branch row {i} (id {e.index}): br_r must be > 0")
+        if not 0.0 < e.br_r < math.inf:
+            raise CaseInvariantError(f"gmd_branch row {i} (id {e.index}): br_r must be finite and > 0")
         if e.len_km < 0:
             raise CaseInvariantError(f"gmd_branch row {i} (id {e.index}): len_km must be >= 0")
 
@@ -662,28 +657,30 @@ def validate_case(case: CaseData) -> None:
             raise CaseInvariantError(f"{where}: lon out of range")
 
 
+def component_groups(ids: Sequence[int], links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected graph ``links`` over ``ids``;
+    members keep their order in ``ids``, components the order of their first."""
+    pos = {k: i for i, k in enumerate(ids)}
+    f, t = np.array([(pos[a], pos[b]) for a, b in links], dtype=int).reshape(-1, 2).T
+    graph = sp.coo_matrix((np.ones(len(f)), (f, t)), shape=(len(pos), len(pos)))
+    count, labels = connected_components(graph, directed=False)
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for k, label in zip(pos, labels.tolist()):
+        groups[label].append(k)
+    return groups
+
+
 def _check_slack(case: CaseData) -> None:
     """Exactly one slack per energized connected ac component.
 
     Components formed by in-service branches; components without any
     generator or load are allowed to have no slack (de-energized islands).
     """
-    parent = {b.index: b.index for b in case.buses}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for br in case.ac_branches:
-        if br.status:
-            parent[find(br.f_bus)] = find(br.t_bus)
-    comps: dict[int, list[Bus]] = {}
-    for b in case.buses:
-        comps.setdefault(find(b.index), []).append(b)
+    comps = component_groups([b.index for b in case.buses],
+                             [(br.f_bus, br.t_bus) for br in case.ac_branches if br.status])
     gen_buses = {g.bus for g in case.generators}
-    for root, members in comps.items():
+    for ids in comps:
+        members = [case.bus(i) for i in ids]
         slacks = [b.index for b in members if b.bus_type == "slack"]
         if len(slacks) > 1:
             raise CaseInvariantError(
@@ -883,7 +880,10 @@ def load_scenario(text: str, dt: float = 5.0,
             parts = ln.split(",")
             if len(parts) != 3:
                 raise CaseStructureError(f"override CSV: bad row '{ln}'")
-            overrides.setdefault(int(parts[1]), []).append((float(parts[0]), float(parts[2])))
+            t, volts = float(parts[0]), float(parts[2])
+            if not (math.isfinite(t) and math.isfinite(volts)):
+                raise CaseStructureError(f"override CSV: non-finite value in row '{ln}'")
+            overrides.setdefault(int(parts[1]), []).append((t, volts))
     frozen = {}
     for branch_id, series in overrides.items():
         series = tuple(sorted(series))

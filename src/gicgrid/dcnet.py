@@ -6,6 +6,12 @@ grounding admittance a_i = g_gnd, and series induced voltages are folded
 into Norton current injections so a single symmetric linear solve
 G V = J yields the node voltages.  Branch currents then follow from
 I_e = a_e (V_f - V_t + V_src).
+
+For a fixed topology G does not depend on the field, and J is linear in
+(E_north, E_east) and in each override voltage (the nodal admittance
+method of Lehtinen & Pirjola, 1985).  ``solve_series`` therefore factors
+G once per topology and superposes basis solutions over a time series;
+``solve_dc`` is the same code with one right-hand side.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .data import ABSENT, BranchGmdData, CaseData, CaseReferenceError, GmdBranch
+from .data import (ABSENT, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
+                   GmdBranch, component_groups)
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -25,6 +34,7 @@ __all__ = [
     "DcEdge",
     "DcSystem",
     "GicSolution",
+    "GicSeries",
     "SingularNetworkError",
     "MissingCoordinates",
     "branch_lengths",
@@ -32,8 +42,10 @@ __all__ = [
     "branch_voltage",
     "assemble",
     "solve_dc",
+    "solve_series",
     "effective_gic",
     "winding_ids",
+    "transformer_windings",
 ]
 
 EARTH_RADIUS_KM = 6371.0
@@ -120,7 +132,7 @@ def branch_voltage(case: CaseData, branch: GmdBranch, field: FieldVector | None,
     if field is None:
         return branch.br_v
     if winding_set is None:
-        winding_set = _winding_set(case)
+        winding_set = transformer_windings(case)
     if branch.index in winding_set:
         return 0.0
     l_n, l_e = branch_lengths(case, branch)
@@ -132,7 +144,8 @@ def branch_voltage(case: CaseData, branch: GmdBranch, field: FieldVector | None,
     return field.e_north * l_n + field.e_east * l_e
 
 
-def _winding_set(case: CaseData) -> frozenset[int]:
+def transformer_windings(case: CaseData) -> frozenset[int]:
+    """gmd_branch ids of every transformer winding in the case."""
     ids: set[int] = set()
     for row in case.branch_gmd:
         if row.is_xfmr:
@@ -156,10 +169,32 @@ class DcSystem:
 
     node_ids: tuple[int, ...]          # gmd_bus ids in matrix order
     index: Mapping[int, int]           # gmd_bus id -> row
-    G: np.ndarray                      # conductance matrix [S]
-    J: np.ndarray                      # Norton injections [A]
     edges: tuple[DcEdge, ...]
     ground: np.ndarray                 # per-node grounding admittance [S]
+
+    @property
+    def incidence(self) -> sp.csr_matrix:
+        """Node-by-edge incidence: -1 at each edge's f row, +1 at its t row."""
+        m = len(self.edges)
+        rows = [e.f for e in self.edges] + [e.t for e in self.edges]
+        cols = np.r_[np.arange(m), np.arange(m)]
+        return sp.csr_matrix((np.r_[-np.ones(m), np.ones(m)], (rows, cols)),
+                             shape=(len(self.node_ids), m))
+
+    def conductance(self) -> sp.csr_matrix:
+        """Sparse conductance matrix G [S]: edge admittances plus grounding."""
+        A = self.incidence
+        return A @ sp.diags([e.a for e in self.edges]) @ A.T + sp.diags(self.ground)
+
+    @property
+    def G(self) -> np.ndarray:
+        """Conductance matrix [S] as a dense array."""
+        return self.conductance().toarray()
+
+    @property
+    def J(self) -> np.ndarray:
+        """Norton injections [A]: a source v on edge f->t drives a*v from f into t."""
+        return self.incidence @ np.array([e.a * e.v_src for e in self.edges])
 
 
 def assemble(case: CaseData, field: FieldVector | None = None, *,
@@ -175,18 +210,11 @@ def assemble(case: CaseData, field: FieldVector | None = None, *,
     """
     nodes = tuple(b.index for b in case.gmd_buses if b.status)
     index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    G = np.zeros((n, n))
-    J = np.zeros(n)
-    ground = np.zeros(n)
-    for b in case.gmd_buses:
-        if b.status:
-            ground[index[b.index]] = b.g_gnd
-            G[index[b.index], index[b.index]] += b.g_gnd
+    ground = np.array([b.g_gnd for b in case.gmd_buses if b.status], dtype=float)
 
     series_cap_branches = {row.branch for row in case.branch_gmd
                            if row.type == "series_cap"}
-    winding_set = _winding_set(case)
+    winding_set = transformer_windings(case)
 
     edges = []
     for e in case.gmd_branches:
@@ -203,18 +231,10 @@ def assemble(case: CaseData, field: FieldVector | None = None, *,
         if e.f_bus not in index or e.t_bus not in index:
             continue
         v = branch_voltage(case, e, field, overrides, winding_set)
-        a = e.a
-        i, j = index[e.f_bus], index[e.t_bus]
-        G[i, i] += a
-        G[j, j] += a
-        G[i, j] -= a
-        G[j, i] -= a
-        J[j] += a * v
-        J[i] -= a * v
-        edges.append(DcEdge(index=e.index, f=i, t=j, a=a, v_src=v, parent=e.parent))
+        edges.append(DcEdge(index=e.index, f=index[e.f_bus], t=index[e.t_bus], a=e.a, v_src=v,
+                            parent=e.parent))
 
-    return DcSystem(node_ids=nodes, index=index, G=G, J=J,
-                    edges=tuple(edges), ground=ground)
+    return DcSystem(node_ids=nodes, index=index, edges=tuple(edges), ground=ground)
 
 
 @dataclass(frozen=True)
@@ -224,76 +244,149 @@ class GicSolution:
     node_voltages: Mapping[int, float]      # gmd_bus id -> V [volts]
     branch_currents: Mapping[int, float]    # gmd_branch id -> I [A, f->t]
     effective: Mapping[int, float] | None = None  # branch_gmd row pos -> I_eff [A]
-    t: float | None = None
     kcl_residual: float = 0.0
 
     def with_effective(self, eff: Mapping[int, float]) -> "GicSolution":
         return replace(self, effective=dict(eff))
 
 
+@dataclass(frozen=True)
+class GicSeries:
+    """Quasi-dc solutions over a time series, one row per time point."""
+
+    node_ids: tuple[int, ...]             # gmd_bus ids, the columns of V
+    branch_ids: tuple[int, ...]           # solved gmd_branch ids, the columns of I
+    V: np.ndarray                         # (T, nodes) node voltages [V]
+    I: np.ndarray                         # (T, branches) branch currents [A, f->t]
+    effective: Mapping[int, np.ndarray]   # branch_gmd row pos -> (T,) I_eff [A]
+    kcl_residual: np.ndarray              # (T,) [A]
+
+
+def _solve(sys: DcSystem, sources: np.ndarray, coeffs: np.ndarray,
+           pin_floating: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor G once and superpose k basis solutions over T time points.
+
+    ``sources`` (edges x k) are the series edge voltages of each basis and
+    ``coeffs`` (T x k) their weights per time point.  Each floating
+    component is pinned at its lowest row.  Returns node voltages
+    (T x nodes), branch currents (T x edges) and KCL residuals (T,).
+    """
+    n, T = len(sys.node_ids), coeffs.shape[0]
+    if n == 0:  # no nodes, so no edges
+        return np.zeros((T, 0)), np.zeros((T, 0)), np.zeros(T)
+    f = np.array([e.f for e in sys.edges], dtype=int)
+    t = np.array([e.t for e in sys.edges], dtype=int)
+    a = np.array([e.a for e in sys.edges])
+    incidence = sys.incidence
+    J = incidence @ (a[:, None] * sources)  # as DcSystem.J, one column per basis
+    keep = np.ones(n)
+    for members in component_groups(range(n), zip(f.tolist(), t.tolist())):
+        if any(sys.ground[i] > 0 for i in members):
+            continue
+        node_ids = sorted(sys.node_ids[i] for i in members)
+        if not pin_floating:
+            raise SingularNetworkError(f"dc component with no ground path: gmd buses {node_ids}")
+        if len(members) > 1:  # reported at the caller of solve_dc / solve_series
+            warnings.warn(f"pinning ungrounded dc component (gmd buses {node_ids}) to 0 V",
+                          stacklevel=3)
+        keep[members[0]] = 0.0
+    # a pinned row keeps only its diagonal: V = 0 there, currents unaffected
+    G = sp.diags(keep) @ sys.conductance() @ sp.diags(keep) + sp.diags(1.0 - keep)
+    try:
+        lu = splu(G.tocsc())
+    except RuntimeError as exc:
+        raise SingularNetworkError(f"dc conductance matrix is singular: {exc}") from None
+    Vb = lu.solve(J * keep[:, None])
+    Ib = a[:, None] * (Vb[f] - Vb[t] + sources)
+    V = coeffs @ Vb.T
+    I = coeffs @ Ib.T
+    # KCL per time point: net inflow at every node equals its ground current
+    residual = np.max(np.abs((incidence @ I.T).T - sys.ground * V), axis=1)
+    scale = np.maximum(np.max(np.abs(coeffs @ J.T), axis=1), 1.0)
+    bad = np.flatnonzero(~(residual <= 1e-6 * scale))
+    if bad.size:
+        k = bad[0]
+        raise SingularNetworkError(
+            f"dc solve lost accuracy: KCL residual {residual[k]:.3e} A "
+            f"(injection scale {scale[k]:.3e} A); check admittance conditioning")
+    return V, I, residual
+
+
 def solve_dc(sys: DcSystem, *, pin_floating: bool = True) -> GicSolution:
     """Solve G V = J and recover branch currents.
 
     Connected components without any path to ground have no unique
-    potential reference; the lowest-id node of each such component is
+    potential reference; the lowest-row node of each such component is
     pinned to 0 V (currents are unaffected).  With ``pin_floating`` False
     a SingularNetworkError names the offending component instead.
     """
-    n = len(sys.node_ids)
-    if n == 0:
-        return GicSolution(node_voltages={}, branch_currents={})
-    G = sys.G.copy()
-    J = sys.J.copy()
+    v_src = np.array([e.v_src for e in sys.edges]).reshape(-1, 1)
+    V, I, residual = _solve(sys, v_src, np.ones((1, 1)), pin_floating)
+    return GicSolution(
+        node_voltages={nid: float(v) for nid, v in zip(sys.node_ids, V[0])},
+        branch_currents={e.index: float(i) for e, i in zip(sys.edges, I[0])},
+        kcl_residual=float(residual[0]))
 
-    parent = list(range(n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
+                 times, *, topology: Mapping[int, int] | None = None) -> GicSeries:
+    """Quasi-dc solutions at every time in ``times`` for one topology.
 
-    for e in sys.edges:
-        parent[find(e.f)] = find(e.t)
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    for members in comps.values():
-        if any(sys.ground[i] > 0 for i in members):
-            continue
-        node_ids = [sys.node_ids[i] for i in members]
-        if not pin_floating:
-            raise SingularNetworkError(
-                f"dc component with no ground path: gmd buses {sorted(node_ids)}")
-        if len(members) > 1:
-            warnings.warn(
-                f"pinning ungrounded dc component (gmd buses {sorted(node_ids)}) to 0 V",
-                stacklevel=2)
-        pin = min(members)
-        G[pin, :] = 0.0
-        G[:, pin] = 0.0
-        G[pin, pin] = 1.0
-        J[pin] = 0.0
+    ``fields`` is a FieldScenario (field and overrides interpolated at
+    ``times``), an array of (e_north, e_east) [V/km] rows, one per time, or
+    None for the stored br_v values.  The bases are unit E_north and unit
+    E_east with overridden branches held at 0 V, plus a unit voltage on
+    each overridden branch; every time point is their weighted sum.
+    """
+    times = np.asarray(times, dtype=float)
+    over = fields.overrides_series(times) if isinstance(fields, FieldScenario) else {}
+    if fields is None:
+        sys = assemble(case, topology=topology)
+        columns = [[e.v_src for e in sys.edges]]
+        coeffs = np.ones((len(times), 1))
+    else:
+        if isinstance(fields, FieldScenario):
+            fields = fields.series(times)
+        held = {b: 0.0 for b in over}
+        sys = assemble(case, FieldVector(1.0, 0.0), overrides=held, topology=topology)
+        east = assemble(case, FieldVector(0.0, 1.0), overrides=held, topology=topology).edges
+        columns = [[e.v_src for e in sys.edges], [e.v_src for e in east]]
+        coeffs = np.column_stack([np.reshape(fields, (-1, 2))] + list(over.values()))
+    ids = np.array([e.index for e in sys.edges], dtype=int)
+    sources = np.column_stack([np.array(c, dtype=float) for c in columns]
+                              + [(ids == b).astype(float) for b in over])
+    V, I, residual = _solve(sys, sources, coeffs, pin_floating=True)
 
-    V = np.linalg.solve(G, J)
+    return GicSeries(node_ids=sys.node_ids, branch_ids=tuple(ids.tolist()), V=V, I=I,
+                     effective=_effective(case, dict(zip(ids.tolist(), I.T)), np.zeros(len(times))),
+                     kcl_residual=residual)
 
-    currents = {}
-    inflow = np.zeros(n)
-    for e in sys.edges:
-        i_e = e.a * (V[e.f] - V[e.t] + e.v_src)
-        currents[e.index] = i_e
-        inflow[e.t] += i_e
-        inflow[e.f] -= i_e
-    residual = float(np.max(np.abs(inflow - sys.ground * V))) if n else 0.0
-    scale = max(float(np.max(np.abs(sys.J))) if n else 0.0, 1.0)
-    if residual > 1e-6 * scale:
-        raise SingularNetworkError(
-            f"dc solve lost accuracy: KCL residual {residual:.3e} A "
-            f"(injection scale {scale:.3e} A); check admittance conditioning")
 
-    voltages = {nid: float(V[i]) for i, nid in enumerate(sys.node_ids)}
-    return GicSolution(node_voltages=voltages, branch_currents=currents,
-                       kcl_residual=residual)
+def _effective(case: CaseData, currents: Mapping[int, float | np.ndarray], zero):
+    """Effective GIC per branch_gmd row position: |sum of weight * winding current|.
+
+    ``currents`` maps gmd_branch id to a current or a current series and
+    ``zero`` stands in for windings absent from it.
+    """
+    out = {}
+    for pos, row in case.xfmr_rows():
+        cfg = row.config
+        if cfg == "gwye-delta":
+            pairs = ((row.gmd_br_hi, 1.0),)
+        elif cfg == "gwye-gwye":
+            alpha = case.turns_ratio(row)
+            pairs = ((row.gmd_br_hi, 1.0), (row.gmd_br_lo, 1.0 / alpha))
+        elif cfg == "gwye-gwye-auto":
+            alpha = case.turns_ratio(row)
+            pairs = ((row.gmd_br_se, alpha / (alpha + 1.0)), (row.gmd_br_co, 1.0 / (alpha + 1.0)))
+        else:  # delta-delta
+            pairs = ()
+        for wid, _ in pairs:
+            if wid == ABSENT:
+                raise CaseReferenceError("winding reference absent for declared config")
+            case.gmd_branch(wid)  # raises CaseReferenceError for malformed data
+        out[pos] = abs(sum((w * currents.get(wid, zero) for wid, w in pairs), zero))
+    return out
 
 
 def effective_gic(case: CaseData, sol: GicSolution) -> dict[int, float]:
@@ -305,25 +398,4 @@ def effective_gic(case: CaseData, sol: GicSolution) -> dict[int, float]:
     |I_hi|; gwye-gwye |(a I_hi + I_lo)/a|; autos |(a I_se + I_co)/(a+1)|;
     everything else is 0.
     """
-    out: dict[int, float] = {}
-
-    def cur(wid: int) -> float:
-        if wid == ABSENT:
-            raise CaseReferenceError("winding reference absent for declared config")
-        case.gmd_branch(wid)  # raises CaseReferenceError for malformed data
-        return sol.branch_currents.get(wid, 0.0)
-
-    for pos, row in case.xfmr_rows():
-        cfg = row.config
-        if cfg == "gwye-delta":
-            out[pos] = abs(cur(row.gmd_br_hi))
-        elif cfg == "gwye-gwye":
-            alpha = case.turns_ratio(row)
-            out[pos] = abs((alpha * cur(row.gmd_br_hi) + cur(row.gmd_br_lo)) / alpha)
-        elif cfg == "gwye-gwye-auto":
-            alpha = case.turns_ratio(row)
-            out[pos] = abs((alpha * cur(row.gmd_br_se) + cur(row.gmd_br_co))
-                           / (alpha + 1.0))
-        else:  # delta-delta
-            out[pos] = 0.0
-    return out
+    return _effective(case, sol.branch_currents, 0.0)

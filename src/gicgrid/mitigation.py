@@ -36,9 +36,10 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .data import ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData
+from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData,
+                   component_groups)
 from .coupling import IslandError
-from .dcnet import FieldVector, assemble, branch_voltage, effective_gic, solve_dc, winding_ids
+from .dcnet import FieldVector, branch_voltage, solve_series, transformer_windings, winding_ids
 from .lp import LpProblem, LpResult, lp_solve
 from .thermal import steady_rise, topoil_series
 
@@ -171,21 +172,14 @@ def build_model(case: CaseData, scenario: FieldScenario,
     switchable = sorted(b.index for b in branches if b.switchable)
 
     # connected, energized ac subnetwork
-    comp = {b.index: b.index for b in case.buses}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for br in branches:
-        comp[find(br.f_bus)] = find(br.t_bus)
-    slack_roots = {find(b.index) for b in case.buses if b.bus_type == "slack"}
+    slack = {b.index for b in case.buses if b.bus_type == "slack"}
+    connected = {i for comp in component_groups([b.index for b in case.buses],
+                                                [(br.f_bus, br.t_bus) for br in branches])
+                 if slack.intersection(comp) for i in comp}
     gen_buses = {g.bus for g in case.generators}
     buses = []
     for b in case.buses:
-        in_model = find(b.index) in slack_roots
+        in_model = b.index in connected
         energized = b.index in gen_buses or b.pd != 0 or b.qd != 0
         if energized and not in_model:
             raise IslandError(f"bus {b.index} (load/gen) is islanded from every slack")
@@ -200,13 +194,9 @@ def build_model(case: CaseData, scenario: FieldScenario,
     dc_nodes = [b for b in case.gmd_buses if b.status]
     node_pos = {b.index: i for i, b in enumerate(dc_nodes)}
     series_cap = {r.branch for r in case.branch_gmd if r.type == "series_cap"}
-    winding_set = set()
-    for row in case.branch_gmd:
-        if row.is_xfmr:
-            winding_set.update(winding_ids(row))
-    winding_set = frozenset(winding_set)
+    winding_set = transformer_windings(case)
 
-    fields = [FieldVector(*scenario.at(t)) for t in times]
+    fields = [FieldVector(*e) for e in scenario.series(times).tolist()]
     over = [scenario.overrides_at(t) for t in times]
 
     dc_edges = []
@@ -231,21 +221,13 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
     # dc voltage bound per component: sum of EMF magnitudes is a valid bound
     # for every switching state (superposition + maximum principle)
-    dcomp = {b.index: b.index for b in dc_nodes}
-
-    def dfind(x):
-        while dcomp[x] != x:
-            dcomp[x] = dcomp[dcomp[x]]
-            x = dcomp[x]
-        return x
-
-    for e, _, _ in dc_edges:
-        dcomp[dfind(e.f_bus)] = dfind(e.t_bus)
+    dcomp = {i: k for k, comp in enumerate(component_groups(
+        [b.index for b in dc_nodes], [(e.f_bus, e.t_bus) for e, _, _ in dc_edges])) for i in comp}
     emf_sum: dict[int, float] = {}
     for e, vsrc, _ in dc_edges:
-        root = dfind(e.f_bus)
+        root = dcomp[e.f_bus]
         emf_sum[root] = emf_sum.get(root, 0.0) + float(np.max(np.abs(vsrc)))
-    voltage_big_m = {b.index: emf_sum.get(dfind(b.index), 0.0) for b in dc_nodes}
+    voltage_big_m = {b.index: emf_sum.get(dcomp[b.index], 0.0) for b in dc_nodes}
 
     edge_gap_m = []
     for e, vsrc, _ in dc_edges:
@@ -948,17 +930,10 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     # dc-side and thermal checks by re-simulation; floating components are
     # expected when probing opened topologies, so the pinning note is muted
     pos_rows = dict(case.xfmr_rows())
-    true_eff: dict[int, np.ndarray] = {p: np.zeros(T) for p in plan.i_eff}
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
-        for t, tm in enumerate(times):
-            fieldvec = FieldVector(*scenario.at(tm))
-            sol = solve_dc(assemble(case, fieldvec,
-                                    overrides=scenario.overrides_at(tm),
-                                    topology=topo))
-            eff = effective_gic(case, sol)
-            for p in true_eff:
-                true_eff[p][t] = eff.get(p, 0.0)
+        dc = solve_series(case, scenario, times, topology=topo)
+    true_eff = {p: dc.effective.get(p, np.zeros(T)) for p in plan.i_eff}
 
     for p, series in plan.i_eff.items():
         row = pos_rows.get(p)

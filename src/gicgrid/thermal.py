@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .data import ABSENT, CaseData, FieldScenario
-from .dcnet import FieldVector, assemble, effective_gic, solve_dc
+from .dcnet import solve_series
 
 __all__ = [
     "apparent_power",
@@ -113,23 +113,15 @@ class ThermalTrace:
         return any(bool(tr.violations.any()) for tr in self.traces.values())
 
 
-def _loading_at(loading: Loading, t: float) -> Mapping[int, float]:
-    if loading is None:
-        return {}
-    if callable(loading):
-        return loading(t)
-    return loading
-
-
 def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None,
              topology: Mapping[int, int] | None = None,
              dt: float | None = None) -> ThermalTrace:
     """Simulate transformer temperatures over a field scenario.
 
     The scenario is resampled on a uniform grid of step ``dt`` (default:
-    the scenario's own dt, which must divide its span).  At every grid
-    point the dc network is solved for the interpolated field to get
-    effective GICs; ``loading`` supplies per-ac-branch apparent power
+    the scenario's own dt, which must divide its span).  Effective GICs at
+    every grid point come from one ``solve_series`` over the grid;
+    ``loading`` supplies per-ac-branch apparent power
     [p.u.] either as a constant map or a callable of time (absent
     entries mean unloaded).  Initial top-oil rise follows to_inited:
     1 starts from to_init, 0 from the steady-state rise of the first
@@ -140,28 +132,18 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     """
     grid = scenario.grid(dt)
     tgrid = np.asarray(grid)
-
-    eff_series: dict[int, np.ndarray] = {}
+    series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
-    per_pos = {pos: np.zeros(len(grid)) for pos, _ in rows}
-    for k, t in enumerate(grid):
-        field = FieldVector(*scenario.at(t))
-        sol = solve_dc(assemble(case, field, overrides=scenario.overrides_at(t),
-                                topology=topology))
-        eff = effective_gic(case, sol)
-        for pos, _ in rows:
-            per_pos[pos][k] = eff.get(pos, 0.0)
+    loads = [loading(t) if callable(loading) else loading or {} for t in grid]
 
     traces = {}
     for pos, row in rows:
         th = case.thermal_for(row.branch)
         br = case.ac_branch(row.branch)
         zeta = 2.0 * th.to_time_c / (tgrid[1] - tgrid[0]) if len(tgrid) > 1 else math.inf
-        du = np.empty(len(grid))
-        for k, t in enumerate(grid):
-            s = abs(_loading_at(loading, t).get(row.branch, 0.0))
-            du[k] = steady_rise(s, br.rating, th.to_rated)
+        s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
+        du = steady_rise(s, br.rating, th.to_rated)
         # pre-initial input sustains the initial state (matches the
         # optimization model's convention, so verify stays closed-loop)
         delta0 = th.to_init if th.to_inited else du[0]
@@ -170,7 +152,7 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
             delta = topoil_series(du, zeta, delta0)
         else:
             delta = np.array([delta0])
-        i_eff = per_pos[pos]
+        i_eff = series.effective[pos]
         eta = th.hs_coeff * i_eff
         hotspot = th.temp_amb + delta + eta
         limit = case.hotspot_limit_for(row)

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from gicgrid.cli import run
-from gicgrid.data import serialize_case
+from gicgrid.data import load_scenario_file, serialize_case
+from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
 
 LOOP = 170.788 / 1.601
 
@@ -54,14 +55,36 @@ def test_dc_scenario_rows(workdir):
     assert len(rows) == 73 * 3  # three gmd branches per time point
 
 
-def test_dc_parallel_matches_serial(workdir):
-    a = workdir / "serial"
-    b = workdir / "parallel"
+def test_dc_sweep_matches_per_point_solves(workdir, b4gic_case):
+    """The engine's sweep equals per-point solves and reruns byte-identically."""
+    a, b = workdir / "run1", workdir / "run2"
     base = ["dc", "--case", str(workdir / "b4gic.json"),
-            "--scenario", str(workdir / "ramp.csv")]
+            "--scenario", str(workdir / "ramp.csv"), "--dt", "5"]
     assert run(base + ["--out", str(a)]) == 0
-    assert run(base + ["--out", str(b), "--parallel"]) == 0
-    assert (a / "gic_branch.csv").read_bytes() == (b / "gic_branch.csv").read_bytes()
+    assert run(base + ["--out", str(b)]) == 0
+    for name in ("gic_bus.csv", "gic_branch.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    scenario = load_scenario_file(str(workdir / "ramp.csv"), dt=5.0)
+    _, bus_rows = _rows(a / "gic_bus.csv")
+    _, branch_rows = _rows(a / "gic_branch.csv")
+    times = scenario.grid()
+    assert len(bus_rows) == 6 * len(times) and len(branch_rows) == 3 * len(times)
+    for k, t in enumerate(times):
+        sol = solve_dc(assemble(b4gic_case, FieldVector(*scenario.at(t)),
+                                overrides=scenario.overrides_at(t)))
+        eff = effective_gic(b4gic_case, sol)
+        for row in bus_rows[6 * k:6 * (k + 1)]:
+            tt, nid, v = row.split(",")
+            assert float(tt) == t
+            assert float(v) == pytest.approx(sol.node_voltages[int(nid)], rel=1e-9, abs=1e-9)
+        winding_eff = {row.gmd_br_hi: eff[pos] for pos, row in b4gic_case.xfmr_rows()}
+        for row in branch_rows[3 * k:3 * (k + 1)]:
+            tt, bid, i_dc, i_eff = row.split(",")
+            assert float(tt) == t
+            assert float(i_dc) == pytest.approx(sol.branch_currents[int(bid)], rel=1e-9, abs=1e-9)
+            assert float(i_eff) == pytest.approx(winding_eff.get(int(bid), 0.0),
+                                                 rel=1e-9, abs=1e-9)
 
 
 def test_thermal_row_count(workdir):
@@ -209,3 +232,56 @@ def test_mitigate_shipped_benchmark(tmp_path):
     rc = run(["verify", "--case", case, "--scenario", scen, "--dt", "30",
               "--plan", str(out / "plan.json"), "--out", str(out)])
     assert rc == 0
+
+
+def _mutated_case(workdir, table, field, value):
+    doc = json.loads((workdir / "b4gic.json").read_text())
+    doc[table][0][field] = value
+    path = workdir / f"bad_{table}_{field}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("table,field,value", [
+    ("gmd_branch", "br_r", float("nan")),
+    ("gmd_branch", "br_r", float("inf")),
+    ("gmd_bus", "g_gnd", float("inf")),
+    ("gmd_bus", "g_gnd", float("nan")),
+])
+def test_non_finite_case_value_is_input_error(workdir, capsys, table, field, value):
+    out = workdir / "never"
+    case = _mutated_case(workdir, table, field, value)
+    rc = run(["dc", "--case", str(case), "--field", "1.0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_non_finite_scenario_value_is_input_error(workdir, capsys, column):
+    lines = (workdir / "ramp.csv").read_text().splitlines()
+    parts = lines[10].split(",")
+    parts[column] = "nan"
+    lines[10] = ",".join(parts)
+    scen = workdir / "nan.csv"
+    scen.write_text("\n".join(lines) + "\n")
+    out = workdir / "never"
+    rc = run(["thermal", "--case", str(workdir / "b4gic.json"), "--scenario", str(scen),
+              "--dt", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--dt", "inf"),
+                                        ("--field", "nan"), ("--dir", "inf")])
+def test_non_finite_option_is_input_error(workdir, capsys, flag, value):
+    out = workdir / "never"
+    rc = run(["dc", "--case", str(workdir / "b4gic.json"), "--field", "1.0",
+              flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()

@@ -326,3 +326,11 @@ def test_override_duplicate_times_rejected():
     over = "t_min,gmd_branch_id,volts\n0,2,0\n0,2,5\n"
     with pytest.raises(CaseStructureError, match="duplicate time"):
         load_scenario(text, overrides_text=over)
+
+
+@pytest.mark.parametrize("row", ["60,2,nan", "inf,2,5.0"])
+def test_override_non_finite_rejected(row):
+    text = "t_min,e_mag_vkm,e_dir_deg\n0,0,90\n60,1,90\n"
+    over = f"t_min,gmd_branch_id,volts\n0,2,0\n{row}\n"
+    with pytest.raises(CaseStructureError, match="non-finite"):
+        load_scenario(text, overrides_text=over)

@@ -1,14 +1,17 @@
 """Quasi-dc solve: geometry, assembly, linear-circuit properties."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gicgrid.data import FieldSample, FieldScenario
 from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates,
                            SingularNetworkError, assemble, branch_lengths,
-                           effective_gic, induced_voltage, solve_dc)
+                           effective_gic, induced_voltage, solve_dc, solve_series)
 
 from conftest import random_dc_case
 
@@ -191,7 +194,8 @@ def test_effective_gic_delta_delta_zero():
     assert effective_gic(case, sol)[0] == 0.0
 
 
-def test_floating_component_pinned_with_warning():
+def _floating_case():
+    """Two ungrounded gmd buses joined by one branch with a stored EMF."""
     import json
     from gicgrid.data import parse_case
     doc = {
@@ -208,8 +212,11 @@ def test_floating_component_pinned_with_warning():
                         "status": 1, "br_r": 1.0, "br_v": 10.0}],
         "branch_gmd": [], "branch_thermal": [], "bus_gmd": [],
     }
-    case = parse_case(json.dumps(doc))
-    sys = assemble(case)
+    return parse_case(json.dumps(doc))
+
+
+def test_floating_component_pinned_with_warning():
+    sys = assemble(_floating_case())
     with pytest.warns(UserWarning, match="ungrounded"):
         sol = solve_dc(sys)
     # no ground path: the EMF cannot drive any current
@@ -327,3 +334,73 @@ def _grounded_nodes(sys):
                          if sys.ground[i] > 0}
     return {sys.node_ids[i] for i in range(len(sys.node_ids))
             if find(i) in roots_with_ground}
+
+
+# -- time-series engine against per-point solves ------------------------------
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def series_inputs(draw):
+    """A random network (some groundings removed, some branches opened), a
+    random field scenario with overrides, and random evaluation times."""
+    case = random_dc_case(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    grounded = sorted(b.index for b in case.gmd_buses if b.g_gnd > 0)
+    unground = draw(st.sets(st.sampled_from(grounded)))
+    case = dataclasses.replace(case, gmd_buses=tuple(
+        dataclasses.replace(b, g_gnd=0.0) if b.index in unground else b
+        for b in case.gmd_buses))
+    opened = draw(st.sets(st.sampled_from([br.index for br in case.ac_branches])))
+    ts = sorted(draw(st.sets(st.floats(0.0, 100.0, **FINITE), min_size=1, max_size=6)))
+    samples = tuple(FieldSample(t, draw(st.floats(0.0, 10.0, **FINITE)),
+                                draw(st.floats(0.0, 360.0, **FINITE))) for t in ts)
+    overrides = {}
+    for b in draw(st.sets(st.sampled_from([e.index for e in case.gmd_branches]), max_size=3)):
+        o_ts = sorted(draw(st.sets(st.floats(0.0, 100.0, **FINITE), min_size=1, max_size=3)))
+        overrides[b] = tuple((t, draw(st.floats(-500.0, 500.0, **FINITE))) for t in o_ts)
+    times = draw(st.lists(st.floats(-10.0, 110.0, **FINITE), min_size=1, max_size=12))
+    return (case, FieldScenario(samples, voltage_overrides=overrides),
+            {b: 0 for b in opened}, times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_inputs())
+def test_solve_series_matches_per_point_solves(inputs):
+    case, scenario, topology, times = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        series = solve_series(case, scenario, times, topology=topology)
+        for k, t in enumerate(times):
+            sys = assemble(case, FieldVector(*scenario.at(t)),
+                           overrides=scenario.overrides_at(t), topology=topology)
+            sol = solve_dc(sys)
+            assert series.node_ids == sys.node_ids
+            assert set(series.branch_ids) == set(sol.branch_currents)
+            v = np.array([sol.node_voltages[n] for n in series.node_ids])
+            i = np.array([sol.branch_currents[b] for b in series.branch_ids])
+            eff = effective_gic(case, sol)
+            e = np.array([eff[p] for p in sorted(eff)])
+            e_series = np.array([series.effective[p][k] for p in sorted(eff)])
+            scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
+            assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
+            assert np.max(np.abs(series.I[k] - i), initial=0.0) <= 1e-9 * scale
+            assert np.max(np.abs(e_series - e), initial=0.0) <= 1e-9 * scale
+            j_scale = max(np.max(np.abs(sys.J), initial=0.0), 1.0)
+            assert series.kcl_residual[k] <= 1e-8 * j_scale
+
+
+def test_solve_series_stored_voltages(b4gic_case):
+    series = solve_series(b4gic_case, None, [0.0, 5.0])
+    sol = solve_dc(assemble(b4gic_case))
+    for k in range(2):
+        assert dict(zip(series.branch_ids, series.I[k])) == pytest.approx(sol.branch_currents)
+        assert dict(zip(series.node_ids, series.V[k])) == pytest.approx(sol.node_voltages)
+
+
+def test_solve_series_pins_floating_component_once():
+    case = _floating_case()
+    with pytest.warns(UserWarning, match="ungrounded") as record:
+        series = solve_series(case, None, [0.0, 1.0, 2.0])
+    assert len(record) == 1
+    assert np.all(series.I == 0.0)
