@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .data import CaseData, component_groups
 from .dcnet import FieldVector, GicSolution, assemble, effective_gic, solve_dc
@@ -99,34 +101,31 @@ class AcSolution:
         return float(sum(self.gen_q.values()))
 
 
-def _branch_admittance(branch) -> complex:
-    # lossless series model: y = 1 / (j x) with x = 1/b
-    return complex(0.0, -branch.b)
-
-
 def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                   tol: float = 1e-8, max_iter: int = 30,
                   topology: Mapping[int, int] | None = None) -> AcSolution:
     """Newton-Raphson power flow with optional GIC reactive loads.
 
     Polar formulation, flat start, mismatch tolerance on both P and Q
-    equations.  PV buses hold the generator voltage setpoint; no reactive
-    limit switching is applied.  ``extra_q`` losses are added as constant
-    reactive loads at their attribution buses.  De-energized islands (no
-    load, generation or slack) are excluded from the iteration and report
-    a nominal 1.0 p.u. / 0 rad state.
+    equations.  Y and the Jacobian are sparse; each iteration factors the
+    Jacobian once with a sparse LU (``scipy.sparse.linalg.splu``).  PV
+    buses hold the generator voltage setpoint; no reactive limit switching
+    is applied.  ``extra_q`` losses are added as constant reactive loads at
+    their attribution buses.  De-energized islands (no load, generation or
+    slack) are excluded from the iteration and report a nominal 1.0 p.u. /
+    0 rad state.  A non-finite mismatch or Newton step, or an exactly
+    singular Jacobian, raises PowerFlowError at once.
     """
     buses = case.buses
     n = len(buses)
     pos = {b.index: i for i, b in enumerate(buses)}
-
-    live = []
-    for br in case.ac_branches:
-        z = br.status
-        if topology is not None and br.index in topology:
-            z = topology[br.index]
-        if z:
-            live.append(br)
+    status = topology or {}
+    live = np.array([bool(status.get(br.index, br.status)) for br in case.ac_branches],
+                    dtype=bool)
+    f = np.array([pos[br.f_bus] for br in case.ac_branches], dtype=int)
+    t = np.array([pos[br.t_bus] for br in case.ac_branches], dtype=int)
+    # lossless series model: y = 1 / (j x) with x = 1/b
+    y = np.array([complex(0.0, -br.b) for br in case.ac_branches], dtype=complex)
 
     gen_by_bus: dict[int, list] = {}
     for g in case.generators:
@@ -134,34 +133,26 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
 
     # connectivity: every energized bus must reach a slack
     slack = {b.index for b in buses if b.bus_type == "slack"}
-    active = {i for comp in component_groups([b.index for b in buses],
-                                             [(br.f_bus, br.t_bus) for br in live])
+    links = [(br.f_bus, br.t_bus) for br, z in zip(case.ac_branches, live) if z]
+    active = {i for comp in component_groups([b.index for b in buses], links)
               if slack.intersection(comp) for i in comp}
     for b in buses:
         energized = b.pd != 0 or b.qd != 0 or b.index in gen_by_bus
         if energized and b.index not in active:
             raise IslandError(f"bus {b.index} is islanded from every slack bus")
 
-    Y = np.zeros((n, n), dtype=complex)
-    for br in live:
-        y = _branch_admittance(br)
-        i, j = pos[br.f_bus], pos[br.t_bus]
-        Y[i, i] += y
-        Y[j, j] += y
-        Y[i, j] -= y
-        Y[j, i] -= y
-    for b in buses:
-        Y[pos[b.index], pos[b.index]] += complex(b.g_shunt, 0.0)
+    fl, tl, yl = f[live], t[live], y[live]
+    diag = np.arange(n)
+    Y = sp.csr_matrix((np.concatenate([yl, yl, -yl, -yl, [b.g_shunt for b in buses]]),
+                       (np.concatenate([fl, tl, fl, tl, diag]),
+                        np.concatenate([fl, tl, tl, fl, diag]))), shape=(n, n))
 
-    # scheduled injections
-    p_sched = np.zeros(n)
-    q_sched = np.zeros(n)
-    for b in buses:
-        p_sched[pos[b.index]] -= b.pd
-        q_sched[pos[b.index]] -= b.qd
+    # scheduled injections; the GIC losses are summed per bus once, here
+    p_sched = -np.array([b.pd for b in buses], dtype=float)
+    q_sched = -np.array([b.qd for b in buses], dtype=float)
     if extra_q:
-        for ql in extra_q.values():
-            q_sched[pos[ql.bus]] -= ql.d_q
+        np.add.at(q_sched, [pos[ql.bus] for ql in extra_q.values()],
+                  [-ql.d_q for ql in extra_q.values()])
     vset = np.ones(n)
     for bus_id, gens in gen_by_bus.items():
         i = pos[bus_id]
@@ -169,17 +160,15 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
         if buses[i].bus_type != "slack":
             p_sched[i] += sum(g.pg for g in gens)
 
-    types = [b.bus_type if b.index in active else "dead" for b in buses]
-    pv = [i for i, t in enumerate(types) if t == "PV"]
-    pq = [i for i, t in enumerate(types) if t == "PQ"]
-    sl = [i for i, t in enumerate(types) if t == "slack"]
-    ang_idx = pv + pq     # unknown angles
-    mag_idx = pq          # unknown magnitudes
+    types = np.array([b.bus_type if b.index in active else "dead" for b in buses])
+    pv, pq = np.flatnonzero(types == "PV"), np.flatnonzero(types == "PQ")
+    ang_idx = np.concatenate([pv, pq])     # unknown angles
+    mag_idx = pq                           # unknown magnitudes
 
     vm = np.ones(n)
     va = np.zeros(n)
-    for i in pv + sl:
-        vm[i] = vset[i]
+    held = (types == "PV") | (types == "slack")
+    vm[held] = vset[held]
 
     def injections(vm, va):
         V = vm * np.exp(1j * va)
@@ -190,18 +179,19 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     max_mis = math.inf
     for it in range(1, max_iter + 1):
         p_inj, q_inj = injections(vm, va)
-        dP = p_sched - p_inj
-        dQ = q_sched - q_inj
-        mism = np.concatenate([dP[ang_idx], dQ[mag_idx]])
+        mism = np.concatenate([(p_sched - p_inj)[ang_idx], (q_sched - q_inj)[mag_idx]])
         max_mis = float(np.max(np.abs(mism))) if len(mism) else 0.0
+        report = {"iterations": it, "max_mismatch": max_mis}
         if max_mis <= tol:
             break
-        J = _jacobian(Y, vm, va, ang_idx, mag_idx)
+        if not math.isfinite(max_mis):
+            raise PowerFlowError(f"non-finite mismatch at iteration {it}", report=report)
         try:
-            dx = np.linalg.solve(J, mism)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowError(f"singular Jacobian at iteration {it}",
-                                 report={"iterations": it, "max_mismatch": max_mis}) from exc
+            dx = splu(_jacobian(Y, vm, va, ang_idx, mag_idx)).solve(mism)
+        except RuntimeError as exc:  # splu: "Factor is exactly singular"
+            raise PowerFlowError(f"singular Jacobian at iteration {it}", report=report) from exc
+        if not np.all(np.isfinite(dx)):
+            raise PowerFlowError(f"non-finite Newton step at iteration {it}", report=report)
         va[ang_idx] += dx[:len(ang_idx)]
         vm[mag_idx] += dx[len(ang_idx):]
     else:
@@ -212,59 +202,48 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
 
     p_inj, q_inj = injections(vm, va)
     V = vm * np.exp(1j * va)
+    s_f = np.where(live, V[f] * np.conj(y * (V[f] - V[t])), 0.0)
+    s_t = np.where(live, V[t] * np.conj(y * (V[t] - V[f])), 0.0)
+    ids = [br.index for br in case.ac_branches]
 
-    p_from, q_from, p_to, q_to = {}, {}, {}, {}
-    for br in case.ac_branches:
-        z = br.status
-        if topology is not None and br.index in topology:
-            z = topology[br.index]
-        if not z:
-            p_from[br.index] = q_from[br.index] = 0.0
-            p_to[br.index] = q_to[br.index] = 0.0
-            continue
-        y = _branch_admittance(br)
-        i, j = pos[br.f_bus], pos[br.t_bus]
-        s_f = V[i] * np.conj(y * (V[i] - V[j]))
-        s_t = V[j] * np.conj(y * (V[j] - V[i]))
-        p_from[br.index], q_from[br.index] = float(s_f.real), float(s_f.imag)
-        p_to[br.index], q_to[br.index] = float(s_t.real), float(s_t.imag)
-
-    # distribute bus-level generation to units (slack P and PV/slack Q)
+    # distribute bus-level generation to units (slack P and PV/slack Q);
+    # net bus generation is injection minus the scheduled (negative) load
     gen_p, gen_q = {}, {}
     for bus_id, gens in gen_by_bus.items():
         i = pos[bus_id]
-        b = buses[i]
-        p_bus = p_inj[i] + b.pd
-        q_bus = q_inj[i] + b.qd
-        if extra_q:
-            q_bus += sum(ql.d_q for ql in extra_q.values() if ql.bus == bus_id)
+        q_bus = q_inj[i] - q_sched[i]
+        p_bus = p_inj[i] - p_sched[i] if buses[i].bus_type == "slack" else None
         wsum = sum(max(g.pmax, 1e-9) for g in gens)
         for g in gens:
             w = max(g.pmax, 1e-9) / wsum
-            gen_p[g.index] = p_bus * w if b.bus_type == "slack" else g.pg
+            gen_p[g.index] = g.pg if p_bus is None else p_bus * w
             gen_q[g.index] = q_bus * w
-    return AcSolution(vm={b.index: float(vm[pos[b.index]]) for b in buses},
-                      va={b.index: float(va[pos[b.index]]) for b in buses},
-                      p_from=p_from, q_from=q_from, p_to=p_to, q_to=q_to,
+    bus_ids = [b.index for b in buses]
+    return AcSolution(vm=dict(zip(bus_ids, vm.tolist())), va=dict(zip(bus_ids, va.tolist())),
+                      p_from=dict(zip(ids, s_f.real.tolist())),
+                      q_from=dict(zip(ids, s_f.imag.tolist())),
+                      p_to=dict(zip(ids, s_t.real.tolist())),
+                      q_to=dict(zip(ids, s_t.imag.tolist())),
                       gen_p=gen_p, gen_q=gen_q,
                       iterations=it, max_mismatch=max_mis)
 
 
 def _jacobian(Y, vm, va, ang_idx, mag_idx):
-    """Polar power-flow Jacobian restricted to the unknown blocks."""
-    n = len(vm)
+    """Sparse polar power-flow Jacobian (CSC) restricted to the unknown blocks.
+
+    dS/dVa = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/dVm = diag(V) conj(Y diag(E)) + conj(diag(I)) diag(E), with I = Y V
+    and E = exp(j Va) (the MATPOWER ``dSbus_dV`` form).
+    """
     V = vm * np.exp(1j * va)
-    Ibus = Y @ V
-    diagV = np.diag(V)
-    diagI = np.diag(Ibus)
-    diagVnorm = np.diag(np.exp(1j * va))
-    dS_dVa = 1j * diagV @ np.conj(diagI - Y @ diagV)
-    dS_dVm = diagV @ np.conj(Y @ diagVnorm) + np.conj(diagI) @ diagVnorm
-    J11 = dS_dVa.real[np.ix_(ang_idx, ang_idx)]
-    J12 = dS_dVm.real[np.ix_(ang_idx, mag_idx)]
-    J21 = dS_dVa.imag[np.ix_(mag_idx, ang_idx)]
-    J22 = dS_dVm.imag[np.ix_(mag_idx, mag_idx)]
-    return np.block([[J11, J12], [J21, J22]])
+    diagV = sp.diags(V)
+    diagI = sp.diags(Y @ V)
+    diagVnorm = sp.diags(np.exp(1j * va))
+    dS_dVa = (1j * diagV @ (diagI - Y @ diagV).conj()).tocsr()
+    dS_dVm = (diagV @ (Y @ diagVnorm).conj() + diagI.conj() @ diagVnorm).tocsr()
+    return sp.bmat([[dS_dVa.real[ang_idx][:, ang_idx], dS_dVm.real[ang_idx][:, mag_idx]],
+                    [dS_dVa.imag[mag_idx][:, ang_idx], dS_dVm.imag[mag_idx][:, mag_idx]]],
+                   format="csc")
 
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,

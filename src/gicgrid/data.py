@@ -371,15 +371,62 @@ _TABLES = ("bus", "gen", "branch", "gmd_bus", "gmd_branch", "branch_gmd",
            "branch_thermal", "bus_gmd")
 
 
-def _need(row: Mapping, key: str, table: str, i: int):
-    if key not in row:
-        raise CaseStructureError(f"{table} row {i}: missing field '{key}'")
-    return row[key]
+_REQUIRED = object()
 
 
-def _opt(row: Mapping, key: str, default):
-    v = row.get(key, default)
-    return default if v is None else v
+class _Row:
+    """Typed field access to one case-table or CSV row; errors name the row and field."""
+
+    def __init__(self, table: str, i: int | None, row):
+        if not isinstance(row, dict):
+            raise CaseStructureError(f"{table} row {i}: must be an object, got {row!r}")
+        self.table, self.i, self.row = table, i, row
+
+    def _error(self, problem: str) -> CaseStructureError:
+        where = self.table if self.i is None else f"{self.table} row {self.i}"
+        return CaseStructureError(f"{where}: {problem}")
+
+    def raw(self, key: str, default=_REQUIRED):
+        """Raw value; an absent or null optional field gives ``default``."""
+        value = self.row.get(key)
+        if value is None and default is not _REQUIRED:
+            return default
+        if key not in self.row:
+            raise self._error(f"missing field '{key}'")
+        return value
+
+    def num(self, key: str, default=_REQUIRED, kind: type = float):
+        """Field ``key`` as a finite float, or an int when ``kind`` is int.
+
+        The one numeric gate of the input edge: null, text that is not a
+        number, NaN, inf and (for ints) fractions raise CaseStructureError.
+        """
+        value = self.row.get(key)
+        if type(value) is kind and value - value == 0:  # already a finite number of that kind
+            return value
+        value = self.raw(key, default)
+        if value is default:
+            return None if default is None else kind(default)
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is not None and x - x == 0 and (kind is float or x.is_integer()):
+            return kind(x)
+        if x is None:
+            problem = "expected a finite number"
+        elif x - x != 0:
+            problem = "non-finite value, expected a finite number"
+        else:
+            problem = "expected an integer"
+        raise self._error(f"field '{key}': {problem}, got {value!r}")
+
+    def int(self, key: str, default=_REQUIRED) -> int:
+        return self.num(key, default, int)
+
+
+def _rows(doc: Mapping, table: str) -> list[_Row]:
+    return [_Row(table, i, r) for i, r in enumerate(doc[table])]
 
 
 def parse_case(text: str) -> "CaseData":
@@ -403,104 +450,71 @@ def parse_case(text: str) -> "CaseData":
         raise CaseStructureError("missing 'base_mva'")
 
     buses = tuple(
-        Bus(index=int(_need(r, "index", "bus", i)),
-            base_kv=float(_need(r, "base_kv", "bus", i)),
-            bus_type=str(_opt(r, "bus_type", "PQ")),
-            pd=float(_opt(r, "pd", 0.0)), qd=float(_opt(r, "qd", 0.0)),
-            g_shunt=float(_opt(r, "g_shunt", 0.0)),
-            vmin=float(_opt(r, "vmin", 0.9)), vmax=float(_opt(r, "vmax", 1.1)))
-        for i, r in enumerate(doc["bus"]))
+        Bus(index=r.int("index"), base_kv=r.num("base_kv"),
+            bus_type=str(r.raw("bus_type", "PQ")),
+            pd=r.num("pd", 0.0), qd=r.num("qd", 0.0), g_shunt=r.num("g_shunt", 0.0),
+            vmin=r.num("vmin", 0.9), vmax=r.num("vmax", 1.1))
+        for r in _rows(doc, "bus"))
     gens = tuple(
-        Generator(index=int(_need(r, "index", "gen", i)),
-                  bus=int(_need(r, "bus", "gen", i)),
-                  pmin=float(_need(r, "pmin", "gen", i)),
-                  pmax=float(_need(r, "pmax", "gen", i)),
-                  qmin=float(_opt(r, "qmin", -1e3)), qmax=float(_opt(r, "qmax", 1e3)),
-                  cost0=float(_opt(r, "cost_0", 0.0)),
-                  cost1=float(_opt(r, "cost_1", 0.0)),
-                  cost2=float(_opt(r, "cost_2", 0.0)),
-                  pg=float(_opt(r, "pg", 0.0)), vg=float(_opt(r, "vg", 1.0)))
-        for i, r in enumerate(doc["gen"]))
+        Generator(index=r.int("index"), bus=r.int("bus"),
+                  pmin=r.num("pmin"), pmax=r.num("pmax"),
+                  qmin=r.num("qmin", -1e3), qmax=r.num("qmax", 1e3),
+                  cost0=r.num("cost_0", 0.0), cost1=r.num("cost_1", 0.0),
+                  cost2=r.num("cost_2", 0.0),
+                  pg=r.num("pg", 0.0), vg=r.num("vg", 1.0))
+        for r in _rows(doc, "gen"))
     branches = tuple(
-        AcBranch(index=int(_need(r, "index", "branch", i)),
-                 f_bus=int(_need(r, "f_bus", "branch", i)),
-                 t_bus=int(_need(r, "t_bus", "branch", i)),
-                 b=float(_need(r, "b", "branch", i)),
-                 rating=float(_need(r, "rating", "branch", i)),
-                 angle_max=float(_opt(r, "angle_max", 0.6)),
-                 angle_big_m=float(_opt(r, "angle_big_m", math.pi)),
-                 switchable=bool(_opt(r, "switchable", False)),
-                 status=int(_opt(r, "status", 1)))
-        for i, r in enumerate(doc["branch"]))
+        AcBranch(index=r.int("index"), f_bus=r.int("f_bus"), t_bus=r.int("t_bus"),
+                 b=r.num("b"), rating=r.num("rating"),
+                 angle_max=r.num("angle_max", 0.6),
+                 angle_big_m=r.num("angle_big_m", math.pi),
+                 switchable=bool(r.raw("switchable", False)),
+                 status=r.int("status", 1))
+        for r in _rows(doc, "branch"))
     gmd_buses = tuple(
-        GmdBus(index=int(_need(r, "index", "gmd_bus", i)),
-               parent=int(_need(r, "parent", "gmd_bus", i)),
-               status=int(_opt(r, "status", 1)),
-               g_gnd=float(_need(r, "g_gnd", "gmd_bus", i)),
-               name=str(_opt(r, "name", "")))
-        for i, r in enumerate(doc["gmd_bus"]))
+        GmdBus(index=r.int("index"), parent=r.int("parent"), status=r.int("status", 1),
+               g_gnd=r.num("g_gnd"), name=str(r.raw("name", "")))
+        for r in _rows(doc, "gmd_bus"))
     gmd_branches = tuple(
-        GmdBranch(index=int(_need(r, "index", "gmd_branch", i)),
-                  f_bus=int(_need(r, "f_bus", "gmd_branch", i)),
-                  t_bus=int(_need(r, "t_bus", "gmd_branch", i)),
-                  parent=int(_need(r, "parent", "gmd_branch", i)),
-                  status=int(_opt(r, "status", 1)),
-                  br_r=float(_need(r, "br_r", "gmd_branch", i)),
-                  br_v=float(_opt(r, "br_v", 0.0)),
-                  len_km=float(_opt(r, "len_km", 0.0)),
-                  name=str(_opt(r, "name", "")))
-        for i, r in enumerate(doc["gmd_branch"]))
+        GmdBranch(index=r.int("index"), f_bus=r.int("f_bus"), t_bus=r.int("t_bus"),
+                  parent=r.int("parent"), status=r.int("status", 1),
+                  br_r=r.num("br_r"), br_v=r.num("br_v", 0.0),
+                  len_km=r.num("len_km", 0.0), name=str(r.raw("name", "")))
+        for r in _rows(doc, "gmd_branch"))
     branch_gmd = tuple(
-        BranchGmdData(branch=int(_need(r, "branch", "branch_gmd", i)),
-                      hi_bus=int(_need(r, "hi_bus", "branch_gmd", i)),
-                      lo_bus=int(_need(r, "lo_bus", "branch_gmd", i)),
-                      gmd_br_hi=int(_opt(r, "gmd_br_hi", ABSENT)),
-                      gmd_br_lo=int(_opt(r, "gmd_br_lo", ABSENT)),
-                      gmd_k=float(_opt(r, "gmd_k", ABSENT)),
-                      gmd_br_se=int(_opt(r, "gmd_br_se", ABSENT)),
-                      gmd_br_co=int(_opt(r, "gmd_br_co", ABSENT)),
-                      baseMVA=float(_opt(r, "baseMVA", ABSENT)),
-                      dispatch=int(_opt(r, "dispatch", 1)),
-                      type=str(_need(r, "type", "branch_gmd", i)),
-                      config=str(_opt(r, "config", "none")),
-                      turns_ratio=_float_or_none(r.get("turns_ratio")),
-                      gic_bound=_float_or_none(r.get("gic_bound")),
-                      hotspot_limit=_float_or_none(r.get("hotspot_limit")))
-        for i, r in enumerate(doc["branch_gmd"]))
-    thermal = []
-    for i, r in enumerate(doc["branch_thermal"]):
-        is_x = int(_opt(r, "xfmr", 0))
-        if not is_x:
-            # rows for non-transformers carry -1 sentinels; treated as absent
-            continue
-        thermal.append(
-            ThermalData(branch=int(_need(r, "branch", "branch_thermal", i)),
-                        xfmr=1,
-                        temp_amb=float(_need(r, "temp_amb", "branch_thermal", i)),
-                        hs_inst_lim=float(_need(r, "hs_inst_lim", "branch_thermal", i)),
-                        hs_avg_lim=float(_opt(r, "hs_avg_lim", ABSENT)),
-                        hs_rated=float(_opt(r, "hs_rated", ABSENT)),
-                        to_time_c=float(_need(r, "to_time_c", "branch_thermal", i)),
-                        to_rated=float(_need(r, "to_rated", "branch_thermal", i)),
-                        to_init=float(_opt(r, "to_init", 0.0)),
-                        to_inited=int(_opt(r, "to_inited", 0)),
-                        hs_coeff=float(_need(r, "hs_coeff", "branch_thermal", i))))
+        BranchGmdData(branch=r.int("branch"), hi_bus=r.int("hi_bus"), lo_bus=r.int("lo_bus"),
+                      gmd_br_hi=r.int("gmd_br_hi", ABSENT),
+                      gmd_br_lo=r.int("gmd_br_lo", ABSENT),
+                      gmd_k=r.num("gmd_k", ABSENT),
+                      gmd_br_se=r.int("gmd_br_se", ABSENT),
+                      gmd_br_co=r.int("gmd_br_co", ABSENT),
+                      baseMVA=r.num("baseMVA", ABSENT),
+                      dispatch=r.int("dispatch", 1),
+                      type=str(r.raw("type")), config=str(r.raw("config", "none")),
+                      turns_ratio=r.num("turns_ratio", None),
+                      gic_bound=r.num("gic_bound", None),
+                      hotspot_limit=r.num("hotspot_limit", None))
+        for r in _rows(doc, "branch_gmd"))
+    # rows for non-transformers carry -1 sentinels; treated as absent
+    thermal = tuple(
+        ThermalData(branch=r.int("branch"), xfmr=1,
+                    temp_amb=r.num("temp_amb"), hs_inst_lim=r.num("hs_inst_lim"),
+                    hs_avg_lim=r.num("hs_avg_lim", ABSENT),
+                    hs_rated=r.num("hs_rated", ABSENT),
+                    to_time_c=r.num("to_time_c"), to_rated=r.num("to_rated"),
+                    to_init=r.num("to_init", 0.0), to_inited=r.int("to_inited", 0),
+                    hs_coeff=r.num("hs_coeff"))
+        for r in _rows(doc, "branch_thermal") if r.int("xfmr", 0))
     bus_gmd = tuple(
-        BusGmdData(bus=int(_need(r, "bus", "bus_gmd", i)),
-                   lat=float(_need(r, "lat", "bus_gmd", i)),
-                   lon=float(_need(r, "lon", "bus_gmd", i)))
-        for i, r in enumerate(doc["bus_gmd"]))
+        BusGmdData(bus=r.int("bus"), lat=r.num("lat"), lon=r.num("lon"))
+        for r in _rows(doc, "bus_gmd"))
 
-    case = CaseData(base_mva=float(doc["base_mva"]), buses=buses, generators=gens,
-                    ac_branches=branches, gmd_buses=gmd_buses,
+    case = CaseData(base_mva=_Row("case", None, doc).num("base_mva"), buses=buses,
+                    generators=gens, ac_branches=branches, gmd_buses=gmd_buses,
                     gmd_branches=gmd_branches, branch_gmd=branch_gmd,
-                    thermal=tuple(thermal), bus_gmd=bus_gmd)
+                    thermal=thermal, bus_gmd=bus_gmd)
     validate_case(case)
     return case
-
-
-def _float_or_none(v) -> float | None:
-    return None if v is None else float(v)
 
 
 def parse_case_file(path) -> CaseData:
@@ -513,6 +527,8 @@ def parse_case_file(path) -> CaseData:
 # ---------------------------------------------------------------------------
 
 def validate_case(case: CaseData) -> None:
+    if not 0.0 < case.base_mva < math.inf:
+        raise CaseInvariantError(f"base_mva must be finite and > 0, got {case.base_mva!r}")
     bus_ids = {b.index for b in case.buses}
     if len(bus_ids) != len(case.buses):
         raise CaseInvariantError("bus: duplicate indices")
@@ -855,6 +871,10 @@ def make_ramp_scenario(peak: float, rise_min: float, fall_min: float,
     return FieldScenario(samples=tuple(samples), dt=dt)
 
 
+_SCENARIO_COLUMNS = ("t_min", "e_mag_vkm", "e_dir_deg")
+_OVERRIDE_COLUMNS = ("t_min", "gmd_branch_id", "volts")
+
+
 def load_scenario(text: str, dt: float = 5.0,
                   overrides_text: str | None = None) -> FieldScenario:
     """Load a scenario from CSV text with header t_min,e_mag_vkm,e_dir_deg.
@@ -863,27 +883,31 @@ def load_scenario(text: str, dt: float = 5.0,
     """
     samples = []
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "t_min,e_mag_vkm,e_dir_deg":
-        raise CaseStructureError("scenario CSV must start with header t_min,e_mag_vkm,e_dir_deg")
+    header = ",".join(_SCENARIO_COLUMNS)
+    if not lines or lines[0].replace(" ", "") != header:
+        raise CaseStructureError(f"scenario CSV must start with header {header}")
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise CaseStructureError(f"scenario CSV: bad row '{ln}'")
-        samples.append(FieldSample(t=float(parts[0]), e_mag=float(parts[1]),
-                                   e_dir=float(parts[2])))
+        r = _Row(f"scenario CSV row '{ln}'", None, dict(zip(_SCENARIO_COLUMNS, parts)))
+        samples.append(FieldSample(t=r.num("t_min"), e_mag=r.num("e_mag_vkm"),
+                                   e_dir=r.num("e_dir_deg")))
+    if not samples:
+        raise CaseStructureError("scenario CSV has a header but no data rows")
     overrides: dict[int, list[tuple[float, float]]] = {}
     if overrides_text is not None:
         olines = [ln.strip() for ln in overrides_text.strip().splitlines() if ln.strip()]
-        if not olines or olines[0].replace(" ", "") != "t_min,gmd_branch_id,volts":
-            raise CaseStructureError("override CSV must start with header t_min,gmd_branch_id,volts")
+        header = ",".join(_OVERRIDE_COLUMNS)
+        if not olines or olines[0].replace(" ", "") != header:
+            raise CaseStructureError(f"override CSV must start with header {header}")
         for ln in olines[1:]:
             parts = ln.split(",")
             if len(parts) != 3:
                 raise CaseStructureError(f"override CSV: bad row '{ln}'")
-            t, volts = float(parts[0]), float(parts[2])
-            if not (math.isfinite(t) and math.isfinite(volts)):
-                raise CaseStructureError(f"override CSV: non-finite value in row '{ln}'")
-            overrides.setdefault(int(parts[1]), []).append((t, volts))
+            r = _Row(f"override CSV row '{ln}'", None, dict(zip(_OVERRIDE_COLUMNS, parts)))
+            overrides.setdefault(r.int("gmd_branch_id"), []).append(
+                (r.num("t_min"), r.num("volts")))
     frozen = {}
     for branch_id, series in overrides.items():
         series = tuple(sorted(series))

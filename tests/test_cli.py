@@ -285,3 +285,58 @@ def test_non_finite_option_is_input_error(workdir, capsys, flag, value):
     assert rc == 2
     assert flag in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _edited_case(workdir, edit):
+    doc = json.loads((workdir / "b4gic.json").read_text())
+    edit(doc)
+    path = workdir / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit,expect", [
+    pytest.param(lambda d: d["branch"][0].__setitem__("b", float("nan")), "'b'", id="branch-b-nan"),
+    pytest.param(lambda d: d["branch"][0].__setitem__("b", float("inf")), "'b'", id="branch-b-inf"),
+    pytest.param(lambda d: d["bus"][0].__setitem__("base_kv", None), "'base_kv'", id="null-field"),
+    pytest.param(lambda d: d["branch"][0].__setitem__("index", None), "'index'", id="null-id"),
+    pytest.param(lambda d: d["bus"].__setitem__(0, None), "bus row 0", id="null-row"),
+    pytest.param(lambda d: d["gen"].append(None), "gen row 2", id="null-appended-row"),
+    pytest.param(lambda d: d.__setitem__("base_mva", 0), "base_mva", id="base-mva-zero"),
+    pytest.param(lambda d: d.__setitem__("base_mva", -100.0), "base_mva", id="base-mva-negative"),
+    pytest.param(lambda d: d.__setitem__("base_mva", float("nan")), "base_mva", id="base-mva-nan"),
+    pytest.param(lambda d: d.__setitem__("base_mva", float("inf")), "base_mva", id="base-mva-inf"),
+    pytest.param(lambda d: d.__setitem__("base_mva", None), "base_mva", id="base-mva-null"),
+])
+def test_bad_case_value_is_input_error(workdir, capsys, edit, expect):
+    out = workdir / "never"
+    case = _edited_case(workdir, edit)
+    rc = run(["ac", "--case", str(case), "--field", "1.0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and expect in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_header_only_scenario_is_input_error(workdir, capsys):
+    scen = workdir / "empty.csv"
+    scen.write_text("t_min,e_mag_vkm,e_dir_deg\n")
+    out = workdir / "never"
+    rc = run(["thermal", "--case", str(workdir / "b4gic.json"), "--scenario", str(scen),
+              "--dt", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no data rows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_singular_jacobian_is_analysis_error(workdir, capsys):
+    def zero_b(doc):
+        for row in doc["branch"]:
+            row["b"] = 0.0
+    out = workdir / "never"
+    rc = run(["ac", "--case", str(_edited_case(workdir, zero_b)), "--field", "1.0",
+              "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "singular Jacobian at iteration 1" in err and "Traceback" not in err

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from gicgrid.coupling import (IslandError, PowerFlowError, ac_power_flow,
+from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian, ac_power_flow,
                               qloss, sequential_gic_ac)
-from gicgrid.data import parse_case
+from gicgrid.data import AcBranch, Bus, CaseData, Generator, parse_case
 from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
 
 LOOP = 170.788 / 1.601
@@ -163,3 +165,145 @@ def test_dead_island_gets_nominal_voltage(epri21_case):
     assert ac.max_mismatch <= 1e-8
     assert ac.vm[16] == 1.0 and ac.va[16] == 0.0   # de-energized island
     assert ac.p_from[20] == 0.0                    # out-of-service branch
+
+
+def _with_branches(case, **changes):
+    return dataclasses.replace(case, ac_branches=tuple(
+        dataclasses.replace(br, **changes) for br in case.ac_branches))
+
+
+def test_singular_jacobian_is_reported(b4gic_case):
+    with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1") as err:
+        ac_power_flow(_with_branches(b4gic_case, b=0.0))
+    assert err.value.report["iterations"] == 1
+
+
+def test_non_finite_mismatch_stops_at_once(b4gic_case):
+    with pytest.raises(PowerFlowError, match="non-finite mismatch at iteration 1") as err:
+        ac_power_flow(_with_branches(b4gic_case, b=float("nan")))
+    assert err.value.report["iterations"] == 1
+
+
+def test_non_finite_newton_step_stops_at_once(b4gic_case):
+    buses = tuple(dataclasses.replace(b, pd=1e308) if b.index == 4 else b
+                  for b in b4gic_case.buses)
+    with pytest.raises(PowerFlowError, match="non-finite Newton step at iteration 1"):
+        ac_power_flow(dataclasses.replace(b4gic_case, buses=buses))
+
+
+@st.composite
+def jacobian_inputs(draw):
+    """Connected toy network (slack at 0, random PV/PQ) plus a separate dead island."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    n_live = draw(st.integers(2, 8))
+    n_dead = draw(st.integers(0, 3))
+    n = n_live + n_dead
+    links = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_live)]
+    links += draw(st.lists(st.tuples(st.integers(0, n_live - 1), st.integers(0, n_live - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=4))
+    links += [(k - 1, k) for k in range(n_live + 1, n)]
+    Y = np.zeros((n, n), dtype=complex)
+    for f, t in links:
+        y = complex(0.0, -draw(real(1.0, 50.0)))
+        Y[f, f] += y
+        Y[t, t] += y
+        Y[f, t] -= y
+        Y[t, f] -= y
+    Y[np.diag_indices(n)] += draw(st.lists(real(0.0, 0.1), min_size=n, max_size=n))
+    types = (["slack"] + draw(st.lists(st.sampled_from(["PV", "PQ"]),
+                                       min_size=n_live - 1, max_size=n_live - 1))
+             + ["dead"] * n_dead)
+    vm = np.array(draw(st.lists(real(0.9, 1.1), min_size=n, max_size=n)))
+    va = np.array(draw(st.lists(real(-0.3, 0.3), min_size=n, max_size=n)))
+    return Y, types, vm, va
+
+
+@settings(max_examples=80, deadline=None)
+@given(jacobian_inputs())
+def test_sparse_jacobian_matches_finite_differences(inputs):
+    """The sparse Jacobian equals central differences of the injection map."""
+    Y, types, vm, va = inputs
+    pq = [i for i, t in enumerate(types) if t == "PQ"]
+    ang = np.array([i for i, t in enumerate(types) if t == "PV"] + pq, dtype=int)
+    mag = np.array(pq, dtype=int)
+    J = _jacobian(sp.csr_matrix(Y), vm, va, ang, mag)
+    assert sp.issparse(J) and J.format == "csc"
+
+    def injections(x):
+        a, m = va.copy(), vm.copy()
+        a[ang], m[mag] = x[:len(ang)], x[len(ang):]
+        V = m * np.exp(1j * a)
+        S = V * np.conj(Y @ V)
+        return np.concatenate([S.real[ang], S.imag[mag]])
+
+    x0 = np.concatenate([va[ang], vm[mag]])
+    h = 1e-6
+    fd = np.column_stack([(injections(x0 + h * e) - injections(x0 - h * e)) / (2 * h)
+                          for e in np.eye(len(x0))])
+    assert J.shape == fd.shape
+    assert np.max(np.abs(J.toarray() - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1.0)
+
+
+@st.composite
+def power_flow_inputs(draw):
+    """Lightly loaded toy case: a live tree plus chords (some open), a dead island, GIC losses."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    n_live = draw(st.integers(2, 7))
+    n_dead = draw(st.integers(0, 2))
+    kinds = ["slack"] + draw(st.lists(st.sampled_from(["PV", "PQ"]),
+                                      min_size=n_live - 1, max_size=n_live - 1))
+    buses = tuple(Bus(index=10 + i, base_kv=138.0, bus_type=kinds[i] if i < n_live else "PQ",
+                      pd=draw(real(0.0, 0.5)) if i < n_live else 0.0,
+                      qd=draw(real(-0.1, 0.2)) if i < n_live else 0.0,
+                      g_shunt=draw(real(0.0, 0.05)))
+                  for i in range(n_live + n_dead))
+    gens = tuple(Generator(index=k, bus=10 + i, pmin=0.0, pmax=draw(real(0.5, 2.0)),
+                           qmin=-9.0, qmax=9.0, pg=draw(real(0.0, 0.4)), vg=draw(real(0.98, 1.05)))
+                 for k, i in enumerate(i for i in range(n_live) if kinds[i] != "PQ"))
+    links = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_live)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n_live - 1), st.integers(0, n_live - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=3))
+    links += chords + [(k - 1, k) for k in range(n_live + 1, n_live + n_dead)]
+    branches = tuple(AcBranch(index=100 + k, f_bus=10 + f, t_bus=10 + t, b=draw(real(5.0, 50.0)),
+                              rating=10.0, status=int(k < n_live - 1 or draw(st.booleans())))
+                     for k, (f, t) in enumerate(links))
+    chord_ids = range(100 + n_live - 1, 100 + n_live - 1 + len(chords))
+    topology = {i: int(draw(st.booleans())) for i in chord_ids}
+    extra_q = {p: QLoss(branch=-1, bus=10 + draw(st.integers(0, n_live - 1)),
+                        d_q=draw(real(0.0, 0.1))) for p in range(draw(st.integers(0, 3)))}
+    case = CaseData(base_mva=100.0, buses=buses, generators=gens, ac_branches=branches,
+                    gmd_buses=(), gmd_branches=(), branch_gmd=(), thermal=(), bus_gmd=())
+    return case, extra_q, topology, n_live
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_flow_inputs())
+def test_power_flow_solves_dense_equations(inputs):
+    """The sparse solution satisfies the power-flow equations written out densely."""
+    case, extra_q, topology, n_live = inputs
+    ac = ac_power_flow(case, extra_q, topology=topology)
+    ids = [b.index for b in case.buses]
+    pos = {bid: i for i, bid in enumerate(ids)}
+    V = np.array([ac.vm[i] * np.exp(1j * ac.va[i]) for i in ids])
+    Y = np.diag([complex(b.g_shunt) for b in case.buses])
+    for br in case.ac_branches:
+        if topology.get(br.index, br.status):
+            f, t, y = pos[br.f_bus], pos[br.t_bus], complex(0.0, -br.b)
+            Y[[f, t, f, t], [f, t, t, f]] += [y, y, -y, -y]
+            assert ac.p_from[br.index] + 1j * ac.q_from[br.index] == pytest.approx(
+                V[f] * np.conj(y * (V[f] - V[t])), abs=1e-12)
+        else:
+            assert ac.p_from[br.index] == ac.q_to[br.index] == 0.0
+    S = V * np.conj(Y @ V)
+    gen = {b.index: [g for g in case.generators if g.bus == b.index] for b in case.buses}
+    for i, b in enumerate(case.buses):
+        loss = sum(ql.d_q for ql in extra_q.values() if ql.bus == b.index)
+        if i >= n_live:
+            assert ac.vm[b.index] == 1.0 and ac.va[b.index] == 0.0
+            continue
+        p_gen = sum(ac.gen_p[g.index] for g in gen[b.index])   # pg at PV buses
+        q_gen = sum(ac.gen_q[g.index] for g in gen[b.index])   # 0 at PQ buses
+        assert S[i].real == pytest.approx(p_gen - b.pd, abs=1e-7)
+        assert S[i].imag == pytest.approx(q_gen - b.qd - loss, abs=1e-7)
+        if b.bus_type != "PQ":
+            assert ac.vm[b.index] == gen[b.index][0].vg
