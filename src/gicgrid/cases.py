@@ -19,19 +19,9 @@ import math
 
 from .data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, CaseData,
                    Generator, GmdBranch, GmdBus, ThermalData, validate_case)
+from .dcnet import displacement
 
 __all__ = ["b4gic", "epri21"]
-
-_R_EARTH_KM = 6371.0
-
-
-def _displacement(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Equirectangular (north, east) displacement [km] between (lat, lon) pairs."""
-    l_n = _R_EARTH_KM * math.radians(b[0] - a[0])
-    l_e = (_R_EARTH_KM * math.radians(b[1] - a[1])
-           * math.cos(math.radians((a[0] + b[0]) / 2.0)))
-    return l_n, l_e
-
 
 def b4gic() -> CaseData:
     """Four-bus case: gen-GSU-line-GSU-gen with a 170.788 km east-west line."""
@@ -285,7 +275,7 @@ def epri21() -> CaseData:
                                       len_km=0.0, name=f"dc_wind_{i}"))
     for i, f, t, parent, r_phase in _DC_LINES:
         fb, tb = branch_ends[parent]
-        l_n, l_e = _displacement(coords[fb], coords[tb])
+        l_n, l_e = displacement(coords[fb], coords[tb])
         gmd_branches.append(GmdBranch(index=i, f_bus=f, t_bus=t, parent=parent,
                                       status=1, br_r=r_phase / 3.0,
                                       br_v=l_e,  # 1 V/km eastward reference

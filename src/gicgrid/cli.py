@@ -89,6 +89,9 @@ def _check_run_config(args) -> None:
     gap = getattr(args, "gap", None)
     if gap is not None and not 0.0 < gap < 1.0:
         raise CaseError("--gap must lie in (0, 1)")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise CaseError("--tol must be finite and >= 0")
 
 
 def _load_case(args) -> CaseData:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .data import CaseData, component_groups
+from .data import AcBranch, CaseData, component_groups
 from .dcnet import FieldVector, GicSolution, assemble, effective_gic, solve_dc
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "IslandError",
     "qloss",
     "ac_power_flow",
+    "slack_reachable",
     "sequential_gic_ac",
 ]
 
@@ -81,6 +82,22 @@ class PowerFlowError(RuntimeError):
 
 class IslandError(RuntimeError):
     """A load or generator bus is not connected to a slack bus."""
+
+
+def slack_reachable(case: CaseData, branches: Iterable[AcBranch]) -> set[int]:
+    """Ids of the buses joined to a slack bus by ``branches``.
+
+    Raises IslandError for a load or generator bus outside that set.
+    """
+    slack = {b.index for b in case.buses if b.bus_type == "slack"}
+    active = {i for comp in component_groups([b.index for b in case.buses],
+                                             [(br.f_bus, br.t_bus) for br in branches])
+              if slack.intersection(comp) for i in comp}
+    gen_buses = {g.bus for g in case.generators}
+    for b in case.buses:
+        if (b.pd != 0 or b.qd != 0 or b.index in gen_buses) and b.index not in active:
+            raise IslandError(f"bus {b.index} is islanded from every slack bus")
+    return active
 
 
 @dataclass(frozen=True)
@@ -131,15 +148,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     for g in case.generators:
         gen_by_bus.setdefault(g.bus, []).append(g)
 
-    # connectivity: every energized bus must reach a slack
-    slack = {b.index for b in buses if b.bus_type == "slack"}
-    links = [(br.f_bus, br.t_bus) for br, z in zip(case.ac_branches, live) if z]
-    active = {i for comp in component_groups([b.index for b in buses], links)
-              if slack.intersection(comp) for i in comp}
-    for b in buses:
-        energized = b.pd != 0 or b.qd != 0 or b.index in gen_by_bus
-        if energized and b.index not in active:
-            raise IslandError(f"bus {b.index} is islanded from every slack bus")
+    active = slack_reachable(case, [br for br, z in zip(case.ac_branches, live) if z])
 
     fl, tl, yl = f[live], t[live], y[live]
     diag = np.arange(n)

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,7 @@ __all__ = [
     "ThermalData",
     "BusGmdData",
     "FieldSample",
+    "FieldVector",
     "FieldScenario",
     "CaseData",
     "ABSENT",
@@ -197,6 +198,22 @@ class FieldSample:
     e_dir: float              # geographic bearing, degrees clockwise from north
 
 
+class FieldVector(NamedTuple):
+    """Uniform geoelectric field as north/east components [V/km]."""
+
+    e_north: float
+    e_east: float
+
+    @classmethod
+    def from_mag_dir(cls, e_mag: float, e_dir_deg: float) -> "FieldVector":
+        """Build from magnitude and geographic bearing (clockwise from north)."""
+        phi = math.radians(90.0 - e_dir_deg)  # math convention, ccw from east
+        return cls(e_mag * math.sin(phi), e_mag * math.cos(phi))
+
+    def scaled(self, c: float) -> "FieldVector":
+        return FieldVector(self.e_north * c, self.e_east * c)
+
+
 @dataclass(frozen=True)
 class FieldScenario:
     """Time series of a spatially uniform geoelectric field.
@@ -238,7 +255,7 @@ class FieldScenario:
         direction changes blend physically.
         """
         ts = [s.t for s in self.samples]
-        north, east = zip(*(_field_components(s.e_mag, s.e_dir) for s in self.samples))
+        north, east = zip(*(FieldVector.from_mag_dir(s.e_mag, s.e_dir) for s in self.samples))
         return np.column_stack([np.interp(times, ts, north), np.interp(times, ts, east)])
 
     def at(self, t: float) -> tuple[float, float]:
@@ -262,12 +279,6 @@ class FieldScenario:
             raise ValueError(f"dt={dt} does not divide scenario span {span}")
         n = int(round(n))
         return [self.t_start + k * dt for k in range(n + 1)]
-
-
-def _field_components(e_mag: float, e_dir_deg: float) -> tuple[float, float]:
-    """Geographic bearing (clockwise from north) -> (E_north, E_east)."""
-    phi = math.radians(90.0 - e_dir_deg)  # math convention, ccw from east
-    return (e_mag * math.sin(phi), e_mag * math.cos(phi))
 
 
 @dataclass(frozen=True)
@@ -621,12 +632,7 @@ def validate_case(case: CaseData) -> None:
                 if wid not in gmd_br_ids:
                     raise CaseReferenceError(f"{where}: {fieldname}={wid} does not exist")
             if row.config in ("gwye-gwye", "gwye-gwye-auto"):
-                alpha = row.turns_ratio
-                if alpha is None:
-                    hi = case.bus(row.hi_bus).base_kv
-                    lo = case.bus(row.lo_bus).base_kv
-                    alpha = hi / lo - 1.0 if row.config.endswith("auto") else hi / lo
-                if alpha <= 0:
+                if case.turns_ratio(row) <= 0:
                     raise CaseInvariantError(f"{where}: turns ratio must be > 0")
         else:
             for fieldname in ("gmd_br_hi", "gmd_br_lo", "gmd_br_se", "gmd_br_co"):

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .data import (ABSENT, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   GmdBranch, component_groups)
+                   FieldVector, GmdBranch, component_groups)
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -38,12 +38,15 @@ __all__ = [
     "SingularNetworkError",
     "MissingCoordinates",
     "branch_lengths",
+    "displacement",
     "induced_voltage",
     "branch_voltage",
     "assemble",
     "solve_dc",
     "solve_series",
+    "source_basis",
     "effective_gic",
+    "winding_weights",
     "winding_ids",
     "transformer_windings",
 ]
@@ -55,28 +58,11 @@ class SingularNetworkError(ArithmeticError):
     """Raised when an ungrounded dc component is solved with pinning disabled."""
 
 
-class FieldVector(NamedTuple):
-    """Uniform geoelectric field as north/east components [V/km]."""
-
-    e_north: float
-    e_east: float
-
-    @classmethod
-    def from_mag_dir(cls, e_mag: float, e_dir_deg: float) -> "FieldVector":
-        """Build from magnitude and geographic bearing (clockwise from north)."""
-        phi = math.radians(90.0 - e_dir_deg)
-        return cls(e_mag * math.sin(phi), e_mag * math.cos(phi))
-
-    def scaled(self, c: float) -> "FieldVector":
-        return FieldVector(self.e_north * c, self.e_east * c)
-
-
 def branch_lengths(case: CaseData, branch: GmdBranch) -> tuple[float, float]:
     """Northward/eastward displacement (L_N, L_E) [km] between branch endpoints.
 
-    Equirectangular approximation on a 6371 km sphere:
-    L_N = R dlat, L_E = R dlon cos(mean lat).  Requires coordinates for the
-    parent buses of both endpoint gmd buses.
+    ``displacement`` between the coordinates of the parent buses of both
+    endpoint gmd buses, which must have them.
     """
     f_parent = case.gmd_bus(branch.f_bus).parent
     t_parent = case.gmd_bus(branch.t_bus).parent
@@ -86,9 +72,17 @@ def branch_lengths(case: CaseData, branch: GmdBranch) -> tuple[float, float]:
         missing = f_parent if fc is None else t_parent
         raise MissingCoordinates(
             f"gmd_branch {branch.index}: bus {missing} has no bus_gmd coordinates")
-    l_n = EARTH_RADIUS_KM * math.radians(tc.lat - fc.lat)
-    l_e = (EARTH_RADIUS_KM * math.radians(tc.lon - fc.lon)
-           * math.cos(math.radians((fc.lat + tc.lat) / 2.0)))
+    return displacement((fc.lat, fc.lon), (tc.lat, tc.lon))
+
+
+def displacement(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Equirectangular (north, east) displacement [km] from (lat, lon) ``a`` to ``b``.
+
+    On a 6371 km sphere: L_N = R dlat, L_E = R dlon cos(mean lat).
+    """
+    l_n = EARTH_RADIUS_KM * math.radians(b[0] - a[0])
+    l_e = (EARTH_RADIUS_KM * math.radians(b[1] - a[1])
+           * math.cos(math.radians((a[0] + b[0]) / 2.0)))
     return l_n, l_e
 
 
@@ -99,14 +93,13 @@ class MissingCoordinates(LookupError):
 def induced_voltage(e_mag: float, e_dir_deg: float, l_n: float, l_e: float) -> float:
     """Series voltage [V] induced on a branch by a uniform field.
 
-    The direction is a geographic bearing (clockwise from north); it is
-    converted to the math convention phi' (counter-clockwise from east)
-    before projecting: V = |E| (sin(phi') L_N + cos(phi') L_E).
+    The direction is a geographic bearing (clockwise from north), resolved
+    by ``FieldVector.from_mag_dir``: V = E_N L_N + E_E L_E.
     """
     if e_mag < 0:
         raise ValueError("field magnitude must be >= 0")
-    phi = math.radians(90.0 - e_dir_deg)
-    return e_mag * (math.sin(phi) * l_n + math.cos(phi) * l_e)
+    e_north, e_east = FieldVector.from_mag_dir(e_mag, e_dir_deg)
+    return e_north * l_n + e_east * l_e
 
 
 def winding_ids(row: BranchGmdData) -> tuple[int, ...]:
@@ -338,6 +331,24 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     E_east with overridden branches held at 0 V, plus a unit voltage on
     each overridden branch; every time point is their weighted sum.
     """
+    sys, sources, coeffs = source_basis(case, fields, times, topology=topology)
+    V, I, residual = _solve(sys, sources, coeffs, pin_floating=True)
+    ids = [e.index for e in sys.edges]
+    return GicSeries(node_ids=sys.node_ids, branch_ids=tuple(ids), V=V, I=I,
+                     effective=_effective(case, dict(zip(ids, I.T)), np.zeros(len(coeffs))),
+                     kcl_residual=residual)
+
+
+def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, times, *,
+                 topology: Mapping[int, int] | None = None
+                 ) -> tuple[DcSystem, np.ndarray, np.ndarray]:
+    """The superposition basis of ``solve_series``, without solving it.
+
+    Returns the assembled system of the first basis, the series edge
+    voltages of each basis (edges x k) and their weights per time point
+    (T x k), so ``coeffs @ sources.T`` are the edge source voltages at
+    every time.
+    """
     times = np.asarray(times, dtype=float)
     over = fields.overrides_series(times) if isinstance(fields, FieldScenario) else {}
     if fields is None:
@@ -355,11 +366,32 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     ids = np.array([e.index for e in sys.edges], dtype=int)
     sources = np.column_stack([np.array(c, dtype=float) for c in columns]
                               + [(ids == b).astype(float) for b in over])
-    V, I, residual = _solve(sys, sources, coeffs, pin_floating=True)
+    return sys, sources, coeffs
 
-    return GicSeries(node_ids=sys.node_ids, branch_ids=tuple(ids.tolist()), V=V, I=I,
-                     effective=_effective(case, dict(zip(ids.tolist(), I.T)), np.zeros(len(times))),
-                     kcl_residual=residual)
+
+def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, float], ...]:
+    """(gmd_branch id, weight) pairs whose weighted current sum is a row's signed effective GIC.
+
+    gwye-delta weighs I_hi by 1; gwye-gwye I_hi by 1 and I_lo by 1/a;
+    autos I_se by a/(a+1) and I_co by 1/(a+1); delta-delta has none.
+    Raises CaseReferenceError when a winding the config needs is absent.
+    """
+    cfg = row.config
+    if cfg == "gwye-delta":
+        pairs = ((row.gmd_br_hi, 1.0),)
+    elif cfg == "gwye-gwye":
+        alpha = case.turns_ratio(row)
+        pairs = ((row.gmd_br_hi, 1.0), (row.gmd_br_lo, 1.0 / alpha))
+    elif cfg == "gwye-gwye-auto":
+        alpha = case.turns_ratio(row)
+        pairs = ((row.gmd_br_se, alpha / (alpha + 1.0)), (row.gmd_br_co, 1.0 / (alpha + 1.0)))
+    else:  # delta-delta
+        pairs = ()
+    for wid, _ in pairs:
+        if wid == ABSENT:
+            raise CaseReferenceError("winding reference absent for declared config")
+        case.gmd_branch(wid)  # raises CaseReferenceError for malformed data
+    return pairs
 
 
 def _effective(case: CaseData, currents: Mapping[int, float | np.ndarray], zero):
@@ -370,22 +402,8 @@ def _effective(case: CaseData, currents: Mapping[int, float | np.ndarray], zero)
     """
     out = {}
     for pos, row in case.xfmr_rows():
-        cfg = row.config
-        if cfg == "gwye-delta":
-            pairs = ((row.gmd_br_hi, 1.0),)
-        elif cfg == "gwye-gwye":
-            alpha = case.turns_ratio(row)
-            pairs = ((row.gmd_br_hi, 1.0), (row.gmd_br_lo, 1.0 / alpha))
-        elif cfg == "gwye-gwye-auto":
-            alpha = case.turns_ratio(row)
-            pairs = ((row.gmd_br_se, alpha / (alpha + 1.0)), (row.gmd_br_co, 1.0 / (alpha + 1.0)))
-        else:  # delta-delta
-            pairs = ()
-        for wid, _ in pairs:
-            if wid == ABSENT:
-                raise CaseReferenceError("winding reference absent for declared config")
-            case.gmd_branch(wid)  # raises CaseReferenceError for malformed data
-        out[pos] = abs(sum((w * currents.get(wid, zero) for wid, w in pairs), zero))
+        weighted = (w * currents.get(wid, zero) for wid, w in winding_weights(case, row))
+        out[pos] = abs(sum(weighted, zero))
     return out
 
 

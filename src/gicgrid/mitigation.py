@@ -38,10 +38,10 @@ import scipy.sparse as sp
 
 from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData,
                    component_groups)
-from .coupling import IslandError
-from .dcnet import FieldVector, branch_voltage, solve_series, transformer_windings, winding_ids
+from .coupling import slack_reachable
+from .dcnet import solve_series, source_basis, winding_ids, winding_weights
 from .lp import LpProblem, LpResult, lp_solve
-from .thermal import steady_rise, topoil_series
+from .thermal import TopOil, steady_rise
 
 __all__ = [
     "OtsOptions",
@@ -82,8 +82,8 @@ class _XfmrEntry:
     branch: AcBranch | None         # None for synthetic GSU rows
     i_bound: float                  # effective-GIC cap (data or derived)
     cap: float | None               # hot-spot cap [degC], None when untracked
-    zeta: float
-    delta0: float | None            # None: steady-state init (delta0 = du[1])
+    topoil: TopOil
+    chords: list                    # PWL steady top-oil rise over p_e; [] when unloaded
 
 
 @dataclass
@@ -172,52 +172,23 @@ def build_model(case: CaseData, scenario: FieldScenario,
     switchable = sorted(b.index for b in branches if b.switchable)
 
     # connected, energized ac subnetwork
-    slack = {b.index for b in case.buses if b.bus_type == "slack"}
-    connected = {i for comp in component_groups([b.index for b in case.buses],
-                                                [(br.f_bus, br.t_bus) for br in branches])
-                 if slack.intersection(comp) for i in comp}
-    gen_buses = {g.bus for g in case.generators}
-    buses = []
-    for b in case.buses:
-        in_model = b.index in connected
-        energized = b.index in gen_buses or b.pd != 0 or b.qd != 0
-        if energized and not in_model:
-            raise IslandError(f"bus {b.index} (load/gen) is islanded from every slack")
-        if in_model:
-            buses.append(b)
-    model_bus_ids = {b.index for b in buses}
+    model_bus_ids = slack_reachable(case, branches)
+    buses = [b for b in case.buses if b.index in model_bus_ids]
     branches = [b for b in branches if b.f_bus in model_bus_ids]
     gens = sorted((g for g in case.generators if g.bus in model_bus_ids),
                   key=lambda g: g.index)
 
-    # dc side: nodes + in-service edges with per-period sources
-    dc_nodes = [b for b in case.gmd_buses if b.status]
-    node_pos = {b.index: i for i, b in enumerate(dc_nodes)}
-    series_cap = {r.branch for r in case.branch_gmd if r.type == "series_cap"}
-    winding_set = transformer_windings(case)
-
-    fields = [FieldVector(*e) for e in scenario.series(times).tolist()]
-    over = [scenario.overrides_at(t) for t in times]
-
+    # dc side: the dc engine's nominal solve set, per-period sources from its basis
+    dc_sys, sources, coeffs = source_basis(case, scenario, times)
+    dc_nodes = [case.gmd_bus(i) for i in dc_sys.node_ids]
+    node_pos = dc_sys.index
     dc_edges = []
-    for e in case.gmd_branches:
-        if not e.status or e.f_bus not in node_pos or e.t_bus not in node_pos:
-            continue
-        zlink = None
-        if e.parent != ABSENT:
-            if e.parent in series_cap:
-                continue
-            pbr = case.ac_branch(e.parent)
-            if not pbr.status:
-                continue
-            if pbr.switchable:
-                zlink = e.parent
-        vsrc = np.array([branch_voltage(case, e, fields[t], over[t], winding_set)
-                         for t in range(T)])
+    for d, vsrc in zip(dc_sys.edges, (coeffs @ sources.T).T):
         if not np.all(np.isfinite(vsrc)):
             raise ArithmeticError(
-                f"gmd_branch {e.index}: non-finite induced voltage, no big-M derivable")
-        dc_edges.append((e, vsrc, zlink))
+                f"gmd_branch {d.index}: non-finite induced voltage, no big-M derivable")
+        zlink = d.parent if d.parent != ABSENT and case.ac_branch(d.parent).switchable else None
+        dc_edges.append((case.gmd_branch(d.index), vsrc, zlink))
 
     # dc voltage bound per component: sum of EMF magnitudes is a valid bound
     # for every switching state (superposition + maximum principle)
@@ -248,17 +219,19 @@ def build_model(case: CaseData, scenario: FieldScenario,
         if ibound is None:
             ibound = _derived_ieff_bound(case, row, dc_edges, edge_pos, edge_gap_m)
         cap = case.hotspot_limit_for(row) if thermal is not None else None
+        chords = []
         if thermal is not None:
-            zeta = 2.0 * thermal.to_time_c / dt
-            if zeta < 1.0:
+            topoil = TopOil.of(thermal, dt)
+            if topoil.zeta < 1.0:
                 raise ValueError(
                     f"branch {row.branch}: dt={dt} exceeds 2*tau; temperature "
                     "recursion would lose monotonicity")
-            delta0 = thermal.to_init if thermal.to_inited else None
+            chords = _chords(lambda p: steady_rise(abs(p), branch.rating, thermal.to_rated),
+                             -branch.rating, branch.rating, opt.pwl_segments)
         else:
-            zeta, delta0 = 2.0, 0.0
+            topoil = TopOil(zeta=2.0, delta0=0.0)
         xfmrs.append(_XfmrEntry(pos=pos, row=row, thermal=thermal, branch=branch,
-                                i_bound=ibound, cap=cap, zeta=zeta, delta0=delta0))
+                                i_bound=ibound, cap=cap, topoil=topoil, chords=chords))
 
     G, N, E = len(gens), len(buses), len(branches)
     Nd, Ed, X = len(dc_nodes), len(dc_edges), len(xfmrs)
@@ -297,49 +270,28 @@ def build_model(case: CaseData, scenario: FieldScenario,
         off, _, horizon = slices[name]
         return off + i * horizon + t
 
+    # variable bounds: one (lower, upper) per entity, held over its horizon
     theta_bound = max(1.0, N * max((b.angle_big_m for b in branches), default=math.pi))
     slack_ids = {b.index for b in buses if b.bus_type == "slack"}
-    for g in gens:
-        for t in range(T):
-            lb[col("p_g", gen_pos[g.index], t)] = g.pmin
-            ub[col("p_g", gen_pos[g.index], t)] = g.pmax
-    for b in buses:
-        for t in range(T):
-            c = col("theta", bus_pos[b.index], t)
-            if b.index in slack_ids:
-                lb[c] = ub[c] = 0.0
-            else:
-                lb[c], ub[c] = -theta_bound, theta_bound
-    for br in branches:
-        for t in range(T):
-            c = col("p_e", br_pos[br.index], t)
-            lb[c], ub[c] = -br.rating, br.rating
-    for nd in dc_nodes:
-        m = max(voltage_big_m[nd.index], 1e-6)
-        for t in range(T):
-            c = col("v", node_pos[nd.index], t)
-            lb[c], ub[c] = -m, m
-    for k, (e, vsrc, _) in enumerate(dc_edges):
-        m = e.a * edge_gap_m[k]
-        for t in range(T):
-            c = col("i", k, t)
-            lb[c], ub[c] = -m, m
-    for xi, x in enumerate(xfmrs):
-        dmax = _delta_upper(x)
-        for t in range(T):
-            lb[col("ieff", xi, t)] = 0.0
-            ub[col("ieff", xi, t)] = x.i_bound
-            lb[col("delta", xi, t)] = 0.0
-            ub[col("delta", xi, t)] = dmax
-            lb[col("du", xi, t)] = 0.0
-            ub[col("du", xi, t)] = dmax
-    for c in range(slices["z"][0], slices["z"][0] + S):
-        lb[c], ub[c] = 0.0, 1.0
-    for g in gens:
-        cmin, cmax = _cost_range(g)
-        for t in range(T):
-            c = col("cost", gen_pos[g.index], t)
-            lb[c], ub[c] = cmin - 1.0, cmax + 1.0
+    theta_lo = [0.0 if b.index in slack_ids else -theta_bound for b in buses]  # slack: 0
+    theta_hi = [0.0 if b.index in slack_ids else theta_bound for b in buses]
+    v_m = [max(voltage_big_m[nd.index], 1e-6) for nd in dc_nodes]
+    i_m = [e.a * m for (e, _, _), m in zip(dc_edges, edge_gap_m)]
+    d_m = [_delta_upper(x) for x in xfmrs]
+    cost = [_cost_range(g) for g in gens]
+    for name, lo, hi in (("p_g", [g.pmin for g in gens], [g.pmax for g in gens]),
+                         ("theta", theta_lo, theta_hi),
+                         ("p_e", [-br.rating for br in branches], [br.rating for br in branches]),
+                         ("v", [-m for m in v_m], v_m),
+                         ("i", [-m for m in i_m], i_m),
+                         ("ieff", [0.0] * X, [x.i_bound for x in xfmrs]),
+                         ("delta", [0.0] * X, d_m),
+                         ("du", [0.0] * X, d_m),
+                         ("z", [0.0] * S, [1.0] * S),
+                         ("cost", [c[0] - 1.0 for c in cost], [c[1] + 1.0 for c in cost])):
+        off, count, horizon = slices[name]
+        lb[off:off + count * horizon] = np.repeat(np.array(lo, dtype=float), horizon)
+        ub[off:off + count * horizon] = np.repeat(np.array(hi, dtype=float), horizon)
 
     eq_rows: list[tuple[dict[int, float], float]] = []
     ub_rows: list[tuple[dict[int, float], float]] = []
@@ -468,18 +420,18 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
     # thermal recursion (equality) + PWL loading + hot-spot cap
     for xi, x in enumerate(xfmrs):
-        zeta = x.zeta
+        zeta, delta0 = x.topoil.zeta, x.topoil.delta0
         for t in range(T):
             dv = col("delta", xi, t)
             duv = col("du", xi, t)
             if t == 0:
-                if x.delta0 is None:
+                if delta0 is None:
                     # steady-state init: delta[1] = du[1]
                     eq({dv: 1.0, duv: -1.0}, 0.0)
                 else:
                     # du[0] := delta0 by convention
                     eq({dv: (1.0 + zeta), duv: -1.0},
-                       x.delta0 + (zeta - 1.0) * x.delta0)
+                       delta0 + (zeta - 1.0) * delta0)
             else:
                 eq({dv: (1.0 + zeta), duv: -1.0,
                     col("du", xi, t - 1): -1.0,
@@ -491,14 +443,11 @@ def build_model(case: CaseData, scenario: FieldScenario,
             for t in range(T):
                 le({col("du", xi, t): 1.0}, 0.0)  # unloaded synthetic rows
             continue
-        th, br = x.thermal, x.branch
-        chords = _chords(lambda p: steady_rise(abs(p), br.rating, th.to_rated),
-                         -br.rating, br.rating, opt.pwl_segments)
-        pe_idx = br_pos[br.index]
+        pe_idx = br_pos[x.branch.index]
         for t in range(T):
             duv = col("du", xi, t)
             pe = col("p_e", pe_idx, t)
-            for slope, intercept in chords:
+            for slope, intercept in x.chords:
                 le({duv: -1.0, pe: slope}, -intercept)
     mark("pwl_loading", start)
 
@@ -563,26 +512,20 @@ def _cost_range(g) -> tuple[float, float]:
 
 def _delta_upper(x: _XfmrEntry) -> float:
     base = x.thermal.to_rated if x.thermal is not None else 0.0
-    if x.delta0 is not None:
-        base = max(base, x.delta0)
+    if x.topoil.delta0 is not None:
+        base = max(base, x.topoil.delta0)
     return base + 1e-6
 
 
 def _eff_terms(case: CaseData, row: BranchGmdData,
                edge_pos: Mapping[int, int]) -> list[tuple[int, float]]:
     """Linear expression (edge index, coefficient) for the signed effective GIC."""
-    cfg = row.config
-    if cfg == "gwye-delta":
-        return [(edge_pos[row.gmd_br_hi], 1.0)]
-    if cfg == "gwye-gwye":
-        alpha = case.turns_ratio(row)
-        return [(edge_pos[row.gmd_br_hi], 1.0),
-                (edge_pos[row.gmd_br_lo], 1.0 / alpha)]
-    if cfg == "gwye-gwye-auto":
-        alpha = case.turns_ratio(row)
-        return [(edge_pos[row.gmd_br_se], alpha / (alpha + 1.0)),
-                (edge_pos[row.gmd_br_co], 1.0 / (alpha + 1.0))]
-    return []  # delta-delta
+    return [(edge_pos[wid], w) for wid, w in winding_weights(case, row)]
+
+
+def _period_topoil(topoil: TopOil, rise) -> np.ndarray:
+    """Top-oil rise per period; the initial state sees the first period's steady rise."""
+    return topoil.series(np.r_[rise[0], rise])[1:]
 
 
 def _derived_ieff_bound(case, row, dc_edges, edge_pos, edge_gap_m) -> float:
@@ -790,7 +733,6 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     # caps when nothing binds; report the tight feasible point instead,
     # recomputed from the solved dc currents and the chord envelope
     edge_pos = {e.index: i for i, (e, _, _) in enumerate(model.dc_edges)}
-    br_pos = {br.index: i for i, br in enumerate(model.branches)}
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
     for k, xe in enumerate(model.xfmrs):
         terms = _eff_terms(model.case, xe.row, edge_pos)
@@ -800,15 +742,9 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
             tight.append(abs(float(expr)))
         i_eff[xe.pos] = tight
         if xe.thermal is not None and xe.branch is not None:
-            th, br = xe.thermal, xe.branch
-            chords = _chords(lambda p: steady_rise(abs(p), br.rating, th.to_rated),
-                             -br.rating, br.rating, model.options.pwl_segments)
-            p_series = flows[br.index]
-            du = np.empty(T + 1)
-            du[1:] = [max(s * p + q for s, q in chords) for p in p_series]
-            du[0] = xe.delta0 if xe.delta0 is not None else du[1]
-            delta0 = du[0]
-            delta = topoil_series(du, xe.zeta, delta0)[1:]
+            th = xe.thermal
+            delta = _period_topoil(xe.topoil, [max(s * p + q for s, q in xe.chords)
+                                               for p in flows[xe.branch.index]])
             delta_to[xe.pos] = [float(d) for d in delta]
             hotspot[xe.pos] = [th.temp_amb + d + th.hs_coeff * ie
                                for d, ie in zip(delta, tight)]
@@ -836,6 +772,32 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
 # independent plan verification
 # ---------------------------------------------------------------------------
 
+_PERIOD_SERIES = ("gen_p", "flows", "theta", "i_eff", "delta_to", "hotspot")
+
+
+def _check_plan(plan: MitigationPlan, times: list[float], dt: float) -> None:
+    """Raise ValueError unless every plan number is finite and the plan's
+    periods are ``times``, the period midpoints of the grid at ``dt``."""
+    series = {f"{name}[{key}]": v for name in _PERIOD_SERIES
+              for key, v in getattr(plan, name).items()}
+    for name, value in {"times": plan.times, "z": list(plan.z.values()), "dt": plan.dt,
+                        "objective": plan.objective, "model_objective": plan.model_objective,
+                        "gap": plan.gap, **series}.items():
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError(f"plan {name}: expected finite numbers")
+    T = len(times)
+    if np.shape(plan.times) != (T,) or not np.allclose(plan.times, times, rtol=0.0, atol=1e-9):
+        raise ValueError(f"plan periods are not the {T} period midpoints of the "
+                         f"scenario grid at dt={dt}")
+    for name, value in series.items():
+        if np.shape(value) != (T,):
+            raise ValueError(f"plan {name}: {np.size(value)} values for {T} periods")
+
+
 @dataclass
 class VerifyReport:
     """Worst violation per constraint class from an independent re-simulation."""
@@ -844,7 +806,9 @@ class VerifyReport:
     details: list[str] = field(default_factory=list)
 
     def max_violation(self) -> float:
-        return max(self.violations.values(), default=0.0)
+        """Largest violation; NaN when any class is NaN."""
+        values = list(self.violations.values())
+        return float(np.max(values)) if values else 0.0
 
     def ok(self, tol: float = 1e-6) -> bool:
         return self.max_violation() <= tol
@@ -866,6 +830,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     grid = scenario.grid(dt)
     times = [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
     T = len(times)
+    _check_plan(plan, times, dt)
 
     topo = {bid: int(zv) for bid, zv in plan.z.items()}
     v = {k: 0.0 for k in ("power_balance", "ohm", "rating", "angle", "gen_bounds",
@@ -874,21 +839,12 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     details: list[str] = []
 
     def bump(cls, amount, msg=None):
-        if amount > v[cls]:
+        if not amount <= v[cls] and not math.isnan(v[cls]):  # a NaN, once seen, stays
             v[cls] = amount
             if msg:
                 details.append(f"{cls}: {msg}")
 
-    live = []
-    for br in case.ac_branches:
-        z = topo.get(br.index, br.status)
-        if br.status and z:
-            live.append(br)
-    live_ids = {br.index for br in live}
-
-    gen_at: dict[int, list] = {}
-    for g in case.generators:
-        gen_at.setdefault(g.bus, []).append(g)
+    live_ids = {br.index for br in case.ac_branches if br.status and topo.get(br.index, br.status)}
 
     # ac-side checks from the plan's own arrays
     for t in range(T):
@@ -896,8 +852,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
         for br in case.ac_branches:
             p_series = plan.flows.get(br.index)
             p = p_series[t] if p_series is not None else 0.0
-            z = topo.get(br.index, br.status) if br.status else 0
-            if not z:
+            if br.index not in live_ids:
                 bump("switch_off", abs(p),
                      f"branch {br.index} open but carries {p:.3e}")
                 continue
@@ -912,20 +867,18 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
                  f"branch {br.index} period {t}: |{p:.3f}| > {br.rating}")
             inj[br.f_bus] = inj.get(br.f_bus, 0.0) - p
             inj[br.t_bus] = inj.get(br.t_bus, 0.0) + p
-        for bus_id, gens in gen_at.items():
-            for g in gens:
-                series = plan.gen_p.get(g.index)
-                if series is None:
-                    continue
-                p = series[t]
-                bump("gen_bounds", max(g.pmin - p, p - g.pmax))
-                inj[bus_id] = inj.get(bus_id, 0.0) + p
+        for g in case.generators:
+            series = plan.gen_p.get(g.index)
+            if series is None:
+                continue
+            p = series[t]
+            bump("gen_bounds", max(g.pmin - p, p - g.pmax))
+            inj[g.bus] = inj.get(g.bus, 0.0) + p
         for b in case.buses:
-            if b.index in plan.theta or b.pd != 0 or b.index in gen_at:
+            if b.index in plan.theta:
                 resid = inj.get(b.index, 0.0) - b.pd - b.g_shunt
-                if b.index in plan.theta:
-                    bump("power_balance", abs(resid),
-                         f"bus {b.index} period {t}: residual {resid:.3e}")
+                bump("power_balance", abs(resid),
+                     f"bus {b.index} period {t}: residual {resid:.3e}")
 
     # dc-side and thermal checks by re-simulation; floating components are
     # expected when probing opened topologies, so the pinning note is muted
@@ -957,12 +910,8 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
             continue
         br = case.ac_branch(row.branch)
         flows = plan.flows.get(row.branch, [0.0] * T)
-        du = np.empty(T + 1)
-        du[1:] = [steady_rise(abs(flows[t]), br.rating, th.to_rated) for t in range(T)]
-        du[0] = th.to_init if th.to_inited else du[1]
-        delta0 = th.to_init if th.to_inited else du[1]
-        zeta = 2.0 * th.to_time_c / dt
-        delta = topoil_series(du, zeta, delta0)[1:]
+        delta = _period_topoil(TopOil.of(th, dt), [steady_rise(abs(flows[t]), br.rating,
+                                                               th.to_rated) for t in range(T)])
         eta = th.hs_coeff * true_eff[p]
         hs = th.temp_amb + delta + eta
         cap = case.hotspot_limit_for(row)

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data import ABSENT, CaseData, FieldScenario
+from .data import ABSENT, CaseData, FieldScenario, ThermalData
 from .dcnet import solve_series
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "ThermalTrace",
     "simulate",
     "topoil_series",
+    "TopOil",
 ]
 
 Loading = Mapping[int, float] | Callable[[float], Mapping[int, float]] | None
@@ -82,6 +83,33 @@ def topoil_series(du: np.ndarray, zeta: float, delta0: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TopOil:
+    """Top-oil state convention of one transformer at step dt.
+
+    ``delta0`` is the initial top-oil rise: to_init when to_inited is 1,
+    None when it starts from the steady rise of the first sample.
+    """
+
+    zeta: float                 # 2 tau / dt
+    delta0: float | None
+
+    @classmethod
+    def of(cls, th: ThermalData, dt: float) -> "TopOil":
+        return cls(2.0 * th.to_time_c / dt, th.to_init if th.to_inited else None)
+
+    def series(self, rise) -> np.ndarray:
+        """Top-oil rise at each sample of the steady-rise series ``rise``.
+
+        Sample 0 is the initial state.  Its input is replaced by the
+        initial rise, so the pre-initial input sustains the initial state.
+        """
+        du = np.array(rise, dtype=float)
+        if self.delta0 is not None:
+            du[0] = self.delta0
+        return topoil_series(du, self.zeta, du[0])
+
+
+@dataclass(frozen=True)
 class TransformerTrace:
     """Per-transformer temperature time series (arrays over the grid)."""
 
@@ -123,15 +151,14 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     every grid point come from one ``solve_series`` over the grid;
     ``loading`` supplies per-ac-branch apparent power
     [p.u.] either as a constant map or a callable of time (absent
-    entries mean unloaded).  Initial top-oil rise follows to_inited:
-    1 starts from to_init, 0 from the steady-state rise of the first
-    sample's loading.
+    entries mean unloaded).  The initial top-oil rise follows ``TopOil``.
 
     Only transformers with thermal data are traced (synthetic GSU rows
     have none).
     """
     grid = scenario.grid(dt)
     tgrid = np.asarray(grid)
+    step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else math.inf  # one sample: no step taken
     series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
@@ -141,17 +168,8 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     for pos, row in rows:
         th = case.thermal_for(row.branch)
         br = case.ac_branch(row.branch)
-        zeta = 2.0 * th.to_time_c / (tgrid[1] - tgrid[0]) if len(tgrid) > 1 else math.inf
         s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
-        du = steady_rise(s, br.rating, th.to_rated)
-        # pre-initial input sustains the initial state (matches the
-        # optimization model's convention, so verify stays closed-loop)
-        delta0 = th.to_init if th.to_inited else du[0]
-        du[0] = delta0
-        if len(tgrid) > 1:
-            delta = topoil_series(du, zeta, delta0)
-        else:
-            delta = np.array([delta0])
+        delta = TopOil.of(th, step).series(steady_rise(s, br.rating, th.to_rated))
         i_eff = series.effective[pos]
         eta = th.hs_coeff * i_eff
         hotspot = th.temp_amb + delta + eta

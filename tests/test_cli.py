@@ -340,3 +340,52 @@ def test_singular_jacobian_is_analysis_error(workdir, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "singular Jacobian at iteration 1" in err and "Traceback" not in err
+
+
+def _plan(workdir, dt="30"):
+    out = workdir / "plan"
+    assert run(["mitigate", "--case", str(workdir / "b4gic.json"),
+                "--scenario", str(workdir / "ramp.csv"), "--dt", dt, "--out", str(out)]) == 0
+    return out / "plan.json"
+
+
+def _verify(workdir, plan, *extra):
+    return run(["verify", "--case", str(workdir / "b4gic.json"),
+                "--scenario", str(workdir / "ramp.csv"), "--plan", str(plan),
+                "--out", str(workdir / "ver"), *extra])
+
+
+@pytest.mark.parametrize("dt", ["15", "60"])
+def test_verify_at_other_dt_is_input_error(workdir, capsys, dt):
+    plan = _plan(workdir)
+    capsys.readouterr()
+    rc = _verify(workdir, plan, "--dt", dt)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and "period midpoints" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("flows", float("nan")), ("gen_p", float("nan")),
+                                       ("theta", float("inf")), ("hotspot", float("-inf"))])
+def test_verify_rejects_non_finite_plan(workdir, capsys, key, value):
+    plan = _plan(workdir)
+    doc = json.loads(plan.read_text())
+    doc[key][min(doc[key])][1] = value
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = _verify(workdir, plan, "--dt", "30")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and key in err and "finite" in err
+    assert "[ok]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+def test_verify_tol_must_be_finite_and_non_negative(workdir, capsys, tol):
+    plan = _plan(workdir)
+    capsys.readouterr()
+    rc = _verify(workdir, plan, "--dt", "30", f"--tol={tol}")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--tol" in captured.err and "[ok]" not in captured.out

@@ -8,8 +8,9 @@ import pytest
 
 from gicgrid.data import (FieldSample, FieldScenario, make_ramp_scenario,
                           parse_case)
-from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, build_model,
+from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
+from gicgrid.thermal import simulate, topoil_series
 
 from conftest import random_ots_case
 
@@ -348,4 +349,33 @@ def test_voltage_overrides_drive_the_model():
     eff = effective_gic(case, sol)
     for pos, series in plan.i_eff.items():
         assert series[0] == pytest.approx(eff.get(pos, 0.0), abs=1e-6)
+    assert verify_plan(case, scenario, plan).ok(1e-6)
+
+
+def test_nan_violation_is_never_ok():
+    report = VerifyReport(violations={"angle": 0.0, "ohm": float("nan"), "rating": 1e-9})
+    assert np.isnan(report.max_violation())
+    assert not report.ok(1e-6)
+
+
+def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
+    """to_init = 40 starts the trace, the plan and the re-simulation alike."""
+    th = tuple(dataclasses.replace(t, to_init=40.0) for t in b4gic_case.thermal)
+    case = dataclasses.replace(b4gic_case, thermal=th)
+    scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0)
+
+    trace = simulate(case, scenario)
+    for tr in trace.traces.values():
+        # unloaded: the rise decays from 40 with the pre-initial input held at 40
+        expect = topoil_series(np.r_[40.0, np.zeros(len(tr.t) - 1)], 2.0 * 71.0 / 10.0, 40.0)
+        assert tr.delta_to[0] == 40.0
+        assert tr.delta_to == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    model = build_model(case, scenario, OtsOptions(dt=30.0))
+    plan = solve(model)
+    assert len(model.xfmrs) == 2
+    for x in model.xfmrs:
+        du = [max(s * p + q for s, q in x.chords) for p in plan.flows[x.branch.index]]
+        expect = topoil_series(np.r_[40.0, du], 2.0 * 71.0 / 30.0, 40.0)[1:]
+        assert plan.delta_to[x.pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
     assert verify_plan(case, scenario, plan).ok(1e-6)
