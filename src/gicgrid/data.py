@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,6 +78,16 @@ class CaseInvariantError(CaseError):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
+# The row dataclasses are the case schema.  Each field is one file key (its
+# name, except the generator costs, see _KEYS), read as the kind of its
+# annotation; its default is the file default, and a field without one is
+# required.  Keys are written in declaration order.
+
+
+def _kw(default):
+    """Default of a field declared ahead of a required one (keyword-only)."""
+    return field(default=default, kw_only=True)
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -97,13 +107,17 @@ class Generator:
     bus: int
     pmin: float
     pmax: float
-    qmin: float
-    qmax: float
+    qmin: float = -1e3
+    qmax: float = 1e3
     cost0: float = 0.0        # fixed cost
     cost1: float = 0.0        # linear cost [per p.u.]
     cost2: float = 0.0        # quadratic cost [per p.u.^2], must be >= 0
     pg: float = 0.0           # dispatch setpoint used by fixed-dispatch power flow
     vg: float = 1.0           # voltage setpoint for PV/slack buses
+
+    def cost(self, p: float) -> float:
+        """Quadratic dispatch cost at output p [p.u.]."""
+        return self.cost0 + self.cost1 * p + self.cost2 * p * p
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,7 @@ class AcBranch:
 class GmdBus:
     index: int
     parent: int               # ac bus id
-    status: int
+    status: int = _kw(1)
     g_gnd: float              # admittance to ground [S]; 0 for non-substation nodes
     name: str = ""
 
@@ -134,7 +148,7 @@ class GmdBranch:
     f_bus: int                # gmd_bus id
     t_bus: int                # gmd_bus id
     parent: int               # ac branch id, or -1 for synthetic GSU windings
-    status: int
+    status: int = _kw(1)
     br_r: float               # branch resistance [ohm]
     br_v: float = 0.0         # induced quasi-dc voltage [V]
     len_km: float = 0.0
@@ -151,15 +165,15 @@ class BranchGmdData:
     branch: int               # ac branch id, -1 for synthetic GSU rows
     hi_bus: int
     lo_bus: int
-    gmd_br_hi: int
-    gmd_br_lo: int
-    gmd_k: float              # reactive-loss scaling factor [p.u.], -1 when absent
-    gmd_br_se: int
-    gmd_br_co: int
-    baseMVA: float
-    dispatch: int             # stored, unused
+    gmd_br_hi: int = _kw(ABSENT)
+    gmd_br_lo: int = _kw(ABSENT)
+    gmd_k: float = _kw(float(ABSENT))  # reactive-loss scaling factor [p.u.]
+    gmd_br_se: int = _kw(ABSENT)
+    gmd_br_co: int = _kw(ABSENT)
+    baseMVA: float = _kw(float(ABSENT))
+    dispatch: int = _kw(1)    # stored, unused
     type: str                 # xfmr | line | series_cap
-    config: str               # winding configuration or "none"
+    config: str = "none"      # winding configuration or "none"
     turns_ratio: float | None = None   # derived from hi/lo base_kv when omitted
     gic_bound: float | None = None     # max allowed effective GIC [A]
     hotspot_limit: float | None = None  # hot-spot cap [degC], defaults to hs_inst_lim
@@ -172,15 +186,15 @@ class BranchGmdData:
 @dataclass(frozen=True)
 class ThermalData:
     branch: int               # ac branch id
-    xfmr: int
+    xfmr: int                 # rows with 0 are not transformers and are skipped
     temp_amb: float           # [degC]
     hs_inst_lim: float        # instantaneous hot-spot limit [degC]
-    hs_avg_lim: float         # 8-hour average limit [degC] (reported only)
-    hs_rated: float           # hot-spot rise at rated power [degC] (stored, unused)
+    hs_avg_lim: float = _kw(float(ABSENT))  # 8-hour average limit [degC] (reported only)
+    hs_rated: float = _kw(float(ABSENT))    # hot-spot rise at rated power [degC] (stored, unused)
     to_time_c: float          # top-oil time constant [min]
     to_rated: float           # top-oil rise at rated power [degC]
-    to_init: float            # initial top-oil rise [degC] when to_inited=1
-    to_inited: int            # 1: use to_init; 0: steady-state initialization
+    to_init: float = _kw(0.0)  # initial top-oil rise [degC] when to_inited=1
+    to_inited: int = _kw(0)   # 1: use to_init; 0: steady-state initialization
     hs_coeff: float           # hot-spot rise per effective GIC ampere [degC/A]
 
 
@@ -378,10 +392,6 @@ def _by_index(rows: Mapping[int, object], index: int, what: str):
 # parsing
 # ---------------------------------------------------------------------------
 
-_TABLES = ("bus", "gen", "branch", "gmd_bus", "gmd_branch", "branch_gmd",
-           "branch_thermal", "bus_gmd")
-
-
 _REQUIRED = object()
 
 
@@ -436,8 +446,22 @@ class _Row:
         return self.num(key, default, int)
 
 
-def _rows(doc: Mapping, table: str) -> list[_Row]:
-    return [_Row(table, i, r) for i, r in enumerate(doc[table])]
+# case table -> (CaseData attribute, row class), in file order
+_SCHEMA = {"bus": ("buses", Bus), "gen": ("generators", Generator),
+           "branch": ("ac_branches", AcBranch), "gmd_bus": ("gmd_buses", GmdBus),
+           "gmd_branch": ("gmd_branches", GmdBranch),
+           "branch_gmd": ("branch_gmd", BranchGmdData),
+           "branch_thermal": ("thermal", ThermalData), "bus_gmd": ("bus_gmd", BusGmdData)}
+_KEYS = {"cost0": "cost_0", "cost1": "cost_1", "cost2": "cost_2"}  # field -> file key
+_READ = {"int": _Row.int, "float": _Row.num, "float | None": _Row.num,
+         "str": lambda r, key, default: str(r.raw(key, default)),
+         "bool": lambda r, key, default: bool(r.raw(key, default))}
+
+
+def _fields(cls) -> list[tuple[str, str, Callable, object]]:
+    """(name, file key, reader, default) per field of a row class, in declaration order."""
+    return [(f.name, _KEYS.get(f.name, f.name), _READ[f.type],
+             _REQUIRED if f.default is MISSING else f.default) for f in fields(cls)]
 
 
 def parse_case(text: str) -> "CaseData":
@@ -452,7 +476,7 @@ def parse_case(text: str) -> "CaseData":
         raise CaseStructureError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CaseStructureError("top level must be an object")
-    for t in _TABLES:
+    for t in _SCHEMA:
         if t not in doc:
             raise CaseStructureError(f"missing table '{t}'")
         if not isinstance(doc[t], list):
@@ -460,70 +484,14 @@ def parse_case(text: str) -> "CaseData":
     if "base_mva" not in doc:
         raise CaseStructureError("missing 'base_mva'")
 
-    buses = tuple(
-        Bus(index=r.int("index"), base_kv=r.num("base_kv"),
-            bus_type=str(r.raw("bus_type", "PQ")),
-            pd=r.num("pd", 0.0), qd=r.num("qd", 0.0), g_shunt=r.num("g_shunt", 0.0),
-            vmin=r.num("vmin", 0.9), vmax=r.num("vmax", 1.1))
-        for r in _rows(doc, "bus"))
-    gens = tuple(
-        Generator(index=r.int("index"), bus=r.int("bus"),
-                  pmin=r.num("pmin"), pmax=r.num("pmax"),
-                  qmin=r.num("qmin", -1e3), qmax=r.num("qmax", 1e3),
-                  cost0=r.num("cost_0", 0.0), cost1=r.num("cost_1", 0.0),
-                  cost2=r.num("cost_2", 0.0),
-                  pg=r.num("pg", 0.0), vg=r.num("vg", 1.0))
-        for r in _rows(doc, "gen"))
-    branches = tuple(
-        AcBranch(index=r.int("index"), f_bus=r.int("f_bus"), t_bus=r.int("t_bus"),
-                 b=r.num("b"), rating=r.num("rating"),
-                 angle_max=r.num("angle_max", 0.6),
-                 angle_big_m=r.num("angle_big_m", math.pi),
-                 switchable=bool(r.raw("switchable", False)),
-                 status=r.int("status", 1))
-        for r in _rows(doc, "branch"))
-    gmd_buses = tuple(
-        GmdBus(index=r.int("index"), parent=r.int("parent"), status=r.int("status", 1),
-               g_gnd=r.num("g_gnd"), name=str(r.raw("name", "")))
-        for r in _rows(doc, "gmd_bus"))
-    gmd_branches = tuple(
-        GmdBranch(index=r.int("index"), f_bus=r.int("f_bus"), t_bus=r.int("t_bus"),
-                  parent=r.int("parent"), status=r.int("status", 1),
-                  br_r=r.num("br_r"), br_v=r.num("br_v", 0.0),
-                  len_km=r.num("len_km", 0.0), name=str(r.raw("name", "")))
-        for r in _rows(doc, "gmd_branch"))
-    branch_gmd = tuple(
-        BranchGmdData(branch=r.int("branch"), hi_bus=r.int("hi_bus"), lo_bus=r.int("lo_bus"),
-                      gmd_br_hi=r.int("gmd_br_hi", ABSENT),
-                      gmd_br_lo=r.int("gmd_br_lo", ABSENT),
-                      gmd_k=r.num("gmd_k", ABSENT),
-                      gmd_br_se=r.int("gmd_br_se", ABSENT),
-                      gmd_br_co=r.int("gmd_br_co", ABSENT),
-                      baseMVA=r.num("baseMVA", ABSENT),
-                      dispatch=r.int("dispatch", 1),
-                      type=str(r.raw("type")), config=str(r.raw("config", "none")),
-                      turns_ratio=r.num("turns_ratio", None),
-                      gic_bound=r.num("gic_bound", None),
-                      hotspot_limit=r.num("hotspot_limit", None))
-        for r in _rows(doc, "branch_gmd"))
-    # rows for non-transformers carry -1 sentinels; treated as absent
-    thermal = tuple(
-        ThermalData(branch=r.int("branch"), xfmr=1,
-                    temp_amb=r.num("temp_amb"), hs_inst_lim=r.num("hs_inst_lim"),
-                    hs_avg_lim=r.num("hs_avg_lim", ABSENT),
-                    hs_rated=r.num("hs_rated", ABSENT),
-                    to_time_c=r.num("to_time_c"), to_rated=r.num("to_rated"),
-                    to_init=r.num("to_init", 0.0), to_inited=r.int("to_inited", 0),
-                    hs_coeff=r.num("hs_coeff"))
-        for r in _rows(doc, "branch_thermal") if r.int("xfmr", 0))
-    bus_gmd = tuple(
-        BusGmdData(bus=r.int("bus"), lat=r.num("lat"), lon=r.num("lon"))
-        for r in _rows(doc, "bus_gmd"))
-
-    case = CaseData(base_mva=_Row("case", None, doc).num("base_mva"), buses=buses,
-                    generators=gens, ac_branches=branches, gmd_buses=gmd_buses,
-                    gmd_branches=gmd_branches, branch_gmd=branch_gmd,
-                    thermal=thermal, bus_gmd=bus_gmd)
+    tables = {}
+    for table, (attr, cls) in _SCHEMA.items():
+        rows, spec = [_Row(table, i, r) for i, r in enumerate(doc[table])], _fields(cls)
+        if cls is ThermalData:  # non-transformer rows carry -1 sentinels; treated as absent
+            rows = [r for r in rows if r.int("xfmr", 0)]
+        tables[attr] = tuple(cls(**{name: read(r, key, default)
+                                    for name, key, read, default in spec}) for r in rows)
+    case = CaseData(base_mva=_Row("case", None, doc).num("base_mva"), **tables)
     validate_case(case)
     return case
 
@@ -718,67 +686,16 @@ def _check_slack(case: CaseData) -> None:
 # ---------------------------------------------------------------------------
 
 def serialize_case(case: CaseData) -> str:
-    """Serialize to the JSON case format; parse(serialize(c)) == c."""
-    def bus_row(b: Bus):
-        return {"index": b.index, "base_kv": b.base_kv, "bus_type": b.bus_type,
-                "pd": b.pd, "qd": b.qd, "g_shunt": b.g_shunt,
-                "vmin": b.vmin, "vmax": b.vmax}
+    """Serialize to the JSON case format; parse(serialize(c)) == c.
 
-    def gen_row(g: Generator):
-        return {"index": g.index, "bus": g.bus, "pmin": g.pmin, "pmax": g.pmax,
-                "qmin": g.qmin, "qmax": g.qmax, "cost_0": g.cost0,
-                "cost_1": g.cost1, "cost_2": g.cost2, "pg": g.pg, "vg": g.vg}
-
-    def branch_row(br: AcBranch):
-        return {"index": br.index, "f_bus": br.f_bus, "t_bus": br.t_bus,
-                "b": br.b, "rating": br.rating, "angle_max": br.angle_max,
-                "angle_big_m": br.angle_big_m, "switchable": br.switchable,
-                "status": br.status}
-
-    def gmd_bus_row(gb: GmdBus):
-        return {"index": gb.index, "parent": gb.parent, "status": gb.status,
-                "g_gnd": gb.g_gnd, "name": gb.name}
-
-    def gmd_branch_row(e: GmdBranch):
-        return {"index": e.index, "f_bus": e.f_bus, "t_bus": e.t_bus,
-                "parent": e.parent, "status": e.status, "br_r": e.br_r,
-                "br_v": e.br_v, "len_km": e.len_km, "name": e.name}
-
-    def branch_gmd_row(r: BranchGmdData):
-        row = {"branch": r.branch, "hi_bus": r.hi_bus, "lo_bus": r.lo_bus,
-               "gmd_br_hi": r.gmd_br_hi, "gmd_br_lo": r.gmd_br_lo,
-               "gmd_k": r.gmd_k, "gmd_br_se": r.gmd_br_se,
-               "gmd_br_co": r.gmd_br_co, "baseMVA": r.baseMVA,
-               "dispatch": r.dispatch, "type": r.type, "config": r.config}
-        if r.turns_ratio is not None:
-            row["turns_ratio"] = r.turns_ratio
-        if r.gic_bound is not None:
-            row["gic_bound"] = r.gic_bound
-        if r.hotspot_limit is not None:
-            row["hotspot_limit"] = r.hotspot_limit
-        return row
-
-    def thermal_row(th: ThermalData):
-        return {"branch": th.branch, "xfmr": th.xfmr, "temp_amb": th.temp_amb,
-                "hs_inst_lim": th.hs_inst_lim, "hs_avg_lim": th.hs_avg_lim,
-                "hs_rated": th.hs_rated, "to_time_c": th.to_time_c,
-                "to_rated": th.to_rated, "to_init": th.to_init,
-                "to_inited": th.to_inited, "hs_coeff": th.hs_coeff}
-
-    def bus_gmd_row(c: BusGmdData):
-        return {"bus": c.bus, "lat": c.lat, "lon": c.lon}
-
-    doc = {
-        "base_mva": case.base_mva,
-        "bus": [bus_row(b) for b in case.buses],
-        "gen": [gen_row(g) for g in case.generators],
-        "branch": [branch_row(br) for br in case.ac_branches],
-        "gmd_bus": [gmd_bus_row(gb) for gb in case.gmd_buses],
-        "gmd_branch": [gmd_branch_row(e) for e in case.gmd_branches],
-        "branch_gmd": [branch_gmd_row(r) for r in case.branch_gmd],
-        "branch_thermal": [thermal_row(th) for th in case.thermal],
-        "bus_gmd": [bus_gmd_row(c) for c in case.bus_gmd],
-    }
+    An optional (``float | None``) field that is None is left out.
+    """
+    doc = {"base_mva": case.base_mva}
+    for table, (attr, cls) in _SCHEMA.items():
+        spec = _fields(cls)
+        doc[table] = [{key: getattr(row, name) for name, key, _, default in spec
+                       if default is not None or getattr(row, name) is not None}
+                      for row in getattr(case, attr)]
     return json.dumps(doc, indent=1)
 
 
@@ -822,8 +739,7 @@ def estimate_missing_gsu(case: CaseData, *, winding_r: float = 0.1,
             if gb.parent == ac_bus and (gb.g_gnd > 0) == grounded:
                 return gb.index
         kind = "sub" if grounded else "bus"
-        gb = GmdBus(index=next_bus, parent=ac_bus, status=1,
-                    g_gnd=ground_s if grounded else 0.0,
+        gb = GmdBus(index=next_bus, parent=ac_bus, g_gnd=ground_s if grounded else 0.0,
                     name=f"dc_{kind}{ac_bus}_est")
         gmd_buses.append(gb)
         next_bus += 1
@@ -832,15 +748,12 @@ def estimate_missing_gsu(case: CaseData, *, winding_r: float = 0.1,
     for gen in missing:
         node = dc_node(gen.bus, grounded=False)
         neutral = dc_node(gen.bus, grounded=True)
-        winding = GmdBranch(index=next_br, f_bus=node, t_bus=neutral,
-                            parent=ABSENT, status=1, br_r=winding_r,
-                            br_v=0.0, len_km=0.0, name=f"gsu_est_gen{gen.index}")
+        winding = GmdBranch(index=next_br, f_bus=node, t_bus=neutral, parent=ABSENT,
+                            br_r=winding_r, name=f"gsu_est_gen{gen.index}")
         gmd_branches.append(winding)
         branch_gmd.append(BranchGmdData(
-            branch=ABSENT, hi_bus=gen.bus, lo_bus=ABSENT,
-            gmd_br_hi=winding.index, gmd_br_lo=ABSENT, gmd_k=gmd_k,
-            gmd_br_se=ABSENT, gmd_br_co=ABSENT, baseMVA=case.base_mva,
-            dispatch=1, type="xfmr", config="gwye-delta"))
+            branch=ABSENT, hi_bus=gen.bus, lo_bus=ABSENT, gmd_br_hi=winding.index,
+            gmd_k=gmd_k, baseMVA=case.base_mva, type="xfmr", config="gwye-delta"))
         next_br += 1
         covered.add(gen.bus)
 

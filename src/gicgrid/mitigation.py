@@ -40,8 +40,8 @@ from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, The
                    component_groups)
 from .coupling import slack_reachable
 from .dcnet import solve_series, source_basis, winding_ids, winding_weights
-from .lp import LpProblem, LpResult, lp_solve
-from .thermal import TopOil, steady_rise
+from .lp import LpProblem, lp_solve
+from .thermal import TopOil, hotspot_temp, steady_rise
 
 __all__ = [
     "OtsOptions",
@@ -56,13 +56,15 @@ __all__ = [
 ]
 
 
+_PWL_SEGMENTS = 8             # chords per quadratic term
+_INTEGRALITY_TOL = 1e-6
+_NODE_LIMIT = 200_000
+
+
 @dataclass(frozen=True)
 class OtsOptions:
     dt: float | None = None         # period length [min]; default scenario dt
     gap: float = 1e-4               # relative optimality gap
-    pwl_segments: int = 8           # chords per quadratic term
-    integrality_tol: float = 1e-6
-    node_limit: int = 200_000
     time_limit: float | None = None  # seconds; None = no limit
 
 
@@ -222,12 +224,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
         chords = []
         if thermal is not None:
             topoil = TopOil.of(thermal, dt)
-            if topoil.zeta < 1.0:
-                raise ValueError(
-                    f"branch {row.branch}: dt={dt} exceeds 2*tau; temperature "
-                    "recursion would lose monotonicity")
             chords = _chords(lambda p: steady_rise(abs(p), branch.rating, thermal.to_rated),
-                             -branch.rating, branch.rating, opt.pwl_segments)
+                             -branch.rating, branch.rating, _PWL_SEGMENTS)
         else:
             topoil = TopOil(zeta=2.0, delta0=0.0)
         xfmrs.append(_XfmrEntry(pos=pos, row=row, thermal=thermal, branch=branch,
@@ -464,8 +462,7 @@ def build_model(case: CaseData, scenario: FieldScenario,
     # cost epigraph
     start = len(ub_rows)
     for g in gens:
-        chords = _chords(lambda p: g.cost0 + g.cost1 * p + g.cost2 * p * p,
-                         g.pmin, g.pmax, opt.pwl_segments if g.cost2 > 0 else 1)
+        chords = _chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS if g.cost2 > 0 else 1)
         for t in range(T):
             cc = col("cost", gen_pos[g.index], t)
             pg = col("p_g", gen_pos[g.index], t)
@@ -502,11 +499,11 @@ def _to_csr(rows, nvars):
 
 
 def _cost_range(g) -> tuple[float, float]:
-    vals = [g.cost0 + g.cost1 * p + g.cost2 * p * p for p in (g.pmin, g.pmax)]
+    vals = [g.cost(p) for p in (g.pmin, g.pmax)]
     if g.cost2 > 0:
         vertex = -g.cost1 / (2.0 * g.cost2)
         if g.pmin <= vertex <= g.pmax:
-            vals.append(g.cost0 + g.cost1 * vertex + g.cost2 * vertex * vertex)
+            vals.append(g.cost(vertex))
     return min(vals), max(vals)
 
 
@@ -540,13 +537,9 @@ def _derived_ieff_bound(case, row, dc_edges, edge_pos, edge_gap_m) -> float:
 # solving
 # ---------------------------------------------------------------------------
 
-def _solve_node(model: OtsModel, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    return lp_solve(model.lp, lb=lb, ub=ub)
-
-
-def _most_fractional(model: OtsModel, x: np.ndarray, tol: float):
+def _most_fractional(model: OtsModel, x: np.ndarray):
     """Branch variable choice: z farthest from integral, ties -> lowest id."""
-    best, best_frac = None, tol
+    best, best_frac = None, _INTEGRALITY_TOL
     for bid in model.switchable:  # sorted: deterministic tie-break
         v = x[model.z_col[bid]]
         frac = min(v - math.floor(v), math.ceil(v) - v)
@@ -566,7 +559,6 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
     """
     opt = options or model.options
     t0 = time.perf_counter()
-    tol = opt.integrality_tol
 
     root_lb = model.lp.lb.copy()
     root_ub = model.lp.ub.copy()
@@ -588,7 +580,7 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
         if opt.time_limit is not None and time.perf_counter() - t0 > opt.time_limit:
             timed_out = True
             break
-        if nodes_explored >= opt.node_limit:
+        if nodes_explored >= _NODE_LIMIT:
             timed_out = True
             break
         if incumbent is None and dfs:
@@ -603,14 +595,14 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
         if incumbent is not None and parent_bound >= incumbent_obj - gap_abs():
             continue
 
-        res = _solve_node(model, nlb, nub)
+        res = lp_solve(model.lp, lb=nlb, ub=nub)
         nodes_explored += 1
         if res.status != "optimal":
             continue
         if incumbent is not None and res.objective >= incumbent_obj - gap_abs():
             continue
 
-        branch_id = _most_fractional(model, res.x, tol)
+        branch_id = _most_fractional(model, res.x)
         if branch_id is None:
             if res.objective < incumbent_obj - 1e-12:
                 incumbent = res
@@ -673,7 +665,7 @@ def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
         ub = model.lp.ub.copy()
         for bid, val in zip(model.switchable, assignment):
             lb[model.z_col[bid]] = ub[model.z_col[bid]] = val
-        res = _solve_node(model, lb, ub)
+        res = lp_solve(model.lp, lb=lb, ub=ub)
         solved += 1
         if res.status == "optimal" and res.objective < best_obj - 1e-12:
             best, best_obj = res, res.objective
@@ -697,7 +689,7 @@ def _infeasibility_probes(model: OtsModel) -> dict:
 
 
 def _first_violated_class(model: OtsModel, lb, ub) -> str:
-    if _solve_node(model, lb, ub).status == "optimal":
+    if lp_solve(model.lp, lb=lb, ub=ub).status == "optimal":
         return "feasible"
     b_ub = model.lp.b_ub.copy()
     relaxed_classes = []
@@ -742,12 +734,10 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
             tight.append(abs(float(expr)))
         i_eff[xe.pos] = tight
         if xe.thermal is not None and xe.branch is not None:
-            th = xe.thermal
             delta = _period_topoil(xe.topoil, [max(s * p + q for s, q in xe.chords)
                                                for p in flows[xe.branch.index]])
             delta_to[xe.pos] = [float(d) for d in delta]
-            hotspot[xe.pos] = [th.temp_amb + d + th.hs_coeff * ie
-                               for d, ie in zip(delta, tight)]
+            hotspot[xe.pos] = [hotspot_temp(xe.thermal, d, ie) for d, ie in zip(delta, tight)]
         else:
             delta_to[xe.pos] = [0.0] * T
             hotspot[xe.pos] = [0.0] * T
@@ -756,8 +746,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     true_obj = 0.0
     for k, g in enumerate(model.gens):
         for t in range(T):
-            p = x[model.col("p_g", k, t)]
-            true_obj += g.cost0 + g.cost1 * p + g.cost2 * p * p
+            true_obj += g.cost(x[model.col("p_g", k, t)])
 
     return MitigationPlan(z=z, times=[float(t) for t in model.times], dt=model.dt,
                           gen_p=gen_p, flows=flows, theta=theta, i_eff=i_eff,
@@ -912,8 +901,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
         flows = plan.flows.get(row.branch, [0.0] * T)
         delta = _period_topoil(TopOil.of(th, dt), [steady_rise(abs(flows[t]), br.rating,
                                                                th.to_rated) for t in range(T)])
-        eta = th.hs_coeff * true_eff[p]
-        hs = th.temp_amb + delta + eta
+        hs = hotspot_temp(th, delta, true_eff[p])
         cap = case.hotspot_limit_for(row)
         bump("hotspot", float(np.max(hs - cap)),
              f"branch {row.branch}: hot-spot peaks at {float(np.max(hs)):.1f} degC")
@@ -925,7 +913,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
         if series is None:
             continue
         for pv in series:
-            recomputed += g.cost0 + g.cost1 * pv + g.cost2 * pv * pv
+            recomputed += g.cost(pv)
     denom = max(1.0, abs(plan.objective))
     bump("objective", abs(recomputed - plan.objective) / denom)
 

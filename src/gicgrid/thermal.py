@@ -5,9 +5,10 @@ steady-state rise, discretized with the bilinear transform:
 
     delta[k] = (du[k] + du[k-1]) / (1 + zeta) - (1 - zeta)/(1 + zeta) * delta[k-1]
 
-with zeta = 2 tau / dt.  Hot-spot rise is instantaneous and linear in the
-effective GIC (eta = R * I_eff); the absolute hot-spot temperature is
-ambient + top-oil rise + hot-spot rise.
+with zeta = 2 tau / dt, which must be >= 1 (dt <= 2 tau): below that the
+recursion alternates sign.  Hot-spot rise is instantaneous and linear in
+the effective GIC (eta = R * I_eff); the absolute hot-spot temperature is
+ambient + top-oil rise + hot-spot rise (``hotspot_temp``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "steady_rise",
     "step_topoil",
     "hotspot_rise",
+    "hotspot_temp",
     "TransformerTrace",
     "ThermalTrace",
     "simulate",
@@ -68,6 +70,14 @@ def hotspot_rise(i_eff: float, r_coeff: float) -> float:
     return r_coeff * i_eff
 
 
+def hotspot_temp(th: ThermalData, delta_to, i_eff):
+    """Absolute hot-spot temperature [degC]: ambient + top-oil rise + hs_coeff * I_eff.
+
+    Works on scalars and on arrays of matching shape.
+    """
+    return th.temp_amb + delta_to + th.hs_coeff * i_eff
+
+
 def topoil_series(du: np.ndarray, zeta: float, delta0: float) -> np.ndarray:
     """Run the top-oil recursion over a du series; returns delta[0..K].
 
@@ -94,8 +104,16 @@ class TopOil:
     delta0: float | None
 
     @classmethod
-    def of(cls, th: ThermalData, dt: float) -> "TopOil":
-        return cls(2.0 * th.to_time_c / dt, th.to_init if th.to_inited else None)
+    def of(cls, th: ThermalData, dt: float | None) -> "TopOil":
+        """State at step ``dt`` [min]; None when no step is taken (one sample).
+
+        Raises ValueError when dt exceeds 2 tau (zeta < 1).
+        """
+        zeta = math.inf if dt is None else 2.0 * th.to_time_c / dt
+        if not zeta >= 1.0:
+            raise ValueError(f"branch {th.branch}: dt={dt} exceeds 2*tau; temperature "
+                             "recursion would lose monotonicity")
+        return cls(zeta, th.to_init if th.to_inited else None)
 
     def series(self, rise) -> np.ndarray:
         """Top-oil rise at each sample of the steady-rise series ``rise``.
@@ -158,7 +176,7 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     """
     grid = scenario.grid(dt)
     tgrid = np.asarray(grid)
-    step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else math.inf  # one sample: no step taken
+    step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else None  # one sample: no step taken
     series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
@@ -171,11 +189,9 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
         s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
         delta = TopOil.of(th, step).series(steady_rise(s, br.rating, th.to_rated))
         i_eff = series.effective[pos]
-        eta = th.hs_coeff * i_eff
-        hotspot = th.temp_amb + delta + eta
-        limit = case.hotspot_limit_for(row)
         traces[row.branch] = TransformerTrace(
             branch=row.branch, t=tgrid, i_eff=i_eff, delta_to=delta,
-            eta_hs=eta, hotspot=hotspot, limit=limit)
+            eta_hs=th.hs_coeff * i_eff, hotspot=hotspot_temp(th, delta, i_eff),
+            limit=case.hotspot_limit_for(row))
 
     return ThermalTrace(traces=traces, t=tgrid)

@@ -214,6 +214,9 @@ def test_shipped_files_match_builders():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     assert parse_case_file(os.path.join(here, "cases", "b4gic.json")) == build4()
     assert parse_case_file(os.path.join(here, "cases", "epri21.json")) == build21()
+    for name, build in (("b4gic", build4), ("epri21", build21)):  # pins the key order too
+        with open(os.path.join(here, "cases", f"{name}.json"), encoding="utf-8") as fh:
+            assert serialize_case(build()) + "\n" == fh.read()
 
 
 def test_mitigate_shipped_benchmark(tmp_path):
@@ -327,6 +330,17 @@ def test_header_only_scenario_is_input_error(workdir, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "no data rows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_thermal_step_beyond_twice_tau_is_input_error(workdir, capsys):
+    # b4gic: tau = 71 min, so a 180 min step would run the recursion at zeta < 1
+    out = workdir / "never"
+    rc = run(["thermal", "--case", str(workdir / "b4gic.json"), "--field", "1",
+              "--dt", "180", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and "2*tau" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,14 +1,19 @@
 """Case document parsing, serialization, validation and GSU estimation."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gicgrid.data import (ABSENT, CaseInvariantError, CaseReferenceError,
-                          CaseStructureError, FieldSample, FieldScenario,
-                          estimate_missing_gsu, load_scenario,
-                          make_ramp_scenario, parse_case, serialize_case)
+from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, CaseData,
+                          CaseError, CaseInvariantError, CaseReferenceError,
+                          CaseStructureError, FieldSample, FieldScenario, Generator,
+                          GmdBranch, GmdBus, ThermalData, estimate_missing_gsu,
+                          load_scenario, make_ramp_scenario, parse_case, serialize_case)
+from gicgrid.cases import b4gic, epri21
 from gicgrid.dcnet import FieldVector, assemble
 
 from conftest import random_dc_case
@@ -65,8 +70,112 @@ def test_roundtrip_is_fixed_point(b4gic_case):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_roundtrip_random_cases(seed):
-    case = random_dc_case(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    case = random_dc_case(rng)
     assert parse_case(serialize_case(case)) == case
+    # each optional branch_gmd field set on every other row, None on the rest
+    optional = ("turns_ratio", "gic_bound", "hotspot_limit")
+    rows = tuple(replace(r, **{name: float(rng.uniform(0.1, 500.0)) if (k + j) % 2 else None
+                               for j, name in enumerate(optional)})
+                 for k, r in enumerate(case.branch_gmd))
+    case = replace(case, branch_gmd=rows)
+    for name in optional:
+        assert {getattr(r, name) is None for r in rows} == {True, False}
+    assert parse_case(serialize_case(case)) == case
+
+
+def test_required_fields_only_give_documented_defaults():
+    doc = {
+        "base_mva": 100.0,
+        "bus": [{"index": 1, "base_kv": 345.0, "bus_type": "slack"},
+                {"index": 2, "base_kv": 138.0}],
+        "gen": [{"index": 1, "bus": 1, "pmin": 0.0, "pmax": 5.0}],
+        "branch": [{"index": 1, "f_bus": 1, "t_bus": 2, "b": 20.0, "rating": 5.0}],
+        "gmd_bus": [{"index": 1, "parent": 1, "g_gnd": 5.0},
+                    {"index": 2, "parent": 2, "g_gnd": 0.0}],
+        "gmd_branch": [{"index": 1, "f_bus": 1, "t_bus": 2, "parent": 1, "br_r": 2.0}],
+        "branch_gmd": [{"branch": 1, "hi_bus": 1, "lo_bus": 2, "type": "line"}],
+        "branch_thermal": [{"branch": 1, "xfmr": 1, "temp_amb": 25.0, "hs_inst_lim": 280.0,
+                            "to_time_c": 71.0, "to_rated": 75.0, "hs_coeff": 0.63}],
+        "bus_gmd": [{"bus": 2, "lat": 40.0, "lon": -89.0}],
+    }
+    case = parse_case(json.dumps(doc))
+    assert case.buses[1] == Bus(index=2, base_kv=138.0, bus_type="PQ", pd=0.0, qd=0.0,
+                                g_shunt=0.0, vmin=0.9, vmax=1.1)
+    assert case.generators == (Generator(index=1, bus=1, pmin=0.0, pmax=5.0, qmin=-1e3,
+                                         qmax=1e3, cost0=0.0, cost1=0.0, cost2=0.0,
+                                         pg=0.0, vg=1.0),)
+    assert case.ac_branches == (AcBranch(index=1, f_bus=1, t_bus=2, b=20.0, rating=5.0,
+                                         angle_max=0.6, angle_big_m=math.pi,
+                                         switchable=False, status=1),)
+    assert case.gmd_buses[0] == GmdBus(index=1, parent=1, status=1, g_gnd=5.0, name="")
+    assert case.gmd_branches == (GmdBranch(index=1, f_bus=1, t_bus=2, parent=1, status=1,
+                                           br_r=2.0, br_v=0.0, len_km=0.0, name=""),)
+    assert case.branch_gmd == (BranchGmdData(
+        branch=1, hi_bus=1, lo_bus=2, gmd_br_hi=-1, gmd_br_lo=-1, gmd_k=-1.0, gmd_br_se=-1,
+        gmd_br_co=-1, baseMVA=-1.0, dispatch=1, type="line", config="none",
+        turns_ratio=None, gic_bound=None, hotspot_limit=None),)
+    assert case.thermal == (ThermalData(
+        branch=1, xfmr=1, temp_amb=25.0, hs_inst_lim=280.0, hs_avg_lim=-1.0, hs_rated=-1.0,
+        to_time_c=71.0, to_rated=75.0, to_init=0.0, to_inited=0, hs_coeff=0.63),)
+    assert case.bus_gmd == (BusGmdData(bus=2, lat=40.0, lon=-89.0),)
+    # unset optional fields are left out, so the document round-trips
+    assert "turns_ratio" not in _doc(case)["branch_gmd"][0]
+    assert parse_case(serialize_case(case)) == case
+
+
+def test_generator_cost_is_the_quadratic():
+    g = Generator(index=1, bus=1, pmin=0.0, pmax=5.0, cost0=3.0, cost1=10.0, cost2=0.5)
+    assert g.cost(2.0) == 3.0 + 10.0 * 2.0 + 0.5 * 2.0 * 2.0
+    assert g.cost(0.0) == 3.0
+
+
+_BUNDLED = [json.loads(serialize_case(build())) for build in (b4gic, epri21)]
+_WRONG = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
+                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                   st.floats(), st.integers(-10**400, 10**400), st.none())
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled case document with one to three random mutations."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_BUNDLED))))
+    for _ in range(draw(st.integers(1, 3))):
+        tables = [t for t, rows in doc.items() if isinstance(rows, list)]
+        op = draw(st.sampled_from(("drop_field", "null_field", "wrong_type", "non_object",
+                                   "drop_table", "base_mva")))
+        if op == "base_mva":
+            doc["base_mva"] = draw(_WRONG)
+            continue
+        if not tables:
+            break
+        table = draw(st.sampled_from(tables))
+        if op == "drop_table":
+            del doc[table]
+            continue
+        rows = doc[table]
+        objects = [i for i, r in enumerate(rows) if isinstance(r, dict) and r]
+        if op == "non_object" or not objects:
+            if rows:
+                rows[draw(st.integers(0, len(rows) - 1))] = draw(_WRONG)
+            continue
+        row = rows[draw(st.sampled_from(objects))]
+        key = draw(st.sampled_from(sorted(row)))
+        if op == "drop_field":
+            del row[key]
+        else:
+            row[key] = None if op == "null_field" else draw(_WRONG)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_any_mutated_case_gives_case_or_case_error(doc):
+    try:
+        case = parse_case(json.dumps(doc))
+    except CaseError:
+        return
+    assert isinstance(case, CaseData)
 
 
 def test_nontransformer_thermal_row_is_absent(b4gic_case):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gicgrid.data import make_ramp_scenario
-from gicgrid.thermal import (apparent_power, hotspot_rise, simulate,
+from gicgrid.data import FieldSample, FieldScenario, make_ramp_scenario
+from gicgrid.thermal import (TopOil, apparent_power, hotspot_rise, hotspot_temp, simulate,
                              steady_rise, step_topoil, topoil_series)
 
 LOOP = 170.788 / 1.601
@@ -144,3 +144,29 @@ def test_simulate_grid_length(b4gic_case):
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
     trace = simulate(b4gic_case, scenario)
     assert len(trace.t) == 73   # states at t=0,5,...,360
+
+
+def test_step_beyond_twice_tau_is_rejected(b4gic_case):
+    th = b4gic_case.thermal[0]   # tau = 71 min
+    assert TopOil.of(th, 142.0).zeta == 1.0
+    with pytest.raises(ValueError, match="2\\*tau"):
+        TopOil.of(th, 142.5)
+    scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=180.0)
+    with pytest.raises(ValueError, match="2\\*tau"):
+        simulate(b4gic_case, scenario)
+
+
+def test_one_sample_simulate_takes_no_step(b4gic_case):
+    scenario = FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),), dt=600.0)
+    trace = simulate(b4gic_case, scenario)
+    for tr in trace.traces.values():
+        assert len(tr.t) == 1
+        assert tr.delta_to[0] == 0.0   # b4gic: to_inited=1, to_init=0
+        assert tr.hotspot[0] == pytest.approx(25.0 + 0.63 * LOOP, rel=1e-9)
+
+
+def test_hotspot_temp_is_ambient_plus_rises(b4gic_case):
+    th = b4gic_case.thermal[0]
+    assert hotspot_temp(th, 40.0, 100.0) == 25.0 + 40.0 + 0.63 * 100.0
+    out = hotspot_temp(th, np.array([0.0, 10.0]), np.array([1.0, 2.0]))
+    assert np.array_equal(out, 25.0 + np.array([0.0, 10.0]) + 0.63 * np.array([1.0, 2.0]))
