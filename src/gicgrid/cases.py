@@ -71,8 +71,8 @@ def b4gic() -> CaseData:
                           gmd_br_co=ABSENT, baseMVA=100.0, dispatch=1,
                           type="xfmr", config="gwye-delta"),
             BranchGmdData(branch=2, hi_bus=1, lo_bus=2, gmd_br_hi=ABSENT,
-                          gmd_br_lo=ABSENT, gmd_k=ABSENT, gmd_br_se=ABSENT,
-                          gmd_br_co=ABSENT, baseMVA=ABSENT, dispatch=1,
+                          gmd_br_lo=ABSENT, gmd_k=float(ABSENT), gmd_br_se=ABSENT,
+                          gmd_br_co=ABSENT, baseMVA=float(ABSENT), dispatch=1,
                           type="line", config="none"),
             BranchGmdData(branch=3, hi_bus=2, lo_bus=4, gmd_br_hi=3,
                           gmd_br_lo=ABSENT, gmd_k=1.793, gmd_br_se=ABSENT,
@@ -300,8 +300,8 @@ def epri21() -> CaseData:
         else:
             branch_gmd.append(BranchGmdData(
                 branch=i, hi_bus=hi, lo_bus=lo, gmd_br_hi=ABSENT,
-                gmd_br_lo=ABSENT, gmd_k=ABSENT, gmd_br_se=ABSENT,
-                gmd_br_co=ABSENT, baseMVA=ABSENT, dispatch=1,
+                gmd_br_lo=ABSENT, gmd_k=float(ABSENT), gmd_br_se=ABSENT,
+                gmd_br_co=ABSENT, baseMVA=float(ABSENT), dispatch=1,
                 type="series_cap" if kind == "series_cap" else "line",
                 config="none"))
 

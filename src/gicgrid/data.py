@@ -186,7 +186,7 @@ class BranchGmdData:
 @dataclass(frozen=True)
 class ThermalData:
     branch: int               # ac branch id
-    xfmr: int                 # rows with 0 are not transformers and are skipped
+    xfmr: int                 # rows with 0 or -1 are not transformers and are skipped
     temp_amb: float           # [degC]
     hs_inst_lim: float        # instantaneous hot-spot limit [degC]
     hs_avg_lim: float = _kw(float(ABSENT))  # 8-hour average limit [degC] (reported only)
@@ -488,7 +488,7 @@ def parse_case(text: str) -> "CaseData":
     for table, (attr, cls) in _SCHEMA.items():
         rows, spec = [_Row(table, i, r) for i, r in enumerate(doc[table])], _fields(cls)
         if cls is ThermalData:  # non-transformer rows carry -1 sentinels; treated as absent
-            rows = [r for r in rows if r.int("xfmr", 0)]
+            rows = [r for r in rows if r.int("xfmr", 0) not in (0, ABSENT)]
         tables[attr] = tuple(cls(**{name: read(r, key, default)
                                     for name, key, read, default in spec}) for r in rows)
     case = CaseData(base_mva=_Row("case", None, doc).num("base_mva"), **tables)

@@ -21,6 +21,12 @@ Nonlinearities are linearized so every node relaxation is a plain LP:
 
 Reported plans carry both the exact quadratic dispatch cost recomputed
 from the dispatch and the linearized model objective used for bounding.
+
+The model is one period's circuit repeated over the periods, and it is
+built that way: each constraint class is one sparse block whose entity
+matrices (incidences, Ohm's laws, winding weights W, with one period's
+coefficients) are expanded in time by Kronecker products, rows by
+entity, then period, then the +/- pair or group pattern.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,6 +107,7 @@ class OtsModel:
     dc_nodes: list                  # GmdBus rows in the model
     dc_edges: list                  # (GmdBranch, vsrc array [T], z_branch or None)
     xfmrs: list[_XfmrEntry]
+    eff_weights: sp.csr_matrix      # xfmrs x dc edges: winding currents -> signed Ieff
     lp: LpProblem
     z_col: dict[int, int]
     slices: dict[str, tuple[int, int, int]]   # name -> (offset, count, T)
@@ -109,9 +115,10 @@ class OtsModel:
     primary_var_count: int
     voltage_big_m: dict[int, float]           # dc node id -> voltage bound [V]
 
-    def col(self, name: str, i: int, t: int = 0) -> int:
+    def values(self, name: str, x: np.ndarray) -> np.ndarray:
+        """One variable's part of ``x``: a row per entity, a column per period."""
         off, count, horizon = self.slices[name]
-        return off + i * horizon + t
+        return x[off:off + count * horizon].reshape(count, horizon)
 
     @property
     def n_periods(self) -> int:
@@ -183,43 +190,45 @@ def build_model(case: CaseData, scenario: FieldScenario,
     # dc side: the dc engine's nominal solve set, per-period sources from its basis
     dc_sys, sources, coeffs = source_basis(case, scenario, times)
     dc_nodes = [case.gmd_bus(i) for i in dc_sys.node_ids]
-    node_pos = dc_sys.index
+    fd = np.array([e.f for e in dc_sys.edges], dtype=int)
+    td = np.array([e.t for e in dc_sys.edges], dtype=int)
+    a = np.array([e.a for e in dc_sys.edges])
+    comp = np.zeros(len(dc_nodes), dtype=int)
+    for k, members in enumerate(component_groups(range(len(dc_nodes)), zip(fd, td))):
+        comp[members] = k
+    with np.errstate(over="ignore", invalid="ignore"):
+        vsrcs = (coeffs @ sources.T).T            # edges x periods [V]
+        # dc voltage bound per component: sum of EMF magnitudes is a valid
+        # bound for every switching state (superposition + maximum principle)
+        emf = np.max(np.abs(vsrcs), axis=1)
+        node_m = np.bincount(comp[fd], weights=emf, minlength=len(dc_nodes))[comp]
+        edge_gap_m = np.maximum(node_m[fd] + node_m[td] + emf, 1e-6)
+        i_m = a * edge_gap_m                      # dc current big-M per edge
+    bad = np.flatnonzero(~np.isfinite(i_m))      # NaN/inf voltages propagate here
+    if bad.size:
+        raise ValueError(f"gmd_branch {dc_sys.edges[bad[0]].index}: induced voltage "
+                         "not finite or too large for a finite big-M")
+    voltage_big_m = dict(zip(dc_sys.node_ids, node_m.tolist()))
     dc_edges = []
-    for d, vsrc in zip(dc_sys.edges, (coeffs @ sources.T).T):
-        if not np.all(np.isfinite(vsrc)):
-            raise ArithmeticError(
-                f"gmd_branch {d.index}: non-finite induced voltage, no big-M derivable")
+    for d, vsrc in zip(dc_sys.edges, vsrcs):
         zlink = d.parent if d.parent != ABSENT and case.ac_branch(d.parent).switchable else None
         dc_edges.append((case.gmd_branch(d.index), vsrc, zlink))
 
-    # dc voltage bound per component: sum of EMF magnitudes is a valid bound
-    # for every switching state (superposition + maximum principle)
-    dcomp = {i: k for k, comp in enumerate(component_groups(
-        [b.index for b in dc_nodes], [(e.f_bus, e.t_bus) for e, _, _ in dc_edges])) for i in comp}
-    emf_sum: dict[int, float] = {}
-    for e, vsrc, _ in dc_edges:
-        root = dcomp[e.f_bus]
-        emf_sum[root] = emf_sum.get(root, 0.0) + float(np.max(np.abs(vsrc)))
-    voltage_big_m = {b.index: emf_sum.get(dcomp[b.index], 0.0) for b in dc_nodes}
-
-    edge_gap_m = []
-    for e, vsrc, _ in dc_edges:
-        m = (voltage_big_m[e.f_bus] + voltage_big_m[e.t_bus]
-             + float(np.max(np.abs(vsrc))))
-        edge_gap_m.append(max(m, 1e-6))
-
-    # transformers in the model: xfmr rows whose windings are all present
+    # transformers in the model: xfmr rows whose windings are all present;
+    # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
     edge_pos = {e.index: i for i, (e, _, _) in enumerate(dc_edges)}
+    rows = [(pos, row) for pos, row in case.xfmr_rows()
+            if winding_ids(row) and all(w in edge_pos for w in winding_ids(row))]
+    pairs = [winding_weights(case, row) for _, row in rows]
+    W = _mat((len(rows), len(dc_edges)), np.repeat(np.arange(len(rows)), [len(p) for p in pairs]),
+             [edge_pos[wid] for p in pairs for wid, _ in p], [w for p in pairs for _, w in p])
+    # derived effective-GIC cap: the sum over windings of |weight| * current big-M
+    w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
+    derived = np.maximum(w_big_m @ edge_gap_m, 1.0)
     xfmrs: list[_XfmrEntry] = []
-    for pos, row in case.xfmr_rows():
-        wids = winding_ids(row)
-        if not wids or any(w not in edge_pos for w in wids):
-            continue
+    for (pos, row), ibound in zip(rows, derived.tolist()):
         thermal = case.thermal_for(row.branch) if row.branch != ABSENT else None
         branch = case.ac_branch(row.branch) if row.branch != ABSENT else None
-        ibound = row.gic_bound
-        if ibound is None:
-            ibound = _derived_ieff_bound(case, row, dc_edges, edge_pos, edge_gap_m)
         cap = case.hotspot_limit_for(row) if thermal is not None else None
         chords = []
         if thermal is not None:
@@ -229,7 +238,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
         else:
             topoil = TopOil(zeta=2.0, delta0=0.0)
         xfmrs.append(_XfmrEntry(pos=pos, row=row, thermal=thermal, branch=branch,
-                                i_bound=ibound, cap=cap, topoil=topoil, chords=chords))
+                                i_bound=ibound if row.gic_bound is None else row.gic_bound,
+                                cap=cap, topoil=topoil, chords=chords))
 
     G, N, E = len(gens), len(buses), len(branches)
     Nd, Ed, X = len(dc_nodes), len(dc_edges), len(xfmrs)
@@ -257,31 +267,26 @@ def build_model(case: CaseData, scenario: FieldScenario,
     nvars = offset
 
     bus_pos = {b.index: i for i, b in enumerate(buses)}
-    gen_pos = {g.index: i for i, g in enumerate(gens)}
     br_pos = {b.index: i for i, b in enumerate(branches)}
-    z_col = {bid: slices["z"][0] + k for k, bid in enumerate(switchable)}
+    z_pos = {bid: k for k, bid in enumerate(switchable)}
+    z_col = {bid: slices["z"][0] + k for bid, k in z_pos.items()}
 
     lb = np.full(nvars, -np.inf)
     ub = np.full(nvars, np.inf)
-
-    def col(name, i, t=0):
-        off, _, horizon = slices[name]
-        return off + i * horizon + t
 
     # variable bounds: one (lower, upper) per entity, held over its horizon
     theta_bound = max(1.0, N * max((b.angle_big_m for b in branches), default=math.pi))
     slack_ids = {b.index for b in buses if b.bus_type == "slack"}
     theta_lo = [0.0 if b.index in slack_ids else -theta_bound for b in buses]  # slack: 0
     theta_hi = [0.0 if b.index in slack_ids else theta_bound for b in buses]
-    v_m = [max(voltage_big_m[nd.index], 1e-6) for nd in dc_nodes]
-    i_m = [e.a * m for (e, _, _), m in zip(dc_edges, edge_gap_m)]
+    v_m = np.maximum(node_m, 1e-6)
     d_m = [_delta_upper(x) for x in xfmrs]
     cost = [_cost_range(g) for g in gens]
     for name, lo, hi in (("p_g", [g.pmin for g in gens], [g.pmax for g in gens]),
                          ("theta", theta_lo, theta_hi),
                          ("p_e", [-br.rating for br in branches], [br.rating for br in branches]),
-                         ("v", [-m for m in v_m], v_m),
-                         ("i", [-m for m in i_m], i_m),
+                         ("v", -v_m, v_m),
+                         ("i", -i_m, i_m),
                          ("ieff", [0.0] * X, [x.i_bound for x in xfmrs]),
                          ("delta", [0.0] * X, d_m),
                          ("du", [0.0] * X, d_m),
@@ -291,211 +296,189 @@ def build_model(case: CaseData, scenario: FieldScenario,
         lb[off:off + count * horizon] = np.repeat(np.array(lo, dtype=float), horizon)
         ub[off:off + count * horizon] = np.repeat(np.array(hi, dtype=float), horizon)
 
-    eq_rows: list[tuple[dict[int, float], float]] = []
-    ub_rows: list[tuple[dict[int, float], float]] = []
-    classes: dict[str, tuple[int, int]] = {}
+    # Constraints, one sparse block per class.  An entity matrix maps the
+    # class's row entities onto one variable's entities and holds the
+    # coefficients; _expand carries it over the periods (a shared binary has
+    # one column for all of them) and over the class's +/- pair or group
+    # pattern, so rows run by entity, then period, then pattern.
+    each, shared, lag = sp.identity(T), np.ones((T, 1)), sp.eye(T, k=-1)
+    pair, both = (1.0, -1.0), (1.0, 1.0)
 
-    def eq(rows: dict[int, float], rhs: float) -> None:
-        eq_rows.append((rows, rhs))
+    def held(rhs, width=1):
+        """A right-hand side per row entity (or per entity and period), held over the pattern."""
+        rhs = np.asarray(rhs, dtype=float)
+        rhs = rhs[:, None, None] if rhs.ndim == 1 else rhs[:, :, None]
+        return np.broadcast_to(rhs, (len(rhs), T, width))
 
-    def le(rows: dict[int, float], rhs: float) -> None:
-        ub_rows.append((rows, rhs))
+    def block(rhs, *terms, order=None):
+        """One class from its right-hand side and (variable, expanded entity matrix) terms."""
+        parts = [(K.row, K.col + slices[name][0], K.data) for name, K in terms]
+        r, cidx, data = map(np.concatenate, zip(*parts))
+        rhs = np.ravel(rhs)
+        A = sp.csr_matrix((data, (r, cidx)), shape=(rhs.size, nvars))
+        return (A, rhs) if order is None else (A[order], rhs[order])
 
-    def mark(name: str, start: int) -> None:
-        classes[name] = (start, len(ub_rows))
+    def on_z(owners, sel, coef):
+        """Entity matrix onto the binaries: row k in ``sel`` holds coef[k] at owners[k]'s z."""
+        return _mat((len(owners), S), sel, [z_pos[owners[k]] for k in sel],
+                    np.asarray(coef, dtype=float)[sel])
 
-    # power balance: sum(out) - sum(in) - sum(gen) = -(pd + g_shunt)
-    for b in buses:
-        for t in range(T):
-            row = {}
-            for br in branches:
-                if br.f_bus == b.index:
-                    row[col("p_e", br_pos[br.index], t)] = 1.0
-                elif br.t_bus == b.index:
-                    row[col("p_e", br_pos[br.index], t)] = -1.0
-            for g in gens:
-                if g.bus == b.index:
-                    row[col("p_g", gen_pos[g.index], t)] = -1.0
-            eq(row, -(b.pd + b.g_shunt))
+    def epigraph(y, x, groups, x_pos):
+        """y >= slope * x + intercept for every chord in each entity's group, rows
+        by entity, period, chord; an entity without chords gets y <= 0."""
+        owner = np.repeat(np.arange(len(groups)), [max(len(g), 1) for g in groups])
+        slope, intercept = np.reshape([c for g in groups for c in g or [(0.0, 0.0)]], (-1, 2)).T
+        real = np.array([bool(groups[k]) for k in owner], dtype=bool)
+        k = np.arange(len(owner))
+        return block(held(np.where(real, -intercept, 0.0)),
+                     (y, _expand(_mat((len(k), len(groups)), k, owner,
+                                      np.where(real, -1.0, 1.0)), each)),
+                     (x, _expand(_mat((len(k), slices[x][1]), k[real],
+                                      np.asarray(x_pos)[owner[real]], slope[real]), each)),
+                     order=_group_order(owner, T))
 
-    # ac Ohm's law, ratings, angle limits
-    start = len(ub_rows)
-    for br in branches:
-        fi, ti = bus_pos[br.f_bus], bus_pos[br.t_bus]
-        zc = z_col.get(br.index)
-        m_ohm = abs(br.b) * br.angle_big_m + 1e-9
-        for t in range(T):
-            pe = col("p_e", br_pos[br.index], t)
-            tf, tt = col("theta", fi, t), col("theta", ti, t)
-            if zc is None:
-                eq({pe: 1.0, tf: -br.b, tt: br.b}, 0.0)
-            else:
-                le({pe: 1.0, tf: -br.b, tt: br.b, zc: m_ohm}, m_ohm)
-                le({pe: -1.0, tf: br.b, tt: -br.b, zc: m_ohm}, m_ohm)
-    mark("ac_ohm", start)
+    # ac side: branch-bus incidence (+1 at f, -1 at t) and Ohm's law p = b (theta_f - theta_t)
+    fb = [bus_pos[br.f_bus] for br in branches]
+    tb = [bus_pos[br.t_bus] for br in branches]
+    b = np.array([br.b for br in branches])
+    branch_bus = _ends((E, N), fb, tb, np.ones(E), -np.ones(E))
+    ohm_theta = _ends((E, N), fb, tb, -b, b)
+    gen_bus = _mat((N, G), [bus_pos[g.bus] for g in gens], np.arange(G), -np.ones(G))
+    br_ids = [br.index for br in branches]
+    is_sw = np.array([bid in z_pos for bid in br_ids], dtype=bool)
+    sw, fixed = np.flatnonzero(is_sw), np.flatnonzero(~is_sw)
+    big_m = np.array([br.angle_big_m for br in branches])
+    angle_max = np.array([br.angle_max for br in branches])
+    m_ohm = np.abs(b) * big_m + 1e-9
 
-    start = len(ub_rows)
-    for br in branches:
-        zc = z_col.get(br.index)
-        if zc is None:
-            continue  # handled by p_e variable bounds
-        for t in range(T):
-            pe = col("p_e", br_pos[br.index], t)
-            le({pe: 1.0, zc: -br.rating}, 0.0)
-            le({pe: -1.0, zc: -br.rating}, 0.0)
-    mark("rating", start)
+    # dc side: node-edge incidence (-1 at f, +1 at t) and i = a (v_f - v_t + vsrc)
+    ohm_v = _ends((Ed, Nd), fd, td, -a, a)
+    links = [zl for _, _, zl in dc_edges]
+    is_dsw = np.array([zl is not None for zl in links], dtype=bool)
+    dsw, dfixed = np.flatnonzero(is_dsw), np.flatnonzero(~is_dsw)
+    av, i_sw = a[:, None] * vsrcs, i_m[dsw, None]
 
-    start = len(ub_rows)
-    for br in branches:
-        fi, ti = bus_pos[br.f_bus], bus_pos[br.t_bus]
-        zc = z_col.get(br.index)
-        for t in range(T):
-            tf, tt = col("theta", fi, t), col("theta", ti, t)
-            if zc is None:
-                le({tf: 1.0, tt: -1.0}, br.angle_max)
-                le({tf: -1.0, tt: 1.0}, br.angle_max)
-            else:
-                gap_m = br.angle_big_m - br.angle_max
-                le({tf: 1.0, tt: -1.0, zc: gap_m}, br.angle_big_m)
-                le({tf: -1.0, tt: 1.0, zc: gap_m}, br.angle_big_m)
-    mark("angle", start)
+    # transformers: top-oil start (steady: delta_0 = du_0, else du_-1 := delta0)
+    x_ids = [None if x.branch is None else x.branch.index for x in xfmrs]
+    capped = np.array([k for k, bid in enumerate(x_ids) if bid in z_pos], dtype=int)
+    hot = np.array([k for k, x in enumerate(xfmrs) if x.cap is not None and x.thermal is not None],
+                   dtype=int)
+    zeta = np.array([x.topoil.zeta for x in xfmrs])
+    delta0 = np.array([np.nan if x.topoil.delta0 is None else x.topoil.delta0 for x in xfmrs])
+    steady = np.isnan(delta0)
+    start = np.zeros((X, T))
+    start[~steady, 0] = (delta0 + (zeta - 1.0) * delta0)[~steady]
+    first = _mat((T, T), [0], [0], [1.0])
+    later = _mat((T, T), np.arange(1, T), np.arange(1, T), np.ones(T - 1))
+    I_E, I_Ed, I_X = (sp.identity(n, format="csr") for n in (E, Ed, X))
 
-    # dc KCL: sum(in) - sum(out) = a_i * V_i
-    for nd in dc_nodes:
-        ni = node_pos[nd.index]
-        for t in range(T):
-            row = {col("v", ni, t): -nd.g_gnd}
-            for k, (e, _, _) in enumerate(dc_edges):
-                if e.t_bus == nd.index:
-                    row[col("i", k, t)] = row.get(col("i", k, t), 0.0) + 1.0
-                if e.f_bus == nd.index:
-                    row[col("i", k, t)] = row.get(col("i", k, t), 0.0) - 1.0
-            eq(row, 0.0)
+    A_eq, b_eq = _stack([
+        # power balance: sum(out) - sum(in) - sum(gen) = -(pd + g_shunt)
+        block(held([-(bus.pd + bus.g_shunt) for bus in buses]),
+              ("p_e", _expand(branch_bus.T, each)), ("p_g", _expand(gen_bus, each))),
+        # ac Ohm's law of the fixed branches
+        block(held(np.zeros(len(fixed))),
+              ("p_e", _expand(I_E[fixed], each)), ("theta", _expand(ohm_theta[fixed], each))),
+        # dc KCL: sum(in) - sum(out) = a_i * V_i
+        block(held(np.zeros(Nd)), ("i", _expand(dc_sys.incidence, each)),
+              ("v", _expand(_diag([-nd.g_gnd for nd in dc_nodes]), each))),
+        # dc Ohm's law of the fixed edges
+        block(held(av[dfixed]),
+              ("i", _expand(I_Ed[dfixed], each)), ("v", _expand(ohm_v[dfixed], each))),
+        # top-oil recursion, bidiagonal in time:
+        # (1+zeta) delta_t + (1-zeta) delta_{t-1} - du_t - du_{t-1} = 0
+        block(start, ("delta", _expand(_diag(np.where(steady, 1.0, 1.0 + zeta)), first)),
+              ("delta", _expand(_diag(1.0 + zeta), later)),
+              ("delta", _expand(_diag(1.0 - zeta), lag)), ("du", _expand(I_X, -(each + lag)))),
+    ])
 
-    # dc Ohm's law with switching big-M
-    start = len(ub_rows)
-    for k, (e, vsrc, zlink) in enumerate(dc_edges):
-        fi, ti = node_pos[e.f_bus], node_pos[e.t_bus]
-        a = e.a
-        m_gap = a * edge_gap_m[k]
-        for t in range(T):
-            ic = col("i", k, t)
-            vf, vt = col("v", fi, t), col("v", ti, t)
-            if zlink is None:
-                eq({ic: 1.0, vf: -a, vt: a}, a * vsrc[t])
-            else:
-                zc = z_col[zlink]
-                le({ic: 1.0, vf: -a, vt: a, zc: m_gap}, a * vsrc[t] + m_gap)
-                le({ic: -1.0, vf: a, vt: -a, zc: m_gap}, -a * vsrc[t] + m_gap)
-                m_cur = a * edge_gap_m[k]
-                le({ic: 1.0, zc: -m_cur}, 0.0)
-                le({ic: -1.0, zc: -m_cur}, 0.0)
-    mark("dc_ohm", start)
-
-    # effective GIC relaxation (+/- pair per winding case)
-    start = len(ub_rows)
-    for xi, x in enumerate(xfmrs):
-        terms = _eff_terms(case, x.row, edge_pos)
-        for t in range(T):
-            ic = col("ieff", xi, t)
-            pos_row = {ic: -1.0}
-            neg_row = {ic: -1.0}
-            for k, coef in terms:
-                pos_row[col("i", k, t)] = coef
-                neg_row[col("i", k, t)] = -coef
-            le(pos_row, 0.0)
-            le(neg_row, 0.0)
-    mark("eff_gic", start)
-
-    # support: switching forces Ieff to zero
-    start = len(ub_rows)
-    for xi, x in enumerate(xfmrs):
-        if x.branch is not None and x.branch.index in z_col:
-            zc = z_col[x.branch.index]
-            for t in range(T):
-                le({col("ieff", xi, t): 1.0, zc: -x.i_bound}, 0.0)
-    mark("gic_cap", start)
-
-    # thermal recursion (equality) + PWL loading + hot-spot cap
-    for xi, x in enumerate(xfmrs):
-        zeta, delta0 = x.topoil.zeta, x.topoil.delta0
-        for t in range(T):
-            dv = col("delta", xi, t)
-            duv = col("du", xi, t)
-            if t == 0:
-                if delta0 is None:
-                    # steady-state init: delta[1] = du[1]
-                    eq({dv: 1.0, duv: -1.0}, 0.0)
-                else:
-                    # du[0] := delta0 by convention
-                    eq({dv: (1.0 + zeta), duv: -1.0},
-                       delta0 + (zeta - 1.0) * delta0)
-            else:
-                eq({dv: (1.0 + zeta), duv: -1.0,
-                    col("du", xi, t - 1): -1.0,
-                    col("delta", xi, t - 1): (1.0 - zeta)}, 0.0)
-
-    start = len(ub_rows)
-    for xi, x in enumerate(xfmrs):
-        if x.branch is None or x.thermal is None:
-            for t in range(T):
-                le({col("du", xi, t): 1.0}, 0.0)  # unloaded synthetic rows
-            continue
-        pe_idx = br_pos[x.branch.index]
-        for t in range(T):
-            duv = col("du", xi, t)
-            pe = col("p_e", pe_idx, t)
-            for slope, intercept in x.chords:
-                le({duv: -1.0, pe: slope}, -intercept)
-    mark("pwl_loading", start)
-
-    start = len(ub_rows)
-    for xi, x in enumerate(xfmrs):
-        if x.cap is None or x.thermal is None:
-            continue
-        r = x.thermal.hs_coeff
-        rho = x.thermal.temp_amb
-        for t in range(T):
-            le({col("delta", xi, t): 1.0, col("ieff", xi, t): r}, x.cap - rho)
-    mark("hotspot_cap", start)
-
-    # cost epigraph
-    start = len(ub_rows)
-    for g in gens:
-        chords = _chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS if g.cost2 > 0 else 1)
-        for t in range(T):
-            cc = col("cost", gen_pos[g.index], t)
-            pg = col("p_g", gen_pos[g.index], t)
-            for slope, intercept in chords:
-                le({cc: -1.0, pg: slope}, -intercept)
-    mark("pwl_cost", start)
+    ineq = {
+        # switched ac Ohm's law, ratings and angle limits by big-M pairs
+        "ac_ohm": block(held(m_ohm[sw], 2), ("p_e", _expand(I_E[sw], each, pair)),
+                        ("theta", _expand(ohm_theta[sw], each, pair)),
+                        ("z", _expand(on_z(br_ids, sw, m_ohm)[sw], shared, both))),
+        "rating": block(held(np.zeros(len(sw)), 2), ("p_e", _expand(I_E[sw], each, pair)),
+                        ("z", _expand(on_z(br_ids, sw, [-br.rating for br in branches])[sw],
+                                      shared, both))),
+        "angle": block(held(np.where(is_sw, big_m, angle_max), 2),
+                       ("theta", _expand(branch_bus, each, pair)),
+                       ("z", _expand(on_z(br_ids, sw, big_m - angle_max), shared, both))),
+        # switched dc Ohm's law: the big-M pair, then i = 0 when open
+        "dc_ohm": block(np.stack([av[dsw] + i_sw, -av[dsw] + i_sw,
+                                  np.zeros_like(av[dsw]), np.zeros_like(av[dsw])], axis=-1),
+                        ("i", _expand(I_Ed[dsw], each, (1.0, -1.0, 1.0, -1.0))),
+                        ("v", _expand(ohm_v[dsw], each, (1.0, -1.0, 0.0, 0.0))),
+                        ("z", _expand(on_z(links, dsw, i_m)[dsw], shared,
+                                      (1.0, 1.0, -1.0, -1.0)))),
+        # effective GIC relaxation: +/- W i <= ieff
+        "eff_gic": block(held(np.zeros(X), 2), ("i", _expand(W, each, pair)),
+                         ("ieff", _expand(-I_X, each, both))),
+        # support: switching forces Ieff to zero
+        "gic_cap": block(held(np.zeros(len(capped))), ("ieff", _expand(I_X[capped], each)),
+                         ("z", _expand(on_z(x_ids, capped, [-x.i_bound for x in xfmrs])[capped],
+                                       shared))),
+        # PWL steady top-oil rise over the loading; unloaded synthetic rows: du <= 0
+        "pwl_loading": epigraph("du", "p_e", [x.chords for x in xfmrs],
+                                [br_pos[bid] if x.chords else -1 for x, bid in zip(xfmrs, x_ids)]),
+        "hotspot_cap": block(held([xfmrs[k].cap - xfmrs[k].thermal.temp_amb for k in hot]),
+                             ("delta", _expand(I_X[hot], each)),
+                             ("ieff", _expand(_mat((len(hot), X), np.arange(len(hot)), hot,
+                                                   [xfmrs[k].thermal.hs_coeff for k in hot]),
+                                              each))),
+        # cost epigraph
+        "pwl_cost": epigraph("cost", "p_g", [_chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS
+                                                     if g.cost2 > 0 else 1) for g in gens],
+                             np.arange(G)),
+    }
+    classes, stop = {}, 0
+    for name, (A, _) in ineq.items():
+        classes[name] = (stop, stop + A.shape[0])
+        stop += A.shape[0]
+    A_ub, b_ub = _stack(list(ineq.values()))
 
     c = np.zeros(nvars)
-    for g in gens:
-        for t in range(T):
-            c[col("cost", gen_pos[g.index], t)] = 1.0
-
-    A_eq, b_eq = _to_csr(eq_rows, nvars)
-    A_ub, b_ub = _to_csr(ub_rows, nvars)
+    off, count, horizon = slices["cost"]
+    c[off:off + count * horizon] = 1.0
     lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
 
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
-                    dc_nodes=dc_nodes, dc_edges=dc_edges, xfmrs=xfmrs, lp=lp,
+                    dc_nodes=dc_nodes, dc_edges=dc_edges, xfmrs=xfmrs, eff_weights=W, lp=lp,
                     z_col=z_col, slices=slices, classes=classes,
                     primary_var_count=primary, voltage_big_m=voltage_big_m)
 
 
-def _to_csr(rows, nvars):
-    data, ri, ci, rhs = [], [], [], []
-    for r, (row, b) in enumerate(rows):
-        rhs.append(b)
-        for cidx, coef in row.items():
-            ri.append(r)
-            ci.append(cidx)
-            data.append(coef)
-    mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), nvars))
-    return mat, np.asarray(rhs)
+def _mat(shape, rows, cols, vals) -> sp.csr_matrix:
+    """Sparse matrix holding every listed entry, zeros included."""
+    return sp.csr_matrix((np.asarray(vals, dtype=float),
+                          (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))), shape=shape)
+
+
+def _diag(vals) -> sp.csr_matrix:
+    return _mat((len(vals),) * 2, np.arange(len(vals)), np.arange(len(vals)), vals)
+
+
+def _ends(shape, f, t, at_f, at_t) -> sp.csr_matrix:
+    """One row per branch: ``at_f`` in its column ``f``, ``at_t`` in its column ``t``."""
+    rows = np.arange(len(f))
+    return _mat(shape, np.r_[rows, rows], np.r_[f, t], np.r_[at_f, at_t])
+
+
+def _expand(M, time, pattern=(1.0,)) -> sp.coo_matrix:
+    """kron(kron(M, time), pattern): rows (row entity, period, pattern row),
+    columns (entity, period).  Zeros held in M stay, zeros of the pattern drop."""
+    return sp.kron(sp.kron(M, time, format="coo"), np.reshape(pattern, (-1, 1)), format="coo")
+
+
+def _group_order(owner, T: int) -> np.ndarray:
+    """Row order (owner, period, row) of group rows expanded as (row, period)."""
+    k = np.repeat(np.arange(len(owner)), T)
+    return np.lexsort((k, np.tile(np.arange(T), len(owner)), owner[k]))
+
+
+def _stack(blocks):
+    return (sp.vstack([A for A, _ in blocks], format="csr"),
+            np.concatenate([rhs for _, rhs in blocks]))
 
 
 def _cost_range(g) -> tuple[float, float]:
@@ -514,24 +497,9 @@ def _delta_upper(x: _XfmrEntry) -> float:
     return base + 1e-6
 
 
-def _eff_terms(case: CaseData, row: BranchGmdData,
-               edge_pos: Mapping[int, int]) -> list[tuple[int, float]]:
-    """Linear expression (edge index, coefficient) for the signed effective GIC."""
-    return [(edge_pos[wid], w) for wid, w in winding_weights(case, row)]
-
-
 def _period_topoil(topoil: TopOil, rise) -> np.ndarray:
     """Top-oil rise per period; the initial state sees the first period's steady rise."""
     return topoil.series(np.r_[rise[0], rise])[1:]
-
-
-def _derived_ieff_bound(case, row, dc_edges, edge_pos, edge_gap_m) -> float:
-    terms = _eff_terms(case, row, edge_pos)
-    bound = 0.0
-    for k, coef in terms:
-        e = dc_edges[k][0]
-        bound += abs(coef) * e.a * edge_gap_m[k]
-    return max(bound, 1.0)
 
 # ---------------------------------------------------------------------------
 # solving
@@ -713,25 +681,16 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
                   gap: float, nodes: int, wall: float, status: str) -> MitigationPlan:
     T = model.n_periods
     z = {bid: int(round(x[model.z_col[bid]])) for bid in model.switchable}
-
-    def series(name, i):
-        return [float(x[model.col(name, i, t)]) for t in range(T)]
-
-    gen_p = {g.index: series("p_g", k) for k, g in enumerate(model.gens)}
-    flows = {br.index: series("p_e", k) for k, br in enumerate(model.branches)}
-    theta = {b.index: series("theta", k) for k, b in enumerate(model.buses)}
+    gen_p = dict(zip((g.index for g in model.gens), model.values("p_g", x).tolist()))
+    flows = dict(zip((br.index for br in model.branches), model.values("p_e", x).tolist()))
+    theta = dict(zip((b.index for b in model.buses), model.values("theta", x).tolist()))
 
     # the LP leaves I_eff / du anywhere between the physical value and the
     # caps when nothing binds; report the tight feasible point instead,
     # recomputed from the solved dc currents and the chord envelope
-    edge_pos = {e.index: i for i, (e, _, _) in enumerate(model.dc_edges)}
+    tight_eff = np.abs(model.eff_weights @ model.values("i", x)).tolist()
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
-    for k, xe in enumerate(model.xfmrs):
-        terms = _eff_terms(model.case, xe.row, edge_pos)
-        tight = []
-        for t in range(T):
-            expr = sum(coef * x[model.col("i", ke, t)] for ke, coef in terms)
-            tight.append(abs(float(expr)))
+    for xe, tight in zip(model.xfmrs, tight_eff):
         i_eff[xe.pos] = tight
         if xe.thermal is not None and xe.branch is not None:
             delta = _period_topoil(xe.topoil, [max(s * p + q for s, q in xe.chords)
@@ -744,9 +703,9 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
         xfmr_branches[xe.pos] = xe.row.branch
 
     true_obj = 0.0
-    for k, g in enumerate(model.gens):
-        for t in range(T):
-            true_obj += g.cost(x[model.col("p_g", k, t)])
+    for g, series in zip(model.gens, model.values("p_g", x)):
+        for p in series:
+            true_obj += g.cost(p)
 
     return MitigationPlan(z=z, times=[float(t) for t in model.times], dt=model.dt,
                           gen_p=gen_p, flows=flows, theta=theta, i_eff=i_eff,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -208,6 +209,21 @@ def test_bad_gap_rejected(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("peak", ["1e307", "1e305"])
+def test_overflowing_field_is_input_error(workdir, capsys, peak):
+    """A field whose induced voltages (1e307) or their big-M sums (1e305)
+    overflow is bad input: exit 2, no warning, no output."""
+    out = workdir / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["mitigate", "--case", str(workdir / "b4gic.json"), "--field", peak,
+                  "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: gmd_branch ") and "induced voltage" in err
+    assert not out.exists()
+
+
 def test_shipped_files_match_builders():
     from gicgrid.cases import b4gic as build4, epri21 as build21
     from gicgrid.data import parse_case_file
@@ -215,8 +231,12 @@ def test_shipped_files_match_builders():
     assert parse_case_file(os.path.join(here, "cases", "b4gic.json")) == build4()
     assert parse_case_file(os.path.join(here, "cases", "epri21.json")) == build21()
     for name, build in (("b4gic", build4), ("epri21", build21)):  # pins the key order too
-        with open(os.path.join(here, "cases", f"{name}.json"), encoding="utf-8") as fh:
-            assert serialize_case(build()) + "\n" == fh.read()
+        path = os.path.join(here, "cases", f"{name}.json")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert serialize_case(build()) + "\n" == text
+        # a fixed point of parse then serialize: every float field reads back as written
+        assert serialize_case(parse_case_file(path)) + "\n" == text
 
 
 def test_mitigate_shipped_benchmark(tmp_path):

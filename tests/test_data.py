@@ -189,6 +189,18 @@ def test_nontransformer_thermal_row_is_absent(b4gic_case):
     assert len(case.thermal) == 2
 
 
+def test_absent_sentinel_thermal_row_is_absent(b4gic_case):
+    """xfmr: -1 is the format's "absent" sentinel: the row is skipped like xfmr: 0."""
+    doc = _doc(b4gic_case)
+    doc["branch_thermal"].insert(1, {
+        "branch": 2, "xfmr": -1, "temp_amb": -1, "hs_inst_lim": -1,
+        "hs_avg_lim": -1, "hs_rated": -1, "to_time_c": -1, "to_rated": -1,
+        "to_init": -1, "to_inited": -1, "hs_coeff": -1})
+    case = parse_case(json.dumps(doc))
+    assert case.thermal_for(2) is None
+    assert case == b4gic_case
+
+
 def test_missing_table_is_structural_error(b4gic_case):
     doc = _doc(b4gic_case)
     del doc["gmd_bus"]

@@ -1,12 +1,15 @@
 """Switching model construction, branch-and-bound, oracle and verification."""
 
 import dataclasses
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gicgrid.data import (FieldSample, FieldScenario, make_ramp_scenario,
+from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_ramp_scenario,
                           parse_case)
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
@@ -298,6 +301,26 @@ def test_random_toys_bb_equals_enumeration(seed):
     assert verify_plan(case, scenario, plan).ok(1e-5)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bb_equals_enumeration_property(seed):
+    """On any random toy, branch-and-bound finds the enumerated optimum within
+    the relative gap and a plan that verifies, or both find none."""
+    case, scenario = random_ots_case(np.random.default_rng(seed))
+    model = build_model(case, scenario)
+    try:
+        ref = enumerate_solve(model)
+    except MitigationInfeasible:
+        with pytest.raises(MitigationInfeasible):
+            solve(model)
+        return
+    plan = solve(model)
+    assert plan.status == "optimal"
+    assert abs(plan.model_objective - ref.model_objective) <= (
+        model.options.gap * max(1.0, abs(ref.model_objective)))
+    assert verify_plan(case, scenario, plan).ok(1e-5)
+
+
 def test_timeout_returns_incumbent():
     rng = np.random.default_rng(11)
     case, scenario = random_ots_case(rng)
@@ -379,3 +402,51 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
         expect = topoil_series(np.r_[40.0, du], 2.0 * 71.0 / 30.0, 40.0)[1:]
         assert plan.delta_to[x.pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
     assert verify_plan(case, scenario, plan).ok(1e-6)
+
+
+# sha256 of the arrays of build_model on the bundled cases with cases/ramp_3p2.csv
+# at dt = 2.5 min (T = 144): a refactor of the builder must keep every byte of
+# the LP, its column layout and its row order
+_PINNED = {
+    "b4gic": {
+        "A_ub": "4903046af85bd3835badd334691ad31579c992e10f5396e6d85957e62a35b4f1",
+        "A_eq": "2d98f236bc76341af768c771f375df74523470031fde8a238e732355de241ea7",
+        "b_ub": "33cb2a30367f668a8ef090be89303cae60e6a190148561ca2969214223b3a730",
+        "b_eq": "fa754f49ddcb7fab3accccc4db76bb348e3d9b393c568f7afb6f496734bf3784",
+        "lb": "292a2233d9c5098fe3bb2de016ec1b689d217484c9e72728ab4379bcec77e5b3",
+        "ub": "8c071d217d83a569a5c46a4931f46df70cf2e50ae412809adf046de4672600b4",
+        "c": "e0099fda6bc9bea9a4c76a4589a9288358a4d348ae6383b526ea723e78cfc5f5",
+        "classes": "238094c2ac768a435310a933598d6259cb2fbacbbdcbeba3767f843b8324ce2d",
+    },
+    "epri21": {
+        "A_ub": "02450840eb91020d6316c2ad5077a5a15b2e23d942366498aa187e4f1a16a938",
+        "A_eq": "d988d9b673cf117c1c44125488ff3735d2e3b8bc1e698a3fb261dd0c37bde91b",
+        "b_ub": "81fd5f1937c922a36fbd7e315b63803af9390e966c3974f5e51b4eabf54cb3c5",
+        "b_eq": "e557ba186291d316ddf33e8305aa5ec1b7548ae8ea2e740686437f4c6434eca1",
+        "lb": "0a7923a9ee2f222417604bafabbb881855c9d03517d7e8bf8ea1306394636f20",
+        "ub": "dabb4b0134040b56ad2ed4277e4d596674b94e7e0095e58db55a16819c9ea869",
+        "c": "1d92aa86a6b8396c3e1e2f13060a11e0b34cd5478d1a025eacf046ddc38a6606",
+        "classes": "c7b13794c0c723748c6b0c5a536ac35cd4e8fc586623ee0c3ad13c178f22236c",
+    },
+}
+
+
+def _sha256(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else np.ascontiguousarray(p).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_build_model_arrays_pinned(name, request):
+    case = request.getfixturevalue(f"{name}_case")
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=2.5)
+    model = build_model(case, scenario, OtsOptions(dt=2.5))
+    lp = model.lp
+    got = {k: _sha256(getattr(lp, k).indptr, getattr(lp, k).indices, getattr(lp, k).data)
+           for k in ("A_ub", "A_eq")}
+    got.update({k: _sha256(getattr(lp, k)) for k in ("b_ub", "b_eq", "lb", "ub", "c")})
+    got["classes"] = _sha256(json.dumps(model.classes).encode())
+    assert got == _PINNED[name]
