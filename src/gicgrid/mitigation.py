@@ -2,17 +2,19 @@
 
 One binary per switchable in-service ac branch, shared across all periods.
 Per period the model carries dc power flow (dispatch, angles, line flows),
-the quasi-dc GIC circuit (node voltages, branch currents), relaxed
-effective GICs and the transformer top-oil temperature recursion.  The
-temperature recursion and GIC caps couple the periods to the shared
-switching decision.
+relaxed effective GICs and the transformer top-oil temperature recursion.
+The quasi-dc GIC circuit (node voltages, branch currents) is held once per
+superposition basis of the dc engine, and a period's currents are its
+basis weights times the basis currents: exact for integer switching, a
+relaxation for fractional switching.  The temperature recursion and GIC
+caps couple the periods to the shared switching decision.
 
 Nonlinearities are linearized so every node relaxation is a plain LP:
 
-* switched Ohm's law (ac and dc) via big-M pairs; the dc voltage big-M is
-  the per-component sum of induced-EMF magnitudes, a bound valid for
-  every switching state by superposition and the resistive-network
-  maximum principle;
+* switched Ohm's law (ac and dc) via big-M pairs; the dc voltage big-M of
+  a basis is the per-component sum of its induced-EMF magnitudes, a bound
+  valid for every switching state by superposition and the
+  resistive-network maximum principle;
 * quadratic generator costs and quadratic loading-to-temperature terms by
   chord (secant) piecewise-linear over-approximation, exact at the knots,
   which keeps the model conservative for the temperature caps;
@@ -22,15 +24,18 @@ Nonlinearities are linearized so every node relaxation is a plain LP:
 Reported plans carry both the exact quadratic dispatch cost recomputed
 from the dispatch and the linearized model objective used for bounding.
 
-The model is one period's circuit repeated over the periods, and it is
-built that way: each constraint class is one sparse block whose entity
-matrices (incidences, Ohm's laws, winding weights W, with one period's
-coefficients) are expanded in time by Kronecker products, rows by
-entity, then period, then the +/- pair or group pattern.
+The model is one period's circuit repeated over the periods (the dc
+circuit over the bases), and it is built that way: each constraint class
+is one sparse block whose entity matrices (incidences, Ohm's laws,
+winding weights W, with one period's coefficients) are expanded in time,
+or over the bases, by Kronecker products, rows by entity, then period or
+basis, then the +/- pair or group pattern.  The effective-GIC rows are
+``kron(W, coeffs)``: winding weights times the basis weights per period.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -88,6 +93,7 @@ class _XfmrEntry:
     thermal: ThermalData | None
     branch: AcBranch | None         # None for synthetic GSU rows
     i_bound: float                  # effective-GIC cap (data or derived)
+    i_derived: float                # derived cap: bounds Ieff for every switching state
     cap: float | None               # hot-spot cap [degC], None when untracked
     topoil: TopOil
     chords: list                    # PWL steady top-oil rise over p_e; [] when unloaded
@@ -106,6 +112,7 @@ class OtsModel:
     switchable: list[int]           # ac branch ids with binaries, sorted
     dc_nodes: list                  # GmdBus rows in the model
     dc_edges: list                  # (GmdBranch, vsrc array [T], z_branch or None)
+    coeffs: np.ndarray              # T x B: basis weights per period (v and i are per basis)
     xfmrs: list[_XfmrEntry]
     eff_weights: sp.csr_matrix      # xfmrs x dc edges: winding currents -> signed Ieff
     lp: LpProblem
@@ -113,10 +120,10 @@ class OtsModel:
     slices: dict[str, tuple[int, int, int]]   # name -> (offset, count, T)
     classes: dict[str, tuple[int, int]]       # ub-row ranges per constraint class
     primary_var_count: int
-    voltage_big_m: dict[int, float]           # dc node id -> voltage bound [V]
 
     def values(self, name: str, x: np.ndarray) -> np.ndarray:
-        """One variable's part of ``x``: a row per entity, a column per period."""
+        """One variable's part of ``x``: a row per entity, a column per period
+        (per basis for the dc voltages ``v`` and currents ``i``)."""
         off, count, horizon = self.slices[name]
         return x[off:off + count * horizon].reshape(count, horizon)
 
@@ -187,7 +194,9 @@ def build_model(case: CaseData, scenario: FieldScenario,
     gens = sorted((g for g in case.generators if g.bus in model_bus_ids),
                   key=lambda g: g.index)
 
-    # dc side: the dc engine's nominal solve set, per-period sources from its basis
+    # dc side: the dc engine's nominal solve set and its superposition basis;
+    # one switched circuit per basis (B = 2 + overrides), since for a fixed
+    # topology the currents of period t are coeffs[t] @ the basis currents
     dc_sys, sources, coeffs = source_basis(case, scenario, times)
     dc_nodes = [case.gmd_bus(i) for i in dc_sys.node_ids]
     fd = np.array([e.f for e in dc_sys.edges], dtype=int)
@@ -196,19 +205,24 @@ def build_model(case: CaseData, scenario: FieldScenario,
     comp = np.zeros(len(dc_nodes), dtype=int)
     for k, members in enumerate(component_groups(range(len(dc_nodes)), zip(fd, td))):
         comp[members] = k
+    comp_edges = _mat((len(dc_nodes), len(fd)), comp[fd], np.arange(len(fd)), np.ones(len(fd)))
+
+    def gap_m(emf):
+        """Node voltage and edge voltage-gap bounds from edge EMF magnitudes:
+        a component's EMF sum bounds its voltages for every switching state
+        (superposition + maximum principle)."""
+        node = (comp_edges @ emf)[comp]
+        return node, np.maximum(node[fd] + node[td] + emf, 1e-6)
+
     with np.errstate(over="ignore", invalid="ignore"):
         vsrcs = (coeffs @ sources.T).T            # edges x periods [V]
-        # dc voltage bound per component: sum of EMF magnitudes is a valid
-        # bound for every switching state (superposition + maximum principle)
-        emf = np.max(np.abs(vsrcs), axis=1)
-        node_m = np.bincount(comp[fd], weights=emf, minlength=len(dc_nodes))[comp]
-        edge_gap_m = np.maximum(node_m[fd] + node_m[td] + emf, 1e-6)
-        i_m = a * edge_gap_m                      # dc current big-M per edge
-    bad = np.flatnonzero(~np.isfinite(i_m))      # NaN/inf voltages propagate here
+        _, period_gap_m = gap_m(np.max(np.abs(vsrcs), axis=1))
+        bad = np.flatnonzero(~np.isfinite(a * period_gap_m))  # NaN/inf voltages propagate here
     if bad.size:
         raise ValueError(f"gmd_branch {dc_sys.edges[bad[0]].index}: induced voltage "
                          "not finite or too large for a finite big-M")
-    voltage_big_m = dict(zip(dc_sys.node_ids, node_m.tolist()))
+    node_m, edge_gap_m = gap_m(np.abs(sources))
+    i_m = a[:, None] * edge_gap_m                 # dc current big-M per edge and basis
     dc_edges = []
     for d, vsrc in zip(dc_sys.edges, vsrcs):
         zlink = d.parent if d.parent != ABSENT and case.ac_branch(d.parent).switchable else None
@@ -224,7 +238,7 @@ def build_model(case: CaseData, scenario: FieldScenario,
              [edge_pos[wid] for p in pairs for wid, _ in p], [w for p in pairs for _, w in p])
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
     w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
-    derived = np.maximum(w_big_m @ edge_gap_m, 1.0)
+    derived = np.maximum(w_big_m @ period_gap_m, 1.0)
     xfmrs: list[_XfmrEntry] = []
     for (pos, row), ibound in zip(rows, derived.tolist()):
         thermal = case.thermal_for(row.branch) if row.branch != ABSENT else None
@@ -239,10 +253,12 @@ def build_model(case: CaseData, scenario: FieldScenario,
             topoil = TopOil(zeta=2.0, delta0=0.0)
         xfmrs.append(_XfmrEntry(pos=pos, row=row, thermal=thermal, branch=branch,
                                 i_bound=ibound if row.gic_bound is None else row.gic_bound,
+                                i_derived=ibound,
                                 cap=cap, topoil=topoil, chords=chords))
 
     G, N, E = len(gens), len(buses), len(branches)
     Nd, Ed, X = len(dc_nodes), len(dc_edges), len(xfmrs)
+    B = coeffs.shape[1]
     S = len(switchable)
 
     slices: dict[str, tuple[int, int, int]] = {}
@@ -256,8 +272,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
     register("p_g", G, T)
     register("theta", N, T)
     register("p_e", E, T)
-    register("v", Nd, T)
-    register("i", Ed, T)
+    register("v", Nd, B)
+    register("i", Ed, B)
     register("ieff", X, T)
     register("delta", X, T)
     register("z", S, 1)
@@ -274,7 +290,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
     lb = np.full(nvars, -np.inf)
     ub = np.full(nvars, np.inf)
 
-    # variable bounds: one (lower, upper) per entity, held over its horizon
+    # variable bounds: one (lower, upper) per entity, held over its horizon,
+    # or one per entity and basis
     theta_bound = max(1.0, N * max((b.angle_big_m for b in branches), default=math.pi))
     slack_ids = {b.index for b in buses if b.bus_type == "slack"}
     theta_lo = [0.0 if b.index in slack_ids else -theta_bound for b in buses]  # slack: 0
@@ -293,22 +310,28 @@ def build_model(case: CaseData, scenario: FieldScenario,
                          ("z", [0.0] * S, [1.0] * S),
                          ("cost", [c[0] - 1.0 for c in cost], [c[1] + 1.0 for c in cost])):
         off, count, horizon = slices[name]
-        lb[off:off + count * horizon] = np.repeat(np.array(lo, dtype=float), horizon)
-        ub[off:off + count * horizon] = np.repeat(np.array(hi, dtype=float), horizon)
+        for bound, vals in ((lb, lo), (ub, hi)):
+            vals = np.asarray(vals, dtype=float)
+            bound[off:off + count * horizon] = (vals.ravel() if vals.ndim == 2
+                                                else np.repeat(vals, horizon))
 
     # Constraints, one sparse block per class.  An entity matrix maps the
     # class's row entities onto one variable's entities and holds the
     # coefficients; _expand carries it over the periods (a shared binary has
-    # one column for all of them) and over the class's +/- pair or group
-    # pattern, so rows run by entity, then period, then pattern.
+    # one column for all of them; the dc circuit rows run over the bases, and
+    # coeffs maps the basis currents to each period's) and over the class's
+    # +/- pair or group pattern, so rows run by entity, then period or basis,
+    # then pattern.
     each, shared, lag = sp.identity(T), np.ones((T, 1)), sp.eye(T, k=-1)
+    basis = sp.identity(B)
     pair, both = (1.0, -1.0), (1.0, 1.0)
 
     def held(rhs, width=1):
-        """A right-hand side per row entity (or per entity and period), held over the pattern."""
+        """A right-hand side per row entity (or per entity and period or basis),
+        held over the pattern."""
         rhs = np.asarray(rhs, dtype=float)
-        rhs = rhs[:, None, None] if rhs.ndim == 1 else rhs[:, :, None]
-        return np.broadcast_to(rhs, (len(rhs), T, width))
+        rhs = np.broadcast_to(rhs[:, None], (len(rhs), T)) if rhs.ndim == 1 else rhs
+        return np.broadcast_to(rhs[:, :, None], rhs.shape + (width,))
 
     def block(rhs, *terms, order=None):
         """One class from its right-hand side and (variable, expanded entity matrix) terms."""
@@ -351,12 +374,15 @@ def build_model(case: CaseData, scenario: FieldScenario,
     angle_max = np.array([br.angle_max for br in branches])
     m_ohm = np.abs(b) * big_m + 1e-9
 
-    # dc side: node-edge incidence (-1 at f, +1 at t) and i = a (v_f - v_t + vsrc)
+    # dc side, per basis: node-edge incidence (-1 at f, +1 at t) and
+    # i = a (v_f - v_t + vsrc); a switched edge's big-M holds one per basis
     ohm_v = _ends((Ed, Nd), fd, td, -a, a)
     links = [zl for _, _, zl in dc_edges]
     is_dsw = np.array([zl is not None for zl in links], dtype=bool)
     dsw, dfixed = np.flatnonzero(is_dsw), np.flatnonzero(~is_dsw)
-    av, i_sw = a[:, None] * vsrcs, i_m[dsw, None]
+    av, i_sw = a[:, None] * sources, i_m[dsw]
+    dc_on_z = _mat((i_sw.size, S), np.arange(i_sw.size),
+                   np.repeat([z_pos[links[k]] for k in dsw], B), i_sw.ravel())
 
     # transformers: top-oil start (steady: delta_0 = du_0, else du_-1 := delta0)
     x_ids = [None if x.branch is None else x.branch.index for x in xfmrs]
@@ -380,11 +406,11 @@ def build_model(case: CaseData, scenario: FieldScenario,
         block(held(np.zeros(len(fixed))),
               ("p_e", _expand(I_E[fixed], each)), ("theta", _expand(ohm_theta[fixed], each))),
         # dc KCL: sum(in) - sum(out) = a_i * V_i
-        block(held(np.zeros(Nd)), ("i", _expand(dc_sys.incidence, each)),
-              ("v", _expand(_diag([-nd.g_gnd for nd in dc_nodes]), each))),
+        block(np.zeros((Nd, B)), ("i", _expand(dc_sys.incidence, basis)),
+              ("v", _expand(_diag([-nd.g_gnd for nd in dc_nodes]), basis))),
         # dc Ohm's law of the fixed edges
-        block(held(av[dfixed]),
-              ("i", _expand(I_Ed[dfixed], each)), ("v", _expand(ohm_v[dfixed], each))),
+        block(av[dfixed],
+              ("i", _expand(I_Ed[dfixed], basis)), ("v", _expand(ohm_v[dfixed], basis))),
         # top-oil recursion, bidiagonal in time:
         # (1+zeta) delta_t + (1-zeta) delta_{t-1} - du_t - du_{t-1} = 0
         block(start, ("delta", _expand(_diag(np.where(steady, 1.0, 1.0 + zeta)), first)),
@@ -406,12 +432,11 @@ def build_model(case: CaseData, scenario: FieldScenario,
         # switched dc Ohm's law: the big-M pair, then i = 0 when open
         "dc_ohm": block(np.stack([av[dsw] + i_sw, -av[dsw] + i_sw,
                                   np.zeros_like(av[dsw]), np.zeros_like(av[dsw])], axis=-1),
-                        ("i", _expand(I_Ed[dsw], each, (1.0, -1.0, 1.0, -1.0))),
-                        ("v", _expand(ohm_v[dsw], each, (1.0, -1.0, 0.0, 0.0))),
-                        ("z", _expand(on_z(links, dsw, i_m)[dsw], shared,
-                                      (1.0, 1.0, -1.0, -1.0)))),
-        # effective GIC relaxation: +/- W i <= ieff
-        "eff_gic": block(held(np.zeros(X), 2), ("i", _expand(W, each, pair)),
+                        ("i", _expand(I_Ed[dsw], basis, (1.0, -1.0, 1.0, -1.0))),
+                        ("v", _expand(ohm_v[dsw], basis, (1.0, -1.0, 0.0, 0.0))),
+                        ("z", _expand(dc_on_z, sp.identity(1), (1.0, 1.0, -1.0, -1.0)))),
+        # effective GIC relaxation: +/- W i(t) <= ieff with i(t) = coeffs[t] @ i_B
+        "eff_gic": block(held(np.zeros(X), 2), ("i", _expand(W, coeffs, pair)),
                          ("ieff", _expand(-I_X, each, both))),
         # support: switching forces Ieff to zero
         "gic_cap": block(held(np.zeros(len(capped))), ("ieff", _expand(I_X[capped], each)),
@@ -443,9 +468,9 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
-                    dc_nodes=dc_nodes, dc_edges=dc_edges, xfmrs=xfmrs, eff_weights=W, lp=lp,
-                    z_col=z_col, slices=slices, classes=classes,
-                    primary_var_count=primary, voltage_big_m=voltage_big_m)
+                    dc_nodes=dc_nodes, dc_edges=dc_edges, coeffs=coeffs, xfmrs=xfmrs,
+                    eff_weights=W, lp=lp, z_col=z_col, slices=slices, classes=classes,
+                    primary_var_count=primary)
 
 
 def _mat(shape, rows, cols, vals) -> sp.csr_matrix:
@@ -527,6 +552,7 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
     """
     opt = options or model.options
     t0 = time.perf_counter()
+    lp = dataclasses.replace(model.lp)  # one warm-started instance per search
 
     root_lb = model.lp.lb.copy()
     root_ub = model.lp.ub.copy()
@@ -563,7 +589,7 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
         if incumbent is not None and parent_bound >= incumbent_obj - gap_abs():
             continue
 
-        res = lp_solve(model.lp, lb=nlb, ub=nub)
+        res = lp_solve(lp, lb=nlb, ub=nub)
         nodes_explored += 1
         if res.status != "optimal":
             continue
@@ -625,6 +651,7 @@ def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
     if k > cap:
         raise ValueError(f"{k} binaries exceed enumeration cap {cap}")
     t0 = time.perf_counter()
+    lp = dataclasses.replace(model.lp)
     best = None
     best_obj = math.inf
     solved = 0
@@ -633,7 +660,7 @@ def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
         ub = model.lp.ub.copy()
         for bid, val in zip(model.switchable, assignment):
             lb[model.z_col[bid]] = ub[model.z_col[bid]] = val
-        res = lp_solve(model.lp, lb=lb, ub=ub)
+        res = lp_solve(lp, lb=lb, ub=ub)
         solved += 1
         if res.status == "optimal" and res.objective < best_obj - 1e-12:
             best, best_obj = res, res.objective
@@ -657,23 +684,23 @@ def _infeasibility_probes(model: OtsModel) -> dict:
 
 
 def _first_violated_class(model: OtsModel, lb, ub) -> str:
-    if lp_solve(model.lp, lb=lb, ub=ub).status == "optimal":
-        return "feasible"
-    b_ub = model.lp.b_ub.copy()
-    relaxed_classes = []
-    for cls in ("hotspot_cap", "gic_cap"):
+    """Relax the GIC classes in turn by dropping their rows; name the first
+    relaxation that makes the model feasible.  Without gic_cap, Ieff is held
+    only by its derived cap, which bounds it for every switching state."""
+    lp = model.lp
+    keep = np.ones(lp.A_ub.shape[0], dtype=bool)
+    ub = ub.copy()
+    for cls in ("feasible", "hotspot_cap", "gic_cap"):
         start, stop = model.classes.get(cls, (0, 0))
-        b_ub[start:stop] = 1e12
-        relaxed_classes.append(cls)
-        ub2 = ub.copy()
+        keep[start:stop] = False
         if cls == "gic_cap":
             off, count, horizon = model.slices["ieff"]
-            ub2[off:off + count * horizon] = 1e12
-        probe = LpProblem(c=model.lp.c, A_ub=model.lp.A_ub, b_ub=b_ub,
-                          A_eq=model.lp.A_eq, b_eq=model.lp.b_eq,
-                          lb=model.lp.lb, ub=model.lp.ub)
-        if lp_solve(probe, lb=lb, ub=ub2).status == "optimal":
-            return relaxed_classes[-1]
+            ub[off:off + count * horizon] = np.repeat([x.i_derived for x in model.xfmrs],
+                                                      horizon)
+        probe = LpProblem(c=lp.c, A_ub=lp.A_ub[keep], b_ub=lp.b_ub[keep],
+                          A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
+        if lp_solve(probe, lb=lb, ub=ub).status == "optimal":
+            return cls
     return "power_flow"
 
 
@@ -688,7 +715,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     # the LP leaves I_eff / du anywhere between the physical value and the
     # caps when nothing binds; report the tight feasible point instead,
     # recomputed from the solved dc currents and the chord envelope
-    tight_eff = np.abs(model.eff_weights @ model.values("i", x)).tolist()
+    tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T).tolist()
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
     for xe, tight in zip(model.xfmrs, tight_eff):
         i_eff[xe.pos] = tight

@@ -1,12 +1,17 @@
-"""LP layer: basic contracts and a vertex-enumeration cross-check."""
+"""LP layer: basic contracts, a vertex-enumeration cross-check and warm starts."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from gicgrid.lp import LpProblem, lp_solve
+from gicgrid.lp import LpNumericalError, LpProblem, lp_solve
+from gicgrid.mitigation import build_model
+
+from conftest import random_ots_case
 
 
 def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None):
@@ -109,3 +114,32 @@ def test_random_lp_matches_vertex_enumeration(seed):
     assert verts, "bounded polytope must have vertices"
     best = min(np.dot(c, v) for v in verts)
     assert res.objective == pytest.approx(best, abs=1e-6)
+
+
+def test_refused_model_is_numerical_error():
+    # a matrix entry beyond HiGHS's limit is a named failure, not "infeasible"
+    prob = _problem([1.0, 1.0], a_ub=[[1e20, 1.0]], b_ub=[1.0], lb=[0, 0], ub=[1, 1])
+    with pytest.raises(LpNumericalError, match="refused"):
+        lp_solve(prob)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.sampled_from((None, 0.0, 1.0)), min_size=16, max_size=16),
+                min_size=1, max_size=6))
+def test_warm_solves_match_fresh_solves(seed, fixings):
+    """A sequence of binary fixings solved on one warm-started problem gives
+    the statuses and objectives of the same LPs solved on fresh copies."""
+    case, scenario = random_ots_case(np.random.default_rng(seed))
+    model = build_model(case, scenario)
+    warm = dataclasses.replace(model.lp)
+    for fixing in fixings:
+        lb, ub = model.lp.lb.copy(), model.lp.ub.copy()
+        for bid, value in zip(model.switchable, fixing):
+            if value is not None:
+                lb[model.z_col[bid]] = ub[model.z_col[bid]] = value
+        got = lp_solve(warm, lb=lb, ub=ub)
+        want = lp_solve(dataclasses.replace(model.lp), lb=lb, ub=ub)
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_ramp_scenario,
                           parse_case)
+from gicgrid.dcnet import solve_series
+from gicgrid.lp import LpProblem, lp_solve
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
@@ -43,15 +47,16 @@ def test_b4gic_single_period_reduces_to_dc_opf(b4gic_case):
 
 
 def test_variable_count_formula():
-    """Primary-variable count matches T*(G+N+E+Nd+Ed+2X)+S exactly."""
+    """Primary-variable count matches T*(G+N+E+2X)+B*(Nd+Ed)+S exactly: the dc
+    circuit is held once per superposition basis, not once per period."""
     rng = np.random.default_rng(7)
     case, scenario = random_ots_case(rng)
     model = build_model(case, scenario)
     T = model.n_periods
     G, N, E = len(model.gens), len(model.buses), len(model.branches)
     Nd, Ed, X = len(model.dc_nodes), len(model.dc_edges), len(model.xfmrs)
-    S = len(model.switchable)
-    assert model.primary_var_count == T * (G + N + E + Nd + Ed + 2 * X) + S
+    S, B = len(model.switchable), model.coeffs.shape[1]
+    assert model.primary_var_count == T * (G + N + E + 2 * X) + B * (Nd + Ed) + S
     # every constraint references declared variables only
     assert model.lp.A_eq.shape[1] == model.lp.n
     assert model.lp.A_ub.shape[1] == model.lp.n
@@ -249,7 +254,8 @@ def test_infeasible_reports_probe_context():
 
 
 def test_gic_cap_named_in_probe():
-    """Unreachable GIC bound on a non-switchable loop: probes blame the cap."""
+    """Unreachable GIC bound on a non-switchable loop: probes blame the cap,
+    also when the field drives the effective currents far past any constant."""
     case = _east_west_toy()
     rows = tuple(dataclasses.replace(r, gic_bound=1e-3)
                  if r.branch == 4 else r for r in case.branch_gmd)
@@ -257,12 +263,13 @@ def test_gic_cap_named_in_probe():
     branches = tuple(dataclasses.replace(br, switchable=False)
                      if br.index == 1 else br for br in case.ac_branches)
     case = dataclasses.replace(case, branch_gmd=rows, ac_branches=branches)
-    samples = (FieldSample(0.0, 8.0, 90.0), FieldSample(10.0, 8.0, 90.0))
-    scenario = FieldScenario(samples=samples, dt=10.0)
-    model = build_model(case, scenario)
-    with pytest.raises(MitigationInfeasible) as err:
-        solve(model)
-    assert err.value.context["all_closed"] == "gic_cap"
+    for field in (8.0, 1e12):
+        samples = (FieldSample(0.0, field, 90.0), FieldSample(10.0, field, 90.0))
+        scenario = FieldScenario(samples=samples, dt=10.0)
+        model = build_model(case, scenario)
+        with pytest.raises(MitigationInfeasible) as err:
+            solve(model)
+        assert err.value.context["all_closed"] == "gic_cap"
 
 
 def test_verify_flags_constructed_violations():
@@ -375,6 +382,58 @@ def test_voltage_overrides_drive_the_model():
     assert verify_plan(case, scenario, plan).ok(1e-6)
 
 
+def _dc_rows(model):
+    """The model's LP cut to the rows that hold dc voltages or currents (KCL,
+    Ohm's laws, the switched big-Ms, eff_gic), with Ieff held only by its
+    derived cap: feasible for every integer switching."""
+    lp = model.lp
+    cols = np.concatenate([np.arange(off, off + count * horizon)
+                           for off, count, horizon in (model.slices["v"], model.slices["i"])])
+    ub = lp.ub.copy()
+    off, count, horizon = model.slices["ieff"]
+    ub[off:off + count * horizon] = np.repeat([x.i_derived for x in model.xfmrs], horizon)
+    ub_rows = lp.A_ub[:, cols].getnnz(axis=1) > 0
+    eq_rows = lp.A_eq[:, cols].getnnz(axis=1) > 0
+    return LpProblem(c=lp.c, A_ub=lp.A_ub[ub_rows], b_ub=lp.b_ub[ub_rows],
+                     A_eq=lp.A_eq[eq_rows], b_eq=lp.b_eq[eq_rows], lb=lp.lb, ub=ub)
+
+
+def _overrides_scenario():
+    """The scenario of test_voltage_overrides_drive_the_model: 120 V on line 1, no field."""
+    samples = (FieldSample(0.0, 0.0, 90.0), FieldSample(10.0, 0.0, 90.0))
+    return FieldScenario(samples=samples, dt=10.0,
+                         voltage_overrides={1: ((0.0, 120.0), (10.0, 120.0))})
+
+
+@pytest.mark.parametrize("name", ["epri21", "overrides_toy"])
+def test_dc_basis_block_matches_series_engine(name, request):
+    """For every integer switching, the model's per-basis dc currents weighed
+    by coeffs give the dc engine's effective GICs at every period."""
+    if name == "epri21":
+        case = request.getfixturevalue("epri21_case")
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=30.0)
+    else:
+        case, scenario = _east_west_toy(), _overrides_scenario()
+    model = build_model(case, scenario, OtsOptions(dt=30.0 if name == "epri21" else None))
+    assert model.coeffs.shape == (model.n_periods, 3 if name == "overrides_toy" else 2)
+    lp = _dc_rows(model)
+    for bits in itertools.product((0, 1), repeat=len(model.switchable)):
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        for bid, bit in zip(model.switchable, bits):
+            lb[model.z_col[bid]] = ub[model.z_col[bid]] = bit
+        res = lp_solve(lp, lb=lb, ub=ub)
+        assert res.status == "optimal"
+        got = np.abs(model.eff_weights @ model.values("i", res.x) @ model.coeffs.T)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="pinning ungrounded")
+            dc = solve_series(case, scenario, model.times,
+                              topology=dict(zip(model.switchable, bits)))
+        want = np.array([dc.effective[x.pos] for x in model.xfmrs])
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-9 * max(1.0, float(np.max(want, initial=0.0))))
+
+
 def test_nan_violation_is_never_ok():
     report = VerifyReport(violations={"angle": 0.0, "ohm": float("nan"), "rating": 1e-9})
     assert np.isnan(report.max_violation())
@@ -409,24 +468,24 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
 # the LP, its column layout and its row order
 _PINNED = {
     "b4gic": {
-        "A_ub": "4903046af85bd3835badd334691ad31579c992e10f5396e6d85957e62a35b4f1",
-        "A_eq": "2d98f236bc76341af768c771f375df74523470031fde8a238e732355de241ea7",
-        "b_ub": "33cb2a30367f668a8ef090be89303cae60e6a190148561ca2969214223b3a730",
-        "b_eq": "fa754f49ddcb7fab3accccc4db76bb348e3d9b393c568f7afb6f496734bf3784",
-        "lb": "292a2233d9c5098fe3bb2de016ec1b689d217484c9e72728ab4379bcec77e5b3",
-        "ub": "8c071d217d83a569a5c46a4931f46df70cf2e50ae412809adf046de4672600b4",
-        "c": "e0099fda6bc9bea9a4c76a4589a9288358a4d348ae6383b526ea723e78cfc5f5",
-        "classes": "238094c2ac768a435310a933598d6259cb2fbacbbdcbeba3767f843b8324ce2d",
+        "A_ub": "ce95979a5efe1e663ce06d3b5253c025729e74db953e0c82184d3e3eb0f89119",
+        "A_eq": "4985a63d124af5939027ab2b70a8a31c3215180c58286b23b6797418a4fb8ff3",
+        "b_ub": "554dfc67843d252be0e10354f36a0df10b0b019d6a2762cb969974936f3f0330",
+        "b_eq": "9d34fbcf42da77d06dd42184cb3f2a925be3056389cac74a8ae46a930013fd57",
+        "lb": "9bf54b80a6e4675f641193cdbddc659d6ec0496d981794024753811be2a2f4bb",
+        "ub": "ce6bed7ec72903875b95dc5ab192726aa8b778841b5987d6b828af486a44d46b",
+        "c": "627aceb8ff4d70b1bad3eeb284f2410d203859c6d0a2068978b329897241c502",
+        "classes": "4e61586759270b9971d4e17ed6eacb5554761d312a2d8e3466a70560f52df5ad",
     },
     "epri21": {
-        "A_ub": "02450840eb91020d6316c2ad5077a5a15b2e23d942366498aa187e4f1a16a938",
-        "A_eq": "d988d9b673cf117c1c44125488ff3735d2e3b8bc1e698a3fb261dd0c37bde91b",
-        "b_ub": "81fd5f1937c922a36fbd7e315b63803af9390e966c3974f5e51b4eabf54cb3c5",
-        "b_eq": "e557ba186291d316ddf33e8305aa5ec1b7548ae8ea2e740686437f4c6434eca1",
-        "lb": "0a7923a9ee2f222417604bafabbb881855c9d03517d7e8bf8ea1306394636f20",
-        "ub": "dabb4b0134040b56ad2ed4277e4d596674b94e7e0095e58db55a16819c9ea869",
-        "c": "1d92aa86a6b8396c3e1e2f13060a11e0b34cd5478d1a025eacf046ddc38a6606",
-        "classes": "c7b13794c0c723748c6b0c5a536ac35cd4e8fc586623ee0c3ad13c178f22236c",
+        "A_ub": "871aedf815266c7ed883bb9631af05dcf0f8b91cf62a9a7441a396ed4b9235e3",
+        "A_eq": "f87b740637f48fb850db40cc9da8278be08b8a78225f1d217a624d709b062247",
+        "b_ub": "093869ba3859af6d16dcb23f87464ba2b100e020301f6cfe6734eedc9d1ac2ce",
+        "b_eq": "2974451c82cd90b41eec89d2b9b1a51e149c4dc4bc1bde02cbdbc98f9fbc50fa",
+        "lb": "5070f700b14c3d07530bbe6b62376e56136cb7e916d39bb2d0cc9a7f8e65f61b",
+        "ub": "54d1d6ae8629d79d9f398c852d6efc68d2d596d0060f71c8a2e171fc1a26e712",
+        "c": "58bb80c7120cfbdf9af28405d5382dba1317db27b44bf0ff6808c20fa13d9b8b",
+        "classes": "8ebedbd5658b2b14b5876585f4b129e36a292148cf61b3622d151f2cc2723fba",
     },
 }
 
