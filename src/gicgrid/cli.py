@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_INPUT = 2
+_CSV_BLOCK = 8192  # rows per block of CSV text
 
 
 def _sha256_file(path: str) -> str:
@@ -60,23 +62,37 @@ def _meta_line(args, keys) -> str:
     return "# " + " ".join(parts)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
-def _write_table(args, name: str, header: str, rows: list[str], meta: str) -> str:
-    """Write one tabular artifact as CSV or JSON per --format."""
+def _cells(col: np.ndarray, spec: str = ".10g", each: int = 1) -> list[str]:
+    """One column as text: floats by ``spec``, ints (ids, flags) in full by ``str``;
+    with ``each`` > 1 every cell is repeated that many times in turn."""
+    cells = list(map(format, col.tolist(), repeat(spec if col.dtype.kind == "f" else "")))
+    return cells if each == 1 else list(chain.from_iterable(map(repeat, cells, repeat(each))))
+
+
+def _write_table(args, name: str, columns: dict, meta: str) -> str:
+    """Write columns, {header: column} in order, as CSV or JSON per --format;
+    a column is an array, formatted by ``_cells``, or a list of text."""
+    cols = list(columns.values())
+
+    def rows(start=0, stop=None):
+        return zip(*[c[start:stop] if isinstance(c, list) else _cells(c[start:stop])
+                     for c in cols], strict=True)
+
+    path = os.path.join(args.out, f"{name}.{args.format}")
     if args.format == "json":
-        cols = header.split(",")
-        doc = {"_meta": meta[2:], "columns": cols,
-               "rows": [r.split(",") for r in rows]}
-        path = os.path.join(args.out, f"{name}.json")
+        doc = {"_meta": meta[2:], "columns": list(columns), "rows": list(rows())}
         _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    else:
-        path = os.path.join(args.out, f"{name}.csv")
-        _write(path, "\n".join([meta, header] + rows) + "\n")
+    else:  # CSV text is made a block of rows at a time, never for the whole table
+        chunks = ("\n".join(map(",".join, rows(k, k + _CSV_BLOCK))) + "\n"
+                  for k in range(0, len(cols[0]), _CSV_BLOCK))
+        _write(path, chain([f"{meta}\n{','.join(columns)}\n"], chunks))
     return os.path.basename(path)
 
 
@@ -94,10 +110,6 @@ def _check_run_config(args) -> None:
         raise CaseError("--tol must be finite and >= 0")
 
 
-def _load_case(args) -> CaseData:
-    return parse_case_file(args.case)
-
-
 def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
     if args.scenario:
         return load_scenario_file(args.scenario, dt=args.dt)
@@ -109,16 +121,12 @@ def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
     return None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_dc(args) -> int:
-    case = _load_case(args)
+    case = parse_case_file(args.case)
     scenario = _scenario_from_args(args)
     meta = _meta_line(args, ("field", "dir", "dt", "format"))
 
@@ -130,41 +138,42 @@ def _cmd_dc(args) -> int:
         times, fields = [0.0], None  # stored br_v values drive the solve
     series = solve_series(case, fields, times)
 
-    eff_of = {wid: series.effective[pos].tolist()
+    eff_of = {wid: series.effective[pos]
               for pos, row in case.xfmr_rows() for wid in winding_ids(row)}
-    nodes = sorted(zip(series.node_ids, series.V.T.tolist()))
-    branches = [(bid, i_dc, eff_of.get(bid, [0.0] * len(times)))
-                for bid, i_dc in sorted(zip(series.branch_ids, series.I.T.tolist()))]
-    rows_bus = [f"{_fmt(t)},{nid},{_fmt(v[k])}" for k, t in enumerate(times) for nid, v in nodes]
-    rows_br = [f"{_fmt(t)},{bid},{_fmt(i_dc[k])},{_fmt(i_eff[k])}"
-               for k, t in enumerate(times) for bid, i_dc, i_eff in branches]
+    eff = np.array([eff_of.get(bid, np.zeros(len(times))) for bid in series.branch_ids])
+
+    def table(name, id_header, ids, **values):  # values: (T, len(ids)); rows by time, then id
+        order = np.argsort(ids, kind="stable")
+        return _write_table(args, name, {
+            "t_min": _cells(np.asarray(times, dtype=float), each=len(order)),
+            id_header: _cells(np.asarray(ids)[order]) * len(times),
+            **{h: v[:, order].ravel() for h, v in values.items()}}, meta)
+
     peak = float(np.max(np.abs(series.I), initial=0.0))
-    f1 = _write_table(args, "gic_bus", "t_min,gmd_bus_id,v_dc_volts", rows_bus, meta)
-    f2 = _write_table(args, "gic_branch", "t_min,gmd_branch_id,i_dc_amps,i_eff_amps",
-                      rows_br, meta)
+    f1 = table("gic_bus", "gmd_bus_id", series.node_ids, v_dc_volts=series.V)
+    f2 = table("gic_branch", "gmd_branch_id", series.branch_ids, i_dc_amps=series.I,
+               i_eff_amps=eff.reshape(series.I.T.shape).T)
     print(f"dc: {len(times)} time point(s), peak |I| = {peak:.3f} A; "
           f"wrote {f1}, {f2} to {args.out}")
     return EXIT_OK
 
 
 def _cmd_ac(args) -> int:
-    case = _load_case(args)
-    field = None
-    if args.field is not None:
-        field = FieldVector.from_mag_dir(args.field, args.dir)
+    case = parse_case_file(args.case)
+    field = None if args.field is None else FieldVector.from_mag_dir(args.field, args.dir)
     sol, qmap, ac = sequential_gic_ac(case, field)
     meta = _meta_line(args, ("field", "dir", "format"))
 
-    rows = [f"{bid},{_fmt(ac.vm[bid])},{_fmt(math.degrees(ac.va[bid]))}"
-            for bid in sorted(ac.vm)]
-    _write_table(args, "ac_bus", "bus_id,vm_pu,va_deg", rows, meta)
-
-    rows = [f"{bid},{_fmt(ac.p_from[bid])},{_fmt(ac.q_from[bid])}"
-            for bid in sorted(ac.p_from)]
-    _write_table(args, "ac_branch", "branch_id,p_from_pu,q_from_pu", rows, meta)
-
-    rows = [f"{qmap[pos].branch},{_fmt(qmap[pos].d_q)}" for pos in sorted(qmap)]
-    _write_table(args, "qloss", "branch_id,d_q_pu", rows, meta)
+    bus, br = sorted(ac.vm), sorted(ac.p_from)
+    losses = [qmap[pos] for pos in sorted(qmap)]
+    _write_table(args, "ac_bus", {"bus_id": np.array(bus),
+                                  "vm_pu": np.array([ac.vm[b] for b in bus]),
+                                  "va_deg": np.array([math.degrees(ac.va[b]) for b in bus])}, meta)
+    _write_table(args, "ac_branch", {"branch_id": np.array(br),
+                                     "p_from_pu": np.array([ac.p_from[b] for b in br]),
+                                     "q_from_pu": np.array([ac.q_from[b] for b in br])}, meta)
+    _write_table(args, "qloss", {"branch_id": np.array([ql.branch for ql in losses]),
+                                 "d_q_pu": np.array([ql.d_q for ql in losses])}, meta)
 
     total_q = sum(ql.d_q for ql in qmap.values())
     print(f"ac: converged in {ac.iterations} iterations "
@@ -174,23 +183,21 @@ def _cmd_ac(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
-    case = _load_case(args)
+    case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     trace = simulate(case, scenario, dt=args.dt)
     meta = _meta_line(args, ("field", "dir", "dt", "format"))
-    rows = []
-    worst = 0.0
-    for bid in sorted(trace.traces):
-        tr = trace.traces[bid]
-        worst = max(worst, tr.peak)
-        for k in range(1, len(tr.t)):
-            rows.append(
-                f"{_fmt(float(tr.t[k]))},{bid},{_fmt(float(tr.delta_to[k]))},"
-                f"{_fmt(float(tr.eta_hs[k]))},{_fmt(float(tr.hotspot[k]))},"
-                f"{_fmt(tr.limit)},{int(tr.hotspot[k] > tr.limit)}")
-    name = _write_table(args, "thermal",
-                        "t_min,branch_id,delta_to_C,eta_hs_C,hotspot_C,limit_C,violation",
-                        rows, meta)
+    trs = [trace.traces[bid] for bid in sorted(trace.traces)]
+    n = len(trace.t) - 1  # rows: by branch id, then by sample after the first
+    col = {k: np.array([getattr(tr, k)[1:] for tr in trs]).reshape(-1)
+           for k in ("delta_to", "eta_hs", "hotspot", "violations")}
+    name = _write_table(args, "thermal", {
+        "t_min": _cells(trace.t[1:]) * len(trs),
+        "branch_id": _cells(np.array([tr.branch for tr in trs]), each=n),
+        "delta_to_C": col["delta_to"], "eta_hs_C": col["eta_hs"], "hotspot_C": col["hotspot"],
+        "limit_C": _cells(np.array([tr.limit for tr in trs], dtype=float), each=n),
+        "violation": col["violations"].astype(int)}, meta)
+    worst = max([0.0] + [tr.peak for tr in trs])
     flag = "VIOLATION" if trace.any_violation() else "ok"
     print(f"thermal: {len(trace.traces)} transformer(s), peak hot-spot "
           f"{worst:.1f} degC [{flag}]; wrote {name}")
@@ -236,7 +243,7 @@ def plan_from_json(doc: dict) -> MitigationPlan:
 
 
 def _cmd_mitigate(args) -> int:
-    case = _load_case(args)
+    case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     options = OtsOptions(dt=args.dt, gap=args.gap)
     model = build_model(case, scenario, options)
@@ -247,8 +254,7 @@ def _cmd_mitigate(args) -> int:
     doc["_meta"] = meta[2:]
     _write(os.path.join(args.out, "plan.json"),
            json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    _write_table(args, "plan_branches", "i,j,ckt,type,z_nom,z,p_ij,I_e",
-                 _branch_table(case, scenario, plan), meta)
+    _write_table(args, "plan_branches", _branch_table(case, scenario, plan), meta)
 
     opened = [str(b) for b, zv in sorted(plan.z.items()) if zv == 0]
     print(f"mitigate: status {plan.status}, objective {plan.objective:.4f} "
@@ -259,9 +265,8 @@ def _cmd_mitigate(args) -> int:
     return EXIT_OK
 
 
-def _branch_table(case: CaseData, scenario: FieldScenario,
-                  plan: MitigationPlan) -> list[str]:
-    """Branch-status rows at the field peak: i,j,ckt,type,z_nom,z,p_ij,I_e.
+def _branch_table(case: CaseData, scenario: FieldScenario, plan: MitigationPlan) -> dict:
+    """Branch-status columns at the field peak, one row per ac branch by id.
 
     Flows come from the plan's peak-field period; dc currents are solved
     at the scenario's peak sampled field on the plan's topology.
@@ -276,36 +281,29 @@ def _branch_table(case: CaseData, scenario: FieldScenario,
     series = solve_series(case, scenario, [sample_peak], topology=dict(plan.z))
     current = dict(zip(series.branch_ids, series.I[0].tolist()))
 
-    rep_winding = {}
-    kind = {}
-    for row in case.branch_gmd:
-        if row.branch == -1:
-            continue
-        kind[row.branch] = row.type
-        if row.is_xfmr:
-            rep_winding[row.branch] = (row.gmd_br_se if row.gmd_br_se != -1
-                                       else row.gmd_br_hi)
-    line_branch = {}
-    for e in case.gmd_branches:
-        if e.parent != -1 and kind.get(e.parent) == "line":
-            line_branch[e.parent] = e.index
+    # I_e reads a transformer's series (else high) winding, or a line's (last) dc branch
+    rows = [row for row in case.branch_gmd if row.branch != -1]
+    kind = {row.branch: {"xfmr": "xf"}.get(row.type, row.type) for row in rows}
+    gid = {**{e.parent: e.index for e in case.gmd_branches if kind.get(e.parent) == "line"},
+           **{row.branch: row.gmd_br_se if row.gmd_br_se != -1 else row.gmd_br_hi
+              for row in rows if row.is_xfmr}}
 
     ckt = case.ckt_numbers()
-    rows = []
-    for br in sorted(case.ac_branches, key=lambda b: b.index):
-        z = plan.z.get(br.index, br.status)
-        p = plan.flows.get(br.index, [0.0] * (k + 1))[k] if br.status and z else 0.0
-        gid = rep_winding.get(br.index, line_branch.get(br.index))
-        i_e = current.get(gid, 0.0) if gid is not None else 0.0
-        btype = kind.get(br.index, "line")
-        btype = {"xfmr": "xf"}.get(btype, btype)
-        rows.append(f"{br.f_bus},{br.t_bus},{ckt[br.index]},{btype},"
-                    f"{br.status},{z},{p:.1f},{i_e:.1f}")
-    return rows
+    brs = sorted(case.ac_branches, key=lambda b: b.index)
+    z = [plan.z.get(br.index, br.status) for br in brs]
+    p = [plan.flows.get(br.index, [0.0] * (k + 1))[k] if br.status and zb else 0.0
+         for br, zb in zip(brs, z)]
+    i_e = [current.get(gid.get(br.index), 0.0) for br in brs]
+    return {"i": np.array([br.f_bus for br in brs]), "j": np.array([br.t_bus for br in brs]),
+            "ckt": np.array([ckt[br.index] for br in brs]),
+            "type": [kind.get(br.index, "line") for br in brs],
+            "z_nom": np.array([br.status for br in brs]), "z": np.array(z),
+            "p_ij": _cells(np.array(p, dtype=float), ".1f"),
+            "I_e": _cells(np.array(i_e, dtype=float), ".1f")}
 
 
 def _cmd_verify(args) -> int:
-    case = _load_case(args)
+    case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = plan_from_json(json.load(fh))

@@ -1,12 +1,16 @@
 """Command-line interface: pipelines, outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
+import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.cli import run
+from gicgrid.cli import _cells, run
 from gicgrid.data import load_scenario_file, serialize_case
 from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
 
@@ -423,3 +427,104 @@ def test_verify_tol_must_be_finite_and_non_negative(workdir, capsys, tol):
     captured = capsys.readouterr()
     assert rc == 2
     assert "--tol" in captured.err and "[ok]" not in captured.out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, sys.float_info.max,
+          -sys.float_info.max, 1e300, -1e300, 1e-300, -1e-300, 3.0, -7.0, 2.0 ** 53,
+          1e16, 123456789012.0, 0.05, 0.25, -0.05, 1234.5])
+def test_column_formatter_matches_fstrings(xs):
+    """A float column reads as f"{x:.10g}" (every table) or f"{x:.1f}" (plan_branches)."""
+    col = np.array(xs, dtype=float)
+    assert _cells(col) == [f"{x:.10g}" for x in xs]
+    assert _cells(col, ".1f") == [f"{x:.1f}" for x in xs]
+
+
+def test_column_formatter_ids_and_repeats():
+    """Ids print in full, never in .10g's exponent form; ``each`` repeats cells in turn."""
+    assert _cells(np.array([12345678901, -3, 0])) == ["12345678901", "-3", "0"]
+    assert _cells(np.array([2.5, 7.0]), each=3) == ["2.5"] * 3 + ["7"] * 3
+
+
+# sha256 of every table the CLI writes on the bundled cases with
+# cases/ramp_3p2.csv, in both formats: a change to the table writer or to a
+# pipeline behind it must keep every byte of every artifact
+_GOLDEN_RUNS = {
+    "dc_epri21": ["dc", "--case", "epri21.json", "--scenario", "ramp_3p2.csv"],
+    "dc_b4gic": ["dc", "--case", "b4gic.json", "--scenario", "ramp_3p2.csv"],
+    "dc_b4gic_field": ["dc", "--case", "b4gic.json", "--field", "1"],
+    "thermal_epri21": ["thermal", "--case", "epri21.json", "--scenario", "ramp_3p2.csv"],
+    "thermal_b4gic": ["thermal", "--case", "b4gic.json", "--scenario", "ramp_3p2.csv"],
+    "ac_epri21": ["ac", "--case", "epri21.json", "--field", "1"],
+    "ac_b4gic": ["ac", "--case", "b4gic.json", "--field", "1"],
+    "mitigate_epri21": ["mitigate", "--case", "epri21.json", "--scenario", "ramp_3p2.csv",
+                        "--dt", "30"],
+    "mitigate_b4gic": ["mitigate", "--case", "b4gic.json", "--scenario", "ramp_3p2.csv",
+                       "--dt", "30"],
+}
+
+_GOLDEN = {
+    "ac_b4gic": {
+        "ac_branch.csv": "21c74ffe945c81cc2b626d3042fa42803b6736d4711e037959a750ed9146eacb",
+        "ac_branch.json": "3cb1e0f787043db0da4d9b56274ecfd84eea1bbea62557367e97bb3e69488b4a",
+        "ac_bus.csv": "540c5fc06bfd105408313c4031191fe5f95682972553d62118e1b5488ff1b4b3",
+        "ac_bus.json": "e5680dbc3e485409bd6c9369589ed9c762ecf1a8d6bd991bb64257038946bc35",
+        "qloss.csv": "449dd26ba1b5fabda73e1c4cc4958564c1880a0c62824c82ce16aa4640e408b8",
+        "qloss.json": "9de14d2a28db8119feddc2ae9f9168509f29bde0a21124dca909e21b23c9f901",
+    },
+    "ac_epri21": {
+        "ac_branch.csv": "465d84cf516734af15701d9bfab77f4255f11757fd0f2ddf61e5767f291dab50",
+        "ac_branch.json": "9a94453d1bb19b25f231cb44920acc3e1c8b827c49b909df41c085613a62768f",
+        "ac_bus.csv": "b320cb7f30a48e3aa091449fefd19d55191aa5ec2becdb13a9292cd4db76220e",
+        "ac_bus.json": "eb73cbb76dcb5c00f0073427f5a49895143056dc2863a9ee8a99b3707253a206",
+        "qloss.csv": "d1209a93cf3236db2c7429c83f67e256dcda511d7c89bd1d76330ebc7949aa30",
+        "qloss.json": "4d17262a1f37c4401d68a1694aaffe4b925beb63299a05dc87bcf3edf09e0386",
+    },
+    "dc_b4gic": {
+        "gic_branch.csv": "9351a175057672f8f413d324feb2d335b6489090d4f4a50eb6efe7c406c8a99d",
+        "gic_branch.json": "5458b5c96c58d2221dc14767ec3f96a3f01cf6775f08dfaf0a423d680dc2826d",
+        "gic_bus.csv": "bb5168e8b9f8b363aa541f681b09c87b8cfea9904305b97ea8b96d5bfbc1ca07",
+        "gic_bus.json": "5a119372a7a9b651f322b5fe629579b91dc1f8926e17976e00a95530a9d07bdd",
+    },
+    "dc_b4gic_field": {
+        "gic_branch.csv": "ff40a2ad395bf3c9a27c2c19a8de9fe94ecb398f9c1a1895217dc15b9dcbc8bb",
+        "gic_branch.json": "f564a921245a4633482ee06ae898a30f44aa04e65a2fd11a83800cfd1dfacc67",
+        "gic_bus.csv": "1b5620f21b389d966a8559c9e7f5b450fdfef607c64920a1dbcce460e344ed24",
+        "gic_bus.json": "b30911d0712df634e1625c7ce668549eb12a9328c2e1dc26e4832293bc076f68",
+    },
+    "dc_epri21": {
+        "gic_branch.csv": "5d49854b4ec025fec450586f745f9254bd574ecb5fa6a8eff36cb05f229ca031",
+        "gic_branch.json": "c51e5ece37891601c83272280cf01b3fe925806f3f470a5eaa4ca9ee82a9ffcc",
+        "gic_bus.csv": "8ee19adf2c6ad0d69df9b0942680e2c8607f5eead7338e30891905a4c3042f3a",
+        "gic_bus.json": "1cc2d8197e330094bd9de48a985188b09fca3d0443de5cfcfcf90a59d51f76c1",
+    },
+    "mitigate_b4gic": {
+        "plan_branches.csv": "23fd2f96203f505f400a628be250d045d1f36341b474e21c1c621fd4532b1eb6",
+        "plan_branches.json": "81df6d7d0e690a579d4894dcb9740905b6ed4faa7479e165f24525c36d545dea",
+    },
+    "mitigate_epri21": {
+        "plan_branches.csv": "80ee0d2384a1c52071041ebad0cdfb531010a868df8e3a38367a974f40c0573b",
+        "plan_branches.json": "a076e95285942c92cab4809e25885bdaced904a3be8f8a2ab5c44a6d68f2f906",
+    },
+    "thermal_b4gic": {
+        "thermal.csv": "c48f51f7573a84a882c81ef610e554fcabbc90f3e937ba5b1d9308cd418d6e14",
+        "thermal.json": "36f76c8caff628985fd46f5af6b87cf088de07bb7a2540000e8fc3788727978c",
+    },
+    "thermal_epri21": {
+        "thermal.csv": "b7022d76126f579b8547b4d116bd8cc1490c02618b2fbb44bc52881df23e0236",
+        "thermal.json": "d12b417af26c74e938a8e9c7978fee192e4c20ce76624b62131d6ef8dfe4c28f",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_cli_tables_pinned(name, fmt, tmp_path):
+    cases = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "cases")
+    argv = [os.path.join(cases, a) if a.endswith((".json", ".csv")) else a
+            for a in _GOLDEN_RUNS[name]]
+    assert run(argv + ["--format", fmt, "--out", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in sorted(os.listdir(tmp_path)) if f != "plan.json"}
+    assert got == {f: h for f, h in _GOLDEN[name].items() if f.endswith("." + fmt)}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.data import FieldSample, FieldScenario, make_ramp_scenario
 from gicgrid.thermal import (TopOil, apparent_power, hotspot_rise, hotspot_temp, simulate,
@@ -76,6 +77,34 @@ def test_topoil_monotone_in_input_history():
         assert np.all(d_hi >= d_lo - 1e-12)
 
 
+def _topoil_loop(du, zeta, delta0):
+    """Reference: the recursion one step_topoil at a time."""
+    delta = np.empty(len(du))
+    delta[0] = delta0
+    for k in range(1, len(du)):
+        delta[k] = step_topoil(delta[k - 1], du[k - 1], du[k], zeta)
+    return delta
+
+
+_signed_floats = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_signed_floats, min_size=1, max_size=60),
+       st.floats(1.0, 1e6) | st.just(1.0), _signed_floats)
+@example([-0.0, 0.0, -0.0, 5.0, -0.0], 1.0, -0.0)
+@example([0.0, -0.0, -0.0], 1.0, 0.0)
+def test_topoil_series_is_the_step_loop_bitwise(du, zeta, delta0):
+    got = topoil_series(np.array(du), zeta, delta0)
+    assert np.array_equal(got.view(np.int64), _topoil_loop(du, zeta, delta0).view(np.int64))
+
+
+def test_topoil_series_rejects_non_positive_zeta():
+    for zeta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="zeta"):
+            topoil_series(np.array([1.0, 2.0]), zeta, 1.0)
+
+
 def test_hotspot_rise_linear():
     assert hotspot_rise(0.0, 0.63) == 0.0
     assert hotspot_rise(100.0, 0.63) == pytest.approx(63.0)
@@ -138,6 +167,18 @@ def test_simulate_loading_callable(b4gic_case):
     assert tr.delta_to[0] == pytest.approx(0.0)   # to_inited=1, to_init=0
     assert tr.delta_to[6] > 10.0                  # heated while loaded
     assert tr.delta_to[-1] < tr.delta_to[12]      # cooling after load drops
+
+
+def test_simulate_constant_loading_equals_callable(b4gic_case):
+    """A constant map is the callable that returns it, bit for bit."""
+    scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
+    loading = {1: 7.3, 3: -4.1}
+    const = simulate(b4gic_case, scenario, loading=loading)
+    called = simulate(b4gic_case, scenario, loading=lambda t: loading)
+    for bid, tr in const.traces.items():
+        assert tr.delta_to[-1] > 0.0
+        assert np.array_equal(tr.delta_to, called.traces[bid].delta_to)
+        assert np.array_equal(tr.hotspot, called.traces[bid].hotspot)
 
 
 def test_simulate_grid_length(b4gic_case):
