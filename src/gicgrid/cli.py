@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +31,10 @@ from .coupling import IslandError, PowerFlowError, sequential_gic_ac
 from .data import (CaseError, CaseData, FieldScenario, load_scenario_file,
                    make_ramp_scenario, parse_case_file)
 from .dcnet import FieldVector, solve_series, winding_ids
-from .mitigation import (MitigationInfeasible, MitigationPlan, OtsOptions,
-                         build_model, enumerate_solve, solve, verify_plan)
 from .thermal import simulate
+
+if TYPE_CHECKING:  # imported where used: dc, ac and thermal never load mitigation
+    from .mitigation import MitigationPlan
 
 __all__ = ["main", "run"]
 
@@ -228,26 +230,42 @@ def plan_to_json(plan: MitigationPlan) -> dict:
 
 
 def plan_from_json(doc: dict) -> MitigationPlan:
-    def imap(d):
+    from .mitigation import MitigationPlan
+
+    if not isinstance(doc, dict):
+        raise CaseError(f"plan: expected a JSON object, got {type(doc).__name__}")
+
+    def imap(name):
+        d = doc[name]
+        if not isinstance(d, dict):
+            raise CaseError(f"plan {name}: expected an object of ids, got {type(d).__name__}")
         return {int(k): v for k, v in d.items()}
 
     return MitigationPlan(
-        z=imap(doc["z"]), times=doc["times"], dt=doc["dt"],
-        gen_p=imap(doc["gen_p"]), flows=imap(doc["flows"]),
-        theta=imap(doc["theta"]), i_eff=imap(doc["i_eff"]),
-        delta_to=imap(doc["delta_to"]), hotspot=imap(doc["hotspot"]),
-        xfmr_branches=imap(doc["xfmr_branches"]),
+        z=imap("z"), times=doc["times"], dt=doc["dt"],
+        gen_p=imap("gen_p"), flows=imap("flows"), theta=imap("theta"), i_eff=imap("i_eff"),
+        delta_to=imap("delta_to"), hotspot=imap("hotspot"),
+        xfmr_branches=imap("xfmr_branches"),
         objective=doc["objective"], model_objective=doc["model_objective"],
         gap=doc["gap"], nodes=doc["nodes"],
         wall_time_s=doc.get("wall_time_s", 0.0), status=doc.get("status", "optimal"))
 
 
 def _cmd_mitigate(args) -> int:
+    from .mitigation import (MitigationInfeasible, OtsOptions, build_model,
+                             enumerate_solve, solve)
+
     case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     options = OtsOptions(dt=args.dt, gap=args.gap)
     model = build_model(case, scenario, options)
-    plan = enumerate_solve(model) if args.solver == "enum" else solve(model)
+    try:
+        plan = enumerate_solve(model) if args.solver == "enum" else solve(model)
+    except MitigationInfeasible as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        if exc.context:
+            print(f"  probes: {exc.context}", file=sys.stderr)
+        return EXIT_ANALYSIS
 
     meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap", "format"))
     doc = plan_to_json(plan)
@@ -303,6 +321,8 @@ def _branch_table(case: CaseData, scenario: FieldScenario, plan: MitigationPlan)
 
 
 def _cmd_verify(args) -> int:
+    from .mitigation import OtsOptions, verify_plan
+
     case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     with open(args.plan, "r", encoding="utf-8") as fh:
@@ -371,11 +391,8 @@ def run(argv=None) -> int:
             ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PowerFlowError, IslandError, MitigationInfeasible,
-            ArithmeticError) as exc:
+    except (PowerFlowError, IslandError, ArithmeticError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
-        if isinstance(exc, MitigationInfeasible) and exc.context:
-            print(f"  probes: {exc.context}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

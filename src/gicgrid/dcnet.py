@@ -86,8 +86,8 @@ def displacement(a: tuple[float, float], b: tuple[float, float]) -> tuple[float,
     return l_n, l_e
 
 
-class MissingCoordinates(LookupError):
-    """A branch endpoint bus lacks bus_gmd coordinates."""
+class MissingCoordinates(CaseReferenceError, LookupError):
+    """A branch endpoint bus lacks bus_gmd coordinates (bad input: exit 2)."""
 
 
 def induced_voltage(e_mag: float, e_dir_deg: float, l_n: float, l_e: float) -> float:

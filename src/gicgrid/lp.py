@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _highs
 
 __all__ = ["LpProblem", "LpResult", "LpNumericalError", "lp_solve"]
 
 FEASIBILITY_TOL = 1e-7
 
-_STATUS = {_highs.HighsModelStatus.kOptimal: "optimal",
-           _highs.HighsModelStatus.kInfeasible: "infeasible",
-           _highs.HighsModelStatus.kUnbounded: "unbounded"}
+_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",  # by HiGHS model status name
+           "kUnbounded": "unbounded"}
 
 
 class LpNumericalError(ArithmeticError):
@@ -97,7 +95,7 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
             h.clearSolver()
             h.setOptionValue("solver", "ipm")
         h.run()
-        status = _STATUS.get(h.getModelStatus())
+        status = _STATUS.get(h.getModelStatus().name)
         if cold:
             h.setOptionValue("solver", "choose")
         if status in ("infeasible", "unbounded"):
@@ -123,7 +121,12 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
 
 
 def _load(prob: LpProblem, lo: np.ndarray, hi: np.ndarray):
-    """A silent HiGHS instance holding ``prob`` with column bounds lo, hi."""
+    """A silent HiGHS instance holding ``prob`` with column bounds lo, hi.
+
+    HiGHS is imported here, not with the module: importing scipy.optimize
+    costs about 0.2 s, which only the commands that solve an LP pay."""
+    from scipy.optimize._highspy import _core as _highs
+
     empty = sp.csr_matrix((0, prob.n))
     A = sp.vstack([empty if prob.A_ub is None else prob.A_ub,
                    empty if prob.A_eq is None else prob.A_eq], format="csr")

@@ -751,19 +751,30 @@ _PERIOD_SERIES = ("gen_p", "flows", "theta", "i_eff", "delta_to", "hotspot")
 
 
 def _check_plan(plan: MitigationPlan, times: list[float], dt: float) -> None:
-    """Raise ValueError unless every plan number is finite and the plan's
-    periods are ``times``, the period midpoints of the grid at ``dt``."""
+    """Raise ValueError unless every plan number is finite, the scalars are
+    single numbers, the switch states 0 or 1, the transformer branches
+    integer ids, and the plan's periods are ``times``, the period midpoints
+    of the grid at ``dt``."""
     series = {f"{name}[{key}]": v for name in _PERIOD_SERIES
               for key, v in getattr(plan, name).items()}
-    for name, value in {"times": plan.times, "z": list(plan.z.values()), "dt": plan.dt,
-                        "objective": plan.objective, "model_objective": plan.model_objective,
-                        "gap": plan.gap, **series}.items():
+    scalars = {"dt": plan.dt, "objective": plan.objective,
+               "model_objective": plan.model_objective, "gap": plan.gap}
+    for name, value in {"times": plan.times, "z": list(plan.z.values()), **scalars,
+                        **series}.items():
         try:
-            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+            value = np.asarray(value, dtype=float)
+            finite = bool(np.all(np.isfinite(value)))
         except (TypeError, ValueError):
             finite = False
         if not finite:
             raise ValueError(f"plan {name}: expected finite numbers")
+        if value.ndim != (0 if name in scalars else 1):
+            shape = "a number" if name in scalars else "a flat list of numbers"
+            raise ValueError(f"plan {name}: expected {shape}")
+    if not all(zv in (0, 1) for zv in plan.z.values()):
+        raise ValueError("plan z: expected 0 (open) or 1 (closed) per branch")
+    if not all(isinstance(b, int) for b in plan.xfmr_branches.values()):
+        raise ValueError("plan xfmr_branches: expected integer branch ids")
     T = len(times)
     if np.shape(plan.times) != (T,) or not np.allclose(plan.times, times, rtol=0.0, atol=1e-9):
         raise ValueError(f"plan periods are not the {T} period midpoints of the "

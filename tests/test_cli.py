@@ -1,9 +1,13 @@
 """Command-line interface: pipelines, outputs, determinism, exit codes."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -167,19 +171,22 @@ def test_missing_file_exit_code(tmp_path):
     assert run(["dc", "--case", str(tmp_path / "nope.json"), "--field", "1"]) == 2
 
 
+# a load of 9 p.u. behind a generator of at most 1 p.u.: no plan serves it
+INFEASIBLE_CASE = {
+    "base_mva": 100.0,
+    "bus": [{"index": 1, "base_kv": 138.0, "bus_type": "slack"},
+            {"index": 2, "base_kv": 138.0, "pd": 9.0}],
+    "gen": [{"index": 1, "bus": 1, "pmin": 0, "pmax": 1.0}],
+    "branch": [{"index": 1, "f_bus": 1, "t_bus": 2, "b": 30.0,
+                "rating": 10.0, "switchable": True}],
+    "gmd_bus": [], "gmd_branch": [], "branch_gmd": [],
+    "branch_thermal": [], "bus_gmd": [],
+}
+
+
 def test_analysis_error_exit_code(tmp_path):
-    doc = {
-        "base_mva": 100.0,
-        "bus": [{"index": 1, "base_kv": 138.0, "bus_type": "slack"},
-                {"index": 2, "base_kv": 138.0, "pd": 9.0}],
-        "gen": [{"index": 1, "bus": 1, "pmin": 0, "pmax": 1.0}],
-        "branch": [{"index": 1, "f_bus": 1, "t_bus": 2, "b": 30.0,
-                    "rating": 10.0, "switchable": True}],
-        "gmd_bus": [], "gmd_branch": [], "branch_gmd": [],
-        "branch_thermal": [], "bus_gmd": [],
-    }
     case_path = tmp_path / "infeasible.json"
-    case_path.write_text(json.dumps(doc))
+    case_path.write_text(json.dumps(INFEASIBLE_CASE))
     rc = run(["mitigate", "--case", str(case_path), "--field", "1.0",
               "--dt", "60", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -419,6 +426,49 @@ def test_verify_rejects_non_finite_plan(workdir, capsys, key, value):
     assert "[ok]" not in capsys.readouterr().out
 
 
+def _first(doc, key, value):
+    """``doc`` with ``value`` at ``key``, or at its lowest id when ``key`` holds an id map."""
+    if isinstance(doc[key], dict):
+        doc[key][min(doc[key])] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit,expect", [
+    (lambda doc: [], "plan: expected a JSON object"),
+    (lambda doc: "plan", "plan: expected a JSON object"),
+    (lambda doc: None, "plan: expected a JSON object"),
+    (lambda doc: {**doc, "z": [1, 2]}, "plan z: expected an object of ids"),
+    (lambda doc: {**doc, "z": 7}, "plan z: expected an object of ids"),
+    (lambda doc: _first(doc, "objective", [1.0]), "plan objective: expected a number"),
+    (lambda doc: _first(doc, "gap", [[0.0]]), "plan gap: expected a number"),
+    (lambda doc: _first(doc, "xfmr_branches", [1]), "plan xfmr_branches: expected integer"),
+    (lambda doc: _first(doc, "z", 0.5), "plan z: expected 0 (open) or 1"),
+])
+def test_verify_malformed_plan_is_input_error(workdir, capsys, edit, expect):
+    """Valid JSON that is not a plan: not an object, an id map that is not
+    one, a list for a number, a fractional switch state."""
+    plan = _plan(workdir)
+    plan.write_text(json.dumps(edit(json.loads(plan.read_text()))))
+    capsys.readouterr()
+    rc = _verify(workdir, plan, "--dt", "30")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"input error: {expect}")
+
+
+def test_missing_coordinates_is_input_error(workdir, capsys):
+    doc = json.loads((workdir / "b4gic.json").read_text())
+    doc["bus_gmd"] = [row for row in doc["bus_gmd"] if row["bus"] != 1]
+    (workdir / "b4gic.json").write_text(json.dumps(doc))
+    rc = run(["dc", "--case", str(workdir / "b4gic.json"), "--field", "1",
+              "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and "no bus_gmd coordinates" in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
 def test_verify_tol_must_be_finite_and_non_negative(workdir, capsys, tol):
     plan = _plan(workdir)
@@ -427,6 +477,135 @@ def test_verify_tol_must_be_finite_and_non_negative(workdir, capsys, tol):
     captured = capsys.readouterr()
     assert rc == 2
     assert "--tol" in captured.err and "[ok]" not in captured.out
+
+
+# --- every subcommand ends in 0, 1 or 2, never in a traceback --------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_RAMP = "t_min,e_mag_vkm,e_dir_deg\n" + "\n".join(
+    f"{t},{3.2 * min(t, 360 - t) / 180},90" for t in range(0, 361, 30)) + "\n"
+
+
+@functools.cache
+def _b4gic_text() -> str:
+    from gicgrid.cases import b4gic
+    return serialize_case(b4gic())
+
+
+@functools.cache
+def _b4gic_plan_text() -> str:
+    """The plan ``mitigate`` writes for b4gic over _RAMP at --dt 30."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("case.json", _b4gic_text()), ("ramp.csv", _RAMP)):
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["mitigate", "--case", os.path.join(tmp, "case.json"), "--dt", "30",
+                        "--scenario", os.path.join(tmp, "ramp.csv"), "--out", tmp]) == 0
+        with open(os.path.join(tmp, "plan.json")) as fh:
+            return fh.read()
+
+
+@st.composite
+def _malformed(draw, valid):
+    """``valid()``'s JSON with one value replaced or one key dropped, or any JSON or text."""
+    kind = draw(st.sampled_from(["edit", "edit", "drop", "json", "text"]))
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    doc = json.loads(valid())
+    key = draw(st.sampled_from(sorted(doc)))
+    if kind == "drop":
+        del doc[key]
+    elif isinstance(doc[key], list) and doc[key] and draw(st.booleans()):
+        k = draw(st.integers(0, len(doc[key]) - 1))  # one field of one table row
+        if isinstance(doc[key][k], dict):
+            doc[key][k][draw(st.sampled_from(sorted(doc[key][k])))] = draw(_JSON)
+        else:
+            doc[key][k] = draw(_JSON)
+    elif isinstance(doc[key], dict) and doc[key] and draw(st.booleans()):
+        doc[key][draw(st.sampled_from(sorted(doc[key])))] = draw(_JSON)  # one id of a map
+    else:
+        doc[key] = draw(_JSON)
+    return json.dumps(doc)
+
+
+_BAD_SCENARIOS = st.one_of(
+    st.just("t_min,e_mag_vkm,e_dir_deg\n"),
+    st.lists(st.tuples(st.floats(0, 720), st.floats(-10, 10), st.floats())
+             | st.tuples(st.text(max_size=3), st.text(max_size=3)), min_size=1, max_size=6)
+    .map(lambda rows: "t_min,e_mag_vkm,e_dir_deg\n" + "\n".join(map(
+        lambda r: ",".join(map(str, r)), rows))),
+    st.text(max_size=30))
+_ODD_NUMBERS = st.sampled_from([0.0, -2.0, 1e13, 1e307, float("nan"), float("inf")]) | st.floats()
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(command, case, scenario, plan, field, dir, dt, solver) with at most one
+    malformed input: the case, the scenario, the plan or the options."""
+    fault = draw(st.sampled_from(["none", "case", "scenario", "plan", "plan", "options"]))
+    command = "verify" if fault == "plan" else draw(
+        st.sampled_from(["dc", "ac", "thermal", "mitigate", "verify"]))
+    case = (draw(_malformed(_b4gic_text)) if fault == "case" else
+            draw(st.sampled_from([_b4gic_text(), _b4gic_text(), json.dumps(INFEASIBLE_CASE)])))
+    scenario = draw(_BAD_SCENARIOS if fault == "scenario"
+                    else st.sampled_from([_RAMP, _RAMP, None]))
+    plan = draw(_malformed(_b4gic_plan_text)) if fault == "plan" else _b4gic_plan_text()
+    if fault == "options":
+        field, direction = draw(st.none() | _ODD_NUMBERS), draw(st.none() | _ODD_NUMBERS)
+        dt = draw(st.sampled_from([0.0, -30.0, 200.0, float("nan"), float("inf")])
+                  | st.floats(20, 90))
+    else:
+        field = draw(st.none() | st.floats(0, 5))
+        direction = draw(st.none() | st.floats(0, 360))
+        dt = draw(st.sampled_from([30.0, 30.0, 20.0, 45.0, 60.0]))
+    solver = draw(st.sampled_from(["bb", "enum"]))
+    return command, case, scenario, plan, field, direction, dt, solver
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cli_inputs())
+@example(("mitigate", json.dumps(INFEASIBLE_CASE), None, None, 1.0, None, 60.0, "bb"))
+def test_cli_exits_0_1_2_without_traceback(inputs):
+    """Any case, scenario and plan file and any --field, --dir and --dt: the
+    exit code is 0, 1 (analysis failure, with the probes of an infeasible
+    model) or 2 (input error), and nothing escapes ``run`` as a traceback."""
+    command, case, scenario, plan, field, direction, dt, solver = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, f"--dt={dt}", "--out", os.path.join(tmp, "out")]
+        files = {"case": case, "scenario": scenario if command != "ac" else None,
+                 "plan": plan if command == "verify" else None}
+        for name, text in files.items():
+            if text is not None:
+                path = os.path.join(tmp, name)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv.append(f"--{name}={path}")
+        argv += [f"--{k}={v}" for k, v in (("field", field), ("dir", direction)) if v is not None]
+        if command == "mitigate":
+            argv.append(f"--solver={solver}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith("input error: ")
+    elif rc == 1 and command == "verify" and not err:
+        assert "[VIOLATION]" in out
+    elif rc == 1:
+        assert err.startswith("analysis error: ")
+        if "infeasible" in err.splitlines()[0] or "no feasible" in err.splitlines()[0]:
+            assert err.splitlines()[1].startswith("  probes: {")
+    else:
+        assert not err
 
 
 @settings(max_examples=300, deadline=None)

@@ -509,3 +509,36 @@ def test_build_model_arrays_pinned(name, request):
     got.update({k: _sha256(getattr(lp, k)) for k in ("b_ub", "b_eq", "lb", "ub", "c")})
     got["classes"] = _sha256(json.dumps(model.classes).encode())
     assert got == _PINNED[name]
+
+
+@pytest.mark.parametrize("dt,periods", [(30.0, 12), (2.5, 144)])
+def test_highs_milp_oracle_above_enumeration_cap(epri21_case, dt, periods):
+    """scipy's HiGHS MILP on the same model, with integrality on the z columns,
+    is the oracle where enumerating the 2^7 topologies (128 LPs at T=144)
+    costs too much for a test: the same model objective within the B&B's
+    1e-4 gap, and an opened set that criterion 6 accepts."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
+    assert model.n_periods == periods
+    plan = solve(model)
+
+    lp = model.lp
+    integrality = np.zeros(lp.n)
+    integrality[list(model.z_col.values())] = 1
+    ref = milp(lp.c, integrality=integrality, bounds=Bounds(lp.lb, lp.ub),
+               constraints=[LinearConstraint(lp.A_ub, -np.inf, lp.b_ub),
+                            LinearConstraint(lp.A_eq, lp.b_eq, lp.b_eq)],
+               options={"mip_rel_gap": 1e-6})
+    assert ref.status == 0, ref.message
+    assert abs(plan.model_objective - ref.fun) <= 1e-4 * max(1.0, abs(ref.fun))
+    if periods == 144:
+        assert plan.model_objective == pytest.approx(63032.688, abs=1e-3)
+
+    z = {bid: round(ref.x[col]) for bid, col in model.z_col.items()}
+    assert all(abs(ref.x[col] - z[bid]) <= 1e-6 for bid, col in model.z_col.items())
+    for opened in (sorted(b for b, v in z.items() if v == 0),
+                   sorted(b for b, v in plan.z.items() if v == 0)):
+        assert len(opened) == 2 and opened[0] in (7, 8) and opened[1] == 9
