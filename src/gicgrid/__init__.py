@@ -18,7 +18,7 @@ _EXPORTS = {
              "ThermalData", "estimate_missing_gsu", "load_scenario", "load_scenario_file",
              "make_ramp_scenario", "parse_case", "parse_case_file", "serialize_case"),
     "dcnet": ("DcSystem", "FieldVector", "GicSolution", "assemble", "branch_lengths",
-              "effective_gic", "induced_voltage", "solve_dc"),
+              "effective_gic", "solve_dc"),
     "coupling": ("AcSolution", "PowerFlowError", "QLoss", "ac_power_flow", "qloss",
                  "sequential_gic_ac"),
     "thermal": ("ThermalTrace", "TransformerTrace", "apparent_power", "hotspot_rise",

@@ -256,7 +256,6 @@ def _jacobian(Y, vm, va, ang_idx, mag_idx):
 
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
-                      overrides: Mapping[int, float] | None = None,
                       topology: Mapping[int, int] | None = None,
                       tol: float = 1e-8, max_iter: int = 30):
     """Sequential quasi-dc then ac analysis for one time point.
@@ -269,7 +268,7 @@ def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
     Returns (GicSolution with effective currents, final QLossMap,
     AcSolution).
     """
-    sys = assemble(case, field, overrides=overrides, topology=topology)
+    sys = assemble(case, field, topology=topology)
     sol = solve_dc(sys)
     sol = sol.with_effective(effective_gic(case, sol))
 

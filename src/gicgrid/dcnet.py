@@ -9,9 +9,11 @@ I_e = a_e (V_f - V_t + V_src).
 
 For a fixed topology G does not depend on the field, and J is linear in
 (E_north, E_east) and in each override voltage (the nodal admittance
-method of Lehtinen & Pirjola, 1985).  ``solve_series`` therefore factors
-G once per topology and superposes basis solutions over a time series;
-``solve_dc`` is the same code with one right-hand side.
+method of Lehtinen & Pirjola, 1985).  ``assemble`` builds the solve set
+of a topology once as arrays, with one superposition basis of source
+voltages; ``solve_series`` factors G once and superposes the basis
+solutions over a time series, and ``solve_dc`` is the same code with the
+one right-hand side of a single time point.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .data import (ABSENT, BranchGmdData, CaseData, CaseReferenceError, FieldSce
 __all__ = [
     "EARTH_RADIUS_KM",
     "FieldVector",
-    "DcEdge",
     "DcSystem",
     "GicSolution",
     "GicSeries",
@@ -39,8 +40,6 @@ __all__ = [
     "MissingCoordinates",
     "branch_lengths",
     "displacement",
-    "induced_voltage",
-    "branch_voltage",
     "assemble",
     "solve_dc",
     "solve_series",
@@ -48,14 +47,13 @@ __all__ = [
     "effective_gic",
     "winding_weights",
     "winding_ids",
-    "transformer_windings",
 ]
 
 EARTH_RADIUS_KM = 6371.0
 
 
 class SingularNetworkError(ArithmeticError):
-    """Raised when an ungrounded dc component is solved with pinning disabled."""
+    """Raised when the pinned dc conductance matrix cannot be solved accurately."""
 
 
 def branch_lengths(case: CaseData, branch: GmdBranch) -> tuple[float, float]:
@@ -90,144 +88,141 @@ class MissingCoordinates(CaseReferenceError, LookupError):
     """A branch endpoint bus lacks bus_gmd coordinates (bad input: exit 2)."""
 
 
-def induced_voltage(e_mag: float, e_dir_deg: float, l_n: float, l_e: float) -> float:
-    """Series voltage [V] induced on a branch by a uniform field.
-
-    The direction is a geographic bearing (clockwise from north), resolved
-    by ``FieldVector.from_mag_dir``: V = E_N L_N + E_E L_E.
-    """
-    if e_mag < 0:
-        raise ValueError("field magnitude must be >= 0")
-    e_north, e_east = FieldVector.from_mag_dir(e_mag, e_dir_deg)
-    return e_north * l_n + e_east * l_e
-
-
 def winding_ids(row: BranchGmdData) -> tuple[int, ...]:
     """gmd_branch ids acting as transformer windings for a branch_gmd row."""
     return tuple(w for w in (row.gmd_br_hi, row.gmd_br_lo,
                              row.gmd_br_se, row.gmd_br_co) if w != ABSENT)
 
 
-def branch_voltage(case: CaseData, branch: GmdBranch, field: FieldVector | None,
-                   overrides: Mapping[int, float] | None = None,
-                   winding_set: frozenset[int] | None = None) -> float:
-    """Induced voltage for one gmd branch under the given field.
-
-    Precedence: per-branch override, else uniform-field projection, else
-    the stored br_v.  Transformer windings always get 0 under a uniform
-    field (their length is negligible).  The projection uses the bearing
-    from the endpoint coordinates but rescales the displacement to the
-    stored len_km when present, so the case's authoritative route length
-    is honored.
-    """
-    if overrides and branch.index in overrides:
-        return overrides[branch.index]
-    if field is None:
-        return branch.br_v
-    if winding_set is None:
-        winding_set = transformer_windings(case)
-    if branch.index in winding_set:
-        return 0.0
-    l_n, l_e = branch_lengths(case, branch)
-    norm = math.hypot(l_n, l_e)
-    if branch.len_km > 0 and norm > 0:
-        scale = branch.len_km / norm
-        l_n, l_e = l_n * scale, l_e * scale
-    # components already folded into the field vector; project directly
-    return field.e_north * l_n + field.e_east * l_e
-
-
-def transformer_windings(case: CaseData) -> frozenset[int]:
-    """gmd_branch ids of every transformer winding in the case."""
-    ids: set[int] = set()
-    for row in case.branch_gmd:
-        if row.is_xfmr:
-            ids.update(winding_ids(row))
-    return frozenset(ids)
-
-
-@dataclass(frozen=True)
-class DcEdge:
-    index: int        # gmd_branch id
-    f: int            # row in the node ordering
-    t: int
-    a: float          # admittance [S]
-    v_src: float      # series induced voltage [V]
-    parent: int       # ac branch id or -1
-
-
 @dataclass(frozen=True)
 class DcSystem:
-    """Assembled dc nodal system G V = J."""
+    """The dc solve set of one topology as arrays, and its series sources.
+
+    Nodes are the in-service gmd buses; edges are the gmd branches in
+    service under the topology, f -> t.  ``sources`` holds the series edge
+    voltage of each superposition basis (see ``assemble``) and ``v_src``
+    their weighted sum at the one time point assembled.
+    """
 
     node_ids: tuple[int, ...]          # gmd_bus ids in matrix order
-    index: Mapping[int, int]           # gmd_bus id -> row
-    edges: tuple[DcEdge, ...]
-    ground: np.ndarray                 # per-node grounding admittance [S]
+    ground: np.ndarray                 # (nodes,) grounding admittance [S]
+    comp: np.ndarray                   # (nodes,) connected-component label, in order of first row
+    branch_ids: tuple[int, ...]        # gmd_branch ids in edge order
+    f: np.ndarray                      # (edges,) from row
+    t: np.ndarray                      # (edges,) to row
+    a: np.ndarray                      # (edges,) admittance [S]
+    parent: np.ndarray                 # (edges,) ac branch id or -1
+    lengths: np.ndarray | None         # (edges, 2) north/east route length the field sees [km]
+    sources: np.ndarray                # (edges, B) series voltage of each basis [V]
+    v_src: np.ndarray                  # (edges,) series voltage at this time point [V]
 
     @property
     def incidence(self) -> sp.csr_matrix:
         """Node-by-edge incidence: -1 at each edge's f row, +1 at its t row."""
-        m = len(self.edges)
-        rows = [e.f for e in self.edges] + [e.t for e in self.edges]
-        cols = np.r_[np.arange(m), np.arange(m)]
-        return sp.csr_matrix((np.r_[-np.ones(m), np.ones(m)], (rows, cols)),
+        m = len(self.f)
+        return sp.csr_matrix((np.r_[-np.ones(m), np.ones(m)],
+                              (np.r_[self.f, self.t], np.r_[np.arange(m), np.arange(m)])),
                              shape=(len(self.node_ids), m))
 
     def conductance(self) -> sp.csr_matrix:
         """Sparse conductance matrix G [S]: edge admittances plus grounding."""
         A = self.incidence
-        return A @ sp.diags([e.a for e in self.edges]) @ A.T + sp.diags(self.ground)
-
-    @property
-    def G(self) -> np.ndarray:
-        """Conductance matrix [S] as a dense array."""
-        return self.conductance().toarray()
-
-    @property
-    def J(self) -> np.ndarray:
-        """Norton injections [A]: a source v on edge f->t drives a*v from f into t."""
-        return self.incidence @ np.array([e.a * e.v_src for e in self.edges])
+        return A @ sp.diags(self.a) @ A.T + sp.diags(self.ground)
 
 
 def assemble(case: CaseData, field: FieldVector | None = None, *,
              overrides: Mapping[int, float] | None = None,
              topology: Mapping[int, int] | None = None) -> DcSystem:
-    """Build the dc nodal system for one time point.
+    """Build the dc solve set of one topology and its sources at one time point.
 
     ``topology`` optionally overrides the nominal status per ac branch id
     (1 in service, 0 open); gmd branches whose parent is open, whose own
     status is 0, or whose parent is a series-capacitor branch are left
-    out of the solve set.  With ``field`` None and no overrides the stored
-    br_v values drive the solve.
+    out of the solve set.  The sources follow the superposition basis of
+    ``_sources`` (unit north and east fields, or the stored br_v without a
+    field, then a unit voltage per override), and ``v_src`` weighs them by
+    the field components and the override voltages.
     """
-    nodes = tuple(b.index for b in case.gmd_buses if b.status)
-    index = {n: i for i, n in enumerate(nodes)}
-    ground = np.array([b.g_gnd for b in case.gmd_buses if b.status], dtype=float)
+    nodes = [b for b in case.gmd_buses if b.status]
+    node_ids = tuple(b.index for b in nodes)
+    index = {n: i for i, n in enumerate(node_ids)}
+    series_cap_branches = {row.branch for row in case.branch_gmd if row.type == "series_cap"}
+    status = topology or {}
 
-    series_cap_branches = {row.branch for row in case.branch_gmd
-                           if row.type == "series_cap"}
-    winding_set = transformer_windings(case)
-
-    edges = []
-    for e in case.gmd_branches:
+    def in_service(e: GmdBranch) -> bool:
         if not e.status:
-            continue
-        if e.parent != ABSENT:
-            if e.parent in series_cap_branches:
-                continue
-            z = case.ac_branch(e.parent).status
-            if topology is not None and e.parent in topology:
-                z = topology[e.parent]
-            if not z:
-                continue
-        if e.f_bus not in index or e.t_bus not in index:
-            continue
-        v = branch_voltage(case, e, field, overrides, winding_set)
-        edges.append(DcEdge(index=e.index, f=index[e.f_bus], t=index[e.t_bus], a=e.a, v_src=v,
-                            parent=e.parent))
+            return False
+        if e.parent != ABSENT and (e.parent in series_cap_branches
+                                   or not status.get(e.parent, case.ac_branch(e.parent).status)):
+            return False
+        return e.f_bus in index and e.t_bus in index
 
-    return DcSystem(node_ids=nodes, index=index, edges=tuple(edges), ground=ground)
+    edges = [e for e in case.gmd_branches if in_service(e)]
+    f = np.array([index[e.f_bus] for e in edges], dtype=int)
+    t = np.array([index[e.t_bus] for e in edges], dtype=int)
+    comp = np.zeros(len(node_ids), dtype=int)
+    for k, members in enumerate(component_groups(range(len(nodes)), zip(f.tolist(), t.tolist()))):
+        comp[members] = k
+    over = dict(overrides or {})
+    lengths = None if field is None else _route_lengths(case, edges, over)
+    sources = _sources(case, edges, lengths, over)
+    weights = [1.0] if field is None else [field.e_north, field.e_east]
+    v_src = sum((w * col for w, col in zip(weights + list(over.values()), sources.T)),
+                np.zeros(len(edges)))
+    return DcSystem(node_ids=node_ids,
+                    ground=np.array([b.g_gnd for b in nodes], dtype=float), comp=comp,
+                    branch_ids=tuple(e.index for e in edges), f=f, t=t,
+                    a=np.array([e.a for e in edges], dtype=float),
+                    parent=np.array([e.parent for e in edges], dtype=int),
+                    lengths=lengths, sources=sources, v_src=v_src)
+
+
+def _route_lengths(case: CaseData, edges: list[GmdBranch],
+                   overrides: Mapping[int, float]) -> np.ndarray:
+    """(L_N, L_E) [km] per edge as a uniform field sees it.
+
+    The bearing comes from the endpoint coordinates, rescaled to the stored
+    len_km when present, so the case's authoritative route length is
+    honored.  Transformer windings (negligible length) and overridden edges
+    take no field: 0, and their coordinates are not needed.
+    """
+    windings = {w for row in case.branch_gmd if row.is_xfmr for w in winding_ids(row)}
+    out = np.zeros((len(edges), 2))
+    for k, e in enumerate(edges):
+        if e.index in windings or e.index in overrides:
+            continue
+        l_n, l_e = branch_lengths(case, e)
+        norm = math.hypot(l_n, l_e)
+        if e.len_km > 0 and norm > 0:
+            scale = e.len_km / norm
+            l_n, l_e = l_n * scale, l_e * scale
+        out[k] = l_n, l_e
+    return out
+
+
+def _sources(case: CaseData, edges: list[GmdBranch], lengths: np.ndarray | None,
+             overrides: Mapping[int, float]) -> np.ndarray:
+    """Series edge voltages [V] of each superposition basis, edges x B.
+
+    With ``lengths`` the first two bases are a unit north and a unit east
+    field, V = E_N L_N + E_E L_E; without, the first is the stored br_v.
+    Each override then adds a unit voltage on its edge and holds that edge
+    at 0 V in the first bases, so override > field > stored br_v.  An
+    override naming no gmd_branch of the case raises CaseReferenceError; one
+    on a branch outside the solve set is inert.
+    """
+    unknown = sorted(set(overrides) - {e.index for e in case.gmd_branches})
+    if unknown:
+        raise CaseReferenceError(f"voltage override: gmd_branch id {unknown[0]} does not exist")
+    ids = np.array([e.index for e in edges], dtype=int)
+    overridden = np.isin(ids, list(overrides))
+    if lengths is None:
+        base = [np.array([e.br_v for e in edges], dtype=float)]
+    else:  # E_N L_N + E_E L_E at E = (1, 0) and (0, 1), term by term: L_N alone
+        north, east = lengths.T  # would differ from that sum in the sign of a zero
+        base = [1.0 * north + 0.0 * east, 0.0 * north + 1.0 * east]
+    return np.column_stack([np.where(overridden, 0.0, col) for col in base]
+                           + [(ids == b).astype(float) for b in overrides])
 
 
 @dataclass(frozen=True)
@@ -255,8 +250,8 @@ class GicSeries:
     kcl_residual: np.ndarray              # (T,) [A]
 
 
-def _solve(sys: DcSystem, sources: np.ndarray, coeffs: np.ndarray,
-           pin_floating: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(sys: DcSystem, sources: np.ndarray,
+           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor G once and superpose k basis solutions over T time points.
 
     ``sources`` (edges x k) are the series edge voltages of each basis and
@@ -267,22 +262,20 @@ def _solve(sys: DcSystem, sources: np.ndarray, coeffs: np.ndarray,
     n, T = len(sys.node_ids), coeffs.shape[0]
     if n == 0:  # no nodes, so no edges
         return np.zeros((T, 0)), np.zeros((T, 0)), np.zeros(T)
-    f = np.array([e.f for e in sys.edges], dtype=int)
-    t = np.array([e.t for e in sys.edges], dtype=int)
-    a = np.array([e.a for e in sys.edges])
+    f, t, a = sys.f, sys.t, sys.a
     incidence = sys.incidence
-    J = incidence @ (a[:, None] * sources)  # as DcSystem.J, one column per basis
+    # Norton injections: a source v on edge f->t drives a*v from f into t
+    J = incidence @ (a[:, None] * sources)
+    grounded = np.zeros(sys.comp.max() + 1, dtype=bool)
+    grounded[sys.comp[sys.ground > 0]] = True
+    floating = np.flatnonzero(~grounded)
+    # a floating component of several nodes is reported at the caller of solve_dc / solve_series
+    for k in floating[np.bincount(sys.comp)[floating] > 1]:
+        node_ids = sorted(sys.node_ids[i] for i in np.flatnonzero(sys.comp == k))
+        warnings.warn(f"pinning ungrounded dc component (gmd buses {node_ids}) to 0 V",
+                      stacklevel=3)
     keep = np.ones(n)
-    for members in component_groups(range(n), zip(f.tolist(), t.tolist())):
-        if any(sys.ground[i] > 0 for i in members):
-            continue
-        node_ids = sorted(sys.node_ids[i] for i in members)
-        if not pin_floating:
-            raise SingularNetworkError(f"dc component with no ground path: gmd buses {node_ids}")
-        if len(members) > 1:  # reported at the caller of solve_dc / solve_series
-            warnings.warn(f"pinning ungrounded dc component (gmd buses {node_ids}) to 0 V",
-                          stacklevel=3)
-        keep[members[0]] = 0.0
+    keep[np.unique(sys.comp, return_index=True)[1][floating]] = 0.0
     # a pinned row keeps only its diagonal: V = 0 there, currents unaffected
     G = sp.diags(keep) @ sys.conductance() @ sp.diags(keep) + sp.diags(1.0 - keep)
     try:
@@ -305,20 +298,17 @@ def _solve(sys: DcSystem, sources: np.ndarray, coeffs: np.ndarray,
     return V, I, residual
 
 
-def solve_dc(sys: DcSystem, *, pin_floating: bool = True) -> GicSolution:
-    """Solve G V = J and recover branch currents.
+def solve_dc(sys: DcSystem) -> GicSolution:
+    """Solve G V = J at the system's one time point and recover branch currents.
 
     Connected components without any path to ground have no unique
     potential reference; the lowest-row node of each such component is
-    pinned to 0 V (currents are unaffected).  With ``pin_floating`` False
-    a SingularNetworkError names the offending component instead.
+    pinned to 0 V (currents are unaffected).
     """
-    v_src = np.array([e.v_src for e in sys.edges]).reshape(-1, 1)
-    V, I, residual = _solve(sys, v_src, np.ones((1, 1)), pin_floating)
-    return GicSolution(
-        node_voltages={nid: float(v) for nid, v in zip(sys.node_ids, V[0])},
-        branch_currents={e.index: float(i) for e, i in zip(sys.edges, I[0])},
-        kcl_residual=float(residual[0]))
+    V, I, residual = _solve(sys, sys.v_src[:, None], np.ones((1, 1)))
+    return GicSolution(node_voltages=dict(zip(sys.node_ids, V[0].tolist())),
+                       branch_currents=dict(zip(sys.branch_ids, I[0].tolist())),
+                       kcl_residual=float(residual[0]))
 
 
 def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
@@ -327,15 +317,14 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
 
     ``fields`` is a FieldScenario (field and overrides interpolated at
     ``times``), an array of (e_north, e_east) [V/km] rows, one per time, or
-    None for the stored br_v values.  The bases are unit E_north and unit
-    E_east with overridden branches held at 0 V, plus a unit voltage on
-    each overridden branch; every time point is their weighted sum.
+    None for the stored br_v values.  Every time point is a weighted sum of
+    the bases of ``source_basis``.
     """
     sys, sources, coeffs = source_basis(case, fields, times, topology=topology)
-    V, I, residual = _solve(sys, sources, coeffs, pin_floating=True)
-    ids = [e.index for e in sys.edges]
-    return GicSeries(node_ids=sys.node_ids, branch_ids=tuple(ids), V=V, I=I,
-                     effective=_effective(case, dict(zip(ids, I.T)), np.zeros(len(coeffs))),
+    V, I, residual = _solve(sys, sources, coeffs)
+    return GicSeries(node_ids=sys.node_ids, branch_ids=sys.branch_ids, V=V, I=I,
+                     effective=_effective(case, dict(zip(sys.branch_ids, I.T)),
+                                          np.zeros(len(coeffs))),
                      kcl_residual=residual)
 
 
@@ -344,29 +333,23 @@ def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, time
                  ) -> tuple[DcSystem, np.ndarray, np.ndarray]:
     """The superposition basis of ``solve_series``, without solving it.
 
-    Returns the assembled system of the first basis, the series edge
-    voltages of each basis (edges x k) and their weights per time point
-    (T x k), so ``coeffs @ sources.T`` are the edge source voltages at
-    every time.
+    Returns the assembled system, the series edge voltages of each basis
+    (edges x k: unit E_north and unit E_east, or the stored br_v without
+    fields, then a unit voltage per overridden branch) and their weights per
+    time point (T x k), so ``coeffs @ sources.T`` are the edge source
+    voltages at every time.
     """
     times = np.asarray(times, dtype=float)
     over = fields.overrides_series(times) if isinstance(fields, FieldScenario) else {}
-    if fields is None:
-        sys = assemble(case, topology=topology)
-        columns = [[e.v_src for e in sys.edges]]
-        coeffs = np.ones((len(times), 1))
-    else:
-        if isinstance(fields, FieldScenario):
-            fields = fields.series(times)
-        held = {b: 0.0 for b in over}
-        sys = assemble(case, FieldVector(1.0, 0.0), overrides=held, topology=topology)
-        east = assemble(case, FieldVector(0.0, 1.0), overrides=held, topology=topology).edges
-        columns = [[e.v_src for e in sys.edges], [e.v_src for e in east]]
-        coeffs = np.column_stack([np.reshape(fields, (-1, 2))] + list(over.values()))
-    ids = np.array([e.index for e in sys.edges], dtype=int)
-    sources = np.column_stack([np.array(c, dtype=float) for c in columns]
-                              + [(ids == b).astype(float) for b in over])
-    return sys, sources, coeffs
+    if isinstance(fields, FieldScenario):
+        fields = fields.series(times)
+    # the basis depends only on whether a field acts and which branches are
+    # overridden, so any one time point builds it: here zero field and zero
+    # override voltages
+    sys = assemble(case, None if fields is None else FieldVector(0.0, 0.0),
+                   overrides=dict.fromkeys(over, 0.0), topology=topology)
+    first = np.ones((len(times), 1)) if fields is None else np.reshape(fields, (-1, 2))
+    return sys, sys.sources, np.column_stack([first] + list(over.values()))
 
 
 def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, float], ...]:

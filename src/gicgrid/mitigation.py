@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData,
-                   component_groups)
+from .data import ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData
 from .coupling import slack_reachable
-from .dcnet import solve_series, source_basis, winding_ids, winding_weights
+from .dcnet import DcSystem, solve_series, source_basis, winding_ids, winding_weights
 from .lp import LpProblem, lp_solve
 from .thermal import TopOil, hotspot_temp, steady_rise
 
@@ -110,8 +109,7 @@ class OtsModel:
     gens: list
     branches: list[AcBranch]        # in-service ac branches
     switchable: list[int]           # ac branch ids with binaries, sorted
-    dc_nodes: list                  # GmdBus rows in the model
-    dc_edges: list                  # (GmdBranch, vsrc array [T], z_branch or None)
+    dc: DcSystem                    # the dc solve set: nodes, edges and source basis
     coeffs: np.ndarray              # T x B: basis weights per period (v and i are per basis)
     xfmrs: list[_XfmrEntry]
     eff_weights: sp.csr_matrix      # xfmrs x dc edges: winding currents -> signed Ieff
@@ -197,15 +195,10 @@ def build_model(case: CaseData, scenario: FieldScenario,
     # dc side: the dc engine's nominal solve set and its superposition basis;
     # one switched circuit per basis (B = 2 + overrides), since for a fixed
     # topology the currents of period t are coeffs[t] @ the basis currents
-    dc_sys, sources, coeffs = source_basis(case, scenario, times)
-    dc_nodes = [case.gmd_bus(i) for i in dc_sys.node_ids]
-    fd = np.array([e.f for e in dc_sys.edges], dtype=int)
-    td = np.array([e.t for e in dc_sys.edges], dtype=int)
-    a = np.array([e.a for e in dc_sys.edges])
-    comp = np.zeros(len(dc_nodes), dtype=int)
-    for k, members in enumerate(component_groups(range(len(dc_nodes)), zip(fd, td))):
-        comp[members] = k
-    comp_edges = _mat((len(dc_nodes), len(fd)), comp[fd], np.arange(len(fd)), np.ones(len(fd)))
+    dc, sources, coeffs = source_basis(case, scenario, times)
+    fd, td, a, comp = dc.f, dc.t, dc.a, dc.comp
+    Nd, Ed = len(dc.node_ids), len(dc.branch_ids)
+    comp_edges = _mat((Nd, Ed), comp[fd], np.arange(Ed), np.ones(Ed))
 
     def gap_m(emf):
         """Node voltage and edge voltage-gap bounds from edge EMF magnitudes:
@@ -219,22 +212,18 @@ def build_model(case: CaseData, scenario: FieldScenario,
         _, period_gap_m = gap_m(np.max(np.abs(vsrcs), axis=1))
         bad = np.flatnonzero(~np.isfinite(a * period_gap_m))  # NaN/inf voltages propagate here
     if bad.size:
-        raise ValueError(f"gmd_branch {dc_sys.edges[bad[0]].index}: induced voltage "
+        raise ValueError(f"gmd_branch {dc.branch_ids[bad[0]]}: induced voltage "
                          "not finite or too large for a finite big-M")
     node_m, edge_gap_m = gap_m(np.abs(sources))
     i_m = a[:, None] * edge_gap_m                 # dc current big-M per edge and basis
-    dc_edges = []
-    for d, vsrc in zip(dc_sys.edges, vsrcs):
-        zlink = d.parent if d.parent != ABSENT and case.ac_branch(d.parent).switchable else None
-        dc_edges.append((case.gmd_branch(d.index), vsrc, zlink))
 
     # transformers in the model: xfmr rows whose windings are all present;
     # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
-    edge_pos = {e.index: i for i, (e, _, _) in enumerate(dc_edges)}
+    edge_pos = {bid: k for k, bid in enumerate(dc.branch_ids)}
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if winding_ids(row) and all(w in edge_pos for w in winding_ids(row))]
     pairs = [winding_weights(case, row) for _, row in rows]
-    W = _mat((len(rows), len(dc_edges)), np.repeat(np.arange(len(rows)), [len(p) for p in pairs]),
+    W = _mat((len(rows), Ed), np.repeat(np.arange(len(rows)), [len(p) for p in pairs]),
              [edge_pos[wid] for p in pairs for wid, _ in p], [w for p in pairs for _, w in p])
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
     w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
@@ -257,7 +246,7 @@ def build_model(case: CaseData, scenario: FieldScenario,
                                 cap=cap, topoil=topoil, chords=chords))
 
     G, N, E = len(gens), len(buses), len(branches)
-    Nd, Ed, X = len(dc_nodes), len(dc_edges), len(xfmrs)
+    X = len(xfmrs)
     B = coeffs.shape[1]
     S = len(switchable)
 
@@ -377,7 +366,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
     # dc side, per basis: node-edge incidence (-1 at f, +1 at t) and
     # i = a (v_f - v_t + vsrc); a switched edge's big-M holds one per basis
     ohm_v = _ends((Ed, Nd), fd, td, -a, a)
-    links = [zl for _, _, zl in dc_edges]
+    links = [p if p != ABSENT and case.ac_branch(p).switchable else None
+             for p in dc.parent.tolist()]
     is_dsw = np.array([zl is not None for zl in links], dtype=bool)
     dsw, dfixed = np.flatnonzero(is_dsw), np.flatnonzero(~is_dsw)
     av, i_sw = a[:, None] * sources, i_m[dsw]
@@ -406,8 +396,8 @@ def build_model(case: CaseData, scenario: FieldScenario,
         block(held(np.zeros(len(fixed))),
               ("p_e", _expand(I_E[fixed], each)), ("theta", _expand(ohm_theta[fixed], each))),
         # dc KCL: sum(in) - sum(out) = a_i * V_i
-        block(np.zeros((Nd, B)), ("i", _expand(dc_sys.incidence, basis)),
-              ("v", _expand(_diag([-nd.g_gnd for nd in dc_nodes]), basis))),
+        block(np.zeros((Nd, B)), ("i", _expand(dc.incidence, basis)),
+              ("v", _expand(_diag(-dc.ground), basis))),
         # dc Ohm's law of the fixed edges
         block(av[dfixed],
               ("i", _expand(I_Ed[dfixed], basis)), ("v", _expand(ohm_v[dfixed], basis))),
@@ -468,7 +458,7 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
-                    dc_nodes=dc_nodes, dc_edges=dc_edges, coeffs=coeffs, xfmrs=xfmrs,
+                    dc=dc, coeffs=coeffs, xfmrs=xfmrs,
                     eff_weights=W, lp=lp, z_col=z_col, slices=slices, classes=classes,
                     primary_var_count=primary)
 

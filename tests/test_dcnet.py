@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.data import FieldSample, FieldScenario
-from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates,
-                           SingularNetworkError, assemble, branch_lengths,
-                           effective_gic, induced_voltage, solve_dc, solve_series)
+from gicgrid.data import ABSENT, CaseReferenceError, FieldSample, FieldScenario, load_scenario
+from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, assemble,
+                           branch_lengths, effective_gic, solve_dc, solve_series)
 
 from conftest import random_dc_case
 
@@ -53,63 +52,98 @@ def test_missing_coordinates_error(b4gic_case):
         branch_lengths(case, case.gmd_branch(2))
 
 
-def test_induced_voltage_eastward():
-    assert induced_voltage(1.0, 90.0, 0.0, 170.788) == pytest.approx(170.788)
+def _v_src(sys):
+    return dict(zip(sys.branch_ids, sys.v_src.tolist()))
 
 
-def test_induced_voltage_zero_field():
-    assert induced_voltage(0.0, 123.0, 55.0, -70.0) == 0.0
+def _injections(sys):
+    """Norton injections J [A]: a source v on edge f->t drives a*v from f into t."""
+    return sys.incidence @ (sys.a * sys.v_src)
 
 
-def test_induced_voltage_peak_field():
-    assert induced_voltage(3.2, 90.0, 0.0, 170.788) == pytest.approx(546.52, abs=5e-3)
+def test_induced_voltage_eastward(b4gic_case):
+    # the 170.788 km east-west line under 1 V/km due east
+    sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
+    assert _v_src(sys)[2] == pytest.approx(170.788)
+
+
+def test_induced_voltage_zero_field(b4gic_case):
+    sys = assemble(b4gic_case, FieldVector.from_mag_dir(0.0, 123.0))
+    assert np.all(sys.v_src == 0.0)
+
+
+def test_induced_voltage_peak_field(b4gic_case):
+    sys = assemble(b4gic_case, FieldVector.from_mag_dir(3.2, 90.0))
+    assert _v_src(sys)[2] == pytest.approx(546.52, abs=5e-3)
 
 
 def test_induced_voltage_north_projection():
-    v = induced_voltage(2.0, 0.0, 100.0, 50.0)
-    assert v == pytest.approx(200.0, abs=1e-9)
+    # the line turned north-south: a northward field projects on L_N only,
+    # and the displacement is rescaled to the stored 170.788 km route
+    import json
+    from gicgrid.data import parse_case, serialize_case
+    from gicgrid.cases import b4gic
+    doc = json.loads(serialize_case(b4gic()))
+    doc["bus_gmd"][0] = {"bus": 1, "lat": 41.0, "lon": -89.0}
+    doc["bus_gmd"][1] = {"bus": 2, "lat": 40.0, "lon": -89.0}
+    sys = assemble(parse_case(json.dumps(doc)), FieldVector.from_mag_dir(2.0, 0.0))
+    k = sys.branch_ids.index(2)
+    assert sys.lengths[k] == pytest.approx([-170.788, 0.0], abs=1e-9)
+    assert sys.v_src[k] == pytest.approx(2.0 * -170.788, abs=1e-9)
 
 
 def test_assemble_b4gic_structure(b4gic_case):
     sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
-    assert sys.G.shape == (6, 6)
+    G = sys.conductance().toarray()
+    assert G.shape == (6, 6)
     # Norton injections only at the line endpoints (gmd buses 3 and 4)
-    nz = {sys.node_ids[i] for i in np.nonzero(sys.J)[0]}
+    nz = {sys.node_ids[i] for i in np.nonzero(_injections(sys))[0]}
     assert nz == {3, 4}
-    assert np.allclose(sys.G, sys.G.T)
-    eigvals = np.linalg.eigvalsh(sys.G)
+    assert np.allclose(G, G.T)
+    eigvals = np.linalg.eigvalsh(G)
     assert eigvals.min() > -1e-12
     # row sums reduce to the grounding admittance: couplings cancel
-    assert np.allclose(sys.G.sum(axis=1), sys.ground)
+    assert np.allclose(G.sum(axis=1), sys.ground)
 
 
 def test_assemble_zero_field_zero_injection(b4gic_case):
     sys = assemble(b4gic_case, FieldVector.from_mag_dir(0.0, 90.0))
-    assert np.all(sys.J == 0.0)
+    assert np.all(_injections(sys) == 0.0)
 
 
 def test_assemble_injection_linearity(b4gic_case):
     one = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
     two = assemble(b4gic_case, FieldVector.from_mag_dir(2.0, 90.0))
-    assert np.allclose(two.J, 2.0 * one.J)
+    assert np.allclose(_injections(two), 2.0 * _injections(one))
 
 
 def test_assemble_override_precedence(b4gic_case):
     sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0),
                    overrides={2: 500.0})
-    edge = next(e for e in sys.edges if e.index == 2)
-    assert edge.v_src == 500.0
+    assert _v_src(sys)[2] == 500.0
 
 
 def test_assemble_without_field_uses_stored_voltage(b4gic_case):
     sys = assemble(b4gic_case)
-    edge = next(e for e in sys.edges if e.index == 2)
-    assert edge.v_src == 170.788
+    assert _v_src(sys)[2] == 170.788
+    assert sys.lengths is None  # no field, so no route lengths and no coordinates
 
 
 def test_assemble_respects_topology(b4gic_case):
     sys = assemble(b4gic_case, topology={2: 0})
-    assert all(e.index != 2 for e in sys.edges)
+    assert 2 not in sys.branch_ids
+
+
+def test_override_on_unknown_branch_is_reference_error(b4gic_case):
+    scenario = load_scenario("t_min,e_mag_vkm,e_dir_deg\n0,1,90\n",
+                             overrides_text="t_min,gmd_branch_id,volts\n0,999,100\n")
+    with pytest.raises(CaseReferenceError, match="999"):
+        solve_series(b4gic_case, scenario, [0.0])
+    with pytest.raises(CaseReferenceError, match="999"):
+        assemble(b4gic_case, FieldVector(1.0, 0.0), overrides={999: 100.0})
+    # an override on a branch the topology opens stays inert
+    sys = assemble(b4gic_case, FieldVector(1.0, 0.0), overrides={2: 100.0}, topology={2: 0})
+    assert 2 not in sys.branch_ids
 
 
 def test_solve_b4gic_loop(b4gic_case):
@@ -217,12 +251,12 @@ def _floating_case():
 
 def test_floating_component_pinned_with_warning():
     sys = assemble(_floating_case())
-    with pytest.warns(UserWarning, match="ungrounded"):
+    assert sys.comp.tolist() == [0, 0] and not np.any(sys.ground > 0)
+    with pytest.warns(UserWarning, match=r"ungrounded dc component \(gmd buses \[1, 2\]\)"):
         sol = solve_dc(sys)
-    # no ground path: the EMF cannot drive any current
+    # no ground path: the EMF cannot drive any current; the lowest row is pinned
     assert sol.branch_currents[1] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(SingularNetworkError, match="gmd buses"):
-        solve_dc(sys, pin_floating=False)
+    assert sol.node_voltages[1] == 0.0
 
 
 def test_isolated_gen_terminal_nodes_quiet(b4gic_case):
@@ -285,7 +319,7 @@ def test_kcl_at_every_node(seed):
     case = random_dc_case(np.random.default_rng(seed + 300))
     sys = assemble(case, FieldVector.from_mag_dir(2.5, 120.0))
     sol = solve_dc(sys)
-    assert sol.kcl_residual <= 1e-8 * max(np.abs(sys.J).max(), 1.0)
+    assert sol.kcl_residual <= 1e-8 * max(np.abs(_injections(sys)).max(), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -328,8 +362,8 @@ def _grounded_nodes(sys):
             x = parent[x]
         return x
 
-    for e in sys.edges:
-        parent[find(e.f)] = find(e.t)
+    for f, t in zip(sys.f.tolist(), sys.t.tolist()):
+        parent[find(f)] = find(t)
     roots_with_ground = {find(i) for i in range(len(sys.node_ids))
                          if sys.ground[i] > 0}
     return {sys.node_ids[i] for i in range(len(sys.node_ids))
@@ -386,7 +420,7 @@ def test_solve_series_matches_per_point_solves(inputs):
             assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
             assert np.max(np.abs(series.I[k] - i), initial=0.0) <= 1e-9 * scale
             assert np.max(np.abs(e_series - e), initial=0.0) <= 1e-9 * scale
-            j_scale = max(np.max(np.abs(sys.J), initial=0.0), 1.0)
+            j_scale = max(np.max(np.abs(_injections(sys)), initial=0.0), 1.0)
             assert series.kcl_residual[k] <= 1e-8 * j_scale
 
 
@@ -404,3 +438,104 @@ def test_solve_series_pins_floating_component_once():
         series = solve_series(case, None, [0.0, 1.0, 2.0])
     assert len(record) == 1
     assert np.all(series.I == 0.0)
+
+
+# -- independent oracle: a dense nodal solve built from the case rows ---------
+
+@st.composite
+def oracle_inputs(draw):
+    """A random network with random route lengths, stored voltages, ungrounded
+    nodes, opened branches and overrides, and a field or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = random_dc_case(rng)
+    unground = draw(st.sets(st.sampled_from([b.index for b in case.gmd_buses if b.g_gnd > 0])))
+    branches = tuple(dataclasses.replace(
+        e, len_km=float(rng.choice([0.0, rng.uniform(5.0, 400.0)])),
+        br_v=float(rng.uniform(-200.0, 200.0))) for e in case.gmd_branches)
+    case = dataclasses.replace(case, gmd_branches=branches, gmd_buses=tuple(
+        dataclasses.replace(b, g_gnd=0.0) if b.index in unground else b
+        for b in case.gmd_buses))
+    topology = {b: 0 for b in draw(st.sets(st.sampled_from([br.index for br in case.ac_branches])))}
+    overrides = {b: draw(st.floats(-500.0, 500.0, **FINITE))
+                 for b in draw(st.sets(st.sampled_from([e.index for e in branches]), max_size=4))}
+    field = draw(st.none() | st.tuples(st.floats(0.0, 10.0, **FINITE),
+                                       st.floats(0.0, 360.0, **FINITE)))
+    return case, field, overrides, topology
+
+
+def _dense_oracle(case, field, overrides, topology):
+    """Node voltages and branch currents from G V = J assembled densely from the
+    case rows, with the source precedence and the pinning applied here."""
+    nodes = [b.index for b in case.gmd_buses if b.status]
+    ground = [b.g_gnd for b in case.gmd_buses if b.status]
+    row = {n: i for i, n in enumerate(nodes)}
+    windings = {w for r in case.branch_gmd if r.type == "xfmr"
+                for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co) if w != ABSENT}
+    series_caps = {r.branch for r in case.branch_gmd if r.type == "series_cap"}
+    e_field = None if field is None else FieldVector.from_mag_dir(*field)
+    G = np.diag(ground)
+    J = np.zeros(len(nodes))
+    edges = []
+    for e in case.gmd_branches:
+        status = case.ac_branch(e.parent).status if e.parent != ABSENT else 1
+        if not (e.status and topology.get(e.parent, status) and e.parent not in series_caps
+                and e.f_bus in row and e.t_bus in row):
+            continue
+        if e.index in overrides:
+            v = overrides[e.index]
+        elif e_field is None:
+            v = e.br_v
+        elif e.index in windings:
+            v = 0.0
+        else:
+            l_n, l_e = branch_lengths(case, e)
+            norm = math.hypot(l_n, l_e)
+            if e.len_km > 0 and norm > 0:
+                l_n, l_e = l_n * e.len_km / norm, l_e * e.len_km / norm
+            v = e_field.e_north * l_n + e_field.e_east * l_e
+        f, t, a = row[e.f_bus], row[e.t_bus], 1.0 / e.br_r
+        G[[f, t], [f, t]] += a
+        G[[f, t], [t, f]] -= a
+        J[f] -= a * v
+        J[t] += a * v
+        edges.append((e.index, f, t, a, v))
+    # one pinned node per floating component: its lowest row, held at 0 V
+    label = list(range(len(nodes)))
+    for _, f, t, _, _ in edges:
+        old, new = label[t], label[f]
+        label = [new if x == old else x for x in label]
+    for comp in set(label):
+        members = [i for i in range(len(nodes)) if label[i] == comp]
+        if not any(ground[i] > 0 for i in members):
+            G[members[0], :] = 0.0
+            G[:, members[0]] = 0.0
+            G[members[0], members[0]] = 1.0
+            J[members[0]] = 0.0
+    V = np.linalg.solve(G, J)
+    return (dict(zip(nodes, V)),
+            {b: a * (V[f] - V[t] + v) for b, f, t, a, v in edges})
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_inputs())
+def test_solves_match_dense_oracle(inputs):
+    case, field, overrides, topology = inputs
+    v_ref, i_ref = _dense_oracle(case, field, overrides, topology)
+    scale = max(max(map(abs, v_ref.values()), default=0.0),
+                max(map(abs, i_ref.values()), default=0.0), 1.0)
+    e_field = None if field is None else FieldVector.from_mag_dir(*field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_dc(assemble(case, e_field, overrides=overrides, topology=topology))
+        got = [(sol.node_voltages, sol.branch_currents)]
+        if field is not None or not overrides:  # the series engine at one time point
+            fields = None if field is None else FieldScenario(
+                (FieldSample(0.0, *field),),
+                voltage_overrides={b: ((0.0, v),) for b, v in overrides.items()})
+            series = solve_series(case, fields, [0.0], topology=topology)
+            got.append((dict(zip(series.node_ids, series.V[0])),
+                        dict(zip(series.branch_ids, series.I[0]))))
+    for v, i in got:
+        assert v.keys() == v_ref.keys() and i.keys() == i_ref.keys()
+        assert max((abs(v[n] - v_ref[n]) for n in v_ref), default=0.0) <= 1e-9 * scale
+        assert max((abs(i[b] - i_ref[b]) for b in i_ref), default=0.0) <= 1e-9 * scale

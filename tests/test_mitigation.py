@@ -54,7 +54,7 @@ def test_variable_count_formula():
     model = build_model(case, scenario)
     T = model.n_periods
     G, N, E = len(model.gens), len(model.buses), len(model.branches)
-    Nd, Ed, X = len(model.dc_nodes), len(model.dc_edges), len(model.xfmrs)
+    Nd, Ed, X = len(model.dc.node_ids), len(model.dc.branch_ids), len(model.xfmrs)
     S, B = len(model.switchable), model.coeffs.shape[1]
     assert model.primary_var_count == T * (G + N + E + 2 * X) + B * (Nd + Ed) + S
     # every constraint references declared variables only
