@@ -57,6 +57,8 @@ def _meta_line(args, keys) -> str:
         parts.append(f"case_sha256={_sha256_file(args.case)}")
     if getattr(args, "scenario", None):
         parts.append(f"scenario_sha256={_sha256_file(args.scenario)}")
+    if getattr(args, "overrides", None):
+        parts.append(f"overrides_sha256={_sha256_file(args.overrides)}")
     for k in keys:
         v = getattr(args, k, None)
         if v is not None:
@@ -113,8 +115,10 @@ def _check_run_config(args) -> None:
 
 
 def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
+    if args.overrides and not args.scenario:
+        raise CaseError("--overrides needs a --scenario file")
     if args.scenario:
-        return load_scenario_file(args.scenario, dt=args.dt)
+        return load_scenario_file(args.scenario, dt=args.dt, overrides_path=args.overrides)
     if args.field is not None and require:
         return make_ramp_scenario(args.field, 180.0, 180.0, dt=args.dt,
                                   direction_deg=args.dir)
@@ -354,6 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", required=True, help="case JSON document")
         if scenario:
             p.add_argument("--scenario", help="field scenario CSV (t_min,e_mag_vkm,e_dir_deg)")
+            p.add_argument("--overrides", help="per-branch voltage overrides CSV "
+                                               "(t_min,gmd_branch_id,volts) for --scenario")
         p.add_argument("--field", type=float, default=None,
                        help="uniform field magnitude [V/km] (peak of a 3h/3h ramp "
                             "for scenario-driven commands)")

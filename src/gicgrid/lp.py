@@ -8,7 +8,11 @@ builders guarantee that via their big-M construction.
 An ``LpProblem`` keeps one HiGHS instance once it is first solved.  A
 later solve passes only the columns whose bounds changed, so dual simplex
 starts from the previous basis (Huangfu & Hall, 2018): a branch-and-bound
-node LP differs from the one before it in a few binaries' bounds.
+node LP differs from the one before it in a few binaries' bounds.  The
+first solve runs with HiGHS's defaults, presolve and dual steepest-edge
+pricing (Forrest & Goldfarb, 1992); the warm solves after it price by
+Devex, whose weights cost far less to keep up over the few iterations a
+warm solve takes.
 ``dataclasses.replace(prob)`` gives a copy with no instance, whose solves
 do not depend on any earlier ones.
 """
@@ -44,6 +48,7 @@ class LpProblem:
     # the HiGHS instance and the column bounds it holds, made by the first solve
     _highs: object = field(default=None, init=False, repr=False, compare=False)
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _devex: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -54,6 +59,9 @@ class LpProblem:
         if self._highs is None:
             self._highs = _load(self, lo, hi)
         else:
+            if not self._devex:
+                _price_by_devex(self._highs)
+                self._devex = True
             held_lo, held_hi = self._bounds
             cols = np.flatnonzero((held_lo != lo) | (held_hi != hi)).astype(np.int32)
             if cols.size:
@@ -102,7 +110,8 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
             return LpResult(status=status, objective=None, x=None,
                             message=h.modelStatusToString(h.getModelStatus()))
         if status == "optimal":
-            x = np.array(h.getSolution().col_value)
+            solution = h.getSolution()
+            x = np.array(solution.col_value)
             residual = _primal_residual(prob, x, lo, hi)
             if residual <= FEASIBILITY_TOL:
                 break
@@ -112,7 +121,7 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
         raise LpNumericalError(
             f"primal residual {residual:.3e} exceeds {FEASIBILITY_TOL:.0e}; "
             + _numerical_report(h))
-    row_dual = np.array(h.getSolution().row_dual)
+    row_dual = np.array(solution.row_dual)
     m_ub = 0 if prob.A_ub is None else prob.A_ub.shape[0]
     return LpResult(status="optimal", objective=float(h.getInfo().objective_function_value),
                     x=x, dual_ub=None if prob.A_ub is None else row_dual[:m_ub],
@@ -146,6 +155,18 @@ def _load(prob: LpProblem, lo: np.ndarray, hi: np.ndarray):
         raise LpNumericalError("HiGHS refused the LP: a coefficient or bound is beyond "
                                "its limits (1e15 for matrix entries)")
     return h
+
+
+def _price_by_devex(h) -> None:
+    """Switch a solved instance to Devex pricing and keep its basis.
+
+    HiGHS reads the pricing option only when its simplex solver starts
+    afresh, so the solver is cleared and the basis passed back in."""
+    basis = h.getBasis()
+    h.clearSolver()
+    h.setOptionValue("simplex_dual_edge_weight_strategy", 1)  # Devex
+    if basis.valid:
+        h.setBasis(basis)
 
 
 def _primal_residual(prob: LpProblem, x: np.ndarray, lo, hi) -> float:

@@ -96,6 +96,51 @@ def test_dc_sweep_matches_per_point_solves(workdir, b4gic_case):
                                                  rel=1e-9, abs=1e-9)
 
 
+def test_overrides_file_reaches_dc(workdir, b4gic_case):
+    """--overrides feeds a t_min,gmd_branch_id,volts file into the sweep: the
+    override row changes the output, which matches per-point library solves."""
+    over = workdir / "over.csv"
+    over.write_text("t_min,gmd_branch_id,volts\n0,2,500\n")
+    base = ["dc", "--case", str(workdir / "b4gic.json"),
+            "--scenario", str(workdir / "ramp.csv"), "--dt", "30"]
+    assert run(base + ["--out", str(workdir / "plain")]) == 0
+    assert run(base + ["--overrides", str(over), "--out", str(workdir / "over")]) == 0
+    meta = (workdir / "over" / "gic_branch.csv").read_text().splitlines()[0]
+    assert "overrides_sha256=" in meta
+    _, plain = _rows(workdir / "plain" / "gic_branch.csv")
+    _, rows = _rows(workdir / "over" / "gic_branch.csv")
+    assert rows != plain
+    scenario = load_scenario_file(str(workdir / "ramp.csv"), dt=30.0,
+                                  overrides_path=str(over))
+    for k, t in enumerate(scenario.grid()):
+        sol = solve_dc(assemble(b4gic_case, FieldVector(*scenario.at(t)),
+                                overrides=scenario.overrides_at(t)))
+        for row in rows[3 * k:3 * (k + 1)]:
+            tt, bid, i_dc, _ = row.split(",")
+            assert float(tt) == t
+            assert float(i_dc) == pytest.approx(sol.branch_currents[int(bid)],
+                                                rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("text,scenario,expect", [
+    ("t_min,gmd_branch_id,volts\n0,999,100\n", True, "gmd_branch id 999"),
+    (None, True, "No such file"),
+    ("t_min,gmd_branch_id,volts\n0,2,100\n", False, "--overrides needs a --scenario"),
+])
+def test_bad_overrides_file_is_input_error(workdir, capsys, text, scenario, expect):
+    over = workdir / "over.csv"
+    if text is not None:
+        over.write_text(text)
+    out = workdir / "never"
+    argv = ["dc", "--case", str(workdir / "b4gic.json"), "--overrides", str(over),
+            "--out", str(out)]
+    argv += ["--scenario", str(workdir / "ramp.csv")] if scenario else ["--field", "1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and expect in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_thermal_row_count(workdir):
     out = workdir / "th"
     rc = run(["thermal", "--case", str(workdir / "b4gic.json"),
@@ -266,6 +311,18 @@ def test_mitigate_shipped_benchmark(tmp_path):
     rc = run(["verify", "--case", case, "--scenario", scen, "--dt", "30",
               "--plan", str(out / "plan.json"), "--out", str(out)])
     assert rc == 0
+
+
+def test_mitigate_at_1e13_names_gic_cap(tmp_path, capsys):
+    """At a field of 1e13 V/km the eff_gic rows carry coefficients near 1e13;
+    the node LPs still resolve, and the probes name the GIC cap."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rc = run(["mitigate", "--case", os.path.join(here, "cases", "epri21.json"),
+              "--field", "1e13", "--dir", "90", "--dt", "30", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("analysis error: no feasible switching plan")
+    assert "'all_closed': 'gic_cap'" in err.splitlines()[1]
 
 
 def _mutated_case(workdir, table, field, value):
