@@ -26,7 +26,6 @@ _EXPORTS = {
     "mitigation": ("MitigationInfeasible", "MitigationPlan", "OtsModel", "OtsOptions",
                    "VerifyReport", "build_model", "enumerate_solve", "solve", "verify_plan"),
     "lp": ("LpProblem", "LpResult", "lp_solve"),
-    "cases": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

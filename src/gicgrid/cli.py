@@ -8,15 +8,16 @@ Subcommands map one-to-one onto the analysis pipelines:
 * ``mitigate``  time-extended switching optimization
 * ``verify``    independent re-check of a mitigation plan
 
-Outputs are plot-ready CSV/JSON files carrying a reproducibility header
-(input hashes and options, never timestamps), so identical inputs give
-byte-identical outputs.  Exit codes: 0 success, 1 analysis failure
-(non-convergence / infeasible), 2 input error.
+Outputs are plot-ready CSV tables and a JSON plan, each carrying a
+reproducibility header (input hashes and options, never timestamps), so
+identical inputs give byte-identical outputs.  Exit codes: 0 success,
+1 analysis failure (non-convergence / infeasible), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -81,23 +82,20 @@ def _cells(col: np.ndarray, spec: str = ".10g", each: int = 1) -> list[str]:
 
 
 def _write_table(args, name: str, columns: dict, meta: str) -> str:
-    """Write columns, {header: column} in order, as CSV or JSON per --format;
-    a column is an array, formatted by ``_cells``, or a list of text."""
+    """Write columns, {header: column} in order, as ``<name>.csv``; a column is
+    an array, formatted by ``_cells``, or a list of text.  The text is made a
+    block of rows at a time, never for the whole table."""
     cols = list(columns.values())
 
-    def rows(start=0, stop=None):
+    def rows(start, stop):
         return zip(*[c[start:stop] if isinstance(c, list) else _cells(c[start:stop])
                      for c in cols], strict=True)
 
-    path = os.path.join(args.out, f"{name}.{args.format}")
-    if args.format == "json":
-        doc = {"_meta": meta[2:], "columns": list(columns), "rows": list(rows())}
-        _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    else:  # CSV text is made a block of rows at a time, never for the whole table
-        chunks = ("\n".join(map(",".join, rows(k, k + _CSV_BLOCK))) + "\n"
-                  for k in range(0, len(cols[0]), _CSV_BLOCK))
-        _write(path, chain([f"{meta}\n{','.join(columns)}\n"], chunks))
-    return os.path.basename(path)
+    chunks = ("\n".join(map(",".join, rows(k, k + _CSV_BLOCK))) + "\n"
+              for k in range(0, len(cols[0]), _CSV_BLOCK))
+    filename = f"{name}.csv"
+    _write(os.path.join(args.out, filename), chain([f"{meta}\n{','.join(columns)}\n"], chunks))
+    return filename
 
 
 def _check_run_config(args) -> None:
@@ -134,7 +132,7 @@ def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
 def _cmd_dc(args) -> int:
     case = parse_case_file(args.case)
     scenario = _scenario_from_args(args)
-    meta = _meta_line(args, ("field", "dir", "dt", "format"))
+    meta = _meta_line(args, ("field", "dir", "dt"))
 
     if scenario is not None:
         times, fields = scenario.grid(args.dt), scenario
@@ -168,7 +166,7 @@ def _cmd_ac(args) -> int:
     case = parse_case_file(args.case)
     field = None if args.field is None else FieldVector.from_mag_dir(args.field, args.dir)
     sol, qmap, ac = sequential_gic_ac(case, field)
-    meta = _meta_line(args, ("field", "dir", "format"))
+    meta = _meta_line(args, ("field", "dir"))
 
     bus, br = sorted(ac.vm), sorted(ac.p_from)
     losses = [qmap[pos] for pos in sorted(qmap)]
@@ -192,7 +190,7 @@ def _cmd_thermal(args) -> int:
     case = parse_case_file(args.case)
     scenario = _scenario_from_args(args, require=True)
     trace = simulate(case, scenario, dt=args.dt)
-    meta = _meta_line(args, ("field", "dir", "dt", "format"))
+    meta = _meta_line(args, ("field", "dir", "dt"))
     trs = [trace.traces[bid] for bid in sorted(trace.traces)]
     n = len(trace.t) - 1  # rows: by branch id, then by sample after the first
     col = {k: np.array([getattr(tr, k)[1:] for tr in trs]).reshape(-1)
@@ -210,27 +208,18 @@ def _cmd_thermal(args) -> int:
     return EXIT_OK
 
 
+def _id_map(f: dataclasses.Field) -> bool:
+    """A plan field keyed by ids: string keys in the file, int keys in memory."""
+    return str(f.type).startswith("dict")
+
+
 def plan_to_json(plan: MitigationPlan) -> dict:
     # wall_time_s is zeroed in the file so identical inputs give
     # byte-identical outputs; the measured time goes to the console
-    return {
-        "z": {str(k): v for k, v in plan.z.items()},
-        "times": plan.times,
-        "dt": plan.dt,
-        "gen_p": {str(k): v for k, v in plan.gen_p.items()},
-        "flows": {str(k): v for k, v in plan.flows.items()},
-        "theta": {str(k): v for k, v in plan.theta.items()},
-        "i_eff": {str(k): v for k, v in plan.i_eff.items()},
-        "delta_to": {str(k): v for k, v in plan.delta_to.items()},
-        "hotspot": {str(k): v for k, v in plan.hotspot.items()},
-        "xfmr_branches": {str(k): v for k, v in plan.xfmr_branches.items()},
-        "objective": plan.objective,
-        "model_objective": plan.model_objective,
-        "gap": plan.gap,
-        "nodes": plan.nodes,
-        "wall_time_s": 0.0,
-        "status": plan.status,
-    }
+    doc = {f.name: {str(k): v for k, v in getattr(plan, f.name).items()} if _id_map(f)
+           else getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    doc["wall_time_s"] = 0.0
+    return doc
 
 
 def plan_from_json(doc: dict) -> MitigationPlan:
@@ -239,20 +228,17 @@ def plan_from_json(doc: dict) -> MitigationPlan:
     if not isinstance(doc, dict):
         raise CaseError(f"plan: expected a JSON object, got {type(doc).__name__}")
 
-    def imap(name):
-        d = doc[name]
-        if not isinstance(d, dict):
-            raise CaseError(f"plan {name}: expected an object of ids, got {type(d).__name__}")
-        return {int(k): v for k, v in d.items()}
+    def value(f):  # a field the file leaves out takes its dataclass default
+        if f.name not in doc and f.default is not dataclasses.MISSING:
+            return f.default
+        v = doc[f.name]
+        if not _id_map(f):
+            return v
+        if not isinstance(v, dict):
+            raise CaseError(f"plan {f.name}: expected an object of ids, got {type(v).__name__}")
+        return {int(k): x for k, x in v.items()}
 
-    return MitigationPlan(
-        z=imap("z"), times=doc["times"], dt=doc["dt"],
-        gen_p=imap("gen_p"), flows=imap("flows"), theta=imap("theta"), i_eff=imap("i_eff"),
-        delta_to=imap("delta_to"), hotspot=imap("hotspot"),
-        xfmr_branches=imap("xfmr_branches"),
-        objective=doc["objective"], model_objective=doc["model_objective"],
-        gap=doc["gap"], nodes=doc["nodes"],
-        wall_time_s=doc.get("wall_time_s", 0.0), status=doc.get("status", "optimal"))
+    return MitigationPlan(**{f.name: value(f) for f in dataclasses.fields(MitigationPlan)})
 
 
 def _cmd_mitigate(args) -> int:
@@ -271,7 +257,7 @@ def _cmd_mitigate(args) -> int:
             print(f"  probes: {exc.context}", file=sys.stderr)
         return EXIT_ANALYSIS
 
-    meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap", "format"))
+    meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap"))
     doc = plan_to_json(plan)
     doc["_meta"] = meta[2:]
     _write(os.path.join(args.out, "plan.json"),
@@ -373,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--plan", required=True, help="plan JSON from mitigate")
             p.add_argument("--tol", type=float, default=1e-5)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     common(sub.add_parser("dc", help="quasi-dc GIC solve"))
     common(sub.add_parser("ac", help="sequential GIC -> ac power flow"),

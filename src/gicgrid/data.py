@@ -794,37 +794,33 @@ _SCENARIO_COLUMNS = ("t_min", "e_mag_vkm", "e_dir_deg")
 _OVERRIDE_COLUMNS = ("t_min", "gmd_branch_id", "volts")
 
 
+def _csv_rows(text: str, columns: tuple[str, ...], label: str):
+    """One ``_Row`` per data line of CSV ``text``, whose header must be ``columns``;
+    ``label`` names the file in errors."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    header = ",".join(columns)
+    if not lines or lines[0].replace(" ", "") != header:
+        raise CaseStructureError(f"{label} CSV must start with header {header}")
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(columns):
+            raise CaseStructureError(f"{label} CSV: bad row '{ln}'")
+        yield _Row(f"{label} CSV row '{ln}'", None, dict(zip(columns, parts)))
+
+
 def load_scenario(text: str, dt: float = 5.0,
                   overrides_text: str | None = None) -> FieldScenario:
     """Load a scenario from CSV text with header t_min,e_mag_vkm,e_dir_deg.
 
     Optional overrides CSV has header t_min,gmd_branch_id,volts.
     """
-    samples = []
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    header = ",".join(_SCENARIO_COLUMNS)
-    if not lines or lines[0].replace(" ", "") != header:
-        raise CaseStructureError(f"scenario CSV must start with header {header}")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise CaseStructureError(f"scenario CSV: bad row '{ln}'")
-        r = _Row(f"scenario CSV row '{ln}'", None, dict(zip(_SCENARIO_COLUMNS, parts)))
-        samples.append(FieldSample(t=r.num("t_min"), e_mag=r.num("e_mag_vkm"),
-                                   e_dir=r.num("e_dir_deg")))
+    samples = [FieldSample(t=r.num("t_min"), e_mag=r.num("e_mag_vkm"), e_dir=r.num("e_dir_deg"))
+               for r in _csv_rows(text, _SCENARIO_COLUMNS, "scenario")]
     if not samples:
         raise CaseStructureError("scenario CSV has a header but no data rows")
     overrides: dict[int, list[tuple[float, float]]] = {}
     if overrides_text is not None:
-        olines = [ln.strip() for ln in overrides_text.strip().splitlines() if ln.strip()]
-        header = ",".join(_OVERRIDE_COLUMNS)
-        if not olines or olines[0].replace(" ", "") != header:
-            raise CaseStructureError(f"override CSV must start with header {header}")
-        for ln in olines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 3:
-                raise CaseStructureError(f"override CSV: bad row '{ln}'")
-            r = _Row(f"override CSV row '{ln}'", None, dict(zip(_OVERRIDE_COLUMNS, parts)))
+        for r in _csv_rows(overrides_text, _OVERRIDE_COLUMNS, "override"):
             overrides.setdefault(r.int("gmd_branch_id"), []).append(
                 (r.num("t_min"), r.num("volts")))
     frozen = {}

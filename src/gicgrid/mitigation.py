@@ -146,7 +146,7 @@ class MitigationPlan:
     model_objective: float                     # linearized (PWL) objective
     gap: float
     nodes: int
-    wall_time_s: float
+    wall_time_s: float = 0.0
     status: str = "optimal"
 
 

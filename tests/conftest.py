@@ -1,22 +1,31 @@
 """Shared fixtures and randomized network builders."""
 
+import os
+
 import numpy as np
 import pytest
 
-from gicgrid.cases import b4gic, epri21
 from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData,
                           CaseData, FieldSample, FieldScenario, Generator,
-                          GmdBranch, GmdBus, ThermalData, validate_case)
+                          GmdBranch, GmdBus, ThermalData, parse_case_file,
+                          validate_case)
+
+CASES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "cases")
+
+
+def bundled(name: str) -> CaseData:
+    """The bundled case ``cases/<name>.json``."""
+    return parse_case_file(os.path.join(CASES, f"{name}.json"))
 
 
 @pytest.fixture(scope="session")
 def b4gic_case():
-    return b4gic()
+    return bundled("b4gic")
 
 
 @pytest.fixture(scope="session")
 def epri21_case():
-    return epri21()
+    return bundled("epri21")
 
 
 THERMAL_DEFAULTS = dict(xfmr=1, temp_amb=25.0, hs_inst_lim=280.0,

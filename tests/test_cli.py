@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.cli import _cells, run
+from gicgrid.cli import _cells, plan_from_json, plan_to_json, run
 from gicgrid.data import load_scenario_file, serialize_case
 from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
+
+from conftest import CASES, bundled
 
 LOOP = 170.788 / 1.601
 
@@ -188,6 +190,19 @@ def test_mitigate_and_verify_roundtrip(workdir):
     assert report["ok"] is True
 
 
+def test_plan_json_roundtrip_and_defaults():
+    """Reading a written plan and writing it again gives the same document, ids
+    as int keys in memory; a file without wall_time_s or status still loads."""
+    doc = json.loads(_b4gic_plan_text())
+    del doc["_meta"]
+    plan = plan_from_json(doc)
+    assert plan_to_json(plan) == doc
+    assert all(isinstance(k, int) for k in [*plan.z, *plan.flows, *plan.xfmr_branches])
+    bare = plan_from_json({k: v for k, v in doc.items() if k not in ("wall_time_s", "status")})
+    assert (bare.wall_time_s, bare.status) == (0.0, "optimal")
+    assert bare == plan
+
+
 def test_mitigate_reruns_byte_identical(workdir):
     a, b = workdir / "m1", workdir / "m2"
     base = ["mitigate", "--case", str(workdir / "b4gic.json"),
@@ -237,25 +252,28 @@ def test_analysis_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every ``gicgrid`` line of README's CLI block exits 0, in order: ``verify``
+    reads the plan ``mitigate`` wrote.  The lines run in a temporary directory,
+    so ``out/`` lands there, with ``cases/`` read from the repository."""
+    root = os.path.dirname(CASES)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = [ln.split()[1:] for ln in block.splitlines() if ln.startswith("gicgrid ")]
+    assert {argv[0] for argv in lines} == {"dc", "ac", "thermal", "mitigate", "verify"}
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        argv = [os.path.join(root, a) if a.startswith("cases/") else a for a in argv]
+        assert run(argv) == 0, argv
+
+
 def test_shipped_case_files_parse(tmp_path):
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("b4gic.json", "epri21.json"):
-        path = os.path.join(here, "cases", name)
+        path = os.path.join(CASES, name)
         assert os.path.exists(path)
         rc = run(["dc", "--case", path, "--field", "1.0",
                   "--out", str(tmp_path / "out_smoke")])
         assert rc == 0
-
-
-def test_json_format_output(workdir):
-    out = workdir / "jfmt"
-    rc = run(["dc", "--case", str(workdir / "b4gic.json"), "--field", "1.0",
-              "--format", "json", "--out", str(out)])
-    assert rc == 0
-    doc = json.loads((out / "gic_branch.json").read_text())
-    assert doc["columns"] == ["t_min", "gmd_branch_id", "i_dc_amps", "i_eff_amps"]
-    assert len(doc["rows"]) == 3
-    assert doc["_meta"].startswith("case_sha256=")
 
 
 def test_bad_gap_rejected(workdir):
@@ -280,25 +298,19 @@ def test_overflowing_field_is_input_error(workdir, capsys, peak):
     assert not out.exists()
 
 
-def test_shipped_files_match_builders():
-    from gicgrid.cases import b4gic as build4, epri21 as build21
-    from gicgrid.data import parse_case_file
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    assert parse_case_file(os.path.join(here, "cases", "b4gic.json")) == build4()
-    assert parse_case_file(os.path.join(here, "cases", "epri21.json")) == build21()
-    for name, build in (("b4gic", build4), ("epri21", build21)):  # pins the key order too
-        path = os.path.join(here, "cases", f"{name}.json")
+def test_shipped_files_are_fixed_points():
+    """Parse then serialize gives every byte back: the key order, and every
+    float field reads back as written."""
+    for name in ("b4gic", "epri21"):
+        path = os.path.join(CASES, f"{name}.json")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        assert serialize_case(build()) + "\n" == text
-        # a fixed point of parse then serialize: every float field reads back as written
-        assert serialize_case(parse_case_file(path)) + "\n" == text
+        assert serialize_case(bundled(name)) + "\n" == text
 
 
 def test_mitigate_shipped_benchmark(tmp_path):
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    case = os.path.join(here, "cases", "epri21.json")
-    scen = os.path.join(here, "cases", "ramp_3p2.csv")
+    case = os.path.join(CASES, "epri21.json")
+    scen = os.path.join(CASES, "ramp_3p2.csv")
     out = tmp_path / "plan21"
     rc = run(["mitigate", "--case", case, "--scenario", scen, "--dt", "30",
               "--out", str(out)])
@@ -316,8 +328,7 @@ def test_mitigate_shipped_benchmark(tmp_path):
 def test_mitigate_at_1e13_names_gic_cap(tmp_path, capsys):
     """At a field of 1e13 V/km the eff_gic rows carry coefficients near 1e13;
     the node LPs still resolve, and the probes name the GIC cap."""
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    rc = run(["mitigate", "--case", os.path.join(here, "cases", "epri21.json"),
+    rc = run(["mitigate", "--case", os.path.join(CASES, "epri21.json"),
               "--field", "1e13", "--dir", "90", "--dt", "30", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -549,8 +560,8 @@ _RAMP = "t_min,e_mag_vkm,e_dir_deg\n" + "\n".join(
 
 @functools.cache
 def _b4gic_text() -> str:
-    from gicgrid.cases import b4gic
-    return serialize_case(b4gic())
+    with open(os.path.join(CASES, "b4gic.json"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @functools.cache
@@ -684,8 +695,8 @@ def test_column_formatter_ids_and_repeats():
 
 
 # sha256 of every table the CLI writes on the bundled cases with
-# cases/ramp_3p2.csv, in both formats: a change to the table writer or to a
-# pipeline behind it must keep every byte of every artifact
+# cases/ramp_3p2.csv: a change to the table writer or to a pipeline behind
+# it must keep every byte of every artifact
 _GOLDEN_RUNS = {
     "dc_epri21": ["dc", "--case", "epri21.json", "--scenario", "ramp_3p2.csv"],
     "dc_b4gic": ["dc", "--case", "b4gic.json", "--scenario", "ramp_3p2.csv"],
@@ -702,65 +713,47 @@ _GOLDEN_RUNS = {
 
 _GOLDEN = {
     "ac_b4gic": {
-        "ac_branch.csv": "21c74ffe945c81cc2b626d3042fa42803b6736d4711e037959a750ed9146eacb",
-        "ac_branch.json": "3cb1e0f787043db0da4d9b56274ecfd84eea1bbea62557367e97bb3e69488b4a",
-        "ac_bus.csv": "540c5fc06bfd105408313c4031191fe5f95682972553d62118e1b5488ff1b4b3",
-        "ac_bus.json": "e5680dbc3e485409bd6c9369589ed9c762ecf1a8d6bd991bb64257038946bc35",
-        "qloss.csv": "449dd26ba1b5fabda73e1c4cc4958564c1880a0c62824c82ce16aa4640e408b8",
-        "qloss.json": "9de14d2a28db8119feddc2ae9f9168509f29bde0a21124dca909e21b23c9f901",
+        "ac_branch.csv": "8488e6e01c28c1fb4bc2491fde1bf8f27f7393e55e120d531608a15d10cfcb97",
+        "ac_bus.csv": "2ac0e24879a151cccc2ad8388dcea00b6c5f6205e2fb61eb4dd4c9a93221aa49",
+        "qloss.csv": "343f7abd9d4f31efc33b37213d250820156ff0a47ff95b7a8d2a53d1175598b0",
     },
     "ac_epri21": {
-        "ac_branch.csv": "465d84cf516734af15701d9bfab77f4255f11757fd0f2ddf61e5767f291dab50",
-        "ac_branch.json": "9a94453d1bb19b25f231cb44920acc3e1c8b827c49b909df41c085613a62768f",
-        "ac_bus.csv": "b320cb7f30a48e3aa091449fefd19d55191aa5ec2becdb13a9292cd4db76220e",
-        "ac_bus.json": "eb73cbb76dcb5c00f0073427f5a49895143056dc2863a9ee8a99b3707253a206",
-        "qloss.csv": "d1209a93cf3236db2c7429c83f67e256dcda511d7c89bd1d76330ebc7949aa30",
-        "qloss.json": "4d17262a1f37c4401d68a1694aaffe4b925beb63299a05dc87bcf3edf09e0386",
+        "ac_branch.csv": "6f93713f8d661922bb33b9b5ed5ceccebb4f5a3c31d04a80e01ed223e8fa4135",
+        "ac_bus.csv": "42d82e13dd9a9341e9d1477667fb7b20a0ace674363cd4f942b2da033c6d2054",
+        "qloss.csv": "5972f1554b48e6f9d4b78d63d636dc0d33e81628777d66894194db2d25fe38c6",
     },
     "dc_b4gic": {
-        "gic_branch.csv": "9351a175057672f8f413d324feb2d335b6489090d4f4a50eb6efe7c406c8a99d",
-        "gic_branch.json": "5458b5c96c58d2221dc14767ec3f96a3f01cf6775f08dfaf0a423d680dc2826d",
-        "gic_bus.csv": "bb5168e8b9f8b363aa541f681b09c87b8cfea9904305b97ea8b96d5bfbc1ca07",
-        "gic_bus.json": "5a119372a7a9b651f322b5fe629579b91dc1f8926e17976e00a95530a9d07bdd",
+        "gic_branch.csv": "ad1fdfd6e37c9281ab199fffe768fd2b192e36def0e9bf84bb8dee4dab0724c9",
+        "gic_bus.csv": "a4765aedf0308a5d69f6d51f49638fc66a2dc98fa76eda926e39af2dbbd49428",
     },
     "dc_b4gic_field": {
-        "gic_branch.csv": "ff40a2ad395bf3c9a27c2c19a8de9fe94ecb398f9c1a1895217dc15b9dcbc8bb",
-        "gic_branch.json": "f564a921245a4633482ee06ae898a30f44aa04e65a2fd11a83800cfd1dfacc67",
-        "gic_bus.csv": "1b5620f21b389d966a8559c9e7f5b450fdfef607c64920a1dbcce460e344ed24",
-        "gic_bus.json": "b30911d0712df634e1625c7ce668549eb12a9328c2e1dc26e4832293bc076f68",
+        "gic_branch.csv": "85ddbb6beab02fc1ddc8893c3d024377985307e3b772ce3f847f4c0559569df7",
+        "gic_bus.csv": "16509feff0080fc430a48fe2b6c66ba501060e90fc06670a427f54505bd9676e",
     },
     "dc_epri21": {
-        "gic_branch.csv": "5d49854b4ec025fec450586f745f9254bd574ecb5fa6a8eff36cb05f229ca031",
-        "gic_branch.json": "c51e5ece37891601c83272280cf01b3fe925806f3f470a5eaa4ca9ee82a9ffcc",
-        "gic_bus.csv": "8ee19adf2c6ad0d69df9b0942680e2c8607f5eead7338e30891905a4c3042f3a",
-        "gic_bus.json": "1cc2d8197e330094bd9de48a985188b09fca3d0443de5cfcfcf90a59d51f76c1",
+        "gic_branch.csv": "c3082ec1c071af152716df75ad15dff8415dc918ab159c3170002c125f84e0c3",
+        "gic_bus.csv": "4977461bdcd5c6e7b16174a7bba8a77568ee6920650b813099b9ef6f75879815",
     },
     "mitigate_b4gic": {
-        "plan_branches.csv": "23fd2f96203f505f400a628be250d045d1f36341b474e21c1c621fd4532b1eb6",
-        "plan_branches.json": "81df6d7d0e690a579d4894dcb9740905b6ed4faa7479e165f24525c36d545dea",
+        "plan_branches.csv": "b7e848137f96392fb904da9add4d9c02d65fb842514e62fbc1d98f2dd5781822",
     },
     "mitigate_epri21": {
-        "plan_branches.csv": "80ee0d2384a1c52071041ebad0cdfb531010a868df8e3a38367a974f40c0573b",
-        "plan_branches.json": "a076e95285942c92cab4809e25885bdaced904a3be8f8a2ab5c44a6d68f2f906",
+        "plan_branches.csv": "0ba2918367567b8aa7f35bdc566932d6484ce77b6123549b727c6f3269f84ae6",
     },
     "thermal_b4gic": {
-        "thermal.csv": "c48f51f7573a84a882c81ef610e554fcabbc90f3e937ba5b1d9308cd418d6e14",
-        "thermal.json": "36f76c8caff628985fd46f5af6b87cf088de07bb7a2540000e8fc3788727978c",
+        "thermal.csv": "9e484124748a4bceb2917e75a9be644d667845a9ccbbddefcac91d1632d7272d",
     },
     "thermal_epri21": {
-        "thermal.csv": "b7022d76126f579b8547b4d116bd8cc1490c02618b2fbb44bc52881df23e0236",
-        "thermal.json": "d12b417af26c74e938a8e9c7978fee192e4c20ce76624b62131d6ef8dfe4c28f",
+        "thermal.csv": "8215909b282e63f936cfd32fbccbe28f66777c795754f50affd58b722fa53dd1",
     },
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
-def test_cli_tables_pinned(name, fmt, tmp_path):
-    cases = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "cases")
-    argv = [os.path.join(cases, a) if a.endswith((".json", ".csv")) else a
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS), ids=lambda name: f"{name}-csv")
+def test_cli_tables_pinned(name, tmp_path):
+    argv = [os.path.join(CASES, a) if a.endswith((".json", ".csv")) else a
             for a in _GOLDEN_RUNS[name]]
-    assert run(argv + ["--format", fmt, "--out", str(tmp_path)]) == 0
+    assert run(argv + ["--out", str(tmp_path)]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in sorted(os.listdir(tmp_path)) if f != "plan.json"}
-    assert got == {f: h for f, h in _GOLDEN[name].items() if f.endswith("." + fmt)}
+    assert got == _GOLDEN[name]

@@ -13,10 +13,9 @@ from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, Case
                           CaseStructureError, FieldSample, FieldScenario, Generator,
                           GmdBranch, GmdBus, ThermalData, estimate_missing_gsu,
                           load_scenario, make_ramp_scenario, parse_case, serialize_case)
-from gicgrid.cases import b4gic, epri21
 from gicgrid.dcnet import FieldVector, assemble
 
-from conftest import random_dc_case
+from conftest import bundled, random_dc_case
 
 
 def _doc(case):
@@ -130,7 +129,7 @@ def test_generator_cost_is_the_quadratic():
     assert g.cost(0.0) == 3.0
 
 
-_BUNDLED = [json.loads(serialize_case(build())) for build in (b4gic, epri21)]
+_BUNDLED = [_doc(bundled(name)) for name in ("b4gic", "epri21")]
 _WRONG = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
                    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
                    st.floats(), st.integers(-10**400, 10**400), st.none())

@@ -31,11 +31,10 @@ def test_branch_lengths_identical_endpoints(b4gic_case):
     assert (l_n, l_e) == (0.0, 0.0)
 
 
-def test_branch_lengths_pure_north():
+def test_branch_lengths_pure_north(b4gic_case):
     import json
     from gicgrid.data import parse_case, serialize_case
-    from gicgrid.cases import b4gic
-    doc = json.loads(serialize_case(b4gic()))
+    doc = json.loads(serialize_case(b4gic_case))
     doc["bus_gmd"][0] = {"bus": 1, "lat": 41.0, "lon": -89.0}
     doc["bus_gmd"][1] = {"bus": 2, "lat": 40.0, "lon": -89.0}
     case = parse_case(json.dumps(doc))
@@ -77,13 +76,12 @@ def test_induced_voltage_peak_field(b4gic_case):
     assert _v_src(sys)[2] == pytest.approx(546.52, abs=5e-3)
 
 
-def test_induced_voltage_north_projection():
+def test_induced_voltage_north_projection(b4gic_case):
     # the line turned north-south: a northward field projects on L_N only,
     # and the displacement is rescaled to the stored 170.788 km route
     import json
     from gicgrid.data import parse_case, serialize_case
-    from gicgrid.cases import b4gic
-    doc = json.loads(serialize_case(b4gic()))
+    doc = json.loads(serialize_case(b4gic_case))
     doc["bus_gmd"][0] = {"bus": 1, "lat": 41.0, "lon": -89.0}
     doc["bus_gmd"][1] = {"bus": 2, "lat": 40.0, "lon": -89.0}
     sys = assemble(parse_case(json.dumps(doc)), FieldVector.from_mag_dir(2.0, 0.0))

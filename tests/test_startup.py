@@ -28,7 +28,7 @@ EXPORTS = {
                    "VerifyReport", "build_model", "enumerate_solve", "solve", "verify_plan"],
     "lp": ["LpProblem", "LpResult", "lp_solve"],
 }
-DEFERRED = ["scipy.optimize", "gicgrid.mitigation", "gicgrid.lp", "gicgrid.cases"]
+DEFERRED = ["scipy.optimize", "gicgrid.mitigation", "gicgrid.lp"]
 
 
 def _fresh(code: str):
@@ -54,7 +54,7 @@ def test_package_names_resolve_to_submodule_attributes():
         "same = {n: getattr(gicgrid, n) is getattr(importlib.import_module('gicgrid.' + m), n)\n"
         "        for m, names in exports.items() for n in names}\n"
         "mods = {m: getattr(gicgrid, m) is sys.modules['gicgrid.' + m]\n"
-        "        for m in [*exports, 'cases']}\n"
+        "        for m in exports}\n"
         "ns = {}\n"
         "exec('from gicgrid import *', ns)\n"
         "from gicgrid import cli\n"
@@ -71,8 +71,8 @@ def test_package_names_resolve_to_submodule_attributes():
     assert got["bare"] == []  # importing the package loads no layer
     assert [n for n in names if not got["same"][n]] == []
     assert all(got["mods"].values())
-    assert set(names) | set(EXPORTS) | {"cases"} <= set(got["dir"])
-    assert set(names) | set(EXPORTS) | {"cases"} <= set(got["star"])
+    assert set(names) | set(EXPORTS) <= set(got["dir"])
+    assert set(names) | set(EXPORTS) <= set(got["star"])
     assert got["cli"] and got["version"] == "0.1.0"
     assert "no_such_name" in got["missing"]
 
