@@ -321,11 +321,10 @@ def _cmd_verify(args) -> int:
     for cls in sorted(report.violations):
         print(f"  {cls:>14s}: {report.violations[cls]:.3e}")
     ok = report.ok(args.tol)
-    if args.out:
-        _write(os.path.join(args.out, "verify.json"),
-               json.dumps({"violations": report.violations,
-                           "details": report.details, "ok": ok},
-                          indent=1, sort_keys=True) + "\n")
+    _write(os.path.join(args.out, "verify.json"),
+           json.dumps({"violations": report.violations,
+                       "details": report.details, "ok": ok},
+                      indent=1, sort_keys=True) + "\n")
     print(f"verify: max violation {report.max_violation():.3e} "
           f"[{'ok' if ok else 'VIOLATION'}]")
     return EXIT_OK if ok else EXIT_ANALYSIS

@@ -13,6 +13,16 @@ first solve runs with HiGHS's defaults, presolve and dual steepest-edge
 pricing (Forrest & Goldfarb, 1992); the warm solves after it price by
 Devex, whose weights cost far less to keep up over the few iterations a
 warm solve takes.
+
+Lazy rows: ``lazy`` gives each ``A_ub`` row a group id, or -1 for a row
+the instance always holds.  The instance is loaded with the held rows
+only.  After each optimal run, the most violated row of every group that
+the solution violates by more than ``FEASIBILITY_TOL`` is added to the
+instance, and kept there for later solves, and the instance re-runs warm
+until no lazy row is violated.  Every warm run, after new rows as after
+new bounds, prices by Devex.  The solution is still checked against
+every row, so a solve returns what it would return with all rows held;
+``dual_ub`` is 0 for the rows never added.
 ``dataclasses.replace(prob)`` gives a copy with no instance, whose solves
 do not depend on any earlier ones.
 """
@@ -45,10 +55,13 @@ class LpProblem:
     b_eq: np.ndarray | None
     lb: np.ndarray
     ub: np.ndarray
-    # the HiGHS instance and the column bounds it holds, made by the first solve
+    lazy: np.ndarray | None = None  # group id per A_ub row, -1 = always held; None = all held
+    # the HiGHS instance, the column bounds it holds and the A_ub row of each
+    # of its inequality rows, in its row order, made by the first solve
     _highs: object = field(default=None, init=False, repr=False, compare=False)
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _devex: bool = field(default=False, init=False, repr=False, compare=False)
+    _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -57,17 +70,47 @@ class LpProblem:
     def _instance(self, lo: np.ndarray, hi: np.ndarray):
         """The HiGHS instance holding this problem with column bounds lo, hi."""
         if self._highs is None:
-            self._highs = _load(self, lo, hi)
+            self._held = (np.arange(self.m_ub) if self.lazy is None
+                          else np.flatnonzero(self.lazy < 0))
+            self._highs = _load(self, self._held, lo, hi)
         else:
-            if not self._devex:
-                _price_by_devex(self._highs)
-                self._devex = True
+            self._warm()
             held_lo, held_hi = self._bounds
             cols = np.flatnonzero((held_lo != lo) | (held_hi != hi)).astype(np.int32)
             if cols.size:
                 self._highs.changeColsBounds(cols.size, cols, lo[cols], hi[cols])
         self._bounds = (lo.copy(), hi.copy())
         return self._highs
+
+    @property
+    def m_ub(self) -> int:
+        return 0 if self.A_ub is None else self.A_ub.shape[0]
+
+    def _warm(self) -> None:
+        """Price every run after the first by Devex."""
+        if not self._devex:
+            _price_by_devex(self._highs)
+            self._devex = True
+
+    def _hold_violated(self, x: np.ndarray) -> bool:
+        """Add to the instance the most violated row of each lazy group that x
+        violates; False when x violates no lazy row."""
+        if self.lazy is None or len(self._held) == self.m_ub:
+            return False
+        excess = self.A_ub @ x - self.b_ub
+        excess[self._held] = 0.0
+        rows = np.flatnonzero((self.lazy >= 0) & (excess > FEASIBILITY_TOL))
+        if not rows.size:
+            return False
+        rows = rows[np.lexsort((-excess[rows], self.lazy[rows]))]
+        rows = np.sort(rows[np.r_[True, np.diff(self.lazy[rows]) != 0]])
+        new = self.A_ub[rows]
+        self._highs.addRows(rows.size, np.full(rows.size, -np.inf), self.b_ub[rows],
+                            new.nnz, new.indptr[:-1].astype(np.int32),
+                            new.indices.astype(np.int32), new.data)
+        self._held = np.r_[self._held, rows]
+        self._warm()
+        return True
 
 
 @dataclass
@@ -88,8 +131,8 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
     The bound override keeps branch-and-bound cheap: one assembled matrix
     is reused across nodes that only tighten variable bounds, and each
     solve warm-starts from the previous one's basis.  Returns an optimal
-    basic solution with primal residual <= 1e-7, or a definite
-    infeasible/unbounded status.  A solve that ends any other way, or
+    basic solution with primal residual <= 1e-7 on every row, lazy or
+    not, or a definite infeasible/unbounded status.  A solve that ends any other way, or
     above the residual, is re-run once cold, by interior point and
     crossover, before LpNumericalError.
     """
@@ -103,15 +146,20 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
             h.clearSolver()
             h.setOptionValue("solver", "ipm")
         h.run()
-        status = _STATUS.get(h.getModelStatus().name)
         if cold:
             h.setOptionValue("solver", "choose")
+        status = _STATUS.get(h.getModelStatus().name)
+        while status == "optimal":  # re-run warm while the optimum violates lazy rows
+            solution = h.getSolution()
+            x = np.array(solution.col_value)
+            if not prob._hold_violated(x):
+                break
+            h.run()
+            status = _STATUS.get(h.getModelStatus().name)
         if status in ("infeasible", "unbounded"):
             return LpResult(status=status, objective=None, x=None,
                             message=h.modelStatusToString(h.getModelStatus()))
         if status == "optimal":
-            solution = h.getSolution()
-            x = np.array(solution.col_value)
             residual = _primal_residual(prob, x, lo, hi)
             if residual <= FEASIBILITY_TOL:
                 break
@@ -121,25 +169,30 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
         raise LpNumericalError(
             f"primal residual {residual:.3e} exceeds {FEASIBILITY_TOL:.0e}; "
             + _numerical_report(h))
+    # instance rows: the rows held at load, the equalities, then the added lazy rows
     row_dual = np.array(solution.row_dual)
-    m_ub = 0 if prob.A_ub is None else prob.A_ub.shape[0]
+    loaded = np.count_nonzero(prob.lazy < 0) if prob.lazy is not None else prob.m_ub
+    m_eq = 0 if prob.A_eq is None else prob.A_eq.shape[0]
+    dual_ub = np.zeros(prob.m_ub)
+    dual_ub[prob._held] = np.r_[row_dual[:loaded], row_dual[loaded + m_eq:]]
     return LpResult(status="optimal", objective=float(h.getInfo().objective_function_value),
-                    x=x, dual_ub=None if prob.A_ub is None else row_dual[:m_ub],
-                    dual_eq=None if prob.A_eq is None else row_dual[m_ub:],
+                    x=x, dual_ub=None if prob.A_ub is None else dual_ub,
+                    dual_eq=None if prob.A_eq is None else row_dual[loaded:loaded + m_eq],
                     residual=residual, message=h.modelStatusToString(h.getModelStatus()))
 
 
-def _load(prob: LpProblem, lo: np.ndarray, hi: np.ndarray):
-    """A silent HiGHS instance holding ``prob`` with column bounds lo, hi.
+def _load(prob: LpProblem, held: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """A silent HiGHS instance holding ``prob``'s ``A_ub`` rows ``held``, then
+    its equalities, with column bounds lo, hi.
 
     HiGHS is imported here, not with the module: importing scipy.optimize
     costs about 0.2 s, which only the commands that solve an LP pay."""
     from scipy.optimize._highspy import _core as _highs
 
     empty = sp.csr_matrix((0, prob.n))
-    A = sp.vstack([empty if prob.A_ub is None else prob.A_ub,
+    A = sp.vstack([empty if prob.A_ub is None else prob.A_ub[held],
                    empty if prob.A_eq is None else prob.A_eq], format="csr")
-    b_ub = np.empty(0) if prob.A_ub is None else prob.b_ub
+    b_ub = np.empty(0) if prob.A_ub is None else prob.b_ub[held]
     b_eq = np.empty(0) if prob.A_eq is None else prob.b_eq
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]

@@ -451,10 +451,20 @@ def build_model(case: CaseData, scenario: FieldScenario,
         stop += A.shape[0]
     A_ub, b_ub = _stack(list(ineq.values()))
 
+    # lazy rows, which rarely bind, enter the LP once a solution violates
+    # them: one group per line and period (the angle pair), one per
+    # transformer and period (its loading chords)
+    lazy = np.full(stop, -1)
+    start, end = classes["angle"]
+    lazy[start:end] = np.arange(end - start) // 2
+    chord_rows = np.repeat(np.array([max(len(x.chords), 1) for x in xfmrs], dtype=int), T)
+    start, end = classes["pwl_loading"]
+    lazy[start:end] = E * T + np.repeat(np.arange(X * T), chord_rows)
+
     c = np.zeros(nvars)
     off, count, horizon = slices["cost"]
     c[off:off + count * horizon] = 1.0
-    lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+    lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub, lazy=lazy)
 
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
@@ -688,7 +698,7 @@ def _first_violated_class(model: OtsModel, lb, ub) -> str:
             ub[off:off + count * horizon] = np.repeat([x.i_derived for x in model.xfmrs],
                                                       horizon)
         probe = LpProblem(c=lp.c, A_ub=lp.A_ub[keep], b_ub=lp.b_ub[keep],
-                          A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub)
+                          A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, lazy=lp.lazy[keep])
         if lp_solve(probe, lb=lb, ub=ub).status == "optimal":
             return cls
     return "power_flow"

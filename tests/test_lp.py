@@ -14,7 +14,7 @@ from gicgrid.mitigation import build_model
 from conftest import random_ots_case
 
 
-def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None):
+def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None, lazy=None):
     c = np.asarray(c, dtype=float)
     n = len(c)
     return LpProblem(
@@ -24,7 +24,8 @@ def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None):
         A_eq=None if a_eq is None else sp.csr_matrix(np.asarray(a_eq, dtype=float)),
         b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
         lb=np.full(n, -1e6) if lb is None else np.asarray(lb, dtype=float),
-        ub=np.full(n, 1e6) if ub is None else np.asarray(ub, dtype=float))
+        ub=np.full(n, 1e6) if ub is None else np.asarray(ub, dtype=float),
+        lazy=None if lazy is None else np.asarray(lazy))
 
 
 def test_min_x_at_least_three():
@@ -145,3 +146,53 @@ def test_warm_solves_match_fresh_solves(seed, fixings):
         assert got.status == want.status
         if want.status == "optimal":
             assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+
+
+def test_violated_lazy_row_is_added_and_kept():
+    """max x under x <= 5 (held) and lazy x <= 2, x <= 3 (one group) and
+    x <= 8: the first optimum, x = 5, violates the group, whose most violated
+    row x <= 2 enters; x <= 3 and x <= 8 never do and keep dual 0."""
+    prob = _problem([-1.0], a_ub=[[1.0], [1.0], [1.0], [1.0]], b_ub=[5.0, 2.0, 3.0, 8.0],
+                    lb=[0.0], ub=[10.0], lazy=[-1, 0, 0, 1])
+    res = lp_solve(prob)
+    assert res.status == "optimal"
+    assert res.x[0] == pytest.approx(2.0)
+    assert sorted(prob._held.tolist()) == [0, 1]
+    assert res.dual_ub.tolist() == pytest.approx([0.0, -1.0, 0.0, 0.0])
+    # the row stays in the instance for later solves
+    res = lp_solve(prob, lb=np.array([1.0]), ub=np.array([10.0]))
+    assert res.x[0] == pytest.approx(2.0)
+    assert sorted(prob._held.tolist()) == [0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 10), st.integers(0, 2),
+       st.integers(1, 3))
+def test_lazy_rows_match_all_rows_held(seed, n, m, m_eq, solves):
+    """Random bounded LPs, with a random lazy grouping of their inequality
+    rows, give on one instance, solve after solve under random bounds, the
+    statuses and objectives of the same LPs with every row held, and every
+    returned x meets every row."""
+    rng = np.random.default_rng(seed)
+    a_ub = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    b_ub = rng.normal(loc=1.0, size=m)
+    a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
+    b_eq = rng.normal(size=m_eq) if m_eq else None
+    c = rng.normal(size=n)
+    lazy = rng.integers(-1, 3, size=m)
+    prob = _problem(c, a_ub, b_ub, a_eq, b_eq, lazy=lazy)
+    for _ in range(solves):
+        lb = -rng.uniform(0.0, 5.0, size=n)
+        ub = rng.uniform(0.0, 5.0, size=n)
+        got = lp_solve(prob, lb=lb, ub=ub)
+        want = lp_solve(_problem(c, a_ub, b_ub, a_eq, b_eq), lb=lb, ub=ub)
+        assert got.status == want.status
+        if want.status != "optimal":
+            continue
+        assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+        assert np.all(a_ub @ got.x - b_ub <= 1e-7)
+        if m_eq:
+            assert np.all(np.abs(a_eq @ got.x - b_eq) <= 1e-7)
+        assert np.all(got.x >= lb - 1e-7) and np.all(got.x <= ub + 1e-7)
+        never = np.setdiff1d(np.flatnonzero(lazy >= 0), prob._held)
+        assert len(got.dual_ub) == m and np.all(got.dual_ub[never] == 0.0)

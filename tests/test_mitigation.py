@@ -509,6 +509,19 @@ def test_build_model_arrays_pinned(name, request):
     got.update({k: _sha256(getattr(lp, k)) for k in ("b_ub", "b_eq", "lb", "ub", "c")})
     got["classes"] = _sha256(json.dumps(model.classes).encode())
     assert got == _PINNED[name]
+    # lazy rows: exactly the angle pairs, a group per line and period, and the
+    # loading chords, a group per transformer and period; every group distinct
+    marked = np.zeros(len(lp.lazy), dtype=bool)
+    sizes = []
+    for cls, rows in (("angle", [2] * len(model.branches)),
+                      ("pwl_loading", [max(len(x.chords), 1) for x in model.xfmrs])):
+        marked[slice(*model.classes[cls])] = True
+        sizes += np.repeat(rows, model.n_periods).tolist()
+    assert np.all(lp.lazy[~marked] == -1)
+    groups = lp.lazy[marked]
+    starts = np.flatnonzero(np.r_[True, np.diff(groups) != 0])
+    assert np.diff(np.r_[starts, len(groups)]).tolist() == sizes
+    assert len(set(groups[starts].tolist())) == len(sizes) and groups.min() >= 0
 
 
 @pytest.mark.parametrize("dt,periods", [(30.0, 12), (2.5, 144)])
