@@ -75,9 +75,22 @@ def _write(path: str, text) -> None:
 
 
 def _cells(col: np.ndarray, spec: str = ".10g", each: int = 1) -> list[str]:
-    """One column as text: floats by ``spec``, ints (ids, flags) in full by ``str``;
-    with ``each`` > 1 every cell is repeated that many times in turn."""
-    cells = list(map(format, col.tolist(), repeat(spec if col.dtype.kind == "f" else "")))
+    """One column as text: floats by ``spec``, ints (ids, flags) in full by ``%d``;
+    with ``each`` > 1 every cell is repeated that many times in turn.
+
+    Each distinct value is formatted once, by one C-level ``%`` template (the
+    same text as ``format(x, spec)``), and every cell maps to its text.  Floats
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own text.  A bool,
+    object or string column is a ``TypeError``: ``%d`` would print a bool as 1.
+    """
+    kind = col.dtype.kind
+    if kind not in "iuf":
+        raise TypeError(f"a table column holds ints or floats, not {col.dtype}")
+    keys = col.view(f"i{col.itemsize}") if kind == "f" else col
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = (distinct.view(col.dtype) if kind == "f" else distinct).tolist()
+    text = ((f"%{spec}\n" if kind == "f" else "%d\n") * len(values)) % tuple(values)
+    cells = np.array(text.split("\n"), dtype=object)[inverse].tolist()
     return cells if each == 1 else list(chain.from_iterable(map(repeat, cells, repeat(each))))
 
 

@@ -20,8 +20,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "CaseError",
@@ -651,13 +649,20 @@ def component_groups(ids: Sequence[int], links: Iterable[tuple[int, int]]) -> li
     """Connected components of the undirected graph ``links`` over ``ids``;
     members keep their order in ``ids``, components the order of their first."""
     pos = {k: i for i, k in enumerate(ids)}
-    f, t = np.array([(pos[a], pos[b]) for a, b in links], dtype=int).reshape(-1, 2).T
-    graph = sp.coo_matrix((np.ones(len(f)), (f, t)), shape=(len(pos), len(pos)))
-    count, labels = connected_components(graph, directed=False)
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for k, label in zip(pos, labels.tolist()):
-        groups[label].append(k)
-    return groups
+    root = list(range(len(ids)))
+
+    def find(i: int) -> int:  # union-find with path halving
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in links:
+        root[find(pos[a])] = find(pos[b])
+    groups: dict[int, list[int]] = {}
+    for k, i in pos.items():
+        groups.setdefault(find(i), []).append(k)
+    return list(groups.values())
 
 
 def _check_slack(case: CaseData) -> None:

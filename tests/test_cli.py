@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.cli import _cells, plan_from_json, plan_to_json, run
+from gicgrid.cli import _CSV_BLOCK, _cells, _write_table, plan_from_json, plan_to_json, run
 from gicgrid.data import load_scenario_file, serialize_case
 from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
 
@@ -676,8 +677,15 @@ def test_cli_exits_0_1_2_without_traceback(inputs):
         assert not err
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# 0.0 and -0.0 share no text, nor do the two smallest subnormals
+_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e16]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@given(st.lists(_FINITE, max_size=40)
+       | st.lists(_FINITE, max_size=4).flatmap(
+           lambda extra: st.lists(st.sampled_from(_POOL + extra), max_size=40)))
 @example([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, sys.float_info.max,
           -sys.float_info.max, 1e300, -1e300, 1e-300, -1e-300, 3.0, -7.0, 2.0 ** 53,
           1e16, 123456789012.0, 0.05, 0.25, -0.05, 1234.5])
@@ -686,6 +694,35 @@ def test_column_formatter_matches_fstrings(xs):
     col = np.array(xs, dtype=float)
     assert _cells(col) == [f"{x:.10g}" for x in xs]
     assert _cells(col, ".1f") == [f"{x:.1f}" for x in xs]
+
+
+@pytest.mark.parametrize("col", [np.array([True, False]), np.array([1, 2.5], dtype=object),
+                                 np.array(["1.5", "2"])], ids=["bool", "object", "str"])
+def test_column_formatter_rejects_non_numeric(col):
+    """Only int and float columns: a bool would print as 1 where format gave True."""
+    with pytest.raises(TypeError):
+        _cells(col)
+
+
+def test_write_table_blocks_match_fstrings(tmp_path):
+    """A table longer than one block reads as per-row f-strings, and -0.0 and
+    0.0 keep their own text in both blocks."""
+    n = _CSV_BLOCK + 1000
+    rng = np.random.default_rng(7)
+    x = rng.choice([0.0, -0.0, 2.5, -1e-7, 1e16, 5e-324], size=n)
+    x[[0, 1, _CSV_BLOCK, _CSV_BLOCK + 1]] = [0.0, -0.0, -0.0, 0.0]
+    y = rng.normal(size=n)
+    ids = rng.integers(-5, 10**12, size=n)
+    flags = (y > 0).astype(int)
+    text = [f"r{k % 7}" for k in range(n)]
+    name = _write_table(argparse.Namespace(out=str(tmp_path)), "t",
+                        {"k": text, "id": ids, "x": x, "y": y, "flag": flags}, "# meta")
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[:2] == ["# meta", "k,id,x,y,flag"]
+    assert lines[2:] == [f"{k},{i},{a:.10g},{b:.10g},{f}" for k, i, a, b, f in
+                         zip(text, ids.tolist(), x.tolist(), y.tolist(), flags.tolist())]
+    for block in (lines[2:2 + _CSV_BLOCK], lines[2 + _CSV_BLOCK:]):
+        assert {line.split(",")[2] for line in block} >= {"0", "-0"}
 
 
 def test_column_formatter_ids_and_repeats():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, CaseData,
                           CaseError, CaseInvariantError, CaseReferenceError,
                           CaseStructureError, FieldSample, FieldScenario, Generator,
-                          GmdBranch, GmdBus, ThermalData, estimate_missing_gsu,
+                          GmdBranch, GmdBus, ThermalData, component_groups, estimate_missing_gsu,
                           load_scenario, make_ramp_scenario, parse_case, serialize_case)
 from gicgrid.dcnet import FieldVector, assemble
 
@@ -175,6 +176,94 @@ def test_any_mutated_case_gives_case_or_case_error(doc):
     except CaseError:
         return
     assert isinstance(case, CaseData)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+# every value the bundled documents give each field, per table, as JSON text so
+# that 1 and 1.0 stay apart
+_SEEN = {t: {k: sorted({json.dumps(r[k]) for doc in _BUNDLED for r in doc[t] if k in r})
+             for k in sorted({k for doc in _BUNDLED for r in doc[t] for k in r})}
+         for t, rows in _BUNDLED[0].items() if isinstance(rows, list)}
+
+
+@st.composite
+def case_shaped_documents(draw):
+    """An object with the eight case tables, each holding up to four rows; a row
+    gives each field of its table a value the bundled cases use or a small int.
+    Then up to three rows are damaged: a field dropped, a field or the whole row
+    set to any JSON value."""
+    doc = {t: draw(st.lists(st.fixed_dictionaries(
+        {k: st.sampled_from(v).map(json.loads) | st.integers(-2, 4) for k, v in seen.items()}),
+        max_size=4)) for t, seen in _SEEN.items()}
+    doc["base_mva"] = draw(st.just(100.0) | _JSON)
+    for _ in range(draw(st.integers(0, 3))):
+        rows = doc[draw(st.sampled_from(sorted(_SEEN)))]
+        if not rows:
+            continue
+        k = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(("drop", "set", "row")))
+        if op == "row" or not isinstance(rows[k], dict) or not rows[k]:
+            rows[k] = draw(_JSON)
+            continue
+        key = draw(st.sampled_from(sorted(rows[k])))
+        if op == "drop":
+            del rows[k][key]
+        else:
+            rows[k][key] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_JSON, case_shaped_documents()))
+def test_any_json_document_gives_case_or_case_error(doc):
+    """Arbitrary JSON, or any rows under the eight table keys, parse to a
+    ``CaseData`` or raise ``CaseError``; no other exception escapes."""
+    try:
+        case = parse_case(json.dumps(doc))
+    except CaseError:
+        return
+    assert isinstance(case, CaseData)
+
+
+@st.composite
+def graphs(draw):
+    """Distinct node ids in any order and links between them, self-loops and
+    repeats included."""
+    ids = draw(st.lists(st.integers(-10**6, 10**6), unique=True, max_size=30))
+    if not ids:
+        return ids, []
+    return ids, draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_component_groups_match_breadth_first_search(graph):
+    """Components as a breadth-first search finds them: members in ``ids`` order,
+    components in the order of their first member."""
+    ids, links = graph
+    adjacent = {k: [] for k in ids}
+    for a, b in links:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, expected = set(), []
+    for start in ids:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), {start}
+        while queue:
+            for nxt in adjacent[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    members.add(nxt)
+                    queue.append(nxt)
+        expected.append([k for k in ids if k in members])
+    assert component_groups(ids, links) == expected
 
 
 def test_nontransformer_thermal_row_is_absent(b4gic_case):
