@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coupling import IslandError, PowerFlowError, sequential_gic_ac
-from .data import (CaseError, CaseData, FieldScenario, load_scenario_file,
-                   make_ramp_scenario, parse_case_file)
+from .data import (CaseError, CaseData, FieldScenario, load_scenario, make_ramp_scenario,
+                   parse_case)
 from .dcnet import FieldVector, solve_series, winding_ids
 from .thermal import simulate
 
@@ -45,21 +45,24 @@ EXIT_INPUT = 2
 _CSV_BLOCK = 8192  # rows per block of CSV text
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
+def _read(args, option: str) -> str | None:
+    """Text of the input file that ``--<option>`` names, or None when unset.
+
+    The file is read once; the header hashes these same bytes, so it names
+    what was analysed even if the file changes while the command runs.
+    """
+    path = getattr(args, option)
+    if not path:
+        return None
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+        data = fh.read()
+    args.sha256[option] = hashlib.sha256(data).hexdigest()[:16]
+    return data.decode("utf-8")
 
 
 def _meta_line(args, keys) -> str:
-    parts = []
-    if getattr(args, "case", None):
-        parts.append(f"case_sha256={_sha256_file(args.case)}")
-    if getattr(args, "scenario", None):
-        parts.append(f"scenario_sha256={_sha256_file(args.scenario)}")
-    if getattr(args, "overrides", None):
-        parts.append(f"overrides_sha256={_sha256_file(args.overrides)}")
+    parts = [f"{option}_sha256={args.sha256[option]}"
+             for option in ("case", "scenario", "overrides") if option in args.sha256]
     for k in keys:
         v = getattr(args, k, None)
         if v is not None:
@@ -129,7 +132,8 @@ def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
     if args.overrides and not args.scenario:
         raise CaseError("--overrides needs a --scenario file")
     if args.scenario:
-        return load_scenario_file(args.scenario, dt=args.dt, overrides_path=args.overrides)
+        text = _read(args, "scenario")
+        return load_scenario(text, dt=args.dt, overrides_text=_read(args, "overrides"))
     if args.field is not None and require:
         return make_ramp_scenario(args.field, 180.0, 180.0, dt=args.dt,
                                   direction_deg=args.dir)
@@ -143,7 +147,7 @@ def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_dc(args) -> int:
-    case = parse_case_file(args.case)
+    case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args)
     meta = _meta_line(args, ("field", "dir", "dt"))
 
@@ -176,7 +180,7 @@ def _cmd_dc(args) -> int:
 
 
 def _cmd_ac(args) -> int:
-    case = parse_case_file(args.case)
+    case = parse_case(_read(args, "case"))
     field = None if args.field is None else FieldVector.from_mag_dir(args.field, args.dir)
     sol, qmap, ac = sequential_gic_ac(case, field)
     meta = _meta_line(args, ("field", "dir"))
@@ -200,7 +204,7 @@ def _cmd_ac(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
-    case = parse_case_file(args.case)
+    case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
     trace = simulate(case, scenario, dt=args.dt)
     meta = _meta_line(args, ("field", "dir", "dt"))
@@ -258,7 +262,7 @@ def _cmd_mitigate(args) -> int:
     from .mitigation import (MitigationInfeasible, OtsOptions, build_model,
                              enumerate_solve, solve)
 
-    case = parse_case_file(args.case)
+    case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
     options = OtsOptions(dt=args.dt, gap=args.gap)
     model = build_model(case, scenario, options)
@@ -326,7 +330,7 @@ def _branch_table(case: CaseData, scenario: FieldScenario, plan: MitigationPlan)
 def _cmd_verify(args) -> int:
     from .mitigation import OtsOptions, verify_plan
 
-    case = parse_case_file(args.case)
+    case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = plan_from_json(json.load(fh))
@@ -387,6 +391,7 @@ _HANDLERS = {"dc": _cmd_dc, "ac": _cmd_ac, "thermal": _cmd_thermal,
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.sha256 = {}  # input file -> hash of the bytes read, for the output headers
     try:
         _check_run_config(args)
         return _HANDLERS[args.command](args)

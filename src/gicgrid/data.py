@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -462,11 +462,16 @@ def _fields(cls) -> list[tuple[str, str, Callable, object]]:
              _REQUIRED if f.default is MISSING else f.default) for f in fields(cls)]
 
 
+@lru_cache(maxsize=1)
 def parse_case(text: str) -> "CaseData":
     """Parse and validate a case document.
 
     Raises CaseStructureError / CaseReferenceError / CaseInvariantError,
     each naming the offending table and row.
+
+    The last document parsed is remembered by its text: the same text again
+    returns the same ``CaseData`` (immutable, so safe to share) without
+    decoding or validating it again.  Errors are not remembered.
     """
     try:
         doc = json.loads(text)

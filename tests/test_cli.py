@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.cli import _CSV_BLOCK, _cells, _write_table, plan_from_json, plan_to_json, run
-from gicgrid.data import load_scenario_file, serialize_case
+from gicgrid.data import load_scenario_file, parse_case, serialize_case
 from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
 
 from conftest import CASES, bundled
@@ -123,6 +124,64 @@ def test_overrides_file_reaches_dc(workdir, b4gic_case):
             assert float(tt) == t
             assert float(i_dc) == pytest.approx(sol.branch_currents[int(bid)],
                                                 rel=1e-9, abs=1e-9)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _edit_br_r(case) -> tuple[bytes, bytes]:
+    """(original, edited) bytes of a case file: one line's br_r, same length."""
+    original = case.read_bytes()
+    edited = original.replace(b'"br_r": 1.001', b'"br_r": 1.002')
+    assert edited != original and len(edited) == len(original)
+    return original, edited
+
+
+@pytest.mark.parametrize("command,stage,table", [
+    (["ac", "--field", "1.0"], "gicgrid.cli.sequential_gic_ac", "ac_bus.csv"),
+    (["mitigate", "--scenario", "ramp.csv", "--dt", "30"], "gicgrid.mitigation.solve",
+     "plan_branches.csv"),
+], ids=["ac", "mitigate"])
+def test_header_hashes_the_bytes_analysed(workdir, monkeypatch, command, stage, table):
+    """A case file rewritten while the command runs: the header still hashes
+    the bytes that were parsed."""
+    case = workdir / "b4gic.json"
+    original, edited = _edit_br_r(case)
+    module, name = stage.rsplit(".", 1)
+    inner = getattr(importlib.import_module(module), name)
+
+    def rewrite_then_run(*args, **kwargs):
+        case.write_bytes(edited)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stage, rewrite_then_run)
+    argv = [command[0], "--case", str(case), "--out", str(workdir / "out")]
+    assert run(argv + [str(workdir / a) if a.endswith(".csv") else a for a in command[1:]]) == 0
+    assert case.read_bytes() == edited
+    meta = (workdir / "out" / table).read_text().splitlines()[0].split()
+    assert meta[1] == f"case_sha256={_sha256(original)}"
+
+
+def test_rewritten_case_is_parsed_again(workdir):
+    """In one process, a case file edited in place (same length, mtime restored)
+    gives results and a header that follow the new bytes: a parse is
+    remembered by the document's text, not its path."""
+    case = workdir / "b4gic.json"
+    argv = ["dc", "--case", str(case), "--field", "1.0", "--out"]
+    assert run(argv + [str(workdir / "a")]) == 0
+    original, edited = _edit_br_r(case)
+    stat = case.stat()
+    case.write_bytes(edited)
+    os.utime(case, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert run(argv + [str(workdir / "b")]) == 0
+    parse_case.cache_clear()
+    assert run(argv + [str(workdir / "c")]) == 0
+    a, b, c = ((workdir / d / "gic_branch.csv").read_text().splitlines() for d in "abc")
+    assert a[0].split()[1] == f"case_sha256={_sha256(original)}"
+    assert b[0].split()[1] == f"case_sha256={_sha256(edited)}"
+    assert b[2:] != a[2:]
+    assert b == c  # the same as a fresh parse of the edited file
 
 
 @pytest.mark.parametrize("text,scenario,expect", [

@@ -3,7 +3,7 @@
 import json
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +60,17 @@ def test_empty_gmd_tables_is_valid_ac_case():
 def test_roundtrip_b4gic(b4gic_case):
     again = parse_case(serialize_case(b4gic_case))
     assert again == b4gic_case
+    # the same text, as a new string, gives the same object back; sharing it is
+    # safe because the case and every row of its tables are frozen
+    assert parse_case(serialize_case(b4gic_case)) is again
+    for f in fields(CaseData)[1:]:
+        rows = getattr(again, f.name)
+        assert type(rows) is tuple and rows
+        for row in rows:
+            with pytest.raises(FrozenInstanceError):
+                setattr(row, fields(row)[0].name, None)
+    with pytest.raises(FrozenInstanceError):
+        again.base_mva = 1.0
 
 
 def test_roundtrip_is_fixed_point(b4gic_case):
@@ -292,8 +303,10 @@ def test_absent_sentinel_thermal_row_is_absent(b4gic_case):
 def test_missing_table_is_structural_error(b4gic_case):
     doc = _doc(b4gic_case)
     del doc["gmd_bus"]
-    with pytest.raises(CaseStructureError, match="gmd_bus"):
-        parse_case(json.dumps(doc))
+    text = json.dumps(doc)
+    for _ in range(2):  # an error is not remembered: the same text fails again
+        with pytest.raises(CaseStructureError, match="gmd_bus"):
+            parse_case(text)
 
 
 def test_missing_field_names_row(b4gic_case):
