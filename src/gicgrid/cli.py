@@ -182,7 +182,7 @@ def _cmd_dc(args) -> int:
 def _cmd_ac(args) -> int:
     case = parse_case(_read(args, "case"))
     field = None if args.field is None else FieldVector.from_mag_dir(args.field, args.dir)
-    sol, qmap, ac = sequential_gic_ac(case, field)
+    _, qmap, ac = sequential_gic_ac(case, field)
     meta = _meta_line(args, ("field", "dir"))
 
     bus, br = sorted(ac.vm), sorted(ac.p_from)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .data import AcBranch, CaseData, component_groups
-from .dcnet import FieldVector, GicSolution, assemble, effective_gic, solve_dc
+from .dcnet import FieldVector, GicSeries, solve_series
 
 __all__ = [
     "QLoss",
@@ -49,22 +49,20 @@ class QLoss:
 QLossMap = Mapping[int, QLoss]  # keyed by branch_gmd row position
 
 
-def qloss(case: CaseData, sol: GicSolution,
+def qloss(case: CaseData, effective: Mapping[int, float],
           v_pu: Mapping[int, float] | float = 1.0) -> dict[int, QLoss]:
     """Per-transformer reactive losses from effective GICs.
 
-    ``v_pu`` is either a per-bus voltage map or a flat scalar (first pass
-    of the sequential analysis uses 1.0).  Rows without a usable gmd_k
-    (absent / <= 0) contribute nothing.
+    ``effective`` maps branch_gmd row position to I_eff [A]; a row absent
+    from it carries none.  ``v_pu`` is either a per-bus voltage map or a
+    flat scalar (first pass of the sequential analysis uses 1.0).  Rows
+    without a usable gmd_k (absent / <= 0) contribute nothing.
     """
-    eff = sol.effective
-    if eff is None:
-        eff = effective_gic(case, sol)
     out: dict[int, QLoss] = {}
     for pos, row in case.xfmr_rows():
         if row.gmd_k is None or row.gmd_k <= 0:
             continue
-        i_eff = eff.get(pos, 0.0)
+        i_eff = effective.get(pos, 0.0)
         kv_hi = case.bus(row.hi_bus).base_kv
         v = v_pu if isinstance(v_pu, (int, float)) else v_pu.get(row.hi_bus, 1.0)
         d_q = row.gmd_k * v * math.sqrt(3.0) * kv_hi * i_eff / (1000.0 * case.base_mva)
@@ -257,23 +255,24 @@ def _jacobian(Y, vm, va, ang_idx, mag_idx):
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
                       topology: Mapping[int, int] | None = None,
-                      tol: float = 1e-8, max_iter: int = 30):
+                      tol: float = 1e-8, max_iter: int = 30
+                      ) -> tuple[GicSeries, QLossMap, AcSolution]:
     """Sequential quasi-dc then ac analysis for one time point.
 
-    Solves the dc network, converts effective GICs to reactive losses and
+    Solves the dc network (``solve_series`` at one time point; no field
+    means the stored br_v), converts effective GICs to reactive losses and
     runs the power flow twice: first with flat (1.0 p.u.) voltages in the
     loss formula, then with the converged voltages, capturing the
     first-order voltage dependence deterministically.
 
-    Returns (GicSolution with effective currents, final QLossMap,
-    AcSolution).
+    Returns (one-row GicSeries, final QLossMap, AcSolution).
     """
-    sys = assemble(case, field, topology=topology)
-    sol = solve_dc(sys)
-    sol = sol.with_effective(effective_gic(case, sol))
+    series = solve_series(case, None if field is None else np.array([field]), [0.0],
+                          topology=topology)
+    effective = {pos: float(i[0]) for pos, i in series.effective.items()}
 
-    q1 = qloss(case, sol, 1.0)
+    q1 = qloss(case, effective, 1.0)
     ac1 = ac_power_flow(case, q1, tol=tol, max_iter=max_iter, topology=topology)
-    q2 = qloss(case, sol, ac1.vm)
+    q2 = qloss(case, effective, ac1.vm)
     ac2 = ac_power_flow(case, q2, tol=tol, max_iter=max_iter, topology=topology)
-    return sol, q2, ac2
+    return series, q2, ac2

@@ -270,17 +270,9 @@ class FieldScenario:
         north, east = zip(*(FieldVector.from_mag_dir(s.e_mag, s.e_dir) for s in self.samples))
         return np.column_stack([np.interp(times, ts, north), np.interp(times, ts, east)])
 
-    def at(self, t: float) -> tuple[float, float]:
-        """Interpolated field vector (e_north, e_east) in V/km at time t."""
-        return tuple(self.series([t])[0].tolist())
-
     def overrides_series(self, times: Sequence[float]) -> dict[int, np.ndarray]:
         """Per-branch induced-voltage overrides [V] interpolated at each time."""
         return {b: np.interp(times, *zip(*series)) for b, series in self.voltage_overrides.items()}
-
-    def overrides_at(self, t: float) -> dict[int, float]:
-        """Per-branch induced-voltage overrides [V] interpolated at time t."""
-        return {b: float(v[0]) for b, v in self.overrides_series([t]).items()}
 
     def grid(self, dt: float | None = None) -> list[float]:
         """Uniform time grid t_start..t_end at step dt; dt must divide the span."""

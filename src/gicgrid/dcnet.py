@@ -12,16 +12,15 @@ For a fixed topology G does not depend on the field, and J is linear in
 method of Lehtinen & Pirjola, 1985).  ``assemble`` builds the solve set
 of a topology once as arrays, with one superposition basis of source
 voltages; ``solve_series`` factors G once and superposes the basis
-solutions over a time series, and ``solve_dc`` is the same code with the
-one right-hand side of a single time point.
+solutions over a time series, a single time point being a series of one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Collection, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,17 +33,14 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "FieldVector",
     "DcSystem",
-    "GicSolution",
     "GicSeries",
     "SingularNetworkError",
     "MissingCoordinates",
     "branch_lengths",
     "displacement",
     "assemble",
-    "solve_dc",
     "solve_series",
     "source_basis",
-    "effective_gic",
     "winding_weights",
     "winding_ids",
 ]
@@ -100,8 +96,8 @@ class DcSystem:
 
     Nodes are the in-service gmd buses; edges are the gmd branches in
     service under the topology, f -> t.  ``sources`` holds the series edge
-    voltage of each superposition basis (see ``assemble``) and ``v_src``
-    their weighted sum at the one time point assembled.
+    voltage of each superposition basis (see ``assemble``); a time point's
+    edge voltages are their weighted sum.
     """
 
     node_ids: tuple[int, ...]          # gmd_bus ids in matrix order
@@ -114,7 +110,6 @@ class DcSystem:
     parent: np.ndarray                 # (edges,) ac branch id or -1
     lengths: np.ndarray | None         # (edges, 2) north/east route length the field sees [km]
     sources: np.ndarray                # (edges, B) series voltage of each basis [V]
-    v_src: np.ndarray                  # (edges,) series voltage at this time point [V]
 
     @property
     def incidence(self) -> sp.csr_matrix:
@@ -130,18 +125,16 @@ class DcSystem:
         return A @ sp.diags(self.a) @ A.T + sp.diags(self.ground)
 
 
-def assemble(case: CaseData, field: FieldVector | None = None, *,
-             overrides: Mapping[int, float] | None = None,
+def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = (), *,
              topology: Mapping[int, int] | None = None) -> DcSystem:
-    """Build the dc solve set of one topology and its sources at one time point.
+    """Build the dc solve set of one topology and its superposition basis.
 
     ``topology`` optionally overrides the nominal status per ac branch id
     (1 in service, 0 open); gmd branches whose parent is open, whose own
     status is 0, or whose parent is a series-capacitor branch are left
-    out of the solve set.  The sources follow the superposition basis of
-    ``_sources`` (unit north and east fields, or the stored br_v without a
-    field, then a unit voltage per override), and ``v_src`` weighs them by
-    the field components and the override voltages.
+    out of the solve set.  The sources follow the basis of ``_sources``:
+    unit north and east fields when ``field`` acts, else the stored br_v,
+    then a unit voltage per ``overridden`` gmd_branch id, in that order.
     """
     nodes = [b for b in case.gmd_buses if b.status]
     node_ids = tuple(b.index for b in nodes)
@@ -163,22 +156,17 @@ def assemble(case: CaseData, field: FieldVector | None = None, *,
     comp = np.zeros(len(node_ids), dtype=int)
     for k, members in enumerate(component_groups(range(len(nodes)), zip(f.tolist(), t.tolist()))):
         comp[members] = k
-    over = dict(overrides or {})
-    lengths = None if field is None else _route_lengths(case, edges, over)
-    sources = _sources(case, edges, lengths, over)
-    weights = [1.0] if field is None else [field.e_north, field.e_east]
-    v_src = sum((w * col for w, col in zip(weights + list(over.values()), sources.T)),
-                np.zeros(len(edges)))
+    lengths = _route_lengths(case, edges, overridden) if field else None
     return DcSystem(node_ids=node_ids,
                     ground=np.array([b.g_gnd for b in nodes], dtype=float), comp=comp,
                     branch_ids=tuple(e.index for e in edges), f=f, t=t,
                     a=np.array([e.a for e in edges], dtype=float),
                     parent=np.array([e.parent for e in edges], dtype=int),
-                    lengths=lengths, sources=sources, v_src=v_src)
+                    lengths=lengths, sources=_sources(case, edges, lengths, overridden))
 
 
 def _route_lengths(case: CaseData, edges: list[GmdBranch],
-                   overrides: Mapping[int, float]) -> np.ndarray:
+                   overridden: Collection[int]) -> np.ndarray:
     """(L_N, L_E) [km] per edge as a uniform field sees it.
 
     The bearing comes from the endpoint coordinates, rescaled to the stored
@@ -189,7 +177,7 @@ def _route_lengths(case: CaseData, edges: list[GmdBranch],
     windings = {w for row in case.branch_gmd if row.is_xfmr for w in winding_ids(row)}
     out = np.zeros((len(edges), 2))
     for k, e in enumerate(edges):
-        if e.index in windings or e.index in overrides:
+        if e.index in windings or e.index in overridden:
             continue
         l_n, l_e = branch_lengths(case, e)
         norm = math.hypot(l_n, l_e)
@@ -201,7 +189,7 @@ def _route_lengths(case: CaseData, edges: list[GmdBranch],
 
 
 def _sources(case: CaseData, edges: list[GmdBranch], lengths: np.ndarray | None,
-             overrides: Mapping[int, float]) -> np.ndarray:
+             overridden: Collection[int]) -> np.ndarray:
     """Series edge voltages [V] of each superposition basis, edges x B.
 
     With ``lengths`` the first two bases are a unit north and a unit east
@@ -211,31 +199,18 @@ def _sources(case: CaseData, edges: list[GmdBranch], lengths: np.ndarray | None,
     override naming no gmd_branch of the case raises CaseReferenceError; one
     on a branch outside the solve set is inert.
     """
-    unknown = sorted(set(overrides) - {e.index for e in case.gmd_branches})
+    unknown = sorted(set(overridden) - {e.index for e in case.gmd_branches})
     if unknown:
         raise CaseReferenceError(f"voltage override: gmd_branch id {unknown[0]} does not exist")
     ids = np.array([e.index for e in edges], dtype=int)
-    overridden = np.isin(ids, list(overrides))
+    held = np.isin(ids, list(overridden))
     if lengths is None:
         base = [np.array([e.br_v for e in edges], dtype=float)]
     else:  # E_N L_N + E_E L_E at E = (1, 0) and (0, 1), term by term: L_N alone
         north, east = lengths.T  # would differ from that sum in the sign of a zero
         base = [1.0 * north + 0.0 * east, 0.0 * north + 1.0 * east]
-    return np.column_stack([np.where(overridden, 0.0, col) for col in base]
-                           + [(ids == b).astype(float) for b in overrides])
-
-
-@dataclass(frozen=True)
-class GicSolution:
-    """Quasi-dc solution for one time point."""
-
-    node_voltages: Mapping[int, float]      # gmd_bus id -> V [volts]
-    branch_currents: Mapping[int, float]    # gmd_branch id -> I [A, f->t]
-    effective: Mapping[int, float] | None = None  # branch_gmd row pos -> I_eff [A]
-    kcl_residual: float = 0.0
-
-    def with_effective(self, eff: Mapping[int, float]) -> "GicSolution":
-        return replace(self, effective=dict(eff))
+    return np.column_stack([np.where(held, 0.0, col) for col in base]
+                           + [(ids == b).astype(float) for b in overridden])
 
 
 @dataclass(frozen=True)
@@ -269,7 +244,7 @@ def _solve(sys: DcSystem, sources: np.ndarray,
     grounded = np.zeros(sys.comp.max() + 1, dtype=bool)
     grounded[sys.comp[sys.ground > 0]] = True
     floating = np.flatnonzero(~grounded)
-    # a floating component of several nodes is reported at the caller of solve_dc / solve_series
+    # a floating component of several nodes is reported at the caller of solve_series
     for k in floating[np.bincount(sys.comp)[floating] > 1]:
         node_ids = sorted(sys.node_ids[i] for i in np.flatnonzero(sys.comp == k))
         warnings.warn(f"pinning ungrounded dc component (gmd buses {node_ids}) to 0 V",
@@ -296,19 +271,6 @@ def _solve(sys: DcSystem, sources: np.ndarray,
             f"dc solve lost accuracy: KCL residual {residual[k]:.3e} A "
             f"(injection scale {scale[k]:.3e} A); check admittance conditioning")
     return V, I, residual
-
-
-def solve_dc(sys: DcSystem) -> GicSolution:
-    """Solve G V = J at the system's one time point and recover branch currents.
-
-    Connected components without any path to ground have no unique
-    potential reference; the lowest-row node of each such component is
-    pinned to 0 V (currents are unaffected).
-    """
-    V, I, residual = _solve(sys, sys.v_src[:, None], np.ones((1, 1)))
-    return GicSolution(node_voltages=dict(zip(sys.node_ids, V[0].tolist())),
-                       branch_currents=dict(zip(sys.branch_ids, I[0].tolist())),
-                       kcl_residual=float(residual[0]))
 
 
 def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
@@ -343,11 +305,7 @@ def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, time
     over = fields.overrides_series(times) if isinstance(fields, FieldScenario) else {}
     if isinstance(fields, FieldScenario):
         fields = fields.series(times)
-    # the basis depends only on whether a field acts and which branches are
-    # overridden, so any one time point builds it: here zero field and zero
-    # override voltages
-    sys = assemble(case, None if fields is None else FieldVector(0.0, 0.0),
-                   overrides=dict.fromkeys(over, 0.0), topology=topology)
+    sys = assemble(case, fields is not None, tuple(over), topology=topology)
     first = np.ones((len(times), 1)) if fields is None else np.reshape(fields, (-1, 2))
     return sys, sys.sources, np.column_stack([first] + list(over.values()))
 
@@ -378,25 +336,15 @@ def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, floa
 
 
 def _effective(case: CaseData, currents: Mapping[int, float | np.ndarray], zero):
-    """Effective GIC per branch_gmd row position: |sum of weight * winding current|.
+    """Effective GIC [A] per branch_gmd row position: |sum of weight * winding current|.
 
-    ``currents`` maps gmd_branch id to a current or a current series and
-    ``zero`` stands in for windings absent from it.
+    ``currents`` maps gmd_branch id to a current or a current series, taken
+    as solved (orientation per the case file), and ``zero`` stands in for
+    windings absent from it (switched-off parents); ``winding_weights``
+    gives each configuration's weights.
     """
     out = {}
     for pos, row in case.xfmr_rows():
         weighted = (w * currents.get(wid, zero) for wid, w in winding_weights(case, row))
         out[pos] = abs(sum(weighted, zero))
     return out
-
-
-def effective_gic(case: CaseData, sol: GicSolution) -> dict[int, float]:
-    """Per-transformer effective GIC magnitudes [A].
-
-    Keyed by branch_gmd row position.  Winding currents are taken as
-    solved (orientation per the case file); winding branches absent from
-    the solution (switched-off parents) contribute zero.  gwye-delta uses
-    |I_hi|; gwye-gwye |(a I_hi + I_lo)/a|; autos |(a I_se + I_co)/(a+1)|;
-    everything else is 0.
-    """
-    return _effective(case, sol.branch_currents, 0.0)

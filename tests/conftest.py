@@ -9,6 +9,7 @@ from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData,
                           CaseData, FieldSample, FieldScenario, Generator,
                           GmdBranch, GmdBus, ThermalData, parse_case_file,
                           validate_case)
+from gicgrid.dcnet import solve_series
 
 CASES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "cases")
 
@@ -16,6 +17,28 @@ CASES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bundled(name: str) -> CaseData:
     """The bundled case ``cases/<name>.json``."""
     return parse_case_file(os.path.join(CASES, f"{name}.json"))
+
+
+def solve_at(case: CaseData, field=None, *, topology=None):
+    """``solve_series`` at one time point: a field (e_north, e_east) [V/km],
+    or None for the stored br_v values."""
+    return solve_series(case, None if field is None else np.array([field]), [0.0],
+                        topology=topology)
+
+
+def voltages(series, k: int = 0) -> dict[int, float]:
+    """Node voltages by gmd_bus id at time point ``k``."""
+    return dict(zip(series.node_ids, series.V[k].tolist()))
+
+
+def currents(series, k: int = 0) -> dict[int, float]:
+    """Branch currents by gmd_branch id at time point ``k``."""
+    return dict(zip(series.branch_ids, series.I[k].tolist()))
+
+
+def effective(series, k: int = 0) -> dict[int, float]:
+    """Effective GICs by branch_gmd row position at time point ``k``."""
+    return {pos: float(i[k]) for pos, i in series.effective.items()}
 
 
 @pytest.fixture(scope="session")

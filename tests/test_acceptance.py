@@ -13,12 +13,12 @@ import pytest
 
 from gicgrid.coupling import ac_power_flow, sequential_gic_ac
 from gicgrid.data import make_ramp_scenario
-from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
+from gicgrid.dcnet import FieldVector
 from gicgrid.mitigation import (MitigationInfeasible, build_model,
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
 
-from conftest import random_dc_case, random_ots_case
+from conftest import currents, effective, random_dc_case, random_ots_case, solve_at
 
 LOOP = 170.788 / 1.601
 
@@ -30,23 +30,23 @@ def _report(name, detail):
 def test_criterion_1_b4gic_gic_solve(b4gic_case):
     """Series loop GIC equals 170.788/1.601 A on every dc element, < 10 ms."""
     field = FieldVector.from_mag_dir(1.0, 90.0)
-    sol = solve_dc(assemble(b4gic_case, field))  # warm-up outside the clock
+    sol = solve_at(b4gic_case, field)  # warm-up outside the clock
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        sol = solve_dc(assemble(b4gic_case, field))
+        sol = solve_at(b4gic_case, field)
         best = min(best, time.perf_counter() - t0)
     for gid in (1, 2, 3):
-        assert abs(sol.branch_currents[gid]) == pytest.approx(LOOP, rel=1e-6)
+        assert abs(currents(sol)[gid]) == pytest.approx(LOOP, rel=1e-6)
     assert best < 0.010
     _report("1 (B4GIC GIC solve)",
-            f"loop {abs(sol.branch_currents[2]):.4f} A, {best * 1e3:.2f} ms")
+            f"loop {abs(currents(sol)[2]):.4f} A, {best * 1e3:.2f} ms")
 
 
 def test_criterion_2_effective_gic_and_hotspot(b4gic_case):
     """Both GSUs report I_eff = |loop| and hot-spot rise 0.63 * I_eff."""
-    sol = solve_dc(assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)))
-    eff = effective_gic(b4gic_case, sol)
+    sol = solve_at(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
+    eff = effective(sol)
     assert eff[0] == pytest.approx(LOOP, rel=1e-6)
     assert eff[2] == pytest.approx(LOOP, rel=1e-6)
     eta = 0.63 * eff[0]
@@ -89,10 +89,8 @@ def test_criterion_4_linearity_suite():
                                       float(rng.uniform(0.0, 360.0)))
 
         def vec(field):
-            s = solve_dc(assemble(case, field))
-            v = np.array([s.node_voltages[k] for k in sorted(s.node_voltages)])
-            i = np.array([s.branch_currents[k] for k in sorted(s.branch_currents)])
-            return np.concatenate([v, i])
+            s = solve_at(case, field)
+            return np.concatenate([s.V[0], s.I[0]])
 
         base = vec(fa)
         scale = max(float(np.max(np.abs(base))), 1e-9)
@@ -162,13 +160,13 @@ def test_criterion_6_case_study_reproduction(epri21_case):
     assert all(z == 1 for z in others.values())
 
     # peak GIC at the field maximum on the mitigated topology
-    sol = solve_dc(assemble(epri21_case, FieldVector.from_mag_dir(3.2, 90.0),
-                            topology=plan.z))
+    i_dc = currents(solve_at(epri21_case, FieldVector.from_mag_dir(3.2, 90.0),
+                             topology=plan.z))
     surviving = 25 if plan.z[7] == 1 else 26   # dc ids of the 4-5 circuits
-    i_line = abs(sol.branch_currents[surviving])
+    i_line = abs(i_dc[surviving])
     assert i_line == pytest.approx(368.8, rel=0.01)
-    i_auto_1 = abs(sol.branch_currents[6])     # series winding, circuit 3
-    i_auto_2 = abs(sol.branch_currents[8])     # series winding, circuit 4
+    i_auto_1 = abs(i_dc[6])     # series winding, circuit 3
+    i_auto_2 = abs(i_dc[8])     # series winding, circuit 4
     assert i_auto_1 == pytest.approx(127.8, rel=0.01)
     assert i_auto_2 == pytest.approx(127.8, rel=0.01)
 

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.cli import _CSV_BLOCK, _cells, _write_table, plan_from_json, plan_to_json, run
 from gicgrid.data import load_scenario_file, parse_case, serialize_case
-from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
+from gicgrid.dcnet import solve_series
 
-from conftest import CASES, bundled
+from conftest import CASES, bundled, currents, effective, voltages
 
 LOOP = 170.788 / 1.601
 
@@ -84,18 +84,17 @@ def test_dc_sweep_matches_per_point_solves(workdir, b4gic_case):
     times = scenario.grid()
     assert len(bus_rows) == 6 * len(times) and len(branch_rows) == 3 * len(times)
     for k, t in enumerate(times):
-        sol = solve_dc(assemble(b4gic_case, FieldVector(*scenario.at(t)),
-                                overrides=scenario.overrides_at(t)))
-        eff = effective_gic(b4gic_case, sol)
+        sol = solve_series(b4gic_case, scenario, [t])
+        eff, v_of, i_of = effective(sol), voltages(sol), currents(sol)
         for row in bus_rows[6 * k:6 * (k + 1)]:
             tt, nid, v = row.split(",")
             assert float(tt) == t
-            assert float(v) == pytest.approx(sol.node_voltages[int(nid)], rel=1e-9, abs=1e-9)
+            assert float(v) == pytest.approx(v_of[int(nid)], rel=1e-9, abs=1e-9)
         winding_eff = {row.gmd_br_hi: eff[pos] for pos, row in b4gic_case.xfmr_rows()}
         for row in branch_rows[3 * k:3 * (k + 1)]:
             tt, bid, i_dc, i_eff = row.split(",")
             assert float(tt) == t
-            assert float(i_dc) == pytest.approx(sol.branch_currents[int(bid)], rel=1e-9, abs=1e-9)
+            assert float(i_dc) == pytest.approx(i_of[int(bid)], rel=1e-9, abs=1e-9)
             assert float(i_eff) == pytest.approx(winding_eff.get(int(bid), 0.0),
                                                  rel=1e-9, abs=1e-9)
 
@@ -117,13 +116,11 @@ def test_overrides_file_reaches_dc(workdir, b4gic_case):
     scenario = load_scenario_file(str(workdir / "ramp.csv"), dt=30.0,
                                   overrides_path=str(over))
     for k, t in enumerate(scenario.grid()):
-        sol = solve_dc(assemble(b4gic_case, FieldVector(*scenario.at(t)),
-                                overrides=scenario.overrides_at(t)))
+        i_of = currents(solve_series(b4gic_case, scenario, [t]))
         for row in rows[3 * k:3 * (k + 1)]:
             tt, bid, i_dc, _ = row.split(",")
             assert float(tt) == t
-            assert float(i_dc) == pytest.approx(sol.branch_currents[int(bid)],
-                                                rel=1e-9, abs=1e-9)
+            assert float(i_dc) == pytest.approx(i_of[int(bid)], rel=1e-9, abs=1e-9)
 
 
 def _sha256(data: bytes) -> str:

@@ -12,14 +12,16 @@ from hypothesis import given, settings, strategies as st
 from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian, ac_power_flow,
                               qloss, sequential_gic_ac)
 from gicgrid.data import AcBranch, Bus, CaseData, Generator, parse_case
-from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
+from gicgrid.dcnet import FieldVector, solve_series
+
+from conftest import effective, solve_at
 
 LOOP = 170.788 / 1.601
 
 
 def _solved(case, mag=1.0):
-    sol = solve_dc(assemble(case, FieldVector.from_mag_dir(mag, 90.0)))
-    return sol.with_effective(effective_gic(case, sol))
+    """Effective GICs by branch_gmd row position under ``mag`` V/km due east."""
+    return effective(solve_at(case, FieldVector.from_mag_dir(mag, 90.0)))
 
 
 # -- qloss --------------------------------------------------------------------
@@ -128,12 +130,24 @@ def test_reactive_balance_audit(b4gic_case):
 def test_sequential_pipeline_b4gic(b4gic_case):
     sol, qmap, ac = sequential_gic_ac(b4gic_case,
                                       FieldVector.from_mag_dir(1.0, 90.0))
-    assert sol.effective[0] == pytest.approx(LOOP, rel=1e-9)
-    assert sol.effective[2] == pytest.approx(LOOP, rel=1e-9)
+    assert sol.effective[0][0] == pytest.approx(LOOP, rel=1e-9)
+    assert sol.effective[2][0] == pytest.approx(LOOP, rel=1e-9)
     assert ac.max_mismatch <= 1e-8
     # second pass used converged voltages: v < 1 at loaded buses lowers d_q
-    flat = qloss(b4gic_case, sol, 1.0)
+    flat = qloss(b4gic_case, effective(sol), 1.0)
     assert qmap[0].d_q < flat[0].d_q
+
+
+@pytest.mark.parametrize("bearing", [0.0, 45.0, 90.0, 123.0, 270.0])
+def test_sequential_effective_is_the_dc_engines(epri21_case, bearing):
+    """ac and dc read the same effective GICs: the sequential analysis solves
+    the dc network with solve_series, bit for bit."""
+    field = FieldVector.from_mag_dir(1.0, bearing)
+    sol, _, _ = sequential_gic_ac(epri21_case, field)
+    ref = solve_series(epri21_case, np.array([field]), [0.0]).effective
+    assert sol.effective.keys() == ref.keys()
+    for pos, i_eff in ref.items():
+        assert sol.effective[pos].tobytes() == i_eff.tobytes(), pos
 
 
 def test_sequential_monotone_in_field(b4gic_case):

@@ -14,7 +14,7 @@ from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, Case
                           CaseStructureError, FieldSample, FieldScenario, Generator,
                           GmdBranch, GmdBus, ThermalData, component_groups, estimate_missing_gsu,
                           load_scenario, make_ramp_scenario, parse_case, serialize_case)
-from gicgrid.dcnet import FieldVector, assemble
+from gicgrid.dcnet import assemble
 
 from conftest import bundled, random_dc_case
 
@@ -53,7 +53,7 @@ def test_empty_gmd_tables_is_valid_ac_case():
     }
     case = parse_case(json.dumps(doc))
     assert case.gmd_buses == ()
-    sys = assemble(case, FieldVector.from_mag_dir(1.0, 90.0))
+    sys = assemble(case, True)
     assert sys.conductance().shape == (0, 0)
 
 
@@ -423,7 +423,7 @@ def test_all_winding_configs_constructible(b4gic_case):
 
 
 def test_series_cap_never_enters_solve_set(epri21_case):
-    sys = assemble(epri21_case, FieldVector.from_mag_dir(1.0, 90.0))
+    sys = assemble(epri21_case, True)
     cap_rows = {r.branch for r in epri21_case.branch_gmd if r.type == "series_cap"}
     assert cap_rows
     solved_parents = set(sys.parent.tolist())
@@ -516,7 +516,7 @@ def test_zero_peak_ramp():
 def test_scenario_interpolation_is_componentwise():
     sc = FieldScenario(samples=(FieldSample(0.0, 1.0, 0.0),
                                 FieldSample(10.0, 1.0, 90.0)), dt=5.0)
-    e_n, e_e = sc.at(5.0)
+    e_n, e_e = sc.series([5.0])[0]
     assert e_n == pytest.approx(0.5)
     assert e_e == pytest.approx(0.5)
 
@@ -532,8 +532,8 @@ def test_scenario_csv_roundtrip():
     over = "t_min,gmd_branch_id,volts\n0,2,0\n60,2,250.0\n120,2,0\n"
     sc = load_scenario(text, dt=10.0, overrides_text=over)
     assert sc.t_end == 120.0
-    assert sc.at(30.0)[1] == pytest.approx(0.75)
-    assert sc.overrides_at(30.0)[2] == pytest.approx(125.0)
+    assert sc.series([30.0])[0][1] == pytest.approx(0.75)
+    assert sc.overrides_series([30.0])[2][0] == pytest.approx(125.0)
     assert sc.grid() == [float(t) for t in range(0, 121, 10)]
 
 

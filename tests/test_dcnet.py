@@ -1,7 +1,9 @@
 """Quasi-dc solve: geometry, assembly, linear-circuit properties."""
 
 import dataclasses
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gicgrid.data import ABSENT, CaseReferenceError, FieldSample, FieldScenario, load_scenario
-from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, assemble,
-                           branch_lengths, effective_gic, solve_dc, solve_series)
+from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, _effective,
+                           assemble, branch_lengths, solve_series)
 
-from conftest import random_dc_case
+from conftest import CASES, currents, random_dc_case, solve_at, voltages
 
 LOOP_CURRENT = 170.788 / 1.601  # series mesh: 0.2 + 0.1 + 1.001 + 0.1 + 0.2 ohm
 
@@ -51,29 +53,31 @@ def test_missing_coordinates_error(b4gic_case):
         branch_lengths(case, case.gmd_branch(2))
 
 
-def _v_src(sys):
-    return dict(zip(sys.branch_ids, sys.v_src.tolist()))
+def _v_src(sys, *weights):
+    """Series edge voltages [V] by gmd_branch id: the basis weighted by the
+    field components (or 1 for the stored br_v), then the override voltages."""
+    return dict(zip(sys.branch_ids, (sys.sources @ weights).tolist()))
 
 
-def _injections(sys):
+def _injections(sys, weights):
     """Norton injections J [A]: a source v on edge f->t drives a*v from f into t."""
-    return sys.incidence @ (sys.a * sys.v_src)
+    return sys.incidence @ (sys.a * (sys.sources @ weights))
 
 
 def test_induced_voltage_eastward(b4gic_case):
     # the 170.788 km east-west line under 1 V/km due east
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
-    assert _v_src(sys)[2] == pytest.approx(170.788)
+    sys = assemble(b4gic_case, True)
+    assert _v_src(sys, *FieldVector.from_mag_dir(1.0, 90.0))[2] == pytest.approx(170.788)
 
 
 def test_induced_voltage_zero_field(b4gic_case):
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(0.0, 123.0))
-    assert np.all(sys.v_src == 0.0)
+    sys = assemble(b4gic_case, True)
+    assert np.all(sys.sources @ FieldVector.from_mag_dir(0.0, 123.0) == 0.0)
 
 
 def test_induced_voltage_peak_field(b4gic_case):
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(3.2, 90.0))
-    assert _v_src(sys)[2] == pytest.approx(546.52, abs=5e-3)
+    sys = assemble(b4gic_case, True)
+    assert _v_src(sys, *FieldVector.from_mag_dir(3.2, 90.0))[2] == pytest.approx(546.52, abs=5e-3)
 
 
 def test_induced_voltage_north_projection(b4gic_case):
@@ -84,18 +88,20 @@ def test_induced_voltage_north_projection(b4gic_case):
     doc = json.loads(serialize_case(b4gic_case))
     doc["bus_gmd"][0] = {"bus": 1, "lat": 41.0, "lon": -89.0}
     doc["bus_gmd"][1] = {"bus": 2, "lat": 40.0, "lon": -89.0}
-    sys = assemble(parse_case(json.dumps(doc)), FieldVector.from_mag_dir(2.0, 0.0))
+    sys = assemble(parse_case(json.dumps(doc)), True)
     k = sys.branch_ids.index(2)
     assert sys.lengths[k] == pytest.approx([-170.788, 0.0], abs=1e-9)
-    assert sys.v_src[k] == pytest.approx(2.0 * -170.788, abs=1e-9)
+    assert sys.sources[k] @ FieldVector.from_mag_dir(2.0, 0.0) == pytest.approx(2.0 * -170.788,
+                                                                                abs=1e-9)
 
 
 def test_assemble_b4gic_structure(b4gic_case):
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
+    sys = assemble(b4gic_case, True)
     G = sys.conductance().toarray()
     assert G.shape == (6, 6)
     # Norton injections only at the line endpoints (gmd buses 3 and 4)
-    nz = {sys.node_ids[i] for i in np.nonzero(_injections(sys))[0]}
+    nz = {sys.node_ids[i]
+          for i in np.nonzero(_injections(sys, FieldVector.from_mag_dir(1.0, 90.0)))[0]}
     assert nz == {3, 4}
     assert np.allclose(G, G.T)
     eigvals = np.linalg.eigvalsh(G)
@@ -105,25 +111,24 @@ def test_assemble_b4gic_structure(b4gic_case):
 
 
 def test_assemble_zero_field_zero_injection(b4gic_case):
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(0.0, 90.0))
-    assert np.all(_injections(sys) == 0.0)
+    sys = assemble(b4gic_case, True)
+    assert np.all(_injections(sys, FieldVector.from_mag_dir(0.0, 90.0)) == 0.0)
 
 
 def test_assemble_injection_linearity(b4gic_case):
-    one = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
-    two = assemble(b4gic_case, FieldVector.from_mag_dir(2.0, 90.0))
-    assert np.allclose(_injections(two), 2.0 * _injections(one))
+    one = _injections(assemble(b4gic_case, True), FieldVector.from_mag_dir(1.0, 90.0))
+    two = _injections(assemble(b4gic_case, True), FieldVector.from_mag_dir(2.0, 90.0))
+    assert np.allclose(two, 2.0 * one)
 
 
 def test_assemble_override_precedence(b4gic_case):
-    sys = assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0),
-                   overrides={2: 500.0})
-    assert _v_src(sys)[2] == 500.0
+    sys = assemble(b4gic_case, True, [2])
+    assert _v_src(sys, *FieldVector.from_mag_dir(1.0, 90.0), 500.0)[2] == 500.0
 
 
 def test_assemble_without_field_uses_stored_voltage(b4gic_case):
     sys = assemble(b4gic_case)
-    assert _v_src(sys)[2] == 170.788
+    assert _v_src(sys, 1.0)[2] == 170.788
     assert sys.lengths is None  # no field, so no route lengths and no coordinates
 
 
@@ -138,31 +143,29 @@ def test_override_on_unknown_branch_is_reference_error(b4gic_case):
     with pytest.raises(CaseReferenceError, match="999"):
         solve_series(b4gic_case, scenario, [0.0])
     with pytest.raises(CaseReferenceError, match="999"):
-        assemble(b4gic_case, FieldVector(1.0, 0.0), overrides={999: 100.0})
+        assemble(b4gic_case, True, [999])
     # an override on a branch the topology opens stays inert
-    sys = assemble(b4gic_case, FieldVector(1.0, 0.0), overrides={2: 100.0}, topology={2: 0})
+    sys = assemble(b4gic_case, True, [2], topology={2: 0})
     assert 2 not in sys.branch_ids
 
 
 def test_solve_b4gic_loop(b4gic_case):
-    sol = solve_dc(assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)))
+    sol = solve_at(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
     for gid in (1, 2, 3):
-        assert abs(sol.branch_currents[gid]) == pytest.approx(LOOP_CURRENT,
-                                                              rel=1e-9)
-    assert sol.kcl_residual <= 1e-8 * 170.788
+        assert abs(currents(sol)[gid]) == pytest.approx(LOOP_CURRENT, rel=1e-9)
+    assert sol.kcl_residual[0] <= 1e-8 * 170.788
 
 
 def test_solve_zero_field(b4gic_case):
-    sol = solve_dc(assemble(b4gic_case, FieldVector.from_mag_dir(0.0, 90.0)))
-    assert all(v == 0.0 for v in sol.node_voltages.values())
-    assert all(i == 0.0 for i in sol.branch_currents.values())
+    sol = solve_at(b4gic_case, FieldVector.from_mag_dir(0.0, 90.0))
+    assert all(v == 0.0 for v in voltages(sol).values())
+    assert all(i == 0.0 for i in currents(sol).values())
 
 
 def test_effective_gic_gsu(b4gic_case):
-    sol = solve_dc(assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)))
-    eff = effective_gic(b4gic_case, sol)
-    assert eff[0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
-    assert eff[2] == pytest.approx(LOOP_CURRENT, rel=1e-9)
+    eff = solve_at(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)).effective
+    assert eff[0][0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
+    assert eff[2][0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
 
 
 def _two_winding_case(config, turns_ratio):
@@ -204,26 +207,20 @@ def _two_winding_case(config, turns_ratio):
 
 
 def test_effective_gic_gwye_gwye_cancellation():
-    from gicgrid.dcnet import GicSolution
     case = _two_winding_case("gwye-gwye", 2.0)
-    sol = GicSolution(node_voltages={}, branch_currents={1: 10.0, 2: -20.0})
-    eff = effective_gic(case, sol)
+    eff = _effective(case, {1: 10.0, 2: -20.0}, 0.0)
     assert eff[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_effective_gic_auto_formula():
-    from gicgrid.dcnet import GicSolution
     case = _two_winding_case("gwye-gwye-auto", 0.5)
-    sol = GicSolution(node_voltages={}, branch_currents={1: 30.0, 2: 15.0})
-    eff = effective_gic(case, sol)
+    eff = _effective(case, {1: 30.0, 2: 15.0}, 0.0)
     assert eff[0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
 
 
 def test_effective_gic_delta_delta_zero():
-    from gicgrid.dcnet import GicSolution
     case = _two_winding_case("delta-delta", None)
-    sol = GicSolution(node_voltages={}, branch_currents={1: 99.0, 2: 99.0})
-    assert effective_gic(case, sol)[0] == 0.0
+    assert _effective(case, {1: 99.0, 2: 99.0}, 0.0)[0] == 0.0
 
 
 def _floating_case():
@@ -248,34 +245,33 @@ def _floating_case():
 
 
 def test_floating_component_pinned_with_warning():
-    sys = assemble(_floating_case())
+    case = _floating_case()
+    sys = assemble(case)
     assert sys.comp.tolist() == [0, 0] and not np.any(sys.ground > 0)
     with pytest.warns(UserWarning, match=r"ungrounded dc component \(gmd buses \[1, 2\]\)"):
-        sol = solve_dc(sys)
+        sol = solve_at(case)
     # no ground path: the EMF cannot drive any current; the lowest row is pinned
-    assert sol.branch_currents[1] == pytest.approx(0.0, abs=1e-12)
-    assert sol.node_voltages[1] == 0.0
+    assert currents(sol)[1] == pytest.approx(0.0, abs=1e-12)
+    assert voltages(sol)[1] == 0.0
 
 
 def test_isolated_gen_terminal_nodes_quiet(b4gic_case):
     # dc_bus3/dc_bus4 are isolated single nodes: pinned silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_dc(assemble(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)))
-    assert sol.node_voltages[5] == 0.0
-    assert sol.node_voltages[6] == 0.0
+        sol = solve_at(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0))
+    assert voltages(sol)[5] == 0.0
+    assert voltages(sol)[6] == 0.0
 
 
 # -- linear-circuit properties on random networks ----------------------------
 
 def _solve(case, mag, direction):
-    return solve_dc(assemble(case, FieldVector.from_mag_dir(mag, direction)))
+    return solve_at(case, FieldVector.from_mag_dir(mag, direction))
 
 
 def _as_vectors(sol):
-    v = np.array([sol.node_voltages[k] for k in sorted(sol.node_voltages)])
-    i = np.array([sol.branch_currents[k] for k in sorted(sol.branch_currents)])
-    return v, i
+    return sol.V[0], sol.I[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -304,9 +300,9 @@ def test_superposition(seed):
     fa = FieldVector.from_mag_dir(1.3, 45.0)
     fb = FieldVector.from_mag_dir(0.8, 160.0)
     fsum = FieldVector(fa.e_north + fb.e_north, fa.e_east + fb.e_east)
-    va, ia = _as_vectors(solve_dc(assemble(case, fa)))
-    vb, ib = _as_vectors(solve_dc(assemble(case, fb)))
-    vs, is_ = _as_vectors(solve_dc(assemble(case, fsum)))
+    va, ia = _as_vectors(solve_at(case, fa))
+    vb, ib = _as_vectors(solve_at(case, fb))
+    vs, is_ = _as_vectors(solve_at(case, fsum))
     scale = max(np.abs(is_).max(), np.abs(vs).max(), 1e-12)
     assert np.max(np.abs(vs - (va + vb))) <= 1e-8 * scale
     assert np.max(np.abs(is_ - (ia + ib))) <= 1e-8 * scale
@@ -315,9 +311,10 @@ def test_superposition(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_kcl_at_every_node(seed):
     case = random_dc_case(np.random.default_rng(seed + 300))
-    sys = assemble(case, FieldVector.from_mag_dir(2.5, 120.0))
-    sol = solve_dc(sys)
-    assert sol.kcl_residual <= 1e-8 * max(np.abs(_injections(sys)).max(), 1.0)
+    field = FieldVector.from_mag_dir(2.5, 120.0)
+    sol = solve_at(case, field)
+    sys = assemble(case, True)
+    assert sol.kcl_residual[0] <= 1e-8 * max(np.abs(_injections(sys, field)).max(), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -332,23 +329,23 @@ def test_removing_zero_current_branch_is_neutral(seed):
     rng = np.random.default_rng(seed + 400)
     case = random_dc_case(rng)
     field = FieldVector.from_mag_dir(1.5, 90.0)
-    sol = solve_dc(assemble(case, field))
-    dead = [gid for gid, i in sol.branch_currents.items() if abs(i) < 1e-12]
+    sol = solve_at(case, field)
+    i1, v1 = currents(sol), voltages(sol)
+    dead = [gid for gid, i in i1.items() if abs(i) < 1e-12]
     if not dead:
         pytest.skip("no zero-current branch in this draw")
     keep = tuple(e for e in case.gmd_branches if e.index != dead[0])
     case2 = dataclasses.replace(case, gmd_branches=keep)
-    sys2 = assemble(case2, field)
+    sys2 = assemble(case2, True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol2 = solve_dc(sys2)
-    scale = max(abs(i) for i in sol.branch_currents.values())
-    for gid, i in sol2.branch_currents.items():
-        assert i == pytest.approx(sol.branch_currents[gid], abs=1e-9 * scale)
+        sol2 = solve_at(case2, field)
+    scale = max(abs(i) for i in i1.values())
+    for gid, i in currents(sol2).items():
+        assert i == pytest.approx(i1[gid], abs=1e-9 * scale)
     grounded = _grounded_nodes(sys2)
     for nid in grounded:
-        assert sol2.node_voltages[nid] == pytest.approx(
-            sol.node_voltages[nid], abs=1e-9 * max(scale, 1.0))
+        assert voltages(sol2)[nid] == pytest.approx(v1[nid], abs=1e-9 * max(scale, 1.0))
 
 
 def _grounded_nodes(sys):
@@ -368,7 +365,7 @@ def _grounded_nodes(sys):
             if find(i) in roots_with_ground}
 
 
-# -- time-series engine against per-point solves ------------------------------
+# -- time-series engine against per-point dense solves ------------------------
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -403,31 +400,53 @@ def test_solve_series_matches_per_point_solves(inputs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         series = solve_series(case, scenario, times, topology=topology)
-        for k, t in enumerate(times):
-            sys = assemble(case, FieldVector(*scenario.at(t)),
-                           overrides=scenario.overrides_at(t), topology=topology)
-            sol = solve_dc(sys)
-            assert series.node_ids == sys.node_ids
-            assert set(series.branch_ids) == set(sol.branch_currents)
-            v = np.array([sol.node_voltages[n] for n in series.node_ids])
-            i = np.array([sol.branch_currents[b] for b in series.branch_ids])
-            eff = effective_gic(case, sol)
-            e = np.array([eff[p] for p in sorted(eff)])
-            e_series = np.array([series.effective[p][k] for p in sorted(eff)])
-            scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
-            assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
-            assert np.max(np.abs(series.I[k] - i), initial=0.0) <= 1e-9 * scale
-            assert np.max(np.abs(e_series - e), initial=0.0) <= 1e-9 * scale
-            j_scale = max(np.max(np.abs(_injections(sys)), initial=0.0), 1.0)
-            assert series.kcl_residual[k] <= 1e-8 * j_scale
+    # field and overrides interpolated here, component by component
+    ts = [s.t for s in scenario.samples]
+    north, east = zip(*(FieldVector.from_mag_dir(s.e_mag, s.e_dir) for s in scenario.samples))
+    for k, t in enumerate(times):
+        field = FieldVector(float(np.interp(t, ts, north)), float(np.interp(t, ts, east)))
+        overrides = {b: float(np.interp(t, [p[0] for p in pts], [p[1] for p in pts]))
+                     for b, pts in scenario.voltage_overrides.items()}
+        v_ref, i_ref, j_ref = _dense_oracle(case, field, overrides, topology)
+        assert series.node_ids == tuple(v_ref)
+        assert set(series.branch_ids) == set(i_ref)
+        v = np.array([v_ref[n] for n in series.node_ids])
+        i = np.array([i_ref[b] for b in series.branch_ids])
+        eff = _effective(case, i_ref, 0.0)
+        e = np.array([eff[p] for p in sorted(eff)])
+        e_series = np.array([series.effective[p][k] for p in sorted(eff)])
+        scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
+        assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
+        assert np.max(np.abs(series.I[k] - i), initial=0.0) <= 1e-9 * scale
+        assert np.max(np.abs(e_series - e), initial=0.0) <= 1e-9 * scale
+        j_scale = max(np.max(np.abs(j_ref), initial=0.0), 1.0)
+        assert series.kcl_residual[k] <= 1e-8 * j_scale
 
 
 def test_solve_series_stored_voltages(b4gic_case):
     series = solve_series(b4gic_case, None, [0.0, 5.0])
-    sol = solve_dc(assemble(b4gic_case))
+    v_ref, i_ref, _ = _dense_oracle(b4gic_case, None, {}, {})
     for k in range(2):
-        assert dict(zip(series.branch_ids, series.I[k])) == pytest.approx(sol.branch_currents)
-        assert dict(zip(series.node_ids, series.V[k])) == pytest.approx(sol.node_voltages)
+        assert currents(series, k) == pytest.approx(i_ref)
+        assert voltages(series, k) == pytest.approx(v_ref)
+
+
+def test_benchmark_reference_currents_are_the_engines(epri21_case):
+    """The epri21 unit-field currents the benchmark checks against are the
+    engine's unit-north and unit-east currents, within 1e-9 of the largest;
+    branches outside the solve set read 0."""
+    path = os.path.join(os.path.dirname(CASES), "perfbench", "reference.json")
+    with open(path, encoding="utf-8") as fh:
+        ref = {int(b): i for b, i in json.load(fh)["epri21_unit_currents"].items()}
+    series = solve_series(epri21_case, np.eye(2), [0.0, 1.0])
+    got = dict(zip(series.branch_ids, series.I.T.tolist()))
+    assert ref.keys() == {e.index for e in epri21_case.gmd_branches}
+    scale = max(abs(i) for pair in ref.values() for i in pair)
+    for b, pair in ref.items():
+        if b in got:
+            assert pair == pytest.approx(got[b], rel=1e-9, abs=1e-9 * scale), b
+        else:
+            assert pair == [0.0, 0.0], b
 
 
 def test_solve_series_pins_floating_component_once():
@@ -443,7 +462,8 @@ def test_solve_series_pins_floating_component_once():
 @st.composite
 def oracle_inputs(draw):
     """A random network with random route lengths, stored voltages, ungrounded
-    nodes, opened branches and overrides, and a field or none."""
+    nodes and opened branches, and a field with overrides, or neither (the
+    stored br_v then drives the solve)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     case = random_dc_case(rng)
     unground = draw(st.sets(st.sampled_from([b.index for b in case.gmd_buses if b.g_gnd > 0])))
@@ -454,23 +474,24 @@ def oracle_inputs(draw):
         dataclasses.replace(b, g_gnd=0.0) if b.index in unground else b
         for b in case.gmd_buses))
     topology = {b: 0 for b in draw(st.sets(st.sampled_from([br.index for br in case.ac_branches])))}
-    overrides = {b: draw(st.floats(-500.0, 500.0, **FINITE))
-                 for b in draw(st.sets(st.sampled_from([e.index for e in branches]), max_size=4))}
     field = draw(st.none() | st.tuples(st.floats(0.0, 10.0, **FINITE),
                                        st.floats(0.0, 360.0, **FINITE)))
+    overrides = {} if field is None else {
+        b: draw(st.floats(-500.0, 500.0, **FINITE))
+        for b in draw(st.sets(st.sampled_from([e.index for e in branches]), max_size=4))}
     return case, field, overrides, topology
 
 
-def _dense_oracle(case, field, overrides, topology):
-    """Node voltages and branch currents from G V = J assembled densely from the
-    case rows, with the source precedence and the pinning applied here."""
+def _dense_oracle(case, e_field, overrides, topology):
+    """Node voltages, branch currents and Norton injections J from G V = J
+    assembled densely from the case rows under a FieldVector (None: the
+    stored br_v), with the source precedence and the pinning applied here."""
     nodes = [b.index for b in case.gmd_buses if b.status]
     ground = [b.g_gnd for b in case.gmd_buses if b.status]
     row = {n: i for i, n in enumerate(nodes)}
     windings = {w for r in case.branch_gmd if r.type == "xfmr"
                 for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co) if w != ABSENT}
     series_caps = {r.branch for r in case.branch_gmd if r.type == "series_cap"}
-    e_field = None if field is None else FieldVector.from_mag_dir(*field)
     G = np.diag(ground)
     J = np.zeros(len(nodes))
     edges = []
@@ -497,6 +518,7 @@ def _dense_oracle(case, field, overrides, topology):
         J[f] -= a * v
         J[t] += a * v
         edges.append((e.index, f, t, a, v))
+    injections = J.copy()
     # one pinned node per floating component: its lowest row, held at 0 V
     label = list(range(len(nodes)))
     for _, f, t, _, _ in edges:
@@ -511,29 +533,24 @@ def _dense_oracle(case, field, overrides, topology):
             J[members[0]] = 0.0
     V = np.linalg.solve(G, J)
     return (dict(zip(nodes, V)),
-            {b: a * (V[f] - V[t] + v) for b, f, t, a, v in edges})
+            {b: a * (V[f] - V[t] + v) for b, f, t, a, v in edges}, injections)
 
 
 @settings(max_examples=80, deadline=None)
 @given(oracle_inputs())
 def test_solves_match_dense_oracle(inputs):
     case, field, overrides, topology = inputs
-    v_ref, i_ref = _dense_oracle(case, field, overrides, topology)
+    e_field = None if field is None else FieldVector.from_mag_dir(*field)
+    v_ref, i_ref, _ = _dense_oracle(case, e_field, overrides, topology)
     scale = max(max(map(abs, v_ref.values()), default=0.0),
                 max(map(abs, i_ref.values()), default=0.0), 1.0)
-    e_field = None if field is None else FieldVector.from_mag_dir(*field)
+    fields = None if field is None else FieldScenario(
+        (FieldSample(0.0, *field),),
+        voltage_overrides={b: ((0.0, v),) for b, v in overrides.items()})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve_dc(assemble(case, e_field, overrides=overrides, topology=topology))
-        got = [(sol.node_voltages, sol.branch_currents)]
-        if field is not None or not overrides:  # the series engine at one time point
-            fields = None if field is None else FieldScenario(
-                (FieldSample(0.0, *field),),
-                voltage_overrides={b: ((0.0, v),) for b, v in overrides.items()})
-            series = solve_series(case, fields, [0.0], topology=topology)
-            got.append((dict(zip(series.node_ids, series.V[0])),
-                        dict(zip(series.branch_ids, series.I[0]))))
-    for v, i in got:
-        assert v.keys() == v_ref.keys() and i.keys() == i_ref.keys()
-        assert max((abs(v[n] - v_ref[n]) for n in v_ref), default=0.0) <= 1e-9 * scale
-        assert max((abs(i[b] - i_ref[b]) for b in i_ref), default=0.0) <= 1e-9 * scale
+        series = solve_series(case, fields, [0.0], topology=topology)
+    v, i = voltages(series), currents(series)
+    assert v.keys() == v_ref.keys() and i.keys() == i_ref.keys()
+    assert max((abs(v[n] - v_ref[n]) for n in v_ref), default=0.0) <= 1e-9 * scale
+    assert max((abs(i[b] - i_ref[b]) for b in i_ref), default=0.0) <= 1e-9 * scale

@@ -19,7 +19,7 @@ from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, 
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
 
-from conftest import random_ots_case
+from conftest import effective, random_ots_case
 
 
 def _nonswitchable(case):
@@ -372,11 +372,8 @@ def test_voltage_overrides_drive_the_model():
     model = build_model(case, scenario)
     plan = solve(model)
 
-    from gicgrid.dcnet import FieldVector, assemble, effective_gic, solve_dc
     topo = dict(plan.z)
-    sol = solve_dc(assemble(case, FieldVector(0.0, 0.0),
-                            overrides={1: 120.0}, topology=topo))
-    eff = effective_gic(case, sol)
+    eff = effective(solve_series(case, scenario, [0.0], topology=topo))
     for pos, series in plan.i_eff.items():
         assert series[0] == pytest.approx(eff.get(pos, 0.0), abs=1e-6)
     assert verify_plan(case, scenario, plan).ok(1e-6)

@@ -18,8 +18,7 @@ EXPORTS = {
              "FieldSample", "FieldScenario", "Generator", "GmdBranch", "GmdBus",
              "ThermalData", "estimate_missing_gsu", "load_scenario", "load_scenario_file",
              "make_ramp_scenario", "parse_case", "parse_case_file", "serialize_case"],
-    "dcnet": ["DcSystem", "FieldVector", "GicSolution", "assemble", "branch_lengths",
-              "effective_gic", "solve_dc"],
+    "dcnet": ["DcSystem", "FieldVector", "assemble", "branch_lengths"],
     "coupling": ["AcSolution", "PowerFlowError", "QLoss", "ac_power_flow", "qloss",
                  "sequential_gic_ac"],
     "thermal": ["ThermalTrace", "TransformerTrace", "apparent_power", "hotspot_rise",
