@@ -118,18 +118,23 @@ class AcSolution:
 
 def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                   tol: float = 1e-8, max_iter: int = 30,
-                  topology: Mapping[int, int] | None = None) -> AcSolution:
+                  topology: Mapping[int, int] | None = None,
+                  start: AcSolution | None = None) -> AcSolution:
     """Newton-Raphson power flow with optional GIC reactive loads.
 
-    Polar formulation, flat start, mismatch tolerance on both P and Q
-    equations.  Y and the Jacobian are sparse; each iteration factors the
-    Jacobian once with a sparse LU (``scipy.sparse.linalg.splu``).  PV
-    buses hold the generator voltage setpoint; no reactive limit switching
-    is applied.  ``extra_q`` losses are added as constant reactive loads at
-    their attribution buses.  De-energized islands (no load, generation or
-    slack) are excluded from the iteration and report a nominal 1.0 p.u. /
-    0 rad state.  A non-finite mismatch or Newton step, or an exactly
-    singular Jacobian, raises PowerFlowError at once.
+    Polar formulation, mismatch tolerance on both P and Q equations, flat
+    start unless ``start``: a solution of the same case whose angles at
+    PV/PQ buses and magnitudes at PQ buses seed the iteration (setpoints
+    still fix PV and slack magnitudes).  Y is sparse; the Jacobian is
+    filled on the fixed sparsity pattern of Y (``_jacobian_pattern``) and
+    factored once per iteration with a sparse LU
+    (``scipy.sparse.linalg.splu``).  PV buses hold the generator voltage
+    setpoint; no reactive limit switching is applied.  ``extra_q`` losses
+    are added as constant reactive loads at their attribution buses.
+    De-energized islands (no load, generation or slack) are excluded from
+    the iteration and report a nominal 1.0 p.u. / 0 rad state.  A
+    non-finite mismatch or Newton step, or an exactly singular Jacobian,
+    raises PowerFlowError at once.
     """
     buses = case.buses
     n = len(buses)
@@ -174,8 +179,12 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
 
     vm = np.ones(n)
     va = np.zeros(n)
+    if start is not None:
+        va[ang_idx] = [start.va[buses[i].index] for i in ang_idx]
+        vm[mag_idx] = [start.vm[buses[i].index] for i in mag_idx]
     held = (types == "PV") | (types == "slack")
     vm[held] = vset[held]
+    jacobian = _jacobian_pattern(Y, ang_idx, mag_idx)
 
     def injections(vm, va):
         V = vm * np.exp(1j * va)
@@ -194,7 +203,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
         if not math.isfinite(max_mis):
             raise PowerFlowError(f"non-finite mismatch at iteration {it}", report=report)
         try:
-            dx = splu(_jacobian(Y, vm, va, ang_idx, mag_idx)).solve(mism)
+            dx = splu(jacobian(vm, va)).solve(mism)
         except RuntimeError as exc:  # splu: "Factor is exactly singular"
             raise PowerFlowError(f"singular Jacobian at iteration {it}", report=report) from exc
         if not np.all(np.isfinite(dx)):
@@ -235,22 +244,62 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                       iterations=it, max_mismatch=max_mis)
 
 
-def _jacobian(Y, vm, va, ang_idx, mag_idx):
-    """Sparse polar power-flow Jacobian (CSC) restricted to the unknown blocks.
+def _jacobian_pattern(Y, ang_idx, mag_idx):
+    """Fill function of the polar power-flow Jacobian on the fixed pattern of Y.
 
-    dS/dVa = j diag(V) conj(diag(I) - Y diag(V)) and
-    dS/dVm = diag(V) conj(Y diag(E)) + conj(diag(I)) diag(E), with I = Y V
-    and E = exp(j Va) (the MATPOWER ``dSbus_dV`` form).
+    ``Y`` is a canonical CSR matrix (no duplicate entries).  Rows are the
+    P equations of ``ang_idx`` then the Q equations of ``mag_idx``;
+    columns the angles of ``ang_idx`` then the magnitudes of ``mag_idx``.
+    Every stored entry (i, k) of Y, and every diagonal one, contributes
+    dS_i/dVa_k = -j V_i conj(Y_ik V_k) and dS_i/dVm_k = V_i conj(Y_ik E_k),
+    with E = exp(j Va); the diagonal adds j V_i conj(I_i) and
+    conj(I_i) E_i, with I = Y V (the MATPOWER ``dSbus_dV`` form, entry by
+    entry).  The CSC structure and the map from each entry's four partial
+    derivatives into it are built here once; the returned ``fill(vm, va)``
+    only evaluates them and gathers the values.
     """
-    V = vm * np.exp(1j * va)
-    diagV = sp.diags(V)
-    diagI = sp.diags(Y @ V)
-    diagVnorm = sp.diags(np.exp(1j * va))
-    dS_dVa = (1j * diagV @ (diagI - Y @ diagV).conj()).tocsr()
-    dS_dVm = (diagV @ (Y @ diagVnorm).conj() + diagI.conj() @ diagVnorm).tocsr()
-    return sp.bmat([[dS_dVa.real[ang_idx][:, ang_idx], dS_dVm.real[ang_idx][:, mag_idx]],
-                    [dS_dVa.imag[mag_idx][:, ang_idx], dS_dVm.imag[mag_idx][:, mag_idx]]],
-                   format="csc")
+    n = Y.shape[0]
+    r = np.repeat(np.arange(n), np.diff(Y.indptr))
+    c, y = Y.indices, Y.data
+    has_diag = np.zeros(n, dtype=bool)
+    has_diag[r[r == c]] = True
+    missing = np.flatnonzero(~has_diag)
+    r, c, y = np.r_[r, missing], np.r_[c, missing], np.r_[y, np.zeros(len(missing))]
+    diag = np.empty(n, dtype=int)
+    diag[r[r == c]] = np.flatnonzero(r == c)
+
+    # slot of each bus among the angle (P) and magnitude (Q) unknowns, or -1
+    na, m = len(ang_idx), len(ang_idx) + len(mag_idx)
+    ang_slot = np.full(n, -1)
+    ang_slot[ang_idx] = np.arange(na)
+    mag_slot = np.full(n, -1)
+    mag_slot[mag_idx] = np.arange(na, m)
+    nnz = len(r)
+    rows, cols, src = [], [], []
+    # blocks of the stacked values [dVa.real, dVm.real, dVa.imag, dVm.imag]
+    for k, (row_slot, col_slot) in enumerate(((ang_slot, ang_slot), (ang_slot, mag_slot),
+                                              (mag_slot, ang_slot), (mag_slot, mag_slot))):
+        keep = np.flatnonzero((row_slot[r] >= 0) & (col_slot[c] >= 0))
+        rows.append(row_slot[r[keep]])
+        cols.append(col_slot[c[keep]])
+        src.append(k * nnz + keep)
+    rows, cols, src = np.concatenate(rows), np.concatenate(cols), np.concatenate(src)
+    order = np.argsort(cols * m + rows)  # column-major; every (row, col) occurs once
+    indices, gather = rows[order], src[order]
+    indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=m))]
+
+    def fill(vm, va):
+        E = np.exp(1j * va)
+        V = vm * E
+        I = Y @ V
+        d_vm = V[r] * np.conj(y * E[c])
+        d_va = -1j * d_vm * vm[c]
+        d_va[diag] += 1j * V * np.conj(I)
+        d_vm[diag] += np.conj(I) * E
+        values = np.concatenate([d_va.real, d_vm.real, d_va.imag, d_vm.imag])[gather]
+        return sp.csc_matrix((values, indices, indptr), shape=(m, m))
+
+    return fill
 
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
@@ -261,8 +310,9 @@ def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
 
     Solves the dc network (``solve_series`` at one time point; no field
     means the stored br_v), converts effective GICs to reactive losses and
-    runs the power flow twice: first with flat (1.0 p.u.) voltages in the
-    loss formula, then with the converged voltages, capturing the
+    runs the power flow twice: first from a flat start with flat (1.0 p.u.)
+    voltages in the loss formula, then with the converged voltages in the
+    loss formula and as the start of the second Newton run, capturing the
     first-order voltage dependence deterministically.
 
     Returns (one-row GicSeries, final QLossMap, AcSolution).
@@ -274,5 +324,5 @@ def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
     q1 = qloss(case, effective, 1.0)
     ac1 = ac_power_flow(case, q1, tol=tol, max_iter=max_iter, topology=topology)
     q2 = qloss(case, effective, ac1.vm)
-    ac2 = ac_power_flow(case, q2, tol=tol, max_iter=max_iter, topology=topology)
+    ac2 = ac_power_flow(case, q2, tol=tol, max_iter=max_iter, topology=topology, start=ac1)
     return series, q2, ac2

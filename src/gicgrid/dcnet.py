@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +42,7 @@ __all__ = [
     "solve_series",
     "source_basis",
     "winding_weights",
+    "winding_matrix",
     "winding_ids",
 ]
 
@@ -285,9 +286,7 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     sys, sources, coeffs = source_basis(case, fields, times, topology=topology)
     V, I, residual = _solve(sys, sources, coeffs)
     return GicSeries(node_ids=sys.node_ids, branch_ids=sys.branch_ids, V=V, I=I,
-                     effective=_effective(case, dict(zip(sys.branch_ids, I.T)),
-                                          np.zeros(len(coeffs))),
-                     kcl_residual=residual)
+                     effective=_effective(case, sys.branch_ids, I), kcl_residual=residual)
 
 
 def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, times, *,
@@ -335,16 +334,39 @@ def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, floa
     return pairs
 
 
-def _effective(case: CaseData, currents: Mapping[int, float | np.ndarray], zero):
-    """Effective GIC [A] per branch_gmd row position: |sum of weight * winding current|.
+def winding_matrix(case: CaseData, branch_ids: Sequence[int]
+                   ) -> tuple[tuple[int, ...], sp.csr_matrix]:
+    """Winding weights of every transformer row as one matrix over ``branch_ids``.
 
-    ``currents`` maps gmd_branch id to a current or a current series, taken
-    as solved (orientation per the case file), and ``zero`` stands in for
-    windings absent from it (switched-off parents); ``winding_weights``
-    gives each configuration's weights.
+    Row k of W (xfmr rows x ``branch_ids``) holds the ``winding_weights``
+    of the k-th row of ``case.xfmr_rows()``, so W @ I is each row's signed
+    effective GIC for the currents I of those gmd branches; a winding
+    outside ``branch_ids`` (its parent switched off) contributes 0.
+    Returns the rows' branch_gmd positions and W.
     """
-    out = {}
-    for pos, row in case.xfmr_rows():
-        weighted = (w * currents.get(wid, zero) for wid, w in winding_weights(case, row))
-        out[pos] = abs(sum(weighted, zero))
-    return out
+    col = {bid: k for k, bid in enumerate(branch_ids)}
+    positions, rows, cols, vals = [], [], [], []
+    for k, (pos, row) in enumerate(case.xfmr_rows()):
+        positions.append(pos)
+        for wid, w in winding_weights(case, row):
+            if wid in col:
+                rows.append(k)
+                cols.append(col[wid])
+                vals.append(w)
+    W = sp.csr_matrix((np.array(vals, dtype=float),
+                       (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+                      shape=(len(positions), len(branch_ids)))
+    return tuple(positions), W
+
+
+def _effective(case: CaseData, branch_ids: Sequence[int],
+               I: np.ndarray) -> dict[int, np.ndarray]:
+    """Effective GIC [A] per branch_gmd row position: |W @ I| over a current series.
+
+    ``I`` (T x edges) holds the currents of the gmd branches ``branch_ids``,
+    taken as solved (orientation per the case file); ``winding_matrix``
+    gives each configuration's weights, and windings absent from
+    ``branch_ids`` carry none.
+    """
+    positions, W = winding_matrix(case, branch_ids)
+    return dict(zip(positions, np.abs(W @ I.T)))

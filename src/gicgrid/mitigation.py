@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .data import ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData
 from .coupling import slack_reachable
-from .dcnet import DcSystem, solve_series, source_basis, winding_ids, winding_weights
+from .dcnet import DcSystem, solve_series, source_basis, winding_ids, winding_matrix
 from .lp import LpProblem, lp_solve
 from .thermal import TopOil, hotspot_temp, steady_rise
 
@@ -219,12 +219,11 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
     # transformers in the model: xfmr rows whose windings are all present;
     # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
-    edge_pos = {bid: k for k, bid in enumerate(dc.branch_ids)}
-    rows = [(pos, row) for pos, row in case.xfmr_rows()
-            if winding_ids(row) and all(w in edge_pos for w in winding_ids(row))]
-    pairs = [winding_weights(case, row) for _, row in rows]
-    W = _mat((len(rows), Ed), np.repeat(np.arange(len(rows)), [len(p) for p in pairs]),
-             [edge_pos[wid] for p in pairs for wid, _ in p], [w for p in pairs for _, w in p])
+    solved, xfmr_rows = set(dc.branch_ids), case.xfmr_rows()
+    inside = [k for k, (_, row) in enumerate(xfmr_rows)
+              if winding_ids(row) and solved.issuperset(winding_ids(row))]
+    rows = [xfmr_rows[k] for k in inside]
+    W = winding_matrix(case, dc.branch_ids)[1][inside]
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
     w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
     derived = np.maximum(w_big_m @ period_gap_m, 1.0)

@@ -806,13 +806,13 @@ _GOLDEN_RUNS = {
 
 _GOLDEN = {
     "ac_b4gic": {
-        "ac_branch.csv": "8488e6e01c28c1fb4bc2491fde1bf8f27f7393e55e120d531608a15d10cfcb97",
-        "ac_bus.csv": "2ac0e24879a151cccc2ad8388dcea00b6c5f6205e2fb61eb4dd4c9a93221aa49",
+        "ac_branch.csv": "b3c087d0ae6b99f45864cb897577a831889cf4245d55d410f3997feef5b574c5",
+        "ac_bus.csv": "b43c65ffb7eeb0cffa2250f1f8be5685a54f3353d93f189290213da190a427eb",
         "qloss.csv": "343f7abd9d4f31efc33b37213d250820156ff0a47ff95b7a8d2a53d1175598b0",
     },
     "ac_epri21": {
-        "ac_branch.csv": "6f93713f8d661922bb33b9b5ed5ceccebb4f5a3c31d04a80e01ed223e8fa4135",
-        "ac_bus.csv": "42d82e13dd9a9341e9d1477667fb7b20a0ace674363cd4f942b2da033c6d2054",
+        "ac_branch.csv": "59ce1a982d881e42bd543c3e0bbdf8807f5c8b082f0b7684e4a955d395dd8aad",
+        "ac_bus.csv": "3d23357b166085d05c740a0953783930fb1294880d08512870e3c65557b38f6a",
         "qloss.csv": "5972f1554b48e6f9d4b78d63d636dc0d33e81628777d66894194db2d25fe38c6",
     },
     "dc_b4gic": {

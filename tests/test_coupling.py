@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian, ac_power_flow,
-                              qloss, sequential_gic_ac)
+from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian_pattern,
+                              ac_power_flow, qloss, sequential_gic_ac)
 from gicgrid.data import AcBranch, Bus, CaseData, Generator, parse_case
 from gicgrid.dcnet import FieldVector, solve_series
 
@@ -207,7 +207,10 @@ def test_non_finite_newton_step_stops_at_once(b4gic_case):
 
 @st.composite
 def jacobian_inputs(draw):
-    """Connected toy network (slack at 0, random PV/PQ) plus a separate dead island."""
+    """Connected toy network (slack at 0, random PV/PQ) plus a separate dead island.
+
+    Some branches have zero admittance, so Y may lack entries, diagonal
+    ones included, that its topology implies."""
     real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     n_live = draw(st.integers(2, 8))
     n_dead = draw(st.integers(0, 3))
@@ -218,12 +221,13 @@ def jacobian_inputs(draw):
     links += [(k - 1, k) for k in range(n_live + 1, n)]
     Y = np.zeros((n, n), dtype=complex)
     for f, t in links:
-        y = complex(0.0, -draw(real(1.0, 50.0)))
+        y = complex(0.0, -draw(st.one_of(st.just(0.0), real(1.0, 50.0))))
         Y[f, f] += y
         Y[t, t] += y
         Y[f, t] -= y
         Y[t, f] -= y
-    Y[np.diag_indices(n)] += draw(st.lists(real(0.0, 0.1), min_size=n, max_size=n))
+    Y[np.diag_indices(n)] += draw(st.lists(st.one_of(st.just(0.0), real(0.0, 0.1)),
+                                           min_size=n, max_size=n))
     types = (["slack"] + draw(st.lists(st.sampled_from(["PV", "PQ"]),
                                        min_size=n_live - 1, max_size=n_live - 1))
              + ["dead"] * n_dead)
@@ -232,15 +236,38 @@ def jacobian_inputs(draw):
     return Y, types, vm, va
 
 
+def _unknowns(types):
+    """Angle unknowns (PV then PQ) and magnitude unknowns (PQ) of a bus type list."""
+    pq = [i for i, t in enumerate(types) if t == "PQ"]
+    ang = np.array([i for i, t in enumerate(types) if t == "PV"] + pq, dtype=int)
+    return ang, np.array(pq, dtype=int)
+
+
+def _dsbus_dv_jacobian(Y, vm, va, ang_idx, mag_idx):
+    """Oracle: the polar Jacobian from sparse matrix products (MATPOWER ``dSbus_dV``).
+
+    dS/dVa = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/dVm = diag(V) conj(Y diag(E)) + conj(diag(I)) diag(E), with I = Y V
+    and E = exp(j Va), restricted to the unknown blocks.
+    """
+    V = vm * np.exp(1j * va)
+    diagV = sp.diags(V)
+    diagI = sp.diags(Y @ V)
+    diagVnorm = sp.diags(np.exp(1j * va))
+    dS_dVa = (1j * diagV @ (diagI - Y @ diagV).conj()).tocsr()
+    dS_dVm = (diagV @ (Y @ diagVnorm).conj() + diagI.conj() @ diagVnorm).tocsr()
+    return sp.bmat([[dS_dVa.real[ang_idx][:, ang_idx], dS_dVm.real[ang_idx][:, mag_idx]],
+                    [dS_dVa.imag[mag_idx][:, ang_idx], dS_dVm.imag[mag_idx][:, mag_idx]]],
+                   format="csc")
+
+
 @settings(max_examples=80, deadline=None)
 @given(jacobian_inputs())
 def test_sparse_jacobian_matches_finite_differences(inputs):
-    """The sparse Jacobian equals central differences of the injection map."""
+    """The fixed-pattern Jacobian equals central differences of the injection map."""
     Y, types, vm, va = inputs
-    pq = [i for i, t in enumerate(types) if t == "PQ"]
-    ang = np.array([i for i, t in enumerate(types) if t == "PV"] + pq, dtype=int)
-    mag = np.array(pq, dtype=int)
-    J = _jacobian(sp.csr_matrix(Y), vm, va, ang, mag)
+    ang, mag = _unknowns(types)
+    J = _jacobian_pattern(sp.csr_matrix(Y), ang, mag)(vm, va)
     assert sp.issparse(J) and J.format == "csc"
 
     def injections(x):
@@ -256,6 +283,23 @@ def test_sparse_jacobian_matches_finite_differences(inputs):
                           for e in np.eye(len(x0))])
     assert J.shape == fd.shape
     assert np.max(np.abs(J.toarray() - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(jacobian_inputs())
+def test_fixed_pattern_jacobian_equals_dsbus_dv_form(inputs):
+    """Filled on Y's pattern, the Jacobian equals the sparse-product form entry by entry,
+    at every fill of one pattern."""
+    Y, types, vm, va = inputs
+    ang, mag = _unknowns(types)
+    fill = _jacobian_pattern(sp.csr_matrix(Y), ang, mag)
+    for k in range(2):  # a second state on the same pattern
+        vm_k, va_k = vm * (1.0 - 0.05 * k), va + 0.1 * k
+        J = fill(vm_k, va_k).toarray()
+        ref = _dsbus_dv_jacobian(sp.csr_matrix(Y), vm_k, va_k, ang, mag).toarray()
+        assert J.shape == ref.shape
+        assert np.max(np.abs(J - ref), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(J),
+                                                                             initial=0.0))
 
 
 @st.composite
@@ -290,12 +334,8 @@ def power_flow_inputs(draw):
     return case, extra_q, topology, n_live
 
 
-@settings(max_examples=60, deadline=None)
-@given(power_flow_inputs())
-def test_power_flow_solves_dense_equations(inputs):
-    """The sparse solution satisfies the power-flow equations written out densely."""
-    case, extra_q, topology, n_live = inputs
-    ac = ac_power_flow(case, extra_q, topology=topology)
+def _assert_dense_equations(case, extra_q, topology, n_live, ac):
+    """``ac`` satisfies the power-flow equations of ``case`` written out densely."""
     ids = [b.index for b in case.buses]
     pos = {bid: i for i, bid in enumerate(ids)}
     V = np.array([ac.vm[i] * np.exp(1j * ac.va[i]) for i in ids])
@@ -321,3 +361,48 @@ def test_power_flow_solves_dense_equations(inputs):
         assert S[i].imag == pytest.approx(q_gen - b.qd - loss, abs=1e-7)
         if b.bus_type != "PQ":
             assert ac.vm[b.index] == gen[b.index][0].vg
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_flow_inputs())
+def test_power_flow_solves_dense_equations(inputs):
+    """The sparse solution satisfies the power-flow equations written out densely."""
+    case, extra_q, topology, n_live = inputs
+    _assert_dense_equations(case, extra_q, topology, n_live,
+                            ac_power_flow(case, extra_q, topology=topology))
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_flow_inputs())
+def test_warm_started_power_flow_solves_dense_equations(inputs):
+    """Started from the solution without GIC losses, Newton reaches the flat-start
+    solution with them; restarted from its own solution, it takes no step."""
+    case, extra_q, topology, n_live = inputs
+    loss_free = ac_power_flow(case, topology=topology)
+    warm = ac_power_flow(case, extra_q, topology=topology, start=loss_free)
+    _assert_dense_equations(case, extra_q, topology, n_live, warm)
+    flat = ac_power_flow(case, extra_q, topology=topology)
+    for bid in flat.vm:
+        assert warm.vm[bid] == pytest.approx(flat.vm[bid], abs=1e-7)
+        assert warm.va[bid] == pytest.approx(flat.va[bid], abs=1e-7)
+    again = ac_power_flow(case, extra_q, topology=topology, start=warm)
+    assert again.iterations == 1
+    assert again.vm == warm.vm and again.va == warm.va
+
+
+@pytest.mark.parametrize("bearing", [0.0, 45.0, 90.0, 123.0, 270.0])
+def test_sequential_second_pass_warm_start(epri21_case, bearing):
+    """The warm-started second pass reaches the solution of two flat-start passes,
+    computed here, in fewer Newton iterations, with the same losses."""
+    field = FieldVector.from_mag_dir(1.0, bearing)
+    _, qmap, ac = sequential_gic_ac(epri21_case, field)
+    eff = effective(solve_series(epri21_case, np.array([field]), [0.0]))
+    first = ac_power_flow(epri21_case, qloss(epri21_case, eff, 1.0))
+    q2 = qloss(epri21_case, eff, first.vm)
+    flat = ac_power_flow(epri21_case, q2)
+    assert qmap == q2
+    for bid in flat.vm:
+        assert ac.vm[bid] == pytest.approx(flat.vm[bid], abs=1e-7)
+        assert ac.va[bid] == pytest.approx(flat.va[bid], abs=1e-7)
+    assert ac.max_mismatch <= 1e-8
+    assert ac.iterations < flat.iterations

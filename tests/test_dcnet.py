@@ -208,19 +208,19 @@ def _two_winding_case(config, turns_ratio):
 
 def test_effective_gic_gwye_gwye_cancellation():
     case = _two_winding_case("gwye-gwye", 2.0)
-    eff = _effective(case, {1: 10.0, 2: -20.0}, 0.0)
-    assert eff[0] == pytest.approx(0.0, abs=1e-12)
+    eff = _effective(case, (1, 2), np.array([[10.0, -20.0]]))
+    assert eff[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_effective_gic_auto_formula():
     case = _two_winding_case("gwye-gwye-auto", 0.5)
-    eff = _effective(case, {1: 30.0, 2: 15.0}, 0.0)
-    assert eff[0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
+    eff = _effective(case, (1, 2), np.array([[30.0, 15.0]]))
+    assert eff[0][0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
 
 
 def test_effective_gic_delta_delta_zero():
     case = _two_winding_case("delta-delta", None)
-    assert _effective(case, {1: 99.0, 2: 99.0}, 0.0)[0] == 0.0
+    assert _effective(case, (1, 2), np.array([[99.0, 99.0]]))[0][0] == 0.0
 
 
 def _floating_case():
@@ -412,8 +412,8 @@ def test_solve_series_matches_per_point_solves(inputs):
         assert set(series.branch_ids) == set(i_ref)
         v = np.array([v_ref[n] for n in series.node_ids])
         i = np.array([i_ref[b] for b in series.branch_ids])
-        eff = _effective(case, i_ref, 0.0)
-        e = np.array([eff[p] for p in sorted(eff)])
+        eff = _effective(case, tuple(i_ref), np.array([list(i_ref.values())]))
+        e = np.array([eff[p][0] for p in sorted(eff)])
         e_series = np.array([series.effective[p][k] for p in sorted(eff)])
         scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
         assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
