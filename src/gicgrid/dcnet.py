@@ -67,18 +67,23 @@ def branch_lengths(case: CaseData, branch: GmdBranch) -> tuple[float, float]:
         missing = f_parent if fc is None else t_parent
         raise MissingCoordinates(
             f"gmd_branch {branch.index}: bus {missing} has no bus_gmd coordinates")
-    return displacement((fc.lat, fc.lon), (tc.lat, tc.lon))
+    l_n, l_e = displacement((fc.lat, fc.lon), (tc.lat, tc.lon))
+    return float(l_n), float(l_e)
 
 
-def displacement(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+def displacement(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Equirectangular (north, east) displacement [km] from (lat, lon) ``a`` to ``b``.
 
-    On a 6371 km sphere: L_N = R dlat, L_E = R dlon cos(mean lat).
+    On a 6371 km sphere: L_N = R dlat, L_E = R dlon cos(mean lat).  The
+    coordinates are numbers or arrays of one shape.  Each cosine is
+    ``math.cos``, so an array gives bitwise the results of its elements.
     """
-    l_n = EARTH_RADIUS_KM * math.radians(b[0] - a[0])
-    l_e = (EARTH_RADIUS_KM * math.radians(b[1] - a[1])
-           * math.cos(math.radians((a[0] + b[0]) / 2.0)))
-    return l_n, l_e
+    lat_a, lon_a, lat_b, lon_b = (np.asarray(v, dtype=float) for v in (*a, *b))
+    mid = np.radians((lat_a + lat_b) / 2.0)
+    cos_mid = np.fromiter(map(math.cos, mid.ravel().tolist()), dtype=float,
+                          count=mid.size).reshape(mid.shape)
+    return (EARTH_RADIUS_KM * np.radians(lat_b - lat_a),
+            EARTH_RADIUS_KM * np.radians(lon_b - lon_a) * cos_mid)
 
 
 class MissingCoordinates(CaseReferenceError, LookupError):
@@ -157,7 +162,7 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
     comp = np.zeros(len(node_ids), dtype=int)
     for k, members in enumerate(component_groups(range(len(nodes)), zip(f.tolist(), t.tolist()))):
         comp[members] = k
-    lengths = _route_lengths(case, edges, overridden) if field else None
+    lengths = _route_lengths(case, nodes, edges, f, t, overridden) if field else None
     return DcSystem(node_ids=node_ids,
                     ground=np.array([b.g_gnd for b in nodes], dtype=float), comp=comp,
                     branch_ids=tuple(e.index for e in edges), f=f, t=t,
@@ -166,26 +171,40 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
                     lengths=lengths, sources=_sources(case, edges, lengths, overridden))
 
 
-def _route_lengths(case: CaseData, edges: list[GmdBranch],
-                   overridden: Collection[int]) -> np.ndarray:
+def _route_lengths(case: CaseData, nodes: list, edges: list[GmdBranch], f: np.ndarray,
+                   t: np.ndarray, overridden: Collection[int]) -> np.ndarray:
     """(L_N, L_E) [km] per edge as a uniform field sees it.
 
-    The bearing comes from the endpoint coordinates, rescaled to the stored
-    len_km when present, so the case's authoritative route length is
-    honored.  Transformer windings (negligible length) and overridden edges
-    take no field: 0, and their coordinates are not needed.
+    ``displacement`` between the coordinates of the parent buses of the
+    edge's end nodes ``nodes[f]`` and ``nodes[t]``, for every edge at once.
+    The bearing is rescaled to the stored len_km when present, so the
+    case's authoritative route length is honored.  Transformer windings
+    (negligible length) and overridden edges take no field: 0, and their
+    coordinates are not needed.  ``math.hypot`` is mapped over the edges,
+    so the lengths are bitwise those of ``branch_lengths`` one at a time.
     """
     windings = {w for row in case.branch_gmd if row.is_xfmr for w in winding_ids(row)}
+    k = np.array([j for j, e in enumerate(edges)
+                  if e.index not in windings and e.index not in overridden], dtype=int)
+    coords = [case.coords_for(b.parent) for b in nodes]
+    has = np.array([c is not None for c in coords], dtype=bool)
+    lat, lon = np.array([(c.lat, c.lon) if c is not None else (0.0, 0.0) for c in coords],
+                        dtype=float).reshape(-1, 2).T
+    fk, tk = f[k], t[k]
+    lacking = np.flatnonzero(~(has[fk] & has[tk]))
+    if lacking.size:
+        j = k[lacking[0]]
+        missing = nodes[f[j] if not has[f[j]] else t[j]].parent
+        raise MissingCoordinates(
+            f"gmd_branch {edges[j].index}: bus {missing} has no bus_gmd coordinates")
+    l_n, l_e = displacement((lat[fk], lon[fk]), (lat[tk], lon[tk]))
+    norm = np.fromiter(map(math.hypot, l_n.tolist(), l_e.tolist()), dtype=float, count=len(k))
+    length = np.array([edges[j].len_km for j in k.tolist()], dtype=float)
+    scale = np.ones(len(k))
+    rescaled = (length > 0) & (norm > 0)
+    scale[rescaled] = length[rescaled] / norm[rescaled]
     out = np.zeros((len(edges), 2))
-    for k, e in enumerate(edges):
-        if e.index in windings or e.index in overridden:
-            continue
-        l_n, l_e = branch_lengths(case, e)
-        norm = math.hypot(l_n, l_e)
-        if e.len_km > 0 and norm > 0:
-            scale = e.len_km / norm
-            l_n, l_e = l_n * scale, l_e * scale
-        out[k] = l_n, l_e
+    out[k, 0], out[k, 1] = l_n * scale, l_e * scale
     return out
 
 

@@ -42,6 +42,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,7 +175,10 @@ def build_model(case: CaseData, scenario: FieldScenario,
     Binaries appear as [0,1]-bounded columns; branch-and-bound only ever
     tightens their bounds, so the constraint matrix is built once.
     """
-    opt = options or OtsOptions()
+    return _build_model(case, scenario, options or OtsOptions())
+
+
+def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> OtsModel:
     dt = opt.dt if opt.dt is not None else scenario.dt
     grid = scenario.grid(dt)
     if len(grid) < 2:
@@ -545,12 +549,66 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
 
     Depth-first plunge until the first incumbent, then best-bound node
     selection; branching on the most fractional binary with lowest-id
-    tie-breaks.  Serial and deterministic.  Returns a plan optimal within
+    tie-breaks, plunging first to the child nearer its LP value (closed
+    at 0.5).  Serial and deterministic.  Returns a plan optimal within
     the relative gap for the linearized model, or raises
     MitigationInfeasible with probe context.
+
+    Coarse seed: when the root LP's z is fractional, the same model is
+    built on a coarse sub-grid of the periods (``_coarse_dt``) and
+    branched-and-bounded; the fine LP with z fixed to its plan is then
+    solved warm, right after the root, and its optimum is the first
+    incumbent (Danna, Rothberg & Le Pape, 2005).  The search then proves
+    the gap against the fine bounds as without the seed, so the result
+    stays exact; when the coarse model has no plan, or its plan is
+    infeasible at the fine periods, the search runs unseeded.  The coarse
+    stage counts toward ``time_limit``; ``nodes`` counts the fine LPs.
+
+    Ties: an incumbent is replaced only by a plan better by more than the
+    gap, so of tied plans the first found is returned: the seeded plan,
+    else the first leaf of the plunge.  The coarse search follows the same
+    rule, and twin branches take equal LP values, so the lower id is
+    branched first and opens: on ``epri21`` branch 7 opens, not its
+    twin 8.
     """
     opt = options or model.options
     t0 = time.perf_counter()
+    plan = _branch_and_bound(model, opt, t0, seed=lambda: _coarse_plan(model, opt, t0))
+    if plan is None:
+        raise MitigationInfeasible("no feasible switching plan", _infeasibility_probes(model))
+    return plan
+
+
+def _coarse_dt(model: OtsModel) -> float | None:
+    """Period length of the coarse seed model: k * dt for the largest
+    divisor k > 1 of T at which every traced transformer's top-oil step
+    stays monotone (``TopOil.of``: k dt <= 2 tau); None when there is none."""
+    T = model.n_periods
+    taus = [x.thermal.to_time_c for x in model.xfmrs if x.thermal is not None]
+    for k in range(T, 1, -1):
+        if T % k == 0 and all(2.0 * tau / (k * model.dt) >= 1.0 for tau in taus):
+            return k * model.dt
+    return None
+
+
+def _coarse_plan(model: OtsModel, opt: OtsOptions, t0: float) -> dict[int, int] | None:
+    """z of the plan the search finds on ``model`` rebuilt at ``_coarse_dt``;
+    None without a coarse grid or a plan."""
+    dt = _coarse_dt(model)
+    if dt is None:
+        return None
+    coarse = _build_model(model.case, model.scenario, dataclasses.replace(model.options, dt=dt))
+    plan = _branch_and_bound(coarse, opt, t0)
+    return None if plan is None else plan.z
+
+
+def _branch_and_bound(model: OtsModel, opt: OtsOptions, t0: float,
+                      seed: Callable[[], dict[int, int] | None] | None = None
+                      ) -> MitigationPlan | None:
+    """The search of ``solve`` from wall-clock start ``t0``; None when it
+    finds no plan.  ``seed``, a function returning a z per switchable
+    branch or None, is called once, after a root LP with fractional z;
+    the LP with z fixed to its plan is the first node after the root."""
     lp = dataclasses.replace(model.lp)  # one warm-started instance per search
 
     root_lb = model.lp.lb.copy()
@@ -596,6 +654,16 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
             continue
 
         branch_id = _most_fractional(model, res.x)
+        if branch_id is not None and seed is not None:
+            z, seed = seed(), None
+            if z is not None:
+                zlb, zub = nlb.copy(), nub.copy()
+                cols = [model.z_col[bid] for bid in model.switchable]
+                zlb[cols] = zub[cols] = [z[bid] for bid in model.switchable]
+                seeded = lp_solve(lp, lb=zlb, ub=zub)
+                nodes_explored += 1
+                if seeded.status == "optimal":
+                    incumbent, incumbent_obj = seeded, seeded.objective
         if branch_id is None:
             if res.objective < incumbent_obj - 1e-12:
                 incumbent = res
@@ -624,11 +692,9 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
             for ch in children:
                 heapq.heappush(best_bound_heap, ch)
 
-    wall = time.perf_counter() - t0
     if incumbent is None:
-        context = _infeasibility_probes(model)
-        raise MitigationInfeasible("no feasible switching plan", context)
-
+        return None
+    wall = time.perf_counter() - t0
     remaining = [b for b in open_bounds.values()]
     bound = min(remaining, default=incumbent_obj)
     bound = min(max(bound, -math.inf), incumbent_obj)

@@ -53,6 +53,67 @@ def test_missing_coordinates_error(b4gic_case):
         branch_lengths(case, case.gmd_branch(2))
 
 
+def _branch_by_branch_lengths(case, sys, overridden=()):
+    """Route lengths per edge of ``sys`` one branch at a time, in Python floats:
+    the equirectangular displacement between the endpoint buses rescaled to
+    len_km, windings and overridden edges 0.  A missing coordinate raises
+    as ``branch_lengths`` does."""
+    windings = {w for row in case.branch_gmd if row.is_xfmr
+                for w in (row.gmd_br_hi, row.gmd_br_lo, row.gmd_br_se, row.gmd_br_co)}
+    out = []
+    for bid in sys.branch_ids:
+        e = case.gmd_branch(bid)
+        if bid in windings or bid in overridden:
+            out.append((0.0, 0.0))
+            continue
+        branch_lengths(case, e)
+        fc, tc = (case.coords_for(case.gmd_bus(n).parent) for n in (e.f_bus, e.t_bus))
+        l_n = EARTH_RADIUS_KM * math.radians(tc.lat - fc.lat)
+        l_e = (EARTH_RADIUS_KM * math.radians(tc.lon - fc.lon)
+               * math.cos(math.radians((fc.lat + tc.lat) / 2.0)))
+        norm = math.hypot(l_n, l_e)
+        if e.len_km > 0 and norm > 0:
+            scale = e.len_km / norm
+            l_n, l_e = l_n * scale, l_e * scale
+        out.append((l_n, l_e))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_route_lengths_bitwise_branch_by_branch(seed):
+    """The lengths ``assemble`` computes for all edges at once are bitwise the
+    branch-by-branch ones, overridden edges left at 0."""
+    rng = np.random.default_rng(seed)
+    case = random_dc_case(rng)
+    lines = [e.index for e in case.gmd_branches if e.parent != ABSENT]
+    overridden = set(rng.choice(lines, size=min(2, len(lines)), replace=False).tolist())
+    for over in ((), overridden):
+        sys = assemble(case, True, over)
+        assert sys.lengths.tobytes() == _branch_by_branch_lengths(case, sys, over).tobytes()
+
+
+@pytest.mark.parametrize("name", ["b4gic", "epri21"])
+def test_route_lengths_bitwise_on_bundled_cases(name, request):
+    case = request.getfixturevalue(f"{name}_case")
+    sys = assemble(case, True)
+    assert sys.lengths.tobytes() == _branch_by_branch_lengths(case, sys).tobytes()
+
+
+def test_missing_coordinates_names_first_lacking_bus(epri21_case):
+    """Without coordinates for some buses, ``assemble`` names the bus that
+    the branch-by-branch computation names first."""
+    sys = assemble(epri21_case, True)
+    for dropped in ({5, 2}, {3}, {2, 3}, {12, 6}, {12, 17}):
+        case = dataclasses.replace(epri21_case, bus_gmd=tuple(
+            row for row in epri21_case.bus_gmd if row.bus not in dropped))
+        with pytest.raises(MissingCoordinates) as expected:
+            _branch_by_branch_lengths(case, sys)
+        with pytest.raises(MissingCoordinates) as err:
+            assemble(case, True)
+        assert str(err.value) == str(expected.value)
+
+
 def _v_src(sys, *weights):
     """Series edge voltages [V] by gmd_branch id: the basis weighted by the
     field components (or 1 for the stored br_v), then the override voltages."""

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_r
                           parse_case)
 from gicgrid.dcnet import solve_series
 from gicgrid.lp import LpProblem, lp_solve
+from gicgrid import mitigation
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
@@ -552,3 +554,103 @@ def test_highs_milp_oracle_above_enumeration_cap(epri21_case, dt, periods):
     for opened in (sorted(b for b, v in z.items() if v == 0),
                    sorted(b for b, v in plan.z.items() if v == 0)):
         assert len(opened) == 2 and opened[0] in (7, 8) and opened[1] == 9
+    # tie rule: of the twins 7 and 8, the search returns the plan opening 7
+    assert sorted(b for b, v in plan.z.items() if v == 0) == [7, 9]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**16 - 1)))
+def test_any_seed_keeps_the_optimum(seed, mask):
+    """Whatever plan seeds the search (the enumerated optimum when ``mask`` is
+    None, else any assignment, worse or infeasible ones included), the
+    branch-and-bound returns the enumerated optimum within the gap and a
+    plan that verifies, or, when there is none, no plan."""
+    case, scenario = random_ots_case(np.random.default_rng(seed))
+    model = build_model(case, scenario)
+    try:
+        ref = enumerate_solve(model)
+    except MitigationInfeasible:
+        ref = None
+    if ref is not None and mask is None:
+        z = ref.z
+    else:
+        z = {bid: (mask or 0) >> k & 1 for k, bid in enumerate(model.switchable)}
+    seeded = []
+    plan = mitigation._branch_and_bound(model, model.options, time.perf_counter(),
+                                        seed=lambda: seeded.append(z) or z)
+    assert len(seeded) == 1  # every toy's root LP is fractional
+    if ref is None:
+        assert plan is None
+        return
+    assert plan.status == "optimal"
+    assert abs(plan.model_objective - ref.model_objective) <= (
+        model.options.gap * max(1.0, abs(ref.model_objective)))
+    assert verify_plan(case, scenario, plan).ok(1e-5)
+
+
+def _integer_infeasible_toy():
+    """The east-west toy with its northern detour out of service and a GIC
+    cap no closed east-west line meets: bus 2's load needs the line closed,
+    the cap needs it open, and the LP relaxation takes it part-way."""
+    case = _east_west_toy()
+    rows = tuple(dataclasses.replace(r, gic_bound=1e-3) if r.branch == 4 else r
+                 for r in case.branch_gmd)
+    branches = tuple(dataclasses.replace(br, status=0) if br.index in (2, 3) else br
+                     for br in case.ac_branches)
+    return dataclasses.replace(case, branch_gmd=rows, ac_branches=branches)
+
+
+def test_coarse_stage_runs_no_probes(monkeypatch):
+    """On a model whose root LP is fractional but whose every plan is
+    infeasible, the coarse stage runs and finds no plan, and the probes run
+    once, for the fine model only."""
+    model = build_model(_integer_infeasible_toy(), make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0))
+    searched, probed = [], []
+    search, probes = mitigation._branch_and_bound, mitigation._infeasibility_probes
+    monkeypatch.setattr(mitigation, "_branch_and_bound",
+                        lambda m, *args, **kw: searched.append(m.n_periods) or search(m, *args, **kw))
+    monkeypatch.setattr(mitigation, "_infeasibility_probes",
+                        lambda m: probed.append(m.n_periods) or probes(m))
+    with pytest.raises(MitigationInfeasible) as err:
+        solve(model)
+    assert searched == [6, 1]   # the fine search, then the coarse one at dt = 60
+    assert probed == [6]
+    assert err.value.context == {"all_closed": "gic_cap", "all_open": "power_flow"}
+
+
+def test_coarse_dt_from_the_top_oil_step(epri21_case):
+    """dt_c = k dt for the largest divisor k > 1 of T with k dt <= 2 tau
+    (tau = 71 min on epri21); no coarse grid when T has no such divisor."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for dt, periods in ((1.0, 360), (2.5, 144), (30.0, 12), (15.0, 24)):
+        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+        model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
+        assert (model.n_periods, mitigation._coarse_dt(model)) == (periods, 120.0)
+    # T = 3 at dt = 120: k = 3 would step 360 min > 142 min
+    scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=120.0)
+    assert mitigation._coarse_dt(build_model(epri21_case, scenario)) is None
+
+
+@pytest.mark.parametrize("dt", [2.5, 30.0])
+def test_coarse_seed_closes_the_epri21_search(epri21_case, dt):
+    """The coarse plan seeds an incumbent whose LP meets the root bound: the
+    search ends after two fine LPs with the unseeded search's plan."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
+    plan = solve(model)
+    unseeded = mitigation._branch_and_bound(model, model.options, time.perf_counter())
+    assert plan.nodes == 2 and unseeded.nodes > 2
+    assert plan.z == unseeded.z and plan.status == "optimal" and plan.gap == 0.0
+    assert abs(plan.model_objective - unseeded.model_objective) <= (
+        1e-4 * abs(unseeded.model_objective))
+
+
+def test_coarse_stage_counts_toward_time_limit(epri21_case):
+    """The coarse search runs on the solve's clock: past the time limit it
+    stops before its root and seeds nothing."""
+    scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=30.0)
+    model = build_model(epri21_case, scenario)
+    opt = OtsOptions(time_limit=60.0)
+    assert mitigation._coarse_plan(model, opt, time.perf_counter()) is not None
+    assert mitigation._coarse_plan(model, opt, time.perf_counter() - 61.0) is None
