@@ -303,8 +303,7 @@ def _jacobian_pattern(Y, ang_idx, mag_idx):
 
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
-                      topology: Mapping[int, int] | None = None,
-                      tol: float = 1e-8, max_iter: int = 30
+                      topology: Mapping[int, int] | None = None
                       ) -> tuple[GicSeries, QLossMap, AcSolution]:
     """Sequential quasi-dc then ac analysis for one time point.
 
@@ -322,7 +321,7 @@ def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
     effective = {pos: float(i[0]) for pos, i in series.effective.items()}
 
     q1 = qloss(case, effective, 1.0)
-    ac1 = ac_power_flow(case, q1, tol=tol, max_iter=max_iter, topology=topology)
+    ac1 = ac_power_flow(case, q1, topology=topology)
     q2 = qloss(case, effective, ac1.vm)
-    ac2 = ac_power_flow(case, q2, tol=tol, max_iter=max_iter, topology=topology, start=ac1)
+    ac2 = ac_power_flow(case, q2, topology=topology, start=ac1)
     return series, q2, ac2

@@ -245,19 +245,18 @@ class GicSeries:
     kcl_residual: np.ndarray              # (T,) [A]
 
 
-def _solve(sys: DcSystem, sources: np.ndarray,
-           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(sys: DcSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor G once and superpose k basis solutions over T time points.
 
-    ``sources`` (edges x k) are the series edge voltages of each basis and
-    ``coeffs`` (T x k) their weights per time point.  Each floating
+    ``sys.sources`` (edges x k) are the series edge voltages of each basis
+    and ``coeffs`` (T x k) their weights per time point.  Each floating
     component is pinned at its lowest row.  Returns node voltages
     (T x nodes), branch currents (T x edges) and KCL residuals (T,).
     """
     n, T = len(sys.node_ids), coeffs.shape[0]
     if n == 0:  # no nodes, so no edges
         return np.zeros((T, 0)), np.zeros((T, 0)), np.zeros(T)
-    f, t, a = sys.f, sys.t, sys.a
+    f, t, a, sources = sys.f, sys.t, sys.a, sys.sources
     incidence = sys.incidence
     # Norton injections: a source v on edge f->t drives a*v from f into t
     J = incidence @ (a[:, None] * sources)
@@ -302,22 +301,22 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     None for the stored br_v values.  Every time point is a weighted sum of
     the bases of ``source_basis``.
     """
-    sys, sources, coeffs = source_basis(case, fields, times, topology=topology)
-    V, I, residual = _solve(sys, sources, coeffs)
+    sys, coeffs = source_basis(case, fields, times, topology=topology)
+    V, I, residual = _solve(sys, coeffs)
     return GicSeries(node_ids=sys.node_ids, branch_ids=sys.branch_ids, V=V, I=I,
                      effective=_effective(case, sys.branch_ids, I), kcl_residual=residual)
 
 
 def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, times, *,
                  topology: Mapping[int, int] | None = None
-                 ) -> tuple[DcSystem, np.ndarray, np.ndarray]:
+                 ) -> tuple[DcSystem, np.ndarray]:
     """The superposition basis of ``solve_series``, without solving it.
 
-    Returns the assembled system, the series edge voltages of each basis
-    (edges x k: unit E_north and unit E_east, or the stored br_v without
-    fields, then a unit voltage per overridden branch) and their weights per
-    time point (T x k), so ``coeffs @ sources.T`` are the edge source
-    voltages at every time.
+    Returns the assembled system, whose ``sources`` are the series edge
+    voltages of each basis (edges x k: unit E_north and unit E_east, or the
+    stored br_v without fields, then a unit voltage per overridden branch),
+    and the bases' weights per time point (T x k), so
+    ``coeffs @ sys.sources.T`` are the edge source voltages at every time.
     """
     times = np.asarray(times, dtype=float)
     over = fields.overrides_series(times) if isinstance(fields, FieldScenario) else {}
@@ -325,7 +324,7 @@ def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, time
         fields = fields.series(times)
     sys = assemble(case, fields is not None, tuple(over), topology=topology)
     first = np.ones((len(times), 1)) if fields is None else np.reshape(fields, (-1, 2))
-    return sys, sys.sources, np.column_stack([first] + list(over.values()))
+    return sys, np.column_stack([first] + list(over.values()))
 
 
 def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, float], ...]:

@@ -180,11 +180,10 @@ def build_model(case: CaseData, scenario: FieldScenario,
 
 def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> OtsModel:
     dt = opt.dt if opt.dt is not None else scenario.dt
-    grid = scenario.grid(dt)
-    if len(grid) < 2:
-        raise ValueError("scenario must span at least one period")
-    times = np.array([(a + b) / 2.0 for a, b in zip(grid, grid[1:])])
+    times = _midpoints(scenario, dt)
     T = len(times)
+    if T < 1:
+        raise ValueError("scenario must span at least one period")
 
     branches = [b for b in case.ac_branches if b.status]
     switchable = sorted(b.index for b in branches if b.switchable)
@@ -199,8 +198,8 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # dc side: the dc engine's nominal solve set and its superposition basis;
     # one switched circuit per basis (B = 2 + overrides), since for a fixed
     # topology the currents of period t are coeffs[t] @ the basis currents
-    dc, sources, coeffs = source_basis(case, scenario, times)
-    fd, td, a, comp = dc.f, dc.t, dc.a, dc.comp
+    dc, coeffs = source_basis(case, scenario, times)
+    fd, td, a, comp, sources = dc.f, dc.t, dc.a, dc.comp, dc.sources
     Nd, Ed = len(dc.node_ids), len(dc.branch_ids)
     comp_edges = _mat((Nd, Ed), comp[fd], np.arange(Ed), np.ones(Ed))
 
@@ -476,6 +475,12 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                     primary_var_count=primary)
 
 
+def _midpoints(scenario: FieldScenario, dt: float) -> np.ndarray:
+    """Period midpoints [min] of the scenario grid at ``dt``."""
+    grid = scenario.grid(dt)
+    return np.array([(a + b) / 2.0 for a, b in zip(grid, grid[1:])])
+
+
 def _mat(shape, rows, cols, vals) -> sp.csr_matrix:
     """Sparse matrix holding every listed entry, zeros included."""
     return sp.csr_matrix((np.asarray(vals, dtype=float),
@@ -544,15 +549,19 @@ def _most_fractional(model: OtsModel, x: np.ndarray):
     return best
 
 
-def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
-    """Branch-and-bound over the shared switching binaries.
+def solve(model: OtsModel) -> MitigationPlan:
+    """Branch-and-bound over the shared switching binaries, configured by
+    ``model.options`` (its gap and time limit).
 
     Depth-first plunge until the first incumbent, then best-bound node
     selection; branching on the most fractional binary with lowest-id
     tie-breaks, plunging first to the child nearer its LP value (closed
     at 0.5).  Serial and deterministic.  Returns a plan optimal within
-    the relative gap for the linearized model, or raises
-    MitigationInfeasible with probe context.
+    the relative gap for the linearized model, or, when a node or time
+    limit stops the search, the incumbent with status ``"timeout"`` and
+    the gap to the best open bound.  Raises MitigationInfeasible with
+    probe context when the model has no plan, and without probes,
+    naming the limit, when a limit stops the search before it finds one.
 
     Coarse seed: when the root LP's z is fractional, the same model is
     built on a coarse sub-grid of the periods (``_coarse_dt``) and
@@ -571,9 +580,8 @@ def solve(model: OtsModel, options: OtsOptions | None = None) -> MitigationPlan:
     branched first and opens: on ``epri21`` branch 7 opens, not its
     twin 8.
     """
-    opt = options or model.options
     t0 = time.perf_counter()
-    plan = _branch_and_bound(model, opt, t0, seed=lambda: _coarse_plan(model, opt, t0))
+    plan = _branch_and_bound(model, t0, seed=lambda: _coarse_plan(model, t0))
     if plan is None:
         raise MitigationInfeasible("no feasible switching plan", _infeasibility_probes(model))
     return plan
@@ -591,60 +599,68 @@ def _coarse_dt(model: OtsModel) -> float | None:
     return None
 
 
-def _coarse_plan(model: OtsModel, opt: OtsOptions, t0: float) -> dict[int, int] | None:
+def _coarse_plan(model: OtsModel, t0: float) -> dict[int, int] | None:
     """z of the plan the search finds on ``model`` rebuilt at ``_coarse_dt``;
     None without a coarse grid or a plan."""
     dt = _coarse_dt(model)
     if dt is None:
         return None
     coarse = _build_model(model.case, model.scenario, dataclasses.replace(model.options, dt=dt))
-    plan = _branch_and_bound(coarse, opt, t0)
+    try:
+        plan = _branch_and_bound(coarse, t0)
+    except MitigationInfeasible:  # a limit stopped it before a plan
+        return None
     return None if plan is None else plan.z
 
 
-def _branch_and_bound(model: OtsModel, opt: OtsOptions, t0: float,
+def _fixed(model: OtsModel, z: dict[int, float],
+           bounds: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of ``bounds`` (lb, ub; the model's by default) with the binary
+    of each branch id in ``z`` fixed to its value."""
+    lb, ub = (b.copy() for b in (bounds or (model.lp.lb, model.lp.ub)))
+    cols = [model.z_col[bid] for bid in z]
+    lb[cols] = ub[cols] = list(z.values())
+    return lb, ub
+
+
+def _branch_and_bound(model: OtsModel, t0: float,
                       seed: Callable[[], dict[int, int] | None] | None = None
                       ) -> MitigationPlan | None:
     """The search of ``solve`` from wall-clock start ``t0``; None when it
     finds no plan.  ``seed``, a function returning a z per switchable
     branch or None, is called once, after a root LP with fractional z;
     the LP with z fixed to its plan is the first node after the root."""
+    opt = model.options
     lp = dataclasses.replace(model.lp)  # one warm-started instance per search
-
-    root_lb = model.lp.lb.copy()
-    root_ub = model.lp.ub.copy()
-
-    incumbent = None
-    incumbent_obj = math.inf
-    nodes_explored = 0
-    seq = 0
-    # node: (bound_of_parent, seq, lb, ub); parent bound screens before solving
-    dfs: list[tuple[float, int, np.ndarray, np.ndarray]] = [(-math.inf, seq, root_lb, root_ub)]
-    best_bound_heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    open_bounds: dict[int, float] = {seq: -math.inf}
-    timed_out = False
+    incumbent, incumbent_obj = None, math.inf
+    nodes_explored = seq = 0
+    # open nodes (bound of parent, seq, lb, ub): a stack until the first
+    # incumbent, then a heap by best bound; the parent bound screens a node
+    # before it is solved
+    nodes = [(-math.inf, seq, *_fixed(model, {}))]
 
     def gap_abs() -> float:
         return opt.gap * max(1.0, abs(incumbent_obj))
 
-    while dfs or best_bound_heap:
-        if opt.time_limit is not None and time.perf_counter() - t0 > opt.time_limit:
-            timed_out = True
-            break
-        if nodes_explored >= _NODE_LIMIT:
-            timed_out = True
-            break
-        if incumbent is None and dfs:
-            parent_bound, node_seq, nlb, nub = dfs.pop()
-        elif best_bound_heap:
-            parent_bound, node_seq, nlb, nub = heapq.heappop(best_bound_heap)
-        elif dfs:
-            parent_bound, node_seq, nlb, nub = dfs.pop()
-        else:
-            break
-        open_bounds.pop(node_seq, None)
+    def set_incumbent(res) -> None:
+        nonlocal incumbent, incumbent_obj
+        if incumbent is None:
+            heapq.heapify(nodes)
+        incumbent, incumbent_obj = res, res.objective
+
+    while nodes:
+        node = nodes.pop() if incumbent is None else heapq.heappop(nodes)
+        parent_bound, _, nlb, nub = node
         if incumbent is not None and parent_bound >= incumbent_obj - gap_abs():
             continue
+        timed_out = opt.time_limit is not None and time.perf_counter() - t0 > opt.time_limit
+        if timed_out or nodes_explored >= _NODE_LIMIT:
+            if incumbent is None:
+                limit = "time limit" if timed_out else "node limit"
+                raise MitigationInfeasible(f"the {limit} stopped the search before it "
+                                           "found a switching plan")
+            nodes.append(node)  # still open: its bound counts
+            break
 
         res = lp_solve(lp, lb=nlb, ub=nub)
         nodes_explored += 1
@@ -654,56 +670,37 @@ def _branch_and_bound(model: OtsModel, opt: OtsOptions, t0: float,
             continue
 
         branch_id = _most_fractional(model, res.x)
-        if branch_id is not None and seed is not None:
+        if branch_id is None:
+            if res.objective < incumbent_obj - 1e-12:
+                set_incumbent(res)
+            continue
+        if seed is not None:
             z, seed = seed(), None
             if z is not None:
-                zlb, zub = nlb.copy(), nub.copy()
-                cols = [model.z_col[bid] for bid in model.switchable]
-                zlb[cols] = zub[cols] = [z[bid] for bid in model.switchable]
+                zlb, zub = _fixed(model, z)  # the seed runs at the root
                 seeded = lp_solve(lp, lb=zlb, ub=zub)
                 nodes_explored += 1
                 if seeded.status == "optimal":
-                    incumbent, incumbent_obj = seeded, seeded.objective
-        if branch_id is None:
-            if res.objective < incumbent_obj - 1e-12:
-                incumbent = res
-                incumbent_obj = res.objective
-                # migrate DFS backlog to the best-bound queue
-                while dfs:
-                    item = dfs.pop()
-                    heapq.heappush(best_bound_heap, item)
-            continue
+                    set_incumbent(seeded)
 
-        zc = model.z_col[branch_id]
-        zval = res.x[zc]
         children = []
-        for fixed in (0.0, 1.0):
-            clb, cub = nlb.copy(), nub.copy()
-            clb[zc] = cub[zc] = fixed
+        for value in (0.0, 1.0):
             seq += 1
-            children.append((res.objective, seq, clb, cub))
-            open_bounds[seq] = res.objective
-        plunge_first = 1.0 if zval >= 0.5 else 0.0
-        if incumbent is None:
-            # stack: push the plunge child last so it pops first
-            children.sort(key=lambda ch: ch[2][zc] == plunge_first)
-            dfs.extend(children)
-        else:
-            for ch in children:
-                heapq.heappush(best_bound_heap, ch)
+            children.append((res.objective, seq, *_fixed(model, {branch_id: value}, (nlb, nub))))
+        if res.x[model.z_col[branch_id]] < 0.5:
+            children.reverse()  # a stack pops the plunge child, nearer the LP value, first
+        for child in children:
+            if incumbent is None:
+                nodes.append(child)
+            else:
+                heapq.heappush(nodes, child)
 
     if incumbent is None:
         return None
-    wall = time.perf_counter() - t0
-    remaining = [b for b in open_bounds.values()]
-    bound = min(remaining, default=incumbent_obj)
-    bound = min(max(bound, -math.inf), incumbent_obj)
-    if not (dfs or best_bound_heap) and not timed_out:
-        bound = incumbent_obj
+    bound = min([node[0] for node in nodes] + [incumbent_obj])
     rel_gap = max(0.0, (incumbent_obj - bound) / max(1e-12, abs(incumbent_obj)))
-    status = "timeout" if timed_out else "optimal"
-    return _extract_plan(model, incumbent.x, incumbent_obj, rel_gap,
-                         nodes_explored, wall, status)
+    return _extract_plan(model, incumbent.x, incumbent_obj, rel_gap, nodes_explored,
+                         time.perf_counter() - t0, "timeout" if nodes else "optimal")
 
 
 def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
@@ -721,10 +718,7 @@ def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
     best_obj = math.inf
     solved = 0
     for assignment in itertools.product((0.0, 1.0), repeat=k):
-        lb = model.lp.lb.copy()
-        ub = model.lp.ub.copy()
-        for bid, val in zip(model.switchable, assignment):
-            lb[model.z_col[bid]] = ub[model.z_col[bid]] = val
+        lb, ub = _fixed(model, dict(zip(model.switchable, assignment)))
         res = lp_solve(lp, lb=lb, ub=ub)
         solved += 1
         if res.status == "optimal" and res.objective < best_obj - 1e-12:
@@ -740,10 +734,7 @@ def _infeasibility_probes(model: OtsModel) -> dict:
     """Name the first infeasible constraint class under all-closed/all-open."""
     out = {}
     for label, zfix in (("all_closed", 1.0), ("all_open", 0.0)):
-        lb = model.lp.lb.copy()
-        ub = model.lp.ub.copy()
-        for bid in model.switchable:
-            lb[model.z_col[bid]] = ub[model.z_col[bid]] = zfix
+        lb, ub = _fixed(model, dict.fromkeys(model.switchable, zfix))
         out[label] = _first_violated_class(model, lb, ub)
     return out
 
@@ -815,7 +806,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
 _PERIOD_SERIES = ("gen_p", "flows", "theta", "i_eff", "delta_to", "hotspot")
 
 
-def _check_plan(plan: MitigationPlan, times: list[float], dt: float) -> None:
+def _check_plan(plan: MitigationPlan, times: np.ndarray, dt: float) -> None:
     """Raise ValueError unless every plan number is finite, the scalars are
     single numbers, the switch states 0 or 1, the transformer branches
     integer ids, and the plan's periods are ``times``, the period midpoints
@@ -878,8 +869,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     """
     opt = options or OtsOptions(dt=plan.dt)
     dt = opt.dt if opt.dt is not None else plan.dt
-    grid = scenario.grid(dt)
-    times = [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
+    times = _midpoints(scenario, dt)
     T = len(times)
     _check_plan(plan, times, dt)
 

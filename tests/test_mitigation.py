@@ -330,15 +330,25 @@ def test_bb_equals_enumeration_property(seed):
     assert verify_plan(case, scenario, plan).ok(1e-5)
 
 
-def test_timeout_returns_incumbent():
-    rng = np.random.default_rng(11)
-    case, scenario = random_ots_case(rng)
+def test_timeout_returns_incumbent(monkeypatch):
+    """A limit that cuts the search off returns the incumbent with status
+    "timeout" and the gap to the best bound left open.  A limit reached
+    before any plan says so: no infeasibility probes run past it."""
+    case, scenario = random_ots_case(np.random.default_rng(11))
     model = build_model(case, scenario, OtsOptions(time_limit=0.0))
-    try:
-        plan = solve(model, OtsOptions(time_limit=1e-9))
-    except MitigationInfeasible:
-        return  # nothing explored before the deadline: acceptable outcome
-    assert plan.status == "timeout"
+    calls = _record_fixed(monkeypatch, model)
+    monkeypatch.setattr(mitigation, "_infeasibility_probes", lambda m: pytest.fail("probed"))
+    with pytest.raises(MitigationInfeasible, match="the time limit stopped the search") as err:
+        solve(model)
+    assert err.value.context == {} and calls == []
+
+    monkeypatch.undo()
+    monkeypatch.setattr(mitigation, "_NODE_LIMIT", 8)
+    model = build_model(*random_ots_case(np.random.default_rng(5)))
+    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    assert (plan.status, plan.nodes) == ("timeout", 8)
+    assert plan.gap == pytest.approx(0.21605747873958478, rel=1e-9)
+    assert plan.z == {3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
 
 
 def test_epri21_binaries_are_inservice_switchable_lines(epri21_case):
@@ -576,7 +586,7 @@ def test_any_seed_keeps_the_optimum(seed, mask):
     else:
         z = {bid: (mask or 0) >> k & 1 for k, bid in enumerate(model.switchable)}
     seeded = []
-    plan = mitigation._branch_and_bound(model, model.options, time.perf_counter(),
+    plan = mitigation._branch_and_bound(model, time.perf_counter(),
                                         seed=lambda: seeded.append(z) or z)
     assert len(seeded) == 1  # every toy's root LP is fractional
     if ref is None:
@@ -639,7 +649,7 @@ def test_coarse_seed_closes_the_epri21_search(epri21_case, dt):
     scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
     model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
     plan = solve(model)
-    unseeded = mitigation._branch_and_bound(model, model.options, time.perf_counter())
+    unseeded = mitigation._branch_and_bound(model, time.perf_counter())
     assert plan.nodes == 2 and unseeded.nodes > 2
     assert plan.z == unseeded.z and plan.status == "optimal" and plan.gap == 0.0
     assert abs(plan.model_objective - unseeded.model_objective) <= (
@@ -650,7 +660,85 @@ def test_coarse_stage_counts_toward_time_limit(epri21_case):
     """The coarse search runs on the solve's clock: past the time limit it
     stops before its root and seeds nothing."""
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=30.0)
-    model = build_model(epri21_case, scenario)
-    opt = OtsOptions(time_limit=60.0)
-    assert mitigation._coarse_plan(model, opt, time.perf_counter()) is not None
-    assert mitigation._coarse_plan(model, opt, time.perf_counter() - 61.0) is None
+    model = build_model(epri21_case, scenario, OtsOptions(time_limit=60.0))
+    assert mitigation._coarse_plan(model, time.perf_counter()) is not None
+    assert mitigation._coarse_plan(model, time.perf_counter() - 61.0) is None
+
+
+def _ramp_3p2(dt):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+
+
+def _record_fixed(monkeypatch, *models):
+    """Record every lp_solve call on ``models`` as (periods, {branch id: fixed
+    value} of its binaries, status); a model is told by its column count."""
+    z_cols = {m.lp.n: (m.n_periods, m.z_col) for m in models}
+    calls, inner = [], mitigation.lp_solve
+
+    def recording(lp, *, lb, ub):
+        res = inner(lp, lb=lb, ub=ub)
+        periods, z_col = z_cols[lp.n]
+        calls.append((periods, {bid: int(lb[c]) for bid, c in z_col.items() if lb[c] == ub[c]},
+                      res.status))
+        return res
+
+    monkeypatch.setattr(mitigation, "lp_solve", recording)
+    return calls
+
+
+_EPRI21_PLAN = {2: 1, 7: 0, 8: 1, 9: 0, 10: 1, 16: 1, 17: 1}
+_OPT, _INF = "optimal", "infeasible"
+
+
+def test_search_order_pinned(epri21_case, monkeypatch):
+    """Every node LP of the epri21 search at dt = 30 min, in order, by the
+    binaries it fixes: the unseeded plunge and best-bound search (20 LPs),
+    then the seeded solve (the fine root, the 15 LPs of the coarse search at
+    dt = 120 min, the seeded LP)."""
+    scenario = _ramp_3p2(30.0)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=30.0))
+    coarse = build_model(epri21_case, scenario, OtsOptions(dt=120.0))
+    calls = _record_fixed(monkeypatch, model, coarse)
+    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    assert calls == [(12, z, status) for z, status in (
+        ({}, _OPT), ({7: 0}, _OPT), ({7: 0, 9: 1}, _OPT), ({7: 0, 8: 1, 9: 1}, _OPT),
+        ({7: 0, 8: 1, 9: 1, 16: 1}, _OPT), ({2: 1, 7: 0, 8: 1, 9: 1, 16: 1}, _OPT),
+        ({2: 1, 7: 0, 8: 1, 9: 1, 10: 1, 16: 1}, _INF),
+        ({2: 1, 7: 0, 8: 1, 9: 1, 10: 0, 16: 1}, _INF),
+        ({2: 0, 7: 0, 8: 1, 9: 1, 16: 1}, _INF), ({7: 0, 8: 1, 9: 1, 16: 0}, _INF),
+        ({7: 0, 8: 0, 9: 1}, _OPT), ({7: 0, 8: 0, 9: 1, 10: 1}, _OPT),
+        ({7: 0, 8: 0, 9: 1, 10: 1, 17: 1}, _OPT),
+        ({7: 0, 8: 0, 9: 1, 10: 1, 16: 1, 17: 1}, _INF),
+        ({7: 0, 8: 0, 9: 1, 10: 1, 16: 0, 17: 1}, _INF),
+        ({7: 0, 8: 0, 9: 1, 10: 1, 17: 0}, _INF), ({7: 0, 8: 0, 9: 1, 10: 0}, _INF),
+        ({7: 0, 9: 0}, _OPT), ({7: 0, 8: 1, 9: 0}, _OPT), ({7: 0, 8: 1, 9: 0, 10: 1}, _OPT))]
+    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 20, "optimal", 0.0)
+
+    calls.clear()
+    plan = solve(model)
+    assert calls == [(12, {}, _OPT)] + [(3, z, status) for z, status in (
+        ({}, _OPT), ({7: 0}, _OPT), ({7: 0, 9: 1}, _OPT), ({7: 0, 8: 0, 9: 1}, _OPT),
+        ({7: 0, 8: 0, 9: 1, 16: 1}, _OPT), ({7: 0, 8: 0, 9: 1, 16: 1, 17: 1}, _INF),
+        ({7: 0, 8: 0, 9: 1, 16: 1, 17: 0}, _INF), ({7: 0, 8: 0, 9: 1, 16: 0}, _INF),
+        ({7: 0, 8: 1, 9: 1}, _OPT), ({7: 0, 8: 1, 9: 1, 10: 1}, _INF),
+        ({7: 0, 8: 1, 9: 1, 10: 0}, _INF), ({7: 0, 9: 0}, _OPT), ({2: 1, 7: 0, 9: 0}, _OPT),
+        ({2: 1, 7: 0, 8: 1, 9: 0}, _OPT), ({2: 1, 7: 0, 8: 1, 9: 0, 10: 1}, _OPT))] + [
+        (12, _EPRI21_PLAN, _OPT)]
+    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 2, "optimal", 0.0)
+
+
+
+@pytest.mark.parametrize("dt,limit", [(30.0, 20), (2.5, 10)])
+def test_node_limit_after_the_last_needed_node_is_no_timeout(epri21_case, dt, limit,
+                                                           monkeypatch):
+    """The unseeded epri21 search needs ``limit`` LPs; at that node limit
+    every node left open is dropped by its parent bound, so the search
+    is complete.  One node less stops it before its first leaf."""
+    model = build_model(epri21_case, _ramp_3p2(dt), OtsOptions(dt=dt))
+    monkeypatch.setattr(mitigation, "_NODE_LIMIT", limit)
+    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, limit, "optimal", 0.0)
+    monkeypatch.setattr(mitigation, "_NODE_LIMIT", limit - 1)
+    with pytest.raises(MitigationInfeasible, match="the node limit stopped the search"):
+        mitigation._branch_and_bound(model, time.perf_counter())
