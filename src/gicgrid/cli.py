@@ -197,7 +197,7 @@ def _cmd_ac(args) -> int:
                                  "d_q_pu": np.array([ql.d_q for ql in losses])}, meta)
 
     total_q = sum(ql.d_q for ql in qmap.values())
-    print(f"ac: converged in {ac.iterations} iterations on the warm-started second pass "
+    print(f"ac: converged in {ac.iterations} iterations "
           f"(mismatch {ac.max_mismatch:.2e} p.u.), GIC reactive loss "
           f"{total_q:.4f} p.u.; wrote ac_bus, ac_branch, qloss to {args.out}")
     return EXIT_OK
@@ -328,13 +328,13 @@ def _branch_table(case: CaseData, scenario: FieldScenario, plan: MitigationPlan)
 
 
 def _cmd_verify(args) -> int:
-    from .mitigation import OtsOptions, verify_plan
+    from .mitigation import verify_plan
 
     case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = plan_from_json(json.load(fh))
-    report = verify_plan(case, scenario, plan, OtsOptions(dt=args.dt))
+    report = verify_plan(case, scenario, plan, dt=args.dt)
     for cls in sorted(report.violations):
         print(f"  {cls:>14s}: {report.violations[cls]:.3e}")
     ok = report.ok(args.tol)

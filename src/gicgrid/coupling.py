@@ -10,7 +10,8 @@ The loss attached at the transformer's high-side bus is
 
 which keeps gmd_k dimensionless as the data format declares.  The
 transformer's own MVA base cancels out of the conversion chain
-(A -> transformer p.u. -> system p.u.).
+(A -> transformer p.u. -> system p.u.).  Linear in v_pu(hi), the loss is
+a voltage-proportional reactive load of the power flow.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def qloss(case: CaseData, effective: Mapping[int, float],
 
     ``effective`` maps branch_gmd row position to I_eff [A]; a row absent
     from it carries none.  ``v_pu`` is either a per-bus voltage map or a
-    flat scalar (first pass of the sequential analysis uses 1.0).  Rows
-    without a usable gmd_k (absent / <= 0) contribute nothing.
+    flat scalar; at 1.0 each d_q is the loss per unit of bus voltage, the
+    coefficient ``ac_power_flow`` takes.  Rows without a usable gmd_k
+    (absent / <= 0) contribute nothing.
     """
     out: dict[int, QLoss] = {}
     for pos, row in case.xfmr_rows():
@@ -120,7 +122,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                   tol: float = 1e-8, max_iter: int = 30,
                   topology: Mapping[int, int] | None = None,
                   start: AcSolution | None = None) -> AcSolution:
-    """Newton-Raphson power flow with optional GIC reactive loads.
+    """Newton-Raphson power flow with optional GIC reactive losses.
 
     Polar formulation, mismatch tolerance on both P and Q equations, flat
     start unless ``start``: a solution of the same case whose angles at
@@ -129,12 +131,14 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     filled on the fixed sparsity pattern of Y (``_jacobian_pattern``) and
     factored once per iteration with a sparse LU
     (``scipy.sparse.linalg.splu``).  PV buses hold the generator voltage
-    setpoint; no reactive limit switching is applied.  ``extra_q`` losses
-    are added as constant reactive loads at their attribution buses.
-    De-energized islands (no load, generation or slack) are excluded from
-    the iteration and report a nominal 1.0 p.u. / 0 rad state.  A
-    non-finite mismatch or Newton step, or an exactly singular Jacobian,
-    raises PowerFlowError at once.
+    setpoint; no reactive limit switching is applied.  Each ``extra_q``
+    d_q is a loss per unit of bus voltage (``qloss`` at 1.0 p.u.): a bus
+    whose d_q sum to c draws c * vm, re-evaluated at every iteration, so
+    the losses are those of the solved voltages (c * vg where PV and slack
+    buses hold vm).  De-energized islands (no load, generation or slack)
+    are excluded from the iteration and report a nominal 1.0 p.u. / 0 rad
+    state.  A non-finite mismatch or Newton step, or an exactly singular
+    Jacobian, raises PowerFlowError at once.
     """
     buses = case.buses
     n = len(buses)
@@ -159,12 +163,11 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                        (np.concatenate([fl, tl, fl, tl, diag]),
                         np.concatenate([fl, tl, tl, fl, diag]))), shape=(n, n))
 
-    # scheduled injections; the GIC losses are summed per bus once, here
+    # scheduled injections; the GIC loss coefficients are summed per bus once, here
     p_sched = -np.array([b.pd for b in buses], dtype=float)
-    q_sched = -np.array([b.qd for b in buses], dtype=float)
-    if extra_q:
-        np.add.at(q_sched, [pos[ql.bus] for ql in extra_q.values()],
-                  [-ql.d_q for ql in extra_q.values()])
+    q_load = -np.array([b.qd for b in buses], dtype=float)
+    losses = (extra_q or {}).values()
+    c = np.bincount([pos[ql.bus] for ql in losses], [ql.d_q for ql in losses], minlength=n)
     vset = np.ones(n)
     for bus_id, gens in gen_by_bus.items():
         i = pos[bus_id]
@@ -184,7 +187,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
         vm[mag_idx] = [start.vm[buses[i].index] for i in mag_idx]
     held = (types == "PV") | (types == "slack")
     vm[held] = vset[held]
-    jacobian = _jacobian_pattern(Y, ang_idx, mag_idx)
+    jacobian = _jacobian_pattern(Y, ang_idx, mag_idx, c)
 
     def injections(vm, va):
         V = vm * np.exp(1j * va)
@@ -195,6 +198,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     max_mis = math.inf
     for it in range(1, max_iter + 1):
         p_inj, q_inj = injections(vm, va)
+        q_sched = q_load - c * vm
         mism = np.concatenate([(p_sched - p_inj)[ang_idx], (q_sched - q_inj)[mag_idx]])
         max_mis = float(np.max(np.abs(mism))) if len(mism) else 0.0
         report = {"iterations": it, "max_mismatch": max_mis}
@@ -216,8 +220,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
             f"(worst mismatch {max_mis:.3e} p.u.)",
             report={"iterations": max_iter, "max_mismatch": max_mis})
 
-    p_inj, q_inj = injections(vm, va)
-    V = vm * np.exp(1j * va)
+    V = vm * np.exp(1j * va)  # the last iteration's p_inj, q_inj and q_sched are at V
     s_f = np.where(live, V[f] * np.conj(y * (V[f] - V[t])), 0.0)
     s_t = np.where(live, V[t] * np.conj(y * (V[t] - V[f])), 0.0)
     ids = [br.index for br in case.ac_branches]
@@ -244,7 +247,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                       iterations=it, max_mismatch=max_mis)
 
 
-def _jacobian_pattern(Y, ang_idx, mag_idx):
+def _jacobian_pattern(Y, ang_idx, mag_idx, loss):
     """Fill function of the polar power-flow Jacobian on the fixed pattern of Y.
 
     ``Y`` is a canonical CSR matrix (no duplicate entries).  Rows are the
@@ -254,9 +257,10 @@ def _jacobian_pattern(Y, ang_idx, mag_idx):
     dS_i/dVa_k = -j V_i conj(Y_ik V_k) and dS_i/dVm_k = V_i conj(Y_ik E_k),
     with E = exp(j Va); the diagonal adds j V_i conj(I_i) and
     conj(I_i) E_i, with I = Y V (the MATPOWER ``dSbus_dV`` form, entry by
-    entry).  The CSC structure and the map from each entry's four partial
-    derivatives into it are built here once; the returned ``fill(vm, va)``
-    only evaluates them and gathers the values.
+    entry).  A bus's reactive load loss_i * vm_i (``loss``, per bus) adds
+    loss_i to its Q-vm diagonal.  The CSC structure and the map from each
+    entry's four partial derivatives into it are built here once; the
+    returned ``fill(vm, va)`` only evaluates them and gathers the values.
     """
     n = Y.shape[0]
     r = np.repeat(np.arange(n), np.diff(Y.indptr))
@@ -295,7 +299,7 @@ def _jacobian_pattern(Y, ang_idx, mag_idx):
         d_vm = V[r] * np.conj(y * E[c])
         d_va = -1j * d_vm * vm[c]
         d_va[diag] += 1j * V * np.conj(I)
-        d_vm[diag] += np.conj(I) * E
+        d_vm[diag] += np.conj(I) * E + 1j * loss
         values = np.concatenate([d_va.real, d_vm.real, d_va.imag, d_vm.imag])[gather]
         return sp.csc_matrix((values, indices, indptr), shape=(m, m))
 
@@ -308,20 +312,15 @@ def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
     """Sequential quasi-dc then ac analysis for one time point.
 
     Solves the dc network (``solve_series`` at one time point; no field
-    means the stored br_v), converts effective GICs to reactive losses and
-    runs the power flow twice: first from a flat start with flat (1.0 p.u.)
-    voltages in the loss formula, then with the converged voltages in the
-    loss formula and as the start of the second Newton run, capturing the
-    first-order voltage dependence deterministically.
+    means the stored br_v), converts effective GICs to reactive losses per
+    unit of high-side voltage and runs one power flow that carries them as
+    voltage-proportional loads, so the losses are evaluated at the voltages
+    they produce.
 
-    Returns (one-row GicSeries, final QLossMap, AcSolution).
+    Returns (one-row GicSeries, QLossMap at the solved voltages, AcSolution).
     """
     series = solve_series(case, None if field is None else np.array([field]), [0.0],
                           topology=topology)
     effective = {pos: float(i[0]) for pos, i in series.effective.items()}
-
-    q1 = qloss(case, effective, 1.0)
-    ac1 = ac_power_flow(case, q1, topology=topology)
-    q2 = qloss(case, effective, ac1.vm)
-    ac2 = ac_power_flow(case, q2, topology=topology, start=ac1)
-    return series, q2, ac2
+    ac = ac_power_flow(case, qloss(case, effective, 1.0), topology=topology)
+    return series, qloss(case, effective, ac.vm), ac

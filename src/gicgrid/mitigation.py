@@ -857,9 +857,10 @@ class VerifyReport:
 
 
 def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
-                options: OtsOptions | None = None) -> VerifyReport:
+                dt: float | None = None) -> VerifyReport:
     """Re-simulate a plan with the physics modules and check its claims.
 
+    The periods are those of step ``dt`` [min], the plan's own by default.
     Per period the dc network is re-solved for the plan's topology and the
     true effective GICs and temperatures are recomputed from the plan's
     dispatch; constraint violations (flow limits, angle limits, power
@@ -867,8 +868,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     soundness of the reported effective currents) are reported as the
     worst excess per class.
     """
-    opt = options or OtsOptions(dt=plan.dt)
-    dt = opt.dt if opt.dt is not None else plan.dt
+    dt = plan.dt if dt is None else dt
     times = _midpoints(scenario, dt)
     T = len(times)
     _check_plan(plan, times, dt)

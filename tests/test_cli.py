@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.cli import _CSV_BLOCK, _cells, _write_table, plan_from_json, plan_to_json, run
 from gicgrid.data import load_scenario_file, parse_case, serialize_case
-from gicgrid.dcnet import solve_series
+from gicgrid.dcnet import FieldVector, solve_series
 
 from conftest import CASES, bundled, currents, effective, voltages
 
@@ -224,6 +224,23 @@ def test_ac_subcommand(workdir):
     vals = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert set(vals) == {1, 3}
     assert all(v > 0 for v in vals.values())
+
+
+def test_ac_losses_are_at_the_written_voltages(tmp_path, epri21_case):
+    """Under a storm that pulls buses to ~0.83 p.u., each written loss is the
+    conversion formula at the high-side voltage that ac_bus.csv reports."""
+    rc = run(["ac", "--case", os.path.join(CASES, "epri21.json"), "--field", "3.2",
+              "--dir", "90", "--out", str(tmp_path)])
+    assert rc == 0
+    vm = {int(r.split(",")[0]): float(r.split(",")[1]) for r in _rows(tmp_path / "ac_bus.csv")[1]}
+    d_q = [float(r.split(",")[1]) for r in _rows(tmp_path / "qloss.csv")[1]]
+    eff = effective(solve_series(epri21_case, np.array([FieldVector.from_mag_dir(3.2, 90.0)]),
+                                 [0.0]))
+    want = [row.gmd_k * vm[row.hi_bus] * np.sqrt(3.0) * epri21_case.bus(row.hi_bus).base_kv
+            * eff.get(pos, 0.0) / (1000.0 * epri21_case.base_mva)
+            for pos, row in epri21_case.xfmr_rows() if row.gmd_k is not None and row.gmd_k > 0]
+    assert min(vm.values()) < 0.85 and len(d_q) == len(want) > 0
+    assert d_q == pytest.approx(want, rel=1e-9)
 
 
 def test_mitigate_and_verify_roundtrip(workdir):
@@ -806,14 +823,14 @@ _GOLDEN_RUNS = {
 
 _GOLDEN = {
     "ac_b4gic": {
-        "ac_branch.csv": "b3c087d0ae6b99f45864cb897577a831889cf4245d55d410f3997feef5b574c5",
-        "ac_bus.csv": "b43c65ffb7eeb0cffa2250f1f8be5685a54f3353d93f189290213da190a427eb",
-        "qloss.csv": "343f7abd9d4f31efc33b37213d250820156ff0a47ff95b7a8d2a53d1175598b0",
+        "ac_branch.csv": "909eeb9400ac12d749dd32fdcaf96c4a2aaa9cd0f041aeb1b5e172ceae4bd520",
+        "ac_bus.csv": "42b7202d95663b9fedc448e36630edfb358b9ad19c2f2673613f024f25ed0d9d",
+        "qloss.csv": "fafbb954fe27f9057ae1c049c163e9af08c5f7582b4debfb1f9251d4ffd46365",
     },
     "ac_epri21": {
-        "ac_branch.csv": "59ce1a982d881e42bd543c3e0bbdf8807f5c8b082f0b7684e4a955d395dd8aad",
-        "ac_bus.csv": "3d23357b166085d05c740a0953783930fb1294880d08512870e3c65557b38f6a",
-        "qloss.csv": "5972f1554b48e6f9d4b78d63d636dc0d33e81628777d66894194db2d25fe38c6",
+        "ac_branch.csv": "a2544795fa53dbe31785134daebf1a7be48a3a22e29e8cf79df0cc5f9a11fc1b",
+        "ac_bus.csv": "3ca1841a2be0f683df7986a9922e9b983d3d9aa2540b5a2fa2ee19d257af582d",
+        "qloss.csv": "bb05137f7624e2bd335f5270f292c82aa480201f5fa1d3140cffc025920ec77b",
     },
     "dc_b4gic": {
         "gic_branch.csv": "ad1fdfd6e37c9281ab199fffe768fd2b192e36def0e9bf84bb8dee4dab0724c9",

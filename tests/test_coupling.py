@@ -133,7 +133,7 @@ def test_sequential_pipeline_b4gic(b4gic_case):
     assert sol.effective[0][0] == pytest.approx(LOOP, rel=1e-9)
     assert sol.effective[2][0] == pytest.approx(LOOP, rel=1e-9)
     assert ac.max_mismatch <= 1e-8
-    # second pass used converged voltages: v < 1 at loaded buses lowers d_q
+    # losses at the solved voltages: v < 1 at loaded buses lowers d_q
     flat = qloss(b4gic_case, effective(sol), 1.0)
     assert qmap[0].d_q < flat[0].d_q
 
@@ -207,7 +207,8 @@ def test_non_finite_newton_step_stops_at_once(b4gic_case):
 
 @st.composite
 def jacobian_inputs(draw):
-    """Connected toy network (slack at 0, random PV/PQ) plus a separate dead island.
+    """Connected toy network (slack at 0, random PV/PQ) plus a separate dead island,
+    with a per-bus GIC loss coefficient (some zero).
 
     Some branches have zero admittance, so Y may lack entries, diagonal
     ones included, that its topology implies."""
@@ -233,7 +234,9 @@ def jacobian_inputs(draw):
              + ["dead"] * n_dead)
     vm = np.array(draw(st.lists(real(0.9, 1.1), min_size=n, max_size=n)))
     va = np.array(draw(st.lists(real(-0.3, 0.3), min_size=n, max_size=n)))
-    return Y, types, vm, va
+    loss = np.array(draw(st.lists(st.one_of(st.just(0.0), real(0.0, 2.0)),
+                                  min_size=n, max_size=n)))
+    return Y, types, vm, va, loss
 
 
 def _unknowns(types):
@@ -264,10 +267,11 @@ def _dsbus_dv_jacobian(Y, vm, va, ang_idx, mag_idx):
 @settings(max_examples=80, deadline=None)
 @given(jacobian_inputs())
 def test_sparse_jacobian_matches_finite_differences(inputs):
-    """The fixed-pattern Jacobian equals central differences of the injection map."""
-    Y, types, vm, va = inputs
+    """The fixed-pattern Jacobian equals central differences of the injection map
+    plus the voltage-proportional GIC loads: the negated mismatch up to a constant."""
+    Y, types, vm, va, loss = inputs
     ang, mag = _unknowns(types)
-    J = _jacobian_pattern(sp.csr_matrix(Y), ang, mag)(vm, va)
+    J = _jacobian_pattern(sp.csr_matrix(Y), ang, mag, loss)(vm, va)
     assert sp.issparse(J) and J.format == "csc"
 
     def injections(x):
@@ -275,7 +279,7 @@ def test_sparse_jacobian_matches_finite_differences(inputs):
         a[ang], m[mag] = x[:len(ang)], x[len(ang):]
         V = m * np.exp(1j * a)
         S = V * np.conj(Y @ V)
-        return np.concatenate([S.real[ang], S.imag[mag]])
+        return np.concatenate([S.real[ang], (S.imag + loss * m)[mag]])
 
     x0 = np.concatenate([va[ang], vm[mag]])
     h = 1e-6
@@ -290,9 +294,9 @@ def test_sparse_jacobian_matches_finite_differences(inputs):
 def test_fixed_pattern_jacobian_equals_dsbus_dv_form(inputs):
     """Filled on Y's pattern, the Jacobian equals the sparse-product form entry by entry,
     at every fill of one pattern."""
-    Y, types, vm, va = inputs
+    Y, types, vm, va, _ = inputs
     ang, mag = _unknowns(types)
-    fill = _jacobian_pattern(sp.csr_matrix(Y), ang, mag)
+    fill = _jacobian_pattern(sp.csr_matrix(Y), ang, mag, np.zeros(len(types)))
     for k in range(2):  # a second state on the same pattern
         vm_k, va_k = vm * (1.0 - 0.05 * k), va + 0.1 * k
         J = fill(vm_k, va_k).toarray()
@@ -335,7 +339,8 @@ def power_flow_inputs(draw):
 
 
 def _assert_dense_equations(case, extra_q, topology, n_live, ac):
-    """``ac`` satisfies the power-flow equations of ``case`` written out densely."""
+    """``ac`` satisfies the power-flow equations of ``case`` written out densely,
+    with each GIC loss drawn at its bus's solved voltage."""
     ids = [b.index for b in case.buses]
     pos = {bid: i for i, bid in enumerate(ids)}
     V = np.array([ac.vm[i] * np.exp(1j * ac.va[i]) for i in ids])
@@ -351,7 +356,7 @@ def _assert_dense_equations(case, extra_q, topology, n_live, ac):
     S = V * np.conj(Y @ V)
     gen = {b.index: [g for g in case.generators if g.bus == b.index] for b in case.buses}
     for i, b in enumerate(case.buses):
-        loss = sum(ql.d_q for ql in extra_q.values() if ql.bus == b.index)
+        loss = ac.vm[b.index] * sum(ql.d_q for ql in extra_q.values() if ql.bus == b.index)
         if i >= n_live:
             assert ac.vm[b.index] == 1.0 and ac.va[b.index] == 0.0
             continue
@@ -390,19 +395,38 @@ def test_warm_started_power_flow_solves_dense_equations(inputs):
     assert again.vm == warm.vm and again.va == warm.va
 
 
+def _fixed_point_of_passes(case, eff, tol=1e-12):
+    """Oracle: power flows without ``extra_q``, each with the losses at the previous
+    pass's voltages (1.0 p.u. at first) added to the buses' ``qd``, until no bus
+    voltage moves by more than ``tol``."""
+    vm, prev = 1.0, None
+    for _ in range(100):
+        add = {}
+        for ql in qloss(case, eff, vm).values():
+            add[ql.bus] = add.get(ql.bus, 0.0) + ql.d_q
+        buses = tuple(dataclasses.replace(b, qd=b.qd + add.get(b.index, 0.0))
+                      for b in case.buses)
+        ac = ac_power_flow(dataclasses.replace(case, buses=buses), tol=1e-12, start=prev)
+        if prev is not None and max(abs(ac.vm[b] - prev.vm[b]) for b in ac.vm) <= tol:
+            return ac
+        vm, prev = ac.vm, ac
+    raise AssertionError("the passes did not reach a fixed point")
+
+
 @pytest.mark.parametrize("bearing", [0.0, 45.0, 90.0, 123.0, 270.0])
-def test_sequential_second_pass_warm_start(epri21_case, bearing):
-    """The warm-started second pass reaches the solution of two flat-start passes,
-    computed here, in fewer Newton iterations, with the same losses."""
-    field = FieldVector.from_mag_dir(1.0, bearing)
+@pytest.mark.parametrize("mag", [1.0, 3.2])
+def test_sequential_is_the_fixed_point_of_passes(epri21_case, mag, bearing):
+    """One coupled Newton solve gives the fixed point of constant-loss passes: the
+    losses are those of the voltages they produce."""
+    field = FieldVector.from_mag_dir(mag, bearing)
     _, qmap, ac = sequential_gic_ac(epri21_case, field)
     eff = effective(solve_series(epri21_case, np.array([field]), [0.0]))
-    first = ac_power_flow(epri21_case, qloss(epri21_case, eff, 1.0))
-    q2 = qloss(epri21_case, eff, first.vm)
-    flat = ac_power_flow(epri21_case, q2)
-    assert qmap == q2
-    for bid in flat.vm:
-        assert ac.vm[bid] == pytest.approx(flat.vm[bid], abs=1e-7)
-        assert ac.va[bid] == pytest.approx(flat.va[bid], abs=1e-7)
+    ref = _fixed_point_of_passes(epri21_case, eff)
     assert ac.max_mismatch <= 1e-8
-    assert ac.iterations < flat.iterations
+    for bid in ref.vm:
+        assert ac.vm[bid] == pytest.approx(ref.vm[bid], abs=1e-9)
+        assert ac.va[bid] == pytest.approx(ref.va[bid], abs=1e-9)
+    ref_q = qloss(epri21_case, eff, ref.vm)
+    assert qmap.keys() == ref_q.keys()
+    for pos, ql in ref_q.items():
+        assert qmap[pos].bus == ql.bus and qmap[pos].d_q == pytest.approx(ql.d_q, abs=1e-9)
