@@ -31,7 +31,7 @@ import numpy as np
 from .coupling import IslandError, PowerFlowError, sequential_gic_ac
 from .data import (CaseError, CaseData, FieldScenario, load_scenario, make_ramp_scenario,
                    parse_case)
-from .dcnet import FieldVector, solve_series, winding_ids
+from .dcnet import DcArrays, FieldVector, solve_series
 from .thermal import simulate
 
 if TYPE_CHECKING:  # imported where used: dc, ac and thermal never load mitigation
@@ -159,9 +159,11 @@ def _cmd_dc(args) -> int:
         times, fields = [0.0], None  # stored br_v values drive the solve
     series = solve_series(case, fields, times)
 
-    eff_of = {wid: series.effective[pos]
-              for pos, row in case.xfmr_rows() for wid in winding_ids(row)}
-    eff = np.array([eff_of.get(bid, np.zeros(len(times))) for bid in series.branch_ids])
+    # each solved edge reads the effective GIC of the transformer row it is a
+    # winding of (the last such row); winding_row -1 picks the zero row
+    dc = case.compiled(DcArrays)
+    eff = np.array([series.effective[pos] for pos in dc.xfmr_pos] + [np.zeros(len(times))])[
+        dc.winding_row[np.isin(dc.branch_ids, series.branch_ids)]]
 
     def table(name, id_header, ids, **values):  # values: (T, len(ids)); rows by time, then id
         order = np.argsort(ids, kind="stable")

@@ -18,24 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .data import AcBranch, CaseData, component_groups
+from .data import CaseData, component_groups, topology_status
 from .dcnet import FieldVector, GicSeries, solve_series
 
 __all__ = [
     "QLoss",
     "QLossMap",
+    "AcArrays",
     "AcSolution",
     "PowerFlowError",
     "IslandError",
     "qloss",
+    "energized",
     "ac_power_flow",
-    "slack_reachable",
     "sequential_gic_ac",
 ]
 
@@ -50,6 +51,62 @@ class QLoss:
 QLossMap = Mapping[int, QLoss]  # keyed by branch_gmd row position
 
 
+class AcArrays:
+    """The ac side of a case as arrays, built from its rows once per case:
+    read them through ``case.compiled(AcArrays)``.
+
+    Buses and branches in case order; generators grouped by bus, the buses
+    in order of their first generator.
+    """
+
+    def __init__(self, case: CaseData):
+        buses, branches = case.buses, case.ac_branches
+        self.pos = {b.index: i for i, b in enumerate(buses)}  # bus id -> row
+        self.bus_ids = tuple(self.pos)
+        self.bus_type = np.array([b.bus_type for b in buses])
+        self.g_shunt = np.array([b.g_shunt for b in buses], dtype=float)
+        self.q_load = -np.array([b.qd for b in buses], dtype=float)
+        self.branch_ids = np.array([br.index for br in branches], dtype=int)
+        self.f = np.array([self.pos[br.f_bus] for br in branches], dtype=int)
+        self.t = np.array([self.pos[br.t_bus] for br in branches], dtype=int)
+        # lossless series model: y = 1 / (j x) with x = 1/b
+        self.y = np.array([complex(0.0, -br.b) for br in branches], dtype=complex)
+        self.status = np.array([bool(br.status) for br in branches], dtype=bool)  # nominal
+        self.switchable = np.array([br.switchable for br in branches], dtype=bool)
+
+        # scheduled injections and voltage set points; each generator's share
+        # of its bus's generation, by pmax
+        gen_by_bus: dict[int, list] = {}
+        for g in case.generators:
+            gen_by_bus.setdefault(g.bus, []).append(g)
+        self.p_sched = -np.array([b.pd for b in buses], dtype=float)
+        self.vset = np.ones(len(buses))
+        gens, share = [], []
+        for bus_id, at_bus in gen_by_bus.items():
+            i = self.pos[bus_id]
+            self.vset[i] = at_bus[0].vg
+            if buses[i].bus_type != "slack":
+                self.p_sched[i] += sum(g.pg for g in at_bus)
+            wsum = sum(max(g.pmax, 1e-9) for g in at_bus)
+            gens += at_bus
+            share += [max(g.pmax, 1e-9) / wsum for g in at_bus]
+        self.gen_ids = tuple(g.index for g in gens)
+        self.gen_row = np.array([self.pos[g.bus] for g in gens], dtype=int)
+        self.gen_share = np.array(share, dtype=float)
+        self.gen_pg = np.array([g.pg for g in gens], dtype=float)
+        # a load or generator bus must reach a slack bus
+        self.energize = np.array([b.pd != 0 or b.qd != 0 or b.index in gen_by_bus
+                                  for b in buses], dtype=bool)
+
+        # transformer rows with a usable gmd_k (> 0): the factors of their loss
+        losses = [(p, r) for p, r in case.xfmr_rows() if r.gmd_k is not None and r.gmd_k > 0]
+        self.loss_pos = tuple(p for p, _ in losses)
+        self.loss_branch = tuple(r.branch for _, r in losses)
+        self.loss_bus = tuple(r.hi_bus for _, r in losses)
+        self.loss_k = np.array([r.gmd_k for _, r in losses], dtype=float)
+        self.loss_kv = np.array([case.bus(r.hi_bus).base_kv for _, r in losses], dtype=float)
+
+
 def qloss(case: CaseData, effective: Mapping[int, float],
           v_pu: Mapping[int, float] | float = 1.0) -> dict[int, QLoss]:
     """Per-transformer reactive losses from effective GICs.
@@ -60,16 +117,13 @@ def qloss(case: CaseData, effective: Mapping[int, float],
     coefficient ``ac_power_flow`` takes.  Rows without a usable gmd_k
     (absent / <= 0) contribute nothing.
     """
-    out: dict[int, QLoss] = {}
-    for pos, row in case.xfmr_rows():
-        if row.gmd_k is None or row.gmd_k <= 0:
-            continue
-        i_eff = effective.get(pos, 0.0)
-        kv_hi = case.bus(row.hi_bus).base_kv
-        v = v_pu if isinstance(v_pu, (int, float)) else v_pu.get(row.hi_bus, 1.0)
-        d_q = row.gmd_k * v * math.sqrt(3.0) * kv_hi * i_eff / (1000.0 * case.base_mva)
-        out[pos] = QLoss(branch=row.branch, bus=row.hi_bus, d_q=d_q)
-    return out
+    ac = case.compiled(AcArrays)
+    i_eff = np.array([effective.get(p, 0.0) for p in ac.loss_pos], dtype=float)
+    v = (v_pu if isinstance(v_pu, (int, float))
+         else np.array([v_pu.get(b, 1.0) for b in ac.loss_bus], dtype=float))
+    d_q = ac.loss_k * v * math.sqrt(3.0) * ac.loss_kv * i_eff / (1000.0 * case.base_mva)
+    return {p: QLoss(branch=br, bus=bus, d_q=d)
+            for p, br, bus, d in zip(ac.loss_pos, ac.loss_branch, ac.loss_bus, d_q.tolist())}
 
 
 class PowerFlowError(RuntimeError):
@@ -84,20 +138,23 @@ class IslandError(RuntimeError):
     """A load or generator bus is not connected to a slack bus."""
 
 
-def slack_reachable(case: CaseData, branches: Iterable[AcBranch]) -> set[int]:
-    """Ids of the buses joined to a slack bus by ``branches``.
+def energized(case: CaseData, topology: Mapping[int, int] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """In-service mask of the ac branches under ``topology`` (see
+    ``topology_status``) and the mask of the buses they join to a slack bus.
 
     Raises IslandError for a load or generator bus outside that set.
     """
-    slack = {b.index for b in case.buses if b.bus_type == "slack"}
-    active = {i for comp in component_groups([b.index for b in case.buses],
-                                             [(br.f_bus, br.t_bus) for br in branches])
-              if slack.intersection(comp) for i in comp}
-    gen_buses = {g.bus for g in case.generators}
-    for b in case.buses:
-        if (b.pd != 0 or b.qd != 0 or b.index in gen_buses) and b.index not in active:
-            raise IslandError(f"bus {b.index} is islanded from every slack bus")
-    return active
+    ac = case.compiled(AcArrays)
+    live = topology_status(ac.branch_ids, ac.status, topology)
+    active = ac.bus_type == "slack"
+    for members in component_groups(range(len(active)), zip(ac.f[live].tolist(),
+                                                            ac.t[live].tolist())):
+        active[members] = active[members].any()
+    stranded = np.flatnonzero(ac.energize & ~active)
+    if stranded.size:
+        raise IslandError(f"bus {ac.bus_ids[stranded[0]]} is islanded from every slack bus")
+    return live, active
 
 
 @dataclass(frozen=True)
@@ -140,42 +197,22 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     state.  A non-finite mismatch or Newton step, or an exactly singular
     Jacobian, raises PowerFlowError at once.
     """
-    buses = case.buses
-    n = len(buses)
-    pos = {b.index: i for i, b in enumerate(buses)}
-    status = topology or {}
-    live = np.array([bool(status.get(br.index, br.status)) for br in case.ac_branches],
-                    dtype=bool)
-    f = np.array([pos[br.f_bus] for br in case.ac_branches], dtype=int)
-    t = np.array([pos[br.t_bus] for br in case.ac_branches], dtype=int)
-    # lossless series model: y = 1 / (j x) with x = 1/b
-    y = np.array([complex(0.0, -br.b) for br in case.ac_branches], dtype=complex)
-
-    gen_by_bus: dict[int, list] = {}
-    for g in case.generators:
-        gen_by_bus.setdefault(g.bus, []).append(g)
-
-    active = slack_reachable(case, [br for br, z in zip(case.ac_branches, live) if z])
-
+    ac = case.compiled(AcArrays)
+    n = len(ac.bus_ids)
+    live, active = energized(case, topology)
+    f, t, y = ac.f, ac.t, ac.y
     fl, tl, yl = f[live], t[live], y[live]
     diag = np.arange(n)
-    Y = sp.csr_matrix((np.concatenate([yl, yl, -yl, -yl, [b.g_shunt for b in buses]]),
+    Y = sp.csr_matrix((np.concatenate([yl, yl, -yl, -yl, ac.g_shunt]),
                        (np.concatenate([fl, tl, fl, tl, diag]),
                         np.concatenate([fl, tl, tl, fl, diag]))), shape=(n, n))
 
     # scheduled injections; the GIC loss coefficients are summed per bus once, here
-    p_sched = -np.array([b.pd for b in buses], dtype=float)
-    q_load = -np.array([b.qd for b in buses], dtype=float)
+    p_sched, q_load = ac.p_sched, ac.q_load
     losses = (extra_q or {}).values()
-    c = np.bincount([pos[ql.bus] for ql in losses], [ql.d_q for ql in losses], minlength=n)
-    vset = np.ones(n)
-    for bus_id, gens in gen_by_bus.items():
-        i = pos[bus_id]
-        vset[i] = gens[0].vg
-        if buses[i].bus_type != "slack":
-            p_sched[i] += sum(g.pg for g in gens)
+    c = np.bincount([ac.pos[ql.bus] for ql in losses], [ql.d_q for ql in losses], minlength=n)
 
-    types = np.array([b.bus_type if b.index in active else "dead" for b in buses])
+    types = np.where(active, ac.bus_type, "dead")
     pv, pq = np.flatnonzero(types == "PV"), np.flatnonzero(types == "PQ")
     ang_idx = np.concatenate([pv, pq])     # unknown angles
     mag_idx = pq                           # unknown magnitudes
@@ -183,10 +220,10 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     vm = np.ones(n)
     va = np.zeros(n)
     if start is not None:
-        va[ang_idx] = [start.va[buses[i].index] for i in ang_idx]
-        vm[mag_idx] = [start.vm[buses[i].index] for i in mag_idx]
+        va[ang_idx] = [start.va[ac.bus_ids[i]] for i in ang_idx]
+        vm[mag_idx] = [start.vm[ac.bus_ids[i]] for i in mag_idx]
     held = (types == "PV") | (types == "slack")
-    vm[held] = vset[held]
+    vm[held] = ac.vset[held]
     jacobian = _jacobian_pattern(Y, ang_idx, mag_idx, c)
 
     def injections(vm, va):
@@ -223,27 +260,21 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     V = vm * np.exp(1j * va)  # the last iteration's p_inj, q_inj and q_sched are at V
     s_f = np.where(live, V[f] * np.conj(y * (V[f] - V[t])), 0.0)
     s_t = np.where(live, V[t] * np.conj(y * (V[t] - V[f])), 0.0)
-    ids = [br.index for br in case.ac_branches]
 
-    # distribute bus-level generation to units (slack P and PV/slack Q);
-    # net bus generation is injection minus the scheduled (negative) load
-    gen_p, gen_q = {}, {}
-    for bus_id, gens in gen_by_bus.items():
-        i = pos[bus_id]
-        q_bus = q_inj[i] - q_sched[i]
-        p_bus = p_inj[i] - p_sched[i] if buses[i].bus_type == "slack" else None
-        wsum = sum(max(g.pmax, 1e-9) for g in gens)
-        for g in gens:
-            w = max(g.pmax, 1e-9) / wsum
-            gen_p[g.index] = g.pg if p_bus is None else p_bus * w
-            gen_q[g.index] = q_bus * w
-    bus_ids = [b.index for b in buses]
+    # distribute bus-level generation to units (slack P and PV/slack Q) by
+    # their shares; net bus generation is injection minus the scheduled
+    # (negative) load
+    at_slack = ac.bus_type[ac.gen_row] == "slack"
+    gen_p = np.where(at_slack, (p_inj - p_sched)[ac.gen_row] * ac.gen_share, ac.gen_pg)
+    gen_q = (q_inj - q_sched)[ac.gen_row] * ac.gen_share
+    bus_ids, ids = ac.bus_ids, ac.branch_ids.tolist()
     return AcSolution(vm=dict(zip(bus_ids, vm.tolist())), va=dict(zip(bus_ids, va.tolist())),
                       p_from=dict(zip(ids, s_f.real.tolist())),
                       q_from=dict(zip(ids, s_f.imag.tolist())),
                       p_to=dict(zip(ids, s_t.real.tolist())),
                       q_to=dict(zip(ids, s_t.imag.tolist())),
-                      gen_p=gen_p, gen_q=gen_q,
+                      gen_p=dict(zip(ac.gen_ids, gen_p.tolist())),
+                      gen_q=dict(zip(ac.gen_ids, gen_q.tolist())),
                       iterations=it, max_mismatch=max_mis)
 
 

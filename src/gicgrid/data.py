@@ -40,6 +40,7 @@ __all__ = [
     "CaseData",
     "ABSENT",
     "component_groups",
+    "topology_status",
     "XFMR_CONFIGS",
     "parse_case",
     "parse_case_file",
@@ -334,6 +335,26 @@ class CaseData:
                 "branch_gmd": by(self.branch_gmd, "branch"),
                 "thermal": by(self.thermal, "branch"),
                 "bus_gmd": by(self.bus_gmd, "bus")}
+
+    def compiled(self, build: Callable[["CaseData"], object]):
+        """``build(self)``, made at the first call and kept for the life of this case.
+
+        Each layer builds the arrays it reads from the rows this way, once
+        per case (``dcnet.DcArrays``, ``coupling.AcArrays``); the case is
+        immutable, so they cannot go stale.  Every caller shares them, so
+        their numpy arrays are made read-only.
+        """
+        if build not in self._compiled:
+            built = build(self)
+            for value in vars(built).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            self._compiled[build] = built
+        return self._compiled[build]
+
+    @cached_property
+    def _compiled(self) -> dict:
+        return {}
 
     def xfmr_rows(self) -> list[tuple[int, BranchGmdData]]:
         """(row position, row) for every transformer row in branch_gmd."""
@@ -660,6 +681,16 @@ def component_groups(ids: Sequence[int], links: Iterable[tuple[int, int]]) -> li
     for k, i in pos.items():
         groups.setdefault(find(i), []).append(k)
     return list(groups.values())
+
+
+def topology_status(ids: np.ndarray, nominal: np.ndarray,
+                    topology: Mapping[int, int] | None) -> np.ndarray:
+    """In-service mask of the ac branches ``ids`` of nominal status ``nominal``:
+    ``topology`` (ac branch id -> 1 in service, 0 open) overrides the status of
+    every branch it names."""
+    on = [k for k, z in (topology or {}).items() if z]
+    off = [k for k, z in (topology or {}).items() if not z]
+    return (np.asarray(nominal, dtype=bool) & ~np.isin(ids, off)) | np.isin(ids, on)
 
 
 def _check_slack(case: CaseData) -> None:

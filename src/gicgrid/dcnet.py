@@ -9,10 +9,11 @@ I_e = a_e (V_f - V_t + V_src).
 
 For a fixed topology G does not depend on the field, and J is linear in
 (E_north, E_east) and in each override voltage (the nodal admittance
-method of Lehtinen & Pirjola, 1985).  ``assemble`` builds the solve set
-of a topology once as arrays, with one superposition basis of source
-voltages; ``solve_series`` factors G once and superposes the basis
-solutions over a time series, a single time point being a series of one.
+method of Lehtinen & Pirjola, 1985).  ``DcArrays`` derives a case's
+arrays from its rows once; ``assemble`` selects a topology's solve set
+from them by a mask, with one superposition basis of source voltages;
+``solve_series`` factors G once and superposes the basis solutions over
+a time series, a single time point being a series of one.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .data import (ABSENT, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   FieldVector, GmdBranch, component_groups)
+                   FieldVector, GmdBranch, component_groups, topology_status)
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "FieldVector",
+    "DcArrays",
     "DcSystem",
     "GicSeries",
     "SingularNetworkError",
@@ -42,8 +44,6 @@ __all__ = [
     "solve_series",
     "source_basis",
     "winding_weights",
-    "winding_matrix",
-    "winding_ids",
 ]
 
 EARTH_RADIUS_KM = 6371.0
@@ -90,10 +90,89 @@ class MissingCoordinates(CaseReferenceError, LookupError):
     """A branch endpoint bus lacks bus_gmd coordinates (bad input: exit 2)."""
 
 
-def winding_ids(row: BranchGmdData) -> tuple[int, ...]:
-    """gmd_branch ids acting as transformer windings for a branch_gmd row."""
-    return tuple(w for w in (row.gmd_br_hi, row.gmd_br_lo,
-                             row.gmd_br_se, row.gmd_br_co) if w != ABSENT)
+class DcArrays:
+    """The dc side of a case as arrays, built from its rows once per case:
+    read them through ``case.compiled(DcArrays)``.
+
+    Nodes are the in-service gmd buses; edges every gmd branch, in case
+    order.  A topology's solve set is a mask over the edges (``assemble``).
+    Raises CaseReferenceError for a winding reference that does not
+    resolve (``winding_weights``) or a gmd_branch parent that is no ac
+    branch.
+    """
+
+    def __init__(self, case: CaseData):
+        nodes = [b for b in case.gmd_buses if b.status]
+        row = {b.index: i for i, b in enumerate(nodes)}
+        edges = case.gmd_branches
+        self.node_ids = tuple(b.index for b in nodes)  # in matrix order
+        self.ground = np.array([b.g_gnd for b in nodes], dtype=float)  # [S]
+        self.branch_ids = np.array([e.index for e in edges], dtype=int)
+        # end node rows; -1 for an end out of service
+        self.f = np.array([row.get(e.f_bus, -1) for e in edges], dtype=int)
+        self.t = np.array([row.get(e.t_bus, -1) for e in edges], dtype=int)
+        self.a = np.array([e.a for e in edges], dtype=float)  # [S]
+        self.br_v = np.array([e.br_v for e in edges], dtype=float)  # stored voltage [V]
+        self.parent = np.array([e.parent for e in edges], dtype=int)  # ac branch id or -1
+        self.parent_status = np.array([e.parent == ABSENT or case.ac_branch(e.parent).status
+                                       for e in edges], dtype=bool)
+        # own status 1, both ends in service and no series-capacitor parent
+        series_caps = {r.branch for r in case.branch_gmd if r.type == "series_cap"} - {ABSENT}
+        self.eligible = (np.array([bool(e.status) and e.parent not in series_caps
+                                   for e in edges], dtype=bool) & (self.f >= 0) & (self.t >= 0))
+
+        # transformer rows: the windings each names, their weights W (signed
+        # I_eff = W @ I), and per edge the last row naming it a winding or -1
+        xfmrs = case.xfmr_rows()
+        col = {e.index: k for k, e in enumerate(edges)}
+        names = [[w for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co)
+                  if w != ABSENT] for _, r in xfmrs]
+        member = np.array([(k, col[w]) for k, ids in enumerate(names) for w in ids if w in col],
+                          dtype=int).reshape(-1, 2)
+        weights = np.array([(k, col[w], v) for k, (_, r) in enumerate(xfmrs)
+                            for w, v in winding_weights(case, r)], dtype=float).reshape(-1, 3)
+        shape = (len(xfmrs), len(edges))
+        self.xfmr_pos = tuple(pos for pos, _ in xfmrs)  # branch_gmd positions
+        self.W = sp.csr_matrix((weights[:, 2], (weights[:, 0].astype(int),
+                                                weights[:, 1].astype(int))), shape=shape)
+        # a row's windings are all in a solve set when member @ in_set == n_windings;
+        # -1 for a row naming none, or an id that is no gmd_branch
+        self.member = sp.csr_matrix((np.ones(len(member)), (member[:, 0], member[:, 1])),
+                                    shape=shape)
+        self.n_windings = np.array([len(ids) if ids and all(w in col for w in ids) else -1
+                                    for ids in names], dtype=int)
+        self.winding_row = np.full(len(edges), -1)
+        np.maximum.at(self.winding_row, member[:, 1], member[:, 0])  # the last: the highest
+        self.lengths = _route_lengths(case, nodes, edges, self.f, self.t, self.winding_row < 0)
+
+
+def _route_lengths(case: CaseData, nodes: list, edges: Sequence[GmdBranch], f: np.ndarray,
+                   t: np.ndarray, sees_field: np.ndarray) -> np.ndarray:
+    """(L_N, L_E) [km] per edge as a uniform field sees it.
+
+    ``displacement`` between the coordinates of the parent buses of the
+    edge's end nodes ``nodes[f]`` and ``nodes[t]``, for every edge at once.
+    The bearing is rescaled to the stored len_km when present, so the
+    case's authoritative route length is honored.  Edges that see no field
+    (transformer windings, of negligible length) and edges with an end out
+    of service get 0; an edge lacking coordinates gets NaN.  ``math.hypot``
+    is mapped over the edges, so the lengths are bitwise those of
+    ``branch_lengths`` one at a time.
+    """
+    k = np.flatnonzero(sees_field & (f >= 0) & (t >= 0))
+    coords = [case.coords_for(b.parent) for b in nodes]
+    lat, lon = np.array([(c.lat, c.lon) if c is not None else (np.nan, np.nan) for c in coords],
+                        dtype=float).reshape(-1, 2).T
+    fk, tk = f[k], t[k]
+    l_n, l_e = displacement((lat[fk], lon[fk]), (lat[tk], lon[tk]))
+    norm = np.fromiter(map(math.hypot, l_n.tolist(), l_e.tolist()), dtype=float, count=len(k))
+    length = np.array([edges[j].len_km for j in k.tolist()], dtype=float)
+    scale = np.ones(len(k))
+    rescaled = (length > 0) & (norm > 0)
+    scale[rescaled] = length[rescaled] / norm[rescaled]
+    lengths = np.zeros((len(edges), 2))
+    lengths[k, 0], lengths[k, 1] = l_n * scale, l_e * scale
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -116,6 +195,7 @@ class DcSystem:
     parent: np.ndarray                 # (edges,) ac branch id or -1
     lengths: np.ndarray | None         # (edges, 2) north/east route length the field sees [km]
     sources: np.ndarray                # (edges, B) series voltage of each basis [V]
+    W: sp.csr_matrix                   # (xfmr rows, edges) winding weights: W @ I is signed I_eff
 
     @property
     def incidence(self) -> sp.csr_matrix:
@@ -133,104 +213,51 @@ class DcSystem:
 
 def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = (), *,
              topology: Mapping[int, int] | None = None) -> DcSystem:
-    """Build the dc solve set of one topology and its superposition basis.
+    """Select the dc solve set of one topology and build its superposition basis.
 
     ``topology`` optionally overrides the nominal status per ac branch id
-    (1 in service, 0 open); gmd branches whose parent is open, whose own
-    status is 0, or whose parent is a series-capacitor branch are left
-    out of the solve set.  The sources follow the basis of ``_sources``:
-    unit north and east fields when ``field`` acts, else the stored br_v,
-    then a unit voltage per ``overridden`` gmd_branch id, in that order.
+    (1 in service, 0 open).  The solve set is a mask over the gmd branches
+    of ``DcArrays``: those in service whose ends are in service, whose
+    parent is not a series-capacitor branch and whose parent, if any, is
+    in service under the topology.
+
+    ``sources`` holds the series edge voltages [V] of each basis, edges x
+    B: with ``field`` a unit north and a unit east field, V = E_N L_N +
+    E_E L_E (an edge of the set that sees the field and is not overridden
+    needs coordinates: MissingCoordinates), else the stored br_v; then a
+    unit voltage per ``overridden`` gmd_branch id, in that order, each
+    holding its edge at 0 V in the first bases, so override > field >
+    stored br_v.  An override naming no gmd_branch of the case raises
+    CaseReferenceError; one on a branch outside the solve set is inert.
     """
-    nodes = [b for b in case.gmd_buses if b.status]
-    node_ids = tuple(b.index for b in nodes)
-    index = {n: i for i, n in enumerate(node_ids)}
-    series_cap_branches = {row.branch for row in case.branch_gmd if row.type == "series_cap"}
-    status = topology or {}
-
-    def in_service(e: GmdBranch) -> bool:
-        if not e.status:
-            return False
-        if e.parent != ABSENT and (e.parent in series_cap_branches
-                                   or not status.get(e.parent, case.ac_branch(e.parent).status)):
-            return False
-        return e.f_bus in index and e.t_bus in index
-
-    edges = [e for e in case.gmd_branches if in_service(e)]
-    f = np.array([index[e.f_bus] for e in edges], dtype=int)
-    t = np.array([index[e.t_bus] for e in edges], dtype=int)
-    comp = np.zeros(len(node_ids), dtype=int)
-    for k, members in enumerate(component_groups(range(len(nodes)), zip(f.tolist(), t.tolist()))):
-        comp[members] = k
-    lengths = _route_lengths(case, nodes, edges, f, t, overridden) if field else None
-    return DcSystem(node_ids=node_ids,
-                    ground=np.array([b.g_gnd for b in nodes], dtype=float), comp=comp,
-                    branch_ids=tuple(e.index for e in edges), f=f, t=t,
-                    a=np.array([e.a for e in edges], dtype=float),
-                    parent=np.array([e.parent for e in edges], dtype=int),
-                    lengths=lengths, sources=_sources(case, edges, lengths, overridden))
-
-
-def _route_lengths(case: CaseData, nodes: list, edges: list[GmdBranch], f: np.ndarray,
-                   t: np.ndarray, overridden: Collection[int]) -> np.ndarray:
-    """(L_N, L_E) [km] per edge as a uniform field sees it.
-
-    ``displacement`` between the coordinates of the parent buses of the
-    edge's end nodes ``nodes[f]`` and ``nodes[t]``, for every edge at once.
-    The bearing is rescaled to the stored len_km when present, so the
-    case's authoritative route length is honored.  Transformer windings
-    (negligible length) and overridden edges take no field: 0, and their
-    coordinates are not needed.  ``math.hypot`` is mapped over the edges,
-    so the lengths are bitwise those of ``branch_lengths`` one at a time.
-    """
-    windings = {w for row in case.branch_gmd if row.is_xfmr for w in winding_ids(row)}
-    k = np.array([j for j, e in enumerate(edges)
-                  if e.index not in windings and e.index not in overridden], dtype=int)
-    coords = [case.coords_for(b.parent) for b in nodes]
-    has = np.array([c is not None for c in coords], dtype=bool)
-    lat, lon = np.array([(c.lat, c.lon) if c is not None else (0.0, 0.0) for c in coords],
-                        dtype=float).reshape(-1, 2).T
-    fk, tk = f[k], t[k]
-    lacking = np.flatnonzero(~(has[fk] & has[tk]))
-    if lacking.size:
-        j = k[lacking[0]]
-        missing = nodes[f[j] if not has[f[j]] else t[j]].parent
-        raise MissingCoordinates(
-            f"gmd_branch {edges[j].index}: bus {missing} has no bus_gmd coordinates")
-    l_n, l_e = displacement((lat[fk], lon[fk]), (lat[tk], lon[tk]))
-    norm = np.fromiter(map(math.hypot, l_n.tolist(), l_e.tolist()), dtype=float, count=len(k))
-    length = np.array([edges[j].len_km for j in k.tolist()], dtype=float)
-    scale = np.ones(len(k))
-    rescaled = (length > 0) & (norm > 0)
-    scale[rescaled] = length[rescaled] / norm[rescaled]
-    out = np.zeros((len(edges), 2))
-    out[k, 0], out[k, 1] = l_n * scale, l_e * scale
-    return out
-
-
-def _sources(case: CaseData, edges: list[GmdBranch], lengths: np.ndarray | None,
-             overridden: Collection[int]) -> np.ndarray:
-    """Series edge voltages [V] of each superposition basis, edges x B.
-
-    With ``lengths`` the first two bases are a unit north and a unit east
-    field, V = E_N L_N + E_E L_E; without, the first is the stored br_v.
-    Each override then adds a unit voltage on its edge and holds that edge
-    at 0 V in the first bases, so override > field > stored br_v.  An
-    override naming no gmd_branch of the case raises CaseReferenceError; one
-    on a branch outside the solve set is inert.
-    """
-    unknown = sorted(set(overridden) - {e.index for e in case.gmd_branches})
-    if unknown:
-        raise CaseReferenceError(f"voltage override: gmd_branch id {unknown[0]} does not exist")
-    ids = np.array([e.index for e in edges], dtype=int)
+    dc = case.compiled(DcArrays)
+    sel = np.flatnonzero(dc.eligible & (topology_status(dc.parent, dc.parent_status, topology)
+                                        | (dc.parent == ABSENT)))
+    f, t, ids = dc.f[sel], dc.t[sel], dc.branch_ids[sel]
     held = np.isin(ids, list(overridden))
+    lengths = None
+    if field:
+        sees = (dc.winding_row[sel] < 0) & ~held
+        for j in sel[sees & np.isnan(dc.lengths[sel, 0])]:  # NaN: unlocated, or len_km inf
+            branch_lengths(case, case.gmd_branches[j])  # raises MissingCoordinates
+        lengths = np.where(sees[:, None], dc.lengths[sel], 0.0)
+    unknown = np.setdiff1d(list(overridden), dc.branch_ids)
+    if unknown.size:
+        raise CaseReferenceError(f"voltage override: gmd_branch id {unknown[0]} does not exist")
     if lengths is None:
-        base = [np.array([e.br_v for e in edges], dtype=float)]
+        base = [dc.br_v[sel]]
     else:  # E_N L_N + E_E L_E at E = (1, 0) and (0, 1), term by term: L_N alone
         north, east = lengths.T  # would differ from that sum in the sign of a zero
         base = [1.0 * north + 0.0 * east, 0.0 * north + 1.0 * east]
-    return np.column_stack([np.where(held, 0.0, col) for col in base]
-                           + [(ids == b).astype(float) for b in overridden])
+    comp = np.zeros(len(dc.node_ids), dtype=int)
+    for k, members in enumerate(component_groups(range(len(comp)), zip(f.tolist(), t.tolist()))):
+        comp[members] = k
+    return DcSystem(node_ids=dc.node_ids, ground=dc.ground, comp=comp,
+                    branch_ids=tuple(ids.tolist()), f=f, t=t, a=dc.a[sel],
+                    parent=dc.parent[sel], lengths=lengths,
+                    sources=np.column_stack([np.where(held, 0.0, col) for col in base]
+                                            + [(ids == b).astype(float) for b in overridden]),
+                    W=dc.W[:, sel])
 
 
 @dataclass(frozen=True)
@@ -304,7 +331,7 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     sys, coeffs = source_basis(case, fields, times, topology=topology)
     V, I, residual = _solve(sys, coeffs)
     return GicSeries(node_ids=sys.node_ids, branch_ids=sys.branch_ids, V=V, I=I,
-                     effective=_effective(case, sys.branch_ids, I), kcl_residual=residual)
+                     effective=_effective(case, sys, I), kcl_residual=residual)
 
 
 def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, times, *,
@@ -352,39 +379,11 @@ def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, floa
     return pairs
 
 
-def winding_matrix(case: CaseData, branch_ids: Sequence[int]
-                   ) -> tuple[tuple[int, ...], sp.csr_matrix]:
-    """Winding weights of every transformer row as one matrix over ``branch_ids``.
-
-    Row k of W (xfmr rows x ``branch_ids``) holds the ``winding_weights``
-    of the k-th row of ``case.xfmr_rows()``, so W @ I is each row's signed
-    effective GIC for the currents I of those gmd branches; a winding
-    outside ``branch_ids`` (its parent switched off) contributes 0.
-    Returns the rows' branch_gmd positions and W.
-    """
-    col = {bid: k for k, bid in enumerate(branch_ids)}
-    positions, rows, cols, vals = [], [], [], []
-    for k, (pos, row) in enumerate(case.xfmr_rows()):
-        positions.append(pos)
-        for wid, w in winding_weights(case, row):
-            if wid in col:
-                rows.append(k)
-                cols.append(col[wid])
-                vals.append(w)
-    W = sp.csr_matrix((np.array(vals, dtype=float),
-                       (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-                      shape=(len(positions), len(branch_ids)))
-    return tuple(positions), W
-
-
-def _effective(case: CaseData, branch_ids: Sequence[int],
-               I: np.ndarray) -> dict[int, np.ndarray]:
+def _effective(case: CaseData, sys: DcSystem, I: np.ndarray) -> dict[int, np.ndarray]:
     """Effective GIC [A] per branch_gmd row position: |W @ I| over a current series.
 
-    ``I`` (T x edges) holds the currents of the gmd branches ``branch_ids``,
-    taken as solved (orientation per the case file); ``winding_matrix``
-    gives each configuration's weights, and windings absent from
-    ``branch_ids`` carry none.
+    ``I`` (T x edges) holds the currents of the edges of ``sys``, taken as
+    solved (orientation per the case file); ``sys.W`` holds each
+    configuration's weights, and windings outside the solve set carry none.
     """
-    positions, W = winding_matrix(case, branch_ids)
-    return dict(zip(positions, np.abs(W @ I.T)))
+    return dict(zip(case.compiled(DcArrays).xfmr_pos, np.abs(sys.W @ I.T)))

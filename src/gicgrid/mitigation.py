@@ -47,9 +47,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .data import ABSENT, AcBranch, BranchGmdData, CaseData, FieldScenario, ThermalData
-from .coupling import slack_reachable
-from .dcnet import DcSystem, solve_series, source_basis, winding_ids, winding_matrix
+from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
+                   ThermalData, topology_status)
+from .coupling import AcArrays, energized
+from .dcnet import DcArrays, DcSystem, solve_series, source_basis
 from .lp import LpProblem, lp_solve
 from .thermal import TopOil, hotspot_temp, steady_rise
 
@@ -185,15 +186,14 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     if T < 1:
         raise ValueError("scenario must span at least one period")
 
-    branches = [b for b in case.ac_branches if b.status]
-    switchable = sorted(b.index for b in branches if b.switchable)
-
-    # connected, energized ac subnetwork
-    model_bus_ids = slack_reachable(case, branches)
-    buses = [b for b in case.buses if b.index in model_bus_ids]
-    branches = [b for b in branches if b.f_bus in model_bus_ids]
-    gens = sorted((g for g in case.generators if g.bus in model_bus_ids),
-                  key=lambda g: g.index)
+    # connected, energized ac subnetwork; bus_row is a bus's row among the model's
+    ac = case.compiled(AcArrays)
+    live, active = energized(case)
+    in_model, bus_row = live & active[ac.f], np.cumsum(active) - 1
+    switchable = sorted(ac.branch_ids[live & ac.switchable].tolist())
+    buses = [b for b, on in zip(case.buses, active) if on]
+    branches = [b for b, on in zip(case.ac_branches, in_model) if on]
+    gens = sorted((g for g in case.generators if active[ac.pos[g.bus]]), key=lambda g: g.index)
 
     # dc side: the dc engine's nominal solve set and its superposition basis;
     # one switched circuit per basis (B = 2 + overrides), since for a fixed
@@ -222,11 +222,11 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     # transformers in the model: xfmr rows whose windings are all present;
     # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
-    solved, xfmr_rows = set(dc.branch_ids), case.xfmr_rows()
-    inside = [k for k, (_, row) in enumerate(xfmr_rows)
-              if winding_ids(row) and solved.issuperset(winding_ids(row))]
-    rows = [xfmr_rows[k] for k in inside]
-    W = winding_matrix(case, dc.branch_ids)[1][inside]
+    arrays = case.compiled(DcArrays)
+    inside = np.flatnonzero(arrays.member @ np.isin(arrays.branch_ids, dc.branch_ids)
+                            == arrays.n_windings)
+    rows = [(pos, case.branch_gmd[pos]) for pos in np.take(arrays.xfmr_pos, inside).tolist()]
+    W = dc.W[inside]
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
     w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
     derived = np.maximum(w_big_m @ period_gap_m, 1.0)
@@ -273,7 +273,6 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     register("du", X, T)        # aux: PWL steady-state top-oil rise
     nvars = offset
 
-    bus_pos = {b.index: i for i, b in enumerate(buses)}
     br_pos = {b.index: i for i, b in enumerate(branches)}
     z_pos = {bid: k for k, bid in enumerate(switchable)}
     z_col = {bid: slices["z"][0] + k for bid, k in z_pos.items()}
@@ -284,9 +283,8 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # variable bounds: one (lower, upper) per entity, held over its horizon,
     # or one per entity and basis
     theta_bound = max(1.0, N * max((b.angle_big_m for b in branches), default=math.pi))
-    slack_ids = {b.index for b in buses if b.bus_type == "slack"}
-    theta_lo = [0.0 if b.index in slack_ids else -theta_bound for b in buses]  # slack: 0
-    theta_hi = [0.0 if b.index in slack_ids else theta_bound for b in buses]
+    slack = ac.bus_type[active] == "slack"  # angle 0
+    theta_lo, theta_hi = np.where(slack, 0.0, -theta_bound), np.where(slack, 0.0, theta_bound)
     v_m = np.maximum(node_m, 1e-6)
     d_m = [_delta_upper(x) for x in xfmrs]
     cost = [_cost_range(g) for g in gens]
@@ -352,12 +350,11 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                      order=_group_order(owner, T))
 
     # ac side: branch-bus incidence (+1 at f, -1 at t) and Ohm's law p = b (theta_f - theta_t)
-    fb = [bus_pos[br.f_bus] for br in branches]
-    tb = [bus_pos[br.t_bus] for br in branches]
+    fb, tb = bus_row[ac.f[in_model]], bus_row[ac.t[in_model]]
     b = np.array([br.b for br in branches])
     branch_bus = _ends((E, N), fb, tb, np.ones(E), -np.ones(E))
     ohm_theta = _ends((E, N), fb, tb, -b, b)
-    gen_bus = _mat((N, G), [bus_pos[g.bus] for g in gens], np.arange(G), -np.ones(G))
+    gen_bus = _mat((N, G), bus_row[[ac.pos[g.bus] for g in gens]], np.arange(G), -np.ones(G))
     br_ids = [br.index for br in branches]
     is_sw = np.array([bid in z_pos for bid in br_ids], dtype=bool)
     sw, fixed = np.flatnonzero(is_sw), np.flatnonzero(~is_sw)
@@ -368,13 +365,11 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # dc side, per basis: node-edge incidence (-1 at f, +1 at t) and
     # i = a (v_f - v_t + vsrc); a switched edge's big-M holds one per basis
     ohm_v = _ends((Ed, Nd), fd, td, -a, a)
-    links = [p if p != ABSENT and case.ac_branch(p).switchable else None
-             for p in dc.parent.tolist()]
-    is_dsw = np.array([zl is not None for zl in links], dtype=bool)
+    is_dsw = np.isin(dc.parent, switchable)
     dsw, dfixed = np.flatnonzero(is_dsw), np.flatnonzero(~is_dsw)
     av, i_sw = a[:, None] * sources, i_m[dsw]
     dc_on_z = _mat((i_sw.size, S), np.arange(i_sw.size),
-                   np.repeat([z_pos[links[k]] for k in dsw], B), i_sw.ravel())
+                   np.repeat(np.searchsorted(switchable, dc.parent[dsw]), B), i_sw.ravel())
 
     # transformers: top-oil start (steady: delta_0 = du_0, else du_-1 := delta0)
     x_ids = [None if x.branch is None else x.branch.index for x in xfmrs]
@@ -866,12 +861,19 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     dispatch; constraint violations (flow limits, angle limits, power
     balance, GIC caps, hot-spot caps, switch-off semantics, relaxation
     soundness of the reported effective currents) are reported as the
-    worst excess per class.
+    worst excess per class.  A ``z`` naming a branch that is not a
+    switchable in-service ac branch of the case raises CaseReferenceError.
     """
     dt = plan.dt if dt is None else dt
     times = _midpoints(scenario, dt)
     T = len(times)
     _check_plan(plan, times, dt)
+    ac = case.compiled(AcArrays)
+    allowed = set(ac.branch_ids[ac.status & ac.switchable].tolist())
+    stray = [bid for bid in plan.z if bid not in allowed]
+    if stray:
+        raise CaseReferenceError(f"plan z: branch {stray[0]} is not a switchable in-service "
+                                 "ac branch of the case")
 
     topo = {bid: int(zv) for bid, zv in plan.z.items()}
     v = {k: 0.0 for k in ("power_balance", "ohm", "rating", "angle", "gen_bounds",
@@ -885,7 +887,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
             if msg:
                 details.append(f"{cls}: {msg}")
 
-    live_ids = {br.index for br in case.ac_branches if br.status and topo.get(br.index, br.status)}
+    live_ids = set(ac.branch_ids[topology_status(ac.branch_ids, ac.status, topo)].tolist())
 
     # ac-side checks from the plan's own arrays
     for t in range(T):

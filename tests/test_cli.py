@@ -600,6 +600,27 @@ def test_verify_malformed_plan_is_input_error(workdir, capsys, edit, expect):
     assert err.startswith(f"input error: {expect}")
 
 
+@pytest.mark.parametrize("branch,state", [("9999", 0), ("11", 1)])
+def test_verify_rejects_z_of_a_branch_the_case_cannot_switch(tmp_path, capsys, branch, state):
+    """A plan's z names switchable in-service ac branches of the case only:
+    epri21 has no branch 9999, and its branch 11 is nominally open, so a plan
+    closing it would be judged on two topologies (the dc re-solve closes it,
+    the ac checks keep it open)."""
+    case, ramp = os.path.join(CASES, "epri21.json"), os.path.join(CASES, "ramp_3p2.csv")
+    common = ["--case", case, "--scenario", ramp, "--dt", "30"]
+    assert run(["mitigate", *common, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    doc["z"][branch] = state
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["verify", *common, "--plan", str(tmp_path / "plan.json"),
+              "--out", str(tmp_path / "ver")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"input error: plan z: branch {branch} is not a switchable")
+    assert "[ok]" not in captured.out
+
+
 def test_missing_coordinates_is_input_error(workdir, capsys):
     doc = json.loads((workdir / "b4gic.json").read_text())
     doc["bus_gmd"] = [row for row in doc["bus_gmd"] if row["bus"] != 1]

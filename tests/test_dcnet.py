@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gicgrid.data import ABSENT, CaseReferenceError, FieldSample, FieldScenario, load_scenario
 from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, _effective,
-                           assemble, branch_lengths, solve_series)
+                           assemble, branch_lengths, solve_series, winding_weights)
 
 from conftest import CASES, currents, random_dc_case, solve_at, voltages
 
@@ -269,19 +270,19 @@ def _two_winding_case(config, turns_ratio):
 
 def test_effective_gic_gwye_gwye_cancellation():
     case = _two_winding_case("gwye-gwye", 2.0)
-    eff = _effective(case, (1, 2), np.array([[10.0, -20.0]]))
+    eff = _effective(case, assemble(case), np.array([[10.0, -20.0]]))
     assert eff[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_effective_gic_auto_formula():
     case = _two_winding_case("gwye-gwye-auto", 0.5)
-    eff = _effective(case, (1, 2), np.array([[30.0, 15.0]]))
+    eff = _effective(case, assemble(case), np.array([[30.0, 15.0]]))
     assert eff[0][0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
 
 
 def test_effective_gic_delta_delta_zero():
     case = _two_winding_case("delta-delta", None)
-    assert _effective(case, (1, 2), np.array([[99.0, 99.0]]))[0][0] == 0.0
+    assert _effective(case, assemble(case), np.array([[99.0, 99.0]]))[0][0] == 0.0
 
 
 def _floating_case():
@@ -454,6 +455,14 @@ def series_inputs(draw):
             {b: 0 for b in opened}, times)
 
 
+def _effective_by_rows(case, current):
+    """Oracle: |sum of weight * current| over each transformer row's windings
+    (``winding_weights``), from currents by gmd_branch id; a winding without
+    one carries none."""
+    return {pos: abs(sum(w * current.get(wid, 0.0) for wid, w in winding_weights(case, row)))
+            for pos, row in case.xfmr_rows()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_inputs())
 def test_solve_series_matches_per_point_solves(inputs):
@@ -473,8 +482,8 @@ def test_solve_series_matches_per_point_solves(inputs):
         assert set(series.branch_ids) == set(i_ref)
         v = np.array([v_ref[n] for n in series.node_ids])
         i = np.array([i_ref[b] for b in series.branch_ids])
-        eff = _effective(case, tuple(i_ref), np.array([list(i_ref.values())]))
-        e = np.array([eff[p][0] for p in sorted(eff)])
+        eff = _effective_by_rows(case, i_ref)
+        e = np.array([eff[p] for p in sorted(eff)])
         e_series = np.array([series.effective[p][k] for p in sorted(eff)])
         scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
         assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
@@ -615,3 +624,143 @@ def test_solves_match_dense_oracle(inputs):
     assert v.keys() == v_ref.keys() and i.keys() == i_ref.keys()
     assert max((abs(v[n] - v_ref[n]) for n in v_ref), default=0.0) <= 1e-9 * scale
     assert max((abs(i[b] - i_ref[b]) for b in i_ref), default=0.0) <= 1e-9 * scale
+
+
+def _assemble_by_rows(case, field, overridden, topology):
+    """Oracle of ``assemble`` from the rows: the solve set edge by edge (own
+    status, ends in service, no series-capacitor parent, parent in service
+    with ``topology`` over the nominal status), breadth-first component
+    labels and the source basis in Python floats."""
+    nodes = [b.index for b in case.gmd_buses if b.status]
+    row = {n: i for i, n in enumerate(nodes)}
+    caps = {r.branch for r in case.branch_gmd if r.type == "series_cap"}
+
+    def live(e):
+        if not (e.status and e.f_bus in row and e.t_bus in row):
+            return False
+        return e.parent == ABSENT or (e.parent not in caps and bool(
+            topology.get(e.parent, case.ac_branch(e.parent).status)))
+
+    edges = [e for e in case.gmd_branches if live(e)]
+    f, t = [row[e.f_bus] for e in edges], [row[e.t_bus] for e in edges]
+    comp, label = [-1] * len(nodes), 0
+    for start in range(len(nodes)):
+        if comp[start] < 0:
+            comp[start], stack = label, [start]
+            while stack:
+                i = stack.pop()
+                for a, b in zip(f + t, t + f):
+                    if a == i and comp[b] < 0:
+                        comp[b] = label
+                        stack.append(b)
+            label += 1
+    ids = [e.index for e in edges]
+    if field:  # raises MissingCoordinates as branch_lengths does, edge by edge
+        north, east = _branch_by_branch_lengths(case, SimpleNamespace(branch_ids=ids),
+                                                overridden).T
+        base = [[1.0 * n + 0.0 * e for n, e in zip(north.tolist(), east.tolist())],
+                [0.0 * n + 1.0 * e for n, e in zip(north.tolist(), east.tolist())]]
+    else:
+        base = [[e.br_v for e in edges]]
+    cols = ([[0.0 if bid in overridden else v for bid, v in zip(ids, col)] for col in base]
+            + [[float(bid == b) for bid in ids] for b in overridden])
+    return {"node_ids": tuple(nodes), "branch_ids": tuple(ids), "f": np.array(f, dtype=int),
+            "t": np.array(t, dtype=int), "a": np.array([1.0 / e.br_r for e in edges]),
+            "parent": np.array([e.parent for e in edges], dtype=int),
+            "comp": np.array(comp, dtype=int),
+            "sources": np.array(cols, dtype=float).reshape(len(cols), len(ids)).T}
+
+
+@st.composite
+def topology_inputs(draw):
+    """A random dc case with some branches nominally open, some line rows
+    turned series capacitors, some gmd buses and branches out of service and
+    some buses without coordinates; a topology that may close nominally open
+    branches; overrides, possibly on branches outside the solve set."""
+    case = random_dc_case(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    ac_ids = [br.index for br in case.ac_branches]
+    lines = [r.branch for r in case.branch_gmd if r.type == "line"]
+    gmd_ids = [e.index for e in case.gmd_branches]
+
+    def subset(ids, n):
+        return draw(st.sets(st.sampled_from(ids), max_size=n))
+
+    opened, caps = subset(ac_ids, 3), subset(lines, 2)
+    off_nodes, off_edges = subset([b.index for b in case.gmd_buses], 2), subset(gmd_ids, 2)
+    unlocated = subset([c.bus for c in case.bus_gmd], 2)
+    case = dataclasses.replace(
+        case,
+        ac_branches=tuple(dataclasses.replace(br, status=int(br.index not in opened))
+                          for br in case.ac_branches),
+        branch_gmd=tuple(dataclasses.replace(r, type="series_cap") if r.branch in caps else r
+                         for r in case.branch_gmd),
+        gmd_buses=tuple(dataclasses.replace(b, status=int(b.index not in off_nodes))
+                        for b in case.gmd_buses),
+        gmd_branches=tuple(dataclasses.replace(e, status=int(e.index not in off_edges))
+                           for e in case.gmd_branches),
+        bus_gmd=tuple(c for c in case.bus_gmd if c.bus not in unlocated))
+    topology = draw(st.dictionaries(st.sampled_from(ac_ids), st.integers(0, 1), max_size=5))
+    overridden = tuple(draw(st.lists(st.sampled_from(gmd_ids), unique=True, max_size=3)))
+    return case, draw(st.booleans()), overridden, topology
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology_inputs())
+def test_assemble_is_the_row_by_row_solve_set(inputs):
+    """Under any topology ``assemble``'s mask over the compiled arrays selects
+    bit for bit the solve set a walk over the rows finds, and raises
+    MissingCoordinates exactly when a live, field-seeing, non-overridden edge
+    lacks coordinates, with the same message."""
+    case, field, overridden, topology = inputs
+    try:
+        want = _assemble_by_rows(case, field, overridden, topology)
+    except MissingCoordinates as expected:
+        with pytest.raises(MissingCoordinates) as err:
+            assemble(case, field, overridden, topology=topology)
+        assert str(err.value) == str(expected)
+        return
+    sys = assemble(case, field, overridden, topology=topology)
+    for name, value in want.items():
+        got = getattr(sys, name)
+        if isinstance(value, tuple):
+            assert got == value, name
+        else:
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+
+
+def test_each_layer_compiles_once_per_case(epri21_case, monkeypatch):
+    """One ac analysis and then a dc solve under another topology build the
+    dc and the ac arrays of a case once each."""
+    from gicgrid import coupling, dcnet
+    from gicgrid.coupling import sequential_gic_ac
+
+    built = []
+    for module, name in ((dcnet, "DcArrays"), (coupling, "AcArrays")):
+        class Counted(getattr(module, name)):
+            def __init__(self, case, name=name):
+                built.append(name)
+                super().__init__(case)
+        monkeypatch.setattr(module, name, Counted)
+    case = dataclasses.replace(epri21_case)  # a new object: nothing compiled for it yet
+    sequential_gic_ac(case, FieldVector.from_mag_dir(1.0, 90.0))
+    solve_series(case, np.array([[1.0, 0.0]]), [0.0], topology={7: 0})
+    assert sorted(built) == ["AcArrays", "DcArrays"]
+
+
+def test_reparsed_case_is_compiled_afresh(epri21_case):
+    """A case parsed again with one grounding changed gives the changed
+    currents: no compiled array carries over from the first case."""
+    from gicgrid.data import parse_case, serialize_case
+
+    field = FieldVector.from_mag_dir(2.0, 60.0)
+    doc = json.loads(serialize_case(epri21_case))
+    before = solve_at(parse_case(json.dumps(doc)), field)
+    v = voltages(before)
+    grounded = max(doc["gmd_bus"], key=lambda b: b["g_gnd"] * abs(v.get(b["index"], 0.0)))
+    grounded["g_gnd"] *= 4.0  # the neutral that carries the most current
+    changed = parse_case(json.dumps(doc))
+    after = solve_at(changed, field)
+    _, i_ref, _ = _dense_oracle(changed, field, {}, {})
+    assert not np.allclose(after.I, before.I)
+    assert currents(after) == pytest.approx(i_ref, rel=1e-9, abs=1e-9)

@@ -359,6 +359,23 @@ def test_epri21_binaries_are_inservice_switchable_lines(epri21_case):
     assert not (set(model.switchable) & nominal_out)
 
 
+def test_model_transformers_have_every_named_winding_solved(epri21_case):
+    """A transformer row enters the model when every winding id it names is a
+    gmd branch of the nominal solve set, weighted or not: naming an id the
+    case lacks (row 0) or a winding of an open branch (row 14 names branch
+    11's) drops it; naming a solved winding (row 13 names row 0's) keeps it."""
+    rows = list(epri21_case.branch_gmd)
+    for pos, lo in ((0, 9999), (13, 1), (14, 13)):  # gwye-delta rows: gmd_br_lo has no weight
+        rows[pos] = dataclasses.replace(rows[pos], gmd_br_lo=lo)
+    case = dataclasses.replace(epri21_case, branch_gmd=tuple(rows))
+    model = build_model(case, make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0))
+    solved = set(model.dc.branch_ids)
+    named = {pos: {w for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co) if w != -1}
+             for pos, r in case.xfmr_rows()}
+    assert [x.pos for x in model.xfmrs] == [p for p, ids in named.items() if ids and ids <= solved]
+    assert [x.pos for x in model.xfmrs] == [2, 3, 4, 5, 13, 17]
+
+
 def test_build_rejects_islanded_load(epri21_case):
     import dataclasses
     from gicgrid.coupling import IslandError
