@@ -126,6 +126,9 @@ def _check_run_config(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise CaseError("--tol must be finite and >= 0")
+    time_limit = getattr(args, "time_limit", None)
+    if time_limit is not None and not 0.0 < time_limit < math.inf:
+        raise CaseError("--time-limit must be finite and positive")
 
 
 def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
@@ -266,7 +269,7 @@ def _cmd_mitigate(args) -> int:
 
     case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
-    options = OtsOptions(dt=args.dt, gap=args.gap)
+    options = OtsOptions(dt=args.dt, gap=args.gap, time_limit=args.time_limit)
     model = build_model(case, scenario, options)
     try:
         plan = enumerate_solve(model) if args.solver == "enum" else solve(model)
@@ -276,7 +279,7 @@ def _cmd_mitigate(args) -> int:
             print(f"  probes: {exc.context}", file=sys.stderr)
         return EXIT_ANALYSIS
 
-    meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap"))
+    meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap", "time_limit"))
     doc = plan_to_json(plan)
     doc["_meta"] = meta[2:]
     _write(os.path.join(args.out, "plan.json"),
@@ -373,6 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--solver", choices=("bb", "enum"), default="bb")
             p.add_argument("--gap", type=float, default=1e-4)
+            p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
+                           help="stop the bb search after this long and write its best "
+                                "plan, status timeout (default: no limit)")
         if plan:
             p.add_argument("--plan", required=True, help="plan JSON from mitigate")
             p.add_argument("--tol", type=float, default=1e-5)

@@ -117,6 +117,7 @@ class OtsModel:
     eff_weights: sp.csr_matrix      # xfmrs x dc edges: winding currents -> signed Ieff
     lp: LpProblem
     z_col: dict[int, int]
+    open_cols: dict[int, np.ndarray]          # branch id -> its p_e columns, 0 while open
     slices: dict[str, tuple[int, int, int]]   # name -> (offset, count, T)
     classes: dict[str, tuple[int, int]]       # ub-row ranges per constraint class
     primary_var_count: int
@@ -324,7 +325,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     def block(rhs, *terms, order=None):
         """One class from its right-hand side and (variable, expanded entity matrix) terms."""
-        parts = [(K.row, K.col + slices[name][0], K.data) for name, K in terms]
+        parts = [(r, cidx + slices[name][0], data) for name, (r, cidx, data) in terms]
         r, cidx, data = map(np.concatenate, zip(*parts))
         rhs = np.ravel(rhs)
         A = sp.csr_matrix((data, (r, cidx)), shape=(rhs.size, nvars))
@@ -449,14 +450,22 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     A_ub, b_ub = _stack(list(ineq.values()))
 
     # lazy rows, which rarely bind, enter the LP once a solution violates
-    # them: one group per line and period (the angle pair), one per
-    # transformer and period (its loading chords)
-    lazy = np.full(stop, -1)
-    start, end = classes["angle"]
-    lazy[start:end] = np.arange(end - start) // 2
-    chord_rows = np.repeat(np.array([max(len(x.chords), 1) for x in xfmrs], dtype=int), T)
-    start, end = classes["pwl_loading"]
-    lazy[start:end] = E * T + np.repeat(np.arange(X * T), chord_rows)
+    # them: one group per switched line and period (the rating pair; with
+    # its binary fixed, the column bounds of _fixed hold it), one per line
+    # and period (the angle pair), one per transformer and period (its
+    # loading chords)
+    group_rows = {"rating": np.full(len(sw) * T, 2), "angle": np.full(E * T, 2),
+                  "pwl_loading": np.repeat(np.array([max(len(x.chords), 1) for x in xfmrs],
+                                                    dtype=int), T)}
+    lazy, groups = np.full(stop, -1), 0
+    for name, sizes in group_rows.items():
+        start, end = classes[name]
+        lazy[start:end] = groups + np.repeat(np.arange(sizes.size), sizes)
+        groups += sizes.size
+
+    # the rating rows hold an open line's flows at 0
+    flow_cols = slices["p_e"][0] + np.arange(E * T).reshape(E, T)
+    open_cols = {bid: flow_cols[np.asarray(br_ids) == bid].ravel() for bid in switchable}
 
     c = np.zeros(nvars)
     off, count, horizon = slices["cost"]
@@ -466,8 +475,8 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
                     dc=dc, coeffs=coeffs, xfmrs=xfmrs,
-                    eff_weights=W, lp=lp, z_col=z_col, slices=slices, classes=classes,
-                    primary_var_count=primary)
+                    eff_weights=W, lp=lp, z_col=z_col, open_cols=open_cols, slices=slices,
+                    classes=classes, primary_var_count=primary)
 
 
 def _midpoints(scenario: FieldScenario, dt: float) -> np.ndarray:
@@ -492,10 +501,19 @@ def _ends(shape, f, t, at_f, at_t) -> sp.csr_matrix:
     return _mat(shape, np.r_[rows, rows], np.r_[f, t], np.r_[at_f, at_t])
 
 
-def _expand(M, time, pattern=(1.0,)) -> sp.coo_matrix:
-    """kron(kron(M, time), pattern): rows (row entity, period, pattern row),
-    columns (entity, period).  Zeros held in M stay, zeros of the pattern drop."""
-    return sp.kron(sp.kron(M, time, format="coo"), np.reshape(pattern, (-1, 1)), format="coo")
+def _expand(M, time, pattern=(1.0,)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of kron(kron(M, time), pattern), entries in
+    the order sp.kron gives them: rows (row entity, period, pattern row),
+    columns (entity, period).  Zeros held in M stay, zeros of a dense
+    ``time`` or of the pattern drop."""
+    M, time = sp.coo_matrix(M), sp.coo_matrix(time)
+    pattern = np.asarray(pattern, dtype=float)
+    k = np.flatnonzero(pattern)
+    m_row, m_col = M.row.astype(np.int64)[:, None], M.col.astype(np.int64)[:, None]
+    rows = (m_row * time.shape[0] + time.row).reshape(-1, 1) * pattern.size + k
+    cols = (m_col * time.shape[1] + time.col).reshape(-1, 1)
+    data = (M.data[:, None] * time.data).reshape(-1, 1) * pattern[k]
+    return rows.ravel(), np.broadcast_to(cols, rows.shape).ravel(), data.ravel()
 
 
 def _group_order(owner, T: int) -> np.ndarray:
@@ -611,10 +629,20 @@ def _coarse_plan(model: OtsModel, t0: float) -> dict[int, int] | None:
 def _fixed(model: OtsModel, z: dict[int, float],
            bounds: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Copies of ``bounds`` (lb, ub; the model's by default) with the binary
-    of each branch id in ``z`` fixed to its value."""
+    of each branch id in ``z`` fixed to its value, and the flows ``p_e`` of
+    each branch fixed open held at 0 in every period.
+
+    The ``rating`` rows imply those zeros, so no LP optimum changes.  Once a
+    line's binary is fixed, the column bounds alone hold its lazy ``rating``
+    pair (``|p_e| <= rating`` when closed), so the pair never enters an LP
+    that fixes it, such as the seeded LP, which fixes every binary."""
     lb, ub = (b.copy() for b in (bounds or (model.lp.lb, model.lp.ub)))
     cols = [model.z_col[bid] for bid in z]
     lb[cols] = ub[cols] = list(z.values())
+    cols = [model.open_cols[bid] for bid, value in z.items() if value == 0]
+    if cols:
+        cols = np.concatenate(cols)
+        lb[cols] = ub[cols] = 0.0
     return lb, ub
 
 

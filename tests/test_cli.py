@@ -357,6 +357,29 @@ def test_bad_gap_rejected(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_time_limit_rejected(workdir, capsys, value):
+    out = workdir / "never"
+    rc = run(["mitigate", "--case", str(workdir / "b4gic.json"), "--field", "1.0",
+              "--time-limit", value, "--out", str(out)])
+    assert rc == 2
+    assert "--time-limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_time_limit_before_any_plan_is_analysis_error(tmp_path, capsys):
+    """A time limit the search reaches before its first plan exits 1 and names
+    the limit; no plan is written."""
+    out = tmp_path / "never"
+    rc = run(["mitigate", "--case", os.path.join(CASES, "epri21.json"),
+              "--scenario", os.path.join(CASES, "ramp_3p2.csv"), "--dt", "30",
+              "--time-limit", "1e-9", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("analysis error: the time limit stopped the search "
+                                       "before it found a switching plan\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("peak", ["1e307", "1e305"])
 def test_overflowing_field_is_input_error(workdir, capsys, peak):
     """A field whose induced voltages (1e307) or their big-M sums (1e305)

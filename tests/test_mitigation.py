@@ -343,12 +343,58 @@ def test_timeout_returns_incumbent(monkeypatch):
     assert err.value.context == {} and calls == []
 
     monkeypatch.undo()
-    monkeypatch.setattr(mitigation, "_NODE_LIMIT", 8)
-    model = build_model(*random_ots_case(np.random.default_rng(5)))
+    monkeypatch.setattr(mitigation, "_NODE_LIMIT", 5)
+    model = build_model(*random_ots_case(np.random.default_rng(83)))
     plan = mitigation._branch_and_bound(model, time.perf_counter())
-    assert (plan.status, plan.nodes) == ("timeout", 8)
-    assert plan.gap == pytest.approx(0.21605747873958478, rel=1e-9)
-    assert plan.z == {3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
+    assert (plan.status, plan.nodes) == ("timeout", 5)
+    assert plan.gap == pytest.approx(0.17401445399180776, rel=1e-9)
+    assert plan.z == {3: 0, 4: 0, 5: 0, 6: 0, 7: 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 83, 1870])
+def test_open_line_flow_bounds_change_no_lp(seed):
+    """Every z assignment of a toy: the LP as the search solves it (``_fixed``
+    holds each open line's flows at 0, lazy rows) ends with the status and
+    objective of the same LP with every row held and only z fixed."""
+    model = build_model(*random_ots_case(np.random.default_rng(seed)))
+    searched = dataclasses.replace(model.lp)
+    held = dataclasses.replace(model.lp, lazy=None)
+    for assignment in itertools.product((0.0, 1.0), repeat=len(model.switchable)):
+        z = dict(zip(model.switchable, assignment))
+        lb, ub = mitigation._fixed(model, z)
+        plain_lb, plain_ub = model.lp.lb.copy(), model.lp.ub.copy()
+        cols = [model.z_col[bid] for bid in z]
+        plain_lb[cols] = plain_ub[cols] = assignment
+        opened = [model.open_cols[bid] for bid, value in z.items() if value == 0]
+        assert all(np.all(lb[c] == 0.0) and np.all(ub[c] == 0.0) for c in opened)
+        got, ref = lp_solve(searched, lb=lb, ub=ub), lp_solve(held, lb=plain_lb, ub=plain_ub)
+        assert got.status == ref.status
+        if ref.status == "optimal":
+            assert got.objective == pytest.approx(ref.objective, rel=1e-7)
+
+
+def test_seeded_lp_adds_no_rating_row(epri21_case):
+    """On epri21 at T = 144 the root LP adds rating rows, the seeded LP after
+    it none: with every binary fixed, the flow bounds of ``_fixed`` hold the
+    rating pairs.  Solved alone, the seeded LP holds no rating row."""
+    model = build_model(epri21_case, _ramp_3p2(2.5), OtsOptions(dt=2.5))
+    start, stop = model.classes["rating"]
+
+    def rating_rows(lp):
+        return np.count_nonzero((lp._held >= start) & (lp._held < stop))
+
+    lp = dataclasses.replace(model.lp)
+    assert lp_solve(lp, lb=model.lp.lb, ub=model.lp.ub).status == "optimal"
+    at_root = rating_rows(lp)
+    assert at_root > 0
+    lb, ub = mitigation._fixed(model, _EPRI21_PLAN)
+    seeded = lp_solve(lp, lb=lb, ub=ub)
+    assert seeded.status == "optimal" and rating_rows(lp) == at_root
+    alone = dataclasses.replace(model.lp)
+    again = lp_solve(alone, lb=lb, ub=ub)
+    assert rating_rows(alone) == 0
+    assert again.objective == pytest.approx(seeded.objective, rel=1e-9)
+    assert seeded.objective == pytest.approx(63032.688, abs=1e-3)
 
 
 def test_epri21_binaries_are_inservice_switchable_lines(epri21_case):
@@ -535,11 +581,13 @@ def test_build_model_arrays_pinned(name, request):
     got.update({k: _sha256(getattr(lp, k)) for k in ("b_ub", "b_eq", "lb", "ub", "c")})
     got["classes"] = _sha256(json.dumps(model.classes).encode())
     assert got == _PINNED[name]
-    # lazy rows: exactly the angle pairs, a group per line and period, and the
-    # loading chords, a group per transformer and period; every group distinct
+    # lazy rows: exactly the rating pairs, a group per switched line and
+    # period, the angle pairs, a group per line and period, and the loading
+    # chords, a group per transformer and period; every group distinct
     marked = np.zeros(len(lp.lazy), dtype=bool)
     sizes = []
-    for cls, rows in (("angle", [2] * len(model.branches)),
+    switched = [br for br in model.branches if br.index in model.z_col]
+    for cls, rows in (("rating", [2] * len(switched)), ("angle", [2] * len(model.branches)),
                       ("pwl_loading", [max(len(x.chords), 1) for x in model.xfmrs])):
         marked[slice(*model.classes[cls])] = True
         sizes += np.repeat(rows, model.n_periods).tolist()
@@ -715,8 +763,8 @@ _OPT, _INF = "optimal", "infeasible"
 
 def test_search_order_pinned(epri21_case, monkeypatch):
     """Every node LP of the epri21 search at dt = 30 min, in order, by the
-    binaries it fixes: the unseeded plunge and best-bound search (20 LPs),
-    then the seeded solve (the fine root, the 15 LPs of the coarse search at
+    binaries it fixes: the unseeded plunge and best-bound search (15 LPs),
+    then the seeded solve (the fine root, the 6 LPs of the coarse search at
     dt = 120 min, the seeded LP)."""
     scenario = _ramp_3p2(30.0)
     model = build_model(epri21_case, scenario, OtsOptions(dt=30.0))
@@ -724,34 +772,26 @@ def test_search_order_pinned(epri21_case, monkeypatch):
     calls = _record_fixed(monkeypatch, model, coarse)
     plan = mitigation._branch_and_bound(model, time.perf_counter())
     assert calls == [(12, z, status) for z, status in (
-        ({}, _OPT), ({7: 0}, _OPT), ({7: 0, 9: 1}, _OPT), ({7: 0, 8: 1, 9: 1}, _OPT),
-        ({7: 0, 8: 1, 9: 1, 16: 1}, _OPT), ({2: 1, 7: 0, 8: 1, 9: 1, 16: 1}, _OPT),
-        ({2: 1, 7: 0, 8: 1, 9: 1, 10: 1, 16: 1}, _INF),
-        ({2: 1, 7: 0, 8: 1, 9: 1, 10: 0, 16: 1}, _INF),
-        ({2: 0, 7: 0, 8: 1, 9: 1, 16: 1}, _INF), ({7: 0, 8: 1, 9: 1, 16: 0}, _INF),
-        ({7: 0, 8: 0, 9: 1}, _OPT), ({7: 0, 8: 0, 9: 1, 10: 1}, _OPT),
-        ({7: 0, 8: 0, 9: 1, 10: 1, 17: 1}, _OPT),
-        ({7: 0, 8: 0, 9: 1, 10: 1, 16: 1, 17: 1}, _INF),
-        ({7: 0, 8: 0, 9: 1, 10: 1, 16: 0, 17: 1}, _INF),
-        ({7: 0, 8: 0, 9: 1, 10: 1, 17: 0}, _INF), ({7: 0, 8: 0, 9: 1, 10: 0}, _INF),
-        ({7: 0, 9: 0}, _OPT), ({7: 0, 8: 1, 9: 0}, _OPT), ({7: 0, 8: 1, 9: 0, 10: 1}, _OPT))]
-    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 20, "optimal", 0.0)
+        ({}, _OPT), ({10: 1}, _OPT), ({7: 0, 10: 1}, _OPT), ({7: 0, 8: 0, 10: 1}, _OPT),
+        ({2: 1, 7: 0, 8: 0, 10: 1}, _OPT), ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1}, _OPT),
+        ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1, 17: 1}, _OPT),
+        ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1, 16: 1, 17: 1}, _INF),
+        ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1, 16: 0, 17: 1}, _INF),
+        ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1, 17: 0}, _INF), ({2: 1, 7: 0, 8: 0, 9: 0, 10: 1}, _INF),
+        ({2: 0, 7: 0, 8: 0, 10: 1}, _INF), ({7: 0, 8: 1, 10: 1}, _OPT),
+        ({7: 0, 8: 1, 9: 1, 10: 1}, _INF), ({7: 0, 8: 1, 9: 0, 10: 1}, _OPT))]
+    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 15, "optimal", 0.0)
 
     calls.clear()
     plan = solve(model)
-    assert calls == [(12, {}, _OPT)] + [(3, z, status) for z, status in (
-        ({}, _OPT), ({7: 0}, _OPT), ({7: 0, 9: 1}, _OPT), ({7: 0, 8: 0, 9: 1}, _OPT),
-        ({7: 0, 8: 0, 9: 1, 16: 1}, _OPT), ({7: 0, 8: 0, 9: 1, 16: 1, 17: 1}, _INF),
-        ({7: 0, 8: 0, 9: 1, 16: 1, 17: 0}, _INF), ({7: 0, 8: 0, 9: 1, 16: 0}, _INF),
-        ({7: 0, 8: 1, 9: 1}, _OPT), ({7: 0, 8: 1, 9: 1, 10: 1}, _INF),
-        ({7: 0, 8: 1, 9: 1, 10: 0}, _INF), ({7: 0, 9: 0}, _OPT), ({2: 1, 7: 0, 9: 0}, _OPT),
-        ({2: 1, 7: 0, 8: 1, 9: 0}, _OPT), ({2: 1, 7: 0, 8: 1, 9: 0, 10: 1}, _OPT))] + [
-        (12, _EPRI21_PLAN, _OPT)]
+    assert calls == [(12, {}, _OPT)] + [(3, z, _OPT) for z in (
+        {}, {7: 0}, {7: 0, 8: 1}, {7: 0, 8: 1, 9: 0}, {2: 1, 7: 0, 8: 1, 9: 0},
+        {2: 1, 7: 0, 8: 1, 9: 0, 10: 1})] + [(12, _EPRI21_PLAN, _OPT)]
     assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 2, "optimal", 0.0)
 
 
 
-@pytest.mark.parametrize("dt,limit", [(30.0, 20), (2.5, 10)])
+@pytest.mark.parametrize("dt,limit", [(30.0, 15), (2.5, 16)])
 def test_node_limit_after_the_last_needed_node_is_no_timeout(epri21_case, dt, limit,
                                                            monkeypatch):
     """The unseeded epri21 search needs ``limit`` LPs; at that node limit
