@@ -120,6 +120,8 @@ def _check_run_config(args) -> None:
             raise CaseError(f"--{name} must be finite")
     if not args.dt > 0:
         raise CaseError("--dt must be positive")
+    if args.field is not None and args.field < 0:  # a magnitude; --dir gives the bearing
+        raise CaseError("--field must be >= 0")
     gap = getattr(args, "gap", None)
     if gap is not None and not 0.0 < gap < 1.0:
         raise CaseError("--gap must lie in (0, 1)")

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .data import CaseData, component_groups, topology_status
+from .data import CaseData, component_labels, slack_rule, topology_status
 from .dcnet import FieldVector, GicSeries, solve_series
 
 __all__ = [
@@ -135,7 +135,7 @@ class PowerFlowError(RuntimeError):
 
 
 class IslandError(RuntimeError):
-    """A load or generator bus is not connected to a slack bus."""
+    """A load or generator bus reaches no slack bus, or an island holds two."""
 
 
 def energized(case: CaseData, topology: Mapping[int, int] | None = None
@@ -143,18 +143,19 @@ def energized(case: CaseData, topology: Mapping[int, int] | None = None
     """In-service mask of the ac branches under ``topology`` (see
     ``topology_status``) and the mask of the buses they join to a slack bus.
 
-    Raises IslandError for a load or generator bus outside that set.
+    Raises IslandError for a load or generator bus outside that set, or for
+    an island with several slack buses (``slack_rule``).
     """
     ac = case.compiled(AcArrays)
     live = topology_status(ac.branch_ids, ac.status, topology)
-    active = ac.bus_type == "slack"
-    for members in component_groups(range(len(active)), zip(ac.f[live].tolist(),
-                                                            ac.t[live].tolist())):
-        active[members] = active[members].any()
-    stranded = np.flatnonzero(ac.energize & ~active)
+    labels = component_labels(len(ac.bus_ids), ac.f[live], ac.t[live])
+    count, fault = slack_rule(ac.bus_ids, labels, ac.bus_type == "slack", ac.energize)
+    stranded = np.flatnonzero(ac.energize & (count == 0))
     if stranded.size:
         raise IslandError(f"bus {ac.bus_ids[stranded[0]]} is islanded from every slack bus")
-    return live, active
+    if fault:  # the island of two slack buses
+        raise IslandError(fault)
+    return live, count > 0
 
 
 @dataclass(frozen=True)
@@ -226,15 +227,12 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     vm[held] = ac.vset[held]
     jacobian = _jacobian_pattern(Y, ang_idx, mag_idx, c)
 
-    def injections(vm, va):
-        V = vm * np.exp(1j * va)
-        S = V * np.conj(Y @ V)
-        return S.real, S.imag
-
     it = 0
     max_mis = math.inf
     for it in range(1, max_iter + 1):
-        p_inj, q_inj = injections(vm, va)
+        V = vm * np.exp(1j * va)
+        S = V * np.conj(Y @ V)
+        p_inj, q_inj = S.real, S.imag
         q_sched = q_load - c * vm
         mism = np.concatenate([(p_sched - p_inj)[ang_idx], (q_sched - q_inj)[mag_idx]])
         max_mis = float(np.max(np.abs(mism))) if len(mism) else 0.0
@@ -257,7 +255,7 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
             f"(worst mismatch {max_mis:.3e} p.u.)",
             report={"iterations": max_iter, "max_mismatch": max_mis})
 
-    V = vm * np.exp(1j * va)  # the last iteration's p_inj, q_inj and q_sched are at V
+    # V, p_inj, q_inj and q_sched are the last iteration's: the solution's
     s_f = np.where(live, V[f] * np.conj(y * (V[f] - V[t])), 0.0)
     s_t = np.where(live, V[t] * np.conj(y * (V[t] - V[f])), 0.0)
 

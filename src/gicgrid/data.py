@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ __all__ = [
     "FieldScenario",
     "CaseData",
     "ABSENT",
-    "component_groups",
+    "component_labels",
+    "slack_rule",
     "topology_status",
     "XFMR_CONFIGS",
     "parse_case",
@@ -368,11 +369,8 @@ class CaseData:
         """
         if row.turns_ratio is not None:
             return row.turns_ratio
-        hi = self.bus(row.hi_bus).base_kv
-        lo = self.bus(row.lo_bus).base_kv
-        if row.config == "gwye-gwye-auto":
-            return hi / lo - 1.0
-        return hi / lo
+        ratio = self.bus(row.hi_bus).base_kv / self.bus(row.lo_bus).base_kv
+        return ratio - 1.0 if row.config == "gwye-gwye-auto" else ratio
 
     def hotspot_limit_for(self, row: BranchGmdData) -> float | None:
         """Hot-spot cap for a transformer row; falls back to hs_inst_lim."""
@@ -663,24 +661,41 @@ def validate_case(case: CaseData) -> None:
             raise CaseInvariantError(f"{where}: lon out of range")
 
 
-def component_groups(ids: Sequence[int], links: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the undirected graph ``links`` over ``ids``;
-    members keep their order in ``ids``, components the order of their first."""
-    pos = {k: i for i, k in enumerate(ids)}
-    root = list(range(len(ids)))
+def component_labels(n: int, f: Sequence[int], t: Sequence[int]) -> np.ndarray:
+    """Component label of each node 0..n-1 of the undirected graph of edges
+    ``f[k]``-``t[k]``, the components numbered in the order of their first node.
 
-    def find(i: int) -> int:  # union-find with path halving
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
+    Hook and jump (Shiloach & Vishkin, 1982): each edge joining two trees
+    hooks the larger root under the smaller, then every node jumps to its
+    root.  A round merges trees along whole chains of edges, so a long path
+    takes a few rounds, not one per hop.  A root ends as the smallest node
+    of its component.
+    """
+    f, t = np.asarray(f, dtype=np.intp), np.asarray(t, dtype=np.intp)
+    root = np.arange(n)
+    while (cross := root[f] != root[t]).any():
+        rf, rt = root[f[cross]], root[t[cross]]
+        np.minimum.at(root, np.maximum(rf, rt), np.minimum(rf, rt))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
-    for a, b in links:
-        root[find(pos[a])] = find(pos[b])
-    groups: dict[int, list[int]] = {}
-    for k, i in pos.items():
-        groups.setdefault(find(i), []).append(k)
-    return list(groups.values())
+
+def slack_rule(ids: Sequence[int], labels: np.ndarray, slack: np.ndarray,
+               energize: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """The slack rule: an island (``labels``) that holds a load or generator
+    (``energize``) has a slack bus, and none has two.  Returns per bus the
+    slack count of its island, and the fault, naming bus ids ``ids``, of the
+    first island that breaks the rule (in the order of their first bus), or None."""
+    count = np.bincount(labels, weights=slack)[labels]
+    held = np.bincount(labels, weights=energize)[labels] > 0
+    broken = np.flatnonzero((count > 1) | (held & (count == 0)))
+    if not broken.size:
+        return count, None
+    i = broken[0]
+    slacks = [ids[j] for j in np.flatnonzero(slack & (labels == labels[i]))]
+    return count, (f"bus component containing bus {ids[i]}: "
+                   + (f"multiple slack buses {slacks}" if slacks else "no slack bus"))
 
 
 def topology_status(ids: np.ndarray, nominal: np.ndarray,
@@ -694,24 +709,17 @@ def topology_status(ids: np.ndarray, nominal: np.ndarray,
 
 
 def _check_slack(case: CaseData) -> None:
-    """Exactly one slack per energized connected ac component.
-
-    Components formed by in-service branches; components without any
-    generator or load are allowed to have no slack (de-energized islands).
-    """
-    comps = component_groups([b.index for b in case.buses],
-                             [(br.f_bus, br.t_bus) for br in case.ac_branches if br.status])
-    gen_buses = {g.bus for g in case.generators}
-    for ids in comps:
-        members = [case.bus(i) for i in ids]
-        slacks = [b.index for b in members if b.bus_type == "slack"]
-        if len(slacks) > 1:
-            raise CaseInvariantError(
-                f"bus component containing bus {members[0].index}: multiple slack buses {slacks}")
-        energized = any(b.index in gen_buses or b.pd != 0 or b.qd != 0 for b in members)
-        if energized and not slacks:
-            raise CaseInvariantError(
-                f"bus component containing bus {members[0].index}: no slack bus")
+    """``slack_rule`` on the islands of the in-service branches."""
+    pos = {b.index: i for i, b in enumerate(case.buses)}
+    ends = np.array([(pos[br.f_bus], pos[br.t_bus]) for br in case.ac_branches if br.status],
+                    dtype=int).reshape(-1, 2)
+    gens = {g.bus for g in case.generators}
+    _, fault = slack_rule(tuple(pos), component_labels(len(pos), *ends.T),
+                          np.array([b.bus_type == "slack" for b in case.buses], dtype=bool),
+                          np.array([b.index in gens or b.pd != 0 or b.qd != 0
+                                    for b in case.buses], dtype=bool))
+    if fault:
+        raise CaseInvariantError(fault)
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +758,7 @@ def estimate_missing_gsu(case: CaseData, *, winding_r: float = 0.1,
     Original rows are never touched; a no-op when every generator bus
     already has a transformer.
     """
-    covered = set()
-    for row in case.branch_gmd:
-        if row.is_xfmr:
-            covered.add(row.hi_bus)
-            covered.add(row.lo_bus)
-
+    covered = {b for row in case.branch_gmd if row.is_xfmr for b in (row.hi_bus, row.lo_bus)}
     missing = [g for g in case.generators if g.bus not in covered]
     if not missing:
         return case
@@ -788,7 +791,6 @@ def estimate_missing_gsu(case: CaseData, *, winding_r: float = 0.1,
             branch=ABSENT, hi_bus=gen.bus, lo_bus=ABSENT, gmd_br_hi=winding.index,
             gmd_k=gmd_k, baseMVA=case.base_mva, type="xfmr", config="gwye-delta"))
         next_br += 1
-        covered.add(gen.bus)
 
     return replace(case, gmd_buses=tuple(gmd_buses),
                    gmd_branches=tuple(gmd_branches),

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .data import (ABSENT, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   FieldVector, GmdBranch, component_groups, topology_status)
+                   FieldVector, GmdBranch, component_labels, topology_status)
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -249,10 +249,8 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
     else:  # E_N L_N + E_E L_E at E = (1, 0) and (0, 1), term by term: L_N alone
         north, east = lengths.T  # would differ from that sum in the sign of a zero
         base = [1.0 * north + 0.0 * east, 0.0 * north + 1.0 * east]
-    comp = np.zeros(len(dc.node_ids), dtype=int)
-    for k, members in enumerate(component_groups(range(len(comp)), zip(f.tolist(), t.tolist()))):
-        comp[members] = k
-    return DcSystem(node_ids=dc.node_ids, ground=dc.ground, comp=comp,
+    return DcSystem(node_ids=dc.node_ids, ground=dc.ground,
+                    comp=component_labels(len(dc.node_ids), f, t),
                     branch_ids=tuple(ids.tolist()), f=f, t=t, a=dc.a[sel],
                     parent=dc.parent[sel], lengths=lengths,
                     sources=np.column_stack([np.where(held, 0.0, col) for col in base]
@@ -287,9 +285,7 @@ def _solve(sys: DcSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     incidence = sys.incidence
     # Norton injections: a source v on edge f->t drives a*v from f into t
     J = incidence @ (a[:, None] * sources)
-    grounded = np.zeros(sys.comp.max() + 1, dtype=bool)
-    grounded[sys.comp[sys.ground > 0]] = True
-    floating = np.flatnonzero(~grounded)
+    floating = np.flatnonzero(np.bincount(sys.comp, weights=sys.ground > 0) == 0)
     # a floating component of several nodes is reported at the caller of solve_series
     for k in floating[np.bincount(sys.comp)[floating] > 1]:
         node_ids = sorted(sys.node_ids[i] for i in np.flatnonzero(sys.comp == k))

@@ -367,6 +367,19 @@ def test_bad_time_limit_rejected(workdir, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dc", "ac"])
+def test_negative_field_rejected(workdir, capsys, command):
+    """--field is a magnitude: a negative one is an input error, not the
+    opposite bearing."""
+    out = workdir / "never"
+    rc = run([command, "--case", str(workdir / "b4gic.json"), "--field", "-1",
+              "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "input error: --field must be >= 0\n"
+    assert not out.exists()
+
+
 def test_time_limit_before_any_plan_is_analysis_error(tmp_path, capsys):
     """A time limit the search reaches before its first plan exits 1 and names
     the limit; no plan is written."""

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian_pattern,
-                              ac_power_flow, qloss, sequential_gic_ac)
-from gicgrid.data import AcBranch, Bus, CaseData, Generator, parse_case
+                              ac_power_flow, energized, qloss, sequential_gic_ac)
+from gicgrid.data import AcBranch, Bus, CaseData, CaseInvariantError, Generator, parse_case
 from gicgrid.dcnet import FieldVector, solve_series
 
 from conftest import effective, solve_at
@@ -172,6 +172,35 @@ def test_islanded_load_bus_raises(b4gic_case):
     # bus 2/4 component keeps load+gen but loses its path to the slack
     with pytest.raises(IslandError):
         ac_power_flow(case)
+
+
+def _two_slack_islands(closed=False):
+    """Islands 1-2 and 3-4, each with a slack bus and a 1 p.u. load, and
+    branch 3 between them, open unless ``closed``."""
+    doc = {
+        "base_mva": 100.0,
+        "bus": [{"index": i, "base_kv": 138.0, "bus_type": "slack" if i % 2 else "PQ",
+                 "pd": 0.0 if i % 2 else 1.0} for i in (1, 2, 3, 4)],
+        "gen": [{"index": g, "bus": g, "pmin": 0, "pmax": 10, "vg": 1.0} for g in (1, 3)],
+        "branch": [{"index": k, "f_bus": f, "t_bus": t, "b": 10.0, "rating": 10.0,
+                    "status": int(closed or k != 3)} for k, f, t in ((1, 1, 2), (2, 3, 4), (3, 2, 3))],
+        "gmd_bus": [], "gmd_branch": [], "branch_gmd": [],
+        "branch_thermal": [], "bus_gmd": [],
+    }
+    return parse_case(json.dumps(doc))
+
+
+def test_topology_joining_two_slack_islands_raises():
+    """Closing the open branch joins two slack buses in one island: the
+    topology is rejected, as parsing rejects it when the branch is in service."""
+    case = _two_slack_islands()
+    assert ac_power_flow(case).max_mismatch <= 1e-8
+    with pytest.raises(IslandError, match=r"bus 1: multiple slack buses \[1, 3\]"):
+        energized(case, {3: 1})
+    with pytest.raises(IslandError, match=r"bus 1: multiple slack buses \[1, 3\]"):
+        ac_power_flow(case, topology={3: 1})
+    with pytest.raises(CaseInvariantError, match=r"bus 1: multiple slack buses \[1, 3\]"):
+        _two_slack_islands(closed=True)
 
 
 def test_dead_island_gets_nominal_voltage(epri21_case):

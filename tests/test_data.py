@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, CaseData,
                           CaseError, CaseInvariantError, CaseReferenceError,
                           CaseStructureError, FieldSample, FieldScenario, Generator,
-                          GmdBranch, GmdBus, ThermalData, component_groups, estimate_missing_gsu,
+                          GmdBranch, GmdBus, ThermalData, component_labels, estimate_missing_gsu,
                           load_scenario, make_ramp_scenario, parse_case, serialize_case)
+from gicgrid import data as data_module
 from gicgrid.dcnet import assemble
 
 from conftest import bundled, random_dc_case
@@ -251,12 +252,9 @@ def graphs(draw):
                               max_size=40))
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs())
-def test_component_groups_match_breadth_first_search(graph):
-    """Components as a breadth-first search finds them: members in ``ids`` order,
-    components in the order of their first member."""
-    ids, links = graph
+def _bfs_components(ids, links):
+    """Components as a breadth-first search finds them: members in ``ids``
+    order, components in the order of their first member."""
     adjacent = {k: [] for k in ids}
     for a, b in links:
         adjacent[a].append(b)
@@ -274,7 +272,69 @@ def test_component_groups_match_breadth_first_search(graph):
                     members.add(nxt)
                     queue.append(nxt)
         expected.append([k for k in ids if k in members])
-    assert component_groups(ids, links) == expected
+    return expected
+
+
+def _labelled_components(ids, links):
+    """``component_labels`` over the positions of ``ids``, as lists of ids per label."""
+    pos = {k: i for i, k in enumerate(ids)}
+    labels = component_labels(len(ids), [pos[a] for a, _ in links], [pos[b] for _, b in links])
+    groups = [[] for _ in range(labels.max() + 1 if len(ids) else 0)]
+    for k, label in zip(ids, labels.tolist()):
+        groups[label].append(k)
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_component_labels_match_breadth_first_search(graph):
+    """Labels number the breadth-first components in the order of their first node."""
+    assert _labelled_components(*graph) == _bfs_components(*graph)
+
+
+def _shuffled_path(n=10_000):
+    """The path 0-1-...-(n-1), its nodes listed in shuffled order."""
+    return np.random.default_rng(7).permutation(n).tolist(), [(k, k + 1) for k in range(n - 1)]
+
+
+def _grid(side=100):
+    """A side x side grid, its nodes listed in shuffled order."""
+    ids = range(side * side)
+    return (np.random.default_rng(8).permutation(side * side).tolist(),
+            [(i, i + 1) for i in ids if (i + 1) % side] + [(i, i + side) for i in ids[:-side]])
+
+
+def _isolated_and_pairs():
+    """Nine pairs among 50 nodes listed in descending order; the rest isolated."""
+    ids = list(range(50, 0, -1))
+    return ids, [(k, k + 25) for k in range(1, 26, 3)]
+
+
+@pytest.mark.parametrize("graph", [_shuffled_path, _grid, _isolated_and_pairs],
+                         ids=["shuffled_path", "grid_100x100", "isolated_nodes"])
+def test_component_labels_on_adversarial_graphs(graph, monkeypatch):
+    """Long diameters and isolated nodes label as the breadth-first search does,
+    in a number of hook rounds that does not grow with the diameter."""
+    rounds = []
+
+    class _CountingMinimum:  # np.minimum, counting the calls of its ``at``: one a round
+        def __call__(self, *args):
+            return np.minimum(*args)
+
+        def at(self, *args):
+            rounds.append(1)
+            return np.minimum.at(*args)
+
+    class _Numpy:
+        minimum = _CountingMinimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(data_module, "np", _Numpy())
+    ids, links = graph()
+    assert _labelled_components(ids, links) == _bfs_components(ids, links)
+    assert len(rounds) <= 20
 
 
 def test_nontransformer_thermal_row_is_absent(b4gic_case):

@@ -1,5 +1,6 @@
 """Switching model construction, branch-and-bound, oracle and verification."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -291,6 +292,74 @@ def test_verify_flags_constructed_violations():
         flows={k: [0.0] * len(v) for k, v in plan.flows.items()})
     rep2 = verify_plan(case, scenario, stranded)
     assert rep2.violations["power_balance"] >= 1.0
+
+
+@pytest.fixture(scope="module")
+def epri21_plan(epri21_case):
+    """The switching plan of ``epri21`` under cases/ramp_3p2.csv at dt 30."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=30.0)
+    return scenario, solve(build_model(epri21_case, scenario, OtsOptions(dt=30.0)))
+
+
+def _plant(fault, case, plan):
+    """(case, plan, excess): a copy of ``plan``, and of ``case`` where needed,
+    with one fault of class ``fault`` planted at the middle period, and the
+    least excess the oracle must read for it."""
+    plan, t = copy.deepcopy(plan), len(plan.times) // 2
+    closed = case.ac_branch(next(k for k, z in sorted(plan.z.items()) if z))
+    opened = next(k for k, z in sorted(plan.z.items()) if not z)
+    gen = case.generators[0]
+    if fault == "rating":
+        plan.flows[closed.index][t] = closed.rating + 0.5
+        return case, plan, 0.5
+    if fault in ("ohm", "angle"):  # shift the from-bus angle away from the to-bus
+        theta_f, theta_t = plan.theta[closed.f_bus], plan.theta[closed.t_bus][t]
+        theta_f[t] += 1.0 if theta_f[t] >= theta_t else -1.0
+        excess = {"ohm": closed.b, "angle": abs(theta_f[t] - theta_t) - closed.angle_max}
+        return case, plan, excess[fault]
+    if fault == "gen_bounds":
+        plan.gen_p[gen.index][t] = gen.pmax + 0.5
+        return case, plan, 0.5
+    if fault == "switch_off":
+        plan.flows[opened][t] = 0.5
+        return case, plan, 0.5
+    if fault == "power_balance":  # within the bounds of the generator with most headroom
+        gen = max(case.generators, key=lambda g: g.pmax - plan.gen_p[g.index][t])
+        extra = (gen.pmax - plan.gen_p[gen.index][t]) / 2
+        plan.gen_p[gen.index][t] += extra
+        return case, plan, extra
+    if fault == "eff_soundness":  # the physical I_eff is a magnitude, >= 0
+        plan.i_eff[max(plan.i_eff, key=lambda p: max(plan.i_eff[p]))][t] = -5.0
+        return case, plan, 5.0
+    if fault == "hotspot":  # a hot-spot is never below ambient
+        p = next(iter(plan.hotspot))
+        row = case.branch_gmd[p]
+        limit = case.thermal_for(row.branch).temp_amb - 1.0
+        rows = list(case.branch_gmd)
+        rows[p] = dataclasses.replace(row, hotspot_limit=limit)
+        return dataclasses.replace(case, branch_gmd=tuple(rows)), plan, 1.0
+    assert fault == "objective"
+    excess = 0.01 * abs(plan.objective) / max(1.0, 1.01 * abs(plan.objective))
+    plan.objective *= 1.01
+    return case, plan, excess
+
+
+def test_verify_reads_solved_plan_clean(epri21_case, epri21_plan):
+    scenario, plan = epri21_plan
+    assert max(verify_plan(epri21_case, scenario, plan).violations.values()) <= 1e-6
+
+
+@pytest.mark.parametrize("fault", ["rating", "ohm", "angle", "gen_bounds", "switch_off",
+                                   "power_balance", "eff_soundness", "hotspot", "objective"])
+def test_verify_reads_each_planted_fault(epri21_case, epri21_plan, fault):
+    """One planted fault per class reads at least its excess in that class."""
+    scenario, plan = epri21_plan
+    case, planted, excess = _plant(fault, epri21_case, plan)
+    assert excess > 0
+    report = verify_plan(case, scenario, planted)
+    assert report.violations[fault] >= excess - 1e-9
+    assert not report.ok(1e-5)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
