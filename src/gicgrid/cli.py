@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,7 +58,7 @@ def _read(args, option: str) -> str | None:
     with open(path, "rb") as fh:
         data = fh.read()
     args.sha256[option] = hashlib.sha256(data).hexdigest()[:16]
-    return data.decode("utf-8")
+    return data.decode("utf-8-sig")
 
 
 def _meta_line(args, keys) -> str:
@@ -81,34 +82,42 @@ def _cells(col: np.ndarray, spec: str = ".10g", each: int = 1) -> list[str]:
     """One column as text: floats by ``spec``, ints (ids, flags) in full by ``%d``;
     with ``each`` > 1 every cell is repeated that many times in turn.
 
-    Each distinct value is formatted once, by one C-level ``%`` template (the
-    same text as ``format(x, spec)``), and every cell maps to its text.  Floats
-    are told apart by bit pattern, so -0.0 and 0.0 keep their own text.  A bool,
+    Each run of equal cells is formatted once, by one C-level ``%`` template
+    (the same text as ``format(x, spec)``), and repeated over its run.  Floats
+    are compared by bit pattern, so -0.0 and 0.0 keep their own text.  A bool,
     object or string column is a ``TypeError``: ``%d`` would print a bool as 1.
     """
     kind = col.dtype.kind
     if kind not in "iuf":
         raise TypeError(f"a table column holds ints or floats, not {col.dtype}")
     keys = col.view(f"i{col.itemsize}") if kind == "f" else col
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = (distinct.view(col.dtype) if kind == "f" else distinct).tolist()
+    head = np.empty(len(keys), dtype=bool)  # True where a run starts
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    values = col[starts].tolist()
     text = ((f"%{spec}\n" if kind == "f" else "%d\n") * len(values)) % tuple(values)
-    cells = np.array(text.split("\n"), dtype=object)[inverse].tolist()
-    return cells if each == 1 else list(chain.from_iterable(map(repeat, cells, repeat(each))))
+    runs = np.array(text.split("\n")[:-1], dtype=object)
+    return np.repeat(runs, np.diff(starts, append=len(keys)) * each).tolist()
 
 
 def _write_table(args, name: str, columns: dict, meta: str) -> str:
     """Write columns, {header: column} in order, as ``<name>.csv``; a column is
     an array, formatted by ``_cells``, or a list of text.  The text is made a
-    block of rows at a time, never for the whole table."""
+    block of rows at a time, never for the whole table: the block's cells go
+    into one flat list between pre-placed separators, joined once."""
     cols = list(columns.values())
+    width = 2 * len(cols)  # a cell and the separator after it, per column
+    row_seps = [None, ","] * (len(cols) - 1) + [None, "\n"]
 
-    def rows(start, stop):
-        return zip(*[c[start:stop] if isinstance(c, list) else _cells(c[start:stop])
-                     for c in cols], strict=True)
+    def block(start, stop):
+        cells = [c[start:stop] if isinstance(c, list) else _cells(c[start:stop]) for c in cols]
+        flat = row_seps * len(cells[0])
+        for j, column in enumerate(cells):
+            flat[2 * j::width] = column
+        return "".join(flat)
 
-    chunks = ("\n".join(map(",".join, rows(k, k + _CSV_BLOCK))) + "\n"
-              for k in range(0, len(cols[0]), _CSV_BLOCK))
+    chunks = (block(k, k + _CSV_BLOCK) for k in range(0, len(cols[0]), _CSV_BLOCK))
     filename = f"{name}.csv"
     _write(os.path.join(args.out, filename), chain([f"{meta}\n{','.join(columns)}\n"], chunks))
     return filename
@@ -358,6 +367,7 @@ def _cmd_verify(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gicgrid",
                                   description="GIC analysis and mitigation toolkit")

@@ -746,17 +746,18 @@ def serialize_case(case: CaseData) -> str:
 
 def estimate_missing_gsu(case: CaseData, *, winding_r: float = 0.1,
                          ground_s: float = 5.0, gmd_k: float = 0.0) -> CaseData:
-    """Add synthetic GSU transformers for generators whose bus has none.
+    """Add one synthetic GSU transformer per generator whose bus has none.
 
-    Each missing GSU is modeled as delta-gwye with the grounded wye on the
-    network side: one gmd_branch of resistance ``winding_r`` from the bus's
-    dc node to the substation neutral, plus a gwye-delta branch_gmd row so
-    the winding contributes an effective GIC.  Synthetic rows carry
-    branch = -1 (they correspond to no ac branch) and gmd_k as given
-    (default 0: dc-network effect only).  A dc bus node or neutral is
-    created when the case lacks one (neutral grounding ``ground_s``).
-    Original rows are never touched; a no-op when every generator bus
-    already has a transformer.
+    The GSUs are added per generator, not per bus: two such generators on
+    one bus get two parallel windings.  Each is modeled as delta-gwye with
+    the grounded wye on the network side: one gmd_branch of resistance
+    ``winding_r`` from the bus's dc node to the substation neutral, plus a
+    gwye-delta branch_gmd row so the winding contributes an effective GIC.
+    Synthetic rows carry branch = -1 (they correspond to no ac branch) and
+    gmd_k as given (default 0: dc-network effect only).  A dc bus node or
+    neutral is created when the case lacks one (neutral grounding
+    ``ground_s``).  Original rows are never touched; a no-op when every
+    generator bus already has a transformer.
     """
     covered = {b for row in case.branch_gmd if row.is_xfmr for b in (row.hi_bus, row.lo_bus)}
     missing = [g for g in case.generators if g.bus not in covered]

@@ -543,9 +543,11 @@ def _delta_upper(x: _XfmrEntry) -> float:
     return base + 1e-6
 
 
-def _period_topoil(topoil: TopOil, rise) -> np.ndarray:
-    """Top-oil rise per period; the initial state sees the first period's steady rise."""
-    return topoil.series(np.r_[rise[0], rise])[1:]
+def _period_topoil(states: list[TopOil], rise, T: int) -> np.ndarray:
+    """Top-oil rise per transformer and period, one row of the steady-rise stack
+    ``rise`` per state; the initial state sees the first period's steady rise."""
+    rise = np.reshape(np.array(rise, dtype=float), (len(states), T))
+    return TopOil.stack(states, np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]
 
 # ---------------------------------------------------------------------------
 # solving
@@ -795,12 +797,16 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     # caps when nothing binds; report the tight feasible point instead,
     # recomputed from the solved dc currents and the chord envelope
     tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T).tolist()
+    heated = [xe for xe in model.xfmrs if xe.thermal is not None and xe.branch is not None]
+    deltas = dict(zip((xe.pos for xe in heated), _period_topoil(
+        [xe.topoil for xe in heated],
+        [[max(s * p + q for s, q in xe.chords) for p in flows[xe.branch.index]]
+         for xe in heated], T)))
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
     for xe, tight in zip(model.xfmrs, tight_eff):
         i_eff[xe.pos] = tight
-        if xe.thermal is not None and xe.branch is not None:
-            delta = _period_topoil(xe.topoil, [max(s * p + q for s, q in xe.chords)
-                                               for p in flows[xe.branch.index]])
+        if xe.pos in deltas:
+            delta = deltas[xe.pos]
             delta_to[xe.pos] = [float(d) for d in delta]
             hotspot[xe.pos] = [hotspot_temp(xe.thermal, d, ie) for d, ie in zip(delta, tight)]
         else:
@@ -975,14 +981,14 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
                  f"branch_gmd row {p}: open transformer still sees GIC")
 
     # temperatures: recursion on true effective currents and plan loading
-    for p, row in pos_rows.items():
-        th = case.thermal_for(row.branch) if row.branch != ABSENT else None
-        if th is None or p not in true_eff:
-            continue
-        br = case.ac_branch(row.branch)
-        flows = plan.flows.get(row.branch, [0.0] * T)
-        delta = _period_topoil(TopOil.of(th, dt), [steady_rise(abs(flows[t]), br.rating,
-                                                               th.to_rated) for t in range(T)])
+    heated = [(p, row, case.thermal_for(row.branch)) for p, row in pos_rows.items()
+              if row.branch != ABSENT and case.thermal_for(row.branch) is not None
+              and p in true_eff]
+    flows = [plan.flows.get(row.branch, [0.0] * T) for _, row, _ in heated]
+    deltas = _period_topoil([TopOil.of(th, dt) for _, _, th in heated], [
+        [steady_rise(abs(f[t]), case.ac_branch(row.branch).rating, th.to_rated) for t in range(T)]
+        for (_, row, th), f in zip(heated, flows)], T)
+    for (p, row, th), delta in zip(heated, deltas):
         hs = hotspot_temp(th, delta, true_eff[p])
         cap = case.hotspot_limit_for(row)
         bump("hotspot", float(np.max(hs - cap)),

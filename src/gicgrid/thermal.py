@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,24 +79,30 @@ def hotspot_temp(th: ThermalData, delta_to, i_eff):
     return th.temp_amb + delta_to + th.hs_coeff * i_eff
 
 
-def topoil_series(du: np.ndarray, zeta: float, delta0: float) -> np.ndarray:
+def topoil_series(du: np.ndarray, zeta, delta0) -> np.ndarray:
     """Run the top-oil recursion over a du series; returns delta[0..K].
 
-    du[0] is treated as the steady input already present at the initial
-    sample, i.e. the recursion pairs (du[k-1], du[k]) per step with
-    delta[0] = delta0.  Bitwise equal to ``step_topoil`` applied step by
-    step: the input term of every step is computed at once, then the
-    recursion runs at C level over Python floats.  (``scipy.signal.lfilter``
-    is not used: it flips signed zeros at zeta = 1, and importing it
-    nearly doubles the package's import time.)
+    ``du`` is one series, with scalar ``zeta`` and ``delta0``, or a stack
+    (transformers x samples) with ``zeta`` and ``delta0`` per row; the
+    result has its shape.  du[..., 0] is treated as the steady input
+    already present at the initial sample, i.e. the recursion pairs
+    (du[k-1], du[k]) per step with delta[0] = delta0.  Bitwise equal to
+    ``step_topoil`` applied step by step: the input term of every step is
+    computed at once, then one recursion runs over the samples, each step
+    one array operation over all rows.  (``scipy.signal.lfilter`` is not
+    used: it flips signed zeros at zeta = 1, and importing it nearly
+    doubles the package's import time.)
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be > 0")
     du = np.asarray(du, dtype=float)
-    x = (du[1:] + du[:-1]) / (1.0 + zeta)
+    zeta = np.asarray(zeta, dtype=float)
+    if np.any(zeta <= 0):
+        raise ValueError("zeta must be > 0")
+    if du.shape[-1] == 1:  # no step taken; zeta may be inf (one sample)
+        return np.array([delta0], dtype=float).T
+    x = (du[..., 1:] + du[..., :-1]) / (1.0 + zeta[..., None])
     c = (1.0 - zeta) / (1.0 + zeta)
-    return np.array(list(accumulate(x.tolist(), lambda d, xk: xk - c * d, initial=delta0)),
-                    dtype=float)
+    return np.array(list(accumulate(x.T, lambda d, xk: xk - c * d, initial=delta0)),
+                    dtype=float).T
 
 
 @dataclass(frozen=True)
@@ -122,16 +128,18 @@ class TopOil:
                              "recursion would lose monotonicity")
         return cls(zeta, th.to_init if th.to_inited else None)
 
-    def series(self, rise) -> np.ndarray:
-        """Top-oil rise at each sample of the steady-rise series ``rise``.
+    @staticmethod
+    def stack(states: Sequence["TopOil"], rise) -> np.ndarray:
+        """Top-oil rise of each transformer: row r of the steady-rise stack
+        ``rise`` (transformers x samples) under ``states[r]``, in one recursion.
 
         Sample 0 is the initial state.  Its input is replaced by the
         initial rise, so the pre-initial input sustains the initial state.
         """
         du = np.array(rise, dtype=float)
-        if self.delta0 is not None:
-            du[0] = self.delta0
-        return topoil_series(du, self.zeta, du[0])
+        inited = [r for r, state in enumerate(states) if state.delta0 is not None]
+        du[inited, 0] = [states[r].delta0 for r in inited]
+        return topoil_series(du, [state.zeta for state in states], du[:, 0])
 
 
 @dataclass(frozen=True)
@@ -187,21 +195,25 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
+    ths = [case.thermal_for(row.branch) for _, row in rows]
     loads = [loading(t) for t in grid] if callable(loading) else None
 
-    traces = {}
-    for pos, row in rows:
-        th = case.thermal_for(row.branch)
-        br = case.ac_branch(row.branch)
+    rise, states = np.zeros((len(rows), len(grid))), []
+    for k, ((_, row), th) in enumerate(zip(rows, ths)):
         if loads is None:
             s = np.full(len(grid), abs((loading or {}).get(row.branch, 0.0)))
         else:
             s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
-        delta = TopOil.of(th, step).series(steady_rise(s, br.rating, th.to_rated))
+        rise[k] = steady_rise(s, case.ac_branch(row.branch).rating, th.to_rated)
+        states.append(TopOil.of(th, step))
+    delta = TopOil.stack(states, rise)
+
+    traces = {}
+    for (pos, row), th, delta_to in zip(rows, ths, delta):
         i_eff = series.effective[pos]
         traces[row.branch] = TransformerTrace(
-            branch=row.branch, t=tgrid, i_eff=i_eff, delta_to=delta,
-            eta_hs=th.hs_coeff * i_eff, hotspot=hotspot_temp(th, delta, i_eff),
+            branch=row.branch, t=tgrid, i_eff=i_eff, delta_to=delta_to,
+            eta_hs=th.hs_coeff * i_eff, hotspot=hotspot_temp(th, delta_to, i_eff),
             limit=case.hotspot_limit_for(row))
 
     return ThermalTrace(traces=traces, t=tgrid)

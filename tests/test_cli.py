@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.cli import _CSV_BLOCK, _cells, _write_table, plan_from_json, plan_to_json, run
+from gicgrid.cli import (_CSV_BLOCK, _build_parser, _cells, _write_table, plan_from_json,
+                         plan_to_json, run)
 from gicgrid.data import load_scenario_file, parse_case, serialize_case
 from gicgrid.dcnet import FieldVector, solve_series
 
@@ -213,6 +214,58 @@ def test_thermal_row_count(workdir):
         per_branch.setdefault(r.split(",")[1], []).append(r)
     assert set(per_branch) == {"1", "3"}
     assert all(len(v) == 72 for v in per_branch.values())
+
+
+def test_thermal_without_traced_transformer_writes_header_only(workdir, capsys):
+    """Transformers that stand for no ac branch (as estimated GSUs) have no
+    thermal rows and are not traced: thermal.csv has its two header lines."""
+    doc = json.loads((workdir / "b4gic.json").read_text())
+    doc["branch_thermal"] = []
+    for row in doc["branch_gmd"]:
+        row["branch"] = -1
+    case = workdir / "cold.json"
+    case.write_text(json.dumps(doc))
+    out = workdir / "th"
+    assert run(["thermal", "--case", str(case), "--scenario", str(workdir / "ramp.csv"),
+                "--out", str(out)]) == 0
+    lines = (out / "thermal.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# case_sha256=")
+    assert lines[1] == "t_min,branch_id,delta_to_C,eta_hs_C,hotspot_C,limit_C,violation"
+    assert "0 transformer(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("marked", ["case", "scenario", "overrides"])
+@pytest.mark.parametrize("command,tables", [("dc", ["gic_bus.csv", "gic_branch.csv"]),
+                                            ("thermal", ["thermal.csv"])])
+def test_inputs_with_utf8_bom_write_the_same_tables(workdir, marked, command, tables):
+    """A file saved as Excel's "CSV UTF-8" starts with a byte-order mark: each
+    input with one writes the tables of the plain file, and the header hashes
+    the bytes read, mark included."""
+    plain = {"case": workdir / "b4gic.json", "scenario": workdir / "ramp.csv",
+             "overrides": workdir / "over.csv"}
+    plain["overrides"].write_text("t_min,gmd_branch_id,volts\n0,2,500\n")
+    bom = workdir / f"bom_{plain[marked].name}"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain[marked].read_bytes())
+
+    def tables_of(files, out):
+        argv = [command, "--dt", "30", "--out", str(workdir / out)]
+        assert run(argv + [a for k, path in files.items() for a in (f"--{k}", str(path))]) == 0
+        return [(workdir / out / t).read_text().splitlines() for t in tables]
+
+    for want, got in zip(tables_of(plain, "plain"), tables_of({**plain, marked: bom}, "bom")):
+        assert got[1:] == want[1:] and len(got) > 3
+        assert f"{marked}_sha256={_sha256(bom.read_bytes())}" in got[0].split()
+
+
+def test_runs_share_one_parser(workdir):
+    """The argument parser is built once per process, not once per run."""
+    argv = ["dc", "--case", str(workdir / "b4gic.json"), "--field", "1", "--out"]
+    assert run(argv + [str(workdir / "a")]) == 0
+    built = _build_parser.cache_info().misses
+    assert run(argv + [str(workdir / "b")]) == 0
+    assert run(["thermal", "--case", str(workdir / "b4gic.json"),
+                "--scenario", str(workdir / "ramp.csv"), "--out", str(workdir / "c")]) == 0
+    assert _build_parser.cache_info().misses == built == 1
 
 
 def test_ac_subcommand(workdir):
@@ -853,6 +906,45 @@ def test_write_table_blocks_match_fstrings(tmp_path):
                          zip(text, ids.tolist(), x.tolist(), y.tolist(), flags.tolist())]
     for block in (lines[2:2 + _CSV_BLOCK], lines[2 + _CSV_BLOCK:]):
         assert {line.split(",")[2] for line in block} >= {"0", "-0"}
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _run_columns(draw):
+    """A float or int64 column drawn as runs of equal cells, some longer than a block."""
+    if draw(st.booleans()):
+        values, dtype = st.sampled_from(_POOL) | _FINITE, float
+    else:
+        values = st.sampled_from([int(_INT64.min), int(_INT64.max), 0, -1])
+        values, dtype = values | st.integers(int(_INT64.min), int(_INT64.max)), np.int64
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 3) | st.just(_CSV_BLOCK + 1)),
+                         max_size=6))
+    return np.array([v for v, n in runs for _ in range(n)], dtype=dtype)
+
+
+def _formatted(col, spec):
+    """format(x, spec) of every cell; an int in full, as format(x, "d")."""
+    return [format(x, spec if col.dtype.kind == "f" else "d") for x in col.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_columns(), st.integers(1, 3))
+@example(np.array([0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0]), 1)
+@example(np.array([-0.0] * (_CSV_BLOCK - 1) + [0.0] * 3 + [-0.0] * 2), 2)
+@example(np.full(_CSV_BLOCK + 5, 2.5), 3)
+@example(np.array([_INT64.min, _INT64.min, _INT64.max, 0, _INT64.max], dtype=np.int64), 2)
+@example(np.array([], dtype=float), 2)
+@example(np.array([], dtype=np.int64), 1)
+def test_column_formatter_runs_match_format(col, each):
+    """A column read by runs of equal cells, whole or a block at a time as the
+    table writer slices it, is format(x, spec) of every cell."""
+    for spec in (".10g", ".1f"):
+        assert _cells(col, spec, each) == [
+            text for text in _formatted(col, spec) for _ in range(each)]
+    blocks = [text for k in range(0, len(col), _CSV_BLOCK) for text in _cells(col[k:k + _CSV_BLOCK])]
+    assert blocks == _formatted(col, ".10g")
 
 
 def test_column_formatter_ids_and_repeats():

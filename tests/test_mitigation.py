@@ -604,6 +604,32 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
     assert verify_plan(case, scenario, plan).ok(1e-6)
 
 
+def test_plan_and_verify_heat_each_transformer_from_its_own_state(b4gic_case):
+    """Two transformers that differ only in their initial top-oil rise: the
+    plan and the verifier run each from its own state, and a hot-spot cap
+    between their peaks names the warm one alone."""
+    th = tuple(dataclasses.replace(t, to_init=60.0 if t.branch == 1 else 0.0)
+               for t in b4gic_case.thermal)
+    case = dataclasses.replace(b4gic_case, thermal=th)
+    scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0)
+    model = build_model(case, scenario, OtsOptions(dt=30.0))
+    plan = solve(model)
+    for x in model.xfmrs:
+        du = [max(s * p + q for s, q in x.chords) for p in plan.flows[x.branch.index]]
+        d0 = x.thermal.to_init
+        expect = topoil_series(np.r_[d0, du], 2.0 * 71.0 / 30.0, d0)[1:]
+        assert plan.delta_to[x.pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    peaks = {x.branch.index: max(plan.hotspot[x.pos]) for x in model.xfmrs}
+    assert peaks[1] > peaks[3] + 1.0
+    cap = (peaks[1] + peaks[3]) / 2.0
+    rows = tuple(dataclasses.replace(r, hotspot_limit=cap) if r.is_xfmr else r
+                 for r in case.branch_gmd)
+    report = verify_plan(dataclasses.replace(case, branch_gmd=rows), scenario, plan)
+    named = [d for d in report.details if d.startswith("hotspot:")]
+    assert report.violations["hotspot"] > 0.0
+    assert named and all(d.startswith("hotspot: branch 1:") for d in named)
+
+
 # sha256 of the arrays of build_model on the bundled cases with cases/ramp_3p2.csv
 # at dt = 2.5 min (T = 144): a refactor of the builder must keep every byte of
 # the LP, its column layout and its row order

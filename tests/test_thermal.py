@@ -1,5 +1,8 @@
 """Transformer thermal model: exact laws, discretization accuracy, traces."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -97,6 +100,37 @@ _signed_floats = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
 def test_topoil_series_is_the_step_loop_bitwise(du, zeta, delta0):
     got = topoil_series(np.array(du), zeta, delta0)
     assert np.array_equal(got.view(np.int64), _topoil_loop(du, zeta, delta0).view(np.int64))
+
+
+@st.composite
+def _stacks(draw):
+    """(du, zeta, delta0) of a stack of 1-6 rows, one-column stacks included."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    du = draw(st.lists(st.lists(_signed_floats, min_size=cols, max_size=cols),
+                       min_size=rows, max_size=rows))
+    zeta = draw(st.lists(st.floats(1.0, 1e4) | st.just(1.0), min_size=rows, max_size=rows))
+    return du, zeta, draw(st.lists(_signed_floats, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacks())
+@example(([[-0.0, 0.0, 5.0], [0.0, -0.0, -0.0]], [1.0, 1.0], [-0.0, 0.0]))
+@example(([[3.0], [-0.0]], [1.0, 1e4], [7.5, -0.0]))
+def test_topoil_stack_is_the_per_row_step_loop_bitwise(stack):
+    """One recursion over a stack: each row as its own step_topoil loop, bit for bit."""
+    du, zeta, delta0 = stack
+    got = topoil_series(np.array(du), zeta, delta0)
+    assert got.shape == (len(du), len(du[0]))
+    for row, z, d0, delta in zip(du, zeta, delta0, got):
+        assert np.array_equal(delta.view(np.int64), _topoil_loop(row, z, d0).view(np.int64))
+
+
+def test_topoil_stack_without_a_step_or_a_row():
+    """One sample (zeta = inf) takes no step; a stack of no transformers is empty."""
+    got = topoil_series(np.zeros((2, 1)), [np.inf, np.inf], [4.0, -0.0])
+    assert got.shape == (2, 1) and got[:, 0].tolist() == [4.0, -0.0]
+    assert np.signbit(got[1, 0])
+    assert TopOil.stack([], np.zeros((0, 5))).shape == (0, 5)
 
 
 def test_topoil_series_rejects_non_positive_zeta():
@@ -204,6 +238,36 @@ def test_one_sample_simulate_takes_no_step(b4gic_case):
         assert len(tr.t) == 1
         assert tr.delta_to[0] == 0.0   # b4gic: to_inited=1, to_init=0
         assert tr.hotspot[0] == pytest.approx(25.0 + 0.63 * LOOP, rel=1e-9)
+
+
+def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
+    """A storm on epri21 under time-varying loading: every transformer's trace is
+    its own step_topoil loop and hot-spot sum, bit for bit, from both initial
+    top-oil rules."""
+    rows = tuple(dataclasses.replace(th, to_inited=k % 2, to_init=5.0 * k)
+                 for k, th in enumerate(epri21_case.thermal))
+    case = dataclasses.replace(epri21_case, thermal=rows)
+    rng = np.random.default_rng(21)
+    mags = np.abs(np.cumsum(rng.normal(0.0, 0.3, 241)))
+    samples = tuple(FieldSample(float(k), float(m), float((3.0 * k) % 360.0))
+                    for k, m in enumerate(mags))
+    scenario = FieldScenario(samples=samples, dt=1.0)
+
+    def loading(t):
+        return {row.branch: 1.5 * math.sin(t / 17.0 + row.branch) for row in case.thermal}
+
+    trace = simulate(case, scenario, loading=loading, dt=0.25)
+    assert len(trace.traces) == len(case.thermal) > 1
+    for bid, tr in trace.traces.items():
+        th = case.thermal_for(bid)
+        state = TopOil.of(th, 0.25)
+        du = [steady_rise(abs(loading(t)[bid]), case.ac_branch(bid).rating, th.to_rated)
+              for t in tr.t.tolist()]
+        if state.delta0 is not None:
+            du[0] = state.delta0
+        expect = _topoil_loop(du, state.zeta, du[0])
+        assert np.array_equal(tr.delta_to.view(np.int64), expect.view(np.int64))
+        assert np.array_equal(tr.hotspot, hotspot_temp(th, expect, tr.i_eff))
 
 
 def test_hotspot_temp_is_ambient_plus_rises(b4gic_case):
