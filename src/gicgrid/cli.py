@@ -222,7 +222,7 @@ def _cmd_ac(args) -> int:
 def _cmd_thermal(args) -> int:
     case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
-    trace = simulate(case, scenario, dt=args.dt)
+    trace = simulate(case, scenario, times=scenario.grid(args.dt))
     meta = _meta_line(args, ("field", "dir", "dt"))
     trs = [trace.traces[bid] for bid in sorted(trace.traces)]
     n = len(trace.t) - 1  # rows: by branch id, then by sample after the first
@@ -348,7 +348,7 @@ def _cmd_verify(args) -> int:
 
     case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
-    with open(args.plan, "r", encoding="utf-8") as fh:
+    with open(args.plan, "r", encoding="utf-8-sig") as fh:
         plan = plan_from_json(json.load(fh))
     report = verify_plan(case, scenario, plan, dt=args.dt)
     for cls in sorted(report.violations):

@@ -73,13 +73,16 @@ class AcArrays:
         self.y = np.array([complex(0.0, -br.b) for br in branches], dtype=complex)
         self.status = np.array([bool(br.status) for br in branches], dtype=bool)  # nominal
         self.switchable = np.array([br.switchable for br in branches], dtype=bool)
+        self.b, self.rating, self.angle_max = np.array(
+            [(br.b, br.rating, br.angle_max) for br in branches], dtype=float).reshape(-1, 3).T
 
         # scheduled injections and voltage set points; each generator's share
         # of its bus's generation, by pmax
         gen_by_bus: dict[int, list] = {}
         for g in case.generators:
             gen_by_bus.setdefault(g.bus, []).append(g)
-        self.p_sched = -np.array([b.pd for b in buses], dtype=float)
+        self.p_load = np.array([b.pd for b in buses], dtype=float)
+        self.p_sched = -self.p_load
         self.vset = np.ones(len(buses))
         gens, share = [], []
         for bus_id, at_bus in gen_by_bus.items():
@@ -94,6 +97,8 @@ class AcArrays:
         self.gen_row = np.array([self.pos[g.bus] for g in gens], dtype=int)
         self.gen_share = np.array(share, dtype=float)
         self.gen_pg = np.array([g.pg for g in gens], dtype=float)
+        self.gen_pmin, self.gen_pmax, *self.gen_cost = np.array(
+            [(g.pmin, g.pmax, g.cost0, g.cost1, g.cost2) for g in gens], dtype=float).reshape(-1, 5).T
         # a load or generator bus must reach a slack bus
         self.energize = np.array([b.pd != 0 or b.qd != 0 or b.index in gen_by_bus
                                   for b in buses], dtype=bool)

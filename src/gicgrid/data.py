@@ -45,6 +45,7 @@ __all__ = [
     "XFMR_CONFIGS",
     "parse_case",
     "parse_case_file",
+    "quadratic_cost",
     "serialize_case",
     "estimate_missing_gsu",
     "make_ramp_scenario",
@@ -117,7 +118,13 @@ class Generator:
 
     def cost(self, p: float) -> float:
         """Quadratic dispatch cost at output p [p.u.]."""
-        return self.cost0 + self.cost1 * p + self.cost2 * p * p
+        return quadratic_cost(self.cost0, self.cost1, self.cost2, p)
+
+
+def quadratic_cost(cost0, cost1, cost2, p):
+    """cost0 + cost1 p + cost2 p^2: the dispatch cost at output p [p.u.], on
+    numbers or on arrays that broadcast."""
+    return cost0 + cost1 * p + cost2 * p * p
 
 
 @dataclass(frozen=True)
@@ -511,7 +518,7 @@ def parse_case(text: str) -> "CaseData":
 
 
 def parse_case_file(path) -> CaseData:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_case(fh.read())
 
 
@@ -870,10 +877,10 @@ def load_scenario(text: str, dt: float = 5.0,
 
 
 def load_scenario_file(path, dt: float = 5.0, overrides_path=None) -> FieldScenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     otext = None
     if overrides_path is not None:
-        with open(overrides_path, "r", encoding="utf-8") as fh:
+        with open(overrides_path, "r", encoding="utf-8-sig") as fh:
             otext = fh.read()
     return load_scenario(text, dt=dt, overrides_text=otext)

@@ -48,9 +48,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   ThermalData, topology_status)
+                   ThermalData, quadratic_cost, topology_status)
 from .coupling import AcArrays, energized
-from .dcnet import DcArrays, DcSystem, solve_series, source_basis
+from . import thermal
+from .dcnet import DcArrays, DcSystem, source_basis
 from .lp import LpProblem, lp_solve
 from .thermal import TopOil, hotspot_temp, steady_rise
 
@@ -543,12 +544,6 @@ def _delta_upper(x: _XfmrEntry) -> float:
     return base + 1e-6
 
 
-def _period_topoil(states: list[TopOil], rise, T: int) -> np.ndarray:
-    """Top-oil rise per transformer and period, one row of the steady-rise stack
-    ``rise`` per state; the initial state sees the first period's steady rise."""
-    rise = np.reshape(np.array(rise, dtype=float), (len(states), T))
-    return TopOil.stack(states, np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]
-
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -798,10 +793,11 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     # recomputed from the solved dc currents and the chord envelope
     tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T).tolist()
     heated = [xe for xe in model.xfmrs if xe.thermal is not None and xe.branch is not None]
-    deltas = dict(zip((xe.pos for xe in heated), _period_topoil(
-        [xe.topoil for xe in heated],
-        [[max(s * p + q for s, q in xe.chords) for p in flows[xe.branch.index]]
-         for xe in heated], T)))
+    rise = np.reshape([[max(s * p + q for s, q in xe.chords) for p in flows[xe.branch.index]]
+                       for xe in heated], (len(heated), T))
+    # the initial state sees the first period's steady rise
+    deltas = dict(zip((xe.pos for xe in heated), TopOil.stack(
+        [xe.topoil for xe in heated], np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]))
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
     for xe, tight in zip(model.xfmrs, tight_eff):
         i_eff[xe.pos] = tight
@@ -889,14 +885,20 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
                 dt: float | None = None) -> VerifyReport:
     """Re-simulate a plan with the physics modules and check its claims.
 
-    The periods are those of step ``dt`` [min], the plan's own by default.
-    Per period the dc network is re-solved for the plan's topology and the
-    true effective GICs and temperatures are recomputed from the plan's
-    dispatch; constraint violations (flow limits, angle limits, power
-    balance, GIC caps, hot-spot caps, switch-off semantics, relaxation
-    soundness of the reported effective currents) are reported as the
-    worst excess per class.  A ``z`` naming a branch that is not a
-    switchable in-service ac branch of the case raises CaseReferenceError.
+    The periods are those of step ``dt`` [min], the plan's own by default;
+    a series the plan omits reads as zero.  The ac checks are whole-array
+    checks of the plan's (entity x period) series over every branch,
+    generator and energized bus.  The dc and thermal checks are one
+    ``thermal.simulate`` of the plan's topology, loaded by its flows, at
+    [times[0] - dt, *times]: sample 0 is the initial state, one step before
+    period 0, as in the model's recursion rows.  They cover every
+    transformer row of that solve (GIC bound, Ieff soundness, switch-off)
+    and every traced transformer (hot-spot cap).
+
+    Reports the worst excess per class (at least 0) and, for each class
+    with a positive one, a details line naming its worst entity and period.
+    A ``z`` naming a branch that is not a switchable in-service ac branch
+    of the case raises CaseReferenceError.
     """
     dt = plan.dt if dt is None else dt
     times = _midpoints(scenario, dt)
@@ -909,100 +911,77 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
         raise CaseReferenceError(f"plan z: branch {stray[0]} is not a switchable in-service "
                                  "ac branch of the case")
 
-    topo = {bid: int(zv) for bid, zv in plan.z.items()}
-    v = {k: 0.0 for k in ("power_balance", "ohm", "rating", "angle", "gen_bounds",
-                          "gic_cap", "eff_soundness", "hotspot", "switch_off",
-                          "objective")}
+    v: dict[str, float] = {}
     details: list[str] = []
 
-    def bump(cls, amount, msg=None):
-        if not amount <= v[cls] and not math.isnan(v[cls]):  # a NaN, once seen, stays
-            v[cls] = amount
-            if msg:
-                details.append(f"{cls}: {msg}")
+    def check(cls, excess, label=None, ids=()):
+        """Class ``cls`` reads the worst of ``excess`` (entity x period), at least 0
+        (NaN when any is); a positive worst is named as ``label`` ids[entity]."""
+        v[cls] = float(np.max(excess, initial=0.0))
+        if label is not None and not v[cls] <= 0.0:
+            e, t = np.unravel_index(np.argmax(excess), np.shape(excess))
+            details.append(f"{cls}: {label} {ids[e]}: excess {v[cls]:.3e} in period {t}")
 
-    live_ids = set(ac.branch_ids[topology_status(ac.branch_ids, ac.status, topo)].tolist())
+    topo = {bid: int(zv) for bid, zv in plan.z.items()}
+    live = topology_status(ac.branch_ids, ac.status, topo)
+    _, active = energized(case)
+    flows = _table(plan.flows, ac.branch_ids, T)
+    theta = _table(plan.theta, ac.bus_ids, T)
+    gen_p = _table(plan.gen_p, ac.gen_ids, T)
 
-    # ac-side checks from the plan's own arrays
-    for t in range(T):
-        inj: dict[int, float] = {}
-        for br in case.ac_branches:
-            p_series = plan.flows.get(br.index)
-            p = p_series[t] if p_series is not None else 0.0
-            if br.index not in live_ids:
-                bump("switch_off", abs(p),
-                     f"branch {br.index} open but carries {p:.3e}")
-                continue
-            th_f = plan.theta.get(br.f_bus)
-            th_t = plan.theta.get(br.t_bus)
-            if th_f is not None and th_t is not None:
-                dtheta = th_f[t] - th_t[t]
-                bump("ohm", abs(p - br.b * dtheta),
-                     f"branch {br.index} period {t}")
-                bump("angle", abs(dtheta) - br.angle_max)
-            bump("rating", abs(p) - br.rating,
-                 f"branch {br.index} period {t}: |{p:.3f}| > {br.rating}")
-            inj[br.f_bus] = inj.get(br.f_bus, 0.0) - p
-            inj[br.t_bus] = inj.get(br.t_bus, 0.0) + p
-        for g in case.generators:
-            series = plan.gen_p.get(g.index)
-            if series is None:
-                continue
-            p = series[t]
-            bump("gen_bounds", max(g.pmin - p, p - g.pmax))
-            inj[g.bus] = inj.get(g.bus, 0.0) + p
-        for b in case.buses:
-            if b.index in plan.theta:
-                resid = inj.get(b.index, 0.0) - b.pd - b.g_shunt
-                bump("power_balance", abs(resid),
-                     f"bus {b.index} period {t}: residual {resid:.3e}")
+    # ac side
+    p, ids = flows[live], ac.branch_ids[live]
+    dtheta = (theta[ac.f] - theta[ac.t])[live]
+    check("ohm", np.abs(p - ac.b[live, None] * dtheta), "branch", ids)
+    check("angle", np.abs(dtheta) - ac.angle_max[live, None], "branch", ids)
+    check("rating", np.abs(p) - ac.rating[live, None], "branch", ids)
+    check("gen_bounds", np.maximum(ac.gen_pmin[:, None] - gen_p, gen_p - ac.gen_pmax[:, None]),
+          "generator", ac.gen_ids)
+    # injections branch by branch (out at f, in at t), then generator by generator
+    inj = np.zeros_like(theta)
+    np.add.at(inj, np.stack([ac.f[live], ac.t[live]], axis=1).ravel(),
+              np.stack([-p, p], axis=1).reshape(-1, T))
+    np.add.at(inj, ac.gen_row, gen_p)
+    check("power_balance", np.abs(inj - ac.p_load[:, None] - ac.g_shunt[:, None])[active],
+          "bus", np.asarray(ac.bus_ids)[active])
 
-    # dc-side and thermal checks by re-simulation; floating components are
+    # dc and thermal side: one re-simulation; floating components are
     # expected when probing opened topologies, so the pinning note is muted
-    pos_rows = dict(case.xfmr_rows())
+    samples = np.concatenate([[times[0] - dt], times])
+    branch_ids = ac.branch_ids.tolist()
+
+    def loading(t):
+        """The plan's flows in the period of sample ``t``; sample 0 takes period 0's."""
+        period = max(int(np.searchsorted(samples, t)) - 1, 0)
+        return dict(zip(branch_ids, flows[:, period].tolist()))
+
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
-        dc = solve_series(case, scenario, times, topology=topo)
-    true_eff = {p: dc.effective.get(p, np.zeros(T)) for p in plan.i_eff}
+        trace = thermal.simulate(case, scenario, loading=loading, topology=topo, times=samples)
+    rows = case.compiled(DcArrays).xfmr_pos
+    xfmrs = [case.branch_gmd[r] for r in rows]
+    eff = np.reshape([trace.series.effective[r] for r in rows], (len(rows), T + 1))[:, 1:]
+    bound = np.array([np.inf if x.gic_bound is None else x.gic_bound for x in xfmrs])
+    xfmr_branch = np.array([x.branch for x in xfmrs], dtype=int)
+    check("eff_soundness", eff - _table(plan.i_eff, rows, T), "branch_gmd row", rows)
+    check("gic_cap", eff - bound[:, None], "branch_gmd row", rows)
+    opened = (xfmr_branch != ABSENT) & ~np.isin(xfmr_branch, ids)
+    check("switch_off", np.concatenate([np.abs(flows[~live]), eff[opened]]).reshape(-1, T),
+          "branch", np.concatenate([ac.branch_ids[~live], xfmr_branch[opened]]))
+    check("hotspot", np.reshape([tr.hotspot[1:] - tr.limit for tr in trace.traces.values()],
+                                (-1, T)), "branch", list(trace.traces))
 
-    for p, series in plan.i_eff.items():
-        row = pos_rows.get(p)
-        if row is None:
-            continue
-        planned = np.asarray(series)
-        bump("eff_soundness", float(np.max(true_eff[p] - planned)),
-             f"branch_gmd row {p}: model Ieff under-covers the physical value")
-        if row.gic_bound is not None:
-            bump("gic_cap", float(np.max(true_eff[p] - row.gic_bound)),
-                 f"branch_gmd row {p}: Ieff exceeds bound {row.gic_bound}")
-        br_id = plan.xfmr_branches.get(p, row.branch)
-        if br_id != ABSENT and br_id not in live_ids:
-            bump("switch_off", float(np.max(true_eff[p])),
-                 f"branch_gmd row {p}: open transformer still sees GIC")
-
-    # temperatures: recursion on true effective currents and plan loading
-    heated = [(p, row, case.thermal_for(row.branch)) for p, row in pos_rows.items()
-              if row.branch != ABSENT and case.thermal_for(row.branch) is not None
-              and p in true_eff]
-    flows = [plan.flows.get(row.branch, [0.0] * T) for _, row, _ in heated]
-    deltas = _period_topoil([TopOil.of(th, dt) for _, _, th in heated], [
-        [steady_rise(abs(f[t]), case.ac_branch(row.branch).rating, th.to_rated) for t in range(T)]
-        for (_, row, th), f in zip(heated, flows)], T)
-    for (p, row, th), delta in zip(heated, deltas):
-        hs = hotspot_temp(th, delta, true_eff[p])
-        cap = case.hotspot_limit_for(row)
-        bump("hotspot", float(np.max(hs - cap)),
-             f"branch {row.branch}: hot-spot peaks at {float(np.max(hs)):.1f} degC")
-
-    # objective recomputation
-    recomputed = 0.0
-    for g in case.generators:
-        series = plan.gen_p.get(g.index)
-        if series is None:
-            continue
-        for pv in series:
-            recomputed += g.cost(pv)
-    denom = max(1.0, abs(plan.objective))
-    bump("objective", abs(recomputed - plan.objective) / denom)
-
+    # the dispatch cost, summed in sequence generator by generator, then
+    # period by period, as the plan's objective is
+    cost = quadratic_cost(*(c[:, None] for c in ac.gen_cost), gen_p)
+    cost = np.cumsum(np.r_[0.0, cost.ravel()])[-1]
+    check("objective", abs(cost - plan.objective) / max(1.0, abs(plan.objective)))
     return VerifyReport(violations=v, details=details)
+
+
+def _table(series: dict, ids, T: int) -> np.ndarray:
+    """The plan's per-period ``series`` of each id in ``ids`` as rows; an id it
+    omits reads as zero."""
+    zero = [0.0] * T
+    return np.array([series.get(i, zero) for i in np.asarray(ids).tolist()],
+                    dtype=float).reshape(-1, T)

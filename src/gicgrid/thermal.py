@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .data import ABSENT, CaseData, FieldScenario, ThermalData
-from .dcnet import solve_series
+from .dcnet import GicSeries, solve_series
 
 __all__ = [
     "apparent_power",
@@ -169,6 +169,7 @@ class ThermalTrace:
 
     traces: Mapping[int, TransformerTrace]
     t: np.ndarray
+    series: GicSeries      # the dc solve at every sample, every transformer row
 
     def any_violation(self) -> bool:
         return any(bool(tr.violations.any()) for tr in self.traces.values())
@@ -176,32 +177,34 @@ class ThermalTrace:
 
 def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None,
              topology: Mapping[int, int] | None = None,
-             dt: float | None = None) -> ThermalTrace:
+             times: Sequence[float] | None = None) -> ThermalTrace:
     """Simulate transformer temperatures over a field scenario.
 
-    The scenario is resampled on a uniform grid of step ``dt`` (default:
-    the scenario's own dt, which must divide its span).  Effective GICs at
-    every grid point come from one ``solve_series`` over the grid;
-    ``loading`` supplies per-ac-branch apparent power
+    The samples are ``times`` [min], a uniform grid (default: the
+    scenario's own, ``scenario.grid()``); the recursion's step is that of
+    the first pair, so a grid whose steps differ from it raises ValueError.
+    Effective GICs at every sample come from one ``solve_series`` over the
+    grid; ``loading`` supplies per-ac-branch apparent power
     [p.u.] either as a constant map or a callable of time (absent
     entries mean unloaded).  The initial top-oil rise follows ``TopOil``.
 
     Only transformers with thermal data are traced (synthetic GSU rows
     have none).
     """
-    grid = scenario.grid(dt)
-    tgrid = np.asarray(grid)
+    tgrid = np.asarray(scenario.grid() if times is None else times, dtype=float)
     step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else None  # one sample: no step taken
+    if step is not None and not np.allclose(np.diff(tgrid), step, rtol=1e-6, atol=0.0):
+        raise ValueError(f"simulate: times must be a uniform grid; its first step is {step}")
     series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
     ths = [case.thermal_for(row.branch) for _, row in rows]
-    loads = [loading(t) for t in grid] if callable(loading) else None
+    loads = [loading(t) for t in tgrid] if callable(loading) else None
 
-    rise, states = np.zeros((len(rows), len(grid))), []
+    rise, states = np.zeros((len(rows), len(tgrid))), []
     for k, ((_, row), th) in enumerate(zip(rows, ths)):
         if loads is None:
-            s = np.full(len(grid), abs((loading or {}).get(row.branch, 0.0)))
+            s = np.full(len(tgrid), abs((loading or {}).get(row.branch, 0.0)))
         else:
             s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
         rise[k] = steady_rise(s, case.ac_branch(row.branch).rating, th.to_rated)
@@ -216,4 +219,4 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
             eta_hs=th.hs_coeff * i_eff, hotspot=hotspot_temp(th, delta_to, i_eff),
             limit=case.hotspot_limit_for(row))
 
-    return ThermalTrace(traces=traces, t=tgrid)
+    return ThermalTrace(traces=traces, t=tgrid, series=series)

@@ -257,6 +257,16 @@ def test_inputs_with_utf8_bom_write_the_same_tables(workdir, marked, command, ta
         assert f"{marked}_sha256={_sha256(bom.read_bytes())}" in got[0].split()
 
 
+def test_plan_with_utf8_bom_verifies_as_the_plain_one(workdir):
+    plan = _plan(workdir)
+    bom = workdir / "bom_plan.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + plan.read_bytes())
+    assert _verify(workdir, plan, "--dt", "30") == 0
+    want = (workdir / "ver" / "verify.json").read_text()
+    assert _verify(workdir, bom, "--dt", "30") == 0
+    assert (workdir / "ver" / "verify.json").read_text() == want
+
+
 def test_runs_share_one_parser(workdir):
     """The argument parser is built once per process, not once per run."""
     argv = ["dc", "--case", str(workdir / "b4gic.json"), "--field", "1", "--out"]

@@ -335,6 +335,9 @@ def test_fixed_pattern_jacobian_equals_dsbus_dv_form(inputs):
                                                                              initial=0.0))
 
 
+_STIFF = 50.0
+
+
 @st.composite
 def power_flow_inputs(draw):
     """Lightly loaded toy case: a live tree plus chords (some open), a dead island, GIC losses."""
@@ -355,13 +358,22 @@ def power_flow_inputs(draw):
     chords = draw(st.lists(st.tuples(st.integers(0, n_live - 1), st.integers(0, n_live - 1))
                            .filter(lambda e: e[0] != e[1]), max_size=3))
     links += chords + [(k - 1, k) for k in range(n_live + 1, n_live + n_dead)]
-    branches = tuple(AcBranch(index=100 + k, f_bus=10 + f, t_bus=10 + t, b=draw(real(5.0, 50.0)),
-                              rating=10.0, status=int(k < n_live - 1 or draw(st.booleans())))
+    extra_q = {p: QLoss(branch=-1, bus=10 + draw(st.integers(0, n_live - 1)),
+                        d_q=draw(real(0.0, 0.1))) for p in range(draw(st.integers(0, 3)))}
+    # Every line is stiff against the whole demand: b is at least _STIFF times
+    # the total drawn load (active, reactive, shunt and GIC losses), so even a
+    # line that feeds all of it drops the voltage by at most 1/_STIFF p.u., and
+    # a chain of the at most six tree lines keeps every bus near 1 p.u.  With
+    # weaker lines a loaded radial feeder can have no solution at all
+    # (test_weak_loaded_feeder_has_no_power_flow_solution).
+    load = (sum(b.pd + abs(b.qd) + b.g_shunt for b in buses)
+            + sum(ql.d_q for ql in extra_q.values()))
+    branches = tuple(AcBranch(index=100 + k, f_bus=10 + f, t_bus=10 + t,
+                              b=_STIFF * load + draw(real(5.0, 50.0)), rating=10.0,
+                              status=int(k < n_live - 1 or draw(st.booleans())))
                      for k, (f, t) in enumerate(links))
     chord_ids = range(100 + n_live - 1, 100 + n_live - 1 + len(chords))
     topology = {i: int(draw(st.booleans())) for i in chord_ids}
-    extra_q = {p: QLoss(branch=-1, bus=10 + draw(st.integers(0, n_live - 1)),
-                        d_q=draw(real(0.0, 0.1))) for p in range(draw(st.integers(0, 3)))}
     case = CaseData(base_mva=100.0, buses=buses, generators=gens, ac_branches=branches,
                     gmd_buses=(), gmd_branches=(), branch_gmd=(), thermal=(), bus_gmd=())
     return case, extra_q, topology, n_live
@@ -422,6 +434,25 @@ def test_warm_started_power_flow_solves_dense_equations(inputs):
     again = ac_power_flow(case, extra_q, topology=topology, start=warm)
     assert again.iterations == 1
     assert again.vm == warm.vm and again.va == warm.va
+
+
+def test_weak_loaded_feeder_has_no_power_flow_solution():
+    """The draw that once made the dense-equation tests fail at random, before
+    power_flow_inputs held every line's b above _STIFF times the load: buses
+    10-14, 0.5 + 0.2j p.u. at buses 12 and 13 behind three b=5 lines.  Newton
+    cannot converge on it, and says so."""
+    buses = tuple(Bus(index=10 + i, base_kv=138.0, bus_type="slack" if i == 0 else "PQ",
+                      pd=0.5 if i in (2, 3) else 0.0, qd=0.2 if i in (2, 3) else 0.0)
+                  for i in range(5))
+    gens = (Generator(index=0, bus=10, pmin=0.0, pmax=2.0, qmin=-9.0, qmax=9.0, pg=0.0,
+                      vg=1.0),)
+    branches = tuple(AcBranch(index=100 + k, f_bus=10 + f, t_bus=10 + t, b=b, rating=10.0)
+                     for k, (f, t, b) in enumerate([(0, 1, 5.0), (1, 2, 5.0), (2, 3, 5.0),
+                                                    (0, 4, 20.0)]))
+    case = CaseData(base_mva=100.0, buses=buses, generators=gens, ac_branches=branches,
+                    gmd_buses=(), gmd_branches=(), branch_gmd=(), thermal=(), bus_gmd=())
+    with pytest.raises(PowerFlowError, match="did not converge"):
+        ac_power_flow(case)
 
 
 def _fixed_point_of_passes(case, eff, tol=1e-12):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -13,11 +14,12 @@ from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, Case
                           CaseError, CaseInvariantError, CaseReferenceError,
                           CaseStructureError, FieldSample, FieldScenario, Generator,
                           GmdBranch, GmdBus, ThermalData, component_labels, estimate_missing_gsu,
-                          load_scenario, make_ramp_scenario, parse_case, serialize_case)
+                          load_scenario, load_scenario_file, make_ramp_scenario, parse_case,
+                          parse_case_file, serialize_case)
 from gicgrid import data as data_module
 from gicgrid.dcnet import assemble
 
-from conftest import bundled, random_dc_case
+from conftest import CASES, bundled, random_dc_case
 
 
 def _doc(case):
@@ -595,6 +597,28 @@ def test_scenario_csv_roundtrip():
     assert sc.series([30.0])[0][1] == pytest.approx(0.75)
     assert sc.overrides_series([30.0])[2][0] == pytest.approx(125.0)
     assert sc.grid() == [float(t) for t in range(0, 121, 10)]
+
+
+def test_case_file_with_utf8_bom_parses_as_the_plain_one(tmp_path):
+    plain = os.path.join(CASES, "b4gic.json")
+    with open(plain, "rb") as fh:
+        raw = fh.read()
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + raw)
+    assert parse_case_file(bom) == parse_case_file(plain)
+
+
+@pytest.mark.parametrize("marked", ["scenario", "overrides"])
+def test_scenario_files_with_utf8_bom_load_as_the_plain_ones(tmp_path, marked):
+    """A file saved as Excel's "CSV UTF-8" starts with a byte-order mark."""
+    texts = {"scenario": "t_min,e_mag_vkm,e_dir_deg\n0,0.0,90\n60,1.5,90\n",
+             "overrides": "t_min,gmd_branch_id,volts\n0,2,0\n60,2,250.0\n"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes((b"\xef\xbb\xbf" if name == marked else b"") + text.encode())
+    got = load_scenario_file(paths["scenario"], dt=10.0, overrides_path=paths["overrides"])
+    assert got == load_scenario(texts["scenario"], dt=10.0, overrides_text=texts["overrides"])
 
 
 def test_grid_requires_divisibility():

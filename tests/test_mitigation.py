@@ -17,7 +17,7 @@ from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_r
                           parse_case)
 from gicgrid.dcnet import solve_series
 from gicgrid.lp import LpProblem, lp_solve
-from gicgrid import mitigation
+from gicgrid import coupling, mitigation
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
@@ -360,6 +360,96 @@ def test_verify_reads_each_planted_fault(epri21_case, epri21_plan, fault):
     report = verify_plan(case, scenario, planted)
     assert report.violations[fault] >= excess - 1e-9
     assert not report.ok(1e-5)
+
+
+def _ac_reference(case, plan):
+    """The ac classes and the objective of verify by loops over periods,
+    branches, generators and buses, a series the plan omits read as zero."""
+    T = len(plan.times)
+    at = lambda series, key, t: series.get(key, [0.0] * T)[t]
+    live = {br.index for br in case.ac_branches if plan.z.get(br.index, br.status)}
+    energized = [b for b, on in zip(case.buses, coupling.energized(case)[1]) if on]
+    v = dict.fromkeys(("ohm", "angle", "rating", "gen_bounds", "power_balance"), 0.0)
+    for t in range(T):
+        inj = {}
+        for br in (br for br in case.ac_branches if br.index in live):
+            p = at(plan.flows, br.index, t)
+            dtheta = at(plan.theta, br.f_bus, t) - at(plan.theta, br.t_bus, t)
+            v["ohm"] = max(v["ohm"], abs(p - br.b * dtheta))
+            v["angle"] = max(v["angle"], abs(dtheta) - br.angle_max)
+            v["rating"] = max(v["rating"], abs(p) - br.rating)
+            inj[br.f_bus] = inj.get(br.f_bus, 0.0) - p
+            inj[br.t_bus] = inj.get(br.t_bus, 0.0) + p
+        for g in case.generators:
+            p = at(plan.gen_p, g.index, t)
+            v["gen_bounds"] = max(v["gen_bounds"], g.pmin - p, p - g.pmax)
+            inj[g.bus] = inj.get(g.bus, 0.0) + p
+        for b in energized:
+            v["power_balance"] = max(v["power_balance"],
+                                     abs(inj.get(b.index, 0.0) - b.pd - b.g_shunt))
+    cost = 0.0
+    for g in case.generators:
+        for t in range(T):
+            cost += g.cost(at(plan.gen_p, g.index, t))
+    v["objective"] = abs(cost - plan.objective) / max(1.0, abs(plan.objective))
+    return v
+
+
+@pytest.mark.parametrize("fault", [None, "closed", "rating", "ohm", "angle", "gen_bounds",
+                                   "power_balance", "objective"])
+def test_verify_ac_classes_are_the_loops_bitwise(epri21_case, epri21_plan, fault):
+    """The whole-array ac checks and the recomputed cost equal per-entity loops
+    bit for bit: the same arithmetic, the injections and the cost summed in
+    the same order."""
+    scenario, plan = epri21_plan
+    if fault == "closed":
+        plan = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
+    elif fault is not None:
+        _, plan, _ = _plant(fault, epri21_case, plan)
+    report = verify_plan(epri21_case, scenario, plan)
+    want = _ac_reference(epri21_case, plan)
+    assert {cls: report.violations[cls] for cls in want} == want
+
+
+def test_verify_reads_an_omitted_series_as_zero(epri21_case, epri21_plan):
+    """Verify checks every entity of the case, not only those a plan lists:
+    dropping the all-closed plan's Ieff hides none of its GIC cap excess, and
+    a plan without dispatch (no angles, no generation, zero flows, objective
+    0) fails power balance at every load."""
+    scenario, plan = epri21_plan
+    closed = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
+    full = verify_plan(epri21_case, scenario, closed)
+    assert full.violations["gic_cap"] > 80.0
+    dropped = verify_plan(epri21_case, scenario, dataclasses.replace(closed, i_eff={}))
+    assert dropped.violations["gic_cap"] == full.violations["gic_cap"]
+    assert dropped.violations["eff_soundness"] > full.violations["gic_cap"]
+    assert not dropped.ok(1e-5)
+
+    empty = dataclasses.replace(plan, theta={}, gen_p={}, objective=0.0,
+                                flows={k: [0.0] * len(v) for k, v in plan.flows.items()})
+    report = verify_plan(epri21_case, scenario, empty)
+    load = max(b.pd + b.g_shunt for b in epri21_case.buses)
+    assert load > 1.0
+    assert report.violations["power_balance"] == load
+    assert not report.ok(1e-5)
+
+
+def test_verify_details_name_each_class_once_at_its_worst(epri21_case, epri21_plan):
+    """One details line per class with a positive excess; the gic_cap line
+    names the row and period of the largest excess of the re-solved Ieff."""
+    scenario, plan = epri21_plan
+    closed = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
+    report = verify_plan(epri21_case, scenario, closed)
+    named = [d.split(":")[0] for d in report.details]
+    assert sorted(named) == sorted(cls for cls, x in report.violations.items()
+                                   if x > 0.0 and cls != "objective")
+    series = solve_series(epri21_case, scenario, plan.times, topology=closed.z)
+    excess = {(pos, t): x - row.gic_bound for pos, row in epri21_case.xfmr_rows()
+              if row.gic_bound is not None
+              for t, x in enumerate(series.effective[pos].tolist())}
+    pos, t = max(excess, key=excess.get)
+    assert (f"gic_cap: branch_gmd row {pos}: excess {excess[pos, t]:.3e} in period {t}"
+            in report.details)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

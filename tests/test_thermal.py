@@ -1,6 +1,7 @@
 """Transformer thermal model: exact laws, discretization accuracy, traces."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -240,10 +241,9 @@ def test_one_sample_simulate_takes_no_step(b4gic_case):
         assert tr.hotspot[0] == pytest.approx(25.0 + 0.63 * LOOP, rel=1e-9)
 
 
-def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
-    """A storm on epri21 under time-varying loading: every transformer's trace is
-    its own step_topoil loop and hot-spot sum, bit for bit, from both initial
-    top-oil rules."""
+def _storm(epri21_case):
+    """epri21 with both initial top-oil rules under a seeded 4-hour storm (field
+    samples 1 min apart) and time-varying loading."""
     rows = tuple(dataclasses.replace(th, to_inited=k % 2, to_init=5.0 * k)
                  for k, th in enumerate(epri21_case.thermal))
     case = dataclasses.replace(epri21_case, thermal=rows)
@@ -256,7 +256,15 @@ def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
     def loading(t):
         return {row.branch: 1.5 * math.sin(t / 17.0 + row.branch) for row in case.thermal}
 
-    trace = simulate(case, scenario, loading=loading, dt=0.25)
+    return case, scenario, loading
+
+
+def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
+    """A storm on epri21 under time-varying loading: every transformer's trace is
+    its own step_topoil loop and hot-spot sum, bit for bit, from both initial
+    top-oil rules."""
+    case, scenario, loading = _storm(epri21_case)
+    trace = simulate(case, scenario, loading=loading, times=scenario.grid(0.25))
     assert len(trace.traces) == len(case.thermal) > 1
     for bid, tr in trace.traces.items():
         th = case.thermal_for(bid)
@@ -268,6 +276,42 @@ def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
         expect = _topoil_loop(du, state.zeta, du[0])
         assert np.array_equal(tr.delta_to.view(np.int64), expect.view(np.int64))
         assert np.array_equal(tr.hotspot, hotspot_temp(th, expect, tr.i_eff))
+
+
+def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
+    """``times=scenario.grid(dt)`` gives the trace that ``simulate(dt=...)`` gave
+    (sha256 of every top-oil rise, pinned from it; those are elementwise
+    arithmetic, the same bits on every BLAS), with the effective currents of
+    the trace's own dc solve over that grid."""
+    case, scenario, loading = _storm(epri21_case)
+    grid = scenario.grid(0.25)
+    trace = simulate(case, scenario, loading=loading, times=grid)
+    digest = hashlib.sha256()
+    for bid in sorted(trace.traces):
+        digest.update(trace.traces[bid].delta_to.tobytes())
+    assert digest.hexdigest() == (
+        "c97a87b45c9310191192d195babb2dea918aa53acc4a0d491cd7c9383f49e45c")
+    assert np.array_equal(trace.t, grid)
+    rows = {row.branch: pos for pos, row in case.xfmr_rows()}
+    for bid, tr in trace.traces.items():
+        assert tr.i_eff is trace.series.effective[rows[bid]]
+
+
+def test_simulate_defaults_to_the_scenario_grid(b4gic_case):
+    scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
+    default = simulate(b4gic_case, scenario, loading={1: 7.3})
+    given = simulate(b4gic_case, scenario, loading={1: 7.3}, times=scenario.grid())
+    assert np.array_equal(default.t, given.t)
+    for bid, tr in default.traces.items():
+        assert np.array_equal(tr.hotspot, given.traces[bid].hotspot)
+
+
+@pytest.mark.parametrize("times", [[0.0, 5.0, 15.0], [0.0, 10.0, 15.0, 20.0]])
+def test_simulate_rejects_a_non_uniform_grid(b4gic_case, times):
+    """The recursion's step is taken from the first pair of samples."""
+    scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
+    with pytest.raises(ValueError, match="uniform"):
+        simulate(b4gic_case, scenario, times=times)
 
 
 def test_hotspot_temp_is_ambient_plus_rises(b4gic_case):
