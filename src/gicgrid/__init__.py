@@ -20,8 +20,8 @@ _EXPORTS = {
     "dcnet": ("DcSystem", "FieldVector", "assemble", "branch_lengths"),
     "coupling": ("AcSolution", "PowerFlowError", "QLoss", "ac_power_flow", "qloss",
                  "sequential_gic_ac"),
-    "thermal": ("ThermalTrace", "TransformerTrace", "apparent_power", "hotspot_rise",
-                "simulate", "steady_rise", "step_topoil"),
+    "thermal": ("ThermalTrace", "apparent_power", "hotspot_rise", "simulate",
+                "steady_rise", "step_topoil"),
     "mitigation": ("MitigationInfeasible", "MitigationPlan", "OtsModel", "OtsOptions",
                    "VerifyReport", "build_model", "enumerate_solve", "solve", "verify_plan"),
     "lp": ("LpProblem", "LpResult", "lp_solve"),

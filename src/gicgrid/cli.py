@@ -145,6 +145,8 @@ def _check_run_config(args) -> None:
 def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
     if args.overrides and not args.scenario:
         raise CaseError("--overrides needs a --scenario file")
+    if args.scenario and args.field is not None:
+        raise CaseError("--field applies only without --scenario")
     if args.scenario:
         text = _read(args, "scenario")
         return load_scenario(text, dt=args.dt, overrides_text=_read(args, "overrides"))
@@ -224,19 +226,19 @@ def _cmd_thermal(args) -> int:
     scenario = _scenario_from_args(args, require=True)
     trace = simulate(case, scenario, times=scenario.grid(args.dt))
     meta = _meta_line(args, ("field", "dir", "dt"))
-    trs = [trace.traces[bid] for bid in sorted(trace.traces)]
+    order = np.argsort(trace.branch, kind="stable")
     n = len(trace.t) - 1  # rows: by branch id, then by sample after the first
-    col = {k: np.array([getattr(tr, k)[1:] for tr in trs]).reshape(-1)
+    col = {k: getattr(trace, k)[order, 1:].reshape(-1)
            for k in ("delta_to", "eta_hs", "hotspot", "violations")}
     name = _write_table(args, "thermal", {
-        "t_min": _cells(trace.t[1:]) * len(trs),
-        "branch_id": _cells(np.array([tr.branch for tr in trs]), each=n),
+        "t_min": _cells(trace.t[1:]) * len(order),
+        "branch_id": _cells(trace.branch[order], each=n),
         "delta_to_C": col["delta_to"], "eta_hs_C": col["eta_hs"], "hotspot_C": col["hotspot"],
-        "limit_C": _cells(np.array([tr.limit for tr in trs], dtype=float), each=n),
+        "limit_C": _cells(trace.limit[order], each=n),
         "violation": col["violations"].astype(int)}, meta)
-    worst = max([0.0] + [tr.peak for tr in trs])
+    worst = float(np.max(trace.hotspot, initial=0.0))
     flag = "VIOLATION" if trace.any_violation() else "ok"
-    print(f"thermal: {len(trace.traces)} transformer(s), peak hot-spot "
+    print(f"thermal: {len(order)} transformer(s), peak hot-spot "
           f"{worst:.1f} degC [{flag}]; wrote {name}")
     return EXIT_OK
 

@@ -46,6 +46,7 @@ __all__ = [
     "parse_case",
     "parse_case_file",
     "quadratic_cost",
+    "dispatch_cost",
     "serialize_case",
     "estimate_missing_gsu",
     "make_ramp_scenario",
@@ -125,6 +126,14 @@ def quadratic_cost(cost0, cost1, cost2, p):
     """cost0 + cost1 p + cost2 p^2: the dispatch cost at output p [p.u.], on
     numbers or on arrays that broadcast."""
     return cost0 + cost1 * p + cost2 * p * p
+
+
+def dispatch_cost(cost0, cost1, cost2, gen_p) -> float:
+    """Total ``quadratic_cost`` of the (generator x period) dispatch ``gen_p``,
+    each coefficient an array over the generators, added in sequence:
+    generator by generator, each over its periods in turn."""
+    cost = quadratic_cost(cost0[:, None], cost1[:, None], cost2[:, None], gen_p)
+    return float(np.cumsum(np.r_[0.0, cost.ravel()])[-1])
 
 
 @dataclass(frozen=True)

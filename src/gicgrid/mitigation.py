@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   ThermalData, quadratic_cost, topology_status)
+                   ThermalData, dispatch_cost, topology_status)
 from .coupling import AcArrays, energized
 from . import thermal
 from .dcnet import DcArrays, DcSystem, source_basis
@@ -791,7 +791,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     # the LP leaves I_eff / du anywhere between the physical value and the
     # caps when nothing binds; report the tight feasible point instead,
     # recomputed from the solved dc currents and the chord envelope
-    tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T).tolist()
+    tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T)
     heated = [xe for xe in model.xfmrs if xe.thermal is not None and xe.branch is not None]
     rise = np.reshape([[max(s * p + q for s, q in xe.chords) for p in flows[xe.branch.index]]
                        for xe in heated], (len(heated), T))
@@ -800,20 +800,17 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
         [xe.topoil for xe in heated], np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]))
     i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
     for xe, tight in zip(model.xfmrs, tight_eff):
-        i_eff[xe.pos] = tight
+        i_eff[xe.pos] = tight.tolist()
         if xe.pos in deltas:
-            delta = deltas[xe.pos]
-            delta_to[xe.pos] = [float(d) for d in delta]
-            hotspot[xe.pos] = [hotspot_temp(xe.thermal, d, ie) for d, ie in zip(delta, tight)]
+            delta_to[xe.pos] = deltas[xe.pos].tolist()
+            hotspot[xe.pos] = hotspot_temp(xe.thermal, deltas[xe.pos], tight).tolist()
         else:
             delta_to[xe.pos] = [0.0] * T
             hotspot[xe.pos] = [0.0] * T
         xfmr_branches[xe.pos] = xe.row.branch
 
-    true_obj = 0.0
-    for g, series in zip(model.gens, model.values("p_g", x)):
-        for p in series:
-            true_obj += g.cost(p)
+    costs = np.reshape([(g.cost0, g.cost1, g.cost2) for g in model.gens], (-1, 3)).T
+    true_obj = dispatch_cost(*costs, model.values("p_g", x))
 
     return MitigationPlan(z=z, times=[float(t) for t in model.times], dt=model.dt,
                           gen_p=gen_p, flows=flows, theta=theta, i_eff=i_eff,
@@ -892,13 +889,16 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     ``thermal.simulate`` of the plan's topology, loaded by its flows, at
     [times[0] - dt, *times]: sample 0 is the initial state, one step before
     period 0, as in the model's recursion rows.  They cover every
-    transformer row of that solve (GIC bound, Ieff soundness, switch-off)
-    and every traced transformer (hot-spot cap).
+    transformer row of that solve (GIC bound, Ieff soundness, switch-off),
+    every traced transformer (hot-spot cap) and every traced transformer in
+    service (heat soundness: the plan's top-oil and hot-spot series must not
+    fall below the re-simulated ones).
 
     Reports the worst excess per class (at least 0) and, for each class
     with a positive one, a details line naming its worst entity and period.
     A ``z`` naming a branch that is not a switchable in-service ac branch
-    of the case raises CaseReferenceError.
+    of the case, or an ``xfmr_branches`` entry that is not the ac branch of
+    its branch_gmd row, raises CaseReferenceError.
     """
     dt = plan.dt if dt is None else dt
     times = _midpoints(scenario, dt)
@@ -910,6 +910,14 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     if stray:
         raise CaseReferenceError(f"plan z: branch {stray[0]} is not a switchable in-service "
                                  "ac branch of the case")
+    rows = case.compiled(DcArrays).xfmr_pos
+    xfmrs = [case.branch_gmd[r] for r in rows]
+    xfmr_branch = np.array([x.branch for x in xfmrs], dtype=int)
+    wrong = [pos for pos, b in plan.xfmr_branches.items()
+             if pos not in rows or case.branch_gmd[pos].branch != b]
+    if wrong:
+        raise CaseReferenceError(f"plan xfmr_branches: branch_gmd row {wrong[0]} is no transformer "
+                                 f"of ac branch {plan.xfmr_branches[wrong[0]]} in the case")
 
     v: dict[str, float] = {}
     details: list[str] = []
@@ -945,36 +953,32 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     check("power_balance", np.abs(inj - ac.p_load[:, None] - ac.g_shunt[:, None])[active],
           "bus", np.asarray(ac.bus_ids)[active])
 
-    # dc and thermal side: one re-simulation; floating components are
-    # expected when probing opened topologies, so the pinning note is muted
+    # dc and thermal side: one re-simulation, whose sample 0 carries period
+    # 0's flows; floating components are expected when probing opened
+    # topologies, so the pinning note is muted
     samples = np.concatenate([[times[0] - dt], times])
-    branch_ids = ac.branch_ids.tolist()
-
-    def loading(t):
-        """The plan's flows in the period of sample ``t``; sample 0 takes period 0's."""
-        period = max(int(np.searchsorted(samples, t)) - 1, 0)
-        return dict(zip(branch_ids, flows[:, period].tolist()))
-
+    loading = dict(zip(ac.branch_ids.tolist(), flows[:, np.r_[0, np.arange(T)]]))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
         trace = thermal.simulate(case, scenario, loading=loading, topology=topo, times=samples)
-    rows = case.compiled(DcArrays).xfmr_pos
-    xfmrs = [case.branch_gmd[r] for r in rows]
     eff = np.reshape([trace.series.effective[r] for r in rows], (len(rows), T + 1))[:, 1:]
     bound = np.array([np.inf if x.gic_bound is None else x.gic_bound for x in xfmrs])
-    xfmr_branch = np.array([x.branch for x in xfmrs], dtype=int)
     check("eff_soundness", eff - _table(plan.i_eff, rows, T), "branch_gmd row", rows)
     check("gic_cap", eff - bound[:, None], "branch_gmd row", rows)
     opened = (xfmr_branch != ABSENT) & ~np.isin(xfmr_branch, ids)
     check("switch_off", np.concatenate([np.abs(flows[~live]), eff[opened]]).reshape(-1, T),
           "branch", np.concatenate([ac.branch_ids[~live], xfmr_branch[opened]]))
-    check("hotspot", np.reshape([tr.hotspot[1:] - tr.limit for tr in trace.traces.values()],
-                                (-1, T)), "branch", list(trace.traces))
+    check("hotspot", trace.hotspot[:, 1:] - trace.limit[:, None], "branch", trace.branch)
+    # the plan claims the heat of each traced transformer in service in the case
+    served = np.isin(trace.branch, ac.branch_ids[ac.status])
+    heated = np.asarray(rows)[np.isin(xfmr_branch, trace.branch[served])]  # in trace order
+    check("heat_soundness",
+          np.maximum(trace.delta_to[served, 1:] - _table(plan.delta_to, heated, T),
+                     trace.hotspot[served, 1:] - _table(plan.hotspot, heated, T)),
+          "branch_gmd row", heated)
 
-    # the dispatch cost, summed in sequence generator by generator, then
-    # period by period, as the plan's objective is
-    cost = quadratic_cost(*(c[:, None] for c in ac.gen_cost), gen_p)
-    cost = np.cumsum(np.r_[0.0, cost.ravel()])[-1]
+    # the dispatch cost, summed as the plan's objective is
+    cost = dispatch_cost(*ac.gen_cost, gen_p)
     check("objective", abs(cost - plan.objective) / max(1.0, abs(plan.objective)))
     return VerifyReport(violations=v, details=details)
 

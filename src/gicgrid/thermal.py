@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,14 +29,11 @@ __all__ = [
     "step_topoil",
     "hotspot_rise",
     "hotspot_temp",
-    "TransformerTrace",
     "ThermalTrace",
     "simulate",
     "topoil_series",
     "TopOil",
 ]
-
-Loading = Mapping[int, float] | Callable[[float], Mapping[int, float]] | None
 
 
 def apparent_power(p: float, q: float) -> float:
@@ -143,39 +140,29 @@ class TopOil:
 
 
 @dataclass(frozen=True)
-class TransformerTrace:
-    """Per-transformer temperature time series (arrays over the grid)."""
+class ThermalTrace:
+    """Simulation result: one row per traced transformer, in ``case.xfmr_rows()``
+    order; the (rows x samples) arrays have one column per sample of ``t``."""
 
-    branch: int            # ac branch id
+    branch: np.ndarray     # ac branch id per row
     t: np.ndarray          # minutes
     i_eff: np.ndarray      # effective GIC [A]
     delta_to: np.ndarray   # top-oil rise [degC]
     eta_hs: np.ndarray     # hot-spot rise [degC]
     hotspot: np.ndarray    # absolute hot-spot [degC]
-    limit: float           # applicable cap [degC]
+    limit: np.ndarray      # applicable cap [degC] per row
+    series: GicSeries      # the dc solve at every sample, every transformer row
 
     @property
     def violations(self) -> np.ndarray:
-        return self.hotspot > self.limit
-
-    @property
-    def peak(self) -> float:
-        return float(np.max(self.hotspot))
-
-
-@dataclass(frozen=True)
-class ThermalTrace:
-    """Simulation result; traces keyed by ac branch id."""
-
-    traces: Mapping[int, TransformerTrace]
-    t: np.ndarray
-    series: GicSeries      # the dc solve at every sample, every transformer row
+        return self.hotspot > self.limit[:, None]
 
     def any_violation(self) -> bool:
-        return any(bool(tr.violations.any()) for tr in self.traces.values())
+        return bool(self.violations.any())
 
 
-def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None,
+def simulate(case: CaseData, scenario: FieldScenario, *,
+             loading: Mapping[int, float | Sequence[float]] | None = None,
              topology: Mapping[int, int] | None = None,
              times: Sequence[float] | None = None) -> ThermalTrace:
     """Simulate transformer temperatures over a field scenario.
@@ -184,9 +171,10 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     scenario's own, ``scenario.grid()``); the recursion's step is that of
     the first pair, so a grid whose steps differ from it raises ValueError.
     Effective GICs at every sample come from one ``solve_series`` over the
-    grid; ``loading`` supplies per-ac-branch apparent power
-    [p.u.] either as a constant map or a callable of time (absent
-    entries mean unloaded).  The initial top-oil rise follows ``TopOil``.
+    grid; ``loading`` maps an ac branch id to its apparent power [p.u.],
+    a number held over the samples or a series with one value per sample
+    (a branch it omits is unloaded; a series of another length raises
+    ValueError).  The initial top-oil rise follows ``TopOil``.
 
     Only transformers with thermal data are traced (synthetic GSU rows
     have none).
@@ -195,28 +183,27 @@ def simulate(case: CaseData, scenario: FieldScenario, *, loading: Loading = None
     step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else None  # one sample: no step taken
     if step is not None and not np.allclose(np.diff(tgrid), step, rtol=1e-6, atol=0.0):
         raise ValueError(f"simulate: times must be a uniform grid; its first step is {step}")
+    loads = {bid: np.abs(np.asarray(s, dtype=float)) for bid, s in (loading or {}).items()}
+    for bid, s in loads.items():
+        if s.ndim and s.shape != tgrid.shape:
+            raise ValueError(f"simulate: loading of branch {bid} has {s.size} values "
+                             f"for {len(tgrid)} samples")
     series = solve_series(case, scenario, tgrid, topology=topology)
     rows = [(pos, row) for pos, row in case.xfmr_rows()
             if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
     ths = [case.thermal_for(row.branch) for _, row in rows]
-    loads = [loading(t) for t in tgrid] if callable(loading) else None
+    shape = (len(rows), len(tgrid))
 
-    rise, states = np.zeros((len(rows), len(tgrid))), []
-    for k, ((_, row), th) in enumerate(zip(rows, ths)):
-        if loads is None:
-            s = np.full(len(tgrid), abs((loading or {}).get(row.branch, 0.0)))
-        else:
-            s = np.array([abs(ld.get(row.branch, 0.0)) for ld in loads])
-        rise[k] = steady_rise(s, case.ac_branch(row.branch).rating, th.to_rated)
-        states.append(TopOil.of(th, step))
-    delta = TopOil.stack(states, rise)
-
-    traces = {}
-    for (pos, row), th, delta_to in zip(rows, ths, delta):
-        i_eff = series.effective[pos]
-        traces[row.branch] = TransformerTrace(
-            branch=row.branch, t=tgrid, i_eff=i_eff, delta_to=delta_to,
-            eta_hs=th.hs_coeff * i_eff, hotspot=hotspot_temp(th, delta_to, i_eff),
-            limit=case.hotspot_limit_for(row))
-
-    return ThermalTrace(traces=traces, t=tgrid, series=series)
+    rise = np.zeros(shape)
+    for k, ((_, row), th) in enumerate(zip(rows, ths)):  # a held number fills its row
+        rise[k] = steady_rise(loads.get(row.branch, 0.0), case.ac_branch(row.branch).rating,
+                              th.to_rated)
+    delta = TopOil.stack([TopOil.of(th, step) for th in ths], rise)
+    i_eff = np.reshape([series.effective[pos] for pos, _ in rows], shape)
+    return ThermalTrace(
+        branch=np.array([row.branch for _, row in rows], dtype=int), t=tgrid, i_eff=i_eff,
+        delta_to=delta, eta_hs=np.reshape([th.hs_coeff * ie for th, ie in zip(ths, i_eff)], shape),
+        hotspot=np.reshape([hotspot_temp(th, d, ie) for th, d, ie in zip(ths, delta, i_eff)],
+                           shape),
+        limit=np.array([case.hotspot_limit_for(row) for _, row in rows], dtype=float),
+        series=series)

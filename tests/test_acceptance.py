@@ -174,7 +174,7 @@ def test_criterion_6_case_study_reproduction(epri21_case):
     loading = {bid: max(abs(p) for p in series)
                for bid, series in plan.flows.items()}
     trace = simulate(epri21_case, scenario, loading=loading, topology=plan.z)
-    peak = trace.traces[18].peak
+    peak = float(np.max(trace.hotspot[trace.branch == 18]))
     assert peak < 280.0
 
     assert verify_plan(epri21_case, scenario, plan).ok(1e-5)

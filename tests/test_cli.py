@@ -720,6 +720,38 @@ def test_verify_rejects_z_of_a_branch_the_case_cannot_switch(tmp_path, capsys, b
     assert "[ok]" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["dc", "thermal", "mitigate", "verify"])
+def test_field_with_scenario_is_input_error(workdir, capsys, command):
+    """--field sets the peak of the built-in ramp; a --scenario file brings its
+    own field, so the pair is refused rather than --field ignored."""
+    extra = ["--plan", str(_plan(workdir))] if command == "verify" else []
+    capsys.readouterr()
+    out = workdir / "never"
+    rc = run([command, "--case", str(workdir / "b4gic.json"), "--scenario",
+              str(workdir / "ramp.csv"), "--field", "1", "--dt", "30", "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "input error: --field applies only without --scenario\n"
+    assert not out.exists() and not captured.out
+
+
+def test_verify_rejects_xfmr_branches_that_disagree_with_the_case(workdir, capsys):
+    """A plan's transformer rows name the ac branch of the case's branch_gmd row,
+    as its z names the case's switchable branches."""
+    plan = _plan(workdir)
+    doc = json.loads(plan.read_text())
+    row = min(doc["xfmr_branches"])
+    doc["xfmr_branches"][row] = 99
+    plan.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = _verify(workdir, plan, "--dt", "30")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"input error: plan xfmr_branches: branch_gmd row {row} is "
+                                   "no transformer of ac branch 99")
+    assert "[ok]" not in captured.out
+
+
 def test_missing_coordinates_is_input_error(workdir, capsys):
     doc = json.loads((workdir / "b4gic.json").read_text())
     doc["bus_gmd"] = [row for row in doc["bus_gmd"] if row["bus"] != 1]
@@ -823,8 +855,8 @@ def _cli_inputs(draw):
         field, direction = draw(st.none() | _ODD_NUMBERS), draw(st.none() | _ODD_NUMBERS)
         dt = draw(st.sampled_from([0.0, -30.0, 200.0, float("nan"), float("inf")])
                   | st.floats(20, 90))
-    else:
-        field = draw(st.none() | st.floats(0, 5))
+    else:  # --field only without a --scenario file: the pair is an input error
+        field = draw(st.none() | st.floats(0, 5)) if scenario is None or command == "ac" else None
         direction = draw(st.none() | st.floats(0, 360))
         dt = draw(st.sampled_from([30.0, 30.0, 20.0, 45.0, 60.0]))
     solver = draw(st.sampled_from(["bb", "enum"]))

@@ -20,7 +20,7 @@ from gicgrid.lp import LpProblem, lp_solve
 from gicgrid import coupling, mitigation
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
-from gicgrid.thermal import simulate, topoil_series
+from gicgrid.thermal import hotspot_temp, simulate, steady_rise, topoil_series
 
 from conftest import effective, random_ots_case
 
@@ -332,6 +332,11 @@ def _plant(fault, case, plan):
     if fault == "eff_soundness":  # the physical I_eff is a magnitude, >= 0
         plan.i_eff[max(plan.i_eff, key=lambda p: max(plan.i_eff[p]))][t] = -5.0
         return case, plan, 5.0
+    if fault == "heat_soundness":  # a plan that claims 0 degC everywhere
+        peak = max(_true_hotspot(case, plan, pos).max() for pos in plan.hotspot)
+        for name in ("delta_to", "hotspot"):
+            setattr(plan, name, {pos: [0.0] * len(v) for pos, v in getattr(plan, name).items()})
+        return case, plan, peak
     if fault == "hotspot":  # a hot-spot is never below ambient
         p = next(iter(plan.hotspot))
         row = case.branch_gmd[p]
@@ -345,13 +350,38 @@ def _plant(fault, case, plan):
     return case, plan, excess
 
 
+def _true_hotspot(case, plan, pos):
+    """The hot-spot of transformer row ``pos`` per period: the top-oil recursion
+    of its steady rise under the plan's flows, the initial state seeing period
+    0's, plus the hot-spot rise of the plan's Ieff."""
+    th, branch = case.thermal_for(case.branch_gmd[pos].branch), case.branch_gmd[pos].branch
+    du = steady_rise(np.abs(plan.flows[branch]), case.ac_branch(branch).rating, th.to_rated)
+    delta0 = th.to_init if th.to_inited else du[0]
+    delta = topoil_series(np.r_[delta0, du], 2.0 * th.to_time_c / plan.dt, delta0)[1:]
+    return hotspot_temp(th, delta, np.array(plan.i_eff[pos]))
+
+
 def test_verify_reads_solved_plan_clean(epri21_case, epri21_plan):
     scenario, plan = epri21_plan
-    assert max(verify_plan(epri21_case, scenario, plan).violations.values()) <= 1e-6
+    report = verify_plan(epri21_case, scenario, plan)
+    assert max(report.violations.values()) <= 1e-6
+    assert report.violations["heat_soundness"] <= 1e-9
+
+
+def test_plan_objective_is_the_sequential_cost_sum(epri21_case, epri21_plan):
+    """The plan's exact cost is each generator's cost, by id, over its periods
+    in turn, added one term at a time."""
+    _, plan = epri21_plan
+    cost = 0.0
+    for g in sorted(epri21_case.generators, key=lambda g: g.index):
+        for p in plan.gen_p[g.index]:
+            cost += g.cost(p)
+    assert plan.objective == cost
 
 
 @pytest.mark.parametrize("fault", ["rating", "ohm", "angle", "gen_bounds", "switch_off",
-                                   "power_balance", "eff_soundness", "hotspot", "objective"])
+                                   "power_balance", "eff_soundness", "heat_soundness",
+                                   "hotspot", "objective"])
 def test_verify_reads_each_planted_fault(epri21_case, epri21_plan, fault):
     """One planted fault per class reads at least its excess in that class."""
     scenario, plan = epri21_plan
@@ -424,6 +454,9 @@ def test_verify_reads_an_omitted_series_as_zero(epri21_case, epri21_plan):
     assert dropped.violations["gic_cap"] == full.violations["gic_cap"]
     assert dropped.violations["eff_soundness"] > full.violations["gic_cap"]
     assert not dropped.ok(1e-5)
+    cold = verify_plan(epri21_case, scenario, dataclasses.replace(plan, delta_to={}, hotspot={}))
+    peak = max(_true_hotspot(epri21_case, plan, pos).max() for pos in plan.hotspot)
+    assert cold.violations["heat_soundness"] >= peak - 1e-9 and peak > 200.0
 
     empty = dataclasses.replace(plan, theta={}, gen_p={}, objective=0.0,
                                 flows={k: [0.0] * len(v) for k, v in plan.flows.items()})
@@ -678,11 +711,12 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0)
 
     trace = simulate(case, scenario)
-    for tr in trace.traces.values():
+    assert len(trace.branch) == 2
+    for delta_to in trace.delta_to:
         # unloaded: the rise decays from 40 with the pre-initial input held at 40
-        expect = topoil_series(np.r_[40.0, np.zeros(len(tr.t) - 1)], 2.0 * 71.0 / 10.0, 40.0)
-        assert tr.delta_to[0] == 40.0
-        assert tr.delta_to == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        expect = topoil_series(np.r_[40.0, np.zeros(len(trace.t) - 1)], 2.0 * 71.0 / 10.0, 40.0)
+        assert delta_to[0] == 40.0
+        assert delta_to == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     model = build_model(case, scenario, OtsOptions(dt=30.0))
     plan = solve(model)

@@ -161,24 +161,25 @@ def test_simulate_rated_steady_no_gic(b4gic_case):
     scenario = make_ramp_scenario(0.0, 180.0, 180.0, dt=5.0)
     loading = {1: 12.0, 3: 12.0}   # both transformers at their rating
     trace = simulate(case, scenario, loading=loading)
-    for tr in trace.traces.values():
-        assert np.allclose(tr.delta_to, 75.0, atol=1e-9)
-        assert np.allclose(tr.eta_hs, 0.0)
-        assert np.allclose(tr.hotspot, 100.0, atol=1e-9)
-        assert not tr.violations.any()
+    assert trace.hotspot.shape == (2, len(trace.t))
+    assert np.allclose(trace.delta_to, 75.0, atol=1e-9)
+    assert np.allclose(trace.eta_hs, 0.0)
+    assert np.allclose(trace.hotspot, 100.0, atol=1e-9)
+    assert not trace.violations.any()
 
 
 def test_simulate_gic_ramp_traces_field(b4gic_case):
     """No ac loading: hot-spot rise is the ramp scaled by R_e * I_loop."""
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
     trace = simulate(case=b4gic_case, scenario=scenario)
-    for tr in trace.traces.values():
-        assert np.allclose(tr.delta_to, 0.0, atol=1e-12)
-        for k, t in enumerate(tr.t):
+    assert len(trace.branch) == 2
+    assert np.allclose(trace.delta_to, 0.0, atol=1e-12)
+    for eta_hs in trace.eta_hs:
+        for k, t in enumerate(trace.t):
             frac = t / 180.0 if t <= 180.0 else (360.0 - t) / 180.0
-            assert tr.eta_hs[k] == pytest.approx(0.63 * LOOP * frac, rel=1e-9)
-        # exact decomposition at every step
-        assert np.allclose(tr.hotspot, 25.0 + tr.delta_to + tr.eta_hs)
+            assert eta_hs[k] == pytest.approx(0.63 * LOOP * frac, rel=1e-9)
+    # exact decomposition at every step
+    assert np.allclose(trace.hotspot, 25.0 + trace.delta_to + trace.eta_hs)
 
 
 def test_simulate_flags_limit_crossings(b4gic_case):
@@ -189,31 +190,38 @@ def test_simulate_flags_limit_crossings(b4gic_case):
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
     trace = simulate(case, scenario)
     assert trace.any_violation()
-    tr = trace.traces[1]
-    assert tr.limit == 50.0
-    assert tr.violations.any() and not tr.violations.all()
+    r = trace.branch.tolist().index(1)
+    assert trace.limit[r] == 50.0
+    assert trace.violations[r].any() and not trace.violations[r].all()
 
 
-def test_simulate_loading_callable(b4gic_case):
+def test_simulate_loading_series(b4gic_case):
     scenario = make_ramp_scenario(0.0, 60.0, 60.0, dt=5.0)
-    trace = simulate(b4gic_case, scenario,
-                     loading=lambda t: {1: 12.0 if t < 60 else 0.0})
-    tr = trace.traces[1]
-    assert tr.delta_to[0] == pytest.approx(0.0)   # to_inited=1, to_init=0
-    assert tr.delta_to[6] > 10.0                  # heated while loaded
-    assert tr.delta_to[-1] < tr.delta_to[12]      # cooling after load drops
+    grid = scenario.grid()
+    trace = simulate(b4gic_case, scenario, loading={1: [12.0 if t < 60 else 0.0 for t in grid]})
+    delta_to = trace.delta_to[trace.branch.tolist().index(1)]
+    assert delta_to[0] == pytest.approx(0.0)   # to_inited=1, to_init=0
+    assert delta_to[6] > 10.0                  # heated while loaded
+    assert delta_to[-1] < delta_to[12]         # cooling after load drops
 
 
-def test_simulate_constant_loading_equals_callable(b4gic_case):
-    """A constant map is the callable that returns it, bit for bit."""
+def test_simulate_number_loading_equals_its_series(b4gic_case):
+    """A number is the series that holds it over the samples, bit for bit."""
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
     loading = {1: 7.3, 3: -4.1}
-    const = simulate(b4gic_case, scenario, loading=loading)
-    called = simulate(b4gic_case, scenario, loading=lambda t: loading)
-    for bid, tr in const.traces.items():
-        assert tr.delta_to[-1] > 0.0
-        assert np.array_equal(tr.delta_to, called.traces[bid].delta_to)
-        assert np.array_equal(tr.hotspot, called.traces[bid].hotspot)
+    held = simulate(b4gic_case, scenario, loading=loading)
+    series = simulate(b4gic_case, scenario,
+                      loading={bid: np.full(len(held.t), s) for bid, s in loading.items()})
+    assert np.all(held.delta_to[:, -1] > 0.0)
+    assert np.array_equal(held.delta_to.view(np.int64), series.delta_to.view(np.int64))
+    assert np.array_equal(held.hotspot.view(np.int64), series.hotspot.view(np.int64))
+
+
+@pytest.mark.parametrize("length", [0, 12, 14])
+def test_simulate_rejects_a_loading_series_of_another_length(b4gic_case, length):
+    scenario = make_ramp_scenario(1.0, 30.0, 30.0, dt=5.0)   # 13 samples
+    with pytest.raises(ValueError, match=f"branch 3 has {length} values for 13 samples"):
+        simulate(b4gic_case, scenario, loading={1: 7.3, 3: [1.0] * length})
 
 
 def test_simulate_grid_length(b4gic_case):
@@ -235,15 +243,15 @@ def test_step_beyond_twice_tau_is_rejected(b4gic_case):
 def test_one_sample_simulate_takes_no_step(b4gic_case):
     scenario = FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),), dt=600.0)
     trace = simulate(b4gic_case, scenario)
-    for tr in trace.traces.values():
-        assert len(tr.t) == 1
-        assert tr.delta_to[0] == 0.0   # b4gic: to_inited=1, to_init=0
-        assert tr.hotspot[0] == pytest.approx(25.0 + 0.63 * LOOP, rel=1e-9)
+    assert trace.hotspot.shape == (2, 1) and len(trace.t) == 1
+    assert np.all(trace.delta_to == 0.0)   # b4gic: to_inited=1, to_init=0
+    assert trace.hotspot[:, 0] == pytest.approx([25.0 + 0.63 * LOOP] * 2, rel=1e-9)
 
 
 def _storm(epri21_case):
     """epri21 with both initial top-oil rules under a seeded 4-hour storm (field
-    samples 1 min apart) and time-varying loading."""
+    samples 1 min apart), and its time-varying loading on a grid: one series
+    per transformer's branch."""
     rows = tuple(dataclasses.replace(th, to_inited=k % 2, to_init=5.0 * k)
                  for k, th in enumerate(epri21_case.thermal))
     case = dataclasses.replace(epri21_case, thermal=rows)
@@ -253,48 +261,54 @@ def _storm(epri21_case):
                     for k, m in enumerate(mags))
     scenario = FieldScenario(samples=samples, dt=1.0)
 
-    def loading(t):
-        return {row.branch: 1.5 * math.sin(t / 17.0 + row.branch) for row in case.thermal}
+    def loading(grid):
+        return {row.branch: [1.5 * math.sin(t / 17.0 + row.branch) for t in grid]
+                for row in case.thermal}
 
     return case, scenario, loading
 
 
 def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
-    """A storm on epri21 under time-varying loading: every transformer's trace is
+    """A storm on epri21 under time-varying loading: every transformer's row is
     its own step_topoil loop and hot-spot sum, bit for bit, from both initial
     top-oil rules."""
     case, scenario, loading = _storm(epri21_case)
-    trace = simulate(case, scenario, loading=loading, times=scenario.grid(0.25))
-    assert len(trace.traces) == len(case.thermal) > 1
-    for bid, tr in trace.traces.items():
+    grid = scenario.grid(0.25)
+    loads = loading(grid)
+    trace = simulate(case, scenario, loading=loads, times=grid)
+    assert len(trace.branch) == len(case.thermal) > 1
+    for bid, delta_to, hotspot, i_eff in zip(trace.branch.tolist(), trace.delta_to,
+                                             trace.hotspot, trace.i_eff):
         th = case.thermal_for(bid)
         state = TopOil.of(th, 0.25)
-        du = [steady_rise(abs(loading(t)[bid]), case.ac_branch(bid).rating, th.to_rated)
-              for t in tr.t.tolist()]
+        du = [steady_rise(abs(s), case.ac_branch(bid).rating, th.to_rated) for s in loads[bid]]
         if state.delta0 is not None:
             du[0] = state.delta0
         expect = _topoil_loop(du, state.zeta, du[0])
-        assert np.array_equal(tr.delta_to.view(np.int64), expect.view(np.int64))
-        assert np.array_equal(tr.hotspot, hotspot_temp(th, expect, tr.i_eff))
+        assert np.array_equal(delta_to.view(np.int64), expect.view(np.int64))
+        assert np.array_equal(hotspot, hotspot_temp(th, expect, i_eff))
 
 
 def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
     """``times=scenario.grid(dt)`` gives the trace that ``simulate(dt=...)`` gave
-    (sha256 of every top-oil rise, pinned from it; those are elementwise
-    arithmetic, the same bits on every BLAS), with the effective currents of
-    the trace's own dc solve over that grid."""
+    (sha256 of every top-oil rise, by branch id, pinned from it; those are
+    elementwise arithmetic, the same bits on every BLAS), with the effective
+    currents of the trace's own dc solve over that grid, row by row in
+    ``case.xfmr_rows()`` order."""
     case, scenario, loading = _storm(epri21_case)
     grid = scenario.grid(0.25)
-    trace = simulate(case, scenario, loading=loading, times=grid)
+    trace = simulate(case, scenario, loading=loading(grid), times=grid)
     digest = hashlib.sha256()
-    for bid in sorted(trace.traces):
-        digest.update(trace.traces[bid].delta_to.tobytes())
+    for r in np.argsort(trace.branch, kind="stable"):
+        digest.update(trace.delta_to[r].tobytes())
     assert digest.hexdigest() == (
         "c97a87b45c9310191192d195babb2dea918aa53acc4a0d491cd7c9383f49e45c")
     assert np.array_equal(trace.t, grid)
-    rows = {row.branch: pos for pos, row in case.xfmr_rows()}
-    for bid, tr in trace.traces.items():
-        assert tr.i_eff is trace.series.effective[rows[bid]]
+    rows = [(pos, row.branch) for pos, row in case.xfmr_rows()
+            if case.thermal_for(row.branch) is not None]
+    assert trace.branch.tolist() == [bid for _, bid in rows]
+    for (pos, _), i_eff in zip(rows, trace.i_eff):
+        assert np.array_equal(i_eff.view(np.int64), trace.series.effective[pos].view(np.int64))
 
 
 def test_simulate_defaults_to_the_scenario_grid(b4gic_case):
@@ -302,8 +316,7 @@ def test_simulate_defaults_to_the_scenario_grid(b4gic_case):
     default = simulate(b4gic_case, scenario, loading={1: 7.3})
     given = simulate(b4gic_case, scenario, loading={1: 7.3}, times=scenario.grid())
     assert np.array_equal(default.t, given.t)
-    for bid, tr in default.traces.items():
-        assert np.array_equal(tr.hotspot, given.traces[bid].hotspot)
+    assert np.array_equal(default.hotspot, given.hotspot)
 
 
 @pytest.mark.parametrize("times", [[0.0, 5.0, 15.0], [0.0, 10.0, 15.0, 20.0]])
