@@ -145,6 +145,16 @@ class DcArrays:
         np.maximum.at(self.winding_row, member[:, 1], member[:, 0])  # the last: the highest
         self.lengths = _route_lengths(case, nodes, edges, self.f, self.t, self.winding_row < 0)
 
+    def solve_set(self, topology: Mapping[int, int] | None = None) -> np.ndarray:
+        """Mask over the edges: the solve set of ``topology`` (see ``assemble``)."""
+        return self.eligible & (topology_status(self.parent, self.parent_status, topology)
+                                | (self.parent == ABSENT))
+
+    def nominal_xfmrs(self) -> np.ndarray:
+        """Indices into ``xfmr_pos`` of the rows whose windings all lie in the
+        nominal solve set: the transformers the switching model holds."""
+        return np.flatnonzero(self.member @ self.solve_set() == self.n_windings)
+
 
 def _route_lengths(case: CaseData, nodes: list, edges: Sequence[GmdBranch], f: np.ndarray,
                    t: np.ndarray, sees_field: np.ndarray) -> np.ndarray:
@@ -231,8 +241,7 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
     CaseReferenceError; one on a branch outside the solve set is inert.
     """
     dc = case.compiled(DcArrays)
-    sel = np.flatnonzero(dc.eligible & (topology_status(dc.parent, dc.parent_status, topology)
-                                        | (dc.parent == ABSENT)))
+    sel = np.flatnonzero(dc.solve_set(topology))
     f, t, ids = dc.f[sel], dc.t[sel], dc.branch_ids[sel]
     held = np.isin(ids, list(overridden))
     lengths = None

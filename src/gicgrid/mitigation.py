@@ -225,8 +225,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # transformers in the model: xfmr rows whose windings are all present;
     # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
     arrays = case.compiled(DcArrays)
-    inside = np.flatnonzero(arrays.member @ np.isin(arrays.branch_ids, dc.branch_ids)
-                            == arrays.n_windings)
+    inside = arrays.nominal_xfmrs()
     rows = [(pos, case.branch_gmd[pos]) for pos in np.take(arrays.xfmr_pos, inside).tolist()]
     W = dc.W[inside]
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
@@ -910,7 +909,8 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     if stray:
         raise CaseReferenceError(f"plan z: branch {stray[0]} is not a switchable in-service "
                                  "ac branch of the case")
-    rows = case.compiled(DcArrays).xfmr_pos
+    arrays = case.compiled(DcArrays)
+    rows = arrays.xfmr_pos
     xfmrs = [case.branch_gmd[r] for r in rows]
     xfmr_branch = np.array([x.branch for x in xfmrs], dtype=int)
     wrong = [pos for pos, b in plan.xfmr_branches.items()
@@ -969,12 +969,12 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     check("switch_off", np.concatenate([np.abs(flows[~live]), eff[opened]]).reshape(-1, T),
           "branch", np.concatenate([ac.branch_ids[~live], xfmr_branch[opened]]))
     check("hotspot", trace.hotspot[:, 1:] - trace.limit[:, None], "branch", trace.branch)
-    # the plan claims the heat of each traced transformer in service in the case
-    served = np.isin(trace.branch, ac.branch_ids[ac.status])
-    heated = np.asarray(rows)[np.isin(xfmr_branch, trace.branch[served])]  # in trace order
+    # the plan claims the heat of each traced transformer the model holds
+    held = np.isin(trace.pos, np.take(rows, arrays.nominal_xfmrs()))
+    heated = trace.pos[held]
     check("heat_soundness",
-          np.maximum(trace.delta_to[served, 1:] - _table(plan.delta_to, heated, T),
-                     trace.hotspot[served, 1:] - _table(plan.hotspot, heated, T)),
+          np.maximum(trace.delta_to[held, 1:] - _table(plan.delta_to, heated, T),
+                     trace.hotspot[held, 1:] - _table(plan.hotspot, heated, T)),
           "branch_gmd row", heated)
 
     # the dispatch cost, summed as the plan's objective is

@@ -145,6 +145,7 @@ class ThermalTrace:
     order; the (rows x samples) arrays have one column per sample of ``t``."""
 
     branch: np.ndarray     # ac branch id per row
+    pos: np.ndarray        # branch_gmd position per row
     t: np.ndarray          # minutes
     i_eff: np.ndarray      # effective GIC [A]
     delta_to: np.ndarray   # top-oil rise [degC]
@@ -201,7 +202,8 @@ def simulate(case: CaseData, scenario: FieldScenario, *,
     delta = TopOil.stack([TopOil.of(th, step) for th in ths], rise)
     i_eff = np.reshape([series.effective[pos] for pos, _ in rows], shape)
     return ThermalTrace(
-        branch=np.array([row.branch for _, row in rows], dtype=int), t=tgrid, i_eff=i_eff,
+        branch=np.array([row.branch for _, row in rows], dtype=int),
+        pos=np.array([pos for pos, _ in rows], dtype=int), t=tgrid, i_eff=i_eff,
         delta_to=delta, eta_hs=np.reshape([th.hs_coeff * ie for th, ie in zip(ths, i_eff)], shape),
         hotspot=np.reshape([hotspot_temp(th, d, ie) for th, d, ie in zip(ths, delta, i_eff)],
                            shape),

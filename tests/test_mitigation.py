@@ -368,6 +368,30 @@ def test_verify_reads_solved_plan_clean(epri21_case, epri21_plan):
     assert report.violations["heat_soundness"] <= 1e-9
 
 
+@pytest.mark.parametrize("outside", ["delta-delta", "winding out of service"])
+def test_verify_reads_heat_only_of_the_transformers_the_model_holds(b4gic_case, outside):
+    """A transformer in service whose windings are not all in the nominal dc
+    solve set (a delta-delta names none; a gwye-delta's winding may be out of
+    service) is traced by simulate but not held by the model, so the plan
+    claims no heat for it and the solved plan still verifies clean."""
+    case = b4gic_case
+    if outside == "delta-delta":
+        rows = list(case.branch_gmd)
+        rows[2] = dataclasses.replace(rows[2], config="delta-delta", gmd_br_hi=-1)
+        case = dataclasses.replace(case, branch_gmd=tuple(rows))
+    else:
+        edges = list(case.gmd_branches)
+        edges[2] = dataclasses.replace(edges[2], status=0)
+        case = dataclasses.replace(case, gmd_branches=tuple(edges))
+    scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=30.0)
+    plan = solve(build_model(case, scenario))
+    assert 2 not in plan.hotspot
+    assert 3 in simulate(case, scenario).branch.tolist()
+    report = verify_plan(case, scenario, plan)
+    assert report.violations["heat_soundness"] <= 1e-9
+    assert report.ok(1e-6)
+
+
 def test_plan_objective_is_the_sequential_cost_sum(epri21_case, epri21_plan):
     """The plan's exact cost is each generator's cost, by id, over its periods
     in turn, added one term at a time."""

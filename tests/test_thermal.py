@@ -306,8 +306,8 @@ def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
     assert np.array_equal(trace.t, grid)
     rows = [(pos, row.branch) for pos, row in case.xfmr_rows()
             if case.thermal_for(row.branch) is not None]
-    assert trace.branch.tolist() == [bid for _, bid in rows]
-    for (pos, _), i_eff in zip(rows, trace.i_eff):
+    assert list(zip(trace.pos.tolist(), trace.branch.tolist())) == rows
+    for pos, i_eff in zip(trace.pos.tolist(), trace.i_eff):
         assert np.array_equal(i_eff.view(np.int64), trace.series.effective[pos].view(np.int64))
 
 
