@@ -264,7 +264,9 @@ def plan_from_json(doc: dict) -> MitigationPlan:
         raise CaseError(f"plan: expected a JSON object, got {type(doc).__name__}")
 
     def value(f):  # a field the file leaves out takes its dataclass default
-        if f.name not in doc and f.default is not dataclasses.MISSING:
+        if f.name not in doc:
+            if f.default is dataclasses.MISSING:
+                raise CaseError(f"plan: missing field '{f.name}'")
             return f.default
         v = doc[f.name]
         if not _id_map(f):
@@ -417,8 +419,7 @@ def run(argv=None) -> int:
     try:
         _check_run_config(args)
         return _HANDLERS[args.command](args)
-    except (CaseError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (CaseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PowerFlowError, IslandError, ArithmeticError) as exc:

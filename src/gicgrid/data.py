@@ -388,13 +388,6 @@ class CaseData:
         ratio = self.bus(row.hi_bus).base_kv / self.bus(row.lo_bus).base_kv
         return ratio - 1.0 if row.config == "gwye-gwye-auto" else ratio
 
-    def hotspot_limit_for(self, row: BranchGmdData) -> float | None:
-        """Hot-spot cap for a transformer row; falls back to hs_inst_lim."""
-        if row.hotspot_limit is not None:
-            return row.hotspot_limit
-        th = self.thermal_for(row.branch)
-        return th.hs_inst_lim if th is not None else None
-
     def ckt_numbers(self) -> dict[int, int]:
         """Circuit number per ac branch id among parallel branches (1-based)."""
         seen: dict[tuple[int, int], int] = {}

@@ -121,39 +121,22 @@ class DcArrays:
         self.eligible = (np.array([bool(e.status) and e.parent not in series_caps
                                    for e in edges], dtype=bool) & (self.f >= 0) & (self.t >= 0))
 
-        # transformer rows: the windings each names, their weights W (signed
-        # I_eff = W @ I), and per edge the last row naming it a winding or -1
+        # transformer rows: their weights W (signed I_eff = W @ I), and per
+        # edge the last row naming it a winding or -1
         xfmrs = case.xfmr_rows()
         col = {e.index: k for k, e in enumerate(edges)}
-        names = [[w for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co)
-                  if w != ABSENT] for _, r in xfmrs]
-        member = np.array([(k, col[w]) for k, ids in enumerate(names) for w in ids if w in col],
-                          dtype=int).reshape(-1, 2)
+        member = np.array([(k, col[w]) for k, (_, r) in enumerate(xfmrs)
+                           for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co)
+                           if w != ABSENT and w in col], dtype=int).reshape(-1, 2)
         weights = np.array([(k, col[w], v) for k, (_, r) in enumerate(xfmrs)
                             for w, v in winding_weights(case, r)], dtype=float).reshape(-1, 3)
         shape = (len(xfmrs), len(edges))
         self.xfmr_pos = tuple(pos for pos, _ in xfmrs)  # branch_gmd positions
         self.W = sp.csr_matrix((weights[:, 2], (weights[:, 0].astype(int),
                                                 weights[:, 1].astype(int))), shape=shape)
-        # a row's windings are all in a solve set when member @ in_set == n_windings;
-        # -1 for a row naming none, or an id that is no gmd_branch
-        self.member = sp.csr_matrix((np.ones(len(member)), (member[:, 0], member[:, 1])),
-                                    shape=shape)
-        self.n_windings = np.array([len(ids) if ids and all(w in col for w in ids) else -1
-                                    for ids in names], dtype=int)
         self.winding_row = np.full(len(edges), -1)
         np.maximum.at(self.winding_row, member[:, 1], member[:, 0])  # the last: the highest
         self.lengths = _route_lengths(case, nodes, edges, self.f, self.t, self.winding_row < 0)
-
-    def solve_set(self, topology: Mapping[int, int] | None = None) -> np.ndarray:
-        """Mask over the edges: the solve set of ``topology`` (see ``assemble``)."""
-        return self.eligible & (topology_status(self.parent, self.parent_status, topology)
-                                | (self.parent == ABSENT))
-
-    def nominal_xfmrs(self) -> np.ndarray:
-        """Indices into ``xfmr_pos`` of the rows whose windings all lie in the
-        nominal solve set: the transformers the switching model holds."""
-        return np.flatnonzero(self.member @ self.solve_set() == self.n_windings)
 
 
 def _route_lengths(case: CaseData, nodes: list, edges: Sequence[GmdBranch], f: np.ndarray,
@@ -241,7 +224,8 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
     CaseReferenceError; one on a branch outside the solve set is inert.
     """
     dc = case.compiled(DcArrays)
-    sel = np.flatnonzero(dc.solve_set(topology))
+    sel = np.flatnonzero(dc.eligible & (topology_status(dc.parent, dc.parent_status, topology)
+                                        | (dc.parent == ABSENT)))
     f, t, ids = dc.f[sel], dc.t[sel], dc.branch_ids[sel]
     held = np.isin(ids, list(overridden))
     lengths = None
@@ -275,7 +259,7 @@ class GicSeries:
     branch_ids: tuple[int, ...]           # solved gmd_branch ids, the columns of I
     V: np.ndarray                         # (T, nodes) node voltages [V]
     I: np.ndarray                         # (T, branches) branch currents [A, f->t]
-    effective: Mapping[int, np.ndarray]   # branch_gmd row pos -> (T,) I_eff [A]
+    effective: Mapping[int, np.ndarray]   # branch_gmd row pos -> (T,) I_eff [A], in xfmr_pos order
     kcl_residual: np.ndarray              # (T,) [A]
 
 

@@ -49,13 +49,13 @@ class LpNumericalError(ArithmeticError):
 @dataclass
 class LpProblem:
     c: np.ndarray
-    A_ub: sp.csr_matrix | None
-    b_ub: np.ndarray | None
-    A_eq: sp.csr_matrix | None
-    b_eq: np.ndarray | None
+    A_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    lazy: np.ndarray | None = None  # group id per A_ub row, -1 = always held; None = all held
+    lazy: np.ndarray                # group id per A_ub row, -1 = always held
     # the HiGHS instance, the column bounds it holds and the A_ub row of each
     # of its inequality rows, in its row order, made by the first solve
     _highs: object = field(default=None, init=False, repr=False, compare=False)
@@ -70,8 +70,7 @@ class LpProblem:
     def _instance(self, lo: np.ndarray, hi: np.ndarray):
         """The HiGHS instance holding this problem with column bounds lo, hi."""
         if self._highs is None:
-            self._held = (np.arange(self.m_ub) if self.lazy is None
-                          else np.flatnonzero(self.lazy < 0))
+            self._held = np.flatnonzero(self.lazy < 0)
             self._highs = _load(self, self._held, lo, hi)
         else:
             self._warm()
@@ -82,10 +81,6 @@ class LpProblem:
         self._bounds = (lo.copy(), hi.copy())
         return self._highs
 
-    @property
-    def m_ub(self) -> int:
-        return 0 if self.A_ub is None else self.A_ub.shape[0]
-
     def _warm(self) -> None:
         """Price every run after the first by Devex."""
         if not self._devex:
@@ -95,7 +90,7 @@ class LpProblem:
     def _hold_violated(self, x: np.ndarray) -> bool:
         """Add to the instance the most violated row of each lazy group that x
         violates; False when x violates no lazy row."""
-        if self.lazy is None or len(self._held) == self.m_ub:
+        if len(self._held) == self.A_ub.shape[0]:
             return False
         excess = self.A_ub @ x - self.b_ub
         excess[self._held] = 0.0
@@ -171,13 +166,11 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
             + _numerical_report(h))
     # instance rows: the rows held at load, the equalities, then the added lazy rows
     row_dual = np.array(solution.row_dual)
-    loaded = np.count_nonzero(prob.lazy < 0) if prob.lazy is not None else prob.m_ub
-    m_eq = 0 if prob.A_eq is None else prob.A_eq.shape[0]
-    dual_ub = np.zeros(prob.m_ub)
+    loaded, m_eq = np.count_nonzero(prob.lazy < 0), prob.A_eq.shape[0]
+    dual_ub = np.zeros(prob.A_ub.shape[0])
     dual_ub[prob._held] = np.r_[row_dual[:loaded], row_dual[loaded + m_eq:]]
     return LpResult(status="optimal", objective=float(h.getInfo().objective_function_value),
-                    x=x, dual_ub=None if prob.A_ub is None else dual_ub,
-                    dual_eq=None if prob.A_eq is None else row_dual[loaded:loaded + m_eq],
+                    x=x, dual_ub=dual_ub, dual_eq=row_dual[loaded:loaded + m_eq],
                     residual=residual, message=h.modelStatusToString(h.getModelStatus()))
 
 
@@ -189,11 +182,8 @@ def _load(prob: LpProblem, held: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     costs about 0.2 s, which only the commands that solve an LP pay."""
     from scipy.optimize._highspy import _core as _highs
 
-    empty = sp.csr_matrix((0, prob.n))
-    A = sp.vstack([empty if prob.A_ub is None else prob.A_ub[held],
-                   empty if prob.A_eq is None else prob.A_eq], format="csr")
-    b_ub = np.empty(0) if prob.A_ub is None else prob.b_ub[held]
-    b_eq = np.empty(0) if prob.A_eq is None else prob.b_eq
+    A = sp.vstack([prob.A_ub[held], prob.A_eq], format="csr")
+    b_ub, b_eq = prob.b_ub[held], prob.b_eq
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = prob.c, lo, hi
@@ -223,14 +213,9 @@ def _price_by_devex(h) -> None:
 
 
 def _primal_residual(prob: LpProblem, x: np.ndarray, lo, hi) -> float:
-    worst = 0.0
-    if prob.A_ub is not None and prob.A_ub.shape[0]:
-        worst = max(worst, float(np.max(prob.A_ub @ x - prob.b_ub, initial=0.0)))
-    if prob.A_eq is not None and prob.A_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(prob.A_eq @ x - prob.b_eq), initial=0.0)))
-    worst = max(worst, float(np.max(lo - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - hi, initial=0.0)))
-    return worst
+    return max(float(np.max(prob.A_ub @ x - prob.b_ub, initial=0.0)),
+               float(np.max(np.abs(prob.A_eq @ x - prob.b_eq), initial=0.0)),
+               float(np.max(lo - x, initial=0.0)), float(np.max(x - hi, initial=0.0)))
 
 
 def _numerical_report(h) -> str:

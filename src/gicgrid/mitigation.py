@@ -47,13 +47,13 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (ABSENT, AcBranch, BranchGmdData, CaseData, CaseReferenceError, FieldScenario,
-                   ThermalData, dispatch_cost, topology_status)
+from .data import (ABSENT, AcBranch, CaseData, CaseReferenceError, FieldScenario, dispatch_cost,
+                   topology_status)
 from .coupling import AcArrays, energized
 from . import thermal
-from .dcnet import DcArrays, DcSystem, source_basis
+from .dcnet import DcSystem, source_basis
 from .lp import LpProblem, lp_solve
-from .thermal import TopOil, hotspot_temp, steady_rise
+from .thermal import TopOil, XfmrArrays, hotspot_temp, steady_rise
 
 __all__ = [
     "OtsOptions",
@@ -88,19 +88,6 @@ class MitigationInfeasible(RuntimeError):
         self.context = context or {}
 
 
-@dataclass(frozen=True)
-class _XfmrEntry:
-    pos: int                        # branch_gmd row position
-    row: BranchGmdData
-    thermal: ThermalData | None
-    branch: AcBranch | None         # None for synthetic GSU rows
-    i_bound: float                  # effective-GIC cap (data or derived)
-    i_derived: float                # derived cap: bounds Ieff for every switching state
-    cap: float | None               # hot-spot cap [degC], None when untracked
-    topoil: TopOil
-    chords: list                    # PWL steady top-oil rise over p_e; [] when unloaded
-
-
 @dataclass
 class OtsModel:
     case: CaseData
@@ -114,8 +101,12 @@ class OtsModel:
     switchable: list[int]           # ac branch ids with binaries, sorted
     dc: DcSystem                    # the dc solve set: nodes, edges and source basis
     coeffs: np.ndarray              # T x B: basis weights per period (v and i are per basis)
-    xfmrs: list[_XfmrEntry]
-    eff_weights: sp.csr_matrix      # xfmrs x dc edges: winding currents -> signed Ieff
+    transformers: XfmrArrays        # the transformer rows the model holds (``_scope``)
+    i_bound: np.ndarray             # per row: effective-GIC cap (data or derived) [A]
+    i_derived: np.ndarray           # per row: derived cap, bounds Ieff for every switching state
+    loading_row: np.ndarray         # per traced row: its ac branch's row in ``branches``
+    loading_chords: np.ndarray      # traced rows x chords x (slope, intercept): steady rise
+    eff_weights: sp.csr_matrix      # transformers x dc edges: winding currents -> signed Ieff
     lp: LpProblem
     z_col: dict[int, int]
     open_cols: dict[int, np.ndarray]          # branch id -> its p_e columns, 0 while open
@@ -190,9 +181,9 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     # connected, energized ac subnetwork; bus_row is a bus's row among the model's
     ac = case.compiled(AcArrays)
-    live, active = energized(case)
-    in_model, bus_row = live & active[ac.f], np.cumsum(active) - 1
-    switchable = sorted(ac.branch_ids[live & ac.switchable].tolist())
+    active, in_model, held = _scope(case)
+    bus_row = np.cumsum(active) - 1
+    switchable = sorted(ac.branch_ids[ac.status & ac.switchable].tolist())
     buses = [b for b, on in zip(case.buses, active) if on]
     branches = [b for b, on in zip(case.ac_branches, in_model) if on]
     gens = sorted((g for g in case.generators if active[ac.pos[g.bus]]), key=lambda g: g.index)
@@ -222,34 +213,21 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     node_m, edge_gap_m = gap_m(np.abs(sources))
     i_m = a[:, None] * edge_gap_m                 # dc current big-M per edge and basis
 
-    # transformers in the model: xfmr rows whose windings are all present;
-    # W (xfmrs x dc edges) weighs winding currents into the signed effective GIC
-    arrays = case.compiled(DcArrays)
-    inside = arrays.nominal_xfmrs()
-    rows = [(pos, case.branch_gmd[pos]) for pos in np.take(arrays.xfmr_pos, inside).tolist()]
-    W = dc.W[inside]
+    # transformers in the model (``_scope``); W (rows x dc edges) weighs their
+    # solved winding currents into the signed effective GIC, as the dc engine does
+    rows = case.compiled(XfmrArrays)[held]
+    W = dc.W[np.flatnonzero(held)]
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
     w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
     derived = np.maximum(w_big_m @ period_gap_m, 1.0)
-    xfmrs: list[_XfmrEntry] = []
-    for (pos, row), ibound in zip(rows, derived.tolist()):
-        thermal = case.thermal_for(row.branch) if row.branch != ABSENT else None
-        branch = case.ac_branch(row.branch) if row.branch != ABSENT else None
-        cap = case.hotspot_limit_for(row) if thermal is not None else None
-        chords = []
-        if thermal is not None:
-            topoil = TopOil.of(thermal, dt)
-            chords = _chords(lambda p: steady_rise(abs(p), branch.rating, thermal.to_rated),
-                             -branch.rating, branch.rating, _PWL_SEGMENTS)
-        else:
-            topoil = TopOil(zeta=2.0, delta0=0.0)
-        xfmrs.append(_XfmrEntry(pos=pos, row=row, thermal=thermal, branch=branch,
-                                i_bound=ibound if row.gic_bound is None else row.gic_bound,
-                                i_derived=ibound,
-                                cap=cap, topoil=topoil, chords=chords))
+    i_bound = np.where(np.isinf(rows.gic_bound), derived, rows.gic_bound)
+    topoil = TopOil.of(rows, dt)
+    traced = np.flatnonzero(rows.traced)  # a synthetic row holds no heat: du <= 0
+    chords = _loading_chords(rows[traced])
+    loading_sizes = np.where(rows.traced, _PWL_SEGMENTS, 0)  # chords per row
 
     G, N, E = len(gens), len(buses), len(branches)
-    X = len(xfmrs)
+    X = len(rows.pos)
     B = coeffs.shape[1]
     S = len(switchable)
 
@@ -274,7 +252,6 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     register("du", X, T)        # aux: PWL steady-state top-oil rise
     nvars = offset
 
-    br_pos = {b.index: i for i, b in enumerate(branches)}
     z_pos = {bid: k for k, bid in enumerate(switchable)}
     z_col = {bid: slices["z"][0] + k for bid, k in z_pos.items()}
 
@@ -287,14 +264,14 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     slack = ac.bus_type[active] == "slack"  # angle 0
     theta_lo, theta_hi = np.where(slack, 0.0, -theta_bound), np.where(slack, 0.0, theta_bound)
     v_m = np.maximum(node_m, 1e-6)
-    d_m = [_delta_upper(x) for x in xfmrs]
+    d_m = np.fmax(rows.to_rated, topoil.delta0) + 1e-6
     cost = [_cost_range(g) for g in gens]
     for name, lo, hi in (("p_g", [g.pmin for g in gens], [g.pmax for g in gens]),
                          ("theta", theta_lo, theta_hi),
                          ("p_e", [-br.rating for br in branches], [br.rating for br in branches]),
                          ("v", -v_m, v_m),
                          ("i", -i_m, i_m),
-                         ("ieff", [0.0] * X, [x.i_bound for x in xfmrs]),
+                         ("ieff", [0.0] * X, i_bound),
                          ("delta", [0.0] * X, d_m),
                          ("du", [0.0] * X, d_m),
                          ("z", [0.0] * S, [1.0] * S),
@@ -312,6 +289,8 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # coeffs maps the basis currents to each period's) and over the class's
     # +/- pair or group pattern, so rows run by entity, then period or basis,
     # then pattern.
+    gen_chords = [_chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS if g.cost2 > 0 else 1)
+                  for g in gens]
     each, shared, lag = sp.identity(T), np.ones((T, 1)), sp.eye(T, k=-1)
     basis = sp.identity(B)
     pair, both = (1.0, -1.0), (1.0, 1.0)
@@ -336,18 +315,22 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
         return _mat((len(owners), S), sel, [z_pos[owners[k]] for k in sel],
                     np.asarray(coef, dtype=float)[sel])
 
-    def epigraph(y, x, groups, x_pos):
-        """y >= slope * x + intercept for every chord in each entity's group, rows
-        by entity, period, chord; an entity without chords gets y <= 0."""
-        owner = np.repeat(np.arange(len(groups)), [max(len(g), 1) for g in groups])
-        slope, intercept = np.reshape([c for g in groups for c in g or [(0.0, 0.0)]], (-1, 2)).T
-        real = np.array([bool(groups[k]) for k in owner], dtype=bool)
+    def epigraph(y, x, sizes, chords, x_pos):
+        """y >= slope * x + intercept for every chord, rows by entity, period,
+        chord: ``sizes[k]`` rows of ``chords`` (slope, intercept) per entity k in
+        turn, on the ``x`` entity ``x_pos`` of each entity with chords; an entity
+        without chords gets y <= 0."""
+        sizes = np.asarray(sizes, dtype=int)
+        owner = np.repeat(np.arange(len(sizes)), np.maximum(sizes, 1))
+        real = sizes[owner] > 0
+        slope, intercept = np.zeros((2, len(owner)))
+        slope[real], intercept[real] = np.reshape(chords, (-1, 2)).T
         k = np.arange(len(owner))
         return block(held(np.where(real, -intercept, 0.0)),
-                     (y, _expand(_mat((len(k), len(groups)), k, owner,
+                     (y, _expand(_mat((len(k), len(sizes)), k, owner,
                                       np.where(real, -1.0, 1.0)), each)),
                      (x, _expand(_mat((len(k), slices[x][1]), k[real],
-                                      np.asarray(x_pos)[owner[real]], slope[real]), each)),
+                                      np.repeat(x_pos, sizes[sizes > 0]), slope[real]), each)),
                      order=_group_order(owner, T))
 
     # ac side: branch-bus incidence (+1 at f, -1 at t) and Ohm's law p = b (theta_f - theta_t)
@@ -373,12 +356,10 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                    np.repeat(np.searchsorted(switchable, dc.parent[dsw]), B), i_sw.ravel())
 
     # transformers: top-oil start (steady: delta_0 = du_0, else du_-1 := delta0)
-    x_ids = [None if x.branch is None else x.branch.index for x in xfmrs]
-    capped = np.array([k for k, bid in enumerate(x_ids) if bid in z_pos], dtype=int)
-    hot = np.array([k for k, x in enumerate(xfmrs) if x.cap is not None and x.thermal is not None],
-                   dtype=int)
-    zeta = np.array([x.topoil.zeta for x in xfmrs])
-    delta0 = np.array([np.nan if x.topoil.delta0 is None else x.topoil.delta0 for x in xfmrs])
+    capped = np.flatnonzero(np.isin(rows.branch, switchable))
+    by_id = np.argsort(br_ids)  # each traced row's branch among the model's
+    loading_row = by_id[np.searchsorted(br_ids, rows.branch[traced], sorter=by_id)]
+    zeta, delta0 = topoil.zeta, topoil.delta0
     steady = np.isnan(delta0)
     start = np.zeros((X, T))
     start[~steady, 0] = (delta0 + (zeta - 1.0) * delta0)[~steady]
@@ -428,20 +409,16 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                          ("ieff", _expand(-I_X, each, both))),
         # support: switching forces Ieff to zero
         "gic_cap": block(held(np.zeros(len(capped))), ("ieff", _expand(I_X[capped], each)),
-                         ("z", _expand(on_z(x_ids, capped, [-x.i_bound for x in xfmrs])[capped],
-                                       shared))),
-        # PWL steady top-oil rise over the loading; unloaded synthetic rows: du <= 0
-        "pwl_loading": epigraph("du", "p_e", [x.chords for x in xfmrs],
-                                [br_pos[bid] if x.chords else -1 for x, bid in zip(xfmrs, x_ids)]),
-        "hotspot_cap": block(held([xfmrs[k].cap - xfmrs[k].thermal.temp_amb for k in hot]),
-                             ("delta", _expand(I_X[hot], each)),
-                             ("ieff", _expand(_mat((len(hot), X), np.arange(len(hot)), hot,
-                                                   [xfmrs[k].thermal.hs_coeff for k in hot]),
-                                              each))),
+                         ("z", _expand(on_z(rows.branch, capped, -i_bound)[capped], shared))),
+        # PWL steady top-oil rise over the loading; synthetic rows: du <= 0
+        "pwl_loading": epigraph("du", "p_e", loading_sizes, chords, loading_row),
+        "hotspot_cap": block(held((rows.limit - rows.temp_amb)[traced]),
+                             ("delta", _expand(I_X[traced], each)),
+                             ("ieff", _expand(_mat((len(traced), X), np.arange(len(traced)),
+                                                   traced, rows.hs_coeff[traced]), each))),
         # cost epigraph
-        "pwl_cost": epigraph("cost", "p_g", [_chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS
-                                                     if g.cost2 > 0 else 1) for g in gens],
-                             np.arange(G)),
+        "pwl_cost": epigraph("cost", "p_g", [len(c) for c in gen_chords],
+                             list(itertools.chain(*gen_chords)), np.arange(G)),
     }
     classes, stop = {}, 0
     for name, (A, _) in ineq.items():
@@ -455,8 +432,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # and period (the angle pair), one per transformer and period (its
     # loading chords)
     group_rows = {"rating": np.full(len(sw) * T, 2), "angle": np.full(E * T, 2),
-                  "pwl_loading": np.repeat(np.array([max(len(x.chords), 1) for x in xfmrs],
-                                                    dtype=int), T)}
+                  "pwl_loading": np.repeat(np.maximum(loading_sizes, 1), T)}
     lazy, groups = np.full(stop, -1), 0
     for name, sizes in group_rows.items():
         start, end = classes[name]
@@ -474,9 +450,10 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
-                    dc=dc, coeffs=coeffs, xfmrs=xfmrs,
-                    eff_weights=W, lp=lp, z_col=z_col, open_cols=open_cols, slices=slices,
-                    classes=classes, primary_var_count=primary)
+                    dc=dc, coeffs=coeffs, transformers=rows, i_bound=i_bound, i_derived=derived,
+                    loading_row=loading_row, loading_chords=chords, eff_weights=W, lp=lp,
+                    z_col=z_col, open_cols=open_cols, slices=slices, classes=classes,
+                    primary_var_count=primary)
 
 
 def _midpoints(scenario: FieldScenario, dt: float) -> np.ndarray:
@@ -536,11 +513,30 @@ def _cost_range(g) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def _delta_upper(x: _XfmrEntry) -> float:
-    base = x.thermal.to_rated if x.thermal is not None else 0.0
-    if x.topoil.delta0 is not None:
-        base = max(base, x.topoil.delta0)
-    return base + 1e-6
+def _loading_chords(rows: XfmrArrays) -> np.ndarray:
+    """Secants (slope, intercept) of each row's steady top-oil rise over its
+    branch's flow on [-rating, rating], rows x chords x 2: ``_chords`` of
+    every row at once."""
+    xs = np.linspace(-rows.rating, rows.rating, _PWL_SEGMENTS + 1, axis=1)
+    ys = steady_rise(np.abs(xs), rows.rating[:, None], rows.to_rated[:, None])
+    slope = (ys[:, 1:] - ys[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
+    return np.stack([slope, ys[:, :-1] - slope * xs[:, :-1]], axis=-1)
+
+
+def _scope(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of what the switching model holds: the energized ac buses, its ac
+    branches (in service at nominal, with an energized end), and its
+    transformer rows (``XfmrArrays``): a synthetic row, or one whose ac branch
+    is one of its branches.  A held row's effective GIC weighs its windings in
+    the nominal dc solve set, as the dc engine does.
+
+    Raises IslandError as ``energized`` does.
+    """
+    ac = case.compiled(AcArrays)
+    live, active = energized(case)
+    in_model = live & active[ac.f]
+    branch = case.compiled(XfmrArrays).branch
+    return active, in_model, (branch == ABSENT) | np.isin(branch, ac.branch_ids[in_model])
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +597,10 @@ def _coarse_dt(model: OtsModel) -> float | None:
     divisor k > 1 of T at which every traced transformer's top-oil step
     stays monotone (``TopOil.of``: k dt <= 2 tau); None when there is none."""
     T = model.n_periods
-    taus = [x.thermal.to_time_c for x in model.xfmrs if x.thermal is not None]
+    rows = model.transformers
+    taus = rows.to_time_c[rows.traced]
     for k in range(T, 1, -1):
-        if T % k == 0 and all(2.0 * tau / (k * model.dt) >= 1.0 for tau in taus):
+        if T % k == 0 and np.all(2.0 * taus / (k * model.dt) >= 1.0):
             return k * model.dt
     return None
 
@@ -770,8 +767,7 @@ def _first_violated_class(model: OtsModel, lb, ub) -> str:
         keep[start:stop] = False
         if cls == "gic_cap":
             off, count, horizon = model.slices["ieff"]
-            ub[off:off + count * horizon] = np.repeat([x.i_derived for x in model.xfmrs],
-                                                      horizon)
+            ub[off:off + count * horizon] = np.repeat(model.i_derived, horizon)
         probe = LpProblem(c=lp.c, A_ub=lp.A_ub[keep], b_ub=lp.b_ub[keep],
                           A_eq=lp.A_eq, b_eq=lp.b_eq, lb=lp.lb, ub=lp.ub, lazy=lp.lazy[keep])
         if lp_solve(probe, lb=lb, ub=ub).status == "optimal":
@@ -789,24 +785,22 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
 
     # the LP leaves I_eff / du anywhere between the physical value and the
     # caps when nothing binds; report the tight feasible point instead,
-    # recomputed from the solved dc currents and the chord envelope
+    # recomputed from the solved dc currents and the chord envelope (a
+    # synthetic row holds no heat: 0)
+    rows = model.transformers
+    traced = rows.traced
     tight_eff = np.abs(model.eff_weights @ model.values("i", x) @ model.coeffs.T)
-    heated = [xe for xe in model.xfmrs if xe.thermal is not None and xe.branch is not None]
-    rise = np.reshape([[max(s * p + q for s, q in xe.chords) for p in flows[xe.branch.index]]
-                       for xe in heated], (len(heated), T))
+    slope, intercept = model.loading_chords.transpose(2, 0, 1)[..., None]
+    p = model.values("p_e", x)[model.loading_row]
+    rise = np.max(slope * p[:, None, :] + intercept, axis=1)
+    delta, hotspot = np.zeros((2, len(rows.pos), T))
     # the initial state sees the first period's steady rise
-    deltas = dict(zip((xe.pos for xe in heated), TopOil.stack(
-        [xe.topoil for xe in heated], np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]))
-    i_eff, delta_to, hotspot, xfmr_branches = {}, {}, {}, {}
-    for xe, tight in zip(model.xfmrs, tight_eff):
-        i_eff[xe.pos] = tight.tolist()
-        if xe.pos in deltas:
-            delta_to[xe.pos] = deltas[xe.pos].tolist()
-            hotspot[xe.pos] = hotspot_temp(xe.thermal, deltas[xe.pos], tight).tolist()
-        else:
-            delta_to[xe.pos] = [0.0] * T
-            hotspot[xe.pos] = [0.0] * T
-        xfmr_branches[xe.pos] = xe.row.branch
+    delta[traced] = TopOil.of(rows[traced], model.dt).stack(
+        np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]
+    hotspot[traced] = hotspot_temp(rows[traced], delta[traced].T, tight_eff[traced].T).T
+    pos = rows.pos.tolist()
+    i_eff, delta_to, hotspot, xfmr_branches = (
+        dict(zip(pos, v.tolist())) for v in (tight_eff, delta, hotspot, rows.branch))
 
     costs = np.reshape([(g.cost0, g.cost1, g.cost2) for g in model.gens], (-1, 3)).T
     true_obj = dispatch_cost(*costs, model.values("p_g", x))
@@ -889,9 +883,9 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     [times[0] - dt, *times]: sample 0 is the initial state, one step before
     period 0, as in the model's recursion rows.  They cover every
     transformer row of that solve (GIC bound, Ieff soundness, switch-off),
-    every traced transformer (hot-spot cap) and every traced transformer in
-    service (heat soundness: the plan's top-oil and hot-spot series must not
-    fall below the re-simulated ones).
+    every traced transformer (hot-spot cap) and every traced transformer the
+    model holds (``_scope``; heat soundness: the plan's top-oil and hot-spot
+    series must not fall below the re-simulated ones).
 
     Reports the worst excess per class (at least 0) and, for each class
     with a positive one, a details line naming its worst entity and period.
@@ -909,12 +903,9 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     if stray:
         raise CaseReferenceError(f"plan z: branch {stray[0]} is not a switchable in-service "
                                  "ac branch of the case")
-    arrays = case.compiled(DcArrays)
-    rows = arrays.xfmr_pos
-    xfmrs = [case.branch_gmd[r] for r in rows]
-    xfmr_branch = np.array([x.branch for x in xfmrs], dtype=int)
-    wrong = [pos for pos, b in plan.xfmr_branches.items()
-             if pos not in rows or case.branch_gmd[pos].branch != b]
+    xfmrs = case.compiled(XfmrArrays)
+    branch_of = dict(zip(xfmrs.pos.tolist(), xfmrs.branch.tolist()))
+    wrong = [pos for pos, b in plan.xfmr_branches.items() if branch_of.get(pos) != b]
     if wrong:
         raise CaseReferenceError(f"plan xfmr_branches: branch_gmd row {wrong[0]} is no transformer "
                                  f"of ac branch {plan.xfmr_branches[wrong[0]]} in the case")
@@ -932,7 +923,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
 
     topo = {bid: int(zv) for bid, zv in plan.z.items()}
     live = topology_status(ac.branch_ids, ac.status, topo)
-    _, active = energized(case)
+    active, _, held = _scope(case)
     flows = _table(plan.flows, ac.branch_ids, T)
     theta = _table(plan.theta, ac.bus_ids, T)
     gen_p = _table(plan.gen_p, ac.gen_ids, T)
@@ -961,16 +952,15 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
         trace = thermal.simulate(case, scenario, loading=loading, topology=topo, times=samples)
-    eff = np.reshape([trace.series.effective[r] for r in rows], (len(rows), T + 1))[:, 1:]
-    bound = np.array([np.inf if x.gic_bound is None else x.gic_bound for x in xfmrs])
-    check("eff_soundness", eff - _table(plan.i_eff, rows, T), "branch_gmd row", rows)
-    check("gic_cap", eff - bound[:, None], "branch_gmd row", rows)
-    opened = (xfmr_branch != ABSENT) & ~np.isin(xfmr_branch, ids)
+    eff = np.reshape(list(trace.series.effective.values()), (-1, T + 1))[:, 1:]
+    check("eff_soundness", eff - _table(plan.i_eff, xfmrs.pos, T), "branch_gmd row", xfmrs.pos)
+    check("gic_cap", eff - xfmrs.gic_bound[:, None], "branch_gmd row", xfmrs.pos)
+    opened = xfmrs.traced & ~np.isin(xfmrs.branch, ids)
     check("switch_off", np.concatenate([np.abs(flows[~live]), eff[opened]]).reshape(-1, T),
-          "branch", np.concatenate([ac.branch_ids[~live], xfmr_branch[opened]]))
+          "branch", np.concatenate([ac.branch_ids[~live], xfmrs.branch[opened]]))
     check("hotspot", trace.hotspot[:, 1:] - trace.limit[:, None], "branch", trace.branch)
     # the plan claims the heat of each traced transformer the model holds
-    held = np.isin(trace.pos, np.take(rows, arrays.nominal_xfmrs()))
+    held = held[xfmrs.traced]
     heated = trace.pos[held]
     check("heat_soundness",
           np.maximum(trace.delta_to[held, 1:] - _table(plan.delta_to, heated, T),

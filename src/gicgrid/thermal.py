@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ABSENT, CaseData, FieldScenario, ThermalData
+from .data import ABSENT, BranchGmdData, CaseData, FieldScenario, ThermalData
 from .dcnet import GicSeries, solve_series
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "simulate",
     "topoil_series",
     "TopOil",
+    "XfmrArrays",
 ]
 
 
@@ -45,8 +46,9 @@ def steady_rise(s: float, s_rated: float, delta_rated: float) -> float:
     """Steady-state top-oil rise [degC] for apparent loading s.
 
     Quadratic in the fractional loading: delta_rated * (s / s_rated)^2.
+    Works on numbers and on arrays that broadcast together.
     """
-    if s_rated <= 0:
+    if np.any(np.asarray(s_rated) <= 0):
         raise ValueError("rated apparent power must be > 0")
     k = s / s_rated
     return delta_rated * k * k
@@ -68,10 +70,11 @@ def hotspot_rise(i_eff: float, r_coeff: float) -> float:
     return r_coeff * i_eff
 
 
-def hotspot_temp(th: ThermalData, delta_to, i_eff):
+def hotspot_temp(th: ThermalData | XfmrArrays, delta_to, i_eff):
     """Absolute hot-spot temperature [degC]: ambient + top-oil rise + hs_coeff * I_eff.
 
-    Works on scalars and on arrays of matching shape.
+    ``th`` is one thermal row, with numbers or series of matching shape, or
+    a table of transformer rows, with (samples x rows) stacks.
     """
     return th.temp_amb + delta_to + th.hs_coeff * i_eff
 
@@ -102,41 +105,82 @@ def topoil_series(du: np.ndarray, zeta, delta0) -> np.ndarray:
                     dtype=float).T
 
 
-@dataclass(frozen=True)
-class TopOil:
-    """Top-oil state convention of one transformer at step dt.
+class XfmrArrays:
+    """The transformer rows of a case as arrays, built from its rows once per
+    case: read them through ``case.compiled(XfmrArrays)``.
 
-    ``delta0`` is the initial top-oil rise: to_init when to_inited is 1,
-    None when it starts from the steady rise of the first sample.
+    One row per ``DcArrays.xfmr_pos`` entry (``case.xfmr_rows()``), in that
+    order; ``table[rows]`` is the table of some of them (an index or mask
+    array).  A row is traced when its ac branch is real: validation gives
+    every real transformer exactly one thermal row.  A synthetic row (branch
+    -1) holds no heat: NaN rating, time constant and limit, and 0 ambient,
+    hot-spot coefficient, rated and initial rise.
     """
 
-    zeta: float                 # 2 tau / dt
-    delta0: float | None
+    def __init__(self, case: CaseData):
+        rows = case.xfmr_rows()
+        self.pos = np.array([pos for pos, _ in rows], dtype=int)  # branch_gmd position
+        self.branch = np.array([row.branch for _, row in rows], dtype=int)  # ac branch id or -1
+        self.traced = self.branch != ABSENT
+
+        def columns(row: BranchGmdData) -> tuple[float, ...]:
+            if row.branch == ABSENT:
+                return (math.nan, 0.0, 0.0, 0.0, math.nan, math.nan, 0.0)
+            th = case.thermal_for(row.branch)
+            limit = th.hs_inst_lim if row.hotspot_limit is None else row.hotspot_limit
+            return (case.ac_branch(row.branch).rating, th.temp_amb, th.hs_coeff, th.to_rated,
+                    th.to_time_c, limit, th.to_init if th.to_inited else math.nan)
+
+        # limit: the hot-spot cap; delta0: the initial top-oil rise, NaN when the
+        # row starts from the steady rise of its first sample
+        (self.rating, self.temp_amb, self.hs_coeff, self.to_rated, self.to_time_c, self.limit,
+         self.delta0) = np.array([columns(row) for _, row in rows], dtype=float).reshape(-1, 7).T
+        self.gic_bound = np.array([math.inf if row.gic_bound is None else row.gic_bound
+                                   for _, row in rows], dtype=float)  # [A]
+
+    def __getitem__(self, rows) -> "XfmrArrays":
+        part = object.__new__(XfmrArrays)
+        part.__dict__.update({name: col[rows] for name, col in vars(self).items()})
+        return part
+
+
+@dataclass(frozen=True)
+class TopOil:
+    """Top-oil state convention of transformer rows at step dt.
+
+    ``zeta`` is 2 tau / dt per row; ``delta0`` the initial top-oil rise, NaN
+    where a row starts from the steady rise of its first sample.
+    """
+
+    zeta: np.ndarray
+    delta0: np.ndarray
 
     @classmethod
-    def of(cls, th: ThermalData, dt: float | None) -> "TopOil":
-        """State at step ``dt`` [min]; None when no step is taken (one sample).
+    def of(cls, rows: XfmrArrays, dt: float | None) -> "TopOil":
+        """States of the table's ``rows`` at step ``dt`` [min]; zeta is inf when
+        no step is taken (one sample).  A synthetic row gets zeta 2: it holds no
+        heat, and any zeta >= 1 keeps it at 0.
 
-        Raises ValueError when dt exceeds 2 tau (zeta < 1).
+        Raises ValueError naming the first branch whose dt exceeds 2 tau (zeta < 1).
         """
-        zeta = math.inf if dt is None else 2.0 * th.to_time_c / dt
-        if not zeta >= 1.0:
-            raise ValueError(f"branch {th.branch}: dt={dt} exceeds 2*tau; temperature "
+        zeta = np.where(rows.traced, math.inf if dt is None else 2.0 * rows.to_time_c / dt, 2.0)
+        bad = np.flatnonzero(~(zeta >= 1.0))
+        if bad.size:
+            raise ValueError(f"branch {rows.branch[bad[0]]}: dt={dt} exceeds 2*tau; temperature "
                              "recursion would lose monotonicity")
-        return cls(zeta, th.to_init if th.to_inited else None)
+        return cls(zeta, rows.delta0)
 
-    @staticmethod
-    def stack(states: Sequence["TopOil"], rise) -> np.ndarray:
-        """Top-oil rise of each transformer: row r of the steady-rise stack
-        ``rise`` (transformers x samples) under ``states[r]``, in one recursion.
+    def stack(self, rise) -> np.ndarray:
+        """Top-oil rise of each row: row r of the steady-rise stack ``rise``
+        (rows x samples) under row r's state, in one recursion.
 
         Sample 0 is the initial state.  Its input is replaced by the
         initial rise, so the pre-initial input sustains the initial state.
         """
         du = np.array(rise, dtype=float)
-        inited = [r for r, state in enumerate(states) if state.delta0 is not None]
-        du[inited, 0] = [states[r].delta0 for r in inited]
-        return topoil_series(du, [state.zeta for state in states], du[:, 0])
+        inited = ~np.isnan(self.delta0)
+        du[inited, 0] = self.delta0[inited]
+        return topoil_series(du, self.zeta, du[:, 0])
 
 
 @dataclass(frozen=True)
@@ -190,22 +234,15 @@ def simulate(case: CaseData, scenario: FieldScenario, *,
             raise ValueError(f"simulate: loading of branch {bid} has {s.size} values "
                              f"for {len(tgrid)} samples")
     series = solve_series(case, scenario, tgrid, topology=topology)
-    rows = [(pos, row) for pos, row in case.xfmr_rows()
-            if row.branch != ABSENT and case.thermal_for(row.branch) is not None]
-    ths = [case.thermal_for(row.branch) for _, row in rows]
-    shape = (len(rows), len(tgrid))
-
-    rise = np.zeros(shape)
-    for k, ((_, row), th) in enumerate(zip(rows, ths)):  # a held number fills its row
-        rise[k] = steady_rise(loads.get(row.branch, 0.0), case.ac_branch(row.branch).rating,
-                              th.to_rated)
-    delta = TopOil.stack([TopOil.of(th, step) for th in ths], rise)
-    i_eff = np.reshape([series.effective[pos] for pos, _ in rows], shape)
-    return ThermalTrace(
-        branch=np.array([row.branch for _, row in rows], dtype=int),
-        pos=np.array([pos for pos, _ in rows], dtype=int), t=tgrid, i_eff=i_eff,
-        delta_to=delta, eta_hs=np.reshape([th.hs_coeff * ie for th, ie in zip(ths, i_eff)], shape),
-        hotspot=np.reshape([hotspot_temp(th, d, ie) for th, d, ie in zip(ths, delta, i_eff)],
-                           shape),
-        limit=np.array([case.hotspot_limit_for(row) for _, row in rows], dtype=float),
-        series=series)
+    xfmrs = case.compiled(XfmrArrays)
+    rows = xfmrs[xfmrs.traced]
+    shape = (len(rows.pos), len(tgrid))
+    load = np.reshape([np.broadcast_to(loads.get(bid, 0.0), tgrid.shape)
+                       for bid in rows.branch.tolist()], shape)
+    delta = TopOil.of(rows, step).stack(
+        steady_rise(load, rows.rating[:, None], rows.to_rated[:, None]))
+    i_eff = np.reshape(list(series.effective.values()), (-1, len(tgrid)))[xfmrs.traced]
+    return ThermalTrace(branch=rows.branch, pos=rows.pos, t=tgrid, i_eff=i_eff, delta_to=delta,
+                        eta_hs=rows.hs_coeff[:, None] * i_eff,
+                        hotspot=hotspot_temp(rows, delta.T, i_eff.T).T, limit=rows.limit,
+                        series=series)

@@ -686,10 +686,11 @@ def _first(doc, key, value):
     (lambda doc: _first(doc, "gap", [[0.0]]), "plan gap: expected a number"),
     (lambda doc: _first(doc, "xfmr_branches", [1]), "plan xfmr_branches: expected integer"),
     (lambda doc: _first(doc, "z", 0.5), "plan z: expected 0 (open) or 1"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "z"}, "plan: missing field 'z'"),
 ])
 def test_verify_malformed_plan_is_input_error(workdir, capsys, edit, expect):
     """Valid JSON that is not a plan: not an object, an id map that is not
-    one, a list for a number, a fractional switch state."""
+    one, a list for a number, a fractional switch state, no switch states."""
     plan = _plan(workdir)
     plan.write_text(json.dumps(edit(json.loads(plan.read_text()))))
     capsys.readouterr()
@@ -750,6 +751,31 @@ def test_verify_rejects_xfmr_branches_that_disagree_with_the_case(workdir, capsy
     assert captured.err.startswith(f"input error: plan xfmr_branches: branch_gmd row {row} is "
                                    "no transformer of ac branch 99")
     assert "[ok]" not in captured.out
+
+
+def test_transformer_of_a_dead_island_is_left_out_of_the_model(workdir):
+    """b4gic plus buses 5 and 6, with no load, generation or slack, joined by the
+    in-service transformer branch 4: the switching model leaves the dead island
+    out, its transformer with it, and its plan verifies."""
+    doc = json.loads((workdir / "b4gic.json").read_text())
+    doc["bus"] += [{"index": 5, "base_kv": 765.0, "bus_type": "PQ"},
+                   {"index": 6, "base_kv": 22.0, "bus_type": "PQ"}]
+    doc["branch"].append({"index": 4, "f_bus": 5, "t_bus": 6, "b": 100.0, "rating": 12.0})
+    doc["gmd_bus"] += [{"index": 7, "parent": 5, "g_gnd": 5.0, "name": "dc_sub5"},
+                       {"index": 8, "parent": 5, "g_gnd": 0.0, "name": "dc_bus5"}]
+    doc["gmd_branch"].append({"index": 4, "f_bus": 8, "t_bus": 7, "parent": 4, "br_r": 0.1,
+                              "name": "dc_xf4_hi"})
+    doc["branch_gmd"].append({**doc["branch_gmd"][0], "branch": 4, "hi_bus": 5, "lo_bus": 6,
+                              "gmd_br_hi": 4})
+    doc["branch_thermal"].append({**doc["branch_thermal"][0], "branch": 4})
+    doc["bus_gmd"] += [{"bus": 5, "lat": 41.0, "lon": -89.0}, {"bus": 6, "lat": 41.0, "lon": -89.0}]
+    case = workdir / "island.json"
+    case.write_text(json.dumps(doc))
+    common = ["--case", str(case), "--field", "2", "--dt", "30"]
+    assert run(["mitigate", *common, "--out", str(workdir / "plan")]) == 0
+    plan = workdir / "plan" / "plan.json"
+    assert sorted(json.loads(plan.read_text())["xfmr_branches"].values()) == [1, 3]
+    assert run(["verify", *common, "--plan", str(plan), "--out", str(workdir / "ver")]) == 0
 
 
 def test_missing_coordinates_is_input_error(workdir, capsys):

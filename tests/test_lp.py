@@ -15,17 +15,18 @@ from conftest import random_ots_case
 
 
 def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None, lazy=None):
+    """An LpProblem from dense rows: no rows of a kind give an empty matrix, and
+    no ``lazy`` holds every row."""
     c = np.asarray(c, dtype=float)
     n = len(c)
+    A_ub, A_eq = (sp.csr_matrix(np.asarray([] if a is None else a, dtype=float).reshape(-1, n))
+                  for a in (a_ub, a_eq))
+    b_ub, b_eq = (np.asarray([] if b is None else b, dtype=float) for b in (b_ub, b_eq))
     return LpProblem(
-        c=c,
-        A_ub=None if a_ub is None else sp.csr_matrix(np.asarray(a_ub, dtype=float)),
-        b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
-        A_eq=None if a_eq is None else sp.csr_matrix(np.asarray(a_eq, dtype=float)),
-        b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
+        c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         lb=np.full(n, -1e6) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, 1e6) if ub is None else np.asarray(ub, dtype=float),
-        lazy=None if lazy is None else np.asarray(lazy))
+        lazy=np.full(len(b_ub), -1) if lazy is None else np.asarray(lazy))
 
 
 def test_min_x_at_least_three():

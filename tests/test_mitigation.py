@@ -57,7 +57,7 @@ def test_variable_count_formula():
     model = build_model(case, scenario)
     T = model.n_periods
     G, N, E = len(model.gens), len(model.buses), len(model.branches)
-    Nd, Ed, X = len(model.dc.node_ids), len(model.dc.branch_ids), len(model.xfmrs)
+    Nd, Ed, X = len(model.dc.node_ids), len(model.dc.branch_ids), len(model.transformers.pos)
     S, B = len(model.switchable), model.coeffs.shape[1]
     assert model.primary_var_count == T * (G + N + E + 2 * X) + B * (Nd + Ed) + S
     # every constraint references declared variables only
@@ -368,27 +368,46 @@ def test_verify_reads_solved_plan_clean(epri21_case, epri21_plan):
     assert report.violations["heat_soundness"] <= 1e-9
 
 
-@pytest.mark.parametrize("outside", ["delta-delta", "winding out of service"])
-def test_verify_reads_heat_only_of_the_transformers_the_model_holds(b4gic_case, outside):
-    """A transformer in service whose windings are not all in the nominal dc
-    solve set (a delta-delta names none; a gwye-delta's winding may be out of
-    service) is traced by simulate but not held by the model, so the plan
-    claims no heat for it and the solved plan still verifies clean."""
-    case = b4gic_case
+def _unsolved_windings(case, outside):
+    """b4gic with its second transformer (row 2, branch 3) made delta-delta,
+    which names no winding, or with its winding (gmd_branch 3) out of service."""
     if outside == "delta-delta":
         rows = list(case.branch_gmd)
         rows[2] = dataclasses.replace(rows[2], config="delta-delta", gmd_br_hi=-1)
-        case = dataclasses.replace(case, branch_gmd=tuple(rows))
-    else:
-        edges = list(case.gmd_branches)
-        edges[2] = dataclasses.replace(edges[2], status=0)
-        case = dataclasses.replace(case, gmd_branches=tuple(edges))
+        return dataclasses.replace(case, branch_gmd=tuple(rows))
+    edges = list(case.gmd_branches)
+    edges[2] = dataclasses.replace(edges[2], status=0)
+    return dataclasses.replace(case, gmd_branches=tuple(edges))
+
+
+@pytest.mark.parametrize("outside", ["delta-delta", "winding out of service"])
+def test_verify_reads_heat_only_of_the_transformers_the_model_holds(b4gic_case, outside):
+    """A transformer in service whose windings are not in the nominal dc solve
+    set is held by the model with the effective GIC of its solved windings,
+    none here: the plan claims its heat, the re-simulation traces it, and the
+    solved plan verifies clean."""
+    case = _unsolved_windings(b4gic_case, outside)
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=30.0)
     plan = solve(build_model(case, scenario))
-    assert 2 not in plan.hotspot
+    assert plan.i_eff[2] == [0.0] * len(plan.times) and min(plan.hotspot[2]) >= 25.0
     assert 3 in simulate(case, scenario).branch.tolist()
     report = verify_plan(case, scenario, plan)
     assert report.violations["heat_soundness"] <= 1e-9
+    assert report.ok(1e-6)
+
+
+def test_transformer_with_a_winding_out_of_service_keeps_its_cap(epri21_case):
+    """epri21 with row 2's lo winding (gmd_branch 3) out of service: the model
+    holds row 2 with the effective GIC of its hi winding, as the dc engine
+    weighs it, so the solved plan claims row 2's Ieff and heat and verifies."""
+    edges = tuple(dataclasses.replace(e, status=0) if e.index == 3 else e
+                  for e in epri21_case.gmd_branches)
+    case = dataclasses.replace(epri21_case, gmd_branches=edges)
+    scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=30.0)
+    plan = solve(build_model(case, scenario, OtsOptions(dt=30.0)))
+    assert max(plan.i_eff[2]) > 1.0 and min(plan.hotspot[2]) >= 25.0
+    report = verify_plan(case, scenario, plan)
+    assert report.violations["eff_soundness"] <= 1e-6
     assert report.ok(1e-6)
 
 
@@ -574,7 +593,7 @@ def test_open_line_flow_bounds_change_no_lp(seed):
     objective of the same LP with every row held and only z fixed."""
     model = build_model(*random_ots_case(np.random.default_rng(seed)))
     searched = dataclasses.replace(model.lp)
-    held = dataclasses.replace(model.lp, lazy=None)
+    held = dataclasses.replace(model.lp, lazy=np.full(len(model.lp.lazy), -1))
     for assignment in itertools.product((0.0, 1.0), repeat=len(model.switchable)):
         z = dict(zip(model.switchable, assignment))
         lb, ub = mitigation._fixed(model, z)
@@ -621,21 +640,21 @@ def test_epri21_binaries_are_inservice_switchable_lines(epri21_case):
     assert not (set(model.switchable) & nominal_out)
 
 
-def test_model_transformers_have_every_named_winding_solved(epri21_case):
-    """A transformer row enters the model when every winding id it names is a
-    gmd branch of the nominal solve set, weighted or not: naming an id the
-    case lacks (row 0) or a winding of an open branch (row 14 names branch
-    11's) drops it; naming a solved winding (row 13 names row 0's) keeps it."""
+def test_model_holds_the_transformers_of_its_branches(epri21_case):
+    """A transformer row enters the model when its ac branch is one of the
+    model's (in service, energized), whatever winding ids it names: an id the
+    case lacks (row 0), a winding of an open branch (row 14 names branch 11's)
+    or a solved winding of another row (row 13 names row 0's) changes nothing.
+    The seven transformers out of service stay out."""
     rows = list(epri21_case.branch_gmd)
     for pos, lo in ((0, 9999), (13, 1), (14, 13)):  # gwye-delta rows: gmd_br_lo has no weight
         rows[pos] = dataclasses.replace(rows[pos], gmd_br_lo=lo)
     case = dataclasses.replace(epri21_case, branch_gmd=tuple(rows))
     model = build_model(case, make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0))
-    solved = set(model.dc.branch_ids)
-    named = {pos: {w for w in (r.gmd_br_hi, r.gmd_br_lo, r.gmd_br_se, r.gmd_br_co) if w != -1}
-             for pos, r in case.xfmr_rows()}
-    assert [x.pos for x in model.xfmrs] == [p for p, ids in named.items() if ids and ids <= solved]
-    assert [x.pos for x in model.xfmrs] == [2, 3, 4, 5, 13, 17]
+    in_model = {br.index for br in model.branches}
+    assert model.transformers.pos.tolist() == [p for p, r in case.xfmr_rows()
+                                               if r.branch in in_model]
+    assert model.transformers.pos.tolist() == [0, 2, 3, 4, 5, 13, 14, 17]
 
 
 def test_build_rejects_islanded_load(epri21_case):
@@ -679,11 +698,12 @@ def _dc_rows(model):
                            for off, count, horizon in (model.slices["v"], model.slices["i"])])
     ub = lp.ub.copy()
     off, count, horizon = model.slices["ieff"]
-    ub[off:off + count * horizon] = np.repeat([x.i_derived for x in model.xfmrs], horizon)
+    ub[off:off + count * horizon] = np.repeat(model.i_derived, horizon)
     ub_rows = lp.A_ub[:, cols].getnnz(axis=1) > 0
     eq_rows = lp.A_eq[:, cols].getnnz(axis=1) > 0
     return LpProblem(c=lp.c, A_ub=lp.A_ub[ub_rows], b_ub=lp.b_ub[ub_rows],
-                     A_eq=lp.A_eq[eq_rows], b_eq=lp.b_eq[eq_rows], lb=lp.lb, ub=ub)
+                     A_eq=lp.A_eq[eq_rows], b_eq=lp.b_eq[eq_rows], lb=lp.lb, ub=ub,
+                     lazy=np.full(np.count_nonzero(ub_rows), -1))
 
 
 def _overrides_scenario():
@@ -693,17 +713,25 @@ def _overrides_scenario():
                          voltage_overrides={1: ((0.0, 120.0), (10.0, 120.0))})
 
 
-@pytest.mark.parametrize("name", ["epri21", "overrides_toy"])
+@pytest.mark.parametrize("name", ["epri21", "overrides_toy", "delta-delta",
+                                  "winding out of service"])
 def test_dc_basis_block_matches_series_engine(name, request):
     """For every integer switching, the model's per-basis dc currents weighed
-    by coeffs give the dc engine's effective GICs at every period."""
+    by coeffs give the dc engine's effective GICs at every period, of every
+    transformer the model holds, those with windings outside the solve set
+    (``_unsolved_windings``) too."""
     if name == "epri21":
         case = request.getfixturevalue("epri21_case")
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=30.0)
-    else:
+    elif name == "overrides_toy":
         case, scenario = _east_west_toy(), _overrides_scenario()
-    model = build_model(case, scenario, OtsOptions(dt=30.0 if name == "epri21" else None))
+    else:
+        case = _unsolved_windings(request.getfixturevalue("b4gic_case"), name)
+        scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=30.0)
+    model = build_model(case, scenario, OtsOptions(dt=None if name == "overrides_toy" else 30.0))
+    if name in ("delta-delta", "winding out of service"):
+        assert model.transformers.pos.tolist() == [0, 2]
     assert model.coeffs.shape == (model.n_periods, 3 if name == "overrides_toy" else 2)
     lp = _dc_rows(model)
     for bits in itertools.product((0, 1), repeat=len(model.switchable)):
@@ -717,7 +745,7 @@ def test_dc_basis_block_matches_series_engine(name, request):
             warnings.filterwarnings("ignore", message="pinning ungrounded")
             dc = solve_series(case, scenario, model.times,
                               topology=dict(zip(model.switchable, bits)))
-        want = np.array([dc.effective[x.pos] for x in model.xfmrs])
+        want = np.array([dc.effective[pos] for pos in model.transformers.pos.tolist()])
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-9 * max(1.0, float(np.max(want, initial=0.0))))
 
@@ -744,11 +772,13 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
 
     model = build_model(case, scenario, OtsOptions(dt=30.0))
     plan = solve(model)
-    assert len(model.xfmrs) == 2
-    for x in model.xfmrs:
-        du = [max(s * p + q for s, q in x.chords) for p in plan.flows[x.branch.index]]
+    rows = model.transformers
+    assert len(rows.pos) == len(model.loading_chords) == 2
+    for pos, bid, chords in zip(rows.pos.tolist(), rows.branch.tolist(),
+                                model.loading_chords):
+        du = [max(s * p + q for s, q in chords) for p in plan.flows[bid]]
         expect = topoil_series(np.r_[40.0, du], 2.0 * 71.0 / 30.0, 40.0)[1:]
-        assert plan.delta_to[x.pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert plan.delta_to[pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
     assert verify_plan(case, scenario, plan).ok(1e-6)
 
 
@@ -762,12 +792,15 @@ def test_plan_and_verify_heat_each_transformer_from_its_own_state(b4gic_case):
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0)
     model = build_model(case, scenario, OtsOptions(dt=30.0))
     plan = solve(model)
-    for x in model.xfmrs:
-        du = [max(s * p + q for s, q in x.chords) for p in plan.flows[x.branch.index]]
-        d0 = x.thermal.to_init
+    rows = model.transformers
+    for pos, bid, chords in zip(rows.pos.tolist(), rows.branch.tolist(),
+                                model.loading_chords):
+        du = [max(s * p + q for s, q in chords) for p in plan.flows[bid]]
+        d0 = case.thermal_for(bid).to_init
         expect = topoil_series(np.r_[d0, du], 2.0 * 71.0 / 30.0, d0)[1:]
-        assert plan.delta_to[x.pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    peaks = {x.branch.index: max(plan.hotspot[x.pos]) for x in model.xfmrs}
+        assert plan.delta_to[pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    peaks = {bid: max(plan.hotspot[pos]) for pos, bid in zip(rows.pos.tolist(),
+                                                             rows.branch.tolist())}
     assert peaks[1] > peaks[3] + 1.0
     cap = (peaks[1] + peaks[3]) / 2.0
     rows = tuple(dataclasses.replace(r, hotspot_limit=cap) if r.is_xfmr else r
@@ -831,7 +864,8 @@ def test_build_model_arrays_pinned(name, request):
     sizes = []
     switched = [br for br in model.branches if br.index in model.z_col]
     for cls, rows in (("rating", [2] * len(switched)), ("angle", [2] * len(model.branches)),
-                      ("pwl_loading", [max(len(x.chords), 1) for x in model.xfmrs])):
+                      ("pwl_loading", [8 if traced else 1
+                                       for traced in model.transformers.traced])):
         marked[slice(*model.classes[cls])] = True
         sizes += np.repeat(rows, model.n_periods).tolist()
     assert np.all(lp.lazy[~marked] == -1)

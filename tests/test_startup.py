@@ -82,8 +82,8 @@ def test_highs_loads_at_first_lp_solve():
         "import numpy as np, scipy.sparse as sp\n"
         "from gicgrid.lp import LpProblem, lp_solve\n"
         "prob = LpProblem(c=np.array([1.0, 1.0]), A_ub=sp.csr_matrix([[-1.0, -1.0]]),\n"
-        "                 b_ub=np.array([-1.0]), A_eq=None, b_eq=None,\n"
-        "                 lb=np.zeros(2), ub=np.ones(2))\n"
+        "                 b_ub=np.array([-1.0]), A_eq=sp.csr_matrix((0, 2)), b_eq=np.empty(0),\n"
+        "                 lb=np.zeros(2), ub=np.ones(2), lazy=np.array([-1]))\n"
         "before = 'scipy.optimize' in sys.modules\n"
         "res = lp_solve(prob)\n"
         "print(json.dumps([before, 'scipy.optimize' in sys.modules,\n"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.data import FieldSample, FieldScenario, make_ramp_scenario
-from gicgrid.thermal import (TopOil, apparent_power, hotspot_rise, hotspot_temp, simulate,
-                             steady_rise, step_topoil, topoil_series)
+from gicgrid.thermal import (TopOil, XfmrArrays, apparent_power, hotspot_rise, hotspot_temp,
+                             simulate, steady_rise, step_topoil, topoil_series)
 
 LOOP = 170.788 / 1.601
 
@@ -131,7 +131,7 @@ def test_topoil_stack_without_a_step_or_a_row():
     got = topoil_series(np.zeros((2, 1)), [np.inf, np.inf], [4.0, -0.0])
     assert got.shape == (2, 1) and got[:, 0].tolist() == [4.0, -0.0]
     assert np.signbit(got[1, 0])
-    assert TopOil.stack([], np.zeros((0, 5))).shape == (0, 5)
+    assert TopOil(np.zeros(0), np.zeros(0)).stack(np.zeros((0, 5))).shape == (0, 5)
 
 
 def test_topoil_series_rejects_non_positive_zeta():
@@ -231,10 +231,10 @@ def test_simulate_grid_length(b4gic_case):
 
 
 def test_step_beyond_twice_tau_is_rejected(b4gic_case):
-    th = b4gic_case.thermal[0]   # tau = 71 min
-    assert TopOil.of(th, 142.0).zeta == 1.0
-    with pytest.raises(ValueError, match="2\\*tau"):
-        TopOil.of(th, 142.5)
+    rows = b4gic_case.compiled(XfmrArrays)   # tau = 71 min
+    assert TopOil.of(rows, 142.0).zeta.tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError, match="branch 1: dt=142.5 exceeds 2\\*tau"):
+        TopOil.of(rows, 142.5)
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=180.0)
     with pytest.raises(ValueError, match="2\\*tau"):
         simulate(b4gic_case, scenario)
@@ -280,11 +280,10 @@ def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
     for bid, delta_to, hotspot, i_eff in zip(trace.branch.tolist(), trace.delta_to,
                                              trace.hotspot, trace.i_eff):
         th = case.thermal_for(bid)
-        state = TopOil.of(th, 0.25)
         du = [steady_rise(abs(s), case.ac_branch(bid).rating, th.to_rated) for s in loads[bid]]
-        if state.delta0 is not None:
-            du[0] = state.delta0
-        expect = _topoil_loop(du, state.zeta, du[0])
+        if th.to_inited:
+            du[0] = th.to_init
+        expect = _topoil_loop(du, 2.0 * th.to_time_c / 0.25, du[0])
         assert np.array_equal(delta_to.view(np.int64), expect.view(np.int64))
         assert np.array_equal(hotspot, hotspot_temp(th, expect, i_eff))
 
