@@ -18,8 +18,7 @@ _EXPORTS = {
              "ThermalData", "estimate_missing_gsu", "load_scenario", "load_scenario_file",
              "make_ramp_scenario", "parse_case", "parse_case_file", "serialize_case"),
     "dcnet": ("DcSystem", "FieldVector", "assemble", "branch_lengths"),
-    "coupling": ("AcSolution", "PowerFlowError", "QLoss", "ac_power_flow", "qloss",
-                 "sequential_gic_ac"),
+    "coupling": ("AcSolution", "PowerFlowError", "ac_power_flow", "qloss", "sequential_gic_ac"),
     "thermal": ("ThermalTrace", "apparent_power", "hotspot_rise", "simulate",
                 "steady_rise", "step_topoil"),
     "mitigation": ("MitigationInfeasible", "MitigationPlan", "OtsModel", "OtsOptions",

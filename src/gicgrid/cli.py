@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import IslandError, PowerFlowError, sequential_gic_ac
+from .coupling import AcArrays, IslandError, PowerFlowError, sequential_gic_ac
 from .data import (CaseError, CaseData, FieldScenario, load_scenario, make_ramp_scenario,
                    parse_case)
 from .dcnet import DcArrays, FieldVector, solve_series
@@ -178,7 +178,7 @@ def _cmd_dc(args) -> int:
     # each solved edge reads the effective GIC of the transformer row it is a
     # winding of (the last such row); winding_row -1 picks the zero row
     dc = case.compiled(DcArrays)
-    eff = np.array([series.effective[pos] for pos in dc.xfmr_pos] + [np.zeros(len(times))])[
+    eff = np.vstack([series.effective, np.zeros(len(times))])[
         dc.winding_row[np.isin(dc.branch_ids, series.branch_ids)]]
 
     def table(name, id_header, ids, **values):  # values: (T, len(ids)); rows by time, then id
@@ -200,21 +200,21 @@ def _cmd_dc(args) -> int:
 def _cmd_ac(args) -> int:
     case = parse_case(_read(args, "case"))
     field = None if args.field is None else FieldVector.from_mag_dir(args.field, args.dir)
-    _, qmap, ac = sequential_gic_ac(case, field)
+    _, d_q, ac = sequential_gic_ac(case, field)
     meta = _meta_line(args, ("field", "dir"))
 
-    bus, br = sorted(ac.vm), sorted(ac.p_from)
-    losses = [qmap[pos] for pos in sorted(qmap)]
-    _write_table(args, "ac_bus", {"bus_id": np.array(bus),
-                                  "vm_pu": np.array([ac.vm[b] for b in bus]),
-                                  "va_deg": np.array([math.degrees(ac.va[b]) for b in bus])}, meta)
-    _write_table(args, "ac_branch", {"branch_id": np.array(br),
-                                     "p_from_pu": np.array([ac.p_from[b] for b in br]),
-                                     "q_from_pu": np.array([ac.q_from[b] for b in br])}, meta)
-    _write_table(args, "qloss", {"branch_id": np.array([ql.branch for ql in losses]),
-                                 "d_q_pu": np.array([ql.d_q for ql in losses])}, meta)
+    arrays = case.compiled(AcArrays)  # each table's rows by id
+    bus = np.argsort(arrays.bus_ids, kind="stable")
+    br = np.argsort(arrays.branch_ids, kind="stable")
+    loss = np.argsort(arrays.loss_branch, kind="stable")
+    va_deg = np.array([math.degrees(v) for v in ac.va[bus].tolist()])
+    _write_table(args, "ac_bus", {"bus_id": np.asarray(arrays.bus_ids)[bus],
+                                  "vm_pu": ac.vm[bus], "va_deg": va_deg}, meta)
+    _write_table(args, "ac_branch", {"branch_id": arrays.branch_ids[br],
+                                     "p_from_pu": ac.p_from[br], "q_from_pu": ac.q_from[br]}, meta)
+    _write_table(args, "qloss", {"branch_id": arrays.loss_branch[loss], "d_q_pu": d_q[loss]}, meta)
 
-    total_q = sum(ql.d_q for ql in qmap.values())
+    total_q = sum(d_q.tolist())
     print(f"ac: converged in {ac.iterations} iterations "
           f"(mismatch {ac.max_mismatch:.2e} p.u.), GIC reactive loss "
           f"{total_q:.4f} p.u.; wrote ac_bus, ac_branch, qloss to {args.out}")

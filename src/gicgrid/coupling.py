@@ -28,8 +28,6 @@ from .data import CaseData, component_labels, slack_rule, topology_status
 from .dcnet import FieldVector, GicSeries, solve_series
 
 __all__ = [
-    "QLoss",
-    "QLossMap",
     "AcArrays",
     "AcSolution",
     "PowerFlowError",
@@ -39,16 +37,6 @@ __all__ = [
     "ac_power_flow",
     "sequential_gic_ac",
 ]
-
-
-@dataclass(frozen=True)
-class QLoss:
-    branch: int          # ac branch id (-1 for synthetic GSU rows)
-    bus: int             # attribution bus (transformer high side)
-    d_q: float           # reactive loss [p.u. on system base]
-
-
-QLossMap = Mapping[int, QLoss]  # keyed by branch_gmd row position
 
 
 class AcArrays:
@@ -104,31 +92,29 @@ class AcArrays:
                                   for b in buses], dtype=bool)
 
         # transformer rows with a usable gmd_k (> 0): the factors of their loss
-        losses = [(p, r) for p, r in case.xfmr_rows() if r.gmd_k is not None and r.gmd_k > 0]
-        self.loss_pos = tuple(p for p, _ in losses)
-        self.loss_branch = tuple(r.branch for _, r in losses)
-        self.loss_bus = tuple(r.hi_bus for _, r in losses)
+        losses = [(k, r) for k, (_, r) in enumerate(case.xfmr_rows())
+                  if r.gmd_k is not None and r.gmd_k > 0]
+        self.loss_xfmr = np.array([k for k, _ in losses], dtype=int)  # row of case.xfmr_rows()
+        self.loss_branch = np.array([r.branch for _, r in losses], dtype=int)  # ac branch id
+        self.loss_at = np.array([self.pos[r.hi_bus] for _, r in losses], dtype=int)  # bus row
         self.loss_k = np.array([r.gmd_k for _, r in losses], dtype=float)
         self.loss_kv = np.array([case.bus(r.hi_bus).base_kv for _, r in losses], dtype=float)
 
 
-def qloss(case: CaseData, effective: Mapping[int, float],
-          v_pu: Mapping[int, float] | float = 1.0) -> dict[int, QLoss]:
-    """Per-transformer reactive losses from effective GICs.
+def qloss(case: CaseData, effective: np.ndarray, v_pu: np.ndarray | float = 1.0) -> np.ndarray:
+    """Reactive loss d_q [p.u.] of each transformer row with a usable gmd_k
+    (> 0), in ``AcArrays.loss_*`` order.
 
-    ``effective`` maps branch_gmd row position to I_eff [A]; a row absent
-    from it carries none.  ``v_pu`` is either a per-bus voltage map or a
-    flat scalar; at 1.0 each d_q is the loss per unit of bus voltage, the
-    coefficient ``ac_power_flow`` takes.  Rows without a usable gmd_k
-    (absent / <= 0) contribute nothing.
+    ``effective`` holds I_eff [A] per transformer row, in
+    ``case.xfmr_rows()`` order (a column of ``GicSeries.effective``).
+    ``v_pu`` is a flat scalar or a voltage per bus, in ``AcArrays`` bus
+    order; each loss reads its high-side bus.  At 1.0 each d_q is the loss
+    per unit of bus voltage.
     """
     ac = case.compiled(AcArrays)
-    i_eff = np.array([effective.get(p, 0.0) for p in ac.loss_pos], dtype=float)
-    v = (v_pu if isinstance(v_pu, (int, float))
-         else np.array([v_pu.get(b, 1.0) for b in ac.loss_bus], dtype=float))
-    d_q = ac.loss_k * v * math.sqrt(3.0) * ac.loss_kv * i_eff / (1000.0 * case.base_mva)
-    return {p: QLoss(branch=br, bus=bus, d_q=d)
-            for p, br, bus, d in zip(ac.loss_pos, ac.loss_branch, ac.loss_bus, d_q.tolist())}
+    i_eff = np.asarray(effective, dtype=float)[ac.loss_xfmr]
+    v = v_pu if isinstance(v_pu, (int, float)) else np.asarray(v_pu, dtype=float)[ac.loss_at]
+    return ac.loss_k * v * math.sqrt(3.0) * ac.loss_kv * i_eff / (1000.0 * case.base_mva)
 
 
 class PowerFlowError(RuntimeError):
@@ -165,23 +151,26 @@ def energized(case: CaseData, topology: Mapping[int, int] | None = None
 
 @dataclass(frozen=True)
 class AcSolution:
-    vm: Mapping[int, float]           # bus voltage magnitude [p.u.]
-    va: Mapping[int, float]           # bus voltage angle [rad]
-    p_from: Mapping[int, float]       # branch flow at from side [p.u.]
-    q_from: Mapping[int, float]
-    p_to: Mapping[int, float]
-    q_to: Mapping[int, float]
-    gen_p: Mapping[int, float]        # per generator id
-    gen_q: Mapping[int, float]
+    """A power-flow solution as arrays in ``AcArrays`` order: buses and
+    branches in case order, generators grouped by bus (``gen_ids``)."""
+
+    vm: np.ndarray        # bus voltage magnitude [p.u.]
+    va: np.ndarray        # bus voltage angle [rad]
+    p_from: np.ndarray    # branch flow at from side [p.u.]
+    q_from: np.ndarray
+    p_to: np.ndarray
+    q_to: np.ndarray
+    gen_p: np.ndarray     # per generator
+    gen_q: np.ndarray
     iterations: int
     max_mismatch: float
 
     @property
     def total_q_gen(self) -> float:
-        return float(sum(self.gen_q.values()))
+        return float(sum(self.gen_q.tolist()))
 
 
-def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
+def ac_power_flow(case: CaseData, extra_q: np.ndarray | None = None, *,
                   tol: float = 1e-8, max_iter: int = 30,
                   topology: Mapping[int, int] | None = None,
                   start: AcSolution | None = None) -> AcSolution:
@@ -194,14 +183,15 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     filled on the fixed sparsity pattern of Y (``_jacobian_pattern``) and
     factored once per iteration with a sparse LU
     (``scipy.sparse.linalg.splu``).  PV buses hold the generator voltage
-    setpoint; no reactive limit switching is applied.  Each ``extra_q``
-    d_q is a loss per unit of bus voltage (``qloss`` at 1.0 p.u.): a bus
-    whose d_q sum to c draws c * vm, re-evaluated at every iteration, so
-    the losses are those of the solved voltages (c * vg where PV and slack
-    buses hold vm).  De-energized islands (no load, generation or slack)
-    are excluded from the iteration and report a nominal 1.0 p.u. / 0 rad
-    state.  A non-finite mismatch or Newton step, or an exactly singular
-    Jacobian, raises PowerFlowError at once.
+    setpoint; no reactive limit switching is applied.  ``extra_q`` holds
+    a reactive loss per unit of voltage c for each bus, in ``AcArrays``
+    order (the ``qloss`` rows at 1.0 p.u. summed onto their buses): a bus
+    draws c * vm, re-evaluated at every iteration, so the losses are those
+    of the solved voltages (c * vg where PV and slack buses hold vm).
+    De-energized islands (no load, generation or slack) are excluded from
+    the iteration and report a nominal 1.0 p.u. / 0 rad state.  A
+    non-finite mismatch or Newton step, or an exactly singular Jacobian,
+    raises PowerFlowError at once.
     """
     ac = case.compiled(AcArrays)
     n = len(ac.bus_ids)
@@ -213,10 +203,8 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
                        (np.concatenate([fl, tl, fl, tl, diag]),
                         np.concatenate([fl, tl, tl, fl, diag]))), shape=(n, n))
 
-    # scheduled injections; the GIC loss coefficients are summed per bus once, here
     p_sched, q_load = ac.p_sched, ac.q_load
-    losses = (extra_q or {}).values()
-    c = np.bincount([ac.pos[ql.bus] for ql in losses], [ql.d_q for ql in losses], minlength=n)
+    c = np.zeros(n) if extra_q is None else np.asarray(extra_q, dtype=float)
 
     types = np.where(active, ac.bus_type, "dead")
     pv, pq = np.flatnonzero(types == "PV"), np.flatnonzero(types == "PQ")
@@ -226,8 +214,8 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     vm = np.ones(n)
     va = np.zeros(n)
     if start is not None:
-        va[ang_idx] = [start.va[ac.bus_ids[i]] for i in ang_idx]
-        vm[mag_idx] = [start.vm[ac.bus_ids[i]] for i in mag_idx]
+        va[ang_idx] = start.va[ang_idx]
+        vm[mag_idx] = start.vm[mag_idx]
     held = (types == "PV") | (types == "slack")
     vm[held] = ac.vset[held]
     jacobian = _jacobian_pattern(Y, ang_idx, mag_idx, c)
@@ -270,15 +258,9 @@ def ac_power_flow(case: CaseData, extra_q: QLossMap | None = None, *,
     at_slack = ac.bus_type[ac.gen_row] == "slack"
     gen_p = np.where(at_slack, (p_inj - p_sched)[ac.gen_row] * ac.gen_share, ac.gen_pg)
     gen_q = (q_inj - q_sched)[ac.gen_row] * ac.gen_share
-    bus_ids, ids = ac.bus_ids, ac.branch_ids.tolist()
-    return AcSolution(vm=dict(zip(bus_ids, vm.tolist())), va=dict(zip(bus_ids, va.tolist())),
-                      p_from=dict(zip(ids, s_f.real.tolist())),
-                      q_from=dict(zip(ids, s_f.imag.tolist())),
-                      p_to=dict(zip(ids, s_t.real.tolist())),
-                      q_to=dict(zip(ids, s_t.imag.tolist())),
-                      gen_p=dict(zip(ac.gen_ids, gen_p.tolist())),
-                      gen_q=dict(zip(ac.gen_ids, gen_q.tolist())),
-                      iterations=it, max_mismatch=max_mis)
+    return AcSolution(vm=vm, va=va, p_from=s_f.real, q_from=s_f.imag, p_to=s_t.real,
+                      q_to=s_t.imag, gen_p=gen_p, gen_q=gen_q, iterations=it,
+                      max_mismatch=max_mis)
 
 
 def _jacobian_pattern(Y, ang_idx, mag_idx, loss):
@@ -342,19 +324,22 @@ def _jacobian_pattern(Y, ang_idx, mag_idx, loss):
 
 def sequential_gic_ac(case: CaseData, field: FieldVector | None = None, *,
                       topology: Mapping[int, int] | None = None
-                      ) -> tuple[GicSeries, QLossMap, AcSolution]:
+                      ) -> tuple[GicSeries, np.ndarray, AcSolution]:
     """Sequential quasi-dc then ac analysis for one time point.
 
     Solves the dc network (``solve_series`` at one time point; no field
     means the stored br_v), converts effective GICs to reactive losses per
-    unit of high-side voltage and runs one power flow that carries them as
-    voltage-proportional loads, so the losses are evaluated at the voltages
-    they produce.
+    unit of high-side voltage, sums them onto their buses and runs one
+    power flow that carries them as voltage-proportional loads, so the
+    losses are evaluated at the voltages they produce.
 
-    Returns (one-row GicSeries, QLossMap at the solved voltages, AcSolution).
+    Returns (one-row GicSeries, ``qloss`` d_q at the solved voltages, AcSolution).
     """
     series = solve_series(case, None if field is None else np.array([field]), [0.0],
                           topology=topology)
-    effective = {pos: float(i[0]) for pos, i in series.effective.items()}
-    ac = ac_power_flow(case, qloss(case, effective, 1.0), topology=topology)
+    effective = series.effective[:, 0]
+    arrays = case.compiled(AcArrays)
+    per_bus = np.bincount(arrays.loss_at, qloss(case, effective, 1.0),
+                          minlength=len(arrays.bus_ids))
+    ac = ac_power_flow(case, per_bus, topology=topology)
     return series, qloss(case, effective, ac.vm), ac

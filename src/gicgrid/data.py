@@ -240,9 +240,6 @@ class FieldVector(NamedTuple):
         phi = math.radians(90.0 - e_dir_deg)  # math convention, ccw from east
         return cls(e_mag * math.sin(phi), e_mag * math.cos(phi))
 
-    def scaled(self, c: float) -> "FieldVector":
-        return FieldVector(self.e_north * c, self.e_east * c)
-
 
 @dataclass(frozen=True)
 class FieldScenario:
@@ -331,9 +328,6 @@ class CaseData:
     def gmd_branch(self, index: int) -> GmdBranch:
         return _by_index(self._rows["gmd_branch"], index, "gmd_branch")
 
-    def branch_gmd_for(self, branch: int) -> BranchGmdData | None:
-        return self._rows["branch_gmd"].get(branch)
-
     def thermal_for(self, branch: int) -> ThermalData | None:
         return self._rows["thermal"].get(branch)
 
@@ -349,7 +343,6 @@ class CaseData:
                 "branch": by(self.ac_branches, "index"),
                 "gmd_bus": by(self.gmd_buses, "index"),
                 "gmd_branch": by(self.gmd_branches, "index"),
-                "branch_gmd": by(self.branch_gmd, "branch"),
                 "thermal": by(self.thermal, "branch"),
                 "bus_gmd": by(self.bus_gmd, "bus")}
 

@@ -131,7 +131,6 @@ class DcArrays:
         weights = np.array([(k, col[w], v) for k, (_, r) in enumerate(xfmrs)
                             for w, v in winding_weights(case, r)], dtype=float).reshape(-1, 3)
         shape = (len(xfmrs), len(edges))
-        self.xfmr_pos = tuple(pos for pos, _ in xfmrs)  # branch_gmd positions
         self.W = sp.csr_matrix((weights[:, 2], (weights[:, 0].astype(int),
                                                 weights[:, 1].astype(int))), shape=shape)
         self.winding_row = np.full(len(edges), -1)
@@ -253,14 +252,20 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
 
 @dataclass(frozen=True)
 class GicSeries:
-    """Quasi-dc solutions over a time series, one row per time point."""
+    """Quasi-dc solutions over a time series.
 
-    node_ids: tuple[int, ...]             # gmd_bus ids, the columns of V
-    branch_ids: tuple[int, ...]           # solved gmd_branch ids, the columns of I
-    V: np.ndarray                         # (T, nodes) node voltages [V]
-    I: np.ndarray                         # (T, branches) branch currents [A, f->t]
-    effective: Mapping[int, np.ndarray]   # branch_gmd row pos -> (T,) I_eff [A], in xfmr_pos order
-    kcl_residual: np.ndarray              # (T,) [A]
+    V and I have one row per time point; ``effective`` has one row per
+    transformer row of the case, in ``case.xfmr_rows()`` order (that of
+    the rows of ``DcArrays.W``): |W @ I| over the solved currents, windings
+    outside the solve set carrying none.
+    """
+
+    node_ids: tuple[int, ...]      # gmd_bus ids, the columns of V
+    branch_ids: tuple[int, ...]    # solved gmd_branch ids, the columns of I
+    V: np.ndarray                  # (T, nodes) node voltages [V]
+    I: np.ndarray                  # (T, branches) branch currents [A, f->t]
+    effective: np.ndarray          # (xfmr rows, T) I_eff [A]
+    kcl_residual: np.ndarray       # (T,) [A]
 
 
 def _solve(sys: DcSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,7 +325,7 @@ def solve_series(case: CaseData, fields: FieldScenario | np.ndarray | None,
     sys, coeffs = source_basis(case, fields, times, topology=topology)
     V, I, residual = _solve(sys, coeffs)
     return GicSeries(node_ids=sys.node_ids, branch_ids=sys.branch_ids, V=V, I=I,
-                     effective=_effective(case, sys, I), kcl_residual=residual)
+                     effective=np.abs(sys.W @ I.T), kcl_residual=residual)
 
 
 def source_basis(case: CaseData, fields: FieldScenario | np.ndarray | None, times, *,
@@ -367,12 +372,3 @@ def winding_weights(case: CaseData, row: BranchGmdData) -> tuple[tuple[int, floa
         case.gmd_branch(wid)  # raises CaseReferenceError for malformed data
     return pairs
 
-
-def _effective(case: CaseData, sys: DcSystem, I: np.ndarray) -> dict[int, np.ndarray]:
-    """Effective GIC [A] per branch_gmd row position: |W @ I| over a current series.
-
-    ``I`` (T x edges) holds the currents of the edges of ``sys``, taken as
-    solved (orientation per the case file); ``sys.W`` holds each
-    configuration's weights, and windings outside the solve set carry none.
-    """
-    return dict(zip(case.compiled(DcArrays).xfmr_pos, np.abs(sys.W @ I.T)))

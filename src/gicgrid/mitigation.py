@@ -952,7 +952,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
         trace = thermal.simulate(case, scenario, loading=loading, topology=topo, times=samples)
-    eff = np.reshape(list(trace.series.effective.values()), (-1, T + 1))[:, 1:]
+    eff = trace.series.effective[:, 1:]
     check("eff_soundness", eff - _table(plan.i_eff, xfmrs.pos, T), "branch_gmd row", xfmrs.pos)
     check("gic_cap", eff - xfmrs.gic_bound[:, None], "branch_gmd row", xfmrs.pos)
     opened = xfmrs.traced & ~np.isin(xfmrs.branch, ids)

@@ -109,12 +109,13 @@ class XfmrArrays:
     """The transformer rows of a case as arrays, built from its rows once per
     case: read them through ``case.compiled(XfmrArrays)``.
 
-    One row per ``DcArrays.xfmr_pos`` entry (``case.xfmr_rows()``), in that
-    order; ``table[rows]`` is the table of some of them (an index or mask
-    array).  A row is traced when its ac branch is real: validation gives
-    every real transformer exactly one thermal row.  A synthetic row (branch
-    -1) holds no heat: NaN rating, time constant and limit, and 0 ambient,
-    hot-spot coefficient, rated and initial rise.
+    One row per ``case.xfmr_rows()`` entry, in that order (that of the rows
+    of ``DcArrays.W`` and ``GicSeries.effective``); ``table[rows]`` is the
+    table of some of them (an index or mask array).  A row is traced when
+    its ac branch is real: validation gives every real transformer exactly
+    one thermal row.  A synthetic row (branch -1) holds no heat: NaN
+    rating, time constant and limit, and 0 ambient, hot-spot coefficient,
+    rated and initial rise.
     """
 
     def __init__(self, case: CaseData):
@@ -241,7 +242,7 @@ def simulate(case: CaseData, scenario: FieldScenario, *,
                        for bid in rows.branch.tolist()], shape)
     delta = TopOil.of(rows, step).stack(
         steady_rise(load, rows.rating[:, None], rows.to_rated[:, None]))
-    i_eff = np.reshape(list(series.effective.values()), (-1, len(tgrid)))[xfmrs.traced]
+    i_eff = series.effective[xfmrs.traced]
     return ThermalTrace(branch=rows.branch, pos=rows.pos, t=tgrid, i_eff=i_eff, delta_to=delta,
                         eta_hs=rows.hs_coeff[:, None] * i_eff,
                         hotspot=hotspot_temp(rows, delta.T, i_eff.T).T, limit=rows.limit,

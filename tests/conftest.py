@@ -1,6 +1,7 @@
 """Shared fixtures and randomized network builders."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData,
                           CaseData, FieldSample, FieldScenario, Generator,
                           GmdBranch, GmdBus, ThermalData, parse_case_file,
                           validate_case)
+from gicgrid.coupling import AcArrays
 from gicgrid.dcnet import solve_series
 
 CASES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "cases")
@@ -36,9 +38,21 @@ def currents(series, k: int = 0) -> dict[int, float]:
     return dict(zip(series.branch_ids, series.I[k].tolist()))
 
 
-def effective(series, k: int = 0) -> dict[int, float]:
+def effective(case: CaseData, series, k: int = 0) -> dict[int, float]:
     """Effective GICs by branch_gmd row position at time point ``k``."""
-    return {pos: float(i[k]) for pos, i in series.effective.items()}
+    return dict(zip((pos for pos, _ in case.xfmr_rows()), series.effective[:, k].tolist()))
+
+
+def by_id(case: CaseData, solution) -> SimpleNamespace:
+    """The arrays of an AcSolution of ``case`` as {id: value} maps: ``vm`` and
+    ``va`` by bus id, the flows by branch id, ``gen_p`` and ``gen_q`` by
+    generator id."""
+    ac = case.compiled(AcArrays)
+    ids = dict.fromkeys(("vm", "va"), ac.bus_ids)
+    ids.update(dict.fromkeys(("p_from", "q_from", "p_to", "q_to"), ac.branch_ids.tolist()))
+    ids.update(dict.fromkeys(("gen_p", "gen_q"), ac.gen_ids))
+    return SimpleNamespace(**{name: dict(zip(keys, getattr(solution, name).tolist()))
+                              for name, keys in ids.items()})
 
 
 @pytest.fixture(scope="session")

@@ -86,7 +86,7 @@ def test_dc_sweep_matches_per_point_solves(workdir, b4gic_case):
     assert len(bus_rows) == 6 * len(times) and len(branch_rows) == 3 * len(times)
     for k, t in enumerate(times):
         sol = solve_series(b4gic_case, scenario, [t])
-        eff, v_of, i_of = effective(sol), voltages(sol), currents(sol)
+        eff, v_of, i_of = effective(b4gic_case, sol), voltages(sol), currents(sol)
         for row in bus_rows[6 * k:6 * (k + 1)]:
             tt, nid, v = row.split(",")
             assert float(tt) == t
@@ -297,13 +297,41 @@ def test_ac_losses_are_at_the_written_voltages(tmp_path, epri21_case):
     assert rc == 0
     vm = {int(r.split(",")[0]): float(r.split(",")[1]) for r in _rows(tmp_path / "ac_bus.csv")[1]}
     d_q = [float(r.split(",")[1]) for r in _rows(tmp_path / "qloss.csv")[1]]
-    eff = effective(solve_series(epri21_case, np.array([FieldVector.from_mag_dir(3.2, 90.0)]),
-                                 [0.0]))
+    eff = effective(epri21_case, solve_series(
+        epri21_case, np.array([FieldVector.from_mag_dir(3.2, 90.0)]), [0.0]))
     want = [row.gmd_k * vm[row.hi_bus] * np.sqrt(3.0) * epri21_case.bus(row.hi_bus).base_kv
             * eff.get(pos, 0.0) / (1000.0 * epri21_case.base_mva)
             for pos, row in epri21_case.xfmr_rows() if row.gmd_k is not None and row.gmd_k > 0]
     assert min(vm.values()) < 0.85 and len(d_q) == len(want) > 0
     assert d_q == pytest.approx(want, rel=1e-9)
+
+
+def test_reversed_tables_give_the_same_rows(tmp_path):
+    """The writers order rows by id, not by the case's table order: ``epri21``
+    with every table reversed (generators, so, grouped by bus in another
+    order) gives the bundled case's ``ac`` and ``dc`` rows, in the same id
+    order, with values within 1e-9."""
+    with open(os.path.join(CASES, "epri21.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    reversed_case = tmp_path / "reversed.json"
+    reversed_case.write_text(json.dumps({k: v[::-1] if isinstance(v, list) else v
+                                         for k, v in doc.items()}))
+    tables = {"ac": ("ac_bus.csv", "ac_branch.csv", "qloss.csv"),
+              "dc": ("gic_bus.csv", "gic_branch.csv")}
+    for command, names in tables.items():
+        outs = []
+        for case in (os.path.join(CASES, "epri21.json"), str(reversed_case)):
+            outs.append(tmp_path / f"{command}_{len(outs)}")
+            assert run([command, "--case", case, "--field", "3.2", "--out", str(outs[-1])]) == 0
+        for name in names:
+            (head, want), (got_head, got) = (_rows(out / name) for out in outs)
+            assert got_head == head and len(got) == len(want) > 0, name
+            for row, ref in zip(got, want):
+                row, ref = row.split(","), ref.split(",")
+                id_cols = 2 if command == "dc" else 1  # t_min, then the id
+                assert row[:id_cols] == ref[:id_cols], name
+                assert [float(x) for x in row[id_cols:]] == pytest.approx(
+                    [float(x) for x in ref[id_cols:]], abs=1e-9), (name, ref[:id_cols])
 
 
 def test_mitigate_and_verify_roundtrip(workdir):

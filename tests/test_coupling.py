@@ -9,19 +9,25 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.coupling import (IslandError, PowerFlowError, QLoss, _jacobian_pattern,
+from gicgrid.coupling import (AcArrays, IslandError, PowerFlowError, _jacobian_pattern,
                               ac_power_flow, energized, qloss, sequential_gic_ac)
 from gicgrid.data import AcBranch, Bus, CaseData, CaseInvariantError, Generator, parse_case
 from gicgrid.dcnet import FieldVector, solve_series
 
-from conftest import effective, solve_at
+from conftest import by_id, solve_at
 
 LOOP = 170.788 / 1.601
 
 
 def _solved(case, mag=1.0):
-    """Effective GICs by branch_gmd row position under ``mag`` V/km due east."""
-    return effective(solve_at(case, FieldVector.from_mag_dir(mag, 90.0)))
+    """Effective GICs per transformer row under ``mag`` V/km due east."""
+    return solve_at(case, FieldVector.from_mag_dir(mag, 90.0)).effective[:, 0]
+
+
+def _per_bus(case, d_q):
+    """``qloss`` rows summed onto their buses: the ``extra_q`` of ``ac_power_flow``."""
+    ac = case.compiled(AcArrays)
+    return np.bincount(ac.loss_at, d_q, minlength=len(ac.bus_ids))
 
 
 # -- qloss --------------------------------------------------------------------
@@ -29,7 +35,7 @@ def _solved(case, mag=1.0):
 def test_qloss_zero_current(b4gic_case):
     sol = _solved(b4gic_case, mag=0.0)
     out = qloss(b4gic_case, sol)
-    assert all(ql.d_q == 0.0 for ql in out.values())
+    assert out.shape == (2,) and np.all(out == 0.0)
 
 
 def test_qloss_unit_conversion_oracle(b4gic_case):
@@ -44,17 +50,18 @@ def test_qloss_unit_conversion_oracle(b4gic_case):
     out = qloss(b4gic_case, sol, 1.0)
     mva_gic = math.sqrt(3.0) * 765e3 * LOOP / 1e6   # three-phase MVA
     expected = 1.793 * mva_gic / 100.0              # p.u. on 100 MVA base
-    assert out[0].d_q == pytest.approx(expected, rel=1e-12)
-    assert out[2].d_q == pytest.approx(expected, rel=1e-12)
-    assert out[0].bus == 1 and out[2].bus == 2      # attached at the high side
+    assert out[0] == pytest.approx(expected, rel=1e-12)
+    assert out[1] == pytest.approx(expected, rel=1e-12)
+    ac = b4gic_case.compiled(AcArrays)               # attached at the high side
+    assert [ac.bus_ids[i] for i in ac.loss_at] == [1, 2]
 
 
 def test_qloss_scales_with_current_and_voltage(b4gic_case):
     one = qloss(b4gic_case, _solved(b4gic_case, 1.0), 1.0)
     two = qloss(b4gic_case, _solved(b4gic_case, 2.0), 1.0)
-    assert two[0].d_q == pytest.approx(2.0 * one[0].d_q, rel=1e-12)
-    dim = qloss(b4gic_case, _solved(b4gic_case, 1.0), {1: 0.95, 2: 0.95})
-    assert dim[0].d_q == pytest.approx(0.95 * one[0].d_q, rel=1e-12)
+    assert two[0] == pytest.approx(2.0 * one[0], rel=1e-12)
+    dim = qloss(b4gic_case, _solved(b4gic_case, 1.0), np.full(len(b4gic_case.buses), 0.95))
+    assert dim[0] == pytest.approx(0.95 * one[0], rel=1e-12)
 
 
 # -- power flow ---------------------------------------------------------------
@@ -63,9 +70,9 @@ def test_power_flow_converges_b4gic(b4gic_case):
     ac = ac_power_flow(b4gic_case)
     assert ac.max_mismatch <= 1e-8
     assert ac.iterations <= 10
-    assert ac.vm[3] == 1.0  # slack setpoint
+    assert by_id(b4gic_case, ac).vm[3] == 1.0  # slack setpoint
     # active balance: slack covers both loads minus the PV dispatch (lossless)
-    total_gen = sum(ac.gen_p.values())
+    total_gen = sum(ac.gen_p.tolist())
     assert total_gen == pytest.approx(10.0, abs=1e-7)
 
 
@@ -75,10 +82,9 @@ def test_power_flow_with_gic_equals_plain_when_k_zero(b4gic_case):
     case = dataclasses.replace(b4gic_case, branch_gmd=rows)
     _, qmap, seq = sequential_gic_ac(case, FieldVector.from_mag_dir(1.0, 90.0))
     plain = ac_power_flow(case)
-    assert qmap == {}
-    for bid in plain.vm:
-        assert seq.vm[bid] == pytest.approx(plain.vm[bid], abs=1e-8)
-        assert seq.va[bid] == pytest.approx(plain.va[bid], abs=1e-8)
+    assert qmap.size == 0
+    assert seq.vm == pytest.approx(plain.vm, abs=1e-8)
+    assert seq.va == pytest.approx(plain.va, abs=1e-8)
 
 
 def _two_bus_case(p_load, q_load, b=10.0):
@@ -98,7 +104,7 @@ def test_two_bus_against_fixed_point_oracle():
     """Newton solution matches a slow fixed-point iteration of V2."""
     p, q, b = 0.8, 0.3, 10.0
     case = _two_bus_case(p, q, b)
-    ac = ac_power_flow(case)
+    ac = by_id(case, ac_power_flow(case))
     y = complex(0.0, -b)   # 1/(jx), x = 1/b
     v2 = complex(1.0, 0.0)
     s_load = complex(p, q)
@@ -111,8 +117,7 @@ def test_two_bus_against_fixed_point_oracle():
 
 def test_power_balance_at_convergence(b4gic_case):
     sol = _solved(b4gic_case)
-    qmap = qloss(b4gic_case, sol, 1.0)
-    ac = ac_power_flow(b4gic_case, qmap)
+    ac = ac_power_flow(b4gic_case, _per_bus(b4gic_case, qloss(b4gic_case, sol, 1.0)))
     assert ac.max_mismatch <= 1e-8
 
 
@@ -121,7 +126,7 @@ def test_reactive_balance_audit(b4gic_case):
     base = ac_power_flow(b4gic_case)
     sol, qmap, ac = sequential_gic_ac(b4gic_case,
                                       FieldVector.from_mag_dir(1.0, 90.0))
-    d_total = sum(ql.d_q for ql in qmap.values())
+    d_total = sum(qmap.tolist())
     assert d_total > 0.1
     dq_gen = ac.total_q_gen - base.total_q_gen
     assert dq_gen >= d_total - 1e-6
@@ -131,11 +136,11 @@ def test_sequential_pipeline_b4gic(b4gic_case):
     sol, qmap, ac = sequential_gic_ac(b4gic_case,
                                       FieldVector.from_mag_dir(1.0, 90.0))
     assert sol.effective[0][0] == pytest.approx(LOOP, rel=1e-9)
-    assert sol.effective[2][0] == pytest.approx(LOOP, rel=1e-9)
+    assert sol.effective[1][0] == pytest.approx(LOOP, rel=1e-9)
     assert ac.max_mismatch <= 1e-8
     # losses at the solved voltages: v < 1 at loaded buses lowers d_q
-    flat = qloss(b4gic_case, effective(sol), 1.0)
-    assert qmap[0].d_q < flat[0].d_q
+    flat = qloss(b4gic_case, sol.effective[:, 0], 1.0)
+    assert qmap[0] < flat[0]
 
 
 @pytest.mark.parametrize("bearing", [0.0, 45.0, 90.0, 123.0, 270.0])
@@ -145,9 +150,8 @@ def test_sequential_effective_is_the_dc_engines(epri21_case, bearing):
     field = FieldVector.from_mag_dir(1.0, bearing)
     sol, _, _ = sequential_gic_ac(epri21_case, field)
     ref = solve_series(epri21_case, np.array([field]), [0.0]).effective
-    assert sol.effective.keys() == ref.keys()
-    for pos, i_eff in ref.items():
-        assert sol.effective[pos].tobytes() == i_eff.tobytes(), pos
+    assert sol.effective.shape == ref.shape == (len(epri21_case.xfmr_rows()), 1)
+    assert sol.effective.tobytes() == ref.tobytes()
 
 
 def test_sequential_monotone_in_field(b4gic_case):
@@ -204,8 +208,9 @@ def test_topology_joining_two_slack_islands_raises():
 
 
 def test_dead_island_gets_nominal_voltage(epri21_case):
-    ac = ac_power_flow(epri21_case)
-    assert ac.max_mismatch <= 1e-8
+    sol = ac_power_flow(epri21_case)
+    assert sol.max_mismatch <= 1e-8
+    ac = by_id(epri21_case, sol)
     assert ac.vm[16] == 1.0 and ac.va[16] == 0.0   # de-energized island
     assert ac.p_from[20] == 0.0                    # out-of-service branch
 
@@ -358,8 +363,8 @@ def power_flow_inputs(draw):
     chords = draw(st.lists(st.tuples(st.integers(0, n_live - 1), st.integers(0, n_live - 1))
                            .filter(lambda e: e[0] != e[1]), max_size=3))
     links += chords + [(k - 1, k) for k in range(n_live + 1, n_live + n_dead)]
-    extra_q = {p: QLoss(branch=-1, bus=10 + draw(st.integers(0, n_live - 1)),
-                        d_q=draw(real(0.0, 0.1))) for p in range(draw(st.integers(0, 3)))}
+    extra_q = np.array([draw(st.just(0.0) | real(0.0, 0.1)) for _ in range(n_live)]
+                       + [0.0] * n_dead)
     # Every line is stiff against the whole demand: b is at least _STIFF times
     # the total drawn load (active, reactive, shunt and GIC losses), so even a
     # line that feeds all of it drops the voltage by at most 1/_STIFF p.u., and
@@ -367,7 +372,7 @@ def power_flow_inputs(draw):
     # weaker lines a loaded radial feeder can have no solution at all
     # (test_weak_loaded_feeder_has_no_power_flow_solution).
     load = (sum(b.pd + abs(b.qd) + b.g_shunt for b in buses)
-            + sum(ql.d_q for ql in extra_q.values()))
+            + sum(extra_q.tolist()))
     branches = tuple(AcBranch(index=100 + k, f_bus=10 + f, t_bus=10 + t,
                               b=_STIFF * load + draw(real(5.0, 50.0)), rating=10.0,
                               status=int(k < n_live - 1 or draw(st.booleans())))
@@ -382,6 +387,7 @@ def power_flow_inputs(draw):
 def _assert_dense_equations(case, extra_q, topology, n_live, ac):
     """``ac`` satisfies the power-flow equations of ``case`` written out densely,
     with each GIC loss drawn at its bus's solved voltage."""
+    ac = by_id(case, ac)
     ids = [b.index for b in case.buses]
     pos = {bid: i for i, bid in enumerate(ids)}
     V = np.array([ac.vm[i] * np.exp(1j * ac.va[i]) for i in ids])
@@ -397,7 +403,7 @@ def _assert_dense_equations(case, extra_q, topology, n_live, ac):
     S = V * np.conj(Y @ V)
     gen = {b.index: [g for g in case.generators if g.bus == b.index] for b in case.buses}
     for i, b in enumerate(case.buses):
-        loss = ac.vm[b.index] * sum(ql.d_q for ql in extra_q.values() if ql.bus == b.index)
+        loss = ac.vm[b.index] * extra_q[i]
         if i >= n_live:
             assert ac.vm[b.index] == 1.0 and ac.va[b.index] == 0.0
             continue
@@ -428,12 +434,11 @@ def test_warm_started_power_flow_solves_dense_equations(inputs):
     warm = ac_power_flow(case, extra_q, topology=topology, start=loss_free)
     _assert_dense_equations(case, extra_q, topology, n_live, warm)
     flat = ac_power_flow(case, extra_q, topology=topology)
-    for bid in flat.vm:
-        assert warm.vm[bid] == pytest.approx(flat.vm[bid], abs=1e-7)
-        assert warm.va[bid] == pytest.approx(flat.va[bid], abs=1e-7)
+    assert warm.vm == pytest.approx(flat.vm, abs=1e-7)
+    assert warm.va == pytest.approx(flat.va, abs=1e-7)
     again = ac_power_flow(case, extra_q, topology=topology, start=warm)
     assert again.iterations == 1
-    assert again.vm == warm.vm and again.va == warm.va
+    assert np.array_equal(again.vm, warm.vm) and np.array_equal(again.va, warm.va)
 
 
 def test_weak_loaded_feeder_has_no_power_flow_solution():
@@ -461,13 +466,10 @@ def _fixed_point_of_passes(case, eff, tol=1e-12):
     voltage moves by more than ``tol``."""
     vm, prev = 1.0, None
     for _ in range(100):
-        add = {}
-        for ql in qloss(case, eff, vm).values():
-            add[ql.bus] = add.get(ql.bus, 0.0) + ql.d_q
-        buses = tuple(dataclasses.replace(b, qd=b.qd + add.get(b.index, 0.0))
-                      for b in case.buses)
+        add = _per_bus(case, qloss(case, eff, vm)).tolist()
+        buses = tuple(dataclasses.replace(b, qd=b.qd + a) for b, a in zip(case.buses, add))
         ac = ac_power_flow(dataclasses.replace(case, buses=buses), tol=1e-12, start=prev)
-        if prev is not None and max(abs(ac.vm[b] - prev.vm[b]) for b in ac.vm) <= tol:
+        if prev is not None and np.max(np.abs(ac.vm - prev.vm)) <= tol:
             return ac
         vm, prev = ac.vm, ac
     raise AssertionError("the passes did not reach a fixed point")
@@ -480,13 +482,11 @@ def test_sequential_is_the_fixed_point_of_passes(epri21_case, mag, bearing):
     losses are those of the voltages they produce."""
     field = FieldVector.from_mag_dir(mag, bearing)
     _, qmap, ac = sequential_gic_ac(epri21_case, field)
-    eff = effective(solve_series(epri21_case, np.array([field]), [0.0]))
+    eff = solve_series(epri21_case, np.array([field]), [0.0]).effective[:, 0]
     ref = _fixed_point_of_passes(epri21_case, eff)
     assert ac.max_mismatch <= 1e-8
-    for bid in ref.vm:
-        assert ac.vm[bid] == pytest.approx(ref.vm[bid], abs=1e-9)
-        assert ac.va[bid] == pytest.approx(ref.va[bid], abs=1e-9)
+    assert ac.vm == pytest.approx(ref.vm, abs=1e-9)
+    assert ac.va == pytest.approx(ref.va, abs=1e-9)
     ref_q = qloss(epri21_case, eff, ref.vm)
-    assert qmap.keys() == ref_q.keys()
-    for pos, ql in ref_q.items():
-        assert qmap[pos].bus == ql.bus and qmap[pos].d_q == pytest.approx(ql.d_q, abs=1e-9)
+    assert qmap.shape == ref_q.shape
+    assert qmap == pytest.approx(ref_q, abs=1e-9)

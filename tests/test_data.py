@@ -480,8 +480,9 @@ def test_all_winding_configs_constructible(b4gic_case):
     case = parse_case(json.dumps(doc))
     configs = {r.config for r in case.branch_gmd if r.is_xfmr}
     assert configs == {"gwye-delta", "gwye-gwye", "delta-delta", "gwye-gwye-auto"}
-    assert case.turns_ratio(case.branch_gmd_for(4)) == pytest.approx(765.0 / 345.0)
-    assert case.turns_ratio(case.branch_gmd_for(5)) == pytest.approx(345.0 / 138.0 - 1)
+    assert case.branch_gmd[3].branch == 4 and case.branch_gmd[4].branch == 5
+    assert case.turns_ratio(case.branch_gmd[3]) == pytest.approx(765.0 / 345.0)
+    assert case.turns_ratio(case.branch_gmd[4]) == pytest.approx(345.0 / 138.0 - 1)
 
 
 def test_series_cap_never_enters_solve_set(epri21_case):

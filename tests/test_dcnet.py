@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.data import ABSENT, CaseReferenceError, FieldSample, FieldScenario, load_scenario
-from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, _effective,
-                           assemble, branch_lengths, solve_series, winding_weights)
+from gicgrid.data import (ABSENT, CaseReferenceError, FieldSample, FieldScenario, GmdBranch,
+                          GmdBus, load_scenario, validate_case)
+from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, assemble,
+                           branch_lengths, solve_series, winding_weights)
 
 from conftest import CASES, currents, random_dc_case, solve_at, voltages
 
@@ -227,7 +228,7 @@ def test_solve_zero_field(b4gic_case):
 def test_effective_gic_gsu(b4gic_case):
     eff = solve_at(b4gic_case, FieldVector.from_mag_dir(1.0, 90.0)).effective
     assert eff[0][0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
-    assert eff[2][0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
+    assert eff[1][0] == pytest.approx(LOOP_CURRENT, rel=1e-9)
 
 
 def _two_winding_case(config, turns_ratio):
@@ -268,21 +269,27 @@ def _two_winding_case(config, turns_ratio):
     return parse_case(json.dumps(doc))
 
 
+def _effective(case, current):
+    """Effective GIC per transformer row from winding currents by edge, the
+    form ``solve_series`` takes: |W @ I| over the assembled solve set."""
+    return np.abs(assemble(case).W @ np.asarray(current, dtype=float))
+
+
 def test_effective_gic_gwye_gwye_cancellation():
     case = _two_winding_case("gwye-gwye", 2.0)
-    eff = _effective(case, assemble(case), np.array([[10.0, -20.0]]))
-    assert eff[0][0] == pytest.approx(0.0, abs=1e-12)
+    eff = _effective(case, [10.0, -20.0])
+    assert eff[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_effective_gic_auto_formula():
     case = _two_winding_case("gwye-gwye-auto", 0.5)
-    eff = _effective(case, assemble(case), np.array([[30.0, 15.0]]))
-    assert eff[0][0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
+    eff = _effective(case, [30.0, 15.0])
+    assert eff[0] == pytest.approx(abs(0.5 * 30.0 + 15.0) / 1.5, rel=1e-12)
 
 
 def test_effective_gic_delta_delta_zero():
     case = _two_winding_case("delta-delta", None)
-    assert _effective(case, assemble(case), np.array([[99.0, 99.0]]))[0][0] == 0.0
+    assert _effective(case, [99.0, 99.0])[0] == 0.0
 
 
 def _floating_case():
@@ -383,31 +390,39 @@ def test_kcl_at_every_node(seed):
 def test_removing_zero_current_branch_is_neutral(seed):
     """Removing a dead branch changes no current and no grounded voltage.
 
-    If the dead branch was a bridge to ground, the severed side keeps zero
-    currents but its potential reference becomes arbitrary (pinned), so
-    voltage equality is only asserted for nodes still connected to ground.
+    Every draw gets one: a branch that sees the field, dangling from dc bus
+    1 to a fresh ungrounded node, carries no current.  If the dead branch
+    was a bridge to ground, the severed side keeps zero currents but its
+    potential reference becomes arbitrary (pinned), so voltage equality is
+    only asserted for nodes still connected to ground.
     """
-    import dataclasses
     rng = np.random.default_rng(seed + 400)
     case = random_dc_case(rng)
+    leaf = GmdBus(index=max(b.index for b in case.gmd_buses) + 1, parent=2, status=1,
+                  g_gnd=0.0, name="leaf")
+    dangling = GmdBranch(index=max(e.index for e in case.gmd_branches) + 1, f_bus=1,
+                         t_bus=leaf.index, parent=ABSENT, status=1, br_r=1.0, name="dangling")
+    case = dataclasses.replace(case, gmd_buses=case.gmd_buses + (leaf,),
+                               gmd_branches=case.gmd_branches + (dangling,))
+    validate_case(case)
     field = FieldVector.from_mag_dir(1.5, 90.0)
     sol = solve_at(case, field)
     i1, v1 = currents(sol), voltages(sol)
+    assert assemble(case, True).sources[-1, :].any()  # the dangling branch sees the field
     dead = [gid for gid, i in i1.items() if abs(i) < 1e-12]
-    if not dead:
-        pytest.skip("no zero-current branch in this draw")
-    keep = tuple(e for e in case.gmd_branches if e.index != dead[0])
-    case2 = dataclasses.replace(case, gmd_branches=keep)
-    sys2 = assemble(case2, True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol2 = solve_at(case2, field)
+    assert dangling.index in dead
     scale = max(abs(i) for i in i1.values())
-    for gid, i in currents(sol2).items():
-        assert i == pytest.approx(i1[gid], abs=1e-9 * scale)
-    grounded = _grounded_nodes(sys2)
-    for nid in grounded:
-        assert voltages(sol2)[nid] == pytest.approx(v1[nid], abs=1e-9 * max(scale, 1.0))
+    for gone in sorted({dead[0], dangling.index}):  # the draw's first, and the dangling one
+        keep = tuple(e for e in case.gmd_branches if e.index != gone)
+        case2 = dataclasses.replace(case, gmd_branches=keep)
+        sys2 = assemble(case2, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol2 = solve_at(case2, field)
+        for gid, i in currents(sol2).items():
+            assert i == pytest.approx(i1[gid], abs=1e-9 * scale)
+        for nid in _grounded_nodes(sys2):
+            assert voltages(sol2)[nid] == pytest.approx(v1[nid], abs=1e-9 * max(scale, 1.0))
 
 
 def _grounded_nodes(sys):
@@ -484,7 +499,7 @@ def test_solve_series_matches_per_point_solves(inputs):
         i = np.array([i_ref[b] for b in series.branch_ids])
         eff = _effective_by_rows(case, i_ref)
         e = np.array([eff[p] for p in sorted(eff)])
-        e_series = np.array([series.effective[p][k] for p in sorted(eff)])
+        e_series = series.effective[:, k]
         scale = max(np.max(np.abs(v), initial=0.0), np.max(np.abs(i), initial=0.0), 1.0)
         assert np.max(np.abs(series.V[k] - v), initial=0.0) <= 1e-9 * scale
         assert np.max(np.abs(series.I[k] - i), initial=0.0) <= 1e-9 * scale

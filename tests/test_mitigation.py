@@ -520,9 +520,9 @@ def test_verify_details_name_each_class_once_at_its_worst(epri21_case, epri21_pl
     assert sorted(named) == sorted(cls for cls, x in report.violations.items()
                                    if x > 0.0 and cls != "objective")
     series = solve_series(epri21_case, scenario, plan.times, topology=closed.z)
-    excess = {(pos, t): x - row.gic_bound for pos, row in epri21_case.xfmr_rows()
+    excess = {(pos, t): x - row.gic_bound for k, (pos, row) in enumerate(epri21_case.xfmr_rows())
               if row.gic_bound is not None
-              for t, x in enumerate(series.effective[pos].tolist())}
+              for t, x in enumerate(series.effective[k].tolist())}
     pos, t = max(excess, key=excess.get)
     assert (f"gic_cap: branch_gmd row {pos}: excess {excess[pos, t]:.3e} in period {t}"
             in report.details)
@@ -683,7 +683,7 @@ def test_voltage_overrides_drive_the_model():
     plan = solve(model)
 
     topo = dict(plan.z)
-    eff = effective(solve_series(case, scenario, [0.0], topology=topo))
+    eff = effective(case, solve_series(case, scenario, [0.0], topology=topo))
     for pos, series in plan.i_eff.items():
         assert series[0] == pytest.approx(eff.get(pos, 0.0), abs=1e-6)
     assert verify_plan(case, scenario, plan).ok(1e-6)
@@ -734,6 +734,8 @@ def test_dc_basis_block_matches_series_engine(name, request):
         assert model.transformers.pos.tolist() == [0, 2]
     assert model.coeffs.shape == (model.n_periods, 3 if name == "overrides_toy" else 2)
     lp = _dc_rows(model)
+    # the model's transformers are rows of case.xfmr_rows(), in that order
+    held = np.isin([pos for pos, _ in case.xfmr_rows()], model.transformers.pos)
     for bits in itertools.product((0, 1), repeat=len(model.switchable)):
         lb, ub = lp.lb.copy(), lp.ub.copy()
         for bid, bit in zip(model.switchable, bits):
@@ -745,7 +747,7 @@ def test_dc_basis_block_matches_series_engine(name, request):
             warnings.filterwarnings("ignore", message="pinning ungrounded")
             dc = solve_series(case, scenario, model.times,
                               topology=dict(zip(model.switchable, bits)))
-        want = np.array([dc.effective[pos] for pos in model.transformers.pos.tolist()])
+        want = dc.effective[held]
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-9 * max(1.0, float(np.max(want, initial=0.0))))
 

@@ -306,8 +306,10 @@ def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
     rows = [(pos, row.branch) for pos, row in case.xfmr_rows()
             if case.thermal_for(row.branch) is not None]
     assert list(zip(trace.pos.tolist(), trace.branch.tolist())) == rows
+    row = {pos: k for k, (pos, _) in enumerate(case.xfmr_rows())}
     for pos, i_eff in zip(trace.pos.tolist(), trace.i_eff):
-        assert np.array_equal(i_eff.view(np.int64), trace.series.effective[pos].view(np.int64))
+        assert np.array_equal(i_eff.view(np.int64),
+                              trace.series.effective[row[pos]].view(np.int64))
 
 
 def test_simulate_defaults_to_the_scenario_grid(b4gic_case):
