@@ -25,6 +25,17 @@ every row, so a solve returns what it would return with all rows held;
 ``dual_ub`` is 0 for the rows never added.
 ``dataclasses.replace(prob)`` gives a copy with no instance, whose solves
 do not depend on any earlier ones.
+
+A start: ``start``, an ``LpBasis`` in the problem's own order (such as
+``LpResult.basis()`` of a related problem, mapped onto this one), is
+passed to the instance when it loads.  The instance then also holds the
+lazy rows the start holds, prices by Devex from its first run, and skips
+presolve, which HiGHS runs only without a basis.  HiGHS takes the basis
+as alien: it factors it and, where it has too few or too many basic
+statuses or is singular, completes or trims it.  The start is only a
+start: the lazy rows, the residual check and the cold re-run work as
+without it, and a basis HiGHS refuses (one of the wrong size) leaves the
+instance cold, as if there were no start.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["LpProblem", "LpResult", "LpNumericalError", "lp_solve"]
+__all__ = ["LpBasis", "LpProblem", "LpResult", "LpNumericalError", "lp_solve", "dual_bound"]
 
 FEASIBILITY_TOL = 1e-7
 
@@ -44,6 +55,18 @@ _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",  # by HiGHS model
 
 class LpNumericalError(ArithmeticError):
     """Solver reported a numerical failure; message carries diagnostics."""
+
+
+@dataclass(frozen=True)
+class LpBasis:
+    """A simplex basis in a problem's own order: a HiGHS basis status code
+    (0 at lower, 1 basic, 2 at upper, 3 zero, 4 nonbasic) per column, per
+    ``A_ub`` row and per ``A_eq`` row, and which ``A_ub`` rows it holds; a row
+    it does not hold reads basic."""
+    cols: np.ndarray
+    ub: np.ndarray
+    eq: np.ndarray
+    held: np.ndarray                # bool per A_ub row
 
 
 @dataclass
@@ -56,12 +79,15 @@ class LpProblem:
     lb: np.ndarray
     ub: np.ndarray
     lazy: np.ndarray                # group id per A_ub row, -1 = always held
-    # the HiGHS instance, the column bounds it holds and the A_ub row of each
-    # of its inequality rows, in its row order, made by the first solve
+    start: LpBasis | None = field(default=None, repr=False, compare=False)
+    # the HiGHS instance, the column bounds it holds, the A_ub row of each of
+    # its inequality rows, in its row order, and how many of them it loaded
+    # before its equalities, made by the first solve
     _highs: object = field(default=None, init=False, repr=False, compare=False)
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _devex: bool = field(default=False, init=False, repr=False, compare=False)
     _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _loaded: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -70,8 +96,12 @@ class LpProblem:
     def _instance(self, lo: np.ndarray, hi: np.ndarray):
         """The HiGHS instance holding this problem with column bounds lo, hi."""
         if self._highs is None:
-            self._held = np.flatnonzero(self.lazy < 0)
+            held = self.lazy < 0
+            self._held = np.flatnonzero(held if self.start is None else held | self.start.held)
+            self._loaded = len(self._held)
             self._highs = _load(self, self._held, lo, hi)
+            if self.start is not None:
+                self._devex = _set_start(self._highs, self.start, self._held)
         else:
             self._warm()
             held_lo, held_hi = self._bounds
@@ -117,6 +147,21 @@ class LpResult:
     dual_eq: np.ndarray | None = None
     residual: float = 0.0
     message: str = ""
+    # of an optimal result: the instance's HiGHS basis, its inequality rows
+    # and how many it loaded first, read into an LpBasis only when asked
+    _basis: tuple | None = field(default=None, repr=False, compare=False)
+
+    def basis(self) -> LpBasis:
+        """The basis this optimal solve ended on, in the problem's order."""
+        highs_basis, held, loaded, m_ub = self._basis
+        cols, rows = (np.array(list(map(int, status)), dtype=np.int8)
+                      for status in (highs_basis.col_status, highs_basis.row_status))
+        m_eq = len(rows) - len(held)
+        ub = np.full(m_ub, 1, dtype=np.int8)  # basic: the slack of a row not held
+        ub[held] = np.r_[rows[:loaded], rows[loaded + m_eq:]]
+        mask = np.zeros(m_ub, dtype=bool)
+        mask[held] = True
+        return LpBasis(cols=cols, ub=ub, eq=rows[loaded:loaded + m_eq], held=mask)
 
 
 def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
@@ -166,12 +211,28 @@ def lp_solve(prob: LpProblem, *, lb: np.ndarray | None = None,
             + _numerical_report(h))
     # instance rows: the rows held at load, the equalities, then the added lazy rows
     row_dual = np.array(solution.row_dual)
-    loaded, m_eq = np.count_nonzero(prob.lazy < 0), prob.A_eq.shape[0]
+    loaded, m_eq = prob._loaded, prob.A_eq.shape[0]
     dual_ub = np.zeros(prob.A_ub.shape[0])
     dual_ub[prob._held] = np.r_[row_dual[:loaded], row_dual[loaded + m_eq:]]
     return LpResult(status="optimal", objective=float(h.getInfo().objective_function_value),
                     x=x, dual_ub=dual_ub, dual_eq=row_dual[loaded:loaded + m_eq],
-                    residual=residual, message=h.modelStatusToString(h.getModelStatus()))
+                    residual=residual, message=h.modelStatusToString(h.getModelStatus()),
+                    _basis=(h.getBasis(), prob._held, loaded, prob.A_ub.shape[0]))
+
+
+def dual_bound(prob: LpProblem, dual_ub: np.ndarray, dual_eq: np.ndarray) -> float:
+    """A lower bound on the LP's optimum over its box (``lb``, ``ub``) from
+    any row duals, by weak duality (Neumaier & Shcherbina, Math. Prog. 2004).
+
+    With ``y_u = min(dual_ub, 0)`` (a ``<=`` row's dual clipped to its sign)
+    and ``y_e = dual_eq``, every x in the box that meets the rows has
+    ``c x = y_u A_ub x + y_e A_eq x + r x >= b_ub y_u + b_eq y_e
+    + sum_j min(r_j lb_j, r_j ub_j)`` for ``r = c - A_ub' y_u - A_eq' y_e``.
+    At an optimum's own duals the bound is the optimum, up to rounding."""
+    y_u = np.minimum(dual_ub, 0.0)
+    r = prob.c - prob.A_ub.T @ y_u - prob.A_eq.T @ dual_eq
+    return float(prob.b_ub @ y_u + prob.b_eq @ dual_eq
+                 + np.sum(np.minimum(r * prob.lb, r * prob.ub)))
 
 
 def _load(prob: LpProblem, held: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -198,6 +259,25 @@ def _load(prob: LpProblem, held: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         raise LpNumericalError("HiGHS refused the LP: a coefficient or bound is beyond "
                                "its limits (1e15 for matrix entries)")
     return h
+
+
+def _set_start(h, start: LpBasis, held: np.ndarray) -> bool:
+    """Pass ``start`` to a freshly loaded instance holding the ``A_ub`` rows
+    ``held``, then its equalities, pricing by Devex; True when HiGHS takes
+    it.  The pricing is set first, so the basis is passed once.  A basis
+    HiGHS refuses leaves the instance cold, at its default pricing."""
+    from scipy.optimize._highspy import _core as _highs
+
+    status = {int(s): s for s in _highs.HighsBasisStatus.__members__.values()}
+    basis = _highs.HighsBasis()
+    basis.col_status = [status[k] for k in start.cols.tolist()]
+    basis.row_status = [status[k] for k in np.r_[start.ub[held], start.eq].tolist()]
+    basis.alien, basis.valid = True, True  # factored, completed or trimmed by HiGHS
+    h.setOptionValue("simplex_dual_edge_weight_strategy", 1)  # Devex
+    if h.setBasis(basis) == _highs.HighsStatus.kError:
+        h.setOptionValue("simplex_dual_edge_weight_strategy", -1)  # HiGHS's default
+        return False
+    return True
 
 
 def _price_by_devex(h) -> None:

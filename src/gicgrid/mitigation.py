@@ -42,7 +42,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +51,7 @@ from .data import (ABSENT, AcBranch, CaseData, CaseReferenceError, FieldScenario
 from .coupling import AcArrays, energized
 from . import thermal
 from .dcnet import DcSystem, source_basis
-from .lp import LpProblem, lp_solve
+from .lp import LpBasis, LpProblem, LpResult, dual_bound, lp_solve
 from .thermal import TopOil, XfmrArrays, hotspot_temp, steady_rise
 
 __all__ = [
@@ -556,27 +555,33 @@ def _most_fractional(model: OtsModel, x: np.ndarray):
 
 def solve(model: OtsModel) -> MitigationPlan:
     """Branch-and-bound over the shared switching binaries, configured by
-    ``model.options`` (its gap and time limit).
+    ``model.options`` (its gap and time limit), seeded by a coarse plan.
 
-    Depth-first plunge until the first incumbent, then best-bound node
-    selection; branching on the most fractional binary with lowest-id
-    tie-breaks, plunging first to the child nearer its LP value (closed
-    at 0.5).  Serial and deterministic.  Returns a plan optimal within
-    the relative gap for the linearized model, or, when a node or time
-    limit stops the search, the incumbent with status ``"timeout"`` and
-    the gap to the best open bound.  Raises MitigationInfeasible with
-    probe context when the model has no plan, and without probes,
-    naming the limit, when a limit stops the search before it finds one.
+    Coarse seed: the same model is built on a coarse sub-grid of the
+    periods (``_coarse_dt``) and branched-and-bounded first.  The fine LP
+    with z fixed to its plan then starts from the basis of the coarse
+    incumbent's LP carried over the fine periods (``_fine_start``), and its
+    optimum is the first incumbent (Danna, Rothberg & Le Pape, 2005).  Its
+    duals bound the LP over the whole root box by weak duality
+    (``lp.dual_bound``), and that bound is the root node's parent bound:
+    when it is within the gap of the incumbent, the search ends there, with
+    ``nodes`` 1, gap 0 and status ``"optimal"``.  Otherwise the root LP and
+    the branch-and-bound run on the same instance, as without the seed, so
+    the result stays exact.  With no coarse grid or no coarse plan the
+    search runs unseeded; with a seeded LP that is infeasible, it runs from
+    the root without an incumbent.  The coarse stage counts toward
+    ``time_limit``; ``nodes`` counts the fine LPs.
 
-    Coarse seed: when the root LP's z is fractional, the same model is
-    built on a coarse sub-grid of the periods (``_coarse_dt``) and
-    branched-and-bounded; the fine LP with z fixed to its plan is then
-    solved warm, right after the root, and its optimum is the first
-    incumbent (Danna, Rothberg & Le Pape, 2005).  The search then proves
-    the gap against the fine bounds as without the seed, so the result
-    stays exact; when the coarse model has no plan, or its plan is
-    infeasible at the fine periods, the search runs unseeded.  The coarse
-    stage counts toward ``time_limit``; ``nodes`` counts the fine LPs.
+    The search (``_branch_and_bound``): depth-first plunge until the first
+    incumbent, then best-bound node selection; branching on the most
+    fractional binary with lowest-id tie-breaks, plunging first to the
+    child nearer its LP value (closed at 0.5).  Serial and deterministic.
+    Returns a plan optimal within the relative gap for the linearized
+    model, or, when a node or time limit stops the search, the incumbent
+    with status ``"timeout"`` and the gap to the best open bound.  Raises
+    MitigationInfeasible with probe context when the model has no plan, and
+    without probes, naming the limit, when a limit stops the search before
+    it finds one.
 
     Ties: an incumbent is replaced only by a plan better by more than the
     gap, so of tied plans the first found is returned: the seeded plan,
@@ -586,7 +591,8 @@ def solve(model: OtsModel) -> MitigationPlan:
     twin 8.
     """
     t0 = time.perf_counter()
-    plan = _branch_and_bound(model, t0, seed=lambda: _coarse_plan(model, t0))
+    seed = _coarse_plan(model, t0)
+    plan = _branch_and_bound(model, t0) if seed is None else _seeded_search(model, t0, *seed)
     if plan is None:
         raise MitigationInfeasible("no feasible switching plan", _infeasibility_probes(model))
     return plan
@@ -605,18 +611,85 @@ def _coarse_dt(model: OtsModel) -> float | None:
     return None
 
 
-def _coarse_plan(model: OtsModel, t0: float) -> dict[int, int] | None:
-    """z of the plan the search finds on ``model`` rebuilt at ``_coarse_dt``;
-    None without a coarse grid or a plan."""
+def _coarse_plan(model: OtsModel, t0: float) -> tuple[dict[int, int], LpBasis] | None:
+    """z of the plan the search finds on ``model`` rebuilt at ``_coarse_dt``,
+    and the basis of its LP carried over to ``model`` (``_fine_start``); None
+    without a coarse grid or a plan."""
     dt = _coarse_dt(model)
     if dt is None:
         return None
     coarse = _build_model(model.case, model.scenario, dataclasses.replace(model.options, dt=dt))
     try:
-        plan = _branch_and_bound(coarse, t0)
+        found = _search(coarse, t0, dataclasses.replace(coarse.lp))
     except MitigationInfeasible:  # a limit stopped it before a plan
         return None
-    return None if plan is None else plan.z
+    if found is None:
+        return None
+    incumbent = found[0]
+    return _z_of(coarse, incumbent.x), _fine_start(model, coarse, incumbent.basis())
+
+
+# columns over the dc bases (v, i) or shared across periods (z); every other
+# variable holds one column per entity and period
+_SHARED = ("v", "i", "z")
+
+
+def _fine_start(model: OtsModel, coarse: OtsModel, basis: LpBasis) -> LpBasis:
+    """``basis``, a basis of ``coarse`` (the model at k times the period),
+    carried over ``model``'s periods.  A fine column or row of period t
+    reads its coarse twin at period t // k; rows are twinned by
+    ``_row_twins``.  The columns and rows over the dc bases or shared
+    across periods (``v``, ``i``, ``z``; ``dc_ohm``, KCL) map one to one,
+    and a lazy row is held when its twin is."""
+    k = model.n_periods // coarse.n_periods
+    cols = np.empty(model.lp.n, dtype=np.int64)
+    for name, (off, count, horizon) in model.slices.items():
+        c_off, _, c_horizon = coarse.slices[name]
+        j = np.arange(count * horizon)
+        shared = name in _SHARED
+        cols[off + j] = c_off + (j if shared else j // horizon * c_horizon + j % horizon // k)
+    periods = _col_periods(model), _col_periods(coarse)
+    ub = _row_twins(model.lp.A_ub, coarse.lp.A_ub, *periods, k)
+    eq = _row_twins(model.lp.A_eq, coarse.lp.A_eq, *periods, k)
+    return LpBasis(cols=basis.cols[cols], ub=basis.ub[ub], eq=basis.eq[eq], held=basis.held[ub])
+
+
+def _col_periods(model: OtsModel) -> np.ndarray:
+    """Each column's period; -1 for a column of ``_SHARED``."""
+    period = np.full(model.lp.n, -1)
+    for name, (off, count, horizon) in model.slices.items():
+        if name not in _SHARED:
+            period[off:off + count * horizon] = np.tile(np.arange(horizon), count)
+    return period
+
+
+def _row_twins(fine: sp.csr_matrix, coarse: sp.csr_matrix, fine_cols: np.ndarray,
+               coarse_cols: np.ndarray, k: int) -> np.ndarray:
+    """The coarse twin of each fine row.  A row's period is the latest
+    period of its columns (-1 with none but ``_SHARED`` ones); the twin of
+    the fine row of rank r among the rows of period t is the coarse row of
+    rank r among those of period t // k (-1 to -1).  Rows run class by class
+    and each class holds as many rows in every period of either model, so
+    the rank also names the class: the twin has the row's class."""
+    fine_p, coarse_p = _row_periods(fine, fine_cols), _row_periods(coarse, coarse_cols)
+    order = np.argsort(coarse_p, kind="stable")
+    return order[np.searchsorted(coarse_p[order], fine_p // k) + _rank_in_period(fine_p)]
+
+
+def _row_periods(A: sp.csr_matrix, col_period: np.ndarray) -> np.ndarray:
+    """The latest column period of each row of ``A``; -1 for an empty row."""
+    period = np.full(A.shape[0], -1)
+    rows = np.flatnonzero(np.diff(A.indptr))
+    period[rows] = np.maximum.reduceat(col_period[A.indices], A.indptr[rows])
+    return period
+
+
+def _rank_in_period(period: np.ndarray) -> np.ndarray:
+    """Each row's rank, in row order, among the rows of its period."""
+    order = np.argsort(period, kind="stable")
+    rank = np.empty(len(period), dtype=np.int64)
+    rank[order] = np.arange(len(period)) - np.searchsorted(period[order], period[order])
+    return rank
 
 
 def _fixed(model: OtsModel, z: dict[int, float],
@@ -639,21 +712,51 @@ def _fixed(model: OtsModel, z: dict[int, float],
     return lb, ub
 
 
-def _branch_and_bound(model: OtsModel, t0: float,
-                      seed: Callable[[], dict[int, int] | None] | None = None
-                      ) -> MitigationPlan | None:
-    """The search of ``solve`` from wall-clock start ``t0``; None when it
-    finds no plan.  ``seed``, a function returning a z per switchable
-    branch or None, is called once, after a root LP with fractional z;
-    the LP with z fixed to its plan is the first node after the root."""
+def _seeded_search(model: OtsModel, t0: float, z: dict[int, int],
+                   start: LpBasis | None) -> MitigationPlan | None:
+    """The search of ``solve`` seeded by the plan ``z``: the fine LP with z
+    fixed, from the basis ``start`` (None: cold), is the first node; when it
+    is optimal, it is the incumbent and its duals' bound over the root box
+    is the root's parent bound, which closes the search when it is within
+    the gap."""
+    lp = dataclasses.replace(model.lp, start=start)
+    zlb, zub = _fixed(model, z)
+    seeded = lp_solve(lp, lb=zlb, ub=zub)
+    if seeded.status != "optimal":
+        return _branch_and_bound(model, t0, lp, explored=1)
+    bound = dual_bound(model.lp, seeded.dual_ub, seeded.dual_eq)
+    return _branch_and_bound(model, t0, lp, seeded, explored=1, bound=bound)
+
+
+def _branch_and_bound(model: OtsModel, t0: float, lp: LpProblem | None = None,
+                      incumbent: LpResult | None = None, explored: int = 0,
+                      bound: float = -math.inf) -> MitigationPlan | None:
+    """The search of ``solve`` from wall-clock start ``t0`` (``_search``) as
+    a plan; None when it finds none.  By default a new instance, with no
+    incumbent and no root bound: the unseeded search."""
+    found = _search(model, t0, lp or dataclasses.replace(model.lp), incumbent, explored, bound)
+    if found is None:
+        return None
+    incumbent, gap, nodes, status = found
+    return _extract_plan(model, incumbent.x, incumbent.objective, gap, nodes,
+                         time.perf_counter() - t0, status)
+
+
+def _search(model: OtsModel, t0: float, lp: LpProblem, incumbent: LpResult | None = None,
+            explored: int = 0, bound: float = -math.inf
+            ) -> tuple[LpResult, float, int, str] | None:
+    """The branch-and-bound on ``lp``, one warm-started instance per search.
+    The root enters with the parent bound ``bound``; ``incumbent`` is the
+    LP result of a plan already found and ``explored`` counts the LPs
+    already solved.  Returns (the incumbent's LP result, the relative gap,
+    the LPs solved, the status), or None when the search finds no plan."""
     opt = model.options
-    lp = dataclasses.replace(model.lp)  # one warm-started instance per search
-    incumbent, incumbent_obj = None, math.inf
-    nodes_explored = seq = 0
+    incumbent_obj = math.inf if incumbent is None else incumbent.objective
+    nodes_explored, seq = explored, 0
     # open nodes (bound of parent, seq, lb, ub): a stack until the first
     # incumbent, then a heap by best bound; the parent bound screens a node
     # before it is solved
-    nodes = [(-math.inf, seq, *_fixed(model, {}))]
+    nodes = [(bound, seq, *_fixed(model, {}))]
 
     def gap_abs() -> float:
         return opt.gap * max(1.0, abs(incumbent_obj))
@@ -690,14 +793,6 @@ def _branch_and_bound(model: OtsModel, t0: float,
             if res.objective < incumbent_obj - 1e-12:
                 set_incumbent(res)
             continue
-        if seed is not None:
-            z, seed = seed(), None
-            if z is not None:
-                zlb, zub = _fixed(model, z)  # the seed runs at the root
-                seeded = lp_solve(lp, lb=zlb, ub=zub)
-                nodes_explored += 1
-                if seeded.status == "optimal":
-                    set_incumbent(seeded)
 
         children = []
         for value in (0.0, 1.0):
@@ -715,8 +810,7 @@ def _branch_and_bound(model: OtsModel, t0: float,
         return None
     bound = min([node[0] for node in nodes] + [incumbent_obj])
     rel_gap = max(0.0, (incumbent_obj - bound) / max(1e-12, abs(incumbent_obj)))
-    return _extract_plan(model, incumbent.x, incumbent_obj, rel_gap, nodes_explored,
-                         time.perf_counter() - t0, "timeout" if nodes else "optimal")
+    return incumbent, rel_gap, nodes_explored, "timeout" if nodes else "optimal"
 
 
 def enumerate_solve(model: OtsModel, cap: int = 16) -> MitigationPlan:
@@ -775,10 +869,15 @@ def _first_violated_class(model: OtsModel, lb, ub) -> str:
     return "power_flow"
 
 
+def _z_of(model: OtsModel, x: np.ndarray) -> dict[int, int]:
+    """The switching plan of an integral LP solution."""
+    return {bid: int(round(x[model.z_col[bid]])) for bid in model.switchable}
+
+
 def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
                   gap: float, nodes: int, wall: float, status: str) -> MitigationPlan:
     T = model.n_periods
-    z = {bid: int(round(x[model.z_col[bid]])) for bid in model.switchable}
+    z = _z_of(model, x)
     gen_p = dict(zip((g.index for g in model.gens), model.values("p_g", x).tolist()))
     flows = dict(zip((br.index for br in model.branches), model.values("p_e", x).tolist()))
     theta = dict(zip((b.index for b in model.buses), model.values("theta", x).tolist()))

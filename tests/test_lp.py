@@ -1,4 +1,5 @@
-"""LP layer: basic contracts, a vertex-enumeration cross-check and warm starts."""
+"""LP layer: basic contracts, a vertex-enumeration cross-check, warm starts and
+weak-duality bounds."""
 
 import dataclasses
 import itertools
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.lp import LpNumericalError, LpProblem, lp_solve
+from gicgrid.lp import LpNumericalError, LpProblem, dual_bound, lp_solve
 from gicgrid.mitigation import build_model
 
 from conftest import random_ots_case
@@ -197,3 +198,48 @@ def test_lazy_rows_match_all_rows_held(seed, n, m, m_eq, solves):
         assert np.all(got.x >= lb - 1e-7) and np.all(got.x <= ub + 1e-7)
         never = np.setdiff1d(np.flatnonzero(lazy >= 0), prob._held)
         assert len(got.dual_ub) == m and np.all(got.dual_ub[never] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2),
+       st.floats(0.0, 10.0))
+def test_dual_bound_is_at_most_the_optimum(seed, n, m, m_eq, scale):
+    """Any row duals, clipped to their sign inside ``dual_bound``, bound a
+    random LP's optimum over its box from below; the optimum's own duals
+    bound it exactly, within 1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
+    prob = _problem(rng.normal(size=n), rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7),
+                    rng.normal(loc=1.0, size=m), a_eq, rng.normal(size=m_eq) if m_eq else None,
+                    lb=-rng.uniform(0.0, 5.0, size=n), ub=rng.uniform(0.0, 5.0, size=n))
+    res = lp_solve(prob)
+    if res.status != "optimal":
+        return
+    y_ub, y_eq = scale * rng.normal(size=m), scale * rng.normal(size=m_eq)
+    # slack for the solver's own 1e-7 row tolerance at its optimum x
+    slack = 1e-7 * (1.0 + np.sum(np.abs(y_ub)) + np.sum(np.abs(y_eq)))
+    assert dual_bound(prob, y_ub, y_eq) <= res.objective + slack
+    exact = dual_bound(prob, res.dual_ub, res.dual_eq)
+    assert abs(exact - res.objective) <= 1e-9 * max(1.0, abs(res.objective))
+
+
+def test_basis_starts_a_fresh_copy():
+    """The basis an optimal solve ends on, passed as the start of a fresh
+    copy, is taken (the copy prices by Devex from its first run), holds the
+    lazy rows the solve held, and gives the same optimum; a start of the
+    wrong size is refused and the copy loads cold."""
+    prob = _problem([-1.0, -1.0], a_ub=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                    b_ub=[5.0, 2.0, 3.0, 30.0], lb=[0.0, 0.0], ub=[10.0, 10.0],
+                    lazy=[-1, 0, 1, 2])
+    res = lp_solve(prob)
+    basis = res.basis()
+    assert basis.held.tolist() == [True, True, True, False]
+    assert (basis.cols.shape, basis.ub.shape, basis.eq.shape) == ((2,), (4,), (0,))
+    assert basis.ub[3] == 1  # a row never held reads basic
+    for start, taken in ((basis, True), (dataclasses.replace(basis, cols=basis.cols[:1]), False)):
+        copy = dataclasses.replace(prob, start=start)
+        got = lp_solve(copy)
+        assert copy._devex == taken
+        assert sorted(copy._held.tolist()) == [0, 1, 2]
+        assert got.objective == pytest.approx(res.objective, rel=1e-12)
+        assert got.x == pytest.approx(res.x)

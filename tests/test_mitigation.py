@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_ramp_scenario,
                           parse_case)
 from gicgrid.dcnet import solve_series
-from gicgrid.lp import LpProblem, lp_solve
+from gicgrid.lp import LpProblem, dual_bound, lp_solve
 from gicgrid import coupling, mitigation
 from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, build_model,
                                 enumerate_solve, solve, verify_plan)
@@ -918,9 +918,9 @@ def test_highs_milp_oracle_above_enumeration_cap(epri21_case, dt, periods):
 def test_any_seed_keeps_the_optimum(seed, mask):
     """Whatever plan seeds the search (the enumerated optimum when ``mask`` is
     None, else any assignment, worse or infeasible ones included), the
-    branch-and-bound returns the enumerated optimum within the gap and a
-    plan that verifies, or, when there is none, no plan.  The seed is called
-    once when the root LP is optimal with a fractional z, else never."""
+    seeded search returns the enumerated optimum within the gap and a plan
+    that verifies, or, when there is none, no plan.  The seeded LP is the
+    search's first LP, and a search it closes alone returns the seed."""
     case, scenario = random_ots_case(np.random.default_rng(seed))
     model = build_model(case, scenario)
     try:
@@ -931,13 +931,17 @@ def test_any_seed_keeps_the_optimum(seed, mask):
         z = ref.z
     else:
         z = {bid: (mask or 0) >> k & 1 for k, bid in enumerate(model.switchable)}
-    seeded = []
-    plan = mitigation._branch_and_bound(model, time.perf_counter(),
-                                        seed=lambda: seeded.append(z) or z)
-    root = lp_solve(dataclasses.replace(model.lp))
-    fractional = (root.status == "optimal"
-                  and mitigation._most_fractional(model, root.x) is not None)
-    assert len(seeded) == int(fractional)
+    fixed = []
+    inner = mitigation.lp_solve
+
+    def recording(lp, *, lb, ub):
+        fixed.append({bid: lb[c] for bid, c in model.z_col.items() if lb[c] == ub[c]})
+        return inner(lp, lb=lb, ub=ub)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mitigation, "lp_solve", recording)
+        plan = mitigation._seeded_search(model, time.perf_counter(), z, None)
+    assert fixed[0] == z
     if ref is None:
         assert plan is None
         return
@@ -945,6 +949,8 @@ def test_any_seed_keeps_the_optimum(seed, mask):
     assert abs(plan.model_objective - ref.model_objective) <= (
         model.options.gap * max(1.0, abs(ref.model_objective)))
     assert verify_plan(case, scenario, plan).ok(1e-5)
+    if plan.nodes == 1:
+        assert plan.z == z and plan.gap == 0.0
 
 
 def _integer_infeasible_toy():
@@ -961,18 +967,18 @@ def _integer_infeasible_toy():
 
 def test_coarse_stage_runs_no_probes(monkeypatch):
     """On a model whose root LP is fractional but whose every plan is
-    infeasible, the coarse stage runs and finds no plan, and the probes run
-    once, for the fine model only."""
+    infeasible, the coarse stage runs and finds no plan, then the unseeded
+    search runs, and the probes run once, for the fine model only."""
     model = build_model(_integer_infeasible_toy(), make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0))
     searched, probed = [], []
-    search, probes = mitigation._branch_and_bound, mitigation._infeasibility_probes
-    monkeypatch.setattr(mitigation, "_branch_and_bound",
+    search, probes = mitigation._search, mitigation._infeasibility_probes
+    monkeypatch.setattr(mitigation, "_search",
                         lambda m, *args, **kw: searched.append(m.n_periods) or search(m, *args, **kw))
     monkeypatch.setattr(mitigation, "_infeasibility_probes",
                         lambda m: probed.append(m.n_periods) or probes(m))
     with pytest.raises(MitigationInfeasible) as err:
         solve(model)
-    assert searched == [6, 1]   # the fine search, then the coarse one at dt = 60
+    assert searched == [1, 6]   # the coarse search at dt = 60, then the fine one
     assert probed == [6]
     assert err.value.context == {"all_closed": "gic_cap", "all_open": "power_flow"}
 
@@ -992,14 +998,15 @@ def test_coarse_dt_from_the_top_oil_step(epri21_case):
 
 @pytest.mark.parametrize("dt", [2.5, 30.0])
 def test_coarse_seed_closes_the_epri21_search(epri21_case, dt):
-    """The coarse plan seeds an incumbent whose LP meets the root bound: the
-    search ends after two fine LPs with the unseeded search's plan."""
+    """The coarse plan seeds an incumbent whose LP's duals bound the root box
+    within the gap: the search ends after one fine LP, the seeded one, with
+    the unseeded search's plan."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
     model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
     plan = solve(model)
     unseeded = mitigation._branch_and_bound(model, time.perf_counter())
-    assert plan.nodes == 2 and unseeded.nodes > 2
+    assert plan.nodes == 1 and unseeded.nodes > 2
     assert plan.z == unseeded.z and plan.status == "optimal" and plan.gap == 0.0
     assert abs(plan.model_objective - unseeded.model_objective) <= (
         1e-4 * abs(unseeded.model_objective))
@@ -1043,8 +1050,8 @@ _OPT, _INF = "optimal", "infeasible"
 def test_search_order_pinned(epri21_case, monkeypatch):
     """Every node LP of the epri21 search at dt = 30 min, in order, by the
     binaries it fixes: the unseeded plunge and best-bound search (15 LPs),
-    then the seeded solve (the fine root, the 6 LPs of the coarse search at
-    dt = 120 min, the seeded LP)."""
+    then the seeded solve (the 6 LPs of the coarse search at dt = 120 min,
+    then the seeded LP, whose duals close the search with no fine root)."""
     scenario = _ramp_3p2(30.0)
     model = build_model(epri21_case, scenario, OtsOptions(dt=30.0))
     coarse = build_model(epri21_case, scenario, OtsOptions(dt=120.0))
@@ -1063,11 +1070,123 @@ def test_search_order_pinned(epri21_case, monkeypatch):
 
     calls.clear()
     plan = solve(model)
-    assert calls == [(12, {}, _OPT)] + [(3, z, _OPT) for z in (
+    assert calls == [(3, z, _OPT) for z in (
         {}, {7: 0}, {7: 0, 8: 1}, {7: 0, 8: 1, 9: 0}, {2: 1, 7: 0, 8: 1, 9: 0},
         {2: 1, 7: 0, 8: 1, 9: 0, 10: 1})] + [(12, _EPRI21_PLAN, _OPT)]
-    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 2, "optimal", 0.0)
+    assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, 1, "optimal", 0.0)
 
+
+
+
+def _seeded_lp(model, start):
+    """The fine LP with z fixed to the coarse plan, started from ``start``,
+    solved once: (its problem, its result)."""
+    z, _ = mitigation._coarse_plan(model, time.perf_counter())
+    lp = dataclasses.replace(model.lp, start=start)
+    zlb, zub = mitigation._fixed(model, z)
+    return lp, lp_solve(lp, lb=zlb, ub=zub)
+
+
+@pytest.mark.parametrize("dt", [2.5, 30.0])
+def test_mapped_start_is_only_a_start(epri21_case, dt):
+    """The seeded LP from the coarse incumbent's basis carried over the fine
+    periods returns the objective of a cold solve of the same LP, and so
+    does a start HiGHS completes (one status flipped, one basic too few)
+    and a start it refuses (one column status short), which loads cold."""
+    model = build_model(epri21_case, _ramp_3p2(dt), OtsOptions(dt=dt))
+    start = mitigation._coarse_plan(model, time.perf_counter())[1]
+    _, cold = _seeded_lp(model, None)
+    assert cold.status == "optimal"
+    flipped = start.cols.copy()
+    flipped[np.flatnonzero(flipped == 1)[0]] = 0
+    for basis, taken in ((start, True), (dataclasses.replace(start, cols=flipped), None),
+                         (dataclasses.replace(start, cols=start.cols[:-1]), False)):
+        lp, res = _seeded_lp(model, basis)
+        if taken is not None:  # a start taken prices by Devex from the first run
+            assert lp._devex == taken
+        assert res.status == "optimal"
+        assert abs(res.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+
+
+def test_fine_start_reads_each_twin_at_period_t_over_k(epri21_case):
+    """A coarse basis whose every status is its own index shows the twin of
+    each fine column and row: a column of fine period t reads its entity's
+    at coarse period t // 4, those over the dc bases or shared (``v``,
+    ``i``, ``z``) and the ``dc_ohm`` rows map one to one, each row reads a
+    row of its class whose columns hold its own columns' twins, and a lazy
+    row is held where its twin is.  The basis of the coarse incumbent holds
+    every row the fine LP always holds and some of its lazy rows."""
+    model = build_model(epri21_case, _ramp_3p2(30.0), OtsOptions(dt=30.0))
+    coarse = build_model(epri21_case, _ramp_3p2(30.0), OtsOptions(dt=120.0))
+    T = model.n_periods
+    m_ub, m_eq = coarse.lp.A_ub.shape[0], coarse.lp.A_eq.shape[0]
+    held = np.arange(m_ub) % 3 == 0
+    twin = mitigation._fine_start(model, coarse, mitigation.LpBasis(
+        cols=np.arange(coarse.lp.n), ub=np.arange(m_ub), eq=np.arange(m_eq), held=held))
+    for name, (off, count, horizon) in model.slices.items():
+        c_off, _, c_horizon = coarse.slices[name]
+        got = twin.cols[off:off + count * horizon].reshape(count, horizon) - c_off
+        if name in ("v", "i", "z"):
+            want = np.arange(count * horizon).reshape(count, horizon)
+        else:
+            want = np.arange(count)[:, None] * c_horizon + np.arange(T) // 4
+        assert np.array_equal(got, want), name
+    # a row's columns, read at their twins, are among its twin row's columns
+    for A, A_c, rows in ((model.lp.A_ub, coarse.lp.A_ub, twin.ub),
+                         (model.lp.A_eq, coarse.lp.A_eq, twin.eq)):
+        for r, c in enumerate(rows.tolist()):
+            cols = twin.cols[A.indices[A.indptr[r]:A.indptr[r + 1]]]
+            assert np.all(np.isin(cols, A_c.indices[A_c.indptr[c]:A_c.indptr[c + 1]]))
+    assert np.array_equal(twin.held, held[twin.ub])
+    for name, (lo, hi) in model.classes.items():  # every row reads a row of its class
+        assert np.all((twin.ub[lo:hi] >= coarse.classes[name][0])
+                      & (twin.ub[lo:hi] < coarse.classes[name][1])), name
+    lo, hi = model.classes["dc_ohm"]
+    assert np.array_equal(twin.ub[lo:hi], np.arange(*coarse.classes["dc_ohm"]))
+
+    found = mitigation._search(coarse, time.perf_counter(), dataclasses.replace(coarse.lp))
+    start = mitigation._fine_start(model, coarse, found[0].basis())
+    lazy = model.lp.lazy >= 0
+    assert np.all(start.held[~lazy])
+    assert 0 < np.count_nonzero(start.held & lazy) < np.count_nonzero(lazy)
+
+
+def test_seeded_bound_falls_short_on_b4gic_at_5_v_per_km(b4gic_case):
+    """On ``b4gic`` at 5 V/km and dt = 15 the seeded LP's duals bound the
+    root box below the root LP, which lies below the optimum (2125.2 <
+    2520.6 < 2701.2): the search must still run from the root, and it
+    returns the plan and objective of enumeration."""
+    model = build_model(b4gic_case, make_ramp_scenario(5.0, 180.0, 180.0, dt=15.0),
+                        OtsOptions(dt=15.0))
+    start = mitigation._coarse_plan(model, time.perf_counter())[1]
+    _, seeded = _seeded_lp(model, start)
+    bound = dual_bound(model.lp, seeded.dual_ub, seeded.dual_eq)
+    root = lp_solve(dataclasses.replace(model.lp))
+    ref = enumerate_solve(model)
+    assert bound == pytest.approx(2125.2, rel=1e-9)
+    assert root.objective == pytest.approx(2520.6, rel=1e-9)
+    assert seeded.objective == pytest.approx(2701.2, rel=1e-9)
+    assert bound < root.objective < ref.model_objective
+    plan = solve(model)
+    assert plan.nodes > 1 and plan.status == "optimal" and plan.z == ref.z
+    assert abs(plan.model_objective - ref.model_objective) <= 1e-9 * ref.model_objective
+    assert verify_plan(b4gic_case, model.scenario, plan).ok()
+
+
+def test_no_coarse_plan_runs_the_unseeded_search(epri21_case):
+    """On ``epri21`` at 3.2 V/km, 45 deg and dt = 10 the coarse search finds
+    no plan, so ``solve`` is the unseeded search: all lines closed, after
+    the 8 LPs the unseeded search takes."""
+    model = build_model(epri21_case, make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0,
+                                                        direction_deg=45.0),
+                        OtsOptions(dt=10.0))
+    assert mitigation._coarse_plan(model, time.perf_counter()) is None
+    plan = solve(model)
+    unseeded = mitigation._branch_and_bound(model, time.perf_counter())
+    assert (plan.z, plan.nodes, plan.status) == (unseeded.z, 8, "optimal")
+    assert all(v == 1 for v in plan.z.values())
+    assert plan.model_objective == pytest.approx(15758.172, rel=1e-9)
+    assert verify_plan(epri21_case, model.scenario, plan).ok()
 
 
 @pytest.mark.parametrize("dt,limit", [(30.0, 15), (2.5, 16)])
