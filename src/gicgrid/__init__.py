@@ -19,8 +19,7 @@ _EXPORTS = {
              "make_ramp_scenario", "parse_case", "parse_case_file", "serialize_case"),
     "dcnet": ("DcSystem", "FieldVector", "assemble", "branch_lengths"),
     "coupling": ("AcSolution", "PowerFlowError", "ac_power_flow", "qloss", "sequential_gic_ac"),
-    "thermal": ("ThermalTrace", "apparent_power", "hotspot_rise", "simulate",
-                "steady_rise", "step_topoil"),
+    "thermal": ("ThermalTrace", "apparent_power", "simulate", "steady_rise"),
     "mitigation": ("MitigationInfeasible", "MitigationPlan", "OtsModel", "OtsOptions",
                    "VerifyReport", "build_model", "enumerate_solve", "solve", "verify_plan"),
     "lp": ("LpProblem", "LpResult", "lp_solve"),

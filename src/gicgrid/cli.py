@@ -78,6 +78,36 @@ def _write(path: str, text) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder on every
+    value.  Here each non-empty list of plain floats and ints is encoded by
+    the C encoder (one line, ", " between cells) and re-indented; every
+    other value recurses, and scalars and empty containers go to
+    ``json.dumps`` alone."""
+    return "".join(_json_chunks(doc, "\n"))
+
+
+def _json_chunks(value, newline: str):
+    inner = newline + " "
+    if type(value) is list and value and set(map(type, value)) <= {float, int}:
+        yield "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + newline + "]"
+    elif isinstance(value, (list, tuple)) and value:
+        for k, v in enumerate(value):
+            yield ("[" if k == 0 else ",") + inner
+            yield from _json_chunks(v, inner)
+        yield newline + "]"
+    elif isinstance(value, dict) and value:
+        for k, (key, v) in enumerate(sorted(value.items())):
+            key = key if isinstance(key, str) else json.dumps(key)
+            yield ("{" if k == 0 else ",") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(v, inner)
+        yield newline + "}"
+    else:
+        yield json.dumps(value)
+
+
 def _cells(col: np.ndarray, spec: str = ".10g", each: int = 1) -> list[str]:
     """One column as text: floats by ``spec``, ints (ids, flags) in full by ``%d``;
     with ``each`` > 1 every cell is repeated that many times in turn.
@@ -297,8 +327,7 @@ def _cmd_mitigate(args) -> int:
     meta = _meta_line(args, ("field", "dir", "dt", "solver", "gap", "time_limit"))
     doc = plan_to_json(plan)
     doc["_meta"] = meta[2:]
-    _write(os.path.join(args.out, "plan.json"),
-           json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write(os.path.join(args.out, "plan.json"), _json_text(doc) + "\n")
     _write_table(args, "plan_branches", _branch_table(case, scenario, plan), meta)
 
     opened = [str(b) for b, zv in sorted(plan.z.items()) if zv == 0]
@@ -359,9 +388,8 @@ def _cmd_verify(args) -> int:
         print(f"  {cls:>14s}: {report.violations[cls]:.3e}")
     ok = report.ok(args.tol)
     _write(os.path.join(args.out, "verify.json"),
-           json.dumps({"violations": report.violations,
-                       "details": report.details, "ok": ok},
-                      indent=1, sort_keys=True) + "\n")
+           _json_text({"violations": report.violations, "details": report.details, "ok": ok})
+           + "\n")
     print(f"verify: max violation {report.max_violation():.3e} "
           f"[{'ok' if ok else 'VIOLATION'}]")
     return EXIT_OK if ok else EXIT_ANALYSIS

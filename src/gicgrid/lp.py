@@ -26,6 +26,12 @@ every row, so a solve returns what it would return with all rows held;
 ``dataclasses.replace(prob)`` gives a copy with no instance, whose solves
 do not depend on any earlier ones.
 
+Loading: the first solve passes the instance to HiGHS in one call, the
+array form of ``passModel``: costs, column bounds, row bounds and one
+row-wise matrix (int32 starts and indices) of the held ``A_ub`` rows,
+then ``A_eq``, every column continuous.  No ``HighsLp`` is filled
+attribute by attribute, which copies each array element by element.
+
 A start: ``start``, an ``LpBasis`` in the problem's own order (such as
 ``LpResult.basis()`` of a related problem, mapped onto this one), is
 passed to the instance when it loads.  The instance then also holds the
@@ -245,17 +251,16 @@ def _load(prob: LpProblem, held: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
     A = sp.vstack([prob.A_ub[held], prob.A_eq], format="csr")
     b_ub, b_eq = prob.b_ub[held], prob.b_eq
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = prob.c, lo, hi
-    lp.row_lower_ = np.r_[np.full(len(b_ub), -np.inf), b_eq]
-    lp.row_upper_ = np.r_[b_ub, b_eq]
-    M = lp.a_matrix_
-    M.format_, M.num_col_, M.num_row_ = _highs.MatrixFormat.kRowwise, A.shape[1], A.shape[0]
-    M.start_, M.index_, M.value_ = A.indptr, A.indices, A.data
+    m, n = A.shape
     h = _highs._Highs()
     h.setOptionValue("output_flag", False)
-    if h.passModel(lp) == _highs.HighsStatus.kError:
+    # every column continuous: an empty integrality array makes HiGHS read past its end
+    status = h.passModel(n, m, A.nnz, int(_highs.MatrixFormat.kRowwise),
+                         int(_highs.ObjSense.kMinimize), 0.0, prob.c, lo, hi,
+                         np.r_[np.full(len(b_ub), -np.inf), b_eq], np.r_[b_ub, b_eq],
+                         A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+                         np.zeros(n, dtype=np.int32))
+    if status == _highs.HighsStatus.kError:
         raise LpNumericalError("HiGHS refused the LP: a coefficient or bound is beyond "
                                "its limits (1e15 for matrix entries)")
     return h

@@ -26,11 +26,13 @@ from the dispatch and the linearized model objective used for bounding.
 
 The model is one period's circuit repeated over the periods (the dc
 circuit over the bases), and it is built that way: each constraint class
-is one sparse block whose entity matrices (incidences, Ohm's laws,
-winding weights W, with one period's coefficients) are expanded in time,
-or over the bases, by Kronecker products, rows by entity, then period or
-basis, then the +/- pair or group pattern.  The effective-GIC rows are
+is one block whose entity matrices (incidences, Ohm's laws, winding
+weights W, with one period's coefficients) are expanded in time, or over
+the bases, by Kronecker products, rows by entity, then period or basis,
+then the +/- pair or group pattern.  The effective-GIC rows are
 ``kron(W, coeffs)``: winding weights times the basis weights per period.
+Entity matrices, time factors and blocks are plain (row, column, value)
+arrays; ``A_eq`` and ``A_ub`` are each one CSR matrix of their blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -193,13 +196,14 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     dc, coeffs = source_basis(case, scenario, times)
     fd, td, a, comp, sources = dc.f, dc.t, dc.a, dc.comp, dc.sources
     Nd, Ed = len(dc.node_ids), len(dc.branch_ids)
-    comp_edges = _mat((Nd, Ed), comp[fd], np.arange(Ed), np.ones(Ed))
 
     def gap_m(emf):
         """Node voltage and edge voltage-gap bounds from edge EMF magnitudes:
         a component's EMF sum bounds its voltages for every switching state
         (superposition + maximum principle)."""
-        node = (comp_edges @ emf)[comp]
+        node = np.zeros((Nd,) + emf.shape[1:])
+        np.add.at(node, comp[fd], emf)  # edge by edge, as a sum over components
+        node = node[comp]
         return node, np.maximum(node[fd] + node[td] + emf, 1e-6)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,9 +220,10 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # solved winding currents into the signed effective GIC, as the dc engine does
     rows = case.compiled(XfmrArrays)[held]
     W = dc.W[np.flatnonzero(held)]
+    W_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
     # derived effective-GIC cap: the sum over windings of |weight| * current big-M
-    w_big_m = sp.csr_matrix((np.abs(W.data) * a[W.indices], W.indices, W.indptr), shape=W.shape)
-    derived = np.maximum(w_big_m @ period_gap_m, 1.0)
+    derived = np.maximum(np.bincount(W_rows, np.abs(W.data) * a[W.indices]
+                                     * period_gap_m[W.indices], W.shape[0]), 1.0)
     i_bound = np.where(np.isinf(rows.gic_bound), derived, rows.gic_bound)
     topoil = TopOil.of(rows, dt)
     traced = np.flatnonzero(rows.traced)  # a synthetic row holds no heat: du <= 0
@@ -251,8 +256,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     register("du", X, T)        # aux: PWL steady-state top-oil rise
     nvars = offset
 
-    z_pos = {bid: k for k, bid in enumerate(switchable)}
-    z_col = {bid: slices["z"][0] + k for bid, k in z_pos.items()}
+    z_col = {bid: slices["z"][0] + k for k, bid in enumerate(switchable)}
 
     lb = np.full(nvars, -np.inf)
     ub = np.full(nvars, np.inf)
@@ -281,17 +285,21 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
             bound[off:off + count * horizon] = (vals.ravel() if vals.ndim == 2
                                                 else np.repeat(vals, horizon))
 
-    # Constraints, one sparse block per class.  An entity matrix maps the
-    # class's row entities onto one variable's entities and holds the
-    # coefficients; _expand carries it over the periods (a shared binary has
-    # one column for all of them; the dc circuit rows run over the bases, and
-    # coeffs maps the basis currents to each period's) and over the class's
-    # +/- pair or group pattern, so rows run by entity, then period or basis,
-    # then pattern.
+    # Constraints, one block of (row, column, value) entries per class.  An
+    # entity matrix maps the class's row entities onto one variable's entities
+    # and holds the coefficients; _expand carries it over the periods (a
+    # shared binary has one column for all of them; the dc circuit rows run
+    # over the bases, and coeffs maps the basis currents to each period's)
+    # and over the class's +/- pair or group pattern, so rows run by entity,
+    # then period or basis, then pattern.  Entity matrices and time factors
+    # are _Entries; A_eq and A_ub are each one CSR matrix of their blocks.
     gen_chords = [_chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS if g.cost2 > 0 else 1)
                   for g in gens]
-    each, shared, lag = sp.identity(T), np.ones((T, 1)), sp.eye(T, k=-1)
-    basis = sp.identity(B)
+    steps = np.arange(1, T)
+    each, basis = _diag(np.ones(T)), _diag(np.ones(B))
+    lag = _mat((T, T), steps, steps - 1, np.ones(T - 1))
+    first, later = _mat((T, T), [0], [0], [1.0]), _mat((T, T), steps, steps, np.ones(T - 1))
+    shared = _mat((T, 1), np.arange(T), np.zeros(T), np.ones(T))
     pair, both = (1.0, -1.0), (1.0, 1.0)
 
     def held(rhs, width=1):
@@ -301,18 +309,23 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
         rhs = np.broadcast_to(rhs[:, None], (len(rhs), T)) if rhs.ndim == 1 else rhs
         return np.broadcast_to(rhs[:, :, None], rhs.shape + (width,))
 
-    def block(rhs, *terms, order=None):
-        """One class from its right-hand side and (variable, expanded entity matrix) terms."""
+    def block(rhs, *terms, at=None):
+        """One class from its right-hand side and (variable, expanded entity
+        matrix) terms: its rows, columns and values, and its right-hand side.
+        ``at`` gives the row each expanded row moves to."""
         parts = [(r, cidx + slices[name][0], data) for name, (r, cidx, data) in terms]
         r, cidx, data = map(np.concatenate, zip(*parts))
         rhs = np.ravel(rhs)
-        A = sp.csr_matrix((data, (r, cidx)), shape=(rhs.size, nvars))
-        return (A, rhs) if order is None else (A[order], rhs[order])
+        if at is not None:
+            r, moved = at[r], np.empty_like(rhs)
+            moved[at] = rhs
+            rhs = moved
+        return r, cidx, data, rhs
 
-    def on_z(owners, sel, coef):
-        """Entity matrix onto the binaries: row k in ``sel`` holds coef[k] at owners[k]'s z."""
-        return _mat((len(owners), S), sel, [z_pos[owners[k]] for k in sel],
-                    np.asarray(coef, dtype=float)[sel])
+    def on_z(rows, n, owners, coef):
+        """Entity matrix of ``n`` rows onto the binaries: row rows[k] holds
+        coef[k] at owners[k]'s z."""
+        return _mat((n, S), rows, np.searchsorted(switchable, owners), coef)
 
     def epigraph(y, x, sizes, chords, x_pos):
         """y >= slope * x + intercept for every chord, rows by entity, period,
@@ -330,29 +343,38 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                                       np.where(real, -1.0, 1.0)), each)),
                      (x, _expand(_mat((len(k), slices[x][1]), k[real],
                                       np.repeat(x_pos, sizes[sizes > 0]), slope[real]), each)),
-                     order=_group_order(owner, T))
+                     at=_group_rows(np.maximum(sizes, 1), T))
 
     # ac side: branch-bus incidence (+1 at f, -1 at t) and Ohm's law p = b (theta_f - theta_t)
     fb, tb = bus_row[ac.f[in_model]], bus_row[ac.t[in_model]]
     b = np.array([br.b for br in branches])
     branch_bus = _ends((E, N), fb, tb, np.ones(E), -np.ones(E))
-    ohm_theta = _ends((E, N), fb, tb, -b, b)
     gen_bus = _mat((N, G), bus_row[[ac.pos[g.bus] for g in gens]], np.arange(G), -np.ones(G))
-    br_ids = [br.index for br in branches]
-    is_sw = np.array([bid in z_pos for bid in br_ids], dtype=bool)
+    br_ids = np.array([br.index for br in branches], dtype=int)
+    is_sw = np.isin(br_ids, switchable)
     sw, fixed = np.flatnonzero(is_sw), np.flatnonzero(~is_sw)
     big_m = np.array([br.angle_big_m for br in branches])
     angle_max = np.array([br.angle_max for br in branches])
+    rating = np.array([br.rating for br in branches])
     m_ohm = np.abs(b) * big_m + 1e-9
+
+    def ohm_theta(sel):
+        """Ohm's law entity rows of the branches ``sel`` onto the angles."""
+        return _ends((len(sel), N), fb[sel], tb[sel], -b[sel], b[sel])
 
     # dc side, per basis: node-edge incidence (-1 at f, +1 at t) and
     # i = a (v_f - v_t + vsrc); a switched edge's big-M holds one per basis
-    ohm_v = _ends((Ed, Nd), fd, td, -a, a)
     is_dsw = np.isin(dc.parent, switchable)
     dsw, dfixed = np.flatnonzero(is_dsw), np.flatnonzero(~is_dsw)
     av, i_sw = a[:, None] * sources, i_m[dsw]
     dc_on_z = _mat((i_sw.size, S), np.arange(i_sw.size),
                    np.repeat(np.searchsorted(switchable, dc.parent[dsw]), B), i_sw.ravel())
+
+    incidence = _ends((Ed, Nd), fd, td, -np.ones(Ed), np.ones(Ed)).T
+
+    def ohm_v(sel):
+        """Ohm's law entity rows of the dc edges ``sel`` onto the node voltages."""
+        return _ends((len(sel), Nd), fd[sel], td[sel], -a[sel], a[sel])
 
     # transformers: top-oil start (steady: delta_0 = du_0, else du_-1 := delta0)
     capped = np.flatnonzero(np.isin(rows.branch, switchable))
@@ -362,68 +384,69 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     steady = np.isnan(delta0)
     start = np.zeros((X, T))
     start[~steady, 0] = (delta0 + (zeta - 1.0) * delta0)[~steady]
-    first = _mat((T, T), [0], [0], [1.0])
-    later = _mat((T, T), np.arange(1, T), np.arange(1, T), np.ones(T - 1))
-    I_E, I_Ed, I_X = (sp.identity(n, format="csr") for n in (E, Ed, X))
+    minus_x = _pick(np.arange(X), X, -1.0)
 
-    A_eq, b_eq = _stack([
+    A_eq, b_eq, _ = _stack([
         # power balance: sum(out) - sum(in) - sum(gen) = -(pd + g_shunt)
         block(held([-(bus.pd + bus.g_shunt) for bus in buses]),
               ("p_e", _expand(branch_bus.T, each)), ("p_g", _expand(gen_bus, each))),
         # ac Ohm's law of the fixed branches
         block(held(np.zeros(len(fixed))),
-              ("p_e", _expand(I_E[fixed], each)), ("theta", _expand(ohm_theta[fixed], each))),
+              ("p_e", _expand(_pick(fixed, E), each)), ("theta", _expand(ohm_theta(fixed), each))),
         # dc KCL: sum(in) - sum(out) = a_i * V_i
-        block(np.zeros((Nd, B)), ("i", _expand(dc.incidence, basis)),
+        block(np.zeros((Nd, B)), ("i", _expand(incidence, basis)),
               ("v", _expand(_diag(-dc.ground), basis))),
         # dc Ohm's law of the fixed edges
         block(av[dfixed],
-              ("i", _expand(I_Ed[dfixed], basis)), ("v", _expand(ohm_v[dfixed], basis))),
+              ("i", _expand(_pick(dfixed, Ed), basis)), ("v", _expand(ohm_v(dfixed), basis))),
         # top-oil recursion, bidiagonal in time:
         # (1+zeta) delta_t + (1-zeta) delta_{t-1} - du_t - du_{t-1} = 0
         block(start, ("delta", _expand(_diag(np.where(steady, 1.0, 1.0 + zeta)), first)),
               ("delta", _expand(_diag(1.0 + zeta), later)),
-              ("delta", _expand(_diag(1.0 - zeta), lag)), ("du", _expand(I_X, -(each + lag)))),
-    ])
+              ("delta", _expand(_diag(1.0 - zeta), lag)),
+              ("du", _expand(minus_x, each)), ("du", _expand(minus_x, lag))),
+    ], nvars)
 
+    n_sw = np.arange(len(sw))
     ineq = {
         # switched ac Ohm's law, ratings and angle limits by big-M pairs
-        "ac_ohm": block(held(m_ohm[sw], 2), ("p_e", _expand(I_E[sw], each, pair)),
-                        ("theta", _expand(ohm_theta[sw], each, pair)),
-                        ("z", _expand(on_z(br_ids, sw, m_ohm)[sw], shared, both))),
-        "rating": block(held(np.zeros(len(sw)), 2), ("p_e", _expand(I_E[sw], each, pair)),
-                        ("z", _expand(on_z(br_ids, sw, [-br.rating for br in branches])[sw],
+        "ac_ohm": block(held(m_ohm[sw], 2), ("p_e", _expand(_pick(sw, E), each, pair)),
+                        ("theta", _expand(ohm_theta(sw), each, pair)),
+                        ("z", _expand(on_z(n_sw, len(sw), br_ids[sw], m_ohm[sw]), shared, both))),
+        "rating": block(held(np.zeros(len(sw)), 2), ("p_e", _expand(_pick(sw, E), each, pair)),
+                        ("z", _expand(on_z(n_sw, len(sw), br_ids[sw], -rating[sw]),
                                       shared, both))),
         "angle": block(held(np.where(is_sw, big_m, angle_max), 2),
                        ("theta", _expand(branch_bus, each, pair)),
-                       ("z", _expand(on_z(br_ids, sw, big_m - angle_max), shared, both))),
+                       ("z", _expand(on_z(sw, E, br_ids[sw], (big_m - angle_max)[sw]),
+                                     shared, both))),
         # switched dc Ohm's law: the big-M pair, then i = 0 when open
         "dc_ohm": block(np.stack([av[dsw] + i_sw, -av[dsw] + i_sw,
                                   np.zeros_like(av[dsw]), np.zeros_like(av[dsw])], axis=-1),
-                        ("i", _expand(I_Ed[dsw], basis, (1.0, -1.0, 1.0, -1.0))),
-                        ("v", _expand(ohm_v[dsw], basis, (1.0, -1.0, 0.0, 0.0))),
-                        ("z", _expand(dc_on_z, sp.identity(1), (1.0, 1.0, -1.0, -1.0)))),
+                        ("i", _expand(_pick(dsw, Ed), basis, (1.0, -1.0, 1.0, -1.0))),
+                        ("v", _expand(ohm_v(dsw), basis, (1.0, -1.0, 0.0, 0.0))),
+                        ("z", _expand(dc_on_z, _diag([1.0]), (1.0, 1.0, -1.0, -1.0)))),
         # effective GIC relaxation: +/- W i(t) <= ieff with i(t) = coeffs[t] @ i_B
-        "eff_gic": block(held(np.zeros(X), 2), ("i", _expand(W, coeffs, pair)),
-                         ("ieff", _expand(-I_X, each, both))),
+        "eff_gic": block(held(np.zeros(X), 2),
+                         ("i", _expand(_mat(W.shape, W_rows, W.indices, W.data),
+                                       _nonzeros(coeffs), pair)),
+                         ("ieff", _expand(minus_x, each, both))),
         # support: switching forces Ieff to zero
-        "gic_cap": block(held(np.zeros(len(capped))), ("ieff", _expand(I_X[capped], each)),
-                         ("z", _expand(on_z(rows.branch, capped, -i_bound)[capped], shared))),
+        "gic_cap": block(held(np.zeros(len(capped))), ("ieff", _expand(_pick(capped, X), each)),
+                         ("z", _expand(on_z(np.arange(len(capped)), len(capped),
+                                            rows.branch[capped], -i_bound[capped]), shared))),
         # PWL steady top-oil rise over the loading; synthetic rows: du <= 0
         "pwl_loading": epigraph("du", "p_e", loading_sizes, chords, loading_row),
         "hotspot_cap": block(held((rows.limit - rows.temp_amb)[traced]),
-                             ("delta", _expand(I_X[traced], each)),
+                             ("delta", _expand(_pick(traced, X), each)),
                              ("ieff", _expand(_mat((len(traced), X), np.arange(len(traced)),
                                                    traced, rows.hs_coeff[traced]), each))),
         # cost epigraph
         "pwl_cost": epigraph("cost", "p_g", [len(c) for c in gen_chords],
                              list(itertools.chain(*gen_chords)), np.arange(G)),
     }
-    classes, stop = {}, 0
-    for name, (A, _) in ineq.items():
-        classes[name] = (stop, stop + A.shape[0])
-        stop += A.shape[0]
-    A_ub, b_ub = _stack(list(ineq.values()))
+    A_ub, b_ub, stops = _stack(list(ineq.values()), nvars)
+    classes = {name: (int(lo), int(hi)) for name, lo, hi in zip(ineq, stops, stops[1:])}
 
     # lazy rows, which rarely bind, enter the LP once a solution violates
     # them: one group per switched line and period (the rating pair; with
@@ -432,7 +455,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # loading chords)
     group_rows = {"rating": np.full(len(sw) * T, 2), "angle": np.full(E * T, 2),
                   "pwl_loading": np.repeat(np.maximum(loading_sizes, 1), T)}
-    lazy, groups = np.full(stop, -1), 0
+    lazy, groups = np.full(len(b_ub), -1), 0
     for name, sizes in group_rows.items():
         start, end = classes[name]
         lazy[start:end] = groups + np.repeat(np.arange(sizes.size), sizes)
@@ -440,7 +463,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     # the rating rows hold an open line's flows at 0
     flow_cols = slices["p_e"][0] + np.arange(E * T).reshape(E, T)
-    open_cols = {bid: flow_cols[np.asarray(br_ids) == bid].ravel() for bid in switchable}
+    open_cols = {bid: flow_cols[br_ids == bid].ravel() for bid in switchable}
 
     c = np.zeros(nvars)
     off, count, horizon = slices["cost"]
@@ -461,46 +484,76 @@ def _midpoints(scenario: FieldScenario, dt: float) -> np.ndarray:
     return np.array([(a + b) / 2.0 for a, b in zip(grid, grid[1:])])
 
 
-def _mat(shape, rows, cols, vals) -> sp.csr_matrix:
-    """Sparse matrix holding every listed entry, zeros included."""
-    return sp.csr_matrix((np.asarray(vals, dtype=float),
-                          (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))), shape=shape)
+class _Entries(NamedTuple):
+    """A sparse matrix as its entries: parallel row, column and value arrays,
+    zeros included."""
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+    @property
+    def T(self) -> _Entries:
+        return _Entries(self.shape[::-1], self.col, self.row, self.val)
 
 
-def _diag(vals) -> sp.csr_matrix:
+def _mat(shape, rows, cols, vals) -> _Entries:
+    """The matrix holding every listed entry, zeros included."""
+    return _Entries(shape, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+                    np.asarray(vals, dtype=float))
+
+
+def _diag(vals) -> _Entries:
     return _mat((len(vals),) * 2, np.arange(len(vals)), np.arange(len(vals)), vals)
 
 
-def _ends(shape, f, t, at_f, at_t) -> sp.csr_matrix:
+def _pick(cols, n: int, coef: float = 1.0) -> _Entries:
+    """Rows of the n x n identity (times ``coef``) at ``cols``."""
+    return _mat((len(cols), n), np.arange(len(cols)), cols, np.full(len(cols), coef))
+
+
+def _nonzeros(M: np.ndarray) -> _Entries:
+    """The nonzero entries of a dense matrix."""
+    rows, cols = np.nonzero(M)
+    return _mat(M.shape, rows, cols, M[rows, cols])
+
+
+def _ends(shape, f, t, at_f, at_t) -> _Entries:
     """One row per branch: ``at_f`` in its column ``f``, ``at_t`` in its column ``t``."""
     rows = np.arange(len(f))
     return _mat(shape, np.r_[rows, rows], np.r_[f, t], np.r_[at_f, at_t])
 
 
-def _expand(M, time, pattern=(1.0,)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of kron(kron(M, time), pattern), entries in
-    the order sp.kron gives them: rows (row entity, period, pattern row),
-    columns (entity, period).  Zeros held in M stay, zeros of a dense
-    ``time`` or of the pattern drop."""
-    M, time = sp.coo_matrix(M), sp.coo_matrix(time)
+def _expand(M: _Entries, time: _Entries, pattern=(1.0,)) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of kron(kron(M, time), pattern): rows (row
+    entity, period, pattern row), columns (entity, period).  Zeros held in M
+    or time stay, zeros of the pattern drop."""
     pattern = np.asarray(pattern, dtype=float)
     k = np.flatnonzero(pattern)
-    m_row, m_col = M.row.astype(np.int64)[:, None], M.col.astype(np.int64)[:, None]
-    rows = (m_row * time.shape[0] + time.row).reshape(-1, 1) * pattern.size + k
-    cols = (m_col * time.shape[1] + time.col).reshape(-1, 1)
-    data = (M.data[:, None] * time.data).reshape(-1, 1) * pattern[k]
+    rows = (M.row[:, None] * time.shape[0] + time.row).reshape(-1, 1) * pattern.size + k
+    cols = (M.col[:, None] * time.shape[1] + time.col).reshape(-1, 1)
+    data = (M.val[:, None] * time.val).reshape(-1, 1) * pattern[k]
     return rows.ravel(), np.broadcast_to(cols, rows.shape).ravel(), data.ravel()
 
 
-def _group_order(owner, T: int) -> np.ndarray:
-    """Row order (owner, period, row) of group rows expanded as (row, period)."""
-    k = np.repeat(np.arange(len(owner)), T)
-    return np.lexsort((k, np.tile(np.arange(T), len(owner)), owner[k]))
+def _group_rows(sizes: np.ndarray, T: int) -> np.ndarray:
+    """Where each row of groups of ``sizes`` rows, expanded as (row, period),
+    goes in the order (group, period, row)."""
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    within = np.arange(len(owner)) - first[owner]
+    return ((first * T)[owner, None] + np.arange(T) * sizes[owner, None]
+            + within[:, None]).ravel()
 
 
-def _stack(blocks):
-    return (sp.vstack([A for A, _ in blocks], format="csr"),
-            np.concatenate([rhs for _, rhs in blocks]))
+def _stack(blocks, ncols: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The blocks (rows, columns, values, right-hand side) one under another:
+    one CSR matrix, its right-hand side, and the first row of each block
+    and the row count."""
+    stops = np.cumsum([0] + [rhs.size for *_, rhs in blocks])
+    rows = np.concatenate([r + start for (r, *_), start in zip(blocks, stops)])
+    cols, vals, rhs = (np.concatenate(part) for part in list(zip(*blocks))[1:])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(stops[-1], ncols)), rhs, stops
 
 
 def _cost_range(g) -> tuple[float, float]:
@@ -572,7 +625,7 @@ def solve(model: OtsModel) -> MitigationPlan:
     the root without an incumbent.  The coarse stage counts toward
     ``time_limit``; ``nodes`` counts the fine LPs.
 
-    The search (``_branch_and_bound``): depth-first plunge until the first
+    The search (``_search``): depth-first plunge until the first
     incumbent, then best-bound node selection; branching on the most
     fractional binary with lowest-id tie-breaks, plunging first to the
     child nearer its LP value (closed at 0.5).  Serial and deterministic.
@@ -592,10 +645,13 @@ def solve(model: OtsModel) -> MitigationPlan:
     """
     t0 = time.perf_counter()
     seed = _coarse_plan(model, t0)
-    plan = _branch_and_bound(model, t0) if seed is None else _seeded_search(model, t0, *seed)
-    if plan is None:
+    found = (_search(model, t0, dataclasses.replace(model.lp)) if seed is None
+             else _seeded_search(model, t0, *seed))
+    if found is None:
         raise MitigationInfeasible("no feasible switching plan", _infeasibility_probes(model))
-    return plan
+    incumbent, gap, nodes, status = found
+    return _extract_plan(model, incumbent.x, incumbent.objective, gap, nodes,
+                         time.perf_counter() - t0, status)
 
 
 def _coarse_dt(model: OtsModel) -> float | None:
@@ -712,34 +768,20 @@ def _fixed(model: OtsModel, z: dict[int, float],
     return lb, ub
 
 
-def _seeded_search(model: OtsModel, t0: float, z: dict[int, int],
-                   start: LpBasis | None) -> MitigationPlan | None:
-    """The search of ``solve`` seeded by the plan ``z``: the fine LP with z
-    fixed, from the basis ``start`` (None: cold), is the first node; when it
-    is optimal, it is the incumbent and its duals' bound over the root box
-    is the root's parent bound, which closes the search when it is within
-    the gap."""
+def _seeded_search(model: OtsModel, t0: float, z: dict[int, int], start: LpBasis | None
+                   ) -> tuple[LpResult, float, int, str] | None:
+    """The search of ``solve`` seeded by the plan ``z`` (``_search``): the
+    fine LP with z fixed, from the basis ``start`` (None: cold), is the
+    first node; when it is optimal, it is the incumbent and its duals' bound
+    over the root box is the root's parent bound, which closes the search
+    when it is within the gap."""
     lp = dataclasses.replace(model.lp, start=start)
     zlb, zub = _fixed(model, z)
     seeded = lp_solve(lp, lb=zlb, ub=zub)
     if seeded.status != "optimal":
-        return _branch_and_bound(model, t0, lp, explored=1)
+        return _search(model, t0, lp, explored=1)
     bound = dual_bound(model.lp, seeded.dual_ub, seeded.dual_eq)
-    return _branch_and_bound(model, t0, lp, seeded, explored=1, bound=bound)
-
-
-def _branch_and_bound(model: OtsModel, t0: float, lp: LpProblem | None = None,
-                      incumbent: LpResult | None = None, explored: int = 0,
-                      bound: float = -math.inf) -> MitigationPlan | None:
-    """The search of ``solve`` from wall-clock start ``t0`` (``_search``) as
-    a plan; None when it finds none.  By default a new instance, with no
-    incumbent and no root bound: the unseeded search."""
-    found = _search(model, t0, lp or dataclasses.replace(model.lp), incumbent, explored, bound)
-    if found is None:
-        return None
-    incumbent, gap, nodes, status = found
-    return _extract_plan(model, incumbent.x, incumbent.objective, gap, nodes,
-                         time.perf_counter() - t0, status)
+    return _search(model, t0, lp, seeded, explored=1, bound=bound)
 
 
 def _search(model: OtsModel, t0: float, lp: LpProblem, incumbent: LpResult | None = None,

@@ -26,8 +26,6 @@ from .dcnet import GicSeries, solve_series
 __all__ = [
     "apparent_power",
     "steady_rise",
-    "step_topoil",
-    "hotspot_rise",
     "hotspot_temp",
     "ThermalTrace",
     "simulate",
@@ -53,22 +51,6 @@ def steady_rise(s: float, s_rated: float, delta_rated: float) -> float:
     k = s / s_rated
     return delta_rated * k * k
 
-def step_topoil(delta_prev: float, du_prev: float, du_now: float, zeta: float) -> float:
-    """One bilinear-transform step of the top-oil lag.
-
-    Preserves fixed points exactly: constant inputs reproduce themselves.
-    """
-    if zeta <= 0:
-        raise ValueError("zeta must be > 0")
-    return (du_now + du_prev) / (1.0 + zeta) - (1.0 - zeta) / (1.0 + zeta) * delta_prev
-
-
-def hotspot_rise(i_eff: float, r_coeff: float) -> float:
-    """Hot-spot rise over top-oil [degC], linear in the effective GIC."""
-    if i_eff < 0:
-        raise ValueError("effective GIC must be >= 0")
-    return r_coeff * i_eff
-
 
 def hotspot_temp(th: ThermalData | XfmrArrays, delta_to, i_eff):
     """Absolute hot-spot temperature [degC]: ambient + top-oil rise + hs_coeff * I_eff.
@@ -87,11 +69,12 @@ def topoil_series(du: np.ndarray, zeta, delta0) -> np.ndarray:
     result has its shape.  du[..., 0] is treated as the steady input
     already present at the initial sample, i.e. the recursion pairs
     (du[k-1], du[k]) per step with delta[0] = delta0.  Bitwise equal to
-    ``step_topoil`` applied step by step: the input term of every step is
-    computed at once, then one recursion runs over the samples, each step
-    one array operation over all rows.  (``scipy.signal.lfilter`` is not
-    used: it flips signed zeros at zeta = 1, and importing it nearly
-    doubles the package's import time.)
+    the scalar step of the module docstring taken one sample at a time,
+    ``(du[k] + du[k-1]) / (1 + zeta) - (1 - zeta) / (1 + zeta) * delta[k-1]``:
+    the input term of every step is computed at once, then one recursion
+    runs over the samples, each step one array operation over all rows.
+    (``scipy.signal.lfilter`` is not used: it flips signed zeros at
+    zeta = 1, and importing it nearly doubles the package's import time.)
     """
     du = np.asarray(du, dtype=float)
     zeta = np.asarray(zeta, dtype=float)

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.cli import (_CSV_BLOCK, _build_parser, _cells, _write_table, plan_from_json,
-                         plan_to_json, run)
+from gicgrid.cli import (_CSV_BLOCK, _build_parser, _cells, _json_text, _write_table,
+                         plan_from_json, plan_to_json, run)
 from gicgrid.data import load_scenario_file, parse_case, serialize_case
 from gicgrid.dcnet import FieldVector, solve_series
 
@@ -973,6 +974,27 @@ def test_column_formatter_matches_fstrings(xs):
     col = np.array(xs, dtype=float)
     assert _cells(col) == [f"{x:.10g}" for x in xs]
     assert _cells(col, ".1f") == [f"{x:.1f}" for x in xs]
+
+
+_ODD_FLOATS = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                              1e308, -1e308, sys.float_info.max, 0.1, 1e16, 2.0 ** 53])
+_NUMBER = st.floats() | _ODD_FLOATS | st.integers() | st.integers(-2**70, 2**70)
+_TEXT = st.text(st.sampled_from(list(', "\'\\/\n\t\x00aZ\u00e9\u2603\U0001f600')), max_size=6)
+_PLAN_LIKE = st.recursive(
+    st.none() | st.booleans() | _NUMBER | _TEXT
+    | st.lists(_NUMBER, min_size=1, max_size=8)                # a series of cells
+    | st.lists(_NUMBER | st.booleans() | st.none(), max_size=6),  # True is no number cell
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PLAN_LIKE)
+@example({"z": {"7": 0}, "times": [1.25, -0.0, 5e-324, 1e308], "ok": True, "details": [],
+          "gap": math.nan, "a, b": {"\"q\"": [math.inf, -math.inf, 3, True, None]}, "e": {}})
+def test_json_writer_is_json_dumps(doc):
+    """plan.json and verify.json are written as json.dumps(doc, indent=1, sort_keys=True)."""
+    assert _json_text(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("col", [np.array([True, False]), np.array([1, 2.5], dtype=object),

@@ -3,16 +3,18 @@ weak-duality bounds."""
 
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gicgrid.lp import LpNumericalError, LpProblem, dual_bound, lp_solve
-from gicgrid.mitigation import build_model
+from gicgrid.data import load_scenario_file
+from gicgrid.lp import LpNumericalError, LpProblem, _load, dual_bound, lp_solve
+from gicgrid.mitigation import OtsOptions, build_model
 
-from conftest import random_ots_case
+from conftest import CASES, random_ots_case
 
 
 def _problem(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lb=None, ub=None, lazy=None):
@@ -124,6 +126,48 @@ def test_refused_model_is_numerical_error():
     prob = _problem([1.0, 1.0], a_ub=[[1e20, 1.0]], b_ub=[1.0], lb=[0, 0], ub=[1, 1])
     with pytest.raises(LpNumericalError, match="refused"):
         lp_solve(prob)
+
+
+def _assert_loaded_is_the_problem(prob):
+    """The instance ``_load`` makes of ``prob`` with its held rows holds the
+    problem: its costs and column bounds, the held ``A_ub`` rows (at most
+    ``b_ub``), then the equalities, as one matrix, and no integer column."""
+    from scipy.optimize._highspy import _core as _highs
+
+    held = np.flatnonzero(prob.lazy < 0)
+    lp = _load(prob, held, prob.lb, prob.ub).getLp()
+    for got, want in ((lp.col_cost_, prob.c), (lp.col_lower_, prob.lb), (lp.col_upper_, prob.ub),
+                      (lp.row_lower_, np.r_[np.full(len(held), -np.inf), prob.b_eq]),
+                      (lp.row_upper_, np.r_[prob.b_ub[held], prob.b_eq])):
+        assert np.array_equal(np.asarray(got), want)
+    a = lp.a_matrix_
+    kind = sp.csr_matrix if a.format_ == _highs.MatrixFormat.kRowwise else sp.csc_matrix
+    got = kind((np.asarray(a.value_), np.asarray(a.index_), np.asarray(a.start_)),
+               shape=(lp.num_row_, lp.num_col_))
+    want = sp.vstack([prob.A_ub[held], prob.A_eq], format="csr")
+    assert got.shape == want.shape and (got != want).nnz == 0
+    assert all(v == _highs.HighsVarType.kContinuous for v in lp.integrality_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 10), st.integers(0, 3))
+def test_loaded_instance_is_the_problem(seed, n, m, m_eq):
+    """Random LPs with random lazy rows, some rows and columns empty."""
+    rng = np.random.default_rng(seed)
+    a_eq = rng.normal(size=(m_eq, n)) * (rng.random((m_eq, n)) < 0.6) if m_eq else None
+    prob = _problem(rng.normal(size=n), rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6),
+                    rng.normal(size=m), a_eq, rng.normal(size=m_eq) if m_eq else None,
+                    lb=-rng.uniform(0.0, 5.0, size=n), ub=rng.uniform(0.0, 5.0, size=n),
+                    lazy=rng.integers(-1, 2, size=m))
+    _assert_loaded_is_the_problem(prob)
+
+
+def test_loaded_epri21_model_is_the_problem(epri21_case):
+    """The switching model of epri21 at T = 144, with its held rows."""
+    scenario = load_scenario_file(os.path.join(CASES, "ramp_3p2.csv"), dt=2.5)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=2.5))
+    assert model.n_periods == 144
+    _assert_loaded_is_the_problem(model.lp)
 
 
 @settings(max_examples=20, deadline=None)

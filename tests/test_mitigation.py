@@ -25,6 +25,22 @@ from gicgrid.thermal import hotspot_temp, simulate, steady_rise, topoil_series
 from conftest import effective, random_ots_case
 
 
+def _plan(model, found, t0):
+    """The plan of a ``mitigation._search`` result started at ``t0``, as
+    ``solve`` makes it; None for no result."""
+    if found is None:
+        return None
+    incumbent, gap, nodes, status = found
+    return mitigation._extract_plan(model, incumbent.x, incumbent.objective, gap, nodes,
+                                    time.perf_counter() - t0, status)
+
+
+def _unseeded(model):
+    """The search of ``solve`` without the coarse seed, on a new instance."""
+    t0 = time.perf_counter()
+    return _plan(model, mitigation._search(model, t0, dataclasses.replace(model.lp)), t0)
+
+
 def _nonswitchable(case):
     return dataclasses.replace(
         case, ac_branches=tuple(dataclasses.replace(br, switchable=False)
@@ -580,7 +596,7 @@ def test_timeout_returns_incumbent(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(mitigation, "_NODE_LIMIT", 5)
     model = build_model(*random_ots_case(np.random.default_rng(83)))
-    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    plan = _unseeded(model)
     assert (plan.status, plan.nodes) == ("timeout", 5)
     assert plan.gap == pytest.approx(0.17401445399180776, rel=1e-9)
     assert plan.z == {3: 0, 4: 0, 5: 0, 6: 0, 7: 1}
@@ -940,7 +956,8 @@ def test_any_seed_keeps_the_optimum(seed, mask):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mitigation, "lp_solve", recording)
-        plan = mitigation._seeded_search(model, time.perf_counter(), z, None)
+        t0 = time.perf_counter()
+        plan = _plan(model, mitigation._seeded_search(model, t0, z, None), t0)
     assert fixed[0] == z
     if ref is None:
         assert plan is None
@@ -1005,7 +1022,7 @@ def test_coarse_seed_closes_the_epri21_search(epri21_case, dt):
     scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
     model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
     plan = solve(model)
-    unseeded = mitigation._branch_and_bound(model, time.perf_counter())
+    unseeded = _unseeded(model)
     assert plan.nodes == 1 and unseeded.nodes > 2
     assert plan.z == unseeded.z and plan.status == "optimal" and plan.gap == 0.0
     assert abs(plan.model_objective - unseeded.model_objective) <= (
@@ -1056,7 +1073,7 @@ def test_search_order_pinned(epri21_case, monkeypatch):
     model = build_model(epri21_case, scenario, OtsOptions(dt=30.0))
     coarse = build_model(epri21_case, scenario, OtsOptions(dt=120.0))
     calls = _record_fixed(monkeypatch, model, coarse)
-    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    plan = _unseeded(model)
     assert calls == [(12, z, status) for z, status in (
         ({}, _OPT), ({10: 1}, _OPT), ({7: 0, 10: 1}, _OPT), ({7: 0, 8: 0, 10: 1}, _OPT),
         ({2: 1, 7: 0, 8: 0, 10: 1}, _OPT), ({2: 1, 7: 0, 8: 0, 9: 1, 10: 1}, _OPT),
@@ -1182,7 +1199,7 @@ def test_no_coarse_plan_runs_the_unseeded_search(epri21_case):
                         OtsOptions(dt=10.0))
     assert mitigation._coarse_plan(model, time.perf_counter()) is None
     plan = solve(model)
-    unseeded = mitigation._branch_and_bound(model, time.perf_counter())
+    unseeded = _unseeded(model)
     assert (plan.z, plan.nodes, plan.status) == (unseeded.z, 8, "optimal")
     assert all(v == 1 for v in plan.z.values())
     assert plan.model_objective == pytest.approx(15758.172, rel=1e-9)
@@ -1197,8 +1214,8 @@ def test_node_limit_after_the_last_needed_node_is_no_timeout(epri21_case, dt, li
     is complete.  One node less stops it before its first leaf."""
     model = build_model(epri21_case, _ramp_3p2(dt), OtsOptions(dt=dt))
     monkeypatch.setattr(mitigation, "_NODE_LIMIT", limit)
-    plan = mitigation._branch_and_bound(model, time.perf_counter())
+    plan = _unseeded(model)
     assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, limit, "optimal", 0.0)
     monkeypatch.setattr(mitigation, "_NODE_LIMIT", limit - 1)
     with pytest.raises(MitigationInfeasible, match="the node limit stopped the search"):
-        mitigation._branch_and_bound(model, time.perf_counter())
+        _unseeded(model)

@@ -9,10 +9,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.data import FieldSample, FieldScenario, make_ramp_scenario
-from gicgrid.thermal import (TopOil, XfmrArrays, apparent_power, hotspot_rise, hotspot_temp,
-                             simulate, steady_rise, step_topoil, topoil_series)
+from gicgrid.thermal import (TopOil, XfmrArrays, apparent_power, hotspot_temp, simulate,
+                             steady_rise, topoil_series)
 
 LOOP = 170.788 / 1.601
+
+
+def step_topoil(delta_prev: float, du_prev: float, du_now: float, zeta: float) -> float:
+    """Scalar oracle: one bilinear-transform step of the top-oil lag.
+
+    Preserves fixed points exactly: constant inputs reproduce themselves.
+    """
+    if zeta <= 0:
+        raise ValueError("zeta must be > 0")
+    return (du_now + du_prev) / (1.0 + zeta) - (1.0 - zeta) / (1.0 + zeta) * delta_prev
+
+
+def hotspot_rise(i_eff: float, r_coeff: float) -> float:
+    """Scalar oracle: hot-spot rise over top-oil [degC], linear in the effective GIC."""
+    if i_eff < 0:
+        raise ValueError("effective GIC must be >= 0")
+    return r_coeff * i_eff
 
 
 def test_apparent_power_pythagorean():
