@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "data": ("ABSENT", "AcBranch", "BranchGmdData", "Bus", "BusGmdData", "CaseData",
              "CaseError", "CaseInvariantError", "CaseReferenceError", "CaseStructureError",
-             "FieldSample", "FieldScenario", "Generator", "GmdBranch", "GmdBus",
+             "FieldSample", "FieldScenario", "Generator", "GmdBranch", "GmdBus", "Periods",
              "ThermalData", "estimate_missing_gsu", "load_scenario", "load_scenario_file",
              "make_ramp_scenario", "parse_case", "parse_case_file", "serialize_case"),
-    "dcnet": ("DcSystem", "FieldVector", "assemble", "branch_lengths"),
+    "dcnet": ("DcSystem", "FieldVector", "assemble"),
     "coupling": ("AcSolution", "PowerFlowError", "ac_power_flow", "qloss", "sequential_gic_ac"),
     "thermal": ("ThermalTrace", "apparent_power", "simulate", "steady_rise"),
     "mitigation": ("MitigationInfeasible", "MitigationPlan", "OtsModel", "OtsOptions",

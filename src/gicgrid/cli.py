@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coupling import AcArrays, IslandError, PowerFlowError, sequential_gic_ac
-from .data import (CaseError, CaseData, FieldScenario, load_scenario, make_ramp_scenario,
-                   parse_case)
+from .data import (CaseError, CaseData, FieldScenario, Periods, load_scenario,
+                   make_ramp_scenario, parse_case)
 from .dcnet import DcArrays, FieldVector, solve_series
 from .thermal import simulate
 
@@ -179,7 +179,7 @@ def _scenario_from_args(args, require: bool = False) -> FieldScenario | None:
         raise CaseError("--field applies only without --scenario")
     if args.scenario:
         text = _read(args, "scenario")
-        return load_scenario(text, dt=args.dt, overrides_text=_read(args, "overrides"))
+        return load_scenario(text, overrides_text=_read(args, "overrides"))
     if args.field is not None and require:
         return make_ramp_scenario(args.field, 180.0, 180.0, dt=args.dt,
                                   direction_deg=args.dir)
@@ -198,7 +198,7 @@ def _cmd_dc(args) -> int:
     meta = _meta_line(args, ("field", "dir", "dt"))
 
     if scenario is not None:
-        times, fields = scenario.grid(args.dt), scenario
+        times, fields = Periods.over(scenario, args.dt).edges, scenario
     elif args.field is not None:
         times, fields = [0.0], np.array([FieldVector.from_mag_dir(args.field, args.dir)])
     else:
@@ -254,7 +254,7 @@ def _cmd_ac(args) -> int:
 def _cmd_thermal(args) -> int:
     case = parse_case(_read(args, "case"))
     scenario = _scenario_from_args(args, require=True)
-    trace = simulate(case, scenario, times=scenario.grid(args.dt))
+    trace = simulate(case, scenario, times=Periods.over(scenario, args.dt).edges)
     meta = _meta_line(args, ("field", "dir", "dt"))
     order = np.argsort(trace.branch, kind="stable")
     n = len(trace.t) - 1  # rows: by branch id, then by sample after the first
@@ -383,7 +383,7 @@ def _cmd_verify(args) -> int:
     scenario = _scenario_from_args(args, require=True)
     with open(args.plan, "r", encoding="utf-8-sig") as fh:
         plan = plan_from_json(json.load(fh))
-    report = verify_plan(case, scenario, plan, dt=args.dt)
+    report = verify_plan(case, scenario, plan, args.dt)
     for cls in sorted(report.violations):
         print(f"  {cls:>14s}: {report.violations[cls]:.3e}")
     ok = report.ok(args.tol)

@@ -37,6 +37,7 @@ __all__ = [
     "FieldSample",
     "FieldVector",
     "FieldScenario",
+    "Periods",
     "CaseData",
     "ABSENT",
     "component_labels",
@@ -248,11 +249,11 @@ class FieldScenario:
     ``voltage_overrides`` maps gmd_branch id -> ((t, volts), ...); an
     override takes precedence over the uniform-field projection for that
     branch.  Between samples both field and overrides interpolate
-    linearly; outside the sampled range the end values hold.
+    linearly; outside the sampled range the end values hold.  The step an
+    analysis takes over it is the analysis's own (``Periods``).
     """
 
     samples: tuple[FieldSample, ...]
-    dt: float = 5.0
     voltage_overrides: Mapping[int, tuple[tuple[float, float], ...]] = field(
         default_factory=dict)
 
@@ -262,8 +263,6 @@ class FieldScenario:
         ts = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("scenario sample times must be strictly increasing")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("scenario dt must be positive and finite")
         if any(s.e_mag < 0 for s in self.samples):
             raise ValueError("field magnitude must be non-negative")
 
@@ -289,15 +288,47 @@ class FieldScenario:
         """Per-branch induced-voltage overrides [V] interpolated at each time."""
         return {b: np.interp(times, *zip(*series)) for b, series in self.voltage_overrides.items()}
 
-    def grid(self, dt: float | None = None) -> list[float]:
-        """Uniform time grid t_start..t_end at step dt; dt must divide the span."""
-        dt = self.dt if dt is None else dt
-        span = self.t_end - self.t_start
+
+@dataclass(frozen=True)
+class Periods:
+    """The time axis of an analysis: ``count`` periods of ``dt`` minutes from ``start``.
+
+    ``edges`` are the period boundaries, ``start + k*dt`` (a scenario
+    sweep's and a thermal simulation's samples); ``mid`` the period
+    midpoints, ``(a + b) / 2`` of each pair of edges (the instants the
+    switching model holds); ``samples`` the instants a re-simulation of the
+    periods runs at, ``[mid[0] - dt, *mid]``.  Sample 0 is the initial
+    state, one step before period 0, and it carries period 0's input, as
+    the model's top-oil recursion does; sample k + 1 is period k.
+    """
+
+    start: float
+    dt: float
+    count: int
+
+    @classmethod
+    def over(cls, scenario: FieldScenario, dt: float) -> "Periods":
+        """The periods of step ``dt`` [min] that tile the scenario's span;
+        ValueError unless ``dt`` is positive, finite and divides the span."""
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        span = scenario.t_end - scenario.t_start
         n = span / dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"dt={dt} does not divide scenario span {span}")
-        n = int(round(n))
-        return [self.t_start + k * dt for k in range(n + 1)]
+        return cls(scenario.t_start, dt, int(round(n)))
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.start + np.arange(self.count + 1, dtype=float) * self.dt
+
+    @property
+    def mid(self) -> np.ndarray:
+        return (self.edges[:-1] + self.edges[1:]) / 2.0
+
+    @property
+    def samples(self) -> np.ndarray:
+        return np.concatenate([self.mid[:1] - self.dt, self.mid])
 
 
 @dataclass(frozen=True)
@@ -810,22 +841,23 @@ def make_ramp_scenario(peak: float, rise_min: float, fall_min: float,
 
     Defaults to an eastward (90 deg geographic) field.  The ramp rises
     linearly 0 -> peak over rise_min, then falls back to 0 over fall_min.
+    When dt does not divide rise_min, the peak at rise_min is sampled too.
     """
     if peak < 0:
         raise ValueError("peak must be >= 0")
-    span = rise_min + fall_min
-    n = span / dt
+    n = (rise_min + fall_min) / dt
     if abs(n - round(n)) > 1e-9:
         raise ValueError("dt must divide rise_min + fall_min")
+    rise = rise_min / dt
+    knot = [rise_min] if abs(rise - round(rise)) > 1e-9 else []  # the grid misses the peak
     samples = []
-    for k in range(int(round(n)) + 1):
-        t = k * dt
+    for t in sorted([k * dt for k in range(int(round(n)) + 1)] + knot):
         if t <= rise_min:
             mag = peak * (t / rise_min) if rise_min > 0 else peak
         else:
             mag = peak * (1.0 - (t - rise_min) / fall_min) if fall_min > 0 else 0.0
         samples.append(FieldSample(t=t, e_mag=mag, e_dir=direction_deg))
-    return FieldScenario(samples=tuple(samples), dt=dt)
+    return FieldScenario(samples=tuple(samples))
 
 
 _SCENARIO_COLUMNS = ("t_min", "e_mag_vkm", "e_dir_deg")
@@ -846,8 +878,7 @@ def _csv_rows(text: str, columns: tuple[str, ...], label: str):
         yield _Row(f"{label} CSV row '{ln}'", None, dict(zip(columns, parts)))
 
 
-def load_scenario(text: str, dt: float = 5.0,
-                  overrides_text: str | None = None) -> FieldScenario:
+def load_scenario(text: str, overrides_text: str | None = None) -> FieldScenario:
     """Load a scenario from CSV text with header t_min,e_mag_vkm,e_dir_deg.
 
     Optional overrides CSV has header t_min,gmd_branch_id,volts.
@@ -868,14 +899,14 @@ def load_scenario(text: str, dt: float = 5.0,
             raise CaseStructureError(
                 f"override CSV: duplicate time for gmd_branch {branch_id}")
         frozen[branch_id] = series
-    return FieldScenario(samples=tuple(samples), dt=dt, voltage_overrides=frozen)
+    return FieldScenario(samples=tuple(samples), voltage_overrides=frozen)
 
 
-def load_scenario_file(path, dt: float = 5.0, overrides_path=None) -> FieldScenario:
+def load_scenario_file(path, overrides_path=None) -> FieldScenario:
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     otext = None
     if overrides_path is not None:
         with open(overrides_path, "r", encoding="utf-8-sig") as fh:
             otext = fh.read()
-    return load_scenario(text, dt=dt, overrides_text=otext)
+    return load_scenario(text, overrides_text=otext)

@@ -38,7 +38,6 @@ __all__ = [
     "GicSeries",
     "SingularNetworkError",
     "MissingCoordinates",
-    "branch_lengths",
     "displacement",
     "assemble",
     "solve_series",
@@ -51,24 +50,6 @@ EARTH_RADIUS_KM = 6371.0
 
 class SingularNetworkError(ArithmeticError):
     """Raised when the pinned dc conductance matrix cannot be solved accurately."""
-
-
-def branch_lengths(case: CaseData, branch: GmdBranch) -> tuple[float, float]:
-    """Northward/eastward displacement (L_N, L_E) [km] between branch endpoints.
-
-    ``displacement`` between the coordinates of the parent buses of both
-    endpoint gmd buses, which must have them.
-    """
-    f_parent = case.gmd_bus(branch.f_bus).parent
-    t_parent = case.gmd_bus(branch.t_bus).parent
-    fc = case.coords_for(f_parent)
-    tc = case.coords_for(t_parent)
-    if fc is None or tc is None:
-        missing = f_parent if fc is None else t_parent
-        raise MissingCoordinates(
-            f"gmd_branch {branch.index}: bus {missing} has no bus_gmd coordinates")
-    l_n, l_e = displacement((fc.lat, fc.lon), (tc.lat, tc.lon))
-    return float(l_n), float(l_e)
 
 
 def displacement(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +129,8 @@ def _route_lengths(case: CaseData, nodes: list, edges: Sequence[GmdBranch], f: n
     case's authoritative route length is honored.  Edges that see no field
     (transformer windings, of negligible length) and edges with an end out
     of service get 0; an edge lacking coordinates gets NaN.  ``math.hypot``
-    is mapped over the edges, so the lengths are bitwise those of
-    ``branch_lengths`` one at a time.
+    is mapped over the edges, so the lengths are bitwise those of the
+    scalar formulas taken one edge at a time.
     """
     k = np.flatnonzero(sees_field & (f >= 0) & (t >= 0))
     coords = [case.coords_for(b.parent) for b in nodes]
@@ -230,8 +211,12 @@ def assemble(case: CaseData, field: bool = False, overridden: Collection[int] = 
     lengths = None
     if field:
         sees = (dc.winding_row[sel] < 0) & ~held
-        for j in sel[sees & np.isnan(dc.lengths[sel, 0])]:  # NaN: unlocated, or len_km inf
-            branch_lengths(case, case.gmd_branches[j])  # raises MissingCoordinates
+        for j in sel[sees & np.isnan(dc.lengths[sel, 0])].tolist():  # unlocated, or len_km inf
+            e = case.gmd_branches[j]
+            for bus in (case.gmd_bus(n).parent for n in (e.f_bus, e.t_bus)):
+                if case.coords_for(bus) is None:
+                    raise MissingCoordinates(f"gmd_branch {e.index}: bus {bus} has no "
+                                             "bus_gmd coordinates")
         lengths = np.where(sees[:, None], dc.lengths[sel], 0.0)
     unknown = np.setdiff1d(list(overridden), dc.branch_ids)
     if unknown.size:

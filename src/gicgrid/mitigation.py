@@ -49,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (ABSENT, AcBranch, CaseData, CaseReferenceError, FieldScenario, dispatch_cost,
-                   topology_status)
+from .data import (ABSENT, AcBranch, CaseData, CaseReferenceError, FieldScenario, Periods,
+                   dispatch_cost, topology_status)
 from .coupling import AcArrays, energized
 from . import thermal
 from .dcnet import DcSystem, source_basis
@@ -77,7 +77,7 @@ _NODE_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class OtsOptions:
-    dt: float | None = None         # period length [min]; default scenario dt
+    dt: float                       # period length [min]
     gap: float = 1e-4               # relative optimality gap
     time_limit: float | None = None  # seconds; None = no limit
 
@@ -95,8 +95,7 @@ class OtsModel:
     case: CaseData
     scenario: FieldScenario
     options: OtsOptions
-    dt: float
-    times: np.ndarray               # period midpoints [min], length T
+    periods: Periods                # the model's periods, held at their midpoints
     buses: list                     # model buses (connected, energized part)
     gens: list
     branches: list[AcBranch]        # in-service ac branches
@@ -115,6 +114,8 @@ class OtsModel:
     slices: dict[str, tuple[int, int, int]]   # name -> (offset, count, T)
     classes: dict[str, tuple[int, int]]       # ub-row ranges per constraint class
     primary_var_count: int
+    ub_period: np.ndarray           # per A_ub row: its period, -1 for a row over the dc bases
+    eq_period: np.ndarray           # per A_eq row: likewise
 
     def values(self, name: str, x: np.ndarray) -> np.ndarray:
         """One variable's part of ``x``: a row per entity, a column per period
@@ -124,7 +125,7 @@ class OtsModel:
 
     @property
     def n_periods(self) -> int:
-        return len(self.times)
+        return self.periods.count
 
 
 @dataclass
@@ -164,20 +165,18 @@ def _chords(fn, lo: float, hi: float, segments: int):
     return out
 
 
-def build_model(case: CaseData, scenario: FieldScenario,
-                options: OtsOptions | None = None) -> OtsModel:
+def build_model(case: CaseData, scenario: FieldScenario, options: OtsOptions) -> OtsModel:
     """Assemble the time-extended switching model as an LP template.
 
     Binaries appear as [0,1]-bounded columns; branch-and-bound only ever
     tightens their bounds, so the constraint matrix is built once.
     """
-    return _build_model(case, scenario, options or OtsOptions())
+    return _build_model(case, scenario, options)
 
 
 def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> OtsModel:
-    dt = opt.dt if opt.dt is not None else scenario.dt
-    times = _midpoints(scenario, dt)
-    T = len(times)
+    periods = Periods.over(scenario, opt.dt)
+    T = periods.count
     if T < 1:
         raise ValueError("scenario must span at least one period")
 
@@ -193,7 +192,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # dc side: the dc engine's nominal solve set and its superposition basis;
     # one switched circuit per basis (B = 2 + overrides), since for a fixed
     # topology the currents of period t are coeffs[t] @ the basis currents
-    dc, coeffs = source_basis(case, scenario, times)
+    dc, coeffs = source_basis(case, scenario, periods.mid)
     fd, td, a, comp, sources = dc.f, dc.t, dc.a, dc.comp, dc.sources
     Nd, Ed = len(dc.node_ids), len(dc.branch_ids)
 
@@ -225,7 +224,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     derived = np.maximum(np.bincount(W_rows, np.abs(W.data) * a[W.indices]
                                      * period_gap_m[W.indices], W.shape[0]), 1.0)
     i_bound = np.where(np.isinf(rows.gic_bound), derived, rows.gic_bound)
-    topoil = TopOil.of(rows, dt)
+    topoil = TopOil.of(rows, opt.dt)
     traced = np.flatnonzero(rows.traced)  # a synthetic row holds no heat: du <= 0
     chords = _loading_chords(rows[traced])
     loading_sizes = np.where(rows.traced, _PWL_SEGMENTS, 0)  # chords per row
@@ -309,18 +308,22 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
         rhs = np.broadcast_to(rhs[:, None], (len(rhs), T)) if rhs.ndim == 1 else rhs
         return np.broadcast_to(rhs[:, :, None], rhs.shape + (width,))
 
-    def block(rhs, *terms, at=None):
-        """One class from its right-hand side and (variable, expanded entity
-        matrix) terms: its rows, columns and values, and its right-hand side.
-        ``at`` gives the row each expanded row moves to."""
+    def block(rhs, *terms, at=None, bases=False):
+        """One class from its right-hand side (row entity x period x pattern
+        row; x basis with ``bases``) and (variable, expanded entity matrix)
+        terms: its rows, columns and values, its right-hand side, and each
+        row's period (-1 over the bases).  ``at`` gives the row each
+        expanded row moves to."""
         parts = [(r, cidx + slices[name][0], data) for name, (r, cidx, data) in terms]
         r, cidx, data = map(np.concatenate, zip(*parts))
-        rhs = np.ravel(rhs)
+        period = np.full(np.shape(rhs), -1) if bases else np.broadcast_to(
+            np.arange(T)[:, None], np.shape(rhs))
+        rhs, period = np.ravel(rhs), np.ravel(period)
         if at is not None:
-            r, moved = at[r], np.empty_like(rhs)
-            moved[at] = rhs
-            rhs = moved
-        return r, cidx, data, rhs
+            moved = np.empty_like(at)  # the inverse permutation of at
+            moved[at] = np.arange(at.size)
+            r, rhs, period = at[r], rhs[moved], period[moved]
+        return r, cidx, data, rhs, period
 
     def on_z(rows, n, owners, coef):
         """Entity matrix of ``n`` rows onto the binaries: row rows[k] holds
@@ -386,7 +389,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     start[~steady, 0] = (delta0 + (zeta - 1.0) * delta0)[~steady]
     minus_x = _pick(np.arange(X), X, -1.0)
 
-    A_eq, b_eq, _ = _stack([
+    A_eq, b_eq, _, eq_period = _stack([
         # power balance: sum(out) - sum(in) - sum(gen) = -(pd + g_shunt)
         block(held([-(bus.pd + bus.g_shunt) for bus in buses]),
               ("p_e", _expand(branch_bus.T, each)), ("p_g", _expand(gen_bus, each))),
@@ -395,13 +398,13 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
               ("p_e", _expand(_pick(fixed, E), each)), ("theta", _expand(ohm_theta(fixed), each))),
         # dc KCL: sum(in) - sum(out) = a_i * V_i
         block(np.zeros((Nd, B)), ("i", _expand(incidence, basis)),
-              ("v", _expand(_diag(-dc.ground), basis))),
+              ("v", _expand(_diag(-dc.ground), basis)), bases=True),
         # dc Ohm's law of the fixed edges
-        block(av[dfixed],
-              ("i", _expand(_pick(dfixed, Ed), basis)), ("v", _expand(ohm_v(dfixed), basis))),
+        block(av[dfixed], ("i", _expand(_pick(dfixed, Ed), basis)),
+              ("v", _expand(ohm_v(dfixed), basis)), bases=True),
         # top-oil recursion, bidiagonal in time:
         # (1+zeta) delta_t + (1-zeta) delta_{t-1} - du_t - du_{t-1} = 0
-        block(start, ("delta", _expand(_diag(np.where(steady, 1.0, 1.0 + zeta)), first)),
+        block(held(start), ("delta", _expand(_diag(np.where(steady, 1.0, 1.0 + zeta)), first)),
               ("delta", _expand(_diag(1.0 + zeta), later)),
               ("delta", _expand(_diag(1.0 - zeta), lag)),
               ("du", _expand(minus_x, each)), ("du", _expand(minus_x, lag))),
@@ -425,7 +428,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                                   np.zeros_like(av[dsw]), np.zeros_like(av[dsw])], axis=-1),
                         ("i", _expand(_pick(dsw, Ed), basis, (1.0, -1.0, 1.0, -1.0))),
                         ("v", _expand(ohm_v(dsw), basis, (1.0, -1.0, 0.0, 0.0))),
-                        ("z", _expand(dc_on_z, _diag([1.0]), (1.0, 1.0, -1.0, -1.0)))),
+                        ("z", _expand(dc_on_z, _diag([1.0]), (1.0, 1.0, -1.0, -1.0))), bases=True),
         # effective GIC relaxation: +/- W i(t) <= ieff with i(t) = coeffs[t] @ i_B
         "eff_gic": block(held(np.zeros(X), 2),
                          ("i", _expand(_mat(W.shape, W_rows, W.indices, W.data),
@@ -445,7 +448,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
         "pwl_cost": epigraph("cost", "p_g", [len(c) for c in gen_chords],
                              list(itertools.chain(*gen_chords)), np.arange(G)),
     }
-    A_ub, b_ub, stops = _stack(list(ineq.values()), nvars)
+    A_ub, b_ub, stops, ub_period = _stack(list(ineq.values()), nvars)
     classes = {name: (int(lo), int(hi)) for name, lo, hi in zip(ineq, stops, stops[1:])}
 
     # lazy rows, which rarely bind, enter the LP once a solution violates
@@ -470,18 +473,12 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     c[off:off + count * horizon] = 1.0
     lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub, lazy=lazy)
 
-    return OtsModel(case=case, scenario=scenario, options=opt, dt=dt, times=times,
+    return OtsModel(case=case, scenario=scenario, options=opt, periods=periods,
                     buses=buses, gens=gens, branches=branches, switchable=switchable,
                     dc=dc, coeffs=coeffs, transformers=rows, i_bound=i_bound, i_derived=derived,
                     loading_row=loading_row, loading_chords=chords, eff_weights=W, lp=lp,
                     z_col=z_col, open_cols=open_cols, slices=slices, classes=classes,
-                    primary_var_count=primary)
-
-
-def _midpoints(scenario: FieldScenario, dt: float) -> np.ndarray:
-    """Period midpoints [min] of the scenario grid at ``dt``."""
-    grid = scenario.grid(dt)
-    return np.array([(a + b) / 2.0 for a, b in zip(grid, grid[1:])])
+                    primary_var_count=primary, ub_period=ub_period, eq_period=eq_period)
 
 
 class _Entries(NamedTuple):
@@ -546,14 +543,14 @@ def _group_rows(sizes: np.ndarray, T: int) -> np.ndarray:
             + within[:, None]).ravel()
 
 
-def _stack(blocks, ncols: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """The blocks (rows, columns, values, right-hand side) one under another:
-    one CSR matrix, its right-hand side, and the first row of each block
-    and the row count."""
-    stops = np.cumsum([0] + [rhs.size for *_, rhs in blocks])
+def _stack(blocks, ncols: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (rows, columns, values, right-hand side, row periods) one
+    under another: one CSR matrix, its right-hand side, the first row of
+    each block and the row count, and each row's period."""
+    stops = np.cumsum([0] + [rhs.size for *_, rhs, _ in blocks])
     rows = np.concatenate([r + start for (r, *_), start in zip(blocks, stops)])
-    cols, vals, rhs = (np.concatenate(part) for part in list(zip(*blocks))[1:])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(stops[-1], ncols)), rhs, stops
+    cols, vals, rhs, period = (np.concatenate(part) for part in list(zip(*blocks))[1:])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(stops[-1], ncols)), rhs, stops, period
 
 
 def _cost_range(g) -> tuple[float, float]:
@@ -656,14 +653,12 @@ def solve(model: OtsModel) -> MitigationPlan:
 
 def _coarse_dt(model: OtsModel) -> float | None:
     """Period length of the coarse seed model: k * dt for the largest
-    divisor k > 1 of T at which every traced transformer's top-oil step
-    stays monotone (``TopOil.of``: k dt <= 2 tau); None when there is none."""
-    T = model.n_periods
-    rows = model.transformers
-    taus = rows.to_time_c[rows.traced]
+    divisor k > 1 of T at which every transformer's top-oil step stays
+    monotone (``TopOil.steps``); None when there is none."""
+    T, dt = model.n_periods, model.periods.dt
     for k in range(T, 1, -1):
-        if T % k == 0 and np.all(2.0 * taus / (k * model.dt) >= 1.0):
-            return k * model.dt
+        if T % k == 0 and np.all(TopOil.steps(model.transformers, k * dt)):
+            return k * dt
     return None
 
 
@@ -685,11 +680,6 @@ def _coarse_plan(model: OtsModel, t0: float) -> tuple[dict[int, int], LpBasis] |
     return _z_of(coarse, incumbent.x), _fine_start(model, coarse, incumbent.basis())
 
 
-# columns over the dc bases (v, i) or shared across periods (z); every other
-# variable holds one column per entity and period
-_SHARED = ("v", "i", "z")
-
-
 def _fine_start(model: OtsModel, coarse: OtsModel, basis: LpBasis) -> LpBasis:
     """``basis``, a basis of ``coarse`` (the model at k times the period),
     carried over ``model``'s periods.  A fine column or row of period t
@@ -702,42 +692,22 @@ def _fine_start(model: OtsModel, coarse: OtsModel, basis: LpBasis) -> LpBasis:
     for name, (off, count, horizon) in model.slices.items():
         c_off, _, c_horizon = coarse.slices[name]
         j = np.arange(count * horizon)
-        shared = name in _SHARED
+        shared = name in ("v", "i", "z")  # over the dc bases, or one for all periods
         cols[off + j] = c_off + (j if shared else j // horizon * c_horizon + j % horizon // k)
-    periods = _col_periods(model), _col_periods(coarse)
-    ub = _row_twins(model.lp.A_ub, coarse.lp.A_ub, *periods, k)
-    eq = _row_twins(model.lp.A_eq, coarse.lp.A_eq, *periods, k)
+    ub = _row_twins(model.ub_period, coarse.ub_period, k)
+    eq = _row_twins(model.eq_period, coarse.eq_period, k)
     return LpBasis(cols=basis.cols[cols], ub=basis.ub[ub], eq=basis.eq[eq], held=basis.held[ub])
 
 
-def _col_periods(model: OtsModel) -> np.ndarray:
-    """Each column's period; -1 for a column of ``_SHARED``."""
-    period = np.full(model.lp.n, -1)
-    for name, (off, count, horizon) in model.slices.items():
-        if name not in _SHARED:
-            period[off:off + count * horizon] = np.tile(np.arange(horizon), count)
-    return period
-
-
-def _row_twins(fine: sp.csr_matrix, coarse: sp.csr_matrix, fine_cols: np.ndarray,
-               coarse_cols: np.ndarray, k: int) -> np.ndarray:
-    """The coarse twin of each fine row.  A row's period is the latest
-    period of its columns (-1 with none but ``_SHARED`` ones); the twin of
-    the fine row of rank r among the rows of period t is the coarse row of
-    rank r among those of period t // k (-1 to -1).  Rows run class by class
-    and each class holds as many rows in every period of either model, so
-    the rank also names the class: the twin has the row's class."""
-    fine_p, coarse_p = _row_periods(fine, fine_cols), _row_periods(coarse, coarse_cols)
+def _row_twins(fine_p: np.ndarray, coarse_p: np.ndarray, k: int) -> np.ndarray:
+    """The coarse twin of each fine row, from each row's period in either
+    model (-1 over the dc bases): the twin of the fine row of rank r among
+    the rows of period t is the coarse row of rank r among those of period
+    t // k (-1 to -1).  Rows run class by class and each class holds as
+    many rows in every period of either model, so the rank also names the
+    class: the twin has the row's class."""
     order = np.argsort(coarse_p, kind="stable")
     return order[np.searchsorted(coarse_p[order], fine_p // k) + _rank_in_period(fine_p)]
-
-
-def _row_periods(A: sp.csr_matrix, col_period: np.ndarray) -> np.ndarray:
-    """The latest column period of each row of ``A``; -1 for an empty row."""
-    period = np.full(A.shape[0], -1)
-    rows = np.flatnonzero(np.diff(A.indptr))
-    period[rows] = np.maximum.reduceat(col_period[A.indices], A.indptr[rows])
-    return period
 
 
 def _rank_in_period(period: np.ndarray) -> np.ndarray:
@@ -936,7 +906,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     rise = np.max(slope * p[:, None, :] + intercept, axis=1)
     delta, hotspot = np.zeros((2, len(rows.pos), T))
     # the initial state sees the first period's steady rise
-    delta[traced] = TopOil.of(rows[traced], model.dt).stack(
+    delta[traced] = TopOil.of(rows[traced], model.periods.dt).stack(
         np.concatenate([rise[:, :1], rise], axis=1))[:, 1:]
     hotspot[traced] = hotspot_temp(rows[traced], delta[traced].T, tight_eff[traced].T).T
     pos = rows.pos.tolist()
@@ -946,7 +916,7 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     costs = np.reshape([(g.cost0, g.cost1, g.cost2) for g in model.gens], (-1, 3)).T
     true_obj = dispatch_cost(*costs, model.values("p_g", x))
 
-    return MitigationPlan(z=z, times=[float(t) for t in model.times], dt=model.dt,
+    return MitigationPlan(z=z, times=model.periods.mid.tolist(), dt=model.periods.dt,
                           gen_p=gen_p, flows=flows, theta=theta, i_eff=i_eff,
                           delta_to=delta_to, hotspot=hotspot,
                           xfmr_branches=xfmr_branches,
@@ -962,11 +932,10 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
 _PERIOD_SERIES = ("gen_p", "flows", "theta", "i_eff", "delta_to", "hotspot")
 
 
-def _check_plan(plan: MitigationPlan, times: np.ndarray, dt: float) -> None:
+def _check_plan(plan: MitigationPlan, periods: Periods) -> None:
     """Raise ValueError unless every plan number is finite, the scalars are
     single numbers, the switch states 0 or 1, the transformer branches
-    integer ids, and the plan's periods are ``times``, the period midpoints
-    of the grid at ``dt``."""
+    integer ids, and the plan's periods are ``periods``, at their midpoints."""
     series = {f"{name}[{key}]": v for name in _PERIOD_SERIES
               for key, v in getattr(plan, name).items()}
     scalars = {"dt": plan.dt, "objective": plan.objective,
@@ -987,10 +956,10 @@ def _check_plan(plan: MitigationPlan, times: np.ndarray, dt: float) -> None:
         raise ValueError("plan z: expected 0 (open) or 1 (closed) per branch")
     if not all(isinstance(b, int) for b in plan.xfmr_branches.values()):
         raise ValueError("plan xfmr_branches: expected integer branch ids")
-    T = len(times)
-    if np.shape(plan.times) != (T,) or not np.allclose(plan.times, times, rtol=0.0, atol=1e-9):
+    T = periods.count
+    if np.shape(plan.times) != (T,) or not np.allclose(plan.times, periods.mid, 0.0, 1e-9):
         raise ValueError(f"plan periods are not the {T} period midpoints of the "
-                         f"scenario grid at dt={dt}")
+                         f"scenario grid at dt={periods.dt}")
     for name, value in series.items():
         if np.shape(value) != (T,):
             raise ValueError(f"plan {name}: {np.size(value)} values for {T} periods")
@@ -1013,16 +982,16 @@ class VerifyReport:
 
 
 def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
-                dt: float | None = None) -> VerifyReport:
+                dt: float) -> VerifyReport:
     """Re-simulate a plan with the physics modules and check its claims.
 
-    The periods are those of step ``dt`` [min], the plan's own by default;
-    a series the plan omits reads as zero.  The ac checks are whole-array
-    checks of the plan's (entity x period) series over every branch,
-    generator and energized bus.  The dc and thermal checks are one
-    ``thermal.simulate`` of the plan's topology, loaded by its flows, at
-    [times[0] - dt, *times]: sample 0 is the initial state, one step before
-    period 0, as in the model's recursion rows.  They cover every
+    The periods are those of step ``dt`` [min] over the scenario
+    (``Periods.over``), and the plan's must be them; a series the plan
+    omits reads as zero.  The ac checks are whole-array checks of the
+    plan's (entity x period) series over every branch, generator and
+    energized bus.  The dc and thermal checks are one ``thermal.simulate``
+    of the plan's topology, loaded by its flows, at ``Periods.samples``
+    (sample 0, the initial state, carries period 0's flows).  They cover every
     transformer row of that solve (GIC bound, Ieff soundness, switch-off),
     every traced transformer (hot-spot cap) and every traced transformer the
     model holds (``_scope``; heat soundness: the plan's top-oil and hot-spot
@@ -1034,10 +1003,9 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     of the case, or an ``xfmr_branches`` entry that is not the ac branch of
     its branch_gmd row, raises CaseReferenceError.
     """
-    dt = plan.dt if dt is None else dt
-    times = _midpoints(scenario, dt)
-    T = len(times)
-    _check_plan(plan, times, dt)
+    periods = Periods.over(scenario, dt)
+    T = periods.count
+    _check_plan(plan, periods)
     ac = case.compiled(AcArrays)
     allowed = set(ac.branch_ids[ac.status & ac.switchable].tolist())
     stray = [bid for bid in plan.z if bid not in allowed]
@@ -1085,14 +1053,13 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     check("power_balance", np.abs(inj - ac.p_load[:, None] - ac.g_shunt[:, None])[active],
           "bus", np.asarray(ac.bus_ids)[active])
 
-    # dc and thermal side: one re-simulation, whose sample 0 carries period
-    # 0's flows; floating components are expected when probing opened
-    # topologies, so the pinning note is muted
-    samples = np.concatenate([[times[0] - dt], times])
+    # dc and thermal side: one re-simulation; floating components are
+    # expected when probing opened topologies, so the pinning note is muted
     loading = dict(zip(ac.branch_ids.tolist(), flows[:, np.r_[0, np.arange(T)]]))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="pinning ungrounded")
-        trace = thermal.simulate(case, scenario, loading=loading, topology=topo, times=samples)
+        trace = thermal.simulate(case, scenario, times=periods.samples, loading=loading,
+                                 topology=topo)
     eff = trace.series.effective[:, 1:]
     check("eff_soundness", eff - _table(plan.i_eff, xfmrs.pos, T), "branch_gmd row", xfmrs.pos)
     check("gic_cap", eff - xfmrs.gic_bound[:, None], "branch_gmd row", xfmrs.pos)

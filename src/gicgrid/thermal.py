@@ -147,12 +147,20 @@ class TopOil:
 
         Raises ValueError naming the first branch whose dt exceeds 2 tau (zeta < 1).
         """
-        zeta = np.where(rows.traced, math.inf if dt is None else 2.0 * rows.to_time_c / dt, 2.0)
-        bad = np.flatnonzero(~(zeta >= 1.0))
+        bad = np.flatnonzero(~cls.steps(rows, dt))
         if bad.size:
             raise ValueError(f"branch {rows.branch[bad[0]]}: dt={dt} exceeds 2*tau; temperature "
                              "recursion would lose monotonicity")
-        return cls(zeta, rows.delta0)
+        return cls(cls._zeta(rows, dt), rows.delta0)
+
+    @classmethod
+    def steps(cls, rows: XfmrArrays, dt: float | None) -> np.ndarray:
+        """Per row, whether its recursion stays monotone at step dt (zeta >= 1: dt <= 2 tau)."""
+        return cls._zeta(rows, dt) >= 1.0
+
+    @staticmethod
+    def _zeta(rows: XfmrArrays, dt: float | None) -> np.ndarray:
+        return np.where(rows.traced, math.inf if dt is None else 2.0 * rows.to_time_c / dt, 2.0)
 
     def stack(self, rise) -> np.ndarray:
         """Top-oil rise of each row: row r of the steady-rise stack ``rise``
@@ -190,25 +198,25 @@ class ThermalTrace:
         return bool(self.violations.any())
 
 
-def simulate(case: CaseData, scenario: FieldScenario, *,
+def simulate(case: CaseData, scenario: FieldScenario, *, times: Sequence[float],
              loading: Mapping[int, float | Sequence[float]] | None = None,
-             topology: Mapping[int, int] | None = None,
-             times: Sequence[float] | None = None) -> ThermalTrace:
+             topology: Mapping[int, int] | None = None) -> ThermalTrace:
     """Simulate transformer temperatures over a field scenario.
 
-    The samples are ``times`` [min], a uniform grid (default: the
-    scenario's own, ``scenario.grid()``); the recursion's step is that of
-    the first pair, so a grid whose steps differ from it raises ValueError.
-    Effective GICs at every sample come from one ``solve_series`` over the
-    grid; ``loading`` maps an ac branch id to its apparent power [p.u.],
-    a number held over the samples or a series with one value per sample
-    (a branch it omits is unloaded; a series of another length raises
-    ValueError).  The initial top-oil rise follows ``TopOil``.
+    The samples are ``times`` [min], a uniform grid (``Periods.edges`` of a
+    scenario, or ``Periods.samples`` of a plan's periods); the recursion's
+    step is that of the first pair, so a grid whose steps differ from it
+    raises ValueError.  Effective GICs at every sample come from one
+    ``solve_series`` over the grid; ``loading`` maps an ac branch id to its
+    apparent power [p.u.], a number held over the samples or a series with
+    one value per sample (a branch it omits is unloaded; a series of
+    another length raises ValueError).  The initial top-oil rise follows
+    ``TopOil``.
 
     Only transformers with thermal data are traced (synthetic GSU rows
     have none).
     """
-    tgrid = np.asarray(scenario.grid() if times is None else times, dtype=float)
+    tgrid = np.asarray(times, dtype=float)
     step = tgrid[1] - tgrid[0] if len(tgrid) > 1 else None  # one sample: no step taken
     if step is not None and not np.allclose(np.diff(tgrid), step, rtol=1e-6, atol=0.0):
         raise ValueError(f"simulate: times must be a uniform grid; its first step is {step}")

@@ -268,5 +268,5 @@ def random_ots_case(rng: np.random.Generator):
     for k in range(periods + 1):
         frac = min(k, periods - k) / max(periods / 2.0, 1.0)
         samples.append(FieldSample(t=k * dt, e_mag=peak * frac, e_dir=90.0))
-    scenario = FieldScenario(samples=tuple(samples), dt=dt)
+    scenario = FieldScenario(samples=tuple(samples))
     return case, scenario

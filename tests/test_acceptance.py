@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gicgrid.coupling import ac_power_flow, sequential_gic_ac
-from gicgrid.data import make_ramp_scenario
+from gicgrid.data import Periods, make_ramp_scenario
 from gicgrid.dcnet import FieldVector
-from gicgrid.mitigation import (MitigationInfeasible, build_model,
+from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, build_model,
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import simulate, topoil_series
 
@@ -117,7 +117,7 @@ def test_criterion_5_ots_oracle_equivalence():
         seed += 1
         rng = np.random.default_rng(20_000 + seed)
         case, scenario = random_ots_case(rng)
-        model = build_model(case, scenario)
+        model = build_model(case, scenario, OtsOptions(dt=5.0))
         assert len(model.switchable) <= 8
         assert model.n_periods <= 12
         try:
@@ -130,8 +130,8 @@ def test_criterion_5_ots_oracle_equivalence():
         plan = solve(model)
         gap = abs(plan.model_objective - ref.model_objective)
         assert gap <= 1e-4 * max(1.0, abs(ref.model_objective))
-        assert verify_plan(case, scenario, plan).ok(1e-5)
-        assert verify_plan(case, scenario, ref).ok(1e-5)
+        assert verify_plan(case, scenario, plan, 5.0).ok(1e-5)
+        assert verify_plan(case, scenario, ref, 5.0).ok(1e-5)
         feasible += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -149,7 +149,7 @@ def test_criterion_6_case_study_reproduction(epri21_case):
     """
     t0 = time.perf_counter()
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=5.0)
-    model = build_model(epri21_case, scenario)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=5.0))
     plan = solve(model)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 300.0
@@ -174,11 +174,12 @@ def test_criterion_6_case_study_reproduction(epri21_case):
     # transformer 12-13 stays below the 280 degC instantaneous limit
     loading = {bid: max(abs(p) for p in series)
                for bid, series in plan.flows.items()}
-    trace = simulate(epri21_case, scenario, loading=loading, topology=plan.z)
+    trace = simulate(epri21_case, scenario, times=Periods.over(scenario, 5.0).edges,
+                     loading=loading, topology=plan.z)
     peak = float(np.max(trace.hotspot[trace.branch == 18]))
     assert peak < 280.0
 
-    assert verify_plan(epri21_case, scenario, plan).ok(1e-5)
+    assert verify_plan(epri21_case, scenario, plan, 5.0).ok(1e-5)
     _report("6 (case-study reproduction)",
             f"opened {sorted(b for b, z in plan.z.items() if z == 0)}, "
             f"line GIC {i_line:.1f} A, auto {i_auto_1:.1f} A, "

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gicgrid.cli import (_CSV_BLOCK, _build_parser, _cells, _json_text, _write_table,
                          plan_from_json, plan_to_json, run)
-from gicgrid.data import load_scenario_file, parse_case, serialize_case
+from gicgrid.data import Periods, load_scenario_file, parse_case, serialize_case
 from gicgrid.dcnet import FieldVector, solve_series
 
 from conftest import CASES, bundled, currents, effective, voltages
@@ -80,10 +80,10 @@ def test_dc_sweep_matches_per_point_solves(workdir, b4gic_case):
     for name in ("gic_bus.csv", "gic_branch.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    scenario = load_scenario_file(str(workdir / "ramp.csv"), dt=5.0)
+    scenario = load_scenario_file(str(workdir / "ramp.csv"))
     _, bus_rows = _rows(a / "gic_bus.csv")
     _, branch_rows = _rows(a / "gic_branch.csv")
-    times = scenario.grid()
+    times = Periods.over(scenario, 5.0).edges.tolist()
     assert len(bus_rows) == 6 * len(times) and len(branch_rows) == 3 * len(times)
     for k, t in enumerate(times):
         sol = solve_series(b4gic_case, scenario, [t])
@@ -115,9 +115,8 @@ def test_overrides_file_reaches_dc(workdir, b4gic_case):
     _, plain = _rows(workdir / "plain" / "gic_branch.csv")
     _, rows = _rows(workdir / "over" / "gic_branch.csv")
     assert rows != plain
-    scenario = load_scenario_file(str(workdir / "ramp.csv"), dt=30.0,
-                                  overrides_path=str(over))
-    for k, t in enumerate(scenario.grid()):
+    scenario = load_scenario_file(str(workdir / "ramp.csv"), overrides_path=str(over))
+    for k, t in enumerate(Periods.over(scenario, 30.0).edges.tolist()):
         i_of = currents(solve_series(b4gic_case, scenario, [t]))
         for row in rows[3 * k:3 * (k + 1)]:
             tt, bid, i_dc, _ = row.split(",")

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from gicgrid.data import (ABSENT, AcBranch, BranchGmdData, Bus, BusGmdData, CaseData,
                           CaseError, CaseInvariantError, CaseReferenceError,
                           CaseStructureError, FieldSample, FieldScenario, Generator,
-                          GmdBranch, GmdBus, ThermalData, component_labels, estimate_missing_gsu,
+                          GmdBranch, GmdBus, Periods, ThermalData, component_labels,
+                          estimate_missing_gsu,
                           load_scenario, load_scenario_file, make_ramp_scenario, parse_case,
                           parse_case_file, serialize_case)
 from gicgrid import data as data_module
@@ -571,6 +572,23 @@ def test_ramp_sample_count():
     assert all(s.e_dir == 90.0 for s in sc.samples)
 
 
+@pytest.mark.parametrize("dt", [120.0, 72.0, 24.0])
+def test_ramp_samples_its_peak_when_dt_misses_the_rise(dt):
+    """At a dt that does not divide the rise, the peak is a sample of its own,
+    and the sample times stay strictly increasing."""
+    sc = make_ramp_scenario(3.2, 180.0, 180.0, dt=dt)
+    assert np.hypot(*sc.series([180.0])[0]) == pytest.approx(3.2, rel=1e-12)
+    times = [s.t for s in sc.samples]
+    assert times[0] == 0.0 and times[-1] == pytest.approx(360.0) and 180.0 in times
+    assert len(times) == round(360.0 / dt) + 2
+
+
+@pytest.mark.parametrize("dt", [5.0, 2.5, 60.0, 180.0])
+def test_ramp_at_a_dt_dividing_the_rise_keeps_its_grid(dt):
+    sc = make_ramp_scenario(3.2, 180.0, 180.0, dt=dt)
+    assert [s.t for s in sc.samples] == [k * dt for k in range(round(360.0 / dt) + 1)]
+
+
 def test_zero_peak_ramp():
     sc = make_ramp_scenario(0.0, 60.0, 60.0, dt=10.0)
     assert all(s.e_mag == 0.0 for s in sc.samples)
@@ -578,7 +596,7 @@ def test_zero_peak_ramp():
 
 def test_scenario_interpolation_is_componentwise():
     sc = FieldScenario(samples=(FieldSample(0.0, 1.0, 0.0),
-                                FieldSample(10.0, 1.0, 90.0)), dt=5.0)
+                                FieldSample(10.0, 1.0, 90.0)))
     e_n, e_e = sc.series([5.0])[0]
     assert e_n == pytest.approx(0.5)
     assert e_e == pytest.approx(0.5)
@@ -587,17 +605,17 @@ def test_scenario_interpolation_is_componentwise():
 def test_scenario_rejects_nonmonotone_times():
     with pytest.raises(ValueError, match="increasing"):
         FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),
-                               FieldSample(0.0, 2.0, 90.0)), dt=5.0)
+                               FieldSample(0.0, 2.0, 90.0)))
 
 
 def test_scenario_csv_roundtrip():
     text = "t_min,e_mag_vkm,e_dir_deg\n0,0.0,90\n60,1.5,90\n120,0.0,90\n"
     over = "t_min,gmd_branch_id,volts\n0,2,0\n60,2,250.0\n120,2,0\n"
-    sc = load_scenario(text, dt=10.0, overrides_text=over)
+    sc = load_scenario(text, overrides_text=over)
     assert sc.t_end == 120.0
     assert sc.series([30.0])[0][1] == pytest.approx(0.75)
     assert sc.overrides_series([30.0])[2][0] == pytest.approx(125.0)
-    assert sc.grid() == [float(t) for t in range(0, 121, 10)]
+    assert Periods.over(sc, 10.0).edges.tolist() == [float(t) for t in range(0, 121, 10)]
 
 
 def test_case_file_with_utf8_bom_parses_as_the_plain_one(tmp_path):
@@ -618,14 +636,47 @@ def test_scenario_files_with_utf8_bom_load_as_the_plain_ones(tmp_path, marked):
     for name, text in texts.items():
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_bytes((b"\xef\xbb\xbf" if name == marked else b"") + text.encode())
-    got = load_scenario_file(paths["scenario"], dt=10.0, overrides_path=paths["overrides"])
-    assert got == load_scenario(texts["scenario"], dt=10.0, overrides_text=texts["overrides"])
+    got = load_scenario_file(paths["scenario"], overrides_path=paths["overrides"])
+    assert got == load_scenario(texts["scenario"], overrides_text=texts["overrides"])
 
 
 def test_grid_requires_divisibility():
     sc = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
     with pytest.raises(ValueError, match="divide"):
-        sc.grid(7.0)
+        Periods.over(sc, 7.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -5.0, math.inf, math.nan])
+def test_periods_require_a_positive_finite_step(dt):
+    sc = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        Periods.over(sc, dt)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e4, 1e4, **_FINITE), st.floats(1e-3, 1e3, **_FINITE), st.integers(0, 400))
+def test_periods_are_the_list_formulas_bit_for_bit(start, dt, count):
+    """``edges``, ``mid`` and ``samples`` are the grid, midpoint and re-simulation
+    formulas they replace, on Python floats, bit for bit."""
+    periods = Periods(start, dt, count)
+    edges = [start + k * dt for k in range(count + 1)]
+    mid = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+    samples = [mid[0] - dt, *mid] if mid else []
+    for got, want in ((periods.edges, edges), (periods.mid, mid), (periods.samples, samples)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_periods_over_a_scenario_start_at_its_first_sample():
+    sc = FieldScenario(samples=(FieldSample(30.0, 1.0, 90.0), FieldSample(90.0, 1.0, 90.0)))
+    periods = Periods.over(sc, 15.0)
+    assert periods == Periods(30.0, 15.0, 4)
+    assert periods.edges.tolist() == [30.0, 45.0, 60.0, 75.0, 90.0]
+    assert periods.mid.tolist() == [37.5, 52.5, 67.5, 82.5]
+    assert periods.samples.tolist() == [22.5, 37.5, 52.5, 67.5, 82.5]
 
 
 def test_override_duplicate_times_rejected():

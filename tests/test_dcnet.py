@@ -14,15 +14,33 @@ from hypothesis import given, settings, strategies as st
 from gicgrid.data import (ABSENT, CaseReferenceError, FieldSample, FieldScenario, GmdBranch,
                           GmdBus, load_scenario, validate_case)
 from gicgrid.dcnet import (EARTH_RADIUS_KM, FieldVector, MissingCoordinates, assemble,
-                           branch_lengths, solve_series, winding_weights)
+                           displacement, solve_series, winding_weights)
 
 from conftest import CASES, currents, random_dc_case, solve_at, voltages
 
 LOOP_CURRENT = 170.788 / 1.601  # series mesh: 0.2 + 0.1 + 1.001 + 0.1 + 0.2 ohm
 
 
+def _branch_lengths(case, branch):
+    """Northward/eastward displacement (L_N, L_E) [km] between the endpoints of
+    one gmd branch: ``displacement`` between the coordinates of the parent
+    buses of its endpoint gmd buses, which must have them (else
+    MissingCoordinates, naming the first lacking bus).  The per-branch oracle
+    of the route lengths ``assemble`` computes for all edges at once."""
+    f_parent = case.gmd_bus(branch.f_bus).parent
+    t_parent = case.gmd_bus(branch.t_bus).parent
+    fc = case.coords_for(f_parent)
+    tc = case.coords_for(t_parent)
+    if fc is None or tc is None:
+        missing = f_parent if fc is None else t_parent
+        raise MissingCoordinates(
+            f"gmd_branch {branch.index}: bus {missing} has no bus_gmd coordinates")
+    l_n, l_e = displacement((fc.lat, fc.lon), (tc.lat, tc.lon))
+    return float(l_n), float(l_e)
+
+
 def test_branch_lengths_east_west(b4gic_case):
-    l_n, l_e = branch_lengths(b4gic_case, b4gic_case.gmd_branch(2))
+    l_n, l_e = _branch_lengths(b4gic_case, b4gic_case.gmd_branch(2))
     assert l_n == pytest.approx(0.0, abs=1e-12)
     expect = EARTH_RADIUS_KM * math.radians(2.0) * math.cos(math.radians(40.0))
     assert l_e == pytest.approx(expect, rel=1e-12)
@@ -31,7 +49,7 @@ def test_branch_lengths_east_west(b4gic_case):
 
 def test_branch_lengths_identical_endpoints(b4gic_case):
     # transformer winding: both endpoints at the bus-1 substation
-    l_n, l_e = branch_lengths(b4gic_case, b4gic_case.gmd_branch(1))
+    l_n, l_e = _branch_lengths(b4gic_case, b4gic_case.gmd_branch(1))
     assert (l_n, l_e) == (0.0, 0.0)
 
 
@@ -42,7 +60,7 @@ def test_branch_lengths_pure_north(b4gic_case):
     doc["bus_gmd"][0] = {"bus": 1, "lat": 41.0, "lon": -89.0}
     doc["bus_gmd"][1] = {"bus": 2, "lat": 40.0, "lon": -89.0}
     case = parse_case(json.dumps(doc))
-    l_n, l_e = branch_lengths(case, case.gmd_branch(2))
+    l_n, l_e = _branch_lengths(case, case.gmd_branch(2))
     assert l_e == pytest.approx(0.0, abs=1e-12)
     assert l_n == pytest.approx(-EARTH_RADIUS_KM * math.radians(1.0), rel=1e-12)
     assert l_n == pytest.approx(-111.19, abs=0.01)
@@ -52,14 +70,28 @@ def test_missing_coordinates_error(b4gic_case):
     import dataclasses
     case = dataclasses.replace(b4gic_case, bus_gmd=b4gic_case.bus_gmd[1:])
     with pytest.raises(MissingCoordinates, match="bus 1"):
-        branch_lengths(case, case.gmd_branch(2))
+        _branch_lengths(case, case.gmd_branch(2))
+    with pytest.raises(MissingCoordinates, match="gmd_branch 2: bus 1 has"):
+        assemble(case, True)
+
+
+def test_infinite_route_length_is_not_missing_coordinates(b4gic_case):
+    """An east-west line of len_km inf scales its 0 km northing to NaN; its
+    ends have coordinates, so ``assemble`` does not report them missing."""
+    rows = tuple(dataclasses.replace(e, len_km=math.inf) if e.index == 2 else e
+                 for e in b4gic_case.gmd_branches)
+    case = dataclasses.replace(b4gic_case, gmd_branches=rows)
+    with np.errstate(invalid="ignore"):  # 0 km * inf
+        sys = assemble(case, True)
+    l_n, l_e = sys.lengths[sys.branch_ids.index(2)]
+    assert math.isnan(l_n) and l_e == math.inf
 
 
 def _branch_by_branch_lengths(case, sys, overridden=()):
     """Route lengths per edge of ``sys`` one branch at a time, in Python floats:
     the equirectangular displacement between the endpoint buses rescaled to
     len_km, windings and overridden edges 0.  A missing coordinate raises
-    as ``branch_lengths`` does."""
+    as ``_branch_lengths`` does."""
     windings = {w for row in case.branch_gmd if row.is_xfmr
                 for w in (row.gmd_br_hi, row.gmd_br_lo, row.gmd_br_se, row.gmd_br_co)}
     out = []
@@ -68,7 +100,7 @@ def _branch_by_branch_lengths(case, sys, overridden=()):
         if bid in windings or bid in overridden:
             out.append((0.0, 0.0))
             continue
-        branch_lengths(case, e)
+        _branch_lengths(case, e)
         fc, tc = (case.coords_for(case.gmd_bus(n).parent) for n in (e.f_bus, e.t_bus))
         l_n = EARTH_RADIUS_KM * math.radians(tc.lat - fc.lat)
         l_e = (EARTH_RADIUS_KM * math.radians(tc.lon - fc.lon)
@@ -592,7 +624,7 @@ def _dense_oracle(case, e_field, overrides, topology):
         elif e.index in windings:
             v = 0.0
         else:
-            l_n, l_e = branch_lengths(case, e)
+            l_n, l_e = _branch_lengths(case, e)
             norm = math.hypot(l_n, l_e)
             if e.len_km > 0 and norm > 0:
                 l_n, l_e = l_n * e.len_km / norm, l_e * e.len_km / norm
@@ -670,7 +702,7 @@ def _assemble_by_rows(case, field, overridden, topology):
                         stack.append(b)
             label += 1
     ids = [e.index for e in edges]
-    if field:  # raises MissingCoordinates as branch_lengths does, edge by edge
+    if field:  # raises MissingCoordinates as _branch_lengths does, edge by edge
         north, east = _branch_by_branch_lengths(case, SimpleNamespace(branch_ids=ids),
                                                 overridden).T
         base = [[1.0 * n + 0.0 * e for n, e in zip(north.tolist(), east.tolist())],

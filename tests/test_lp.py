@@ -164,7 +164,7 @@ def test_loaded_instance_is_the_problem(seed, n, m, m_eq):
 
 def test_loaded_epri21_model_is_the_problem(epri21_case):
     """The switching model of epri21 at T = 144, with its held rows."""
-    scenario = load_scenario_file(os.path.join(CASES, "ramp_3p2.csv"), dt=2.5)
+    scenario = load_scenario_file(os.path.join(CASES, "ramp_3p2.csv"))
     model = build_model(epri21_case, scenario, OtsOptions(dt=2.5))
     assert model.n_periods == 144
     _assert_loaded_is_the_problem(model.lp)
@@ -180,7 +180,7 @@ def test_warm_solves_match_fresh_solves(seed, fixings):
     sequence holds at least two solves, so each crosses the switch to Devex
     pricing, also from the basis an infeasible first solve leaves."""
     case, scenario = random_ots_case(np.random.default_rng(seed))
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     warm = dataclasses.replace(model.lp)
     for fixing in fixings:
         lb, ub = model.lp.lb.copy(), model.lp.ub.copy()

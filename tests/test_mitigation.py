@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.data import (FieldSample, FieldScenario, load_scenario_file, make_ramp_scenario,
-                          parse_case)
+from gicgrid.data import (FieldSample, FieldScenario, Periods, load_scenario_file,
+                          make_ramp_scenario, parse_case)
 from gicgrid.dcnet import solve_series
 from gicgrid.lp import LpProblem, dual_bound, lp_solve
 from gicgrid import coupling, mitigation
@@ -50,8 +50,8 @@ def _nonswitchable(case):
 def test_b4gic_single_period_reduces_to_dc_opf(b4gic_case):
     case = _nonswitchable(b4gic_case)
     scenario = FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),
-                                      FieldSample(5.0, 1.0, 90.0)), dt=5.0)
-    model = build_model(case, scenario)
+                                      FieldSample(5.0, 1.0, 90.0)))
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     assert model.switchable == []
     plan = solve(model)
     assert plan.z == {}
@@ -70,7 +70,7 @@ def test_variable_count_formula():
     circuit is held once per superposition basis, not once per period."""
     rng = np.random.default_rng(7)
     case, scenario = random_ots_case(rng)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     T = model.n_periods
     G, N, E = len(model.gens), len(model.buses), len(model.branches)
     Nd, Ed, X = len(model.dc.node_ids), len(model.dc.branch_ids), len(model.transformers.pos)
@@ -85,7 +85,7 @@ def test_variable_count_formula():
 def test_no_binaries_solve_equals_enumerate(b4gic_case):
     case = _nonswitchable(b4gic_case)
     scenario = make_ramp_scenario(1.0, 30.0, 30.0, dt=15.0)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=15.0))
     a = solve(model)
     b = enumerate_solve(model)
     assert a.model_objective == pytest.approx(b.model_objective, rel=1e-9)
@@ -164,12 +164,12 @@ def _east_west_toy():
 def test_optimizer_opens_offending_east_west_line():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=10.0))
     plan = solve(model)
     ref = enumerate_solve(model)
     assert plan.model_objective == pytest.approx(ref.model_objective, rel=1e-4)
     assert plan.z[1] == 0              # the east-west line opens
-    assert verify_plan(case, scenario, plan).ok(1e-6)
+    assert verify_plan(case, scenario, plan, 10.0).ok(1e-6)
     # every feasible integer assignment has the east-west line open
     import itertools
     from gicgrid.lp import lp_solve
@@ -201,7 +201,7 @@ def test_all_closed_optimal_when_field_vanishes():
     }
     case = parse_case(json.dumps(doc))
     scenario = make_ramp_scenario(0.0, 20.0, 20.0, dt=10.0)
-    plan = solve(build_model(case, scenario))
+    plan = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
     # both 1 p.u. circuits needed to serve the 2 p.u. load from the cheap unit
     assert plan.z == {1: 1, 2: 1}
     assert plan.gen_p[1][0] == pytest.approx(2.0, abs=1e-7)
@@ -210,7 +210,7 @@ def test_all_closed_optimal_when_field_vanishes():
 def test_switch_off_semantics():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    plan = solve(build_model(case, scenario))
+    plan = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
     assert plan.z[1] == 0
     assert all(abs(p) <= 1e-9 for p in plan.flows[1])
 
@@ -218,24 +218,24 @@ def test_switch_off_semantics():
 def test_eq16_relaxation_soundness():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    plan = solve(build_model(case, scenario))
-    report = verify_plan(case, scenario, plan)
+    plan = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
+    report = verify_plan(case, scenario, plan, 10.0)
     assert report.violations["eff_soundness"] <= 1e-7
 
 
 def test_objective_recompute_matches():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    plan = solve(build_model(case, scenario))
-    report = verify_plan(case, scenario, plan)
+    plan = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
+    report = verify_plan(case, scenario, plan, 10.0)
     assert report.violations["objective"] <= 1e-6
 
 
 def test_solver_is_deterministic():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    p1 = solve(build_model(case, scenario))
-    p2 = solve(build_model(case, scenario))
+    p1 = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
+    p2 = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
     assert p1.z == p2.z
     assert p1.nodes == p2.nodes
     assert p1.model_objective == p2.model_objective
@@ -245,7 +245,7 @@ def test_solver_is_deterministic():
 def test_enumerate_cap():
     rng = np.random.default_rng(3)
     case, scenario = random_ots_case(rng)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     with pytest.raises(ValueError, match="cap"):
         enumerate_solve(model, cap=0)
 
@@ -264,7 +264,7 @@ def test_infeasible_reports_probe_context():
     }
     case = parse_case(json.dumps(doc))
     scenario = make_ramp_scenario(0.0, 20.0, 20.0, dt=10.0)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=10.0))
     for solver in (solve, enumerate_solve):
         with pytest.raises(MitigationInfeasible) as err:
             solver(model)
@@ -284,8 +284,8 @@ def test_gic_cap_named_in_probe():
     case = dataclasses.replace(case, branch_gmd=rows, ac_branches=branches)
     for field in (8.0, 1e12):
         samples = (FieldSample(0.0, field, 90.0), FieldSample(10.0, field, 90.0))
-        scenario = FieldScenario(samples=samples, dt=10.0)
-        model = build_model(case, scenario)
+        scenario = FieldScenario(samples=samples)
+        model = build_model(case, scenario, OtsOptions(dt=10.0))
         with pytest.raises(MitigationInfeasible) as err:
             solve(model)
         assert err.value.context["all_closed"] == "gic_cap"
@@ -294,11 +294,11 @@ def test_gic_cap_named_in_probe():
 def test_verify_flags_constructed_violations():
     case = _east_west_toy()
     scenario = make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0)
-    plan = solve(build_model(case, scenario))
+    plan = solve(build_model(case, scenario, OtsOptions(dt=10.0)))
 
     # all-closed plan on a GIC-violating scenario: cap violation reported
     closed = dataclasses.replace(plan, z={k: 1 for k in plan.z})
-    rep = verify_plan(case, scenario, closed)
+    rep = verify_plan(case, scenario, closed, 10.0)
     assert rep.violations["gic_cap"] > 1.0
     assert any("row 3" in d for d in rep.details if "gic_cap" in d)
 
@@ -306,7 +306,7 @@ def test_verify_flags_constructed_violations():
     stranded = dataclasses.replace(
         plan, z={**plan.z, 2: 0, 3: 0},
         flows={k: [0.0] * len(v) for k, v in plan.flows.items()})
-    rep2 = verify_plan(case, scenario, stranded)
+    rep2 = verify_plan(case, scenario, stranded, 10.0)
     assert rep2.violations["power_balance"] >= 1.0
 
 
@@ -314,7 +314,7 @@ def test_verify_flags_constructed_violations():
 def epri21_plan(epri21_case):
     """The switching plan of ``epri21`` under cases/ramp_3p2.csv at dt 30."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=30.0)
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     return scenario, solve(build_model(epri21_case, scenario, OtsOptions(dt=30.0)))
 
 
@@ -379,7 +379,7 @@ def _true_hotspot(case, plan, pos):
 
 def test_verify_reads_solved_plan_clean(epri21_case, epri21_plan):
     scenario, plan = epri21_plan
-    report = verify_plan(epri21_case, scenario, plan)
+    report = verify_plan(epri21_case, scenario, plan, 30.0)
     assert max(report.violations.values()) <= 1e-6
     assert report.violations["heat_soundness"] <= 1e-9
 
@@ -404,10 +404,10 @@ def test_verify_reads_heat_only_of_the_transformers_the_model_holds(b4gic_case, 
     solved plan verifies clean."""
     case = _unsolved_windings(b4gic_case, outside)
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=30.0)
-    plan = solve(build_model(case, scenario))
+    plan = solve(build_model(case, scenario, OtsOptions(dt=30.0)))
     assert plan.i_eff[2] == [0.0] * len(plan.times) and min(plan.hotspot[2]) >= 25.0
-    assert 3 in simulate(case, scenario).branch.tolist()
-    report = verify_plan(case, scenario, plan)
+    assert 3 in simulate(case, scenario, times=Periods.over(scenario, 30.0).edges).branch.tolist()
+    report = verify_plan(case, scenario, plan, 30.0)
     assert report.violations["heat_soundness"] <= 1e-9
     assert report.ok(1e-6)
 
@@ -422,7 +422,7 @@ def test_transformer_with_a_winding_out_of_service_keeps_its_cap(epri21_case):
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=30.0)
     plan = solve(build_model(case, scenario, OtsOptions(dt=30.0)))
     assert max(plan.i_eff[2]) > 1.0 and min(plan.hotspot[2]) >= 25.0
-    report = verify_plan(case, scenario, plan)
+    report = verify_plan(case, scenario, plan, 30.0)
     assert report.violations["eff_soundness"] <= 1e-6
     assert report.ok(1e-6)
 
@@ -446,7 +446,7 @@ def test_verify_reads_each_planted_fault(epri21_case, epri21_plan, fault):
     scenario, plan = epri21_plan
     case, planted, excess = _plant(fault, epri21_case, plan)
     assert excess > 0
-    report = verify_plan(case, scenario, planted)
+    report = verify_plan(case, scenario, planted, 30.0)
     assert report.violations[fault] >= excess - 1e-9
     assert not report.ok(1e-5)
 
@@ -495,7 +495,7 @@ def test_verify_ac_classes_are_the_loops_bitwise(epri21_case, epri21_plan, fault
         plan = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
     elif fault is not None:
         _, plan, _ = _plant(fault, epri21_case, plan)
-    report = verify_plan(epri21_case, scenario, plan)
+    report = verify_plan(epri21_case, scenario, plan, 30.0)
     want = _ac_reference(epri21_case, plan)
     assert {cls: report.violations[cls] for cls in want} == want
 
@@ -507,19 +507,20 @@ def test_verify_reads_an_omitted_series_as_zero(epri21_case, epri21_plan):
     0) fails power balance at every load."""
     scenario, plan = epri21_plan
     closed = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
-    full = verify_plan(epri21_case, scenario, closed)
+    full = verify_plan(epri21_case, scenario, closed, 30.0)
     assert full.violations["gic_cap"] > 80.0
-    dropped = verify_plan(epri21_case, scenario, dataclasses.replace(closed, i_eff={}))
+    dropped = verify_plan(epri21_case, scenario, dataclasses.replace(closed, i_eff={}), 30.0)
     assert dropped.violations["gic_cap"] == full.violations["gic_cap"]
     assert dropped.violations["eff_soundness"] > full.violations["gic_cap"]
     assert not dropped.ok(1e-5)
-    cold = verify_plan(epri21_case, scenario, dataclasses.replace(plan, delta_to={}, hotspot={}))
+    cold = verify_plan(epri21_case, scenario, dataclasses.replace(plan, delta_to={}, hotspot={}),
+                       30.0)
     peak = max(_true_hotspot(epri21_case, plan, pos).max() for pos in plan.hotspot)
     assert cold.violations["heat_soundness"] >= peak - 1e-9 and peak > 200.0
 
     empty = dataclasses.replace(plan, theta={}, gen_p={}, objective=0.0,
                                 flows={k: [0.0] * len(v) for k, v in plan.flows.items()})
-    report = verify_plan(epri21_case, scenario, empty)
+    report = verify_plan(epri21_case, scenario, empty, 30.0)
     load = max(b.pd + b.g_shunt for b in epri21_case.buses)
     assert load > 1.0
     assert report.violations["power_balance"] == load
@@ -531,7 +532,7 @@ def test_verify_details_name_each_class_once_at_its_worst(epri21_case, epri21_pl
     names the row and period of the largest excess of the re-solved Ieff."""
     scenario, plan = epri21_plan
     closed = dataclasses.replace(plan, z=dict.fromkeys(plan.z, 1))
-    report = verify_plan(epri21_case, scenario, closed)
+    report = verify_plan(epri21_case, scenario, closed, 30.0)
     named = [d.split(":")[0] for d in report.details]
     assert sorted(named) == sorted(cls for cls, x in report.violations.items()
                                    if x > 0.0 and cls != "objective")
@@ -548,7 +549,7 @@ def test_verify_details_name_each_class_once_at_its_worst(epri21_case, epri21_pl
 def test_random_toys_bb_equals_enumeration(seed):
     rng = np.random.default_rng(seed + 50)
     case, scenario = random_ots_case(rng)
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     try:
         ref = enumerate_solve(model)
     except MitigationInfeasible:
@@ -558,7 +559,7 @@ def test_random_toys_bb_equals_enumeration(seed):
     plan = solve(model)
     assert plan.model_objective == pytest.approx(ref.model_objective,
                                                  rel=1e-4, abs=1e-7)
-    assert verify_plan(case, scenario, plan).ok(1e-5)
+    assert verify_plan(case, scenario, plan, 5.0).ok(1e-5)
 
 
 @settings(max_examples=15, deadline=None)
@@ -567,7 +568,7 @@ def test_bb_equals_enumeration_property(seed):
     """On any random toy, branch-and-bound finds the enumerated optimum within
     the relative gap and a plan that verifies, or both find none."""
     case, scenario = random_ots_case(np.random.default_rng(seed))
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     try:
         ref = enumerate_solve(model)
     except MitigationInfeasible:
@@ -578,7 +579,7 @@ def test_bb_equals_enumeration_property(seed):
     assert plan.status == "optimal"
     assert abs(plan.model_objective - ref.model_objective) <= (
         model.options.gap * max(1.0, abs(ref.model_objective)))
-    assert verify_plan(case, scenario, plan).ok(1e-5)
+    assert verify_plan(case, scenario, plan, 5.0).ok(1e-5)
 
 
 def test_timeout_returns_incumbent(monkeypatch):
@@ -586,7 +587,7 @@ def test_timeout_returns_incumbent(monkeypatch):
     "timeout" and the gap to the best bound left open.  A limit reached
     before any plan says so: no infeasibility probes run past it."""
     case, scenario = random_ots_case(np.random.default_rng(11))
-    model = build_model(case, scenario, OtsOptions(time_limit=0.0))
+    model = build_model(case, scenario, OtsOptions(dt=5.0, time_limit=0.0))
     calls = _record_fixed(monkeypatch, model)
     monkeypatch.setattr(mitigation, "_infeasibility_probes", lambda m: pytest.fail("probed"))
     with pytest.raises(MitigationInfeasible, match="the time limit stopped the search") as err:
@@ -595,7 +596,7 @@ def test_timeout_returns_incumbent(monkeypatch):
 
     monkeypatch.undo()
     monkeypatch.setattr(mitigation, "_NODE_LIMIT", 5)
-    model = build_model(*random_ots_case(np.random.default_rng(83)))
+    model = build_model(*random_ots_case(np.random.default_rng(83)), OtsOptions(dt=5.0))
     plan = _unseeded(model)
     assert (plan.status, plan.nodes) == ("timeout", 5)
     assert plan.gap == pytest.approx(0.17401445399180776, rel=1e-9)
@@ -607,7 +608,7 @@ def test_open_line_flow_bounds_change_no_lp(seed):
     """Every z assignment of a toy: the LP as the search solves it (``_fixed``
     holds each open line's flows at 0, lazy rows) ends with the status and
     objective of the same LP with every row held and only z fixed."""
-    model = build_model(*random_ots_case(np.random.default_rng(seed)))
+    model = build_model(*random_ots_case(np.random.default_rng(seed)), OtsOptions(dt=5.0))
     searched = dataclasses.replace(model.lp)
     held = dataclasses.replace(model.lp, lazy=np.full(len(model.lp.lazy), -1))
     for assignment in itertools.product((0.0, 1.0), repeat=len(model.switchable)):
@@ -628,7 +629,7 @@ def test_seeded_lp_adds_no_rating_row(epri21_case):
     """On epri21 at T = 144 the root LP adds rating rows, the seeded LP after
     it none: with every binary fixed, the flow bounds of ``_fixed`` hold the
     rating pairs.  Solved alone, the seeded LP holds no rating row."""
-    model = build_model(epri21_case, _ramp_3p2(2.5), OtsOptions(dt=2.5))
+    model = build_model(epri21_case, _ramp_3p2(), OtsOptions(dt=2.5))
     start, stop = model.classes["rating"]
 
     def rating_rows(lp):
@@ -650,7 +651,7 @@ def test_seeded_lp_adds_no_rating_row(epri21_case):
 
 def test_epri21_binaries_are_inservice_switchable_lines(epri21_case):
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=60.0)
-    model = build_model(epri21_case, scenario)
+    model = build_model(epri21_case, scenario, OtsOptions(dt=60.0))
     assert model.switchable == [2, 7, 8, 9, 10, 16, 17]
     nominal_out = {br.index for br in epri21_case.ac_branches if not br.status}
     assert not (set(model.switchable) & nominal_out)
@@ -666,7 +667,7 @@ def test_model_holds_the_transformers_of_its_branches(epri21_case):
     for pos, lo in ((0, 9999), (13, 1), (14, 13)):  # gwye-delta rows: gmd_br_lo has no weight
         rows[pos] = dataclasses.replace(rows[pos], gmd_br_lo=lo)
     case = dataclasses.replace(epri21_case, branch_gmd=tuple(rows))
-    model = build_model(case, make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0))
+    model = build_model(case, make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0), OtsOptions(dt=60.0))
     in_model = {br.index for br in model.branches}
     assert model.transformers.pos.tolist() == [p for p, r in case.xfmr_rows()
                                                if r.branch in in_model]
@@ -685,7 +686,7 @@ def test_build_rejects_islanded_load(epri21_case):
     case = dataclasses.replace(epri21_case, ac_branches=branches)
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0)
     with pytest.raises(IslandError, match="bus 5"):
-        build_model(case, scenario)
+        build_model(case, scenario, OtsOptions(dt=60.0))
 
 
 def test_voltage_overrides_drive_the_model():
@@ -693,16 +694,16 @@ def test_voltage_overrides_drive_the_model():
     case = _east_west_toy()
     # no field at all; 120 V forced onto the east-west line only
     samples = (FieldSample(0.0, 0.0, 90.0), FieldSample(10.0, 0.0, 90.0))
-    scenario = FieldScenario(samples=samples, dt=10.0,
+    scenario = FieldScenario(samples=samples,
                              voltage_overrides={1: ((0.0, 120.0), (10.0, 120.0))})
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=10.0))
     plan = solve(model)
 
     topo = dict(plan.z)
     eff = effective(case, solve_series(case, scenario, [0.0], topology=topo))
     for pos, series in plan.i_eff.items():
         assert series[0] == pytest.approx(eff.get(pos, 0.0), abs=1e-6)
-    assert verify_plan(case, scenario, plan).ok(1e-6)
+    assert verify_plan(case, scenario, plan, 10.0).ok(1e-6)
 
 
 def _dc_rows(model):
@@ -725,7 +726,7 @@ def _dc_rows(model):
 def _overrides_scenario():
     """The scenario of test_voltage_overrides_drive_the_model: 120 V on line 1, no field."""
     samples = (FieldSample(0.0, 0.0, 90.0), FieldSample(10.0, 0.0, 90.0))
-    return FieldScenario(samples=samples, dt=10.0,
+    return FieldScenario(samples=samples,
                          voltage_overrides={1: ((0.0, 120.0), (10.0, 120.0))})
 
 
@@ -739,13 +740,13 @@ def test_dc_basis_block_matches_series_engine(name, request):
     if name == "epri21":
         case = request.getfixturevalue("epri21_case")
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=30.0)
+        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     elif name == "overrides_toy":
         case, scenario = _east_west_toy(), _overrides_scenario()
     else:
         case = _unsolved_windings(request.getfixturevalue("b4gic_case"), name)
         scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=30.0)
-    model = build_model(case, scenario, OtsOptions(dt=None if name == "overrides_toy" else 30.0))
+    model = build_model(case, scenario, OtsOptions(dt=10.0 if name == "overrides_toy" else 30.0))
     if name in ("delta-delta", "winding out of service"):
         assert model.transformers.pos.tolist() == [0, 2]
     assert model.coeffs.shape == (model.n_periods, 3 if name == "overrides_toy" else 2)
@@ -761,7 +762,7 @@ def test_dc_basis_block_matches_series_engine(name, request):
         got = np.abs(model.eff_weights @ model.values("i", res.x) @ model.coeffs.T)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="pinning ungrounded")
-            dc = solve_series(case, scenario, model.times,
+            dc = solve_series(case, scenario, model.periods.mid,
                               topology=dict(zip(model.switchable, bits)))
         want = dc.effective[held]
         np.testing.assert_allclose(got, want, rtol=1e-9,
@@ -780,7 +781,7 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
     case = dataclasses.replace(b4gic_case, thermal=th)
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=10.0)
 
-    trace = simulate(case, scenario)
+    trace = simulate(case, scenario, times=Periods.over(scenario, 10.0).edges)
     assert len(trace.branch) == 2
     for delta_to in trace.delta_to:
         # unloaded: the rise decays from 40 with the pre-initial input held at 40
@@ -797,7 +798,7 @@ def test_nonzero_to_init_through_simulate_model_and_verify(b4gic_case):
         du = [max(s * p + q for s, q in chords) for p in plan.flows[bid]]
         expect = topoil_series(np.r_[40.0, du], 2.0 * 71.0 / 30.0, 40.0)[1:]
         assert plan.delta_to[pos] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    assert verify_plan(case, scenario, plan).ok(1e-6)
+    assert verify_plan(case, scenario, plan, 30.0).ok(1e-6)
 
 
 def test_plan_and_verify_heat_each_transformer_from_its_own_state(b4gic_case):
@@ -823,7 +824,7 @@ def test_plan_and_verify_heat_each_transformer_from_its_own_state(b4gic_case):
     cap = (peaks[1] + peaks[3]) / 2.0
     rows = tuple(dataclasses.replace(r, hotspot_limit=cap) if r.is_xfmr else r
                  for r in case.branch_gmd)
-    report = verify_plan(dataclasses.replace(case, branch_gmd=rows), scenario, plan)
+    report = verify_plan(dataclasses.replace(case, branch_gmd=rows), scenario, plan, 30.0)
     named = [d for d in report.details if d.startswith("hotspot:")]
     assert report.violations["hotspot"] > 0.0
     assert named and all(d.startswith("hotspot: branch 1:") for d in named)
@@ -867,7 +868,7 @@ def _sha256(*parts) -> str:
 def test_build_model_arrays_pinned(name, request):
     case = request.getfixturevalue(f"{name}_case")
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=2.5)
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     model = build_model(case, scenario, OtsOptions(dt=2.5))
     lp = model.lp
     got = {k: _sha256(getattr(lp, k).indptr, getattr(lp, k).indices, getattr(lp, k).data)
@@ -902,7 +903,7 @@ def test_highs_milp_oracle_above_enumeration_cap(epri21_case, dt, periods):
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
     assert model.n_periods == periods
     plan = solve(model)
@@ -938,7 +939,7 @@ def test_any_seed_keeps_the_optimum(seed, mask):
     that verifies, or, when there is none, no plan.  The seeded LP is the
     search's first LP, and a search it closes alone returns the seed."""
     case, scenario = random_ots_case(np.random.default_rng(seed))
-    model = build_model(case, scenario)
+    model = build_model(case, scenario, OtsOptions(dt=5.0))
     try:
         ref = enumerate_solve(model)
     except MitigationInfeasible:
@@ -965,7 +966,7 @@ def test_any_seed_keeps_the_optimum(seed, mask):
     assert plan.status == "optimal"
     assert abs(plan.model_objective - ref.model_objective) <= (
         model.options.gap * max(1.0, abs(ref.model_objective)))
-    assert verify_plan(case, scenario, plan).ok(1e-5)
+    assert verify_plan(case, scenario, plan, 5.0).ok(1e-5)
     if plan.nodes == 1:
         assert plan.z == z and plan.gap == 0.0
 
@@ -986,7 +987,8 @@ def test_coarse_stage_runs_no_probes(monkeypatch):
     """On a model whose root LP is fractional but whose every plan is
     infeasible, the coarse stage runs and finds no plan, then the unseeded
     search runs, and the probes run once, for the fine model only."""
-    model = build_model(_integer_infeasible_toy(), make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0))
+    model = build_model(_integer_infeasible_toy(), make_ramp_scenario(8.0, 30.0, 30.0, dt=10.0),
+                        OtsOptions(dt=10.0))
     searched, probed = [], []
     search, probes = mitigation._search, mitigation._infeasibility_probes
     monkeypatch.setattr(mitigation, "_search",
@@ -1005,12 +1007,12 @@ def test_coarse_dt_from_the_top_oil_step(epri21_case):
     (tau = 71 min on epri21); no coarse grid when T has no such divisor."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for dt, periods in ((1.0, 360), (2.5, 144), (30.0, 12), (15.0, 24)):
-        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+        scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
         model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
         assert (model.n_periods, mitigation._coarse_dt(model)) == (periods, 120.0)
     # T = 3 at dt = 120: k = 3 would step 360 min > 142 min
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=120.0)
-    assert mitigation._coarse_dt(build_model(epri21_case, scenario)) is None
+    assert mitigation._coarse_dt(build_model(epri21_case, scenario, OtsOptions(dt=120.0))) is None
 
 
 @pytest.mark.parametrize("dt", [2.5, 30.0])
@@ -1019,7 +1021,7 @@ def test_coarse_seed_closes_the_epri21_search(epri21_case, dt):
     within the gap: the search ends after one fine LP, the seeded one, with
     the unseeded search's plan."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+    scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     model = build_model(epri21_case, scenario, OtsOptions(dt=dt))
     plan = solve(model)
     unseeded = _unseeded(model)
@@ -1033,14 +1035,14 @@ def test_coarse_stage_counts_toward_time_limit(epri21_case):
     """The coarse search runs on the solve's clock: past the time limit it
     stops before its root and seeds nothing."""
     scenario = make_ramp_scenario(3.2, 180.0, 180.0, dt=30.0)
-    model = build_model(epri21_case, scenario, OtsOptions(time_limit=60.0))
+    model = build_model(epri21_case, scenario, OtsOptions(dt=30.0, time_limit=60.0))
     assert mitigation._coarse_plan(model, time.perf_counter()) is not None
     assert mitigation._coarse_plan(model, time.perf_counter() - 61.0) is None
 
 
-def _ramp_3p2(dt):
+def _ramp_3p2():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"), dt=dt)
+    return load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
 
 
 def _record_fixed(monkeypatch, *models):
@@ -1069,7 +1071,7 @@ def test_search_order_pinned(epri21_case, monkeypatch):
     binaries it fixes: the unseeded plunge and best-bound search (15 LPs),
     then the seeded solve (the 6 LPs of the coarse search at dt = 120 min,
     then the seeded LP, whose duals close the search with no fine root)."""
-    scenario = _ramp_3p2(30.0)
+    scenario = _ramp_3p2()
     model = build_model(epri21_case, scenario, OtsOptions(dt=30.0))
     coarse = build_model(epri21_case, scenario, OtsOptions(dt=120.0))
     calls = _record_fixed(monkeypatch, model, coarse)
@@ -1110,7 +1112,7 @@ def test_mapped_start_is_only_a_start(epri21_case, dt):
     periods returns the objective of a cold solve of the same LP, and so
     does a start HiGHS completes (one status flipped, one basic too few)
     and a start it refuses (one column status short), which loads cold."""
-    model = build_model(epri21_case, _ramp_3p2(dt), OtsOptions(dt=dt))
+    model = build_model(epri21_case, _ramp_3p2(), OtsOptions(dt=dt))
     start = mitigation._coarse_plan(model, time.perf_counter())[1]
     _, cold = _seeded_lp(model, None)
     assert cold.status == "optimal"
@@ -1133,8 +1135,8 @@ def test_fine_start_reads_each_twin_at_period_t_over_k(epri21_case):
     row of its class whose columns hold its own columns' twins, and a lazy
     row is held where its twin is.  The basis of the coarse incumbent holds
     every row the fine LP always holds and some of its lazy rows."""
-    model = build_model(epri21_case, _ramp_3p2(30.0), OtsOptions(dt=30.0))
-    coarse = build_model(epri21_case, _ramp_3p2(30.0), OtsOptions(dt=120.0))
+    model = build_model(epri21_case, _ramp_3p2(), OtsOptions(dt=30.0))
+    coarse = build_model(epri21_case, _ramp_3p2(), OtsOptions(dt=120.0))
     T = model.n_periods
     m_ub, m_eq = coarse.lp.A_ub.shape[0], coarse.lp.A_eq.shape[0]
     held = np.arange(m_ub) % 3 == 0
@@ -1187,7 +1189,7 @@ def test_seeded_bound_falls_short_on_b4gic_at_5_v_per_km(b4gic_case):
     plan = solve(model)
     assert plan.nodes > 1 and plan.status == "optimal" and plan.z == ref.z
     assert abs(plan.model_objective - ref.model_objective) <= 1e-9 * ref.model_objective
-    assert verify_plan(b4gic_case, model.scenario, plan).ok()
+    assert verify_plan(b4gic_case, model.scenario, plan, 15.0).ok()
 
 
 def test_no_coarse_plan_runs_the_unseeded_search(epri21_case):
@@ -1203,7 +1205,7 @@ def test_no_coarse_plan_runs_the_unseeded_search(epri21_case):
     assert (plan.z, plan.nodes, plan.status) == (unseeded.z, 8, "optimal")
     assert all(v == 1 for v in plan.z.values())
     assert plan.model_objective == pytest.approx(15758.172, rel=1e-9)
-    assert verify_plan(epri21_case, model.scenario, plan).ok()
+    assert verify_plan(epri21_case, model.scenario, plan, 10.0).ok()
 
 
 @pytest.mark.parametrize("dt,limit", [(30.0, 15), (2.5, 16)])
@@ -1212,7 +1214,7 @@ def test_node_limit_after_the_last_needed_node_is_no_timeout(epri21_case, dt, li
     """The unseeded epri21 search needs ``limit`` LPs; at that node limit
     every node left open is dropped by its parent bound, so the search
     is complete.  One node less stops it before its first leaf."""
-    model = build_model(epri21_case, _ramp_3p2(dt), OtsOptions(dt=dt))
+    model = build_model(epri21_case, _ramp_3p2(), OtsOptions(dt=dt))
     monkeypatch.setattr(mitigation, "_NODE_LIMIT", limit)
     plan = _unseeded(model)
     assert (plan.z, plan.nodes, plan.status, plan.gap) == (_EPRI21_PLAN, limit, "optimal", 0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.data import FieldSample, FieldScenario, make_ramp_scenario
+from gicgrid.data import FieldSample, FieldScenario, Periods, make_ramp_scenario
 from gicgrid.thermal import (TopOil, XfmrArrays, apparent_power, hotspot_temp, simulate,
                              steady_rise, topoil_series)
 
@@ -177,7 +177,7 @@ def test_simulate_rated_steady_no_gic(b4gic_case):
     case = dataclasses.replace(b4gic_case, thermal=th)
     scenario = make_ramp_scenario(0.0, 180.0, 180.0, dt=5.0)
     loading = {1: 12.0, 3: 12.0}   # both transformers at their rating
-    trace = simulate(case, scenario, loading=loading)
+    trace = simulate(case, scenario, times=Periods.over(scenario, 5.0).edges, loading=loading)
     assert trace.hotspot.shape == (2, len(trace.t))
     assert np.allclose(trace.delta_to, 75.0, atol=1e-9)
     assert np.allclose(trace.eta_hs, 0.0)
@@ -188,7 +188,7 @@ def test_simulate_rated_steady_no_gic(b4gic_case):
 def test_simulate_gic_ramp_traces_field(b4gic_case):
     """No ac loading: hot-spot rise is the ramp scaled by R_e * I_loop."""
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
-    trace = simulate(case=b4gic_case, scenario=scenario)
+    trace = simulate(case=b4gic_case, scenario=scenario, times=Periods.over(scenario, 5.0).edges)
     assert len(trace.branch) == 2
     assert np.allclose(trace.delta_to, 0.0, atol=1e-12)
     for eta_hs in trace.eta_hs:
@@ -205,7 +205,7 @@ def test_simulate_flags_limit_crossings(b4gic_case):
                  for r in b4gic_case.branch_gmd)
     case = dataclasses.replace(b4gic_case, branch_gmd=rows)
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
-    trace = simulate(case, scenario)
+    trace = simulate(case, scenario, times=Periods.over(scenario, 5.0).edges)
     assert trace.any_violation()
     r = trace.branch.tolist().index(1)
     assert trace.limit[r] == 50.0
@@ -214,8 +214,9 @@ def test_simulate_flags_limit_crossings(b4gic_case):
 
 def test_simulate_loading_series(b4gic_case):
     scenario = make_ramp_scenario(0.0, 60.0, 60.0, dt=5.0)
-    grid = scenario.grid()
-    trace = simulate(b4gic_case, scenario, loading={1: [12.0 if t < 60 else 0.0 for t in grid]})
+    grid = Periods.over(scenario, 5.0).edges
+    trace = simulate(b4gic_case, scenario, times=grid,
+                     loading={1: [12.0 if t < 60 else 0.0 for t in grid]})
     delta_to = trace.delta_to[trace.branch.tolist().index(1)]
     assert delta_to[0] == pytest.approx(0.0)   # to_inited=1, to_init=0
     assert delta_to[6] > 10.0                  # heated while loaded
@@ -226,8 +227,9 @@ def test_simulate_number_loading_equals_its_series(b4gic_case):
     """A number is the series that holds it over the samples, bit for bit."""
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
     loading = {1: 7.3, 3: -4.1}
-    held = simulate(b4gic_case, scenario, loading=loading)
-    series = simulate(b4gic_case, scenario,
+    grid = Periods.over(scenario, 5.0).edges
+    held = simulate(b4gic_case, scenario, times=grid, loading=loading)
+    series = simulate(b4gic_case, scenario, times=grid,
                       loading={bid: np.full(len(held.t), s) for bid, s in loading.items()})
     assert np.all(held.delta_to[:, -1] > 0.0)
     assert np.array_equal(held.delta_to.view(np.int64), series.delta_to.view(np.int64))
@@ -238,12 +240,13 @@ def test_simulate_number_loading_equals_its_series(b4gic_case):
 def test_simulate_rejects_a_loading_series_of_another_length(b4gic_case, length):
     scenario = make_ramp_scenario(1.0, 30.0, 30.0, dt=5.0)   # 13 samples
     with pytest.raises(ValueError, match=f"branch 3 has {length} values for 13 samples"):
-        simulate(b4gic_case, scenario, loading={1: 7.3, 3: [1.0] * length})
+        simulate(b4gic_case, scenario, times=Periods.over(scenario, 5.0).edges,
+                 loading={1: 7.3, 3: [1.0] * length})
 
 
 def test_simulate_grid_length(b4gic_case):
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=5.0)
-    trace = simulate(b4gic_case, scenario)
+    trace = simulate(b4gic_case, scenario, times=Periods.over(scenario, 5.0).edges)
     assert len(trace.t) == 73   # states at t=0,5,...,360
 
 
@@ -254,12 +257,12 @@ def test_step_beyond_twice_tau_is_rejected(b4gic_case):
         TopOil.of(rows, 142.5)
     scenario = make_ramp_scenario(1.0, 180.0, 180.0, dt=180.0)
     with pytest.raises(ValueError, match="2\\*tau"):
-        simulate(b4gic_case, scenario)
+        simulate(b4gic_case, scenario, times=Periods.over(scenario, 180.0).edges)
 
 
 def test_one_sample_simulate_takes_no_step(b4gic_case):
-    scenario = FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),), dt=600.0)
-    trace = simulate(b4gic_case, scenario)
+    scenario = FieldScenario(samples=(FieldSample(0.0, 1.0, 90.0),))
+    trace = simulate(b4gic_case, scenario, times=Periods.over(scenario, 600.0).edges)
     assert trace.hotspot.shape == (2, 1) and len(trace.t) == 1
     assert np.all(trace.delta_to == 0.0)   # b4gic: to_inited=1, to_init=0
     assert trace.hotspot[:, 0] == pytest.approx([25.0 + 0.63 * LOOP] * 2, rel=1e-9)
@@ -276,7 +279,7 @@ def _storm(epri21_case):
     mags = np.abs(np.cumsum(rng.normal(0.0, 0.3, 241)))
     samples = tuple(FieldSample(float(k), float(m), float((3.0 * k) % 360.0))
                     for k, m in enumerate(mags))
-    scenario = FieldScenario(samples=samples, dt=1.0)
+    scenario = FieldScenario(samples=samples)
 
     def loading(grid):
         return {row.branch: [1.5 * math.sin(t / 17.0 + row.branch) for t in grid]
@@ -290,7 +293,7 @@ def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
     its own step_topoil loop and hot-spot sum, bit for bit, from both initial
     top-oil rules."""
     case, scenario, loading = _storm(epri21_case)
-    grid = scenario.grid(0.25)
+    grid = Periods.over(scenario, 0.25).edges
     loads = loading(grid)
     trace = simulate(case, scenario, loading=loads, times=grid)
     assert len(trace.branch) == len(case.thermal) > 1
@@ -306,13 +309,13 @@ def test_simulate_is_the_per_transformer_recursion_bitwise(epri21_case):
 
 
 def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
-    """``times=scenario.grid(dt)`` gives the trace that ``simulate(dt=...)`` gave
+    """``times=Periods.over(scenario, dt).edges`` gives the trace that ``simulate(dt=...)`` gave
     (sha256 of every top-oil rise, by branch id, pinned from it; those are
     elementwise arithmetic, the same bits on every BLAS), with the effective
     currents of the trace's own dc solve over that grid, row by row in
     ``case.xfmr_rows()`` order."""
     case, scenario, loading = _storm(epri21_case)
-    grid = scenario.grid(0.25)
+    grid = Periods.over(scenario, 0.25).edges
     trace = simulate(case, scenario, loading=loading(grid), times=grid)
     digest = hashlib.sha256()
     for r in np.argsort(trace.branch, kind="stable"):
@@ -329,12 +332,13 @@ def test_simulate_on_a_scenario_grid_is_the_step_it_replaced(epri21_case):
                               trace.series.effective[row[pos]].view(np.int64))
 
 
-def test_simulate_defaults_to_the_scenario_grid(b4gic_case):
+def test_simulate_at_the_period_edges_is_the_listed_grid(b4gic_case):
     scenario = make_ramp_scenario(1.0, 60.0, 60.0, dt=5.0)
-    default = simulate(b4gic_case, scenario, loading={1: 7.3})
-    given = simulate(b4gic_case, scenario, loading={1: 7.3}, times=scenario.grid())
-    assert np.array_equal(default.t, given.t)
-    assert np.array_equal(default.hotspot, given.hotspot)
+    edges = simulate(b4gic_case, scenario, loading={1: 7.3},
+                     times=Periods.over(scenario, 5.0).edges)
+    given = simulate(b4gic_case, scenario, loading={1: 7.3}, times=[5.0 * k for k in range(25)])
+    assert np.array_equal(edges.t, given.t)
+    assert np.array_equal(edges.hotspot, given.hotspot)
 
 
 @pytest.mark.parametrize("times", [[0.0, 5.0, 15.0], [0.0, 10.0, 15.0, 20.0]])
