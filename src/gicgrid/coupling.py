@@ -61,8 +61,9 @@ class AcArrays:
         self.y = np.array([complex(0.0, -br.b) for br in branches], dtype=complex)
         self.status = np.array([bool(br.status) for br in branches], dtype=bool)  # nominal
         self.switchable = np.array([br.switchable for br in branches], dtype=bool)
-        self.b, self.rating, self.angle_max = np.array(
-            [(br.b, br.rating, br.angle_max) for br in branches], dtype=float).reshape(-1, 3).T
+        self.b, self.rating, self.angle_max, self.angle_big_m = np.array(
+            [(br.b, br.rating, br.angle_max, br.angle_big_m) for br in branches],
+            dtype=float).reshape(-1, 4).T
 
         # scheduled injections and voltage set points; each generator's share
         # of its bus's generation, by pmax

@@ -566,6 +566,8 @@ def validate_case(case: CaseData) -> None:
         if b.bus_type not in BUS_TYPES:
             raise CaseInvariantError(f"bus row {i} (id {b.index}): bad bus_type '{b.bus_type}'")
 
+    if len({g.index for g in case.generators}) != len(case.generators):
+        raise CaseInvariantError("gen: duplicate indices")
     for i, g in enumerate(case.generators):
         if g.bus not in bus_ids:
             raise CaseReferenceError(f"gen row {i} (id {g.index}): bus {g.bus} does not exist")

@@ -33,6 +33,10 @@ then the +/- pair or group pattern.  The effective-GIC rows are
 ``kron(W, coeffs)``: winding weights times the basis weights per period.
 Entity matrices, time factors and blocks are plain (row, column, value)
 arrays; ``A_eq`` and ``A_ub`` are each one CSR matrix of their blocks.
+
+The case is read through its compiled arrays (``AcArrays``,
+``XfmrArrays``), both chord tables are ``_secants`` of a grid, and each
+variable is declared once, with its bounds.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (ABSENT, AcBranch, CaseData, CaseReferenceError, FieldScenario, Periods,
-                   dispatch_cost, topology_status)
+from .data import (ABSENT, CaseData, CaseReferenceError, FieldScenario, Periods,
+                   dispatch_cost, quadratic_cost, topology_status)
 from .coupling import AcArrays, energized
 from . import thermal
 from .dcnet import DcSystem, source_basis
@@ -96,16 +100,15 @@ class OtsModel:
     scenario: FieldScenario
     options: OtsOptions
     periods: Periods                # the model's periods, held at their midpoints
-    buses: list                     # model buses (connected, energized part)
-    gens: list
-    branches: list[AcBranch]        # in-service ac branches
+    bus_ids: np.ndarray             # model buses (connected, energized part), in case order
+    gen_ids: np.ndarray             # their generators, in id order
+    branch_ids: np.ndarray          # in-service ac branches with an energized end, in case order
     switchable: list[int]           # ac branch ids with binaries, sorted
     dc: DcSystem                    # the dc solve set: nodes, edges and source basis
     coeffs: np.ndarray              # T x B: basis weights per period (v and i are per basis)
     transformers: XfmrArrays        # the transformer rows the model holds (``_scope``)
-    i_bound: np.ndarray             # per row: effective-GIC cap (data or derived) [A]
     i_derived: np.ndarray           # per row: derived cap, bounds Ieff for every switching state
-    loading_row: np.ndarray         # per traced row: its ac branch's row in ``branches``
+    loading_row: np.ndarray         # per traced row: its ac branch's row in ``branch_ids``
     loading_chords: np.ndarray      # traced rows x chords x (slope, intercept): steady rise
     eff_weights: sp.csr_matrix      # transformers x dc edges: winding currents -> signed Ieff
     lp: LpProblem
@@ -152,19 +155,6 @@ class MitigationPlan:
 # model construction
 # ---------------------------------------------------------------------------
 
-def _chords(fn, lo: float, hi: float, segments: int):
-    """(slope, intercept) pairs of the secants of fn over [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1e-9
-    xs = np.linspace(lo, hi, segments + 1)
-    ys = [fn(x) for x in xs]
-    out = []
-    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
-        slope = (y1 - y0) / (x1 - x0)
-        out.append((slope, y0 - slope * x0))
-    return out
-
-
 def build_model(case: CaseData, scenario: FieldScenario, options: OtsOptions) -> OtsModel:
     """Assemble the time-extended switching model as an LP template.
 
@@ -175,19 +165,24 @@ def build_model(case: CaseData, scenario: FieldScenario, options: OtsOptions) ->
 
 
 def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> OtsModel:
-    periods = Periods.over(scenario, opt.dt)
+    periods = _periods(scenario, opt.dt)
     T = periods.count
-    if T < 1:
-        raise ValueError("scenario must span at least one period")
 
-    # connected, energized ac subnetwork; bus_row is a bus's row among the model's
+    # connected, energized ac subnetwork as rows of AcArrays: its buses and
+    # branches in case order, their generators in id order; bus_row is a
+    # bus's row among the model's
     ac = case.compiled(AcArrays)
     active, in_model, held = _scope(case)
     bus_row = np.cumsum(active) - 1
     switchable = sorted(ac.branch_ids[ac.status & ac.switchable].tolist())
-    buses = [b for b, on in zip(case.buses, active) if on]
-    branches = [b for b, on in zip(case.ac_branches, in_model) if on]
-    gens = sorted((g for g in case.generators if active[ac.pos[g.bus]]), key=lambda g: g.index)
+    bus, branch = np.flatnonzero(active), np.flatnonzero(in_model)
+    b, rating = ac.b[branch], ac.rating[branch]
+    big_m, angle_max = ac.angle_big_m[branch], ac.angle_max[branch]
+    br_ids = ac.branch_ids[branch]
+    by_id = np.argsort(ac.gen_ids)
+    gen = by_id[active[ac.gen_row[by_id]]]
+    pmin, pmax = ac.gen_pmin[gen], ac.gen_pmax[gen]
+    costs = [c[gen] for c in ac.gen_cost]
 
     # dc side: the dc engine's nominal solve set and its superposition basis;
     # one switched circuit per basis (B = 2 + overrides), since for a fixed
@@ -226,63 +221,50 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     i_bound = np.where(np.isinf(rows.gic_bound), derived, rows.gic_bound)
     topoil = TopOil.of(rows, opt.dt)
     traced = np.flatnonzero(rows.traced)  # a synthetic row holds no heat: du <= 0
-    chords = _loading_chords(rows[traced])
     loading_sizes = np.where(rows.traced, _PWL_SEGMENTS, 0)  # chords per row
 
-    G, N, E = len(gens), len(buses), len(branches)
+    # the PWL tables (``_secants``): each traced row's steady top-oil rise over
+    # its branch's flow on [-rating, rating], and each generator's cost
+    heat = rows[traced]
+    xs = np.linspace(-heat.rating, heat.rating, _PWL_SEGMENTS + 1, axis=1)
+    chords = _secants(xs, steady_rise(np.abs(xs), heat.rating[:, None], heat.to_rated[:, None]))
+    cost_sizes, gen_chords = _cost_chords(pmin, pmax, *costs)
+
+    G, N, E = len(gen), len(bus), len(branch)
     X = len(rows.pos)
     B = coeffs.shape[1]
     S = len(switchable)
 
+    # each variable, declared once with its bounds (lower, upper): one for
+    # all, one per entity held over its horizon, or one per entity and
+    # period or basis; its columns follow those declared before it
     slices: dict[str, tuple[int, int, int]] = {}
-    offset = 0
+    lows, highs = [], []
 
-    def register(name: str, count: int, horizon: int) -> None:
-        nonlocal offset
-        slices[name] = (offset, count, horizon)
-        offset += count * horizon
+    def register(name: str, count: int, horizon: int, lo, hi) -> None:
+        slices[name] = (sum(map(len, lows)), count, horizon)
+        for bounds, vals in ((lows, lo), (highs, hi)):
+            bounds.append(np.broadcast_to(np.transpose(vals), (horizon, count)).T.ravel())
 
-    register("p_g", G, T)
-    register("theta", N, T)
-    register("p_e", E, T)
-    register("v", Nd, B)
-    register("i", Ed, B)
-    register("ieff", X, T)
-    register("delta", X, T)
-    register("z", S, 1)
-    primary = offset
-    register("cost", G, T)      # aux: epigraph of quadratic dispatch cost
-    register("du", X, T)        # aux: PWL steady-state top-oil rise
-    nvars = offset
+    theta_bound = max(1.0, N * max(big_m, default=math.pi))
+    slack = ac.bus_type[active] == "slack"  # angle 0
+    d_m = np.fmax(rows.to_rated, topoil.delta0) + 1e-6
+    v_m = np.maximum(node_m, 1e-6)
+    cost_lo, cost_hi = _cost_range(pmin, pmax, *costs)
+    register("p_g", G, T, pmin, pmax)
+    register("theta", N, T, np.where(slack, 0.0, -theta_bound), np.where(slack, 0.0, theta_bound))
+    register("p_e", E, T, -rating, rating)
+    register("v", Nd, B, -v_m, v_m)
+    register("i", Ed, B, -i_m, i_m)
+    register("ieff", X, T, 0.0, i_bound)
+    register("delta", X, T, 0.0, d_m)
+    register("z", S, 1, 0.0, 1.0)
+    register("cost", G, T, cost_lo - 1.0, cost_hi + 1.0)  # aux: epigraph of dispatch cost
+    register("du", X, T, 0.0, d_m)                        # aux: PWL steady top-oil rise
+    lb, ub = np.concatenate(lows), np.concatenate(highs)
+    nvars, primary = len(lb), slices["cost"][0]  # the auxiliaries follow the primary variables
 
     z_col = {bid: slices["z"][0] + k for k, bid in enumerate(switchable)}
-
-    lb = np.full(nvars, -np.inf)
-    ub = np.full(nvars, np.inf)
-
-    # variable bounds: one (lower, upper) per entity, held over its horizon,
-    # or one per entity and basis
-    theta_bound = max(1.0, N * max((b.angle_big_m for b in branches), default=math.pi))
-    slack = ac.bus_type[active] == "slack"  # angle 0
-    theta_lo, theta_hi = np.where(slack, 0.0, -theta_bound), np.where(slack, 0.0, theta_bound)
-    v_m = np.maximum(node_m, 1e-6)
-    d_m = np.fmax(rows.to_rated, topoil.delta0) + 1e-6
-    cost = [_cost_range(g) for g in gens]
-    for name, lo, hi in (("p_g", [g.pmin for g in gens], [g.pmax for g in gens]),
-                         ("theta", theta_lo, theta_hi),
-                         ("p_e", [-br.rating for br in branches], [br.rating for br in branches]),
-                         ("v", -v_m, v_m),
-                         ("i", -i_m, i_m),
-                         ("ieff", [0.0] * X, i_bound),
-                         ("delta", [0.0] * X, d_m),
-                         ("du", [0.0] * X, d_m),
-                         ("z", [0.0] * S, [1.0] * S),
-                         ("cost", [c[0] - 1.0 for c in cost], [c[1] + 1.0 for c in cost])):
-        off, count, horizon = slices[name]
-        for bound, vals in ((lb, lo), (ub, hi)):
-            vals = np.asarray(vals, dtype=float)
-            bound[off:off + count * horizon] = (vals.ravel() if vals.ndim == 2
-                                                else np.repeat(vals, horizon))
 
     # Constraints, one block of (row, column, value) entries per class.  An
     # entity matrix maps the class's row entities onto one variable's entities
@@ -292,8 +274,6 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     # and over the class's +/- pair or group pattern, so rows run by entity,
     # then period or basis, then pattern.  Entity matrices and time factors
     # are _Entries; A_eq and A_ub are each one CSR matrix of their blocks.
-    gen_chords = [_chords(g.cost, g.pmin, g.pmax, _PWL_SEGMENTS if g.cost2 > 0 else 1)
-                  for g in gens]
     steps = np.arange(1, T)
     each, basis = _diag(np.ones(T)), _diag(np.ones(B))
     lag = _mat((T, T), steps, steps - 1, np.ones(T - 1))
@@ -349,16 +329,11 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                      at=_group_rows(np.maximum(sizes, 1), T))
 
     # ac side: branch-bus incidence (+1 at f, -1 at t) and Ohm's law p = b (theta_f - theta_t)
-    fb, tb = bus_row[ac.f[in_model]], bus_row[ac.t[in_model]]
-    b = np.array([br.b for br in branches])
+    fb, tb = bus_row[ac.f[branch]], bus_row[ac.t[branch]]
     branch_bus = _ends((E, N), fb, tb, np.ones(E), -np.ones(E))
-    gen_bus = _mat((N, G), bus_row[[ac.pos[g.bus] for g in gens]], np.arange(G), -np.ones(G))
-    br_ids = np.array([br.index for br in branches], dtype=int)
+    gen_bus = _mat((N, G), bus_row[ac.gen_row[gen]], np.arange(G), -np.ones(G))
     is_sw = np.isin(br_ids, switchable)
     sw, fixed = np.flatnonzero(is_sw), np.flatnonzero(~is_sw)
-    big_m = np.array([br.angle_big_m for br in branches])
-    angle_max = np.array([br.angle_max for br in branches])
-    rating = np.array([br.rating for br in branches])
     m_ohm = np.abs(b) * big_m + 1e-9
 
     def ohm_theta(sel):
@@ -391,7 +366,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
 
     A_eq, b_eq, _, eq_period = _stack([
         # power balance: sum(out) - sum(in) - sum(gen) = -(pd + g_shunt)
-        block(held([-(bus.pd + bus.g_shunt) for bus in buses]),
+        block(held(-(ac.p_load + ac.g_shunt)[bus]),
               ("p_e", _expand(branch_bus.T, each)), ("p_g", _expand(gen_bus, each))),
         # ac Ohm's law of the fixed branches
         block(held(np.zeros(len(fixed))),
@@ -445,8 +420,7 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
                              ("ieff", _expand(_mat((len(traced), X), np.arange(len(traced)),
                                                    traced, rows.hs_coeff[traced]), each))),
         # cost epigraph
-        "pwl_cost": epigraph("cost", "p_g", [len(c) for c in gen_chords],
-                             list(itertools.chain(*gen_chords)), np.arange(G)),
+        "pwl_cost": epigraph("cost", "p_g", cost_sizes, gen_chords, np.arange(G)),
     }
     A_ub, b_ub, stops, ub_period = _stack(list(ineq.values()), nvars)
     classes = {name: (int(lo), int(hi)) for name, lo, hi in zip(ineq, stops, stops[1:])}
@@ -474,8 +448,9 @@ def _build_model(case: CaseData, scenario: FieldScenario, opt: OtsOptions) -> Ot
     lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub, lazy=lazy)
 
     return OtsModel(case=case, scenario=scenario, options=opt, periods=periods,
-                    buses=buses, gens=gens, branches=branches, switchable=switchable,
-                    dc=dc, coeffs=coeffs, transformers=rows, i_bound=i_bound, i_derived=derived,
+                    bus_ids=np.asarray(ac.bus_ids)[bus], gen_ids=np.asarray(ac.gen_ids)[gen],
+                    branch_ids=br_ids, switchable=switchable,
+                    dc=dc, coeffs=coeffs, transformers=rows, i_derived=derived,
                     loading_row=loading_row, loading_chords=chords, eff_weights=W, lp=lp,
                     z_col=z_col, open_cols=open_cols, slices=slices, classes=classes,
                     primary_var_count=primary, ub_period=ub_period, eq_period=eq_period)
@@ -553,23 +528,41 @@ def _stack(blocks, ncols: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, n
     return sp.csr_matrix((vals, (rows, cols)), shape=(stops[-1], ncols)), rhs, stops, period
 
 
-def _cost_range(g) -> tuple[float, float]:
-    vals = [g.cost(p) for p in (g.pmin, g.pmax)]
-    if g.cost2 > 0:
-        vertex = -g.cost1 / (2.0 * g.cost2)
-        if g.pmin <= vertex <= g.pmax:
-            vals.append(g.cost(vertex))
-    return min(vals), max(vals)
-
-
-def _loading_chords(rows: XfmrArrays) -> np.ndarray:
-    """Secants (slope, intercept) of each row's steady top-oil rise over its
-    branch's flow on [-rating, rating], rows x chords x 2: ``_chords`` of
-    every row at once."""
-    xs = np.linspace(-rows.rating, rows.rating, _PWL_SEGMENTS + 1, axis=1)
-    ys = steady_rise(np.abs(xs), rows.rating[:, None], rows.to_rated[:, None])
+def _secants(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The chords (slope, intercept) of each row's points (xs, ys) taken in
+    turn, rows x chords x 2."""
     slope = (ys[:, 1:] - ys[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
     return np.stack([slope, ys[:, :-1] - slope * xs[:, :-1]], axis=-1)
+
+
+def _cost_chords(pmin, pmax, cost0, cost1, cost2) -> tuple[np.ndarray, np.ndarray]:
+    """Each generator's chord count and, all in turn, the chords (slope,
+    intercept) of its ``quadratic_cost``: _PWL_SEGMENTS secants over [pmin,
+    pmax] (widened by 1e-9 when equal), or the one secant of a linear cost."""
+    xs = np.linspace(pmin, np.where(pmax <= pmin, pmin + 1e-9, pmax), _PWL_SEGMENTS + 1, axis=1)
+    ys = quadratic_cost(cost0[:, None], cost1[:, None], cost2[:, None], xs)
+    sizes = np.where(cost2 > 0, _PWL_SEGMENTS, 1)
+    chords = np.where((cost2 > 0)[:, None, None], _secants(xs, ys),
+                      _secants(xs[:, ::_PWL_SEGMENTS], ys[:, ::_PWL_SEGMENTS]))
+    return sizes, chords[np.arange(_PWL_SEGMENTS) < sizes[:, None]]
+
+
+def _cost_range(pmin, pmax, cost0, cost1, cost2) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest ``quadratic_cost`` of each generator over
+    [pmin, pmax]: at its ends, or at its vertex when that lies between them."""
+    vertex = np.divide(-cost1, 2.0 * cost2, out=np.full_like(cost1, np.nan), where=cost2 > 0)
+    inside = (pmin <= vertex) & (vertex <= pmax)  # never for a linear cost (NaN)
+    at = np.stack([pmin, pmax, np.where(inside, vertex, pmin)])
+    vals = quadratic_cost(cost0, cost1, cost2, at)
+    return vals.min(axis=0), vals.max(axis=0)
+
+
+def _periods(scenario: FieldScenario, dt: float) -> Periods:
+    """The model's periods, and a plan's (``Periods.over``); ValueError for none."""
+    periods = Periods.over(scenario, dt)
+    if periods.count < 1:
+        raise ValueError("scenario must span at least one period")
+    return periods
 
 
 def _scope(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -890,9 +883,9 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
                   gap: float, nodes: int, wall: float, status: str) -> MitigationPlan:
     T = model.n_periods
     z = _z_of(model, x)
-    gen_p = dict(zip((g.index for g in model.gens), model.values("p_g", x).tolist()))
-    flows = dict(zip((br.index for br in model.branches), model.values("p_e", x).tolist()))
-    theta = dict(zip((b.index for b in model.buses), model.values("theta", x).tolist()))
+    gen_p = dict(zip(model.gen_ids.tolist(), model.values("p_g", x).tolist()))
+    flows = dict(zip(model.branch_ids.tolist(), model.values("p_e", x).tolist()))
+    theta = dict(zip(model.bus_ids.tolist(), model.values("theta", x).tolist()))
 
     # the LP leaves I_eff / du anywhere between the physical value and the
     # caps when nothing binds; report the tight feasible point instead,
@@ -913,8 +906,10 @@ def _extract_plan(model: OtsModel, x: np.ndarray, model_obj: float,
     i_eff, delta_to, hotspot, xfmr_branches = (
         dict(zip(pos, v.tolist())) for v in (tight_eff, delta, hotspot, rows.branch))
 
-    costs = np.reshape([(g.cost0, g.cost1, g.cost2) for g in model.gens], (-1, 3)).T
-    true_obj = dispatch_cost(*costs, model.values("p_g", x))
+    ac = model.case.compiled(AcArrays)
+    by_id = np.argsort(ac.gen_ids)
+    gen = by_id[np.isin(np.take(ac.gen_ids, by_id), model.gen_ids)]  # the model's, in id order
+    true_obj = dispatch_cost(*(c[gen] for c in ac.gen_cost), model.values("p_g", x))
 
     return MitigationPlan(z=z, times=model.periods.mid.tolist(), dt=model.periods.dt,
                           gen_p=gen_p, flows=flows, theta=theta, i_eff=i_eff,
@@ -1003,7 +998,7 @@ def verify_plan(case: CaseData, scenario: FieldScenario, plan: MitigationPlan,
     of the case, or an ``xfmr_branches`` entry that is not the ac branch of
     its branch_gmd row, raises CaseReferenceError.
     """
-    periods = Periods.over(scenario, dt)
+    periods = _periods(scenario, dt)
     T = periods.count
     _check_plan(plan, periods)
     ac = case.compiled(AcArrays)

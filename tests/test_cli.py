@@ -680,6 +680,27 @@ def test_verify_at_other_dt_is_input_error(workdir, capsys, dt):
     assert "Traceback" not in err
 
 
+def test_one_sample_scenario_spans_no_period(workdir, capsys):
+    """A one-sample scenario spans no period: mitigate and verify (of a
+    plan with no periods) both refuse it as bad input, with one message."""
+    doc = json.loads(_plan(workdir).read_text())
+    doc["times"] = []
+    for key in ("gen_p", "flows", "theta", "i_eff", "delta_to", "hotspot"):
+        doc[key] = {k: [] for k in doc[key]}
+    plan = workdir / "no_periods.json"
+    plan.write_text(json.dumps(doc))
+    one = workdir / "one.csv"
+    one.write_text("t_min,e_mag_vkm,e_dir_deg\n0,1.0,90\n")
+    case = ["--case", str(workdir / "b4gic.json"), "--scenario", str(one), "--dt", "30"]
+    for args in (["mitigate", *case, "--out", str(workdir / "none")],
+                 ["verify", *case, "--plan", str(plan), "--out", str(workdir / "ver")]):
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: scenario must span at least one period\n"
+    assert not (workdir / "none").exists() and not (workdir / "ver").exists()
+
+
 @pytest.mark.parametrize("key,value", [("flows", float("nan")), ("gen_p", float("nan")),
                                        ("theta", float("inf")), ("hotspot", float("-inf"))])
 def test_verify_rejects_non_finite_plan(workdir, capsys, key, value):

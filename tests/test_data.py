@@ -421,6 +421,15 @@ def test_transformer_needs_thermal_row(b4gic_case):
         parse_case(json.dumps(doc))
 
 
+def test_duplicate_generator_ids_rejected(b4gic_case):
+    """Generator ids are unique, as bus, branch, gmd_bus and gmd_branch ids
+    are: a plan's dispatch is keyed by them."""
+    doc = _doc(b4gic_case)
+    doc["gen"][1]["index"] = doc["gen"][0]["index"]
+    with pytest.raises(CaseInvariantError, match="^gen: duplicate indices$"):
+        parse_case(json.dumps(doc))
+
+
 def test_vmin_vmax_invariant(b4gic_case):
     doc = _doc(b4gic_case)
     doc["bus"][0]["vmin"] = 1.2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gicgrid.data import (FieldSample, FieldScenario, Periods, load_scenario_file,
+from gicgrid.data import (FieldSample, FieldScenario, Generator, Periods, load_scenario_file,
                           make_ramp_scenario, parse_case)
 from gicgrid.dcnet import solve_series
 from gicgrid.lp import LpProblem, dual_bound, lp_solve
@@ -22,7 +22,7 @@ from gicgrid.mitigation import (MitigationInfeasible, OtsOptions, VerifyReport, 
                                 enumerate_solve, solve, verify_plan)
 from gicgrid.thermal import hotspot_temp, simulate, steady_rise, topoil_series
 
-from conftest import effective, random_ots_case
+from conftest import bundled, effective, random_ots_case
 
 
 def _plan(model, found, t0):
@@ -72,7 +72,7 @@ def test_variable_count_formula():
     case, scenario = random_ots_case(rng)
     model = build_model(case, scenario, OtsOptions(dt=5.0))
     T = model.n_periods
-    G, N, E = len(model.gens), len(model.buses), len(model.branches)
+    G, N, E = len(model.gen_ids), len(model.bus_ids), len(model.branch_ids)
     Nd, Ed, X = len(model.dc.node_ids), len(model.dc.branch_ids), len(model.transformers.pos)
     S, B = len(model.switchable), model.coeffs.shape[1]
     assert model.primary_var_count == T * (G + N + E + 2 * X) + B * (Nd + Ed) + S
@@ -668,7 +668,7 @@ def test_model_holds_the_transformers_of_its_branches(epri21_case):
         rows[pos] = dataclasses.replace(rows[pos], gmd_br_lo=lo)
     case = dataclasses.replace(epri21_case, branch_gmd=tuple(rows))
     model = build_model(case, make_ramp_scenario(1.0, 60.0, 60.0, dt=60.0), OtsOptions(dt=60.0))
-    in_model = {br.index for br in model.branches}
+    in_model = set(model.branch_ids.tolist())
     assert model.transformers.pos.tolist() == [p for p, r in case.xfmr_rows()
                                                if r.branch in in_model]
     assert model.transformers.pos.tolist() == [0, 2, 3, 4, 5, 13, 14, 17]
@@ -830,10 +830,87 @@ def test_plan_and_verify_heat_each_transformer_from_its_own_state(b4gic_case):
     assert named and all(d.startswith("hotspot: branch 1:") for d in named)
 
 
+def _chords(fn, lo: float, hi: float, segments: int):
+    """Reference: (slope, intercept) pairs of the secants of fn over [lo, hi]."""
+    if hi <= lo:
+        hi = lo + 1e-9
+    xs = np.linspace(lo, hi, segments + 1)
+    ys = [fn(x) for x in xs]
+    out = []
+    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        slope = (y1 - y0) / (x1 - x0)
+        out.append((slope, y0 - slope * x0))
+    return out
+
+
+def _cost_range(g) -> tuple[float, float]:
+    """Reference: the least and the greatest cost of one generator."""
+    vals = [g.cost(p) for p in (g.pmin, g.pmax)]
+    if g.cost2 > 0:
+        vertex = -g.cost1 / (2.0 * g.cost2)
+        if g.pmin <= vertex <= g.pmax:
+            vals.append(g.cost(vertex))
+    return min(vals), max(vals)
+
+
+@st.composite
+def _generator(draw):
+    """A generator whose output range may be one point and whose cost may be
+    linear; a quadratic cost's vertex lies inside its range, below, above or
+    on an end (with cost_2 = 0.5 the vertex is -cost_1 exactly)."""
+    pmin = draw(st.floats(-10.0, 10.0))
+    pmax = pmin + draw(st.just(0.0) | st.floats(1e-6, 20.0))
+    cost0 = draw(st.floats(0.0, 100.0))
+    cost2 = draw(st.just(0.0) | st.just(0.5) | st.floats(1e-4, 2.0))
+    if cost2 == 0.0:
+        cost1 = draw(st.floats(-50.0, 50.0))
+    else:
+        vertex = draw(st.sampled_from([pmin, pmax, (pmin + pmax) / 2.0, pmin - 1.0, pmax + 1.0])
+                      | st.floats(pmin - 5.0, pmax + 5.0))
+        cost1 = -2.0 * cost2 * vertex
+    return Generator(index=0, bus=1, pmin=pmin, pmax=pmax, cost0=cost0, cost1=cost1, cost2=cost2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_generator(), min_size=1, max_size=12))
+@example(list(bundled("epri21").generators + bundled("b4gic").generators))
+@example([Generator(index=0, bus=1, pmin=1.0, pmax=1.0, cost1=-1.0, cost2=0.5),
+          Generator(index=0, bus=1, pmin=1.0, pmax=3.0, cost1=-3.0, cost2=0.5),
+          Generator(index=0, bus=1, pmin=1.0, pmax=3.0, cost1=-1.0, cost2=0.5),
+          Generator(index=0, bus=1, pmin=0.0, pmax=0.0, cost1=7.0),
+          Generator(index=0, bus=1, pmin=0.0, pmax=5.0, cost1=-7.0)])
+def test_cost_tables_are_the_references(gens):
+    """The secant table and the cost range of the switching model, over
+    arrays of generators, equal the per-generator references bit for bit:
+    the bundled generators, fixed outputs (pmin == pmax), linear costs
+    (cost_2 = 0), and vertices inside the range, outside it and at its ends."""
+    arrays = [np.array([getattr(g, k) for g in gens], dtype=float)
+              for k in ("pmin", "pmax", "cost0", "cost1", "cost2")]
+    sizes, chords = mitigation._cost_chords(*arrays)
+    want = [_chords(g.cost, g.pmin, g.pmax, 8 if g.cost2 > 0 else 1) for g in gens]
+    assert sizes.tolist() == [len(c) for c in want]
+    assert chords.tobytes() == np.array(list(itertools.chain(*want))).reshape(-1, 2).tobytes()
+    lo, hi = mitigation._cost_range(*arrays)
+    want = np.array([_cost_range(g) for g in gens])
+    assert np.stack([lo, hi], axis=1).tobytes() == want.tobytes()
+
+
 # sha256 of the arrays of build_model on the bundled cases with cases/ramp_3p2.csv
 # at dt = 2.5 min (T = 144): a refactor of the builder must keep every byte of
-# the LP, its column layout and its row order
+# the LP, its column layout and its row order.  b4gic_one_chord is b4gic with a
+# linear cost (one cost chord) on generator 1, renumbered 3 so that id order
+# is not the case's bus order, and generator 2 fixed at 4 p.u. (pmin == pmax)
 _PINNED = {
+    "b4gic_one_chord": {
+        "A_ub": "33d61deff5faccc46980e5b7b8d8d2e4e6e4c5a553f288f158a208efd8e37f78",
+        "A_eq": "deb80e831bb811792cd0d365cf364ae518e40474a2a75be4895d08f5c85021a6",
+        "b_ub": "30e814662eabd054e62286ee81281fc9805465b68fdbde1d169ed3610bf212f5",
+        "b_eq": "9d34fbcf42da77d06dd42184cb3f2a925be3056389cac74a8ae46a930013fd57",
+        "lb": "a336499c4bb3627a00d93a76e8ed363c46a5739ba5cec3005be31a7573fbd795",
+        "ub": "58528d607160c61e212e32609f55fc749e8f4a30327e0658ef4721d7969dd9fb",
+        "c": "627aceb8ff4d70b1bad3eeb284f2410d203859c6d0a2068978b329897241c502",
+        "classes": "894578f96a1231124b0d09828e960df19c8af39ab139728df3d87d37d933b19c",
+    },
     "b4gic": {
         "A_ub": "ce95979a5efe1e663ce06d3b5253c025729e74db953e0c82184d3e3eb0f89119",
         "A_eq": "4985a63d124af5939027ab2b70a8a31c3215180c58286b23b6797418a4fb8ff3",
@@ -864,9 +941,19 @@ def _sha256(*parts) -> str:
     return h.hexdigest()
 
 
+def _one_chord(case):
+    """``case`` (b4gic) with generator 1 renumbered 3 at a linear cost and
+    generator 2 fixed at 4 p.u."""
+    g1, g2 = case.generators
+    return dataclasses.replace(case, generators=(dataclasses.replace(g1, index=3, cost2=0.0),
+                                                 dataclasses.replace(g2, pmin=4.0, pmax=4.0)))
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_build_model_arrays_pinned(name, request):
-    case = request.getfixturevalue(f"{name}_case")
+    case = request.getfixturevalue(f"{name.removesuffix('_one_chord')}_case")
+    if name.endswith("_one_chord"):
+        case = _one_chord(case)
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     scenario = load_scenario_file(os.path.join(here, "cases", "ramp_3p2.csv"))
     model = build_model(case, scenario, OtsOptions(dt=2.5))
@@ -881,8 +968,8 @@ def test_build_model_arrays_pinned(name, request):
     # chords, a group per transformer and period; every group distinct
     marked = np.zeros(len(lp.lazy), dtype=bool)
     sizes = []
-    switched = [br for br in model.branches if br.index in model.z_col]
-    for cls, rows in (("rating", [2] * len(switched)), ("angle", [2] * len(model.branches)),
+    switched = [bid for bid in model.branch_ids.tolist() if bid in model.z_col]
+    for cls, rows in (("rating", [2] * len(switched)), ("angle", [2] * len(model.branch_ids)),
                       ("pwl_loading", [8 if traced else 1
                                        for traced in model.transformers.traced])):
         marked[slice(*model.classes[cls])] = True
